@@ -4,6 +4,10 @@ Scalar Helmholtz bilinear forms are integrated in the parametric square:
 gradients are pulled back with the inverse Jacobian transpose and volume
 elements carry ``|det J|``.  Quadrature is (p+1)-point Gauss-Legendre per
 direction on every cell of the merged field/geometry breakpoint grid.
+
+All cells are integrated in one batch: the Jacobians at every quadrature
+point come from one tensor-grid evaluation of the geometry, and the local
+matrices of all cells from one batched product each, scattered once.
 """
 
 import numpy as np
@@ -112,7 +116,12 @@ class MatrixPencil:
 
 
 class _DirectionRule:
-    """Per-direction quadrature cells with cached basis values."""
+    """Per-direction quadrature cells, stacked into arrays.
+
+    ``nodes`` and ``weights`` have shape (n_cells, p + 1); ``first`` is each
+    cell's first active field function; ``table[k, c, i]`` holds the k-th
+    derivatives (k = 0, 1) of the p + 1 active functions at ``nodes[c, i]``.
+    """
 
     def __init__(self, basis, geo_breaks):
         merged = np.unique(np.concatenate([basis.kv.breakpoints, geo_breaks]))
@@ -120,19 +129,16 @@ class _DirectionRule:
         for x in merged[1:]:
             if x - keep[-1] > 1e-12:
                 keep.append(x)
-        xg, wg = np.polynomial.legendre.leggauss(basis.degree + 1)
-        self.cells = []
-        for a, b in zip(keep[:-1], keep[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            nodes = mid + half * xg
-            span = basis.find_span(mid)
-            vals = np.empty((nodes.size, basis.degree + 1))
-            ders = np.empty_like(vals)
-            for k, u in enumerate(nodes):
-                _, table = basis.eval_basis_derivatives(u, 1)
-                vals[k] = table[0]
-                ders[k] = table[1]
-            self.cells.append((span, nodes, half * wg, vals, ders))
+        keep = np.array(keep)
+        p = basis.degree
+        xg, wg = np.polynomial.legendre.leggauss(p + 1)
+        mid, half = 0.5 * (keep[:-1] + keep[1:]), 0.5 * (keep[1:] - keep[:-1])
+        self.nodes = mid[:, None] + half[:, None] * xg
+        self.weights = half[:, None] * wg
+        self.first = np.array([basis.find_span(m) for m in mid]) - p
+        table = basis.collocation(self.nodes.ravel(), 1).reshape(2, *self.nodes.shape, -1)
+        active = (self.first[:, None] + np.arange(p + 1))[None, :, None, :]
+        self.table = np.take_along_axis(table, active, axis=-1)
 
 
 def assemble_full(geom, space):
@@ -145,52 +151,57 @@ def assemble_full(geom, space):
     rule_v = _DirectionRule(space.bases[1], geom.bases[1].kv.breakpoints)
     p = space.degree
     nloc1 = p + 1
-    nloc = nloc1 * nloc1
-    nv_tot = space.shape[1]
+    nloc = nloc1 * nloc1    # local functions per cell
+    npts = nloc1 * nloc1    # quadrature points per cell
+    cells_u, cells_v = rule_u.first.size, rule_v.first.size
+    n_cells = cells_u * cells_v
 
-    rows, cols, k_vals, m_vals = [], [], [], []
-    for span_u, nodes_u, w_u, vals_u, ders_u in rule_u.cells:
-        first_u = span_u - p
-        for span_v, nodes_v, w_v, vals_v, ders_v in rule_v.cells:
-            first_v = span_v - p
-            k_loc = np.zeros((nloc, nloc))
-            m_loc = np.zeros((nloc, nloc))
-            grad = np.empty((2, nloc))
-            for iu in range(nodes_u.size):
-                for iv in range(nodes_v.size):
-                    uv = (nodes_u[iu], nodes_v[iv])
-                    try:
-                        _, J = geom.map_and_jacobian(uv)
-                    except SingularityError as exc:
-                        raise AssemblyError(str(exc)) from exc
-                    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-                    if not np.isfinite(det) or det <= 0.0:
-                        raise AssemblyError(
-                            f"Jacobian determinant {det:.3e} at quadrature point "
-                            f"({uv[0]:.6f}, {uv[1]:.6f})"
-                        )
-                    shape = np.multiply.outer(vals_u[iu], vals_v[iv]).ravel()
-                    grad[0] = np.multiply.outer(ders_u[iu], vals_v[iv]).ravel()
-                    grad[1] = np.multiply.outer(vals_u[iu], ders_v[iv]).ravel()
-                    phys = np.linalg.solve(J.T, grad)
-                    w = w_u[iu] * w_v[iv] * det
-                    k_loc += w * (phys.T @ phys)
-                    m_loc += w * np.multiply.outer(shape, shape)
-            idx = (
-                np.arange(first_u, first_u + nloc1)[:, None] * nv_tot
-                + np.arange(first_v, first_v + nloc1)
-            ).ravel()
-            rows.append(np.repeat(idx, nloc))
-            cols.append(np.tile(idx, nloc))
-            k_vals.append(k_loc.ravel())
-            m_vals.append(m_loc.ravel())
+    try:
+        _, J = geom.jacobian_grid(rule_u.nodes.ravel(), rule_v.nodes.ravel())
+    except SingularityError as exc:
+        raise AssemblyError(str(exc)) from exc
+    # axes (cell_u, cell_v, node_u, node_v): cells outer, points inner
+    J = J.reshape(cells_u, nloc1, cells_v, nloc1, 2, 2).transpose(0, 2, 1, 3, 4, 5)
+    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    bad = ~(np.isfinite(det) & (det > 0.0))
+    if bad.any():
+        cu, cv, iu, iv = np.unravel_index(np.argmax(bad), bad.shape)
+        raise AssemblyError(
+            f"Jacobian determinant {det[cu, cv, iu, iv]:.3e} at quadrature point "
+            f"({rule_u.nodes[cu, iu]:.6f}, {rule_v.nodes[cv, iv]:.6f})"
+        )
+    weight = np.einsum("ai,bj->abij", rule_u.weights, rule_v.weights)
+    # w det J^-1 J^-T = (w / det) adj(J) adj(J)^T
+    adj = np.stack(
+        [J[..., 1, 1], -J[..., 0, 1], -J[..., 1, 0], J[..., 0, 0]], axis=-1
+    ).reshape(J.shape)
+    metric = (weight / det)[..., None, None] * (adj @ np.swapaxes(adj, -1, -2))
 
+    # (cell, point, local function a * (p + 1) + b)
+    def local(fu, fv):
+        return np.einsum("aik,bjl->abijkl", fu, fv).reshape(n_cells, npts, nloc)
+
+    (vals_u, ders_u), (vals_v, ders_v) = rule_u.table, rule_v.table
+    shape = local(vals_u, vals_v)
+    grad = np.stack([local(ders_u, vals_v), local(vals_u, ders_v)], axis=2)
+    flux = metric.reshape(n_cells, npts, 2, 2) @ grad
+    # per cell, sum over (point, direction) pairs
+    k_loc = grad.reshape(n_cells, 2 * npts, nloc).swapaxes(1, 2) @ flux.reshape(
+        n_cells, 2 * npts, nloc
+    )
+    vol = (weight * det).reshape(n_cells, npts, 1)
+    m_loc = (vol * shape).swapaxes(1, 2) @ shape
+
+    local_idx = np.arange(nloc1)
+    idx = (
+        (rule_u.first[:, None, None, None] + local_idx[:, None]) * space.shape[1]
+        + (rule_v.first[:, None] + local_idx)[None, :, None, :]
+    ).reshape(n_cells, nloc)
+    rows = np.broadcast_to(idx[:, :, None], k_loc.shape).ravel()
+    cols = np.broadcast_to(idx[:, None, :], k_loc.shape).ravel()
     n = space.n_dofs
-    shape = (n, n)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    K = sp.coo_matrix((np.concatenate(k_vals), (rows, cols)), shape=shape).tocsr()
-    M = sp.coo_matrix((np.concatenate(m_vals), (rows, cols)), shape=shape).tocsr()
+    K = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    M = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     return K, M
 
 

@@ -51,9 +51,12 @@ class GeometryMap:
         self.net = net
         scale = float(np.ptp(net.points.reshape(-1, 2), axis=0).max())
         self._det_scale = max(scale * scale, 1e-30)
+        self.degenerate_corners = ()   # none marked while probing them
+        _, J = self.jacobian_grid((0.0, 1.0), (0.0, 1.0))
+        corner_det = _det(J)
         self.degenerate_corners = tuple(
             c for c in _CORNERS
-            if abs(self._det_at(c)) < 1e-12 * self._det_scale
+            if abs(corner_det[int(c[0]), int(c[1])]) < 1e-12 * self._det_scale
         )
         if validate:
             bad = self._probe_min_det()
@@ -98,23 +101,45 @@ class GeometryMap:
         J[:, 1] = (Hv[:2] - x * Hv[2]) / w
         return x, J
 
-    def _det_at(self, uv):
-        H, Hu, Hv = self._homogeneous_ders(uv)
-        w = H[2]
-        x = H[:2] / w
-        j0 = (Hu[:2] - x * Hu[2]) / w
-        j1 = (Hv[:2] - x * Hv[2]) / w
-        return j0[0] * j1[1] - j0[1] * j1[0]
+    def jacobian_grid(self, us, vs):
+        """Physical points and Jacobians on the tensor grid us x vs.
+
+        A deformation only moves control points, so every value is one
+        contraction of the two per-direction basis tables with the
+        homogeneous net.
+
+        Returns
+        -------
+        x : ndarray, shape (len(us), len(vs), 2)
+        J : ndarray, shape (len(us), len(vs), 2, 2)
+            J[i, j] is dF/d(u, v) at (us[i], vs[j]).
+
+        Raises SingularityError when the grid holds a marked degenerate corner.
+        """
+        us = np.atleast_1d(np.asarray(us, dtype=float))
+        vs = np.atleast_1d(np.asarray(vs, dtype=float))
+        for c in self.degenerate_corners:
+            if np.any(np.abs(us - c[0]) < 1e-13) and np.any(np.abs(vs - c[1]) < 1e-13):
+                raise SingularityError(f"map is rank deficient at corner {c}")
+        tu = self.bases[0].collocation(us, 1)
+        tv = self.bases[1].collocation(vs, 1)
+        hom = self.net.homogeneous()
+        n1, n2, k = hom.shape
+        # contract u first, then v: H[i, j] = sum_ab tu[i, a] tv[j, b] hom[a, b]
+        h0, h1 = (tu @ hom.reshape(n1, -1)).reshape(2, us.size, n2, k)
+        H, Hu, Hv = tv[0] @ h0, tv[0] @ h1, tv[1] @ h0
+        w = H[..., 2:]
+        x = H[..., :2] / w
+        J = np.stack(
+            [(Hu[..., :2] - x * Hu[..., 2:]) / w, (Hv[..., :2] - x * Hv[..., 2:]) / w], axis=-1
+        )
+        return x, J
 
     def _probe_min_det(self, per_span=6):
-        gl, _ = np.polynomial.legendre.leggauss(per_span)
-        worst = np.inf
-        pts_u = _gauss_points_on(self.bases[0].kv, gl)
-        pts_v = _gauss_points_on(self.bases[1].kv, gl)
-        for u in pts_u:
-            for v in pts_v:
-                worst = min(worst, self._det_at((u, v)))
-        return worst
+        us, _ = _gauss_rule_on(self.bases[0].kv, per_span)
+        vs, _ = _gauss_rule_on(self.bases[1].kv, per_span)
+        _, J = self.jacobian_grid(us, vs)
+        return float(_det(J).min())
 
     # -- derived quantities ----------------------------------------------
 
@@ -122,17 +147,10 @@ class GeometryMap:
         """Domain area by Gauss quadrature of |det J| (per_span points per
         knot span per direction; the integrand is smooth, so this converges
         exponentially)."""
-        gx, gw = np.polynomial.legendre.leggauss(per_span)
-        total = 0.0
-        for ua, ub in zip(self.bases[0].kv.breakpoints[:-1], self.bases[0].kv.breakpoints[1:]):
-            for va, vb in zip(self.bases[1].kv.breakpoints[:-1], self.bases[1].kv.breakpoints[1:]):
-                ju, jv = 0.5 * (ub - ua), 0.5 * (vb - va)
-                for xi, wi in zip(gx, gw):
-                    u = ua + ju * (xi + 1.0)
-                    for xj, wj in zip(gx, gw):
-                        v = va + jv * (xj + 1.0)
-                        total += wi * wj * ju * jv * abs(self._det_at((u, v)))
-        return total
+        us, wu = _gauss_rule_on(self.bases[0].kv, per_span)
+        vs, wv = _gauss_rule_on(self.bases[1].kv, per_span)
+        _, J = self.jacobian_grid(us, vs)
+        return float(wu @ np.abs(_det(J)) @ wv)
 
     def boundary_ring(self):
         """Control-point indices on the patch boundary, ordered cyclically."""
@@ -144,11 +162,15 @@ class GeometryMap:
         return ring
 
 
-def _gauss_points_on(kv, gl_nodes):
-    pts = []
-    for a, b in zip(kv.breakpoints[:-1], kv.breakpoints[1:]):
-        pts.extend(0.5 * (a + b) + 0.5 * (b - a) * gl_nodes)
-    return np.array(pts)
+def _det(J):
+    return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+
+
+def _gauss_rule_on(kv, per_span):
+    """Gauss-Legendre nodes and weights on every knot span, left to right."""
+    x, w = np.polynomial.legendre.leggauss(per_span)
+    a, b = kv.breakpoints[:-1, None], kv.breakpoints[1:, None]
+    return (0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), (0.5 * (b - a) * w).ravel()
 
 
 def build_disk_patch(radius):

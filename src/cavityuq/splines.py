@@ -185,6 +185,24 @@ class BSplineBasis:
             fac *= p - k
         return span, ders
 
+    def collocation(self, points, order):
+        """Dense table of every basis function and its derivatives at points.
+
+        Returns
+        -------
+        ndarray, shape (order + 1, npoints, n_basis)
+            Entry [k, i, j] is the k-th derivative of function j at
+            points[i]; each row is :meth:`eval_basis_derivatives` scattered
+            onto its span.
+        """
+        points = np.atleast_1d(np.asarray(points, dtype=float))
+        rows = [self.eval_basis_derivatives(float(u), order) for u in points]
+        p = self.degree
+        table = np.zeros((order + 1, points.size, self.n_basis))
+        for i, (span, ders) in enumerate(rows):
+            table[:, i, span - p : span + 1] = ders
+        return table
+
     def greville(self):
         """Greville abscissae (knot averages), one per basis function."""
         p = self.degree

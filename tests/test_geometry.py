@@ -14,6 +14,8 @@ from cavityuq.errors import (
 )
 from cavityuq.geometry import (
     BoundarySampler,
+    DeformationModel,
+    GeometryMap,
     build_disk_patch,
     build_rectangle_patch,
     deform,
@@ -24,6 +26,7 @@ from cavityuq.geometry import (
     save_deformation_spec,
     unit_square_patch,
 )
+from cavityuq.splines import ControlNet
 
 rng = np.random.default_rng(42)
 
@@ -76,6 +79,29 @@ class TestDiskPatch:
             fd[:, 0] = (g.map_point((uv[0] + h, uv[1])) - g.map_point((uv[0] - h, uv[1]))) / (2 * h)
             fd[:, 1] = (g.map_point((uv[0], uv[1] + h)) - g.map_point((uv[0], uv[1] - h))) / (2 * h)
             np.testing.assert_allclose(J, fd, atol=1e-6)
+
+    def test_jacobian_grid_matches_pointwise(self):
+        local = np.random.default_rng(7)
+        g = refine_patch(build_disk_patch(0.05), 2)
+        # a perturbed net off the exact disk; validity does not matter here
+        noise = local.normal(scale=1e-3, size=g.net.points.shape)
+        g = GeometryMap(g.bases, ControlNet(g.net.points + noise, g.net.weights), validate=False)
+        us = np.concatenate([local.uniform(0.01, 0.99, 9), [0.25, 0.5]])
+        vs = np.concatenate([local.uniform(0.01, 0.99, 7), [0.75]])
+        x, J = g.jacobian_grid(us, vs)
+        assert x.shape == (us.size, vs.size, 2)
+        assert J.shape == (us.size, vs.size, 2, 2)
+        for i, u in enumerate(us):
+            for j, v in enumerate(vs):
+                xp, Jp = g.map_and_jacobian((u, v))
+                np.testing.assert_allclose(x[i, j], xp, rtol=1e-13, atol=1e-16)
+                np.testing.assert_allclose(J[i, j], Jp, rtol=1e-13, atol=1e-14)
+
+    def test_jacobian_grid_refuses_degenerate_corner(self):
+        g = build_disk_patch(1.0)
+        g.jacobian_grid([0.0, 0.5], [0.5, 1.0 - 1e-6])
+        with pytest.raises(SingularityError):
+            g.jacobian_grid([0.3, 1.0], [0.0, 0.5])
 
     def test_scaling_moves_control_net_exactly(self):
         g1 = build_disk_patch(1.0)
@@ -195,6 +221,24 @@ class TestDeformation:
         model = deformation_from_kl(crush, g, sam)
         with pytest.raises(InvalidDeformationError):
             deform(model, [1.0])
+
+    def test_fold_inside_one_interior_cell_raises(self):
+        # control point (2, 2) of the 6x6 net pushed across its neighbours
+        base = refine_patch(build_disk_patch(0.05), 2)
+        field = np.zeros(base.net.points.shape)
+        field[2, 2] = [0.03, 0.03]
+        model = DeformationModel(base, np.zeros_like(field), field[None])
+        with pytest.raises(InvalidDeformationError):
+            deform(model, [1.0])
+        # the determinant is negative in knot cell (1, 1) and nowhere else
+        folded = GeometryMap(base.bases, ControlNet(base.net.points + field, base.net.weights),
+                             validate=False)
+        gl, _ = np.polynomial.legendre.leggauss(6)
+        pts = (0.125 + 0.25 * np.arange(4)[:, None] + 0.125 * gl).ravel()
+        _, J = folded.jacobian_grid(pts, pts)
+        det = np.linalg.det(J).reshape(4, 6, 4, 6)
+        negative = (det <= 0.0).any(axis=(1, 3))
+        assert negative[1, 1] and negative.sum() == 1
 
     def test_wrong_delta_length_rejected(self):
         g = build_disk_patch(0.05)

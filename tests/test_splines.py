@@ -130,6 +130,23 @@ class TestBasisEvaluation:
         with pytest.raises(DegreeError):
             basis.eval_basis_derivatives(0.5, 3)
 
+    def test_collocation_scatters_local_derivatives(self):
+        basis = BSplineBasis(uniform_open_knots(3, 5), 3)
+        pts = np.concatenate([np.random.default_rng(3).uniform(0.0, 1.0, 30), basis.kv.breakpoints])
+        table = basis.collocation(pts, 2)
+        assert table.shape == (3, pts.size, basis.n_basis)
+        for i, u in enumerate(pts):
+            span, ders = basis.eval_basis_derivatives(float(u), 2)
+            expect = np.zeros((3, basis.n_basis))
+            expect[:, span - 3 : span + 1] = ders
+            np.testing.assert_array_equal(table[:, i], expect)
+        np.testing.assert_allclose(table[0].sum(axis=1), 1.0, atol=1e-14)
+
+    def test_collocation_rejects_order_beyond_degree(self):
+        basis = BSplineBasis(uniform_open_knots(2, 4), 2)
+        with pytest.raises(DegreeError):
+            basis.collocation([0.25, 0.5], 3)
+
     def test_greville_interlace_domain(self):
         basis = BSplineBasis(uniform_open_knots(3, 6), 3)
         g = basis.greville()
