@@ -222,46 +222,3 @@ def assemble(geom, space, bc="dirichlet"):
     K = K[kept][:, kept].tocsr()
     M = M[kept][:, kept].tocsr()
     return MatrixPencil(K, M, kept=kept, n_total=space.n_dofs, bc=bc)
-
-
-def save_pencil_coo(pencil, path):
-    """Write both matrices as labeled coordinate-list text for debugging.
-
-    Format: comment header, then one entry per line as
-    ``<K|M> <row> <col> <value>`` with full-precision values.
-    """
-    with open(path, "w") as fh:
-        fh.write("# matrix pencil, coordinate list\n")
-        fh.write(f"# size {pencil.n}\n")
-        for label, A in (("K", pencil.stiffness), ("M", pencil.mass)):
-            coo = A.tocoo()
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{label} {i} {j} {v:.17g}\n")
-
-
-def load_pencil_coo(path):
-    """Read the text format of :func:`save_pencil_coo` back into a pencil."""
-    size = None
-    entries = {"K": ([], [], []), "M": ([], [], [])}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if parts[:1] == ["size"]:
-                    size = int(parts[1])
-                continue
-            label, i, j, v = line.split()
-            rows, cols, vals = entries[label]
-            rows.append(int(i))
-            cols.append(int(j))
-            vals.append(float(v))
-    if size is None:
-        raise DomainError(f"{path}: missing size header")
-    mats = [
-        sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
-        for rows, cols, vals in (entries["K"], entries["M"])
-    ]
-    return MatrixPencil(mats[0], mats[1])

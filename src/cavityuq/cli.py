@@ -12,6 +12,10 @@ bench               linear-solve count comparison: tracking vs. direct solves
 Every subcommand takes --config PATH (JSON), --out DIR, --workers N and
 --seed S.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
+uq and bench share one study runner for both problem kinds: solve the base
+pencil once, track every start pair to each grid node (one node task per
+node, spread over --workers processes), then merge and take moments.
+
 Config schema (strict: unknown keys are rejected)
 -------------------------------------------------
 problem (track, uq, bench):
@@ -20,7 +24,7 @@ problem (track, uq, bench):
     length: cavity length in meters
     p_max: highest axial order kept (default 2)
     distribution: {family: "uniform", support: [lo, hi]}   (uq/bench)
-  kind: "deformed-disk" (uq)
+  kind: "deformed-disk" (uq/bench)
     radius: base disk radius in meters
     criterion: variance fraction for the covariance truncation
     observations: CSV path of station offsets (radial, equally spaced angles)
@@ -37,6 +41,7 @@ grid (uq, bench, grid):
   {kind: "smolyak", family, level}
   The support of uniform families and the dimension are derived from the
   problem; the stand-alone grid command accepts explicit "support"/"dim".
+  A zero-width pillbox distribution takes a tensor grid with orders [1].
 tracking (optional): step-control overrides, keys as in TrackConfig
 kl-fit config: {observations: path, criterion: fraction}
 pillbox-reference config: {radius, length, count}
@@ -58,7 +63,7 @@ import scipy.sparse.linalg as spla
 
 from . import geometry, oracle, uq
 from .assembly import DiscreteSpace, assemble
-from .eigen import Eigenpair, solve_smallest
+from .eigen import solve_smallest
 from .errors import CavityError, ConfigError, SolverError
 from .pencil import (
     HomotopyPencil,
@@ -66,6 +71,7 @@ from .pencil import (
     block_pencil,
     build_pillbox_pencil,
     eigenvalue_to_frequency,
+    is_spurious,
 )
 from .tracking import TrackConfig, track_chain, track_modes
 
@@ -209,7 +215,14 @@ def _degenerate_rule(family, value):
     return uq.Rule1D(family, 1, np.array([value]), np.array([1.0]), (value, value))
 
 
-# -- pillbox pipeline helpers ------------------------------------------------
+# -- study problems ----------------------------------------------------------
+#
+# Each problem gives the study runner a namespace: its node task (looked up
+# by name among this module's globals at run time, so that wrappers
+# installed on the module are seen), the picklable arguments that rebuild
+# its ParametricPencil in a worker, the grid, the start pairs grouped by the
+# pencil they are tracked in, moment labels, and extra summary fields.  Grid
+# nodes are the deformation coordinates delta of both problems.
 
 _PENCIL_CACHE = {}
 
@@ -220,16 +233,6 @@ def _pillbox_parametric(base_radius, length, p_max, degree, elements):
         space = DiscreteSpace(degree, elements)
         _PENCIL_CACHE[key] = build_pillbox_pencil(base_radius, length, p_max, space)
     return _PENCIL_CACHE[key]
-
-
-def _block_spurious(block, pen, pair, overlap=0.5, rtol=1e-6):
-    """Constant-mode branch test in block-local coordinates."""
-    if block.spurious is None:
-        return False
-    ones = np.ones(pen.n)
-    m_ones = pen.mass @ ones
-    ov = abs(pair.vector @ m_ones) / math.sqrt(ones @ m_ones)
-    return abs(pair.value - block.spurious) <= rtol * (1.0 + block.spurious) and ov >= overlap
 
 
 def _select_pillbox_modes(par, base_delta, n_modes):
@@ -245,7 +248,7 @@ def _select_pillbox_modes(par, base_delta, n_modes):
         pen_b = block_pencil(combined, b)
         k = min(n_modes + 2, pen_b.n - 1)
         for pr in solve_smallest(pen_b, k):
-            if _block_spurious(b, pen_b, pr):
+            if is_spurious(pr, pen_b, b):
                 continue
             candidates.append((pr.value, bi, len(candidates), pr))
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
@@ -263,60 +266,15 @@ def _group_by_block(selected):
     return dict(sorted(groups.items()))
 
 
-def _pillbox_node_task(payload):
-    """Track every selected mode from the base radius to one node radius.
-
-    Stateless across processes: the pencil is rebuilt (and memoized) per
-    worker.  Returns (node_index, [(mode, lambda, newton_log, solves,
-    rejects, flagged), ...]).
-    """
-    (node_index, node_r, base_r, length, p_max, degree, elements, groups, cfg) = payload
-    par = _pillbox_parametric(base_r, length, p_max, degree, elements)
-    results = []
-    if node_r == base_r:
-        for bi, members in groups.items():
-            for j, pair in members:
-                results.append((j, pair.value, [], 0, 0, False))
-        return node_index, sorted(results)
-    pen_base = par.at([base_r])
-    pen_node = par.at([node_r])
-    for bi, members in groups.items():
-        b = par.blocks[bi]
-        homotopy = HomotopyPencil(block_pencil(pen_base, b), block_pencil(pen_node, b))
-        starts = [pair for _, pair in members]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            states = track_modes(homotopy, starts, cfg)
-        for (j, _), st in zip(members, states):
-            results.append(
-                (j, st.eigenpair.value, list(st.newton_log), st.n_solves,
-                 st.n_rejects, st.flagged)
-            )
-    return node_index, sorted(results)
-
-
-def _run_tasks(payloads, worker, n_workers):
-    if n_workers <= 1 or len(payloads) <= 1:
-        return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, payloads))
-
-
-# -- deformed-disk pipeline helpers -----------------------------------------
-
 def _station_angles(n):
     return np.arange(n) * (2.0 * math.pi / n)
 
 
-def _disk_model_key(radius, refinement, degree, mean, modes, angles, kind):
-    return (
+def _disk_parametric(radius, refinement, degree, mean, modes, angles, kind):
+    key = (
         "disk-model", radius, refinement, degree, kind,
         mean.tobytes(), modes.tobytes(), angles.tobytes(),
     )
-
-
-def _disk_parametric(radius, refinement, degree, mean, modes, angles, kind):
-    key = _disk_model_key(radius, refinement, degree, mean, modes, angles, kind)
     if key not in _PENCIL_CACHE:
         base = geometry.refine_patch(geometry.build_disk_patch(radius), refinement)
         sampler = geometry.BoundarySampler(angles, kind)
@@ -332,75 +290,6 @@ def _disk_parametric(radius, refinement, degree, mean, modes, angles, kind):
         )
     return _PENCIL_CACHE[key]
 
-
-def _disk_node_task(payload):
-    (node_index, node, radius, refinement, degree, mean, modes, angles, kind,
-     starts, cfg) = payload
-    par = _disk_parametric(radius, refinement, degree, mean, modes, angles, kind)
-    base_delta = np.zeros(modes.shape[1])
-    if np.array_equal(node, base_delta):
-        return node_index, [
-            (j, pr.value, [], 0, 0, False) for j, pr in enumerate(starts)
-        ]
-    homotopy = HomotopyPencil(par.at(base_delta), par.at(node))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        states = track_modes(homotopy, starts, cfg)
-    return node_index, [
-        (j, st.eigenpair.value, list(st.newton_log), st.n_solves, st.n_rejects,
-         st.flagged)
-        for j, st in enumerate(states)
-    ]
-
-
-# -- shared reporting --------------------------------------------------------
-
-def _write_mode_table(path, freq, label="node"):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode"] + [f"{label}_{k}_f_hz" for k in range(freq.shape[1])])
-        for j, row in enumerate(freq):
-            writer.writerow([j] + [f"{v:.17g}" for v in row])
-
-
-def _write_moments(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "family", "axial_order", "base_f_hz", "mean_f_hz", "sd_f_hz"])
-        for row in rows:
-            writer.writerow(row)
-
-
-def _newton_summary(logs):
-    flat = [it for log in logs for it in log]
-    if not flat:
-        return {"accepted_steps": 0, "mean": None, "max": None}
-    return {
-        "accepted_steps": len(flat),
-        "mean": float(np.mean(flat)),
-        "max": int(max(flat)),
-    }
-
-
-def _summary_payload(**kw):
-    doc = {"timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
-    doc.update(kw)
-    return doc
-
-
-def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _out_dir(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-# -- subcommand: uq ----------------------------------------------------------
 
 def _parse_pillbox_problem(sec, need_distribution):
     length = sec.take("length", kind=float, lo=1e-6)
@@ -426,24 +315,20 @@ def _parse_pillbox_discretization(sec):
     return degree, elements
 
 
-def _pillbox_uq_pipeline(cfg, args):
-    """Shared by cmd_uq and cmd_bench: returns the tracked run artifacts."""
-    root = _Section(cfg, "config")
-    prob_sec = root.section("problem")
-    kind = prob_sec.take("kind", kind=str, choices=("pillbox", "deformed-disk"))
-    if kind != "pillbox":
-        raise ConfigError("this pipeline needs problem.kind = 'pillbox'")
+def _pillbox_study(root, prob_sec, n_modes, args):
     problem = _parse_pillbox_problem(prob_sec, need_distribution=True)
     degree, elements = _parse_pillbox_discretization(root.section("discretization", default=None))
-    n_modes = root.take("modes", kind=int, lo=1, hi=64)
-    cfg_track = _parse_tracking(root.section("tracking", default=None))
-    family, (lo, hi) = problem.distribution
+    _, (lo, hi) = problem.distribution
     base_r = problem.radius if problem.radius is not None else 0.5 * (lo + hi)
     grid_sec = root.section("grid")
     if lo == hi:
         grid_sec.take("kind", kind=str, choices=("tensor",))
         gfam = grid_sec.take("family", kind=str, choices=uq.RULE_FAMILIES)
-        grid_sec.take("orders", default=[1])
+        orders = grid_sec.take("orders", default=[1])
+        if orders != [1] or type(orders[0]) is not int:
+            raise ConfigError(
+                f"{grid_sec.where}.orders: a zero-width distribution takes [1], got {orders!r}"
+            )
         grid_sec.done()
         grid = uq.build_tensor_grid([_degenerate_rule(gfam, lo)])
         base_r = lo
@@ -451,32 +336,15 @@ def _pillbox_uq_pipeline(cfg, args):
         grid = _grid_from_section(grid_sec, dim=1, support=(lo, hi), allow_explicit=False)
     root.done()
 
-    par = _pillbox_parametric(base_r, problem.length, problem.p_max, degree, elements)
+    spec = (base_r, problem.length, problem.p_max, degree, elements)
+    par = _pillbox_parametric(*spec)
     selected = _select_pillbox_modes(par, [base_r], n_modes)
-    groups = _group_by_block(selected)
-    payloads = [
-        (k, float(node[0]), base_r, problem.length, problem.p_max, degree, elements,
-         groups, cfg_track)
-        for k, node in enumerate(grid.nodes)
-    ]
-    outcomes = _run_tasks(payloads, _pillbox_node_task, args.workers)
-    outcomes.sort(key=lambda o: o[0])
-
-    values = np.empty((n_modes, grid.n_nodes))
-    newton_logs = []
-    totals = {"n_solves": 0, "n_rejects": 0, "flagged": 0}
-    for node_index, rows in outcomes:
-        for j, lam, log, solves, rejects, flagged in rows:
-            values[j, node_index] = lam
-            newton_logs.append(log)
-            totals["n_solves"] += solves
-            totals["n_rejects"] += rejects
-            totals["flagged"] += int(flagged)
-    freq = np.vectorize(eigenvalue_to_frequency)(values)
     return SimpleNamespace(
-        problem=problem, base_r=base_r, degree=degree, elements=elements,
-        n_modes=n_modes, grid=grid, par=par, selected=selected, values=values,
-        freq=freq, newton_logs=newton_logs, totals=totals, cfg_track=cfg_track,
+        task="_pillbox_node_task", spec=spec, par=par, grid=grid,
+        starts=[pair for _, pair in selected],
+        groups=_group_by_block(selected),
+        labels=[(par.blocks[bi].family, par.blocks[bi].axial) for bi, _ in selected],
+        summary={"problem": "pillbox", "base_radius_m": base_r},
     )
 
 
@@ -511,46 +379,7 @@ def _parse_disk_problem(sec, args):
     return radius, angles, "radial", kl.mean, kl.scaled_modes, kl
 
 
-def cmd_uq(cfg, args):
-    out = _out_dir(args)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config: expected a JSON object at the top level")
-    kind = cfg.get("problem", {}).get("kind") if isinstance(cfg.get("problem"), dict) else None
-    if kind == "pillbox":
-        run = _pillbox_uq_pipeline(cfg, args)
-        mean, var = uq.estimate_moments(run.freq, run.grid)
-        sd = np.sqrt(np.maximum(var, 0.0))
-        uq.save_grid_csv(out / "grid.csv", run.grid)
-        _write_mode_table(out / "mode_table.csv", run.freq)
-        rows = []
-        for j, (bi, pair) in enumerate(run.selected):
-            b = run.par.blocks[bi]
-            base_f = eigenvalue_to_frequency(pair.value)
-            rows.append(
-                (j, b.family, b.axial, f"{base_f:.17g}",
-                 f"{mean[j]:.17g}", f"{sd[j]:.17g}")
-            )
-        _write_moments(out / "moments.csv", rows)
-        summary = _summary_payload(
-            problem="pillbox",
-            base_radius_m=run.base_r,
-            nodes=run.grid.n_nodes,
-            modes=run.n_modes,
-            workers=args.workers,
-            newton=_newton_summary(run.newton_logs),
-            bordered_solves=run.totals["n_solves"],
-            rejected_steps=run.totals["n_rejects"],
-            degenerate_flags=run.totals["flagged"],
-        )
-        _write_json(out / "summary.json", summary)
-        print(f"pillbox uq: {run.n_modes} modes over {run.grid.n_nodes} nodes")
-        return
-
-    if kind != "deformed-disk":
-        raise ConfigError("problem.kind must be 'pillbox' or 'deformed-disk'")
-    root = _Section(cfg, "config")
-    prob_sec = root.section("problem")
-    prob_sec.take("kind", kind=str)
+def _disk_study(root, prob_sec, n_modes, args):
     radius, angles, skind, mean_vec, modes_mat, kl = _parse_disk_problem(prob_sec, args)
     disc = root.section("discretization", default=None)
     if disc is None:
@@ -559,8 +388,6 @@ def cmd_uq(cfg, args):
         degree = disc.take("degree", default=2, kind=int, lo=1, hi=6)
         refinement = disc.take("refinement", default=3, kind=int, lo=1, hi=8)
         disc.done()
-    n_modes = root.take("modes", kind=int, lo=1, hi=64)
-    cfg_track = _parse_tracking(root.section("tracking", default=None))
     n_t = modes_mat.shape[1]
     grid = _grid_from_section(root.section("grid"), dim=n_t, support=None, allow_explicit=False)
     root.done()
@@ -569,58 +396,172 @@ def cmd_uq(cfg, args):
         print(f"covariance reduction: {len(mean_vec)} variables -> {n_t} retained")
     print(f"collocation nodes: {grid.n_nodes}")
 
-    par = _disk_parametric(radius, refinement, degree, mean_vec, modes_mat, angles, skind)
-    starts = solve_smallest(par.at(np.zeros(n_t)), n_modes)
+    spec = (radius, refinement, degree, mean_vec, modes_mat, angles, skind)
+    par = _disk_parametric(*spec)
+    starts = solve_smallest(par.base, n_modes)
+    return SimpleNamespace(
+        task="_disk_node_task", spec=spec, par=par, grid=grid, starts=starts,
+        groups={0: list(enumerate(starts))},
+        labels=[("cross-section", 0)] * n_modes,
+        summary={
+            "problem": "deformed-disk",
+            "radius_m": radius,
+            "retained_variables": n_t,
+            "captured_ratio": None if kl is None else kl.captured_ratio,
+        },
+    )
+
+
+# -- study runner ------------------------------------------------------------
+
+def _track_node(payload, par, tracked):
+    """Track every start pair from the base point to one grid node.
+
+    payload is (spec, node_index, node, groups, cfg); groups maps a key to
+    [(mode, start Eigenpair), ...] and tracked(pencil, key) gives the pencil
+    that group is tracked in.  Returns (node_index, [(mode, lambda,
+    newton_log, solves, rejects, flagged), ...]) ordered by mode.
+    """
+    _, node_index, node, groups, cfg = payload
+    if np.array_equal(node, par.base_delta):
+        return node_index, sorted(
+            (j, pair.value, [], 0, 0, False)
+            for members in groups.values() for j, pair in members
+        )
+    pen_base, pen_node = par.base, par.at(node)
+    results = []
+    for key, members in groups.items():
+        homotopy = HomotopyPencil(tracked(pen_base, key), tracked(pen_node, key))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            states = track_modes(homotopy, [pair for _, pair in members], cfg)
+        results.extend(
+            (j, st.eigenpair.value, list(st.newton_log), st.n_solves, st.n_rejects,
+             st.flagged)
+            for (j, _), st in zip(members, states)
+        )
+    return node_index, sorted(results)
+
+
+def _pillbox_node_task(payload):
+    """Pillbox node task: each group is tracked in its own axial block."""
+    par = _pillbox_parametric(*payload[0])
+    return _track_node(payload, par, lambda pen, bi: block_pencil(pen, par.blocks[bi]))
+
+
+def _disk_node_task(payload):
+    """Deformed-disk node task: one group, tracked in the full pencil."""
+    return _track_node(payload, _disk_parametric(*payload[0]), lambda pen, _: pen)
+
+
+def _run_tasks(payloads, worker, n_workers):
+    if n_workers <= 1 or len(payloads) <= 1:
+        return [worker(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        return list(pool.map(worker, payloads))
+
+
+def _run_study(cfg, args):
+    """Parse a uq/bench config, track its start pairs to every grid node.
+
+    Returns the problem's study namespace with the merged eigenvalues
+    (values, freq: mode x node), the Newton logs and the solve totals added.
+    """
+    root = _Section(cfg, "config")
+    prob_sec = root.section("problem")
+    kind = prob_sec.take("kind", kind=str, choices=("pillbox", "deformed-disk"))
+    n_modes = root.take("modes", kind=int, lo=1, hi=64)
+    cfg_track = _parse_tracking(root.section("tracking", default=None))
+    problem = _pillbox_study if kind == "pillbox" else _disk_study
+    study = problem(root, prob_sec, n_modes, args)
+
     payloads = [
-        (k, node.copy(), radius, refinement, degree, mean_vec, modes_mat, angles,
-         skind, starts, cfg_track)
-        for k, node in enumerate(grid.nodes)
+        (study.spec, k, node, study.groups, cfg_track)
+        for k, node in enumerate(study.grid.nodes)
     ]
-    outcomes = _run_tasks(payloads, _disk_node_task, args.workers)
-    outcomes.sort(key=lambda o: o[0])
-    values = np.empty((n_modes, grid.n_nodes))
-    newton_logs = []
-    totals = {"n_solves": 0, "n_rejects": 0, "flagged": 0}
+    outcomes = _run_tasks(payloads, globals()[study.task], args.workers)
+    study.values = np.empty((n_modes, study.grid.n_nodes))
+    study.newton_logs = []
+    study.totals = {"n_solves": 0, "n_rejects": 0, "flagged": 0}
     for node_index, rows in outcomes:
         for j, lam, log, solves, rejects, flagged in rows:
-            values[j, node_index] = lam
-            newton_logs.append(log)
-            totals["n_solves"] += solves
-            totals["n_rejects"] += rejects
-            totals["flagged"] += int(flagged)
-    freq = np.vectorize(eigenvalue_to_frequency)(values)
-    mean, var = uq.estimate_moments(freq, grid)
-    sd = np.sqrt(np.maximum(var, 0.0))
+            study.values[j, node_index] = lam
+            study.newton_logs.append(log)
+            study.totals["n_solves"] += solves
+            study.totals["n_rejects"] += rejects
+            study.totals["flagged"] += int(flagged)
+    study.freq = np.vectorize(eigenvalue_to_frequency)(study.values)
+    return study
 
-    uq.save_grid_csv(out / "grid.csv", grid)
-    _write_mode_table(out / "mode_table.csv", freq)
-    base_idx = int(np.argmax(np.all(grid.nodes == 0.0, axis=1))) if (grid.nodes == 0.0).all(
-        axis=1
-    ).any() else 0
-    rows = [
-        (j, "cross-section", 0, f"{freq[j, base_idx]:.17g}", f"{mean[j]:.17g}", f"{sd[j]:.17g}")
-        for j in range(n_modes)
-    ]
-    _write_moments(out / "moments.csv", rows)
+
+# -- shared reporting --------------------------------------------------------
+
+def _write_mode_table(path, freq):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["mode"] + [f"node_{k}_f_hz" for k in range(freq.shape[1])])
+        for j, row in enumerate(freq):
+            writer.writerow([j] + [f"{v:.17g}" for v in row])
+
+
+def _newton_summary(logs):
+    flat = [it for log in logs for it in log]
+    if not flat:
+        return {"accepted_steps": 0, "mean": None, "max": None}
+    return {
+        "accepted_steps": len(flat),
+        "mean": float(np.mean(flat)),
+        "max": int(max(flat)),
+    }
+
+
+def _summary_payload(**kw):
+    doc = {"timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+    doc.update(kw)
+    return doc
+
+
+def _write_json(path, doc):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _out_dir(args):
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+# -- subcommand: uq ----------------------------------------------------------
+
+def cmd_uq(cfg, args):
+    out = _out_dir(args)
+    run = _run_study(cfg, args)
+    mean, var = uq.estimate_moments(run.freq, run.grid)
+    sd = np.sqrt(np.maximum(var, 0.0))
+    uq.save_grid_csv(out / "grid.csv", run.grid)
+    _write_mode_table(out / "mode_table.csv", run.freq)
+    with open(out / "moments.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["mode", "family", "axial_order", "base_f_hz", "mean_f_hz", "sd_f_hz"])
+        for j, ((family, axial), pair) in enumerate(zip(run.labels, run.starts)):
+            base_f = eigenvalue_to_frequency(pair.value)
+            writer.writerow(
+                [j, family, axial, f"{base_f:.17g}", f"{mean[j]:.17g}", f"{sd[j]:.17g}"]
+            )
     summary = _summary_payload(
-        problem="deformed-disk",
-        radius_m=radius,
-        retained_variables=n_t,
-        captured_ratio=None if kl is None else kl.captured_ratio,
-        nodes=grid.n_nodes,
-        modes=n_modes,
+        **run.summary,
+        nodes=run.grid.n_nodes,
+        modes=len(run.starts),
         workers=args.workers,
-        newton=_newton_summary(newton_logs),
-        bordered_solves=totals["n_solves"],
-        rejected_steps=totals["n_rejects"],
-        degenerate_flags=totals["flagged"],
+        newton=_newton_summary(run.newton_logs),
+        bordered_solves=run.totals["n_solves"],
+        rejected_steps=run.totals["n_rejects"],
+        degenerate_flags=run.totals["flagged"],
     )
     _write_json(out / "summary.json", summary)
-
-
-def _base_node(grid, base_r):
-    hits = np.nonzero(grid.nodes[:, 0] == base_r)[0]
-    return int(hits[0]) if hits.size else int(np.argmin(np.abs(grid.nodes[:, 0] - base_r)))
+    print(f"{run.summary['problem']} uq: {len(run.starts)} modes over {run.grid.n_nodes} nodes")
 
 
 # -- subcommand: track -------------------------------------------------------
@@ -822,26 +763,26 @@ def _counted_direct_solve(pen, k, sigma):
 def cmd_bench(cfg, args):
     out = _out_dir(args)
     t0 = time.perf_counter()
-    run = _pillbox_uq_pipeline(cfg, args)
+    run = _run_study(cfg, args)
     tracked_wall = time.perf_counter() - t0
 
-    k_direct = min(2 * run.n_modes, run.par.at([run.base_r]).n - 1)
+    n_modes = len(run.starts)
+    k_direct = min(2 * n_modes, run.par.base.n - 1)
     sigma = 0.9 * float(run.values.min())
     direct_counts = []
     t0 = time.perf_counter()
     for node in run.grid.nodes:
-        pen = run.par.at([float(node[0])])
-        direct_counts.append(_counted_direct_solve(pen, k_direct, sigma))
+        direct_counts.append(_counted_direct_solve(run.par.at(node), k_direct, sigma))
     direct_wall = time.perf_counter() - t0
 
-    off_nodes = sum(1 for node in run.grid.nodes if float(node[0]) != run.base_r)
-    pairs = run.n_modes * off_nodes
-    base_count = direct_counts[_base_node(run.grid, run.base_r)]
+    offsets = np.linalg.norm(run.grid.nodes - run.par.base_delta, axis=1)
+    pairs = n_modes * int(np.count_nonzero(offsets))
+    base_count = direct_counts[int(np.argmin(offsets))]
     tracked_total = base_count + run.totals["n_solves"]
     direct_total = int(np.sum(direct_counts))
     doc = _summary_payload(
         nodes=run.grid.n_nodes,
-        modes=run.n_modes,
+        modes=n_modes,
         tracked={
             "bordered_solves": run.totals["n_solves"],
             "base_eigensolve_solves": base_count,

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import MatrixPencil, assemble, boundary_dofs
-from .errors import DomainError, SolverError
+from .errors import DomainError
 from .geometry import build_disk_patch
 from .oracle import C0
 
@@ -109,23 +108,6 @@ class HomotopyPencil:
         return self._derivative
 
 
-def probe_definiteness(homotopy, ts=(0.0, 0.25, 0.5, 0.75, 1.0), dense_cutoff=600):
-    """Factorize M(t) at probe points; raise SolverError if any is not SPD."""
-    for t in ts:
-        M = homotopy.at(t).mass
-        if M.shape[0] <= dense_cutoff:
-            try:
-                np.linalg.cholesky(M.toarray())
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"mass matrix not positive definite at t={t}") from exc
-        else:
-            low = spla.eigsh(
-                M, k=1, which="SA", v0=np.full(M.shape[0], 1.0), return_eigenvectors=False
-            )[0]
-            if low <= 0.0:
-                raise SolverError(f"mass matrix not positive definite at t={t}")
-
-
 @dataclass(frozen=True)
 class PillboxBlock:
     """One axial block of the stacked cylinder pencil.
@@ -188,30 +170,19 @@ def build_pillbox_pencil(radius, length, p_max, space):
     return ParametricPencil(evaluate, 1, base_delta=[radius], blocks=tuple(blocks))
 
 
-def spurious_overlaps(pair, pencil, blocks):
-    """Overlap of an eigenvector with each Neumann block's constant mode."""
-    out = []
-    M = pencil.mass
-    for b in blocks:
-        if b.spurious is None:
-            continue
-        c = np.zeros(pencil.n)
-        c[b.offset : b.offset + b.size] = 1.0
-        mc = M @ c
-        out.append((b, abs(pair.vector @ mc) / math.sqrt(c @ mc)))
-    return out
+def is_spurious(pair, pencil, block, overlap=0.5, rtol=1e-6):
+    """True when a pair of one block's pencil is its constant-mode branch.
 
-
-def is_spurious(pair, pencil, blocks, overlap=0.5, rtol=1e-6):
-    """True when the pair is a Neumann constant-mode branch, not a cavity mode."""
-    for b, ov in spurious_overlaps(pair, pencil, blocks):
-        if abs(pair.value - b.spurious) <= rtol * (1.0 + b.spurious) and ov >= overlap:
-            return True
-    return False
-
-
-def filter_spurious(pairs, pencil, blocks):
-    return [p for p in pairs if not is_spurious(p, pencil, blocks)]
+    pencil is the block's own pencil (see block_pencil).  Neumann blocks
+    carry a nonphysical branch at block.spurious whose eigenvector is the
+    constant; Dirichlet blocks have none.
+    """
+    if block.spurious is None:
+        return False
+    ones = np.ones(pencil.n)
+    m_ones = pencil.mass @ ones
+    ov = abs(pair.vector @ m_ones) / math.sqrt(ones @ m_ones)
+    return abs(pair.value - block.spurious) <= rtol * (1.0 + block.spurious) and ov >= overlap
 
 
 def block_pencil(pencil, block):
@@ -222,13 +193,3 @@ def block_pencil(pencil, block):
         pencil.mass[rows, rows].tocsr(),
         validate=False,
     )
-
-
-def block_of(pair, blocks):
-    """The block holding most of the eigenvector's mass (by euclidean norm)."""
-    best, best_w = None, -1.0
-    for b in blocks:
-        w = float(np.linalg.norm(pair.vector[b.offset : b.offset + b.size]))
-        if w > best_w:
-            best, best_w = b, w
-    return best

@@ -8,7 +8,7 @@ supported; rational weights enter through control nets in homogeneous form.
 
 import numpy as np
 
-from .errors import DegreeError, DomainError, InterpolationError
+from .errors import DegreeError, DomainError
 
 
 class KnotVector:
@@ -259,13 +259,6 @@ class ControlNet:
         w = self.weights[..., None]
         return np.concatenate([self.points * w, w], axis=-1)
 
-    def map_affine(self, matrix, offset):
-        """New net with points sent through x -> matrix @ x + offset."""
-        matrix = np.asarray(matrix, dtype=float)
-        offset = np.asarray(offset, dtype=float)
-        pts = self.points @ matrix.T + offset
-        return ControlNet(pts, self.weights.copy())
-
 
 def eval_nurbs(net, bases, u):
     """Evaluate a rational curve or surface point.
@@ -328,57 +321,3 @@ def insert_knots_homogeneous(kv, coefs, new_knots):
         knots = np.insert(knots, span + 1, u)
         coefs = new_coefs
     return KnotVector(knots, p), coefs
-
-
-class BSplineCurve:
-    """A polynomial spline curve: basis plus (unit-weight) control net."""
-
-    def __init__(self, basis, net):
-        self.basis = basis
-        self.net = net
-
-    def __call__(self, t):
-        return eval_nurbs(self.net, self.basis, t)
-
-
-def interpolate_curve(samples, degree=3):
-    """Spline curve through the given points at Greville parameters.
-
-    A clamped knot vector with uniform interior knots is built with exactly
-    as many basis functions as samples; collocation at the Greville
-    abscissae then gives a square system, nonsingular by the
-    Schoenberg-Whitney condition.
-
-    Parameters
-    ----------
-    samples : array_like, shape (n, dim), n >= 2
-    degree : int
-        Target degree; reduced to n - 1 when there are few samples.
-
-    Returns
-    -------
-    BSplineCurve
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] < 2:
-        raise DomainError(f"need at least two sample points, got shape {samples.shape}")
-    n = samples.shape[0]
-    p = min(degree, n - 1)
-    if p < 1:
-        raise DegreeError(f"interpolation degree must be >= 1, got {degree}")
-    kv = uniform_open_knots(p, n - p)
-    basis = BSplineBasis(kv, p)
-    tau = basis.greville()
-    A = np.zeros((n, n))
-    for k, t in enumerate(tau):
-        span, vals = basis.eval_basis(t)
-        A[k, span - p : span + 1] = vals
-    try:
-        coefs = np.linalg.solve(A, samples)
-    except np.linalg.LinAlgError as exc:
-        raise InterpolationError(f"singular interpolation system: {exc}") from exc
-    resid = np.abs(A @ coefs - samples).max()
-    scale = max(1.0, np.abs(samples).max())
-    if resid > 1e-8 * scale:
-        raise InterpolationError(f"interpolation residual {resid:.3e} too large")
-    return BSplineCurve(basis, ControlNet(coefs))

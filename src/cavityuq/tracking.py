@@ -6,7 +6,6 @@ t, and a step-size controller driven by the Newton iteration count: fast
 convergence grows the step, slow or failed correction rejects it and shrinks.
 """
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -177,7 +176,7 @@ def _normalized_accept(pencil, pair, prev_vector):
     return Eigenpair(pair.value, e, pair.residual), c, overlap
 
 
-def track(homotopy, start, cfg=TrackConfig(), keep_trajectory=True):
+def track(homotopy, start, cfg=TrackConfig()):
     """Carry one eigenpair from t = 0 to t = 1 along the homotopy."""
     pen0 = homotopy.at(0.0)
     K0, M0 = pen0.stiffness, pen0.mass
@@ -194,8 +193,7 @@ def track(homotopy, start, cfg=TrackConfig(), keep_trajectory=True):
         c=M0 @ e,
         step=min(cfg.initial_step, 1.0),
     )
-    if keep_trajectory:
-        state.trajectory.append((0.0, lam))
+    state.trajectory.append((0.0, lam))
 
     k_prime, m_prime = homotopy.derivative()
     derivative = None
@@ -226,8 +224,7 @@ def track(homotopy, start, cfg=TrackConfig(), keep_trajectory=True):
             state.c = c
             state.min_overlap = min(state.min_overlap, overlap)
             state.newton_log.append(iters)
-            if keep_trajectory:
-                state.trajectory.append((t_new, pair_acc.value))
+            state.trajectory.append((t_new, pair_acc.value))
             pen_t = pen_new
             derivative = None
             if iters <= cfg.n1:
@@ -317,26 +314,6 @@ class ModeTable:
         return np.vectorize(eigenvalue_to_frequency)(self.values)
 
 
-def match_modes(base_pairs, tracked_columns):
-    """Assemble the mode table from per-point tracking outcomes.
-
-    tracked_columns[k][j] is the TrackState for mode j at point k, or None
-    where tracking failed.  Rows keep the identity of base_pairs.
-    """
-    n_modes = len(base_pairs)
-    n_pts = len(tracked_columns)
-    values = np.full((n_modes, n_pts), np.nan)
-    ok = np.zeros((n_modes, n_pts), dtype=bool)
-    for k, column in enumerate(tracked_columns):
-        if len(column) != n_modes:
-            raise DomainError(f"column {k} has {len(column)} entries, expected {n_modes}")
-        for j, st in enumerate(column):
-            if st is not None:
-                values[j, k] = st.eigenpair.value
-                ok[j, k] = True
-    return ModeTable(values, ok)
-
-
 def track_chain(parametric, deltas, starts, cfg=TrackConfig()):
     """Track modes through a sequence of waypoints by chained homotopies.
 
@@ -366,18 +343,3 @@ def track_chain(parametric, deltas, starts, cfg=TrackConfig()):
             stats["flagged"] = stats["flagged"] or st.flagged
         current = [st.eigenpair for st in finals]
     return ModeTable(values, ok), finals, stats
-
-
-def save_trajectory_csv(path, state):
-    """Dump accepted samples: t, lambda, f, step, newton_iters."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "lambda", "f", "step", "newton_iters"])
-        prev_t = 0.0
-        for i, (t, lam) in enumerate(state.trajectory):
-            iters = 0 if i == 0 else state.newton_log[i - 1]
-            writer.writerow(
-                [f"{t:.17g}", f"{lam:.17g}", f"{eigenvalue_to_frequency(lam):.17g}",
-                 f"{t - prev_t:.17g}", iters]
-            )
-            prev_t = t

@@ -20,9 +20,10 @@ from cavityuq.assembly import DiscreteSpace, MatrixPencil
 from cavityuq.eigen import Eigenpair, solve_smallest
 from cavityuq.pencil import (
     HomotopyPencil,
+    block_pencil,
     build_pillbox_pencil,
     eigenvalue_to_frequency,
-    filter_spurious,
+    is_spurious,
 )
 from cavityuq.tracking import eigenpair_derivative, track_modes
 
@@ -63,9 +64,14 @@ def _ten_lowest(elements, reference):
     space = DiscreteSpace(2, elements)
     par = build_pillbox_pencil(RADIUS, LENGTH, p_max, space)
     pen = par.at([RADIUS])
-    pairs = solve_smallest(pen, 13)
-    phys = filter_spurious(pairs, pen, par.blocks)
-    fs = sorted(eigenvalue_to_frequency(p.value) for p in phys)[:10]
+    fs = []
+    for b in par.blocks:
+        pen_b = block_pencil(pen, b)
+        fs += [
+            eigenvalue_to_frequency(p.value)
+            for p in solve_smallest(pen_b, 11) if not is_spurious(p, pen_b, b)
+        ]
+    fs = sorted(fs)[:10]
     return max(abs(f - fr) / fr for f, (_, fr) in zip(fs, reference))
 
 

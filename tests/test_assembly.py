@@ -14,8 +14,6 @@ from cavityuq.assembly import (
     assemble,
     assemble_full,
     boundary_dofs,
-    load_pencil_coo,
-    save_pencil_coo,
 )
 from cavityuq.errors import AssemblyError, DomainError
 from cavityuq.geometry import (
@@ -241,11 +239,3 @@ class TestMatrixPencil:
         M = sp.csr_matrix(np.diag([1.0, -1.0]))
         with pytest.raises(DomainError):
             MatrixPencil(K, M)
-
-    def test_coo_round_trip(self, tmp_path):
-        pen = assemble(unit_square_patch(), DiscreteSpace(2, 3), bc="dirichlet")
-        path = tmp_path / "pencil.txt"
-        save_pencil_coo(pen, path)
-        back = load_pencil_coo(path)
-        assert (back.stiffness - pen.stiffness).nnz == 0
-        assert (back.mass - pen.mass).nnz == 0

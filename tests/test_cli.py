@@ -282,6 +282,15 @@ class TestPillboxUq:
             assert float(row[5]) == 0.0
             assert float(row[4]) == pytest.approx(float(row[3]), rel=1e-14)
 
+    @pytest.mark.parametrize("orders", [[5, 7, "x"], [5], [1, 1], [1.0], "1"])
+    def test_zero_variance_grid_takes_one_node(self, tmp_path, capsys, orders):
+        doc = json.loads(json.dumps(PILLBOX_UQ))
+        doc["problem"]["distribution"]["support"] = [0.05, 0.05]
+        doc["grid"] = {"kind": "tensor", "family": "clenshaw-curtis", "orders": orders}
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert cli.main(["uq", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert "orders" in capsys.readouterr().err
+
 
 class TestDeformedDiskUq:
     def test_synthetic_pipeline(self, tmp_path, capsys):
@@ -313,6 +322,31 @@ class TestDeformedDiskUq:
         assert abs(mean_f - base_f) / base_f < 5e-3
         assert 0.0 < sd_f < 0.05 * base_f
 
+    def test_base_frequency_without_a_zero_node(self, tmp_path):
+        # the 2-point Gauss-Hermite rule in the first coordinate has no node at
+        # delta = 0; base_f_hz must still be the base eigensolve's frequency,
+        # which a one-node grid at delta = 0 reports too
+        doc = {
+            "problem": {
+                "kind": "deformed-disk",
+                "radius": 0.05,
+                "synthetic": {"variables": 18, "samples": 5000, "seed": 1234},
+            },
+            "discretization": {"degree": 2, "refinement": 2},
+            "modes": 2,
+            "grid": {"kind": "tensor", "family": "gauss-hermite", "orders": [1] * 7},
+        }
+        base_cfg = write_config(tmp_path, "base.json", doc)
+        doc["grid"]["orders"] = [2, 1, 1, 1, 1, 1, 1]
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert cli.main(["uq", "--config", base_cfg, "--out", str(tmp_path / "base")]) == 0
+        assert cli.main(["uq", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        base = read_csv(tmp_path / "base" / "moments.csv")
+        rows = read_csv(tmp_path / "run" / "moments.csv")
+        assert [r[3] for r in rows] == [r[3] for r in base]
+        table = read_csv(tmp_path / "run" / "mode_table.csv")
+        assert all(r[1] != b[3] for r, b in zip(table[1:], base[1:]))
+
 
 class TestBench:
     def test_tracking_beats_direct(self, tmp_path):
@@ -328,6 +362,15 @@ class TestBench:
         doc2 = json.loads((out2 / "bench.json").read_text())
         assert doc2["tracked"]["total_solves"] == doc["tracked"]["total_solves"]
         assert doc2["direct"]["solves_per_node"] == doc["direct"]["solves_per_node"]
+
+    def test_bench_and_uq_share_one_runner(self, tmp_path, pillbox_uq_run):
+        _, uq_out, cfg, _ = pillbox_uq_run
+        out = tmp_path / "b"
+        assert cli.main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "bench.json").read_text())
+        summary = json.loads((uq_out / "summary.json").read_text())
+        assert doc["tracked"]["bordered_solves"] == summary["bordered_solves"]
+        assert doc["nodes"] == summary["nodes"] and doc["modes"] == summary["modes"]
 
     def test_single_node_grid(self, tmp_path):
         doc = json.loads(json.dumps(PILLBOX_UQ))

@@ -4,23 +4,19 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from cavityuq.assembly import DiscreteSpace, MatrixPencil, assemble
+from cavityuq.assembly import DiscreteSpace, assemble
 from cavityuq.eigen import solve_smallest
-from cavityuq.errors import DomainError, SolverError
+from cavityuq.errors import DomainError
 from cavityuq.geometry import build_disk_patch
 from cavityuq.oracle import bessel_zero, pillbox_spectrum
 from cavityuq.pencil import (
     HomotopyPencil,
     ParametricPencil,
-    block_of,
     block_pencil,
     build_pillbox_pencil,
     eigenvalue_to_frequency,
-    filter_spurious,
     is_spurious,
-    probe_definiteness,
 )
 
 SPACE = DiscreteSpace(2, 12)
@@ -86,14 +82,6 @@ class TestHomotopy:
         with pytest.raises(DomainError):
             HomotopyPencil(a, b)
 
-    def test_definiteness_probe(self, homotopy):
-        probe_definiteness(homotopy)
-        K = sp.identity(2, format="csr")
-        bad = MatrixPencil(K, sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])), validate=False)
-        good = MatrixPencil(K, sp.identity(2, format="csr"))
-        with pytest.raises(SolverError):
-            probe_definiteness(HomotopyPencil(good, bad))
-
 
 class TestParametricPencil:
     def test_repeated_evaluation_is_bit_identical(self):
@@ -116,6 +104,17 @@ class TestParametricPencil:
 @pytest.fixture(scope="module")
 def stack():
     return build_pillbox_pencil(0.06, 0.1, 2, SPACE)
+
+
+def split_block_spectra(stack, k):
+    """(physical, spurious) lists of (block, pair) from each block's k lowest."""
+    pen = stack.base
+    phys, bad = [], []
+    for b in stack.blocks:
+        pen_b = block_pencil(pen, b)
+        for pair in solve_smallest(pen_b, k):
+            (bad if is_spurious(pair, pen_b, b) else phys).append((b, pair))
+    return phys, bad
 
 
 class TestPillboxPencil:
@@ -151,25 +150,22 @@ class TestPillboxPencil:
         np.testing.assert_allclose(np.array(wa) / np.array(wb), 4.0, rtol=1e-10)
 
     def test_ten_lowest_frequencies_match_analytic_table(self, stack):
-        pen = stack.base
-        pairs = solve_smallest(pen, 14)
-        phys = filter_spurious(pairs, pen, stack.blocks)
-        assert len(pairs) - len(phys) == 2
+        pairs, bad = split_block_spectra(stack, 12)
+        assert len(bad) == 2
+        phys = sorted(pairs, key=lambda bp: bp[1].value)
         ref = pillbox_spectrum(0.06, 0.1, 10)
-        for (label, f_ref), pair in zip(ref, phys[:10]):
+        for (label, f_ref), (_, pair) in zip(ref, phys[:10]):
             f = eigenvalue_to_frequency(pair.value)
             assert abs(f / f_ref - 1.0) <= 5e-4, str(label)
 
     def test_spurious_modes_sit_at_axial_shift(self, stack):
-        pen = stack.base
-        pairs = solve_smallest(pen, 14)
-        bad = [p for p in pairs if is_spurious(p, pen, stack.blocks)]
+        _, bad = split_block_spectra(stack, 12)
         assert len(bad) == 2
-        got = sorted(p.value for p in bad)
+        got = sorted(p.value for _, p in bad)
         want = sorted(b.spurious for b in stack.blocks if b.spurious is not None)
         np.testing.assert_allclose(got, want, rtol=1e-8)
-        for p in bad:
-            assert block_of(p, stack.blocks).family == "TE"
+        for b, _ in bad:
+            assert b.family == "TE"
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from cavityuq.errors import DegreeError, DomainError, InterpolationError
+from cavityuq.errors import DegreeError, DomainError
 from cavityuq.splines import (
     BSplineBasis,
     ControlNet,
     KnotVector,
     eval_nurbs,
     insert_knots_homogeneous,
-    interpolate_curve,
     uniform_open_knots,
 )
 
@@ -171,7 +170,7 @@ class TestNurbsEvaluation:
         basis = BSplineBasis(uniform_open_knots(2, 3), 2)
         A = rng.normal(size=(2, 2))
         b = rng.normal(size=2)
-        mapped = net.map_affine(A, b)
+        mapped = ControlNet(net.points @ A.T + b, weights=net.weights)
         for t in rng.uniform(0.0, 1.0, 50):
             direct = A @ eval_nurbs(net, basis, t) + b
             np.testing.assert_allclose(eval_nurbs(mapped, basis, t), direct, atol=1e-12)
@@ -213,32 +212,3 @@ class TestKnotInsertion:
         basis = BSplineBasis(uniform_open_knots(2, 2), 2)
         with pytest.raises(DomainError):
             insert_knots_homogeneous(basis.kv, np.zeros((basis.n_basis, 3)), [1.0])
-
-
-class TestInterpolateCurve:
-    def test_passes_through_samples(self):
-        t = np.linspace(0, 2 * np.pi, 9)
-        samples = np.column_stack([np.cos(t), np.sin(t)])
-        curve = interpolate_curve(samples, degree=3)
-        tau = curve.basis.greville()
-        for k, g in enumerate(tau):
-            np.testing.assert_allclose(curve(g), samples[k], atol=1e-10)
-
-    def test_two_samples_is_a_segment(self):
-        curve = interpolate_curve([[0.0, 0.0], [2.0, 1.0]])
-        np.testing.assert_allclose(curve(0.5), [1.0, 0.5], atol=1e-14)
-
-    def test_reproduces_cubic_polynomials(self):
-        # sampling a cubic at the Greville sites must give back the cubic:
-        # the curve s -> (s, q(s)) lies in the spline space and interpolation
-        # in that space is unique
-        q = lambda s: 2 * s**3 - s**2 + 0.5
-        tau = BSplineBasis(uniform_open_knots(3, 8), 3).greville()
-        curve = interpolate_curve(np.column_stack([tau, q(tau)]), degree=3)
-        for s in rng.uniform(0, 1, 50):
-            x, y = curve(s)
-            np.testing.assert_allclose([x, y], [s, q(s)], atol=1e-10)
-
-    def test_rejects_single_sample(self):
-        with pytest.raises(DomainError):
-            interpolate_curve([[0.0, 0.0]])

@@ -1,7 +1,5 @@
 """Tests for homotopy eigenvalue tracking."""
 
-import csv
-
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -28,10 +26,8 @@ from cavityuq.tracking import (
     TrackConfig,
     TrackState,
     eigenpair_derivative,
-    match_modes,
     newton_correct,
     predict,
-    save_trajectory_csv,
     track,
     track_chain,
     track_modes,
@@ -279,15 +275,6 @@ class TestTrackModes:
 
 
 class TestModeTable:
-    def test_identity_assignment_single_point(self):
-        pen = dense_pencil(np.diag([1.0, 2.0]))
-        starts = solve_smallest(pen, 2)
-        h = HomotopyPencil(pen, pen)
-        states = track_modes(h, starts)
-        table = match_modes(starts, [states])
-        assert table.complete
-        np.testing.assert_allclose(table.values[:, 0], [1.0, 2.0])
-
     def test_incomplete_refuses_frequencies(self):
         table = ModeTable(np.array([[1.0, np.nan]]), np.array([[True, False]]))
         assert not table.complete
@@ -333,23 +320,3 @@ class TestTrackChain:
         starts = solve_smallest(pen, 1)
         with pytest.raises(DomainError):
             track_chain(par_like, [], starts)
-
-
-class TestTrajectoryDump:
-    def test_csv_columns_and_monotone_t(self, tmp_path, tm_block):
-        start = solve_smallest(tm_block.at(0.0), 1)[0]
-        st = track(tm_block, start, TrackConfig(initial_step=0.25))
-        path = tmp_path / "trajectory.csv"
-        save_trajectory_csv(path, st)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "lambda", "f", "step", "newton_iters"]
-        body = rows[1:]
-        assert len(body) == len(st.trajectory)
-        ts = [float(r[0]) for r in body]
-        assert ts == sorted(ts)
-        for r in body:
-            assert float(r[2]) == pytest.approx(
-                eigenvalue_to_frequency(float(r[1])), rel=1e-12
-            )
-        assert int(body[0][4]) == 0
