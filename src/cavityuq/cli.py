@@ -420,12 +420,14 @@ def _track_node(payload, par, tracked):
     payload is (spec, node_index, node, groups, cfg); groups maps a key to
     [(mode, start Eigenpair), ...] and tracked(pencil, key) gives the pencil
     that group is tracked in.  Returns (node_index, [(mode, lambda,
-    newton_log, solves, rejects, flagged), ...]) ordered by mode.
+    newton_log, solves, rejects, flagged, min_overlap), ...]) ordered by
+    mode; min_overlap is the track's smallest M-overlap between accepted
+    steps (1.0 at the base node, where nothing is tracked).
     """
     _, node_index, node, groups, cfg = payload
     if np.array_equal(node, par.base_delta):
         return node_index, sorted(
-            (j, pair.value, [], 0, 0, False)
+            (j, pair.value, [], 0, 0, False, 1.0)
             for members in groups.values() for j, pair in members
         )
     pen_base, pen_node = par.base, par.at(node)
@@ -437,7 +439,7 @@ def _track_node(payload, par, tracked):
             states = track_modes(homotopy, [pair for _, pair in members], cfg)
         results.extend(
             (j, st.eigenpair.value, list(st.newton_log), st.n_solves, st.n_rejects,
-             st.flagged)
+             st.flagged, st.min_overlap)
             for (j, _), st in zip(members, states)
         )
     return node_index, sorted(results)
@@ -482,14 +484,15 @@ def _run_study(cfg, args):
     outcomes = _run_tasks(payloads, globals()[study.task], args.workers)
     study.values = np.empty((n_modes, study.grid.n_nodes))
     study.newton_logs = []
-    study.totals = {"n_solves": 0, "n_rejects": 0, "flagged": 0}
+    study.totals = {"n_solves": 0, "n_rejects": 0, "flagged": 0, "min_overlap": 1.0}
     for node_index, rows in outcomes:
-        for j, lam, log, solves, rejects, flagged in rows:
+        for j, lam, log, solves, rejects, flagged, overlap in rows:
             study.values[j, node_index] = lam
             study.newton_logs.append(log)
             study.totals["n_solves"] += solves
             study.totals["n_rejects"] += rejects
             study.totals["flagged"] += int(flagged)
+            study.totals["min_overlap"] = min(study.totals["min_overlap"], overlap)
     study.freq = np.vectorize(eigenvalue_to_frequency)(study.values)
     return study
 
@@ -559,6 +562,7 @@ def cmd_uq(cfg, args):
         bordered_solves=run.totals["n_solves"],
         rejected_steps=run.totals["n_rejects"],
         degenerate_flags=run.totals["flagged"],
+        min_overlap=run.totals["min_overlap"],
     )
     _write_json(out / "summary.json", summary)
     print(f"{run.summary['problem']} uq: {len(run.starts)} modes over {run.grid.n_nodes} nodes")

@@ -203,13 +203,6 @@ class BSplineBasis:
             table[:, i, span - p : span + 1] = ders
         return table
 
-    def greville(self):
-        """Greville abscissae (knot averages), one per basis function."""
-        p = self.degree
-        if p == 0:
-            return 0.5 * (self.knots[:-1] + self.knots[1:])
-        return np.array([self.knots[i + 1 : i + p + 1].mean() for i in range(self.n_basis)])
-
 
 def uniform_open_knots(degree, n_elements, domain=(0.0, 1.0)):
     """Clamped knot vector with ``n_elements`` uniform spans."""

@@ -4,6 +4,10 @@ One tracked mode advances through t in [0, 1] by first-order prediction from
 bordered-system derivatives, Newton correction against the pencil at the new
 t, and a step-size controller driven by the Newton iteration count: fast
 convergence grows the step, slow or failed correction rejects it and shrinks.
+
+Every derivative and Newton iteration factorizes the bordered system
+[[K - lambda M, -M e], [c^T, 0]] afresh with sparse LU.  Its CSC pattern is
+built once per pencil and only its values are refilled for each solve.
 """
 
 import math
@@ -72,18 +76,92 @@ class TrackState:
     flagged: bool = False                            # degenerate start
 
 
-def _scaled_residual(K, M, lam, e, norm_k, norm_m):
-    r = K @ e - lam * (M @ e)
-    return float(np.linalg.norm(r) / ((norm_k + abs(lam) * norm_m) * np.linalg.norm(e)))
+class _BorderedLayout:
+    """Fixed CSC pattern of one pencil's bordered matrix, refilled per solve.
+
+    The matrix is [[K - lam M, -M e], [c^T, 0]].  Column j < n holds the
+    union of K's and M's stored rows, then row n (c_j); column n holds rows
+    0..n-1 (-M e) and no (n, n) entry.  K and M are spread onto the pattern
+    once (k, m, zero outside the union); a refill computes k - lam m, writes
+    c and -M e into their slots and drops the entries that came out exactly
+    zero, as K - lam M and sp.bmat drop them, so splu receives the same
+    arrays, bit for bit.  The pencil's infinity norms for the scaled
+    residual are kept alongside.
+    """
+
+    def __init__(self, pencil):
+        K, M = pencil.stiffness, pencil.mass
+        n = K.shape[0]
+        self.norm_k = spla.norm(K, np.inf)
+        self.norm_m = spla.norm(M, np.inf)
+        keys_k, keys_m = _column_major_keys(K), _column_major_keys(M)
+        both = np.concatenate([keys_k, keys_m])
+        order = np.argsort(both, kind="stable")
+        ranked = both[order]
+        first = np.ones(both.size, dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        keys = ranked[first]
+        rows, cols = keys % n, keys // n
+        size = keys.size + 2 * n
+
+        # each union entry moves down by one c slot per column before it
+        pos_u = np.arange(keys.size) + cols
+        start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
+        self.pos_c = start[1:] + np.arange(n)
+        self.pos_e = keys.size + n + np.arange(n)
+        self.indptr = np.append(start + np.arange(n + 1), size).astype(np.int32)
+        self.indices = np.empty(size, dtype=np.int32)
+        self.indices[pos_u] = rows
+        self.indices[self.pos_c] = n
+        self.indices[self.pos_e] = np.arange(n)
+        self.shape = (n + 1, n + 1)
+
+        slot = np.empty(both.size, dtype=np.intp)
+        slot[order] = pos_u[np.cumsum(first) - 1]
+        # a duplicated stored entry adds up, in storage order
+        self.k = np.bincount(slot[: keys_k.size], weights=K.data, minlength=size)
+        self.m = np.bincount(slot[keys_k.size :], weights=M.data, minlength=size)
+
+    def matrix(self, lam, Me, c):
+        """The bordered matrix at lam, with Me = M e."""
+        data = self.k - lam * self.m
+        data[self.pos_c] = c
+        data[self.pos_e] = -Me
+        A = sp.csc_matrix(
+            (data, self.indices.copy(), self.indptr.copy()), shape=self.shape
+        )
+        A.eliminate_zeros()
+        return A
 
 
-def _bordered_solve(K, M, lam, e, c, rhs):
+def _column_major_keys(A):
+    """col * n + row of each stored entry of a CSR matrix, in storage order."""
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    return A.indices.astype(np.int64) * n + rows
+
+
+def _layout(pencil):
+    """The pencil's bordered layout, built on first use and kept on the pencil.
+
+    It lives and dies with the pencil object: Newton iterations at one t and
+    the derivative at the accepted pencil share it, and the cached base
+    pencil of a ParametricPencil serves every node.
+    """
+    lay = getattr(pencil, "_bordered_layout", None)
+    if lay is None:
+        lay = pencil._bordered_layout = _BorderedLayout(pencil)
+    return lay
+
+
+def _scaled_residual(r, lam, e, lay):
+    return float(np.linalg.norm(r) / ((lay.norm_k + abs(lam) * lay.norm_m) * np.linalg.norm(e)))
+
+
+def _bordered_solve(lay, lam, Me, c, rhs):
     """Solve [[K - lam M, -M e], [c^T, 0]] x = rhs by sparse LU."""
-    Me = M @ e
-    A = sp.bmat(
-        [[(K - lam * M).tocsc(), -Me[:, None]], [sp.csr_matrix(c[None, :]), None]],
-        format="csc",
-    )
+    A = lay.matrix(lam, Me, c)
     try:
         lu = spla.splu(A)
     except RuntimeError as exc:
@@ -107,7 +185,7 @@ def eigenpair_derivative(pencil, pair, k_prime, m_prime, c):
     rhs = np.empty(e.size + 1)
     rhs[:-1] = -(k_prime @ e) + lam * (m_prime @ e)
     rhs[-1] = 0.0
-    x, A = _bordered_solve(pencil.stiffness, pencil.mass, lam, e, c, rhs)
+    x, A = _bordered_solve(_layout(pencil), lam, pencil.mass @ e, c, rhs)
     resid = np.linalg.norm(A @ x - rhs)
     scale = spla.norm(A, np.inf) * np.linalg.norm(x) + np.linalg.norm(rhs) + 1e-300
     if resid > 1e-10 * scale:
@@ -130,38 +208,43 @@ def newton_correct(pencil, e0, lam0, c, tol, max_iter):
     The failure carries .iterations for the step-size controller.
     """
     K, M = pencil.stiffness, pencil.mass
-    norm_k = spla.norm(K, np.inf)
-    norm_m = spla.norm(M, np.inf)
+    lay = _layout(pencil)
     e = np.asarray(e0, dtype=float).copy()
     lam = float(lam0)
     if not (np.all(np.isfinite(e)) and math.isfinite(lam)):
         raise NewtonFailure("non-finite initial guess")
     dlam = None
     for it in range(max_iter + 1):
-        res = _scaled_residual(K, M, lam, e, norm_k, norm_m)
+        Me = M @ e
+        r = K @ e - lam * Me
+        res = _scaled_residual(r, lam, e, lay)
         if res <= tol and (dlam is None or abs(dlam) <= tol * (1.0 + abs(lam))):
             return Eigenpair(lam, e, res), it
         if it == max_iter:
             break
         rhs = np.empty(e.size + 1)
-        rhs[:-1] = -(K @ e - lam * (M @ e))
+        rhs[:-1] = -r
         rhs[-1] = -(c @ e - 1.0)
         try:
-            x, _ = _bordered_solve(K, M, lam, e, c, rhs)
+            x, _ = _bordered_solve(lay, lam, Me, c, rhs)
         except DegeneracyError as exc:
-            failure = NewtonFailure(f"bordered Jacobian failed: {exc}")
-            failure.iterations = it
-            raise failure from exc
+            raise _newton_failure(f"bordered Jacobian failed: {exc}", it) from exc
         e += x[:-1]
         dlam = x[-1]
         lam += dlam
         if not (np.all(np.isfinite(e)) and math.isfinite(lam)):
-            failure = NewtonFailure("iteration diverged to non-finite values")
-            failure.iterations = it + 1
-            raise failure
-    failure = NewtonFailure(f"no convergence within {max_iter} iterations")
-    failure.iterations = max_iter
-    raise failure
+            raise _newton_failure("iteration diverged to non-finite values", it + 1)
+    raise _newton_failure(f"no convergence within {max_iter} iterations", max_iter)
+
+
+def _newton_failure(message, iterations):
+    # Built here, not bound to a name in newton_correct: a frame that holds
+    # the exception it raises forms a reference cycle with its traceback,
+    # which keeps the pencil and its bordered layout alive until the cyclic
+    # garbage collector runs.
+    failure = NewtonFailure(message)
+    failure.iterations = iterations
+    return failure
 
 
 def _normalized_accept(pencil, pair, prev_vector):
@@ -183,7 +266,7 @@ def track(homotopy, start, cfg=TrackConfig()):
     e = np.asarray(start.vector, dtype=float)
     e = e / math.sqrt(e @ (M0 @ e))
     lam = float(start.value)
-    res0 = _scaled_residual(K0, M0, lam, e, spla.norm(K0, np.inf), spla.norm(M0, np.inf))
+    res0 = _scaled_residual(K0 @ e - lam * (M0 @ e), lam, e, _layout(pen0))
     if res0 > 1e-8:
         raise DomainError(f"start pair residual {res0:.3e} violates the invariant at t=0")
 
@@ -267,6 +350,9 @@ def track_modes(homotopy, starts, cfg=TrackConfig()):
         st.flagged = j in flagged
         results.append(st)
     _reorthogonalize_clusters(results, homotopy.at(1.0).mass)
+    # The end pencil is often a ParametricPencil's cached node pencil; a
+    # layout left on it would be kept for the whole study, one per node.
+    vars(homotopy.end).pop("_bordered_layout", None)
     return results
 
 

@@ -270,6 +270,22 @@ class TestPillboxUq:
         for name in ("moments.csv", "mode_table.csv", "grid.csv"):
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_min_overlap_in_summary(self, pillbox_uq_run, tmp_path):
+        _, out, cfg, _ = pillbox_uq_run
+        overlap = json.loads((out / "summary.json").read_text())["min_overlap"]
+        assert 0.0 < overlap <= 1.0
+        w2 = tmp_path / "w2"
+        assert cli.main(["uq", "--config", cfg, "--out", str(w2), "--workers", "2"]) == 0
+        assert json.loads((w2 / "summary.json").read_text())["min_overlap"] == overlap
+        doc = json.loads(json.dumps(PILLBOX_UQ))
+        doc["problem"]["distribution"]["support"] = [0.05, 0.05]
+        doc["grid"] = {"kind": "tensor", "family": "clenshaw-curtis", "orders": [1]}
+        base_cfg = write_config(tmp_path, "base.json", doc)
+        assert cli.main(["uq", "--config", base_cfg, "--out", str(tmp_path / "base")]) == 0
+        assert json.loads((tmp_path / "base" / "summary.json").read_text())["min_overlap"] == 1.0
+        for name in ("grid.csv", "mode_table.csv", "moments.csv"):
+            assert "overlap" not in (out / name).read_text()
+
     def test_zero_variance_distribution(self, tmp_path):
         doc = json.loads(json.dumps(PILLBOX_UQ))
         doc["problem"]["distribution"]["support"] = [0.05, 0.05]

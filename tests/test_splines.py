@@ -146,12 +146,6 @@ class TestBasisEvaluation:
         with pytest.raises(DegreeError):
             basis.collocation([0.25, 0.5], 3)
 
-    def test_greville_interlace_domain(self):
-        basis = BSplineBasis(uniform_open_knots(3, 6), 3)
-        g = basis.greville()
-        assert g[0] == 0.0 and g[-1] == 1.0
-        assert np.all(np.diff(g) > 0)
-
 
 class TestNurbsEvaluation:
     def test_quarter_circle_is_exact(self):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cavityuq import cli
+from cavityuq import cli, tracking
 
 _TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -59,17 +59,44 @@ def test_pillbox_study_calls_hooks_at_run_time(tracer, monkeypatch, tmp_path):
     assert calls["pencil.block"] >= 2 * calls["tracking.track_modes"] > 0
 
 
+_SMALL_DISK = {
+    "problem": {
+        "kind": "deformed-disk", "radius": 0.05,
+        "synthetic": {"variables": 18, "samples": 500, "seed": 1234},
+    },
+    "discretization": {"degree": 2, "refinement": 2},
+    "modes": 1,
+    "grid": {"kind": "tensor", "family": "gauss-hermite", "orders": [2, 1, 1, 1, 1, 1, 1]},
+}
+
+
 def test_disk_study_calls_hooks_at_run_time(tracer, monkeypatch, tmp_path):
-    calls = _counted_study(tracer, monkeypatch, tmp_path, {
-        "problem": {
-            "kind": "deformed-disk", "radius": 0.05,
-            "synthetic": {"variables": 18, "samples": 500, "seed": 1234},
-        },
-        "discretization": {"degree": 2, "refinement": 2},
-        "modes": 1,
-        "grid": {"kind": "tensor", "family": "gauss-hermite", "orders": [2, 1, 1, 1, 1, 1, 1]},
-    })
+    calls = _counted_study(tracer, monkeypatch, tmp_path, _SMALL_DISK)
     assert calls["cli.node_tasks"] == 2
     assert calls["tracking.track_modes"] == 2
     assert calls["eigen.solve"] >= 1
     assert calls["assembly.assemble"] >= 3
+
+
+def test_factorization_hook_sees_every_bordered_solve(tracer, monkeypatch, tmp_path):
+    """Every bordered solve must be one splu factorization and one .solve
+    that the tracer's tracking.spla proxy counts; a solve path that bypasses
+    the proxy would leave the benchmark's factorization counts short."""
+    # register every name install() replaces, so the test restores it
+    for _, owner, attr in tracer.SPANS + tracer.COUNTERS:
+        monkeypatch.setattr(owner, attr, tracer._lookup(owner, attr))
+    monkeypatch.setattr(tracking, "spla", tracking.spla)
+    monkeypatch.setattr(cli, "_PENCIL_CACHE", {})
+    trace = tracer.Tracer()
+    tracer.install(trace)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_SMALL_DISK))
+    out = tmp_path / "run"
+    assert cli.main(["uq", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    solves = summary["bordered_solves"]
+    assert solves > 0
+    assert trace.calls["tracking.factorize"] == trace.calls["tracking.backsolve"] == solves
+    report = tracer.report(trace, 0)
+    assert report["bordered_solves"] == solves
+    assert report["min_overlap"] == summary["min_overlap"]

@@ -1,9 +1,13 @@
 """Tests for homotopy eigenvalue tracking."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cavityuq.assembly import DiscreteSpace, MatrixPencil, assemble
 from cavityuq.eigen import solve_smallest
@@ -15,6 +19,7 @@ from cavityuq.errors import (
     TrackingFailure,
 )
 from cavityuq.geometry import build_disk_patch
+from cavityuq import tracking
 from cavityuq.pencil import (
     HomotopyPencil,
     block_pencil,
@@ -114,6 +119,93 @@ class TestDerivative:
             eigenpair_derivative(pen, pair, zero, zero, pen.mass @ e)
 
 
+def reference_bordered(pencil, lam, e, c):
+    """The bordered matrix as sp.bmat assembles it from K - lam M."""
+    K, M = pencil.stiffness, pencil.mass
+    Me = M @ e
+    return sp.bmat(
+        [[(K - lam * M).tocsc(), -Me[:, None]], [sp.csr_matrix(c[None, :]), None]],
+        format="csc",
+    )
+
+
+def forced_zero_case():
+    """K stores zeros (one where M has an entry, one where it has none),
+    K - 2 M cancels on one off-diagonal pair, and e, M e and c hold zeros."""
+    n = 6
+    off = np.arange(n - 1)
+    m_off = np.full(n - 1, 0.25)
+    k_off = np.array([-1.0, 0.5, 0.0, -1.0, -1.0])   # (1, 2): 0.5 = 2 * 0.25
+    rows = np.concatenate([np.arange(n), off, off + 1, [0, n - 1]])
+    cols = np.concatenate([np.arange(n), off + 1, off, [n - 1, 0]])
+    K = sp.csr_matrix(
+        (np.concatenate([np.full(n, 4.0), k_off, k_off, [0.0, 0.0]]), (rows, cols)),
+        shape=(n, n),
+    )
+    M = sp.diags([m_off, np.ones(n), m_off], [-1, 0, 1], format="csr")
+    pen = MatrixPencil(K, M, validate=False)
+    e = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 2.0])
+    return pen, 2.0, e, e.copy()
+
+
+class TestBorderedRefill:
+    """The refilled fixed-pattern bordered matrix equals sp.bmat's, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, tm_block):
+        out = {}
+        disk = assemble(build_disk_patch(0.05), DiscreteSpace(2, 4), bc="dirichlet")
+        par = build_pillbox_pencil(0.05, 0.1, 1, DiscreteSpace(2, 6))
+        te = next(b for b in par.blocks if b.family == "TE")
+        for name, pen in (
+            ("disk16", disk),
+            ("pillbox-neumann", block_pencil(par.at([0.05]), te)),
+            ("homotopy-0.37", tm_block.at(0.37)),
+        ):
+            pair = solve_smallest(pen, 2)[1]
+            e = pair.vector + 1e-3 * np.linspace(-1.0, 1.0, pen.n)
+            out[name] = (pen, pair.value * (1.0 + 1e-3), e, pen.mass @ pair.vector)
+        out["forced-zeros"] = forced_zero_case()
+        return out
+
+    @pytest.mark.parametrize(
+        "name", ["disk16", "pillbox-neumann", "homotopy-0.37", "forced-zeros"]
+    )
+    def test_matches_bmat_bit_for_bit(self, cases, name):
+        pen, lam, e, c = cases[name]
+        ref = reference_bordered(pen, lam, e, c)
+        lay = tracking._layout(pen)
+        A = lay.matrix(lam, pen.mass @ e, c)
+        for attr in ("indptr", "indices", "data"):
+            got, want = getattr(A, attr), getattr(ref, attr)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+        rhs = 1.0 + np.arange(pen.n + 1.0)
+        x, _ = tracking._bordered_solve(lay, lam, pen.mass @ e, c, rhs)
+        assert np.array_equal(x, spla.splu(ref).solve(rhs))
+
+    def test_forced_zeros_are_dropped(self):
+        pen, lam, e, c = forced_zero_case()
+        assert np.count_nonzero(pen.stiffness.data == 0.0) == 4
+        A = tracking._layout(pen).matrix(lam, pen.mass @ e, c)
+        assert np.all(A.data != 0.0)
+        dense = A.toarray()
+        assert dense[1, 2] == dense[2, 1] == 0.0             # K - 2 M cancels
+        assert dense[0, 5] == dense[5, 0] == 0.0             # stored zero, no M entry
+        assert dense[2, 3] == -2.0 * 0.25                    # stored zero under M
+        assert dense[2, 6] == 0.0 and dense[6, 1] == 0.0     # zero M e and c
+
+    def test_layout_is_reused_and_released_with_its_pencil(self):
+        pen, lam, e, c = forced_zero_case()
+        lay = tracking._layout(pen)
+        assert tracking._layout(pen) is lay
+        assert lay.norm_k == spla.norm(pen.stiffness, np.inf)
+        assert lay.norm_m == spla.norm(pen.mass, np.inf)
+        ref = weakref.ref(pen)
+        del pen, lay
+        gc.collect()
+        assert ref() is None
+
+
 class TestPredict:
     def test_zero_step_is_identity(self):
         pen = dense_pencil(np.diag([1.0, 2.0]))
@@ -162,6 +254,22 @@ class TestNewton:
         with pytest.raises(NewtonFailure) as info:
             newton_correct(pen, pair.vector + 5.0, pair.value + 50.0, c, 1e-14, 2)
         assert info.value.iterations == 2
+
+    def test_failure_releases_the_pencil_without_cycle_collection(self):
+        pen = dense_pencil(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        pair = solve_smallest(pen, 1)[0]
+        c = pen.mass @ pair.vector
+        ref = weakref.ref(pen)
+        gc.disable()
+        try:
+            try:
+                newton_correct(pen, pair.vector + 5.0, pair.value + 50.0, c, 1e-14, 2)
+            except NewtonFailure as exc:
+                assert exc.iterations == 2
+            del pen
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestTrack:
