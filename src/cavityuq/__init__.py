@@ -19,7 +19,7 @@ from .geometry import (
     refine_patch,
 )
 from .pencil import HomotopyPencil, build_pillbox_pencil, eigenvalue_to_frequency
-from .tracking import ModeTable, TrackConfig, track, track_chain, track_modes
+from .tracking import TrackConfig, track, track_chain, track_modes
 from .uq import (
     build_smolyak_grid,
     build_tensor_grid,
@@ -40,7 +40,6 @@ __all__ = [
     "Eigenpair",
     "HomotopyPencil",
     "MatrixPencil",
-    "ModeTable",
     "TrackConfig",
     "assemble",
     "build_disk_patch",

@@ -606,7 +606,7 @@ def cmd_track(cfg, args):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                mode_table, _, stats = track_chain(
+                values, _, stats = track_chain(
                     block_par, [[r] for r in radii], starts_b, cfg_track
                 )
         except CavityError as exc:
@@ -615,9 +615,9 @@ def cmd_track(cfg, args):
             )
             continue
         for row, (j, _) in enumerate(members):
-            table_l[j] = mode_table.values[row]
-            table_f[j] = np.vectorize(eigenvalue_to_frequency)(mode_table.values[row])
-            ok[j] = mode_table.ok[row]
+            table_l[j] = values[row]
+            table_f[j] = np.vectorize(eigenvalue_to_frequency)(values[row])
+            ok[j] = True
             per_mode_stats[j] = {
                 "newton_mean": float(np.mean(stats["newton_iterations"]))
                 if stats["newton_iterations"] else None,

@@ -61,9 +61,5 @@ class GridSizeError(CavityError, ValueError):
     """A requested collocation grid exceeds the node-count guard."""
 
 
-class IncompleteTableError(CavityError):
-    """A mode table with failed entries was passed where completeness is required."""
-
-
 class ConfigError(CavityError, ValueError):
     """A run configuration is malformed, has unknown keys, or bad values."""

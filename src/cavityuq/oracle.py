@@ -1,11 +1,10 @@
 """Closed-form reference spectra for circular and cylindrical cavities.
 
-This module is deliberately self-contained: Bessel functions are evaluated
-from their defining series (ascending series for small arguments, backward
-recurrence beyond), zeros are located by bracketing plus a bisection-Newton
-polish, and mode frequencies follow from separation of variables on a
-cylinder.  Nothing here touches the discretization or solver stack, so the
-values can serve as an independent check of everything else.
+Mode frequencies follow from separation of variables on a cylinder, with the
+Bessel zeros x_mn and x'_mn taken from ``scipy.special`` (``jn_zeros`` and
+``jnp_zeros``) over the supported table m <= 10, n <= 10.  Nothing here
+touches the discretization or solver stack, so the values can serve as an
+independent check of everything else.
 
 Conventions: ``TM`` modes use zeros x_mn of J_m (axial index p >= 0), ``TE``
 modes use zeros x'_mn of J_m' (p >= 1).  Modes with azimuthal index m >= 1
@@ -15,135 +14,18 @@ are doubly degenerate and reported once with ``degeneracy == 2``.
 import math
 from dataclasses import dataclass
 
-import numpy as np
+# scipy loads submodules lazily: ``scipy.special`` is imported at the first
+# zero, not here, because a study that never asks for a zero (every ``uq``
+# run) would otherwise pay its import time at start-up.
+import scipy
 
 from .errors import DomainError
 
 # vacuum speed of light, m/s (exact SI value, equals 1/sqrt(eps0*mu0))
 C0 = 299792458.0
 
-_SERIES_CUTOFF = 12.0
 _MAX_ORDER = 10
 _MAX_INDEX = 10
-
-# The alternating series loses ~5 digits to cancellation near x = 12, so the
-# sum is carried in the widest native float available (80-bit on x86).
-_WIDE = np.longdouble
-
-
-def _series_j(m: int, x: float) -> float:
-    # ascending power series, accumulated in extended precision
-    half = _WIDE(0.5) * _WIDE(x)
-    term = _WIDE(1.0)
-    for k in range(1, m + 1):
-        term *= half / k
-    total = term
-    q = -half * half
-    k = 1
-    while k <= 400:
-        term *= q / (k * (m + k))
-        total += term
-        if abs(term) <= 1e-21 * abs(total) + _WIDE(1e-4000):
-            break
-        k += 1
-    return float(total)
-
-
-def _backward_j(m: int, x: float) -> float:
-    # Miller's backward recurrence, normalized with J_0 + 2*sum J_{2k} = 1.
-    # The start order sits well above the turning point; the x^(1/3) growth
-    # keeps full double accuracy out to x ~ 100.
-    n0 = int(x + 18.0 * x ** (1.0 / 3.0)) + 20 + 2 * m
-    if n0 % 2:
-        n0 += 1
-    f_up = 0.0
-    f = 1e-30
-    f_m = 0.0
-    even_sum = 0.0
-    for k in range(n0, 0, -1):
-        f_down = (2.0 * k / x) * f - f_up
-        f_up, f = f, f_down
-        if k - 1 == m:
-            f_m = f
-        if k - 1 > 0 and (k - 1) % 2 == 0:
-            even_sum += f
-        if abs(f) > 1e280:
-            f *= 1e-280
-            f_up *= 1e-280
-            f_m *= 1e-280
-            even_sum *= 1e-280
-    norm = f + 2.0 * even_sum  # f now holds the unnormalized J_0
-    return f_m / norm
-
-
-def bessel_j(m: int, x: float) -> float:
-    """Bessel function of the first kind J_m(x) for integer order m >= 0."""
-    if not isinstance(m, (int,)) or isinstance(m, bool):
-        raise DomainError(f"order must be an integer, got {m!r}")
-    if m < 0:
-        raise DomainError(f"order must be >= 0, got {m}")
-    x = float(x)
-    if x < 0.0:
-        val = bessel_j(m, -x)
-        return -val if m % 2 else val
-    if x == 0.0:
-        return 1.0 if m == 0 else 0.0
-    if x <= _SERIES_CUTOFF:
-        return _series_j(m, x)
-    return _backward_j(m, x)
-
-
-def bessel_j_derivative(m: int, x: float) -> float:
-    """First derivative J_m'(x), via J_m' = (J_{m-1} - J_{m+1}) / 2."""
-    if m == 0:
-        return -bessel_j(1, x)
-    return 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
-
-
-def _bracket_sign_changes(f, start: float, step: float, count: int, limit: float):
-    """First ``count`` sign-change brackets of ``f`` scanning right from ``start``."""
-    brackets = []
-    a = start
-    fa = f(a)
-    while len(brackets) < count:
-        b = a + step
-        if b > limit:
-            raise DomainError(
-                f"failed to bracket {count} zeros below x = {limit}; "
-                "requested index is outside the supported range"
-            )
-        fb = f(b)
-        if fa == 0.0:
-            brackets.append((a - 0.5 * step, a + 0.5 * step))
-        elif (fa > 0.0) != (fb > 0.0):
-            brackets.append((a, b))
-        a, fa = b, fb
-    return brackets
-
-
-def _refine_zero(f, fprime, a: float, b: float) -> float:
-    fa = f(a)
-    for _ in range(48):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-        if b - a < 1e-9:
-            break
-    x = 0.5 * (a + b)
-    for _ in range(6):
-        d = fprime(x)
-        if d == 0.0:
-            break
-        dx = f(x) / d
-        x -= dx
-        if abs(dx) < 1e-15 * max(1.0, abs(x)):
-            break
-    return x
 
 
 def _check_zero_args(m: int, n: int) -> None:
@@ -156,27 +38,13 @@ def _check_zero_args(m: int, n: int) -> None:
 def bessel_zero(m: int, n: int) -> float:
     """n-th positive zero of J_m (n = 1 is the first)."""
     _check_zero_args(m, n)
-    f = lambda x: bessel_j(m, x)
-    fp = lambda x: bessel_j_derivative(m, x)
-    # J_m > 0 on (0, x_m1); scanning from just above 0 meets zeros in order
-    brackets = _bracket_sign_changes(f, 0.25, 0.25, n, 120.0)
-    a, b = brackets[n - 1]
-    return _refine_zero(f, fp, a, b)
+    return float(scipy.special.jn_zeros(m, n)[n - 1])
 
 
 def bessel_derivative_zero(m: int, n: int) -> float:
     """n-th positive zero of J_m' (the trivial zero at x = 0 is excluded)."""
     _check_zero_args(m, n)
-    f = lambda x: bessel_j_derivative(m, x)
-
-    def fpp(x):
-        # J_m'' from the defining ODE: x^2 y'' + x y' + (x^2 - m^2) y = 0
-        return ((m * m / (x * x) - 1.0) * bessel_j(m, x)
-                - bessel_j_derivative(m, x) / x)
-
-    brackets = _bracket_sign_changes(f, 0.25, 0.25, n, 120.0)
-    a, b = brackets[n - 1]
-    return _refine_zero(f, fpp, a, b)
+    return float(scipy.special.jnp_zeros(m, n)[n - 1])
 
 
 @dataclass(frozen=True, order=True)

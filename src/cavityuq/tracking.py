@@ -18,15 +18,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .eigen import Eigenpair, group_clusters
+from .eigen import Eigenpair, _m_orthonormalize, group_clusters
 from .errors import (
     DegeneracyError,
     DomainError,
-    IncompleteTableError,
     NewtonFailure,
     TrackingFailure,
 )
-from .pencil import HomotopyPencil, eigenvalue_to_frequency
+from .pencil import HomotopyPencil
 
 START_GAP_WARN = 1e-6
 
@@ -187,7 +186,9 @@ def eigenpair_derivative(pencil, pair, k_prime, m_prime, c):
     rhs[-1] = 0.0
     x, A = _bordered_solve(_layout(pencil), lam, pencil.mass @ e, c, rhs)
     resid = np.linalg.norm(A @ x - rhs)
-    scale = spla.norm(A, np.inf) * np.linalg.norm(x) + np.linalg.norm(rhs) + 1e-300
+    # row-sum norm straight from the CSC arrays; spla.norm would convert to CSR
+    norm_a = np.bincount(A.indices, np.abs(A.data), minlength=A.shape[0]).max()
+    scale = norm_a * np.linalg.norm(x) + np.linalg.norm(rhs) + 1e-300
     if resid > 1e-10 * scale:
         raise DegeneracyError(f"bordered solve residual {resid / scale:.3e} too large")
     return x[:-1], float(x[-1])
@@ -364,56 +365,25 @@ def _reorthogonalize_clusters(states, M, rtol=1e-9):
         members = [states[order[i]] for i in grp]
         if len(members) < 2 or not all(m.flagged for m in members):
             continue
-        done = []
-        for st in members:
-            v = st.eigenpair.vector.copy()
-            for u in done:
-                v -= (u @ (M @ v)) * u
-            v /= math.sqrt(v @ (M @ v))
-            done.append(v)
+        ortho = _m_orthonormalize([st.eigenpair.vector for st in members], M)
+        for st, v in zip(members, ortho):
             st.eigenpair = Eigenpair(st.eigenpair.value, v, st.eigenpair.residual)
             st.c = M @ v
-
-
-@dataclass
-class ModeTable:
-    """Per-mode eigenvalues across parametric points, identity-consistent.
-
-    Row j follows tracked mode j; column k is one parametric point.  ok
-    marks entries whose track succeeded.
-    """
-
-    values: np.ndarray
-    ok: np.ndarray
-
-    @property
-    def complete(self):
-        return bool(self.ok.all())
-
-    def require_complete(self):
-        if not self.complete:
-            bad = int((~self.ok).sum())
-            raise IncompleteTableError(f"mode table has {bad} failed entries")
-
-    def frequencies(self):
-        self.require_complete()
-        return np.vectorize(eigenvalue_to_frequency)(self.values)
 
 
 def track_chain(parametric, deltas, starts, cfg=TrackConfig()):
     """Track modes through a sequence of waypoints by chained homotopies.
 
-    Returns (ModeTable over the waypoints, final TrackStates, stats) where
-    stats aggregates Newton counts and bordered solves across all legs.
+    Returns (values, final TrackStates, stats): values[j, k] is mode j's
+    eigenvalue at waypoint k, and stats aggregates Newton counts and bordered
+    solves across all legs.
     """
     deltas = [np.atleast_1d(np.asarray(d, dtype=float)) for d in deltas]
     if len(deltas) < 1:
         raise DomainError("need at least one waypoint")
     n_modes = len(starts)
     values = np.full((n_modes, len(deltas)), np.nan)
-    ok = np.zeros((n_modes, len(deltas)), dtype=bool)
     values[:, 0] = [p.value for p in starts]
-    ok[:, 0] = True
     current = list(starts)
     stats = {"newton_iterations": [], "n_solves": 0, "n_rejects": 0, "flagged": False}
     finals = None
@@ -422,10 +392,9 @@ def track_chain(parametric, deltas, starts, cfg=TrackConfig()):
         finals = track_modes(homotopy, current, cfg)
         for j, st in enumerate(finals):
             values[j, k] = st.eigenpair.value
-            ok[j, k] = True
             stats["newton_iterations"].extend(st.newton_log)
             stats["n_solves"] += st.n_solves
             stats["n_rejects"] += st.n_rejects
             stats["flagged"] = stats["flagged"] or st.flagged
         current = [st.eigenpair for st in finals]
-    return ModeTable(values, ok), finals, stats
+    return values, finals, stats

@@ -349,9 +349,6 @@ def _compositions(total, parts):
 
 def estimate_moments(values, grid):
     """Weighted mean and two-pass variance of each row over the grid nodes."""
-    if hasattr(values, "require_complete"):
-        values.require_complete()
-        values = values.values
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[1] != grid.n_nodes:
         raise DomainError(

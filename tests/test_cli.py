@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,6 +310,30 @@ class TestPillboxUq:
         cfg = write_config(tmp_path, "c.json", doc)
         assert cli.main(["uq", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
         assert "orders" in capsys.readouterr().err
+
+    def test_cold_study_does_not_import_scipy_special(self, tmp_path):
+        # the oracle loads scipy.special at its first Bessel zero; a study
+        # asks for none, so a fresh process must not pay for the import
+        doc = json.loads(json.dumps(PILLBOX_UQ))
+        doc["discretization"]["elements"] = 6
+        doc["modes"] = 2
+        doc["grid"]["orders"] = [3]
+        cfg = write_config(tmp_path, "c.json", doc)
+        script = (
+            "import sys\n"
+            "from cavityuq import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, 'scipy.special' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "uq", "--config", cfg,
+             "--out", str(tmp_path / "run"), "--workers", "1"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 class TestDeformedDiskUq:

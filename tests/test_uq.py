@@ -8,7 +8,6 @@ import pytest
 
 from cavityuq import uq
 from cavityuq.errors import DegenerateDataError, DomainError, GridSizeError
-from cavityuq.tracking import ModeTable
 
 
 class TestObservationMatrix:
@@ -236,18 +235,6 @@ class TestMoments:
     def test_single_row_input(self, gh_grid):
         mean, var = uq.estimate_moments(gh_grid.nodes[:, 1], gh_grid)
         assert abs(mean[0]) < 1e-14 and abs(var[0] - 1.0) < 1e-12
-
-    def test_accepts_complete_mode_table(self, gh_grid):
-        table = ModeTable(np.vstack([gh_grid.nodes[:, 0]]), np.ones((1, 9), dtype=bool))
-        mean, _ = uq.estimate_moments(table, gh_grid)
-        assert abs(mean[0]) < 1e-14
-
-    def test_rejects_incomplete_mode_table(self, gh_grid):
-        ok = np.ones((1, 9), dtype=bool)
-        ok[0, 3] = False
-        table = ModeTable(np.zeros((1, 9)), ok)
-        with pytest.raises(Exception, match="failed entries"):
-            uq.estimate_moments(table, gh_grid)
 
     def test_shape_and_nan_guards(self, gh_grid):
         with pytest.raises(DomainError):
