@@ -83,13 +83,9 @@ def boundary_dofs(space, sides="all"):
 
 
 class MatrixPencil:
-    """Symmetric (K, M) pair with DOF bookkeeping.
+    """Symmetric (K, M) pair of CSR matrices."""
 
-    ``kept`` records which flat tensor-space indices survived boundary
-    elimination, so eigenvectors can be scattered back onto the patch.
-    """
-
-    def __init__(self, stiffness, mass, kept=None, n_total=None, bc=None, validate=True):
+    def __init__(self, stiffness, mass, validate=True):
         K = sp.csr_matrix(stiffness)
         M = sp.csr_matrix(mass)
         if K.shape != M.shape or K.shape[0] != K.shape[1]:
@@ -106,9 +102,6 @@ class MatrixPencil:
                 raise DomainError("mass matrix has a nonpositive diagonal entry")
         self.stiffness = K
         self.mass = M
-        self.kept = None if kept is None else np.asarray(kept, dtype=int)
-        self.n_total = n_total
-        self.bc = bc
 
     @property
     def n(self):
@@ -221,4 +214,4 @@ def assemble(geom, space, bc="dirichlet"):
         kept = np.arange(space.n_dofs)
     K = K[kept][:, kept].tocsr()
     M = M[kept][:, kept].tocsr()
-    return MatrixPencil(K, M, kept=kept, n_total=space.n_dofs, bc=bc)
+    return MatrixPencil(K, M)

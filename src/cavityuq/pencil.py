@@ -72,7 +72,15 @@ class ParametricPencil:
 
 
 class HomotopyPencil:
-    """Convex matrix combination between two assembled endpoints."""
+    """Convex matrix combination between two assembled endpoints.
+
+    K0, K1, M0 and M1 are spread once onto the CSR union of their patterns,
+    zero where a matrix stores no entry, so at(t) is two axpys on that
+    pattern.  Each entry is fl(fl(s a) + fl(t b)) with s = 1 - t, the
+    arithmetic of scipy's s * K0 + t * K1, and an exact zero where scipy
+    stores none.  The tracker's bordered matrix takes its fixed CSC layout
+    from the same pattern (see bordered).
+    """
 
     def __init__(self, start, end):
         if start.stiffness.shape != end.stiffness.shape:
@@ -80,23 +88,82 @@ class HomotopyPencil:
         self.start = start
         self.end = end
         self._derivative = None
+        self._last = None
+        n = start.n
+        mats = (start.stiffness, end.stiffness, start.mass, end.mass)
+        keys = np.concatenate(
+            [np.repeat(np.arange(n) * n, np.diff(A.indptr)) + A.indices for A in mats]
+        )
+        # the keys are four sorted runs, which a stable sort merges quickly
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        union = ranked[first]
+        slot = np.empty(keys.size, dtype=np.intp)
+        slot[order] = np.cumsum(first) - 1
+        rows, cols = np.divmod(union, n)
+        # a duplicated stored entry adds up, in storage order
+        self._k0, self._k1, self._m0, self._m1 = (
+            np.bincount(part, weights=A.data, minlength=union.size)
+            for part, A in zip(np.split(slot, np.cumsum([A.nnz for A in mats])[:-1]), mats)
+        )
+        self._indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+        self._indices = cols.astype(np.int32)
+
+        # Bordered CSC layout: column j < n holds the union's column j, rows
+        # ascending, then row n (c_j); column n holds rows 0..n-1 (-M e) and
+        # no (n, n) entry.  Each union entry moves down by one c slot per
+        # column before it.
+        by_col = np.argsort(cols, kind="stable")
+        col_start = np.searchsorted(cols[by_col], np.arange(n + 1))
+        size = union.size + 2 * n
+        self._pos = np.empty(union.size, dtype=np.intp)
+        self._pos[by_col] = np.arange(union.size) + cols[by_col]
+        self._pos_c = col_start[1:] + np.arange(n)
+        self._pos_e = union.size + n + np.arange(n)
+        self._b_indptr = np.append(col_start + np.arange(n + 1), size).astype(np.int32)
+        self._b_indices = np.empty(size, dtype=np.int32)
+        self._b_indices[self._pos] = rows
+        self._b_indices[self._pos_c] = n
+        self._b_indices[self._pos_e] = np.arange(n)
+
+    def _csr(self, data):
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=self.start.stiffness.shape)
 
     def at(self, t):
+        """The pencil at t, stored on the homotopy's pattern.
+
+        The last one is kept: the tracker asks for the pencil at one t for
+        every bordered solve there, the acceptance and the next derivative.
+        """
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"homotopy parameter {t} outside [0, 1]")
-        if t == 0.0:
-            return self.start
-        if t == 1.0:
-            return self.end
-        s = 1.0 - t
-        return MatrixPencil(
-            s * self.start.stiffness + t * self.end.stiffness,
-            s * self.start.mass + t * self.end.mass,
-            kept=self.start.kept,
-            n_total=self.start.n_total,
-            bc=self.start.bc,
-            validate=False,
-        )
+        last = self._last
+        if last is None or last[0] != t:
+            s = 1.0 - t
+            last = self._last = (t, MatrixPencil(
+                self._csr(s * self._k0 + t * self._k1),
+                self._csr(s * self._m0 + t * self._m1),
+                validate=False,
+            ))
+        return last[1]
+
+    def bordered(self, t, lam, Me, c):
+        """[[K - lam M, -M e], [c^T, 0]] in CSC at t, with Me = M e.
+
+        Entries that come out exactly zero are dropped, as K - lam M and
+        sp.bmat drop them, so splu receives the arrays sp.bmat would give.
+        """
+        pencil = self.at(t)
+        data = np.empty(self._b_indices.size)
+        data[self._pos] = pencil.stiffness.data - lam * pencil.mass.data
+        data[self._pos_c] = c
+        data[self._pos_e] = -Me
+        dim = pencil.n + 1
+        A = sp.csc_matrix((data, self._b_indices.copy(), self._b_indptr.copy()), shape=(dim, dim))
+        A.eliminate_zeros()
+        return A
 
     def derivative(self):
         """Constant t-derivative (K_end - K_start, M_end - M_start)."""

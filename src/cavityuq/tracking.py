@@ -6,8 +6,9 @@ t, and a step-size controller driven by the Newton iteration count: fast
 convergence grows the step, slow or failed correction rejects it and shrinks.
 
 Every derivative and Newton iteration factorizes the bordered system
-[[K - lambda M, -M e], [c^T, 0]] afresh with sparse LU.  Its CSC pattern is
-built once per pencil and only its values are refilled for each solve.
+[[K - lambda M, -M e], [c^T, 0]] afresh with sparse LU.  The homotopy owns
+one sparsity pattern, built once: its pencils at t and the CSC layout of the
+bordered matrix are both refilled on it (HomotopyPencil.at, .bordered).
 """
 
 import math
@@ -15,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .eigen import Eigenpair, _m_orthonormalize, group_clusters
@@ -75,92 +75,25 @@ class TrackState:
     flagged: bool = False                            # degenerate start
 
 
-class _BorderedLayout:
-    """Fixed CSC pattern of one pencil's bordered matrix, refilled per solve.
+def _inf_norm(A):
+    """spla.norm(A, inf) over A's nonzero entries.
 
-    The matrix is [[K - lam M, -M e], [c^T, 0]].  Column j < n holds the
-    union of K's and M's stored rows, then row n (c_j); column n holds rows
-    0..n-1 (-M e) and no (n, n) entry.  K and M are spread onto the pattern
-    once (k, m, zero outside the union); a refill computes k - lam m, writes
-    c and -M e into their slots and drops the entries that came out exactly
-    zero, as K - lam M and sp.bmat drop them, so splu receives the same
-    arrays, bit for bit.  The pencil's infinity norms for the scaled
-    residual are kept alongside.
+    numpy sums each row pairwise, so a stored zero can move the last bit; a
+    pencil of HomotopyPencil.at stores zeros where s K0 + t K1 in scipy
+    stores none.
     """
-
-    def __init__(self, pencil):
-        K, M = pencil.stiffness, pencil.mass
-        n = K.shape[0]
-        self.norm_k = spla.norm(K, np.inf)
-        self.norm_m = spla.norm(M, np.inf)
-        keys_k, keys_m = _column_major_keys(K), _column_major_keys(M)
-        both = np.concatenate([keys_k, keys_m])
-        order = np.argsort(both, kind="stable")
-        ranked = both[order]
-        first = np.ones(both.size, dtype=bool)
-        first[1:] = ranked[1:] != ranked[:-1]
-        keys = ranked[first]
-        rows, cols = keys % n, keys // n
-        size = keys.size + 2 * n
-
-        # each union entry moves down by one c slot per column before it
-        pos_u = np.arange(keys.size) + cols
-        start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
-        self.pos_c = start[1:] + np.arange(n)
-        self.pos_e = keys.size + n + np.arange(n)
-        self.indptr = np.append(start + np.arange(n + 1), size).astype(np.int32)
-        self.indices = np.empty(size, dtype=np.int32)
-        self.indices[pos_u] = rows
-        self.indices[self.pos_c] = n
-        self.indices[self.pos_e] = np.arange(n)
-        self.shape = (n + 1, n + 1)
-
-        slot = np.empty(both.size, dtype=np.intp)
-        slot[order] = pos_u[np.cumsum(first) - 1]
-        # a duplicated stored entry adds up, in storage order
-        self.k = np.bincount(slot[: keys_k.size], weights=K.data, minlength=size)
-        self.m = np.bincount(slot[keys_k.size :], weights=M.data, minlength=size)
-
-    def matrix(self, lam, Me, c):
-        """The bordered matrix at lam, with Me = M e."""
-        data = self.k - lam * self.m
-        data[self.pos_c] = c
-        data[self.pos_e] = -Me
-        A = sp.csc_matrix(
-            (data, self.indices.copy(), self.indptr.copy()), shape=self.shape
-        )
+    if not A.data.all():
+        A = A.copy()
         A.eliminate_zeros()
-        return A
+    return spla.norm(A, np.inf)
 
 
-def _column_major_keys(A):
-    """col * n + row of each stored entry of a CSR matrix, in storage order."""
-    n = A.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    return A.indices.astype(np.int64) * n + rows
+def _scaled_residual(r, lam, e, norm_k, norm_m):
+    return float(np.linalg.norm(r) / ((norm_k + abs(lam) * norm_m) * np.linalg.norm(e)))
 
 
-def _layout(pencil):
-    """The pencil's bordered layout, built on first use and kept on the pencil.
-
-    It lives and dies with the pencil object: Newton iterations at one t and
-    the derivative at the accepted pencil share it, and the cached base
-    pencil of a ParametricPencil serves every node.
-    """
-    lay = getattr(pencil, "_bordered_layout", None)
-    if lay is None:
-        lay = pencil._bordered_layout = _BorderedLayout(pencil)
-    return lay
-
-
-def _scaled_residual(r, lam, e, lay):
-    return float(np.linalg.norm(r) / ((lay.norm_k + abs(lam) * lay.norm_m) * np.linalg.norm(e)))
-
-
-def _bordered_solve(lay, lam, Me, c, rhs):
-    """Solve [[K - lam M, -M e], [c^T, 0]] x = rhs by sparse LU."""
-    A = lay.matrix(lam, Me, c)
+def _bordered_solve(A, rhs):
+    """Solve the bordered system A x = rhs by sparse LU."""
     try:
         lu = spla.splu(A)
     except RuntimeError as exc:
@@ -171,20 +104,23 @@ def _bordered_solve(lay, lam, Me, c, rhs):
     x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise DegeneracyError("bordered solve produced non-finite values")
-    return x, A
+    return x
 
 
-def eigenpair_derivative(pencil, pair, k_prime, m_prime, c):
-    """t-derivatives (e', lambda') of an isolated eigenpair.
+def eigenpair_derivative(homotopy, t, pair, c):
+    """t-derivatives (e', lambda') of an isolated eigenpair of homotopy.at(t).
 
     Differentiating K e = lambda M e and c^T e = 1 gives the bordered system
     [[K - lambda M, -M e], [c^T, 0]] [e'; lambda'] = [-K' e + lambda M' e; 0].
     """
+    pencil = homotopy.at(t)
+    k_prime, m_prime = homotopy.derivative()
     e, lam = pair.vector, pair.value
     rhs = np.empty(e.size + 1)
     rhs[:-1] = -(k_prime @ e) + lam * (m_prime @ e)
     rhs[-1] = 0.0
-    x, A = _bordered_solve(_layout(pencil), lam, pencil.mass @ e, c, rhs)
+    A = homotopy.bordered(t, lam, pencil.mass @ e, c)
+    x = _bordered_solve(A, rhs)
     resid = np.linalg.norm(A @ x - rhs)
     # row-sum norm straight from the CSC arrays; spla.norm would convert to CSR
     norm_a = np.bincount(A.indices, np.abs(A.data), minlength=A.shape[0]).max()
@@ -200,16 +136,17 @@ def predict(pair, derivative, dt):
     return pair.vector + dt * de, pair.value + dt * dlam
 
 
-def newton_correct(pencil, e0, lam0, c, tol, max_iter):
-    """Newton-Raphson on the eigenproblem plus normalization constraint.
+def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter):
+    """Newton-Raphson on the eigenproblem of homotopy.at(t) plus c^T e = 1.
 
     Converged when the scaled eigenproblem residual drops below tol and the
     last eigenvalue update satisfies |dlam| <= tol (1 + |lambda|).  Returns
     (Eigenpair, iterations); raises NewtonFailure on divergence or cap.
     The failure carries .iterations for the step-size controller.
     """
+    pencil = homotopy.at(t)
     K, M = pencil.stiffness, pencil.mass
-    lay = _layout(pencil)
+    norm_k, norm_m = _inf_norm(K), _inf_norm(M)
     e = np.asarray(e0, dtype=float).copy()
     lam = float(lam0)
     if not (np.all(np.isfinite(e)) and math.isfinite(lam)):
@@ -218,7 +155,7 @@ def newton_correct(pencil, e0, lam0, c, tol, max_iter):
     for it in range(max_iter + 1):
         Me = M @ e
         r = K @ e - lam * Me
-        res = _scaled_residual(r, lam, e, lay)
+        res = _scaled_residual(r, lam, e, norm_k, norm_m)
         if res <= tol and (dlam is None or abs(dlam) <= tol * (1.0 + abs(lam))):
             return Eigenpair(lam, e, res), it
         if it == max_iter:
@@ -227,7 +164,7 @@ def newton_correct(pencil, e0, lam0, c, tol, max_iter):
         rhs[:-1] = -r
         rhs[-1] = -(c @ e - 1.0)
         try:
-            x, _ = _bordered_solve(lay, lam, Me, c, rhs)
+            x = _bordered_solve(homotopy.bordered(t, lam, Me, c), rhs)
         except DegeneracyError as exc:
             raise _newton_failure(f"bordered Jacobian failed: {exc}", it) from exc
         e += x[:-1]
@@ -241,16 +178,15 @@ def newton_correct(pencil, e0, lam0, c, tol, max_iter):
 def _newton_failure(message, iterations):
     # Built here, not bound to a name in newton_correct: a frame that holds
     # the exception it raises forms a reference cycle with its traceback,
-    # which keeps the pencil and its bordered layout alive until the cyclic
+    # which keeps the frame's pencil and homotopy alive until the cyclic
     # garbage collector runs.
     failure = NewtonFailure(message)
     failure.iterations = iterations
     return failure
 
 
-def _normalized_accept(pencil, pair, prev_vector):
+def _normalized_accept(M, pair, prev_vector):
     """M-normalize, keep orientation continuous, refresh c = M e."""
-    M = pencil.mass
     e = pair.vector / math.sqrt(pair.vector @ (M @ pair.vector))
     overlap = float(prev_vector @ (M @ e))
     if overlap < 0.0:
@@ -262,12 +198,11 @@ def _normalized_accept(pencil, pair, prev_vector):
 
 def track(homotopy, start, cfg=TrackConfig()):
     """Carry one eigenpair from t = 0 to t = 1 along the homotopy."""
-    pen0 = homotopy.at(0.0)
-    K0, M0 = pen0.stiffness, pen0.mass
+    K0, M0 = homotopy.start.stiffness, homotopy.start.mass
     e = np.asarray(start.vector, dtype=float)
     e = e / math.sqrt(e @ (M0 @ e))
     lam = float(start.value)
-    res0 = _scaled_residual(K0 @ e - lam * (M0 @ e), lam, e, _layout(pen0))
+    res0 = _scaled_residual(K0 @ e - lam * (M0 @ e), lam, e, _inf_norm(K0), _inf_norm(M0))
     if res0 > 1e-8:
         raise DomainError(f"start pair residual {res0:.3e} violates the invariant at t=0")
 
@@ -279,20 +214,17 @@ def track(homotopy, start, cfg=TrackConfig()):
     )
     state.trajectory.append((0.0, lam))
 
-    k_prime, m_prime = homotopy.derivative()
     derivative = None
-    pen_t = pen0
     while state.t < 1.0:
         if derivative is None:
-            derivative = eigenpair_derivative(pen_t, state.eigenpair, k_prime, m_prime, state.c)
+            derivative = eigenpair_derivative(homotopy, state.t, state.eigenpair, state.c)
             state.n_solves += 1
         dt = min(state.step, 1.0 - state.t)
         t_new = state.t + dt
         e_guess, lam_guess = predict(state.eigenpair, derivative, dt)
-        pen_new = homotopy.at(t_new)
         try:
             pair_new, iters = newton_correct(
-                pen_new, e_guess, lam_guess, state.c,
+                homotopy, t_new, e_guess, lam_guess, state.c,
                 cfg.newton_tol, min(cfg.newton_max_iter, cfg.n2),
             )
             state.n_solves += iters
@@ -302,14 +234,15 @@ def track(homotopy, start, cfg=TrackConfig()):
             accepted = False
             iters = None
         if accepted:
-            pair_acc, c, overlap = _normalized_accept(pen_new, pair_new, state.eigenpair.vector)
+            pair_acc, c, overlap = _normalized_accept(
+                homotopy.at(t_new).mass, pair_new, state.eigenpair.vector
+            )
             state.t = t_new
             state.eigenpair = pair_acc
             state.c = c
             state.min_overlap = min(state.min_overlap, overlap)
             state.newton_log.append(iters)
             state.trajectory.append((t_new, pair_acc.value))
-            pen_t = pen_new
             derivative = None
             if iters <= cfg.n1:
                 state.step *= cfg.eta1
@@ -350,10 +283,7 @@ def track_modes(homotopy, starts, cfg=TrackConfig()):
         st = track(homotopy, start, cfg)
         st.flagged = j in flagged
         results.append(st)
-    _reorthogonalize_clusters(results, homotopy.at(1.0).mass)
-    # The end pencil is often a ParametricPencil's cached node pencil; a
-    # layout left on it would be kept for the whole study, one per node.
-    vars(homotopy.end).pop("_bordered_layout", None)
+    _reorthogonalize_clusters(results, homotopy.end.mass)
     return results
 
 

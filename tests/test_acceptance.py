@@ -236,7 +236,7 @@ def test_criterion_7_tracking_oracle_equivalence(report):
         w, V = sla.eigh(pen.stiffness.toarray(), pen.mass.toarray())
         pair = Eigenpair(float(w[0]), V[:, 0], 0.0)
         c = pen.mass @ pair.vector
-        _, dlam = eigenpair_derivative(pen, pair, *hom.derivative(), c)
+        _, dlam = eigenpair_derivative(hom, 0.5, pair, c)
         lo, hi = (
             sla.eigh(
                 hom.at(0.5 + s).stiffness.toarray(), hom.at(0.5 + s).mass.toarray(),

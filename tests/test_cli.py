@@ -107,8 +107,14 @@ class TestPillboxReference:
         assert rows[1][0] == "TM" and rows[1][3] == "0"
         f_tm010 = oracle.C0 * oracle.bessel_zero(0, 1) / (2.0 * math.pi * 0.05)
         assert abs(float(rows[1][5]) - f_tm010) < 1e-3
-        degs = sum(int(r[4]) for r in rows[1:])
-        assert degs == 10
+        assert len(rows) == 1 + 10
+        assert all(int(r[4]) == (2 if int(r[1]) >= 1 else 1) for r in rows[1:])
+
+    def test_count_50_writes_50_rows(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"radius": 0.05, "length": 0.1, "count": 50})
+        out = tmp_path / "ref"
+        assert run_cli("pillbox-reference", "--config", cfg, "--out", str(out)) == 0
+        assert len(read_csv(out / "pillbox_reference.csv")) == 1 + 50
 
 
 class TestGridCommand:

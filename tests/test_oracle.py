@@ -65,6 +65,11 @@ class TestPillboxModes:
         assert (lo_label.family, lo_label.m, lo_label.n, lo_label.p) == ("TE", 1, 1, 1)
         assert (hi_label.family, hi_label.m, hi_label.n, hi_label.p) == ("TM", 0, 1, 0)
 
+    def test_returns_count_labels(self):
+        # a doubly degenerate label counts once toward count
+        for count in (10, 30, 50):
+            assert len(oracle.pillbox_frequencies(0.05, 0.1, count)) == count
+
     def test_degeneracy_rule(self):
         for label, _ in oracle.pillbox_frequencies(0.05, 0.1, 15):
             assert label.degeneracy == (2 if label.m >= 1 else 1)

@@ -2,7 +2,8 @@
 
 The tracer replaces functions where their callers look them up, so a
 refactor that renames a hook, or that binds a hooked name before the study
-runs, would silently stop counting.  These tests load the tracer as it is.
+runs, would silently stop counting.  These tests load the tracer, and the
+spans perfbench/run.py requires, as they are.
 """
 
 import importlib.util
@@ -13,15 +14,24 @@ import pytest
 
 from cavityuq import cli, tracking
 
-_TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("perfbench_tracer", _PERFBENCH / "tracer.py")
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    return _load("perfbench_run", _PERFBENCH / "run.py")
 
 
 def test_every_hook_resolves(tracer):
@@ -43,16 +53,19 @@ def _counted_study(tracer, monkeypatch, tmp_path, doc):
     return counts.calls
 
 
+_SMALL_PILLBOX = {
+    "problem": {
+        "kind": "pillbox", "length": 0.1, "p_max": 1,
+        "distribution": {"family": "uniform", "support": [0.04, 0.06]},
+    },
+    "discretization": {"degree": 2, "elements": 6},
+    "modes": 2,
+    "grid": {"kind": "tensor", "family": "clenshaw-curtis", "orders": [3]},
+}
+
+
 def test_pillbox_study_calls_hooks_at_run_time(tracer, monkeypatch, tmp_path):
-    calls = _counted_study(tracer, monkeypatch, tmp_path, {
-        "problem": {
-            "kind": "pillbox", "length": 0.1, "p_max": 1,
-            "distribution": {"family": "uniform", "support": [0.04, 0.06]},
-        },
-        "discretization": {"degree": 2, "elements": 6},
-        "modes": 2,
-        "grid": {"kind": "tensor", "family": "clenshaw-curtis", "orders": [3]},
-    })
+    calls = _counted_study(tracer, monkeypatch, tmp_path, _SMALL_PILLBOX)
     assert calls["cli.node_tasks"] == 3
     assert calls["pencil.build"] == 1
     assert calls["eigen.solve"] >= 1
@@ -78,17 +91,23 @@ def test_disk_study_calls_hooks_at_run_time(tracer, monkeypatch, tmp_path):
     assert calls["assembly.assemble"] >= 3
 
 
-def test_factorization_hook_sees_every_bordered_solve(tracer, monkeypatch, tmp_path):
-    """Every bordered solve must be one splu factorization and one .solve
-    that the tracer's tracking.spla proxy counts; a solve path that bypasses
-    the proxy would leave the benchmark's factorization counts short."""
-    # register every name install() replaces, so the test restores it
+def _installed(tracer, monkeypatch):
+    """A Tracer put in place by tracer.install(); every name install()
+    replaces is registered with monkeypatch, so the test restores it."""
     for _, owner, attr in tracer.SPANS + tracer.COUNTERS:
         monkeypatch.setattr(owner, attr, tracer._lookup(owner, attr))
     monkeypatch.setattr(tracking, "spla", tracking.spla)
     monkeypatch.setattr(cli, "_PENCIL_CACHE", {})
     trace = tracer.Tracer()
     tracer.install(trace)
+    return trace
+
+
+def test_factorization_hook_sees_every_bordered_solve(tracer, monkeypatch, tmp_path):
+    """Every bordered solve must be one splu factorization and one .solve
+    that the tracer's tracking.spla proxy counts; a solve path that bypasses
+    the proxy would leave the benchmark's factorization counts short."""
+    trace = _installed(tracer, monkeypatch)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(_SMALL_DISK))
     out = tmp_path / "run"
@@ -100,3 +119,19 @@ def test_factorization_hook_sees_every_bordered_solve(tracer, monkeypatch, tmp_p
     report = tracer.report(trace, 0)
     assert report["bordered_solves"] == solves
     assert report["min_overlap"] == summary["min_overlap"]
+
+
+@pytest.mark.parametrize(
+    "kind, doc", [("pillbox", _SMALL_PILLBOX), ("deformed-disk", _SMALL_DISK)]
+)
+def test_benchmark_required_spans_run(tracer, bench_run, monkeypatch, tmp_path, kind, doc):
+    """Every span perfbench/run.py requires of a workload kind fires in a
+    traced study, with cli.main timed as tracer.main times it; otherwise
+    --trace 1 would report "span never ran"."""
+    trace = _installed(tracer, monkeypatch)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    argv = ["uq", "--config", str(cfg), "--out", str(tmp_path / "run"), "--workers", "1"]
+    assert trace.timed("cli.main", cli.main)(argv) == 0
+    required = bench_run.EXPECTED_CALLS["common"] + bench_run.EXPECTED_CALLS[kind]
+    assert [span for span in required if not trace.calls[span]] == []

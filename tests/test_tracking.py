@@ -79,17 +79,16 @@ class TestDerivative:
     def test_stationary_homotopy_gives_zero(self):
         pen = dense_pencil(np.diag([1.0, 2.0]))
         pair = solve_smallest(pen, 1)[0]
-        zero = sp.csr_matrix((2, 2))
-        de, dlam = eigenpair_derivative(pen, pair, zero, zero, pen.mass @ pair.vector)
+        hom = HomotopyPencil(pen, pen)
+        de, dlam = eigenpair_derivative(hom, 0.0, pair, pen.mass @ pair.vector)
         assert np.abs(de).max() == 0.0 and dlam == 0.0
 
     def test_diagonal_first_order_perturbation(self):
         pen = dense_pencil(np.diag([1.0, 2.0]))
         pair = solve_smallest(pen, 1)[0]
-        kp = sp.diags([3.7, -1.2]).tocsr()
-        de, dlam = eigenpair_derivative(
-            pen, pair, kp, sp.csr_matrix((2, 2)), pen.mass @ pair.vector
-        )
+        # K' = diag(3.7, -1.2) up to rounding, M' = 0
+        hom = HomotopyPencil(pen, dense_pencil(np.diag([1.0 + 3.7, 2.0 - 1.2])))
+        de, dlam = eigenpair_derivative(hom, 0.0, pair, pen.mass @ pair.vector)
         assert dlam == pytest.approx(3.7, abs=1e-12)
         assert np.abs(de).max() <= 1e-12
 
@@ -97,7 +96,7 @@ class TestDerivative:
         mid = tm_block.at(0.5)
         pair = solve_smallest(mid, 1)[0]
         c = mid.mass @ pair.vector
-        _, dlam = eigenpair_derivative(mid, pair, *tm_block.derivative(), c)
+        _, dlam = eigenpair_derivative(tm_block, 0.5, pair, c)
         h = 1e-4
         fd = (
             solve_smallest(tm_block.at(0.5 + h), 1)[0].value
@@ -108,12 +107,21 @@ class TestDerivative:
     def test_multiple_eigenvalue_raises_degeneracy(self):
         pen = dense_pencil(np.eye(2))
         e = np.array([1.0, 0.0])
-        zero = sp.csr_matrix((2, 2))
         from cavityuq.eigen import Eigenpair
 
         pair = Eigenpair(1.0, e, 0.0)
         with pytest.raises(DegeneracyError):
-            eigenpair_derivative(pen, pair, zero, zero, pen.mass @ e)
+            eigenpair_derivative(HomotopyPencil(pen, pen), 0.0, pair, pen.mass @ e)
+
+
+def reference_pencil(homotopy, t):
+    """The homotopy's pencil at t through scipy arithmetic, s K0 + t K1."""
+    s = 1.0 - t
+    return MatrixPencil(
+        s * homotopy.start.stiffness + t * homotopy.end.stiffness,
+        s * homotopy.start.mass + t * homotopy.end.mass,
+        validate=False,
+    )
 
 
 def reference_bordered(pencil, lam, e, c):
@@ -124,6 +132,21 @@ def reference_bordered(pencil, lam, e, c):
         [[(K - lam * M).tocsc(), -Me[:, None]], [sp.csr_matrix(c[None, :]), None]],
         format="csc",
     )
+
+
+def repatterned(pencil):
+    """An endpoint on another pattern: 5/4 of the pencil's diagonal and of
+    its off-diagonal entries with (i + j) % 3 != 1, plus a (0, n-1) pair."""
+    n = pencil.n
+    mats = []
+    for A in (pencil.stiffness, pencil.mass):
+        A = A.tocoo()
+        keep = (A.row == A.col) | ((A.row + A.col) % 3 != 1)
+        rows = np.concatenate([A.row[keep], [0, n - 1]])
+        cols = np.concatenate([A.col[keep], [n - 1, 0]])
+        data = np.concatenate([1.25 * A.data[keep], [0.01, 0.01]])
+        mats.append(sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
+    return MatrixPencil(*mats, validate=False)
 
 
 def forced_zero_case():
@@ -146,7 +169,9 @@ def forced_zero_case():
 
 
 class TestBorderedRefill:
-    """The refilled fixed-pattern bordered matrix equals sp.bmat's, bit for bit."""
+    """The homotopy's refilled pencils and bordered matrices equal scipy's
+    s K0 + t K1 and sp.bmat's, bit for bit, on endpoints whose patterns
+    differ."""
 
     @pytest.fixture(scope="class")
     def cases(self, tm_block):
@@ -163,44 +188,46 @@ class TestBorderedRefill:
             e = pair.vector + 1e-3 * np.linspace(-1.0, 1.0, pen.n)
             out[name] = (pen, pair.value * (1.0 + 1e-3), e, pen.mass @ pair.vector)
         out["forced-zeros"] = forced_zero_case()
-        return out
+        return {
+            name: (HomotopyPencil(pen, repatterned(pen)), lam, e, c)
+            for name, (pen, lam, e, c) in out.items()
+        }
 
     @pytest.mark.parametrize(
         "name", ["disk16", "pillbox-neumann", "homotopy-0.37", "forced-zeros"]
     )
     def test_matches_bmat_bit_for_bit(self, cases, name):
-        pen, lam, e, c = cases[name]
-        ref = reference_bordered(pen, lam, e, c)
-        lay = tracking._layout(pen)
-        A = lay.matrix(lam, pen.mass @ e, c)
-        for attr in ("indptr", "indices", "data"):
-            got, want = getattr(A, attr), getattr(ref, attr)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
-        rhs = 1.0 + np.arange(pen.n + 1.0)
-        x, _ = tracking._bordered_solve(lay, lam, pen.mass @ e, c, rhs)
-        assert np.array_equal(x, spla.splu(ref).solve(rhs))
+        hom, lam, e, c = cases[name]
+        rhs = 1.0 + np.arange(hom.start.n + 1.0)
+        for t in (0.0, 0.37, 1.0):
+            pen, want = hom.at(t), reference_pencil(hom, t)
+            for got_v, want_v in (
+                (pen.stiffness @ e, want.stiffness @ e),
+                (pen.mass @ e, want.mass @ e),
+                (tracking._inf_norm(pen.stiffness), spla.norm(want.stiffness, np.inf)),
+                (tracking._inf_norm(pen.mass), spla.norm(want.mass, np.inf)),
+            ):
+                assert np.asarray(got_v).tobytes() == np.asarray(want_v).tobytes(), t
+            ref = reference_bordered(want, lam, e, c)
+            A = hom.bordered(t, lam, pen.mass @ e, c)
+            for attr in ("indptr", "indices", "data"):
+                got_a, want_a = getattr(A, attr), getattr(ref, attr)
+                assert got_a.dtype == want_a.dtype, (t, attr)
+                assert got_a.tobytes() == want_a.tobytes(), (t, attr)
+            x = tracking._bordered_solve(A, rhs)
+            assert np.array_equal(x, spla.splu(ref).solve(rhs)), t
 
     def test_forced_zeros_are_dropped(self):
         pen, lam, e, c = forced_zero_case()
         assert np.count_nonzero(pen.stiffness.data == 0.0) == 4
-        A = tracking._layout(pen).matrix(lam, pen.mass @ e, c)
+        hom = HomotopyPencil(pen, pen)
+        A = hom.bordered(0.0, lam, pen.mass @ e, c)
         assert np.all(A.data != 0.0)
         dense = A.toarray()
         assert dense[1, 2] == dense[2, 1] == 0.0             # K - 2 M cancels
         assert dense[0, 5] == dense[5, 0] == 0.0             # stored zero, no M entry
         assert dense[2, 3] == -2.0 * 0.25                    # stored zero under M
         assert dense[2, 6] == 0.0 and dense[6, 1] == 0.0     # zero M e and c
-
-    def test_layout_is_reused_and_released_with_its_pencil(self):
-        pen, lam, e, c = forced_zero_case()
-        lay = tracking._layout(pen)
-        assert tracking._layout(pen) is lay
-        assert lay.norm_k == spla.norm(pen.stiffness, np.inf)
-        assert lay.norm_m == spla.norm(pen.mass, np.inf)
-        ref = weakref.ref(pen)
-        del pen, lay
-        gc.collect()
-        assert ref() is None
 
 
 class TestPredict:
@@ -215,7 +242,7 @@ class TestPredict:
         mid = tm_block.at(0.5)
         pair = solve_smallest(mid, 1)[0]
         c = mid.mass @ pair.vector
-        der = eigenpair_derivative(mid, pair, *tm_block.derivative(), c)
+        der = eigenpair_derivative(tm_block, 0.5, pair, c)
         errs = []
         for dt in (0.1, 0.05):
             _, lam_pred = predict(pair, der, dt)
@@ -229,7 +256,8 @@ class TestNewton:
         pen = dense_pencil(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         pair = solve_smallest(pen, 1)[0]
         c = pen.mass @ pair.vector
-        out, iters = newton_correct(pen, pair.vector, pair.value, c, 1e-10, 8)
+        hom = HomotopyPencil(pen, pen)
+        out, iters = newton_correct(hom, 0.0, pair.vector, pair.value, c, 1e-10, 8)
         assert iters == 0
         assert out.value == pair.value
 
@@ -239,7 +267,8 @@ class TestNewton:
         c = pen.mass @ pair.vector
         rng = np.random.default_rng(3)
         e0 = pair.vector + 1e-2 * rng.standard_normal(2)
-        out, iters = newton_correct(pen, e0, pair.value + 1e-2, c, 1e-14, 10)
+        hom = HomotopyPencil(pen, pen)
+        out, iters = newton_correct(hom, 0.0, e0, pair.value + 1e-2, c, 1e-14, 10)
         assert 1 <= iters <= 4
         assert abs(out.value - pair.value) <= 1e-12
         assert abs(c @ out.vector - 1.0) <= 1e-12
@@ -248,22 +277,24 @@ class TestNewton:
         pen = dense_pencil(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         pair = solve_smallest(pen, 1)[0]
         c = pen.mass @ pair.vector
+        hom = HomotopyPencil(pen, pen)
         with pytest.raises(NewtonFailure) as info:
-            newton_correct(pen, pair.vector + 5.0, pair.value + 50.0, c, 1e-14, 2)
+            newton_correct(hom, 0.0, pair.vector + 5.0, pair.value + 50.0, c, 1e-14, 2)
         assert info.value.iterations == 2
 
     def test_failure_releases_the_pencil_without_cycle_collection(self):
         pen = dense_pencil(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         pair = solve_smallest(pen, 1)[0]
         c = pen.mass @ pair.vector
+        hom = HomotopyPencil(pen, pen)
         ref = weakref.ref(pen)
         gc.disable()
         try:
             try:
-                newton_correct(pen, pair.vector + 5.0, pair.value + 50.0, c, 1e-14, 2)
+                newton_correct(hom, 0.0, pair.vector + 5.0, pair.value + 50.0, c, 1e-14, 2)
             except NewtonFailure as exc:
                 assert exc.iterations == 2
-            del pen
+            del pen, hom
             assert ref() is None
         finally:
             gc.enable()
@@ -364,6 +395,15 @@ class TestTrackModes:
         ref = [p.value for p in solve_smallest(h.at(1.0), 3)]
         for st, r in zip(states, ref):
             assert abs(st.eigenpair.value / r - 1.0) <= 1e-8
+
+    def test_endpoint_pencils_are_left_unchanged(self):
+        space = DiscreteSpace(2, 8)
+        pens = [assemble(build_disk_patch(r), space, bc="dirichlet") for r in (0.05, 0.06)]
+        before = [vars(p).copy() for p in pens]
+        track_modes(HomotopyPencil(*pens), solve_smallest(pens[0], 2))
+        for pen, old in zip(pens, before):
+            assert vars(pen).keys() == old.keys()
+            assert all(vars(pen)[k] is v for k, v in old.items())
 
     def test_isolated_modes_do_not_warn(self):
         pen0 = dense_pencil(np.diag([1.0, 2.0, 4.0]))
