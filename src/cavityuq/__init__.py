@@ -26,8 +26,6 @@ from .uq import (
     estimate_moments,
     fit_kl,
     rule_1d,
-    surrogate_eval,
-    to_physical,
 )
 
 __version__ = "0.1.0"
@@ -54,8 +52,6 @@ __all__ = [
     "refine_patch",
     "rule_1d",
     "solve_smallest",
-    "surrogate_eval",
-    "to_physical",
     "track",
     "track_chain",
     "track_modes",

@@ -50,36 +50,14 @@ class DiscreteSpace:
         nu, nv = self.shape
         return nu * nv
 
-    def flat_index(self, i, j):
-        return i * self.shape[1] + j
 
-
-_SIDES = ("left", "right", "bottom", "top")
-
-
-def boundary_dofs(space, sides="all"):
-    """Flat indices of basis functions with nonzero trace on the named sides.
-
-    left/right select u = 0/1, bottom/top select v = 0/1.
-    """
-    if sides == "all":
-        sides = _SIDES
-    elif isinstance(sides, str):
-        sides = (sides,)
-    nu, nv = space.shape
-    picked = set()
-    for side in sides:
-        if side == "left":
-            picked.update(space.flat_index(0, j) for j in range(nv))
-        elif side == "right":
-            picked.update(space.flat_index(nu - 1, j) for j in range(nv))
-        elif side == "bottom":
-            picked.update(space.flat_index(i, 0) for i in range(nu))
-        elif side == "top":
-            picked.update(space.flat_index(i, nv - 1) for i in range(nu))
-        else:
-            raise DomainError(f"unknown side {side!r}; expected one of {_SIDES}")
-    return np.array(sorted(picked), dtype=int)
+def boundary_dofs(space):
+    """Flat indices i * n_v + j, ascending, of the basis functions (i, j)
+    with nonzero trace on the patch boundary (u = 0, u = 1, v = 0 or v = 1)."""
+    on_boundary = np.zeros(space.shape, dtype=bool)
+    on_boundary[[0, -1], :] = True
+    on_boundary[:, [0, -1]] = True
+    return np.flatnonzero(on_boundary)
 
 
 class MatrixPencil:
@@ -128,10 +106,10 @@ class _DirectionRule:
         mid, half = 0.5 * (keep[:-1] + keep[1:]), 0.5 * (keep[1:] - keep[:-1])
         self.nodes = mid[:, None] + half[:, None] * xg
         self.weights = half[:, None] * wg
-        self.first = np.array([basis.find_span(m) for m in mid]) - p
-        table = basis.collocation(self.nodes.ravel(), 1).reshape(2, *self.nodes.shape, -1)
-        active = (self.first[:, None] + np.arange(p + 1))[None, :, None, :]
-        self.table = np.take_along_axis(table, active, axis=-1)
+        # Gauss nodes lie inside their cell, so a cell's nodes share a span
+        spans, ders = basis.eval_basis_derivatives(self.nodes.ravel(), 1)
+        self.first = spans[:: p + 1] - p
+        self.table = ders.reshape(2, *self.nodes.shape, p + 1)
 
 
 def assemble_full(geom, space):

@@ -89,7 +89,7 @@ def _finalize(values, vectors, pencil, tol):
     return pairs
 
 
-def _solve_dense(pencil, n_modes, shift, tol):
+def _solve_dense(pencil, n_modes, tol):
     K = pencil.stiffness.toarray()
     M = pencil.mass.toarray()
     try:
@@ -101,27 +101,20 @@ def _solve_dense(pencil, n_modes, shift, tol):
     A = 0.5 * (A + A.T)
     w, Y = la.eigh(A)
     E = la.solve_triangular(L, Y, lower=True, trans="T")
-    if shift is not None:
-        keep = w >= shift
-        w, E = w[keep], E[:, keep]
-    if w.size < n_modes:
-        raise SolverError(
-            f"only {w.size} eigenvalues available above shift, requested {n_modes}"
-        )
     return _finalize(w[:n_modes], E[:, :n_modes], pencil, tol)
 
 
-def _solve_sparse(pencil, n_modes, shift, tol):
+def _solve_sparse(pencil, n_modes, tol):
     K, M = pencil.stiffness, pencil.mass
     if n_modes >= pencil.n - 1:
-        return _solve_dense(pencil, n_modes, shift, tol)
+        return _solve_dense(pencil, n_modes, tol)
     scale = spla.norm(K, np.inf) / spla.norm(M, np.inf)
     delta = 1e-6 * scale + 1e-300
-    base = 0.0 if shift is None else shift
     v0 = np.random.default_rng(_SEED).standard_normal(pencil.n)
     last_exc = None
     for attempt in range(4):
-        sigma = base - delta * (1.0 + 9.0 * attempt)
+        # a pole just below zero: the pencils are positive semidefinite
+        sigma = -delta * (1.0 + 9.0 * attempt)
         try:
             w, E = spla.eigsh(K, k=n_modes, M=M, sigma=sigma, which="LA", v0=v0)
             break
@@ -132,18 +125,11 @@ def _solve_sparse(pencil, n_modes, shift, tol):
             last_exc = exc
     else:
         raise SolverError("shift-invert factorization failed repeatedly") from last_exc
-    if shift is not None:
-        keep = w >= shift
-        w, E = w[keep], E[:, keep]
-        if w.size < n_modes:
-            raise SolverError(
-                f"only {w.size} eigenvalues found above shift, requested {n_modes}"
-            )
     return _finalize(w[:n_modes], E[:, :n_modes], pencil, tol)
 
 
-def solve_smallest(pencil, n_modes, shift=None, tol=1e-10, method="auto"):
-    """The ``n_modes`` smallest eigenpairs with value >= shift, ascending.
+def solve_smallest(pencil, n_modes, tol=1e-10, method="auto"):
+    """The ``n_modes`` smallest eigenpairs, ascending.
 
     method: "auto" picks dense below DENSE_CUTOFF unknowns, else sparse;
     "dense" / "sparse" force a path.
@@ -155,7 +141,7 @@ def solve_smallest(pencil, n_modes, shift=None, tol=1e-10, method="auto"):
     if method == "auto":
         method = "dense" if pencil.n <= DENSE_CUTOFF else "sparse"
     if method == "dense":
-        return _solve_dense(pencil, int(n_modes), shift, tol)
+        return _solve_dense(pencil, int(n_modes), tol)
     if method == "sparse":
-        return _solve_sparse(pencil, int(n_modes), shift, tol)
+        return _solve_sparse(pencil, int(n_modes), tol)
     raise DomainError(f"unknown method {method!r}")

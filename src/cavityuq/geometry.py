@@ -69,21 +69,31 @@ class GeometryMap:
     # -- evaluation -----------------------------------------------------
 
     def _homogeneous_ders(self, uv):
-        """Value and first parametric derivatives of (sum w P B, sum w B)."""
-        u, v = float(uv[0]), float(uv[1])
+        """Value and first parametric derivatives of (sum w P B, sum w B) at
+        parameter points uv, shape (n, 2); each has shape (n, 3).
+
+        One kernel call per direction; each point is contracted on its own
+        active block of the homogeneous net.
+        """
         bu, bv = self.bases
-        su, du = bu.eval_basis_derivatives(u, 1)
-        sv, dv = bv.eval_basis_derivatives(v, 1)
         pu, pv = bu.degree, bv.degree
-        hom = self.net.homogeneous()[su - pu : su + 1, sv - pv : sv + 1]
-        H = np.einsum("i,j,ijk->k", du[0], dv[0], hom)
-        Hu = np.einsum("i,j,ijk->k", du[1], dv[0], hom)
-        Hv = np.einsum("i,j,ijk->k", du[0], dv[1], hom)
-        return H, Hu, Hv
+        su, du = bu.eval_basis_derivatives(uv[:, 0], 1)
+        sv, dv = bv.eval_basis_derivatives(uv[:, 1], 1)
+        hom = self.net.homogeneous()
+        out = np.empty((3, len(uv), hom.shape[-1]))
+        for n, (a, b) in enumerate(zip(su, sv)):
+            block = hom[a - pu : a + 1, b - pv : b + 1]
+            out[0, n] = np.einsum("i,j,ijk->k", du[0, n], dv[0, n], block)
+            out[1, n] = np.einsum("i,j,ijk->k", du[1, n], dv[0, n], block)
+            out[2, n] = np.einsum("i,j,ijk->k", du[0, n], dv[1, n], block)
+        return out
 
     def map_point(self, uv):
-        H, _, _ = self._homogeneous_ders(uv)
-        return H[:2] / H[2]
+        """Physical point of one parameter point, or of each row of an
+        (n, 2) array of them."""
+        uv = np.asarray(uv, dtype=float)
+        H = self._homogeneous_ders(uv.reshape(-1, 2))[0]
+        return (H[:, :2] / H[:, 2:]).reshape(uv.shape)
 
     def map_and_jacobian(self, uv):
         """Physical point and 2x2 Jacobian dF/d(u, v) at a parameter point.
@@ -93,7 +103,7 @@ class GeometryMap:
         for c in self.degenerate_corners:
             if abs(uv[0] - c[0]) < 1e-13 and abs(uv[1] - c[1]) < 1e-13:
                 raise SingularityError(f"map is rank deficient at corner {c}")
-        H, Hu, Hv = self._homogeneous_ders(uv)
+        H, Hu, Hv = self._homogeneous_ders(np.array([uv], dtype=float))[:, 0]
         w = H[2]
         x = H[:2] / w
         J = np.empty((2, 2))
@@ -326,75 +336,67 @@ class BoundarySampler:
         return values[:, None] * radial
 
 
-def locate_boundary_parameter(geom, angle):
-    """Parametric boundary point of the disk patch at a physical angle.
+def _edge_point(s, edge):
+    if edge == "bottom":
+        return (s, 0.0)
+    if edge == "right":
+        return (1.0, s)
+    if edge == "top":
+        return (1.0 - s, 1.0)
+    return (0.0, 1.0 - s)
 
-    The boundary consists of four monotone quarter arcs; the right edge is
-    bisected on the matching arc.
+
+def locate_boundary_parameters(geom, angles):
+    """Parametric boundary points of the disk patch at physical angles.
+
+    The boundary consists of four monotone quarter arcs; each angle is
+    bisected on the matching arc, all angles in one batch per step.
     """
-    theta = math.atan2(math.sin(angle), math.cos(angle))  # wrap to (-pi, pi]
     quarter = 0.25 * math.pi
-
-    def edge_point(s, edge):
-        if edge == "bottom":
-            return (s, 0.0)
-        if edge == "right":
-            return (1.0, s)
-        if edge == "top":
-            return (1.0 - s, 1.0)
-        return (0.0, 1.0 - s)
-
-    # each edge covers 90 degrees; s grows with the angle on every edge once
-    # top/left are traversed in reverse
-    if -3 * quarter <= theta <= -quarter:
-        edge, start = "bottom", -3 * quarter
-    elif -quarter <= theta <= quarter:
-        edge, start = "right", -quarter
-    elif quarter <= theta <= 3 * quarter:
-        edge, start = "top", quarter
-    else:
-        edge, start = "left", 3 * quarter
-        if theta < 0.0:
-            theta += 2.0 * math.pi
-
-    def angle_at(s):
-        x = geom.map_point(edge_point(s, edge))
-        a = math.atan2(x[1], x[0])
-        if edge == "left" and a < 0.0:
-            a += 2.0 * math.pi
-        return a
-
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if angle_at(mid) < theta:
-            lo = mid
+    edges, thetas = [], []
+    for angle in angles:
+        theta = math.atan2(math.sin(angle), math.cos(angle))  # wrap to (-pi, pi]
+        # each edge covers 90 degrees; s grows with the angle on every edge
+        # once top/left are traversed in reverse
+        if -3 * quarter <= theta <= -quarter:
+            edge = "bottom"
+        elif -quarter <= theta <= quarter:
+            edge = "right"
+        elif quarter <= theta <= 3 * quarter:
+            edge = "top"
         else:
-            hi = mid
-    s = 0.5 * (lo + hi)
-    return edge_point(s, edge)
+            edge = "left"
+            if theta < 0.0:
+                theta += 2.0 * math.pi
+        edges.append(edge)
+        thetas.append(theta)
+
+    lo, hi = [0.0] * len(edges), [1.0] * len(edges)
+    for _ in range(60):
+        mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
+        x = geom.map_point([_edge_point(s, e) for s, e in zip(mid, edges)])
+        for k, edge in enumerate(edges):
+            a = math.atan2(x[k, 1], x[k, 0])
+            if edge == "left" and a < 0.0:
+                a += 2.0 * math.pi
+            if a < thetas[k]:
+                lo[k] = mid[k]
+            else:
+                hi[k] = mid[k]
+    return [_edge_point(0.5 * (a + b), e) for a, b, e in zip(lo, hi, edges)]
 
 
 def _ring_interpolation_matrix(geom, params):
     """Rows: rational basis values of the boundary-ring functions at the
     given parametric boundary points."""
     ring = geom.boundary_ring()
-    bu, bv = geom.bases
-    n1, n2 = geom.net.shape
-    w = geom.net.weights
-    A = np.zeros((len(params), len(ring)))
-    col = {idx: k for k, idx in enumerate(ring)}
-    for row, uv in enumerate(params):
-        su, vu = bu.eval_basis(uv[0])
-        sv, vv = bv.eval_basis(uv[1])
-        vals = np.zeros((n1, n2))
-        block = np.outer(vu, vv)
-        vals[su - bu.degree : su + 1, sv - bv.degree : sv + 1] = block
-        vals *= w
-        vals /= vals.sum()
-        for (i, j), k in col.items():
-            A[row, k] = vals[i, j]
-    return A, ring
+    us, vs = np.asarray(params, dtype=float).T
+    tu = geom.bases[0].collocation(us, 0)[0]
+    tv = geom.bases[1].collocation(vs, 0)[0]
+    vals = tu[:, :, None] * tv[:, None, :] * geom.net.weights
+    vals /= vals.sum(axis=(1, 2))[:, None, None]
+    i, j = np.array(ring).T
+    return vals[:, i, j], ring
 
 
 def _minimal_curvature_solve(A, rhs):
@@ -458,7 +460,7 @@ def deformation_from_kl(kl, base, sampler):
             f"reduced model dimension {mean.shape[0]} does not match the "
             f"sampler dimension {sampler.dimension}"
         )
-    params = [locate_boundary_parameter(base, a) for a in sampler.angles]
+    params = locate_boundary_parameters(base, sampler.angles)
     A, ring = _ring_interpolation_matrix(base, params)
     mean_field = _field_from_station_values(base, A, ring, sampler.station_displacements(mean))
     mode_fields = np.stack(

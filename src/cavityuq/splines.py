@@ -1,9 +1,10 @@
 """B-spline and NURBS primitives used by the geometry and assembly layers.
 
 Evaluation follows the classical local algorithms: knot-span lookup by
-binary search, Cox-de Boor recursion for basis values, and the triangular
-table scheme for derivatives.  Only clamped (open) knot vectors are
-supported; rational weights enter through control nets in homogeneous form.
+binary search and the triangular table scheme for basis values and their
+derivatives, both run over whole arrays of points.  Only clamped (open)
+knot vectors are supported; rational weights enter through control nets in
+homogeneous form.
 """
 
 import numpy as np
@@ -47,32 +48,25 @@ class KnotVector:
         self.n_basis = knots.size - degree - 1
         # breakpoints of the nonzero spans
         self.breakpoints = np.unique(knots)
+        # span of the right end: the last nonempty one
+        n = self.n_basis
+        self._last_span = int(np.flatnonzero(knots[:n] < knots[1 : n + 1])[-1])
 
     @property
     def domain(self):
         return float(self.knots[0]), float(self.knots[-1])
 
     def find_span(self, u):
-        """Index i with knots[i] <= u < knots[i+1] (last nonempty span at the
-        right end). Raises DomainError outside the knot domain."""
+        """Indices i with knots[i] <= u < knots[i+1], elementwise over an array
+        of parameters (last nonempty span at the right end). Raises
+        DomainError if any parameter lies outside the knot domain."""
+        u = np.asarray(u, dtype=float)
         lo, hi = self.domain
-        if not (lo <= u <= hi):
-            raise DomainError(f"parameter {u} outside knot domain [{lo}, {hi}]")
-        if u == hi:
-            # last nonempty span
-            i = self.n_basis - 1
-            while self.knots[i] == self.knots[i + 1]:
-                i -= 1
-            return i
-        i = int(np.searchsorted(self.knots, u, side="right")) - 1
-        return min(max(i, self.degree), self.n_basis - 1)
-
-    def spans(self):
-        """Span indices of the nonzero knot intervals, left to right."""
-        out = []
-        for a in self.breakpoints[:-1]:
-            out.append(self.find_span(float(a)))
-        return out
+        outside = ~((lo <= u) & (u <= hi))
+        if outside.any():
+            raise DomainError(f"parameter {u[outside].flat[0]} outside knot domain [{lo}, {hi}]")
+        # below hi, clamping puts the span in [degree, n_basis - 1]
+        return np.where(u < hi, np.searchsorted(self.knots, u, side="right") - 1, self._last_span)
 
 
 class BSplineBasis:
@@ -96,60 +90,36 @@ class BSplineBasis:
     def knots(self):
         return self.kv.knots
 
-    def find_span(self, u):
-        return self.kv.find_span(u)
+    def eval_basis_derivatives(self, points, order):
+        """Nonzero basis values and derivatives up to ``order`` at many points.
 
-    def eval_basis(self, u):
-        """Nonzero basis values at u.
-
-        Returns
-        -------
-        span : int
-            Knot span index; functions span-p .. span are the active ones.
-        values : ndarray, shape (p + 1,)
-        """
-        span = self.kv.find_span(u)
-        p = self.degree
-        U = self.kv.knots
-        values = np.empty(p + 1)
-        left = np.empty(p + 1)
-        right = np.empty(p + 1)
-        values[0] = 1.0
-        for j in range(1, p + 1):
-            left[j] = u - U[span + 1 - j]
-            right[j] = U[span + j] - u
-            saved = 0.0
-            for r in range(j):
-                tmp = values[r] / (right[r + 1] + left[j - r])
-                values[r] = saved + right[r + 1] * tmp
-                saved = left[j - r] * tmp
-            values[j] = saved
-        return span, values
-
-    def eval_basis_derivatives(self, u, order):
-        """Nonzero basis values and derivatives up to ``order`` at u.
+        Algorithms A2.2/A2.3 of Piegl & Tiller, run over an array of points
+        with the arithmetic of the scalar recurrence for each one.
 
         Returns
         -------
-        span : int
-        ders : ndarray, shape (order + 1, p + 1)
-            Row k holds the k-th derivatives of the active functions.
+        spans : ndarray of int, shape (npoints,)
+            Knot span of each point; functions span-p .. span are active.
+        ders : ndarray, shape (order + 1, npoints, p + 1)
+            Entry [k, i, r] is the k-th derivative of active function r at
+            points[i].
         """
         p = self.degree
         if not isinstance(order, int) or isinstance(order, bool) or order < 0:
             raise DegreeError(f"derivative order must be a nonnegative integer, got {order!r}")
         if order > p:
             raise DegreeError(f"derivative order {order} exceeds the degree {p}")
-        span = self.kv.find_span(u)
+        u = np.atleast_1d(np.asarray(points, dtype=float))
+        spans = self.kv.find_span(u)
         U = self.kv.knots
-        # triangular table of knot differences and basis values
-        ndu = np.empty((p + 1, p + 1))
-        left = np.empty(p + 1)
-        right = np.empty(p + 1)
+        # triangular table of knot differences and basis values, per point
+        ndu = np.empty((p + 1, p + 1, u.size))
+        left = np.empty((p + 1, u.size))
+        right = np.empty((p + 1, u.size))
         ndu[0, 0] = 1.0
         for j in range(1, p + 1):
-            left[j] = u - U[span + 1 - j]
-            right[j] = U[span + j] - u
+            left[j] = u - U[spans + 1 - j]
+            right[j] = U[spans + j] - u
             saved = 0.0
             for r in range(j):
                 ndu[j, r] = right[r + 1] + left[j - r]
@@ -157,9 +127,9 @@ class BSplineBasis:
                 ndu[r, j] = saved + right[r + 1] * tmp
                 saved = left[j - r] * tmp
             ndu[j, j] = saved
-        ders = np.zeros((order + 1, p + 1))
-        ders[0, :] = ndu[:, p]
-        a = np.empty((2, p + 1))
+        ders = np.zeros((order + 1, u.size, p + 1))
+        ders[0] = ndu[:, p].T
+        a = np.empty((2, p + 1, u.size))
         for r in range(p + 1):
             s1, s2 = 0, 1
             a[0, 0] = 1.0
@@ -177,13 +147,13 @@ class BSplineBasis:
                 if r <= pk:
                     a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
                     d += a[s2, k] * ndu[r, pk]
-                ders[k, r] = d
+                ders[k, :, r] = d
                 s1, s2 = s2, s1
         fac = float(p)
         for k in range(1, order + 1):
-            ders[k, :] *= fac
+            ders[k] *= fac
             fac *= p - k
-        return span, ders
+        return spans, ders
 
     def collocation(self, points, order):
         """Dense table of every basis function and its derivatives at points.
@@ -195,12 +165,11 @@ class BSplineBasis:
             points[i]; each row is :meth:`eval_basis_derivatives` scattered
             onto its span.
         """
-        points = np.atleast_1d(np.asarray(points, dtype=float))
-        rows = [self.eval_basis_derivatives(float(u), order) for u in points]
+        spans, ders = self.eval_basis_derivatives(points, order)
         p = self.degree
-        table = np.zeros((order + 1, points.size, self.n_basis))
-        for i, (span, ders) in enumerate(rows):
-            table[:, i, span - p : span + 1] = ders
+        table = np.zeros((order + 1, spans.size, self.n_basis))
+        cols = spans[:, None] - p + np.arange(p + 1)
+        table[:, np.arange(spans.size)[:, None], cols] = ders
         return table
 
 
@@ -253,41 +222,6 @@ class ControlNet:
         return np.concatenate([self.points * w, w], axis=-1)
 
 
-def eval_nurbs(net, bases, u):
-    """Evaluate a rational curve or surface point.
-
-    Parameters
-    ----------
-    net : ControlNet
-    bases : BSplineBasis or sequence of BSplineBasis, one per parametric axis
-    u : float or sequence of float
-
-    Returns
-    -------
-    ndarray, shape (dim,)
-    """
-    if isinstance(bases, BSplineBasis):
-        bases = (bases,)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if len(bases) != len(net.shape) or u.size != len(bases):
-        raise DomainError("number of bases/parameters does not match the net")
-    for b, n in zip(bases, net.shape):
-        if b.n_basis != n:
-            raise DomainError("basis size does not match the control net")
-    hom = net.homogeneous()
-    if len(bases) == 1:
-        span, vals = bases[0].eval_basis(u[0])
-        p = bases[0].degree
-        acc = vals @ hom[span - p : span + 1]
-    else:
-        s1, v1 = bases[0].eval_basis(u[0])
-        s2, v2 = bases[1].eval_basis(u[1])
-        p1, p2 = bases[0].degree, bases[1].degree
-        block = hom[s1 - p1 : s1 + 1, s2 - p2 : s2 + 1]
-        acc = np.einsum("i,j,ijk->k", v1, v2, block)
-    return acc[:-1] / acc[-1]
-
-
 def insert_knots_homogeneous(kv, coefs, new_knots):
     """Insert knots into a clamped vector, updating homogeneous coefficients.
 
@@ -303,7 +237,7 @@ def insert_knots_homogeneous(kv, coefs, new_knots):
     for u in sorted(float(x) for x in np.atleast_1d(new_knots)):
         if not (lo < u < hi):
             raise DomainError(f"new knot {u} must lie strictly inside ({lo}, {hi})")
-        span = KnotVector(knots, p).find_span(u)
+        span = int(KnotVector(knots, p).find_span(u))
         new_coefs = np.empty((coefs.shape[0] + 1, coefs.shape[1]))
         new_coefs[: span - p + 1] = coefs[: span - p + 1]
         new_coefs[span + 1 :] = coefs[span:]

@@ -121,14 +121,6 @@ def fit_kl(obs, criterion=0.95):
     return KLModel(mu, modes, kept.copy(), total, criterion)
 
 
-def to_physical(kl, delta):
-    """Reconstruction X = mean + modes sqrt(variances) delta."""
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (kl.n_modes,):
-        raise DomainError(f"expected {kl.n_modes} coordinates, got shape {delta.shape}")
-    return kl.mean + kl.scaled_modes @ delta
-
-
 def generate_synthetic_observations(cov, mean, n_samples, seed):
     """Draw a seeded Gaussian observation matrix with the given moments."""
     cov = np.asarray(cov, dtype=float)
@@ -248,17 +240,12 @@ def rule_1d(family, n, support=None):
 
 @dataclass(frozen=True)
 class CollocationGrid:
-    """Multivariate nodes and probability weights.
-
-    rules holds the per-dimension 1-D rules for tensor grids (needed by the
-    Lagrange surrogate); Smolyak grids leave it None.
-    """
+    """Multivariate nodes and probability weights."""
 
     nodes: np.ndarray
     weights: np.ndarray
     kind: str
     meta: dict = field(default_factory=dict)
-    rules: tuple | None = None
 
     @property
     def n_nodes(self):
@@ -290,7 +277,7 @@ def build_tensor_grid(rules):
         wt = np.repeat(r.weights, reps_after)
         weights *= np.tile(wt, count // wt.size)
     meta = {"orders": tuple(r.n for r in rules), "families": tuple(r.family for r in rules)}
-    return CollocationGrid(nodes, weights, "tensor", meta, rules)
+    return CollocationGrid(nodes, weights, "tensor", meta)
 
 
 def _smolyak_order(level_index):
@@ -334,7 +321,7 @@ def build_smolyak_grid(dim, level, family="gauss-hermite", support=None):
     nodes = np.array([it[0] for it in items])
     weights = np.array([it[1] for it in items])
     meta = {"level": level, "family": family}
-    return CollocationGrid(nodes, weights, "smolyak", meta, None)
+    return CollocationGrid(nodes, weights, "smolyak", meta)
 
 
 def _compositions(total, parts):
@@ -359,35 +346,6 @@ def estimate_moments(values, grid):
     mean = values @ grid.weights
     var = ((values - mean[:, None]) ** 2) @ grid.weights
     return mean, var
-
-
-def surrogate_eval(grid, values, delta):
-    """Tensor-product barycentric Lagrange interpolation of nodal values."""
-    if grid.rules is None:
-        raise DomainError("Lagrange surrogate is defined for tensor grids only")
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    if delta.shape != (grid.dim,):
-        raise DomainError(f"query must have {grid.dim} coordinates, got {delta.shape}")
-    shape = tuple(r.n for r in grid.rules)
-    work = np.asarray(values, dtype=float).reshape(shape)
-    for r, x in zip(grid.rules, delta):
-        card = _cardinal_values(r.nodes, x)
-        work = np.tensordot(card, work, axes=(0, 0))
-    return float(work)
-
-
-def _cardinal_values(nodes, x):
-    diff = x - nodes
-    hit = np.abs(diff) <= 1e-14 * (1.0 + np.abs(nodes))
-    if hit.any():
-        out = np.zeros(nodes.size)
-        out[np.argmax(hit)] = 1.0
-        return out
-    bary = np.ones(nodes.size)
-    for j in range(nodes.size):
-        bary[j] = 1.0 / np.prod(nodes[j] - np.delete(nodes, j))
-    terms = bary / diff
-    return terms / terms.sum()
 
 
 def save_grid_csv(path, grid):

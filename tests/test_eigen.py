@@ -51,11 +51,6 @@ class TestSmallClosedForms:
         np.testing.assert_allclose(pairs[0].vector, [s, s], atol=1e-14)
         np.testing.assert_allclose(pairs[1].vector, [s, -s], atol=1e-14)
 
-    def test_shift_selects_upper_part(self):
-        pen = MatrixPencil(sp.diags([1.0, 2.0, 3.0]).tocsr(), sp.identity(3, format="csr"))
-        pairs = solve_smallest(pen, 2, shift=1.5)
-        assert [p.value for p in pairs] == [2.0, 3.0]
-
 
 class TestDiskPencil:
     def test_first_dirichlet_eigenvalue(self, disk_dirichlet):
@@ -91,11 +86,13 @@ class TestDiskPencil:
         s = solve_smallest(disk_dirichlet, 8, method="sparse")
         for a, b in zip(d, s):
             assert abs(a.value - b.value) <= 1e-10 * abs(a.value)
-        # skip the Neumann constant mode, a numerical zero
-        d = solve_smallest(disk_neumann, 5, shift=1.0, method="dense")
-        s = solve_smallest(disk_neumann, 5, shift=1.0, method="sparse")
+        # the Neumann constant mode is a numerical zero: compare on the
+        # scale of the largest value
+        d = solve_smallest(disk_neumann, 5, method="dense")
+        s = solve_smallest(disk_neumann, 5, method="sparse")
+        assert abs(d[0].value) <= 1e-10 * d[-1].value
         for a, b in zip(d, s):
-            assert abs(a.value - b.value) <= 1e-10 * abs(a.value)
+            assert abs(a.value - b.value) <= 1e-10 * d[-1].value
 
     def test_bitwise_reproducible(self, disk_neumann):
         a = solve_smallest(disk_neumann, 5, method="sparse")
@@ -135,11 +132,6 @@ class TestValidationAndErrors:
         M = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
         with pytest.raises(SolverError):
             solve_smallest(MatrixPencil(K, M), 1)
-
-    def test_shift_beyond_spectrum(self):
-        pen = MatrixPencil(sp.diags([1.0, 2.0, 3.0]).tocsr(), sp.identity(3, format="csr"))
-        with pytest.raises(SolverError):
-            solve_smallest(pen, 2, shift=2.5)
 
 
 class TestHelpers:

@@ -21,7 +21,7 @@ from cavityuq.geometry import (
     deform,
     deformation_from_kl,
     load_deformation_spec,
-    locate_boundary_parameter,
+    locate_boundary_parameters,
     refine_patch,
     save_deformation_spec,
     unit_square_patch,
@@ -150,8 +150,8 @@ class TestRefinement:
 class TestBoundaryParameter:
     def test_inverts_angles_on_all_edges(self):
         g = build_disk_patch(0.05)
-        for th in np.concatenate([rng.uniform(-np.pi, np.pi, 40), [0.0, np.pi / 2, -np.pi / 2]]):
-            uv = locate_boundary_parameter(g, float(th))
+        ths = np.concatenate([rng.uniform(-np.pi, np.pi, 40), [0.0, np.pi / 2, -np.pi / 2]])
+        for th, uv in zip(ths, locate_boundary_parameters(g, ths)):
             x = g.map_point(uv)
             err = abs(math.atan2(x[1], x[0]) - math.atan2(math.sin(th), math.cos(th)))
             assert min(err, 2 * math.pi - err) <= 1e-12
@@ -185,8 +185,7 @@ class TestDeformation:
         model = deformation_from_kl(_Reduced(np.zeros(2), col[:, None]), g, sam)
         for delta in (0.7, -1.3):
             gd = deform(model, [delta])
-            for ang, entry in zip(sam.angles, col):
-                uv = locate_boundary_parameter(g, ang)
+            for uv, entry in zip(locate_boundary_parameters(g, sam.angles), col):
                 assert abs(np.hypot(*gd.map_point(uv)) - (0.05 + delta * entry)) <= 1e-12
 
     def test_mean_and_modes_superpose(self):
@@ -198,8 +197,7 @@ class TestDeformation:
         delta = np.array([0.9, -1.1, 0.4])
         gd = deform(model, delta)
         disp = sam.station_displacements(mean + modes @ delta)
-        for ang, d in zip(sam.angles, disp):
-            uv = locate_boundary_parameter(g, ang)
+        for uv, d in zip(locate_boundary_parameters(g, sam.angles), disp):
             np.testing.assert_allclose(gd.map_point(uv), g.map_point(uv) + d, atol=1e-12)
 
     def test_too_many_stations_for_coarse_patch(self):

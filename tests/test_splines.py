@@ -8,7 +8,6 @@ from cavityuq.splines import (
     BSplineBasis,
     ControlNet,
     KnotVector,
-    eval_nurbs,
     insert_knots_homogeneous,
     uniform_open_knots,
 )
@@ -36,11 +35,51 @@ def naive_basis(knots, p, i, u):
     return left + right
 
 
-def full_basis_vector(basis, u):
-    out = np.zeros(basis.n_basis)
-    span, vals = basis.eval_basis(u)
-    out[span - basis.degree : span + 1] = vals
+def naive_derivative(knots, p, i, u, k):
+    """k-th derivative of N_{i,p} by the textbook recursion on the degree,
+    N' = p N_{i,p-1} / (t_{i+p} - t_i) - p N_{i+1,p-1} / (t_{i+p+1} - t_{i+1}),
+    on top of :func:`naive_basis`."""
+    if k == 0:
+        return naive_basis(knots, p, i, u)
+    out = 0.0
+    if knots[i + p] > knots[i]:
+        out += p * naive_derivative(knots, p - 1, i, u, k - 1) / (knots[i + p] - knots[i])
+    if knots[i + p + 1] > knots[i + 1]:
+        out -= p * naive_derivative(knots, p - 1, i + 1, u, k - 1) / (
+            knots[i + p + 1] - knots[i + 1]
+        )
     return out
+
+
+def naive_table(basis, points, order):
+    """Reference for BSplineBasis.collocation, entry by entry."""
+    return np.array([
+        [
+            [naive_derivative(basis.knots, basis.degree, i, u, k) for i in range(basis.n_basis)]
+            for u in points
+        ]
+        for k in range(order + 1)
+    ])
+
+
+def reference_bases():
+    """Degrees 1-5 on uniform knots and on non-uniform knots; from degree 2
+    on, the non-uniform vector has an interior double knot."""
+    for p in (1, 2, 3, 4, 5):
+        yield BSplineBasis(uniform_open_knots(p, 5), p)
+        interior = [0.1, 0.35, 0.35, 0.8] if p >= 2 else [0.1, 0.35, 0.8]
+        yield BSplineBasis(KnotVector([0.0] * (p + 1) + interior + [1.0] * (p + 1), p), p)
+
+
+def sample_points(basis, count=40):
+    """Random points, every breakpoint and both ends."""
+    return np.concatenate([rng.uniform(0.0, 1.0, count), basis.kv.breakpoints, [0.0, 1.0]])
+
+
+def curve_points(net, basis, ts):
+    """Rational curve points through the basis value table."""
+    hom = basis.collocation(ts, 0)[0] @ net.homogeneous()
+    return hom[:, :-1] / hom[:, -1:]
 
 
 class TestKnotVector:
@@ -61,133 +100,145 @@ class TestKnotVector:
         assert kv.find_span(0.0) == 2
         assert kv.find_span(0.3) == 3
         assert kv.find_span(1.0) == kv.n_basis - 1
+        np.testing.assert_array_equal(
+            kv.find_span([0.0, 0.25, 0.3, 0.5, 0.99, 1.0]), [2, 3, 3, 4, 5, 5]
+        )
+
+    def test_find_span_brackets_every_point(self):
+        for basis in reference_bases():
+            kv = basis.kv
+            pts = sample_points(basis)[:-1]
+            pts = pts[pts < 1.0]
+            spans = kv.find_span(pts)
+            assert np.all(kv.knots[spans] <= pts)
+            assert np.all(pts < kv.knots[spans + 1])
 
     def test_find_span_outside_domain(self):
         kv = uniform_open_knots(2, 4)
-        for u in (-0.01, 1.01):
+        for u in (-0.01, 1.01, np.nan):
             with pytest.raises(DomainError):
                 kv.find_span(u)
+            with pytest.raises(DomainError):
+                kv.find_span([0.0, 0.5, u, 1.0])
 
-    def test_span_list(self):
-        kv = uniform_open_knots(3, 5)
-        assert kv.spans() == [3, 4, 5, 6, 7]
+    def test_find_span_right_end_is_last_nonempty_span(self):
+        kv = KnotVector([0.0, 0.0, 0.0, 0.5, 0.5, 1.0, 1.0, 1.0], 2)
+        assert kv.find_span(1.0) == kv.n_basis - 1 == 4
+        assert kv.find_span(0.5) == 4
+        # an end knot repeated p + 2 times leaves the last span empty
+        kv = KnotVector([0.0, 0.0, 0.5, 1.0, 1.0, 1.0], 1)
+        assert kv.n_basis == 4
+        np.testing.assert_array_equal(kv.find_span([0.5, 0.75, 1.0]), [2, 2, 2])
 
 
 class TestBasisEvaluation:
     def test_matches_naive_recursion(self):
-        for p in (1, 2, 3, 4):
-            basis = BSplineBasis(uniform_open_knots(p, 6), p)
-            for u in rng.uniform(0.0, 1.0, 60):
-                ref = [naive_basis(basis.knots, p, i, u) for i in range(basis.n_basis)]
-                np.testing.assert_allclose(full_basis_vector(basis, u), ref, atol=1e-13)
+        for basis in reference_bases():
+            pts = sample_points(basis)
+            np.testing.assert_allclose(
+                basis.collocation(pts, 0), naive_table(basis, pts, 0), rtol=0.0, atol=1e-13
+            )
+
+    def test_derivatives_match_naive_recursion(self):
+        for basis in reference_bases():
+            order = min(2, basis.degree)
+            pts = sample_points(basis)
+            ref = naive_table(basis, pts, order)
+            got = basis.collocation(pts, order)
+            for k in range(order + 1):
+                scale = max(1.0, np.abs(ref[k]).max())
+                np.testing.assert_allclose(got[k], ref[k], rtol=0.0, atol=1e-12 * scale)
+
+    def test_kernel_shapes_and_spans(self):
+        for basis in reference_bases():
+            p = basis.degree
+            pts = sample_points(basis)
+            spans, ders = basis.eval_basis_derivatives(pts, p)
+            assert spans.shape == (pts.size,)
+            assert ders.shape == (p + 1, pts.size, p + 1)
+            np.testing.assert_array_equal(spans, basis.kv.find_span(pts))
+
+    def test_batch_equals_pointwise_bit_for_bit(self):
+        for basis in reference_bases():
+            pts = sample_points(basis, count=10)
+            spans, ders = basis.eval_basis_derivatives(pts, basis.degree)
+            for i, u in enumerate(pts):
+                (span,), one = basis.eval_basis_derivatives(float(u), basis.degree)
+                assert span == spans[i]
+                assert one[:, 0].tobytes() == ders[:, i].tobytes()
 
     def test_partition_of_unity_random(self):
         for p in (1, 2, 3, 5):
             basis = BSplineBasis(uniform_open_knots(p, 7), p)
             us = np.concatenate([rng.uniform(0.0, 1.0, 1000), [0.0, 1.0]])
-            for u in us:
-                _, vals = basis.eval_basis(u)
-                assert vals.min() >= -1e-15
-                assert abs(vals.sum() - 1.0) <= 1e-12
+            _, ders = basis.eval_basis_derivatives(us, 0)
+            assert ders.min() >= -1e-15
+            assert np.abs(ders[0].sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_local_support_is_exact(self):
         basis = BSplineBasis(uniform_open_knots(3, 8), 3)
-        for u in rng.uniform(0.0, 1.0, 200):
-            vec = full_basis_vector(basis, u)
-            span = basis.find_span(u)
-            active = set(range(span - 3, span + 1))
-            for i in range(basis.n_basis):
-                if i not in active:
-                    assert vec[i] == 0.0
+        us = rng.uniform(0.0, 1.0, 200)
+        table = basis.collocation(us, 0)[0]
+        spans = basis.kv.find_span(us)
+        for vec, span in zip(table, spans):
+            inactive = np.ones(basis.n_basis, dtype=bool)
+            inactive[span - 3 : span + 1] = False
+            assert np.all(vec[inactive] == 0.0)
 
     def test_derivatives_match_finite_differences(self):
         basis = BSplineBasis(uniform_open_knots(3, 5), 3)
         h = 1e-6
-        for u in rng.uniform(0.05, 0.95, 40):
-            u = float(u)
-            if any(abs(u - b) < 10 * h for b in basis.kv.breakpoints):
-                continue
-            span, ders = basis.eval_basis_derivatives(u, 2)
-            up = full_basis_vector(basis, u + h)
-            um = full_basis_vector(basis, u - h)
-            u0 = full_basis_vector(basis, u)
-            sl = slice(span - 3, span + 1)
-            np.testing.assert_allclose(ders[1], (up - um)[sl] / (2 * h), atol=2e-5)
-            np.testing.assert_allclose(ders[2], (up - 2 * u0 + um)[sl] / h**2, atol=2e-3)
+        us = rng.uniform(0.05, 0.95, 40)
+        us = us[np.abs(us[:, None] - basis.kv.breakpoints).min(axis=1) >= 10 * h]
+        ders = basis.collocation(us, 2)
+        up, u0, um = (basis.collocation(us + s, 0)[0] for s in (h, 0.0, -h))
+        np.testing.assert_allclose(ders[1], (up - um) / (2 * h), atol=2e-5)
+        np.testing.assert_allclose(ders[2], (up - 2 * u0 + um) / h**2, atol=2e-3)
 
     def test_derivative_rows_sum_to_zero(self):
         basis = BSplineBasis(uniform_open_knots(4, 6), 4)
-        for u in rng.uniform(0.0, 1.0, 200):
-            _, ders = basis.eval_basis_derivatives(float(u), 3)
-            assert abs(ders[0].sum() - 1.0) <= 1e-12
-            for k in (1, 2, 3):
-                scale = max(1.0, np.abs(ders[k]).max())
-                assert abs(ders[k].sum()) <= 1e-10 * scale
+        _, ders = basis.eval_basis_derivatives(rng.uniform(0.0, 1.0, 200), 3)
+        assert np.abs(ders[0].sum(axis=1) - 1.0).max() <= 1e-12
+        for k in (1, 2, 3):
+            scale = np.maximum(1.0, np.abs(ders[k]).max(axis=1))
+            assert np.all(np.abs(ders[k].sum(axis=1)) <= 1e-10 * scale)
 
     def test_order_beyond_degree_rejected(self):
+        for basis in reference_bases():
+            with pytest.raises(DegreeError):
+                basis.eval_basis_derivatives([0.5], basis.degree + 1)
         basis = BSplineBasis(uniform_open_knots(2, 4), 2)
-        with pytest.raises(DegreeError):
-            basis.eval_basis_derivatives(0.5, 3)
+        for order in (-1, 1.0, True):
+            with pytest.raises(DegreeError):
+                basis.eval_basis_derivatives(0.5, order)
+
+    def test_kernel_rejects_points_outside_domain(self):
+        basis = BSplineBasis(uniform_open_knots(2, 4), 2)
+        with pytest.raises(DomainError):
+            basis.eval_basis_derivatives([0.2, 1.5, 0.7], 1)
+        with pytest.raises(DomainError):
+            basis.collocation([-1e-9, 0.5], 0)
 
     def test_collocation_scatters_local_derivatives(self):
         basis = BSplineBasis(uniform_open_knots(3, 5), 3)
         pts = np.concatenate([np.random.default_rng(3).uniform(0.0, 1.0, 30), basis.kv.breakpoints])
         table = basis.collocation(pts, 2)
         assert table.shape == (3, pts.size, basis.n_basis)
-        for i, u in enumerate(pts):
-            span, ders = basis.eval_basis_derivatives(float(u), 2)
-            expect = np.zeros((3, basis.n_basis))
-            expect[:, span - 3 : span + 1] = ders
-            np.testing.assert_array_equal(table[:, i], expect)
+        ref = naive_table(basis, pts, 2)
+        for k in range(3):
+            scale = max(1.0, np.abs(ref[k]).max())
+            np.testing.assert_allclose(table[k], ref[k], rtol=0.0, atol=1e-12 * scale)
+        spans = basis.kv.find_span(pts)
+        for i, span in enumerate(spans):
+            outside = np.ones(basis.n_basis, dtype=bool)
+            outside[span - 3 : span + 1] = False
+            assert np.all(table[:, i, outside] == 0.0)
         np.testing.assert_allclose(table[0].sum(axis=1), 1.0, atol=1e-14)
 
     def test_collocation_rejects_order_beyond_degree(self):
         basis = BSplineBasis(uniform_open_knots(2, 4), 2)
         with pytest.raises(DegreeError):
             basis.collocation([0.25, 0.5], 3)
-
-
-class TestNurbsEvaluation:
-    def test_quarter_circle_is_exact(self):
-        # rational quadratic arc from (1,0) to (0,1)
-        net = ControlNet(
-            [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
-            weights=[1.0, np.sqrt(0.5), 1.0],
-        )
-        basis = BSplineBasis(KnotVector([0, 0, 0, 1, 1, 1], 2), 2)
-        for t in np.linspace(0.0, 1.0, 201):
-            x = eval_nurbs(net, basis, t)
-            assert abs(np.hypot(*x) - 1.0) <= 1e-12
-
-    def test_affine_invariance(self):
-        net = ControlNet(rng.normal(size=(5, 2)), weights=rng.uniform(0.5, 2.0, 5))
-        basis = BSplineBasis(uniform_open_knots(2, 3), 2)
-        A = rng.normal(size=(2, 2))
-        b = rng.normal(size=2)
-        mapped = ControlNet(net.points @ A.T + b, weights=net.weights)
-        for t in rng.uniform(0.0, 1.0, 50):
-            direct = A @ eval_nurbs(net, basis, t) + b
-            np.testing.assert_allclose(eval_nurbs(mapped, basis, t), direct, atol=1e-12)
-
-    def test_surface_point_matches_separate_curves(self):
-        # separable net: surface eval must factor through the two curve evals
-        bu = BSplineBasis(uniform_open_knots(2, 2), 2)
-        bv = BSplineBasis(uniform_open_knots(1, 3), 1)
-        cx = rng.normal(size=bu.n_basis)
-        cy = rng.normal(size=bv.n_basis)
-        pts = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1)
-        net = ControlNet(pts)
-        for u, v in rng.uniform(0, 1, size=(20, 2)):
-            got = eval_nurbs(net, (bu, bv), (u, v))
-            x = eval_nurbs(ControlNet(cx[:, None]), bu, u)[0]
-            y = eval_nurbs(ControlNet(cy[:, None]), bv, v)[0]
-            np.testing.assert_allclose(got, [x, y], atol=1e-13)
-
-    def test_shape_mismatch_rejected(self):
-        net = ControlNet(np.zeros((4, 2)))
-        basis = BSplineBasis(uniform_open_knots(2, 3), 2)  # 5 functions
-        with pytest.raises(DomainError):
-            eval_nurbs(net, basis, 0.5)
 
 
 class TestKnotInsertion:
@@ -197,10 +248,10 @@ class TestKnotInsertion:
         kv2, hom2 = insert_knots_homogeneous(basis.kv, net.homogeneous(), [0.2, 0.5, 0.9])
         basis2 = BSplineBasis(kv2, 3)
         net2 = ControlNet(hom2[:, :-1] / hom2[:, -1:], weights=hom2[:, -1])
-        for t in rng.uniform(0.0, 1.0, 100):
-            np.testing.assert_allclose(
-                eval_nurbs(net2, basis2, t), eval_nurbs(net, basis, t), atol=1e-12
-            )
+        ts = np.concatenate([rng.uniform(0.0, 1.0, 100), [0.0, 0.2, 0.5, 0.9, 1.0]])
+        np.testing.assert_allclose(
+            curve_points(net2, basis2, ts), curve_points(net, basis, ts), atol=1e-12
+        )
 
     def test_rejects_knot_outside_interior(self):
         basis = BSplineBasis(uniform_open_knots(2, 2), 2)

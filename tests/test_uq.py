@@ -73,6 +73,15 @@ class TestKLFit:
         assert kl.scaled_modes.shape == (4, kl.n_modes)
         assert np.allclose(kl.scaled_modes, kl.modes * np.sqrt(kl.variances))
 
+    def test_standard_normal_coordinates_reproduce_covariance(self, kl):
+        rng = np.random.default_rng(99)
+        Z = rng.standard_normal((40000, kl.n_modes))
+        samples = kl.mean + Z @ kl.scaled_modes.T
+        C_model = (kl.modes * kl.variances) @ kl.modes.T
+        C_mc = np.cov(samples, rowvar=False)
+        rel = np.linalg.norm(C_mc - C_model) / np.linalg.norm(C_model)
+        assert rel < 0.03
+
 
 @pytest.fixture(scope="module")
 def kl():
@@ -85,30 +94,6 @@ def kl():
 def gh_grid():
     r = uq.rule_1d("gauss-hermite", 3)
     return uq.build_tensor_grid([r, r])
-
-
-class TestToPhysical:
-    def test_zero_coordinates_give_mean(self, kl):
-        assert np.array_equal(uq.to_physical(kl, np.zeros(kl.n_modes)), kl.mean)
-
-    def test_unit_vector_adds_one_scaled_mode(self, kl):
-        e0 = np.zeros(kl.n_modes)
-        e0[0] = 1.0
-        out = uq.to_physical(kl, e0)
-        assert np.allclose(out, kl.mean + kl.scaled_modes[:, 0], atol=1e-15)
-
-    def test_standard_normal_coordinates_reproduce_covariance(self, kl):
-        rng = np.random.default_rng(99)
-        Z = rng.standard_normal((40000, kl.n_modes))
-        samples = kl.mean + Z @ kl.scaled_modes.T
-        C_model = (kl.modes * kl.variances) @ kl.modes.T
-        C_mc = np.cov(samples, rowvar=False)
-        rel = np.linalg.norm(C_mc - C_model) / np.linalg.norm(C_model)
-        assert rel < 0.03
-
-    def test_wrong_coordinate_count(self, kl):
-        with pytest.raises(DomainError):
-            uq.to_physical(kl, np.zeros(kl.n_modes + 1))
 
 
 class TestRule1D:
@@ -243,47 +228,6 @@ class TestMoments:
         bad[0, 2] = np.nan
         with pytest.raises(DomainError):
             uq.estimate_moments(bad, gh_grid)
-
-
-class TestSurrogate:
-    @staticmethod
-    def poly(x):
-        # coordinate degree <= 2 in each variable: interpolated exactly
-        return (
-            2.0
-            + 0.5 * x[0]
-            - 1.25 * x[1]
-            + 0.75 * x[0] * x[1]
-            + 0.3 * x[0] ** 2
-            - 0.1 * x[1] ** 2
-            + 0.05 * x[0] ** 2 * x[1] ** 2
-        )
-
-    def test_exact_at_nodes(self, gh_grid):
-        nodal = np.array([self.poly(x) for x in gh_grid.nodes])
-        for k in range(gh_grid.n_nodes):
-            assert uq.surrogate_eval(gh_grid, nodal, gh_grid.nodes[k]) == nodal[k]
-
-    def test_polynomial_reproduction(self, gh_grid):
-        nodal = np.array([self.poly(x) for x in gh_grid.nodes])
-        rng = np.random.default_rng(7)
-        for q in rng.uniform(-2.0, 2.0, size=(25, 2)):
-            assert abs(uq.surrogate_eval(gh_grid, nodal, q) - self.poly(q)) < 1e-10
-
-    def test_one_dimensional_linear(self):
-        r = uq.rule_1d("gauss-legendre", 2, support=(0.0, 1.0))
-        g = uq.build_tensor_grid([r])
-        nodal = 3.0 + 2.0 * g.nodes[:, 0]
-        assert abs(uq.surrogate_eval(g, nodal, [0.3]) - 3.6) < 1e-14
-
-    def test_smolyak_grids_unsupported(self):
-        g = uq.build_smolyak_grid(2, 1)
-        with pytest.raises(DomainError):
-            uq.surrogate_eval(g, np.zeros(g.n_nodes), [0.0, 0.0])
-
-    def test_wrong_query_dimension(self, gh_grid):
-        with pytest.raises(DomainError):
-            uq.surrogate_eval(gh_grid, np.zeros(9), [0.0, 0.0, 0.0])
 
 
 class TestSyntheticObservations:
