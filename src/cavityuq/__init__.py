@@ -19,7 +19,7 @@ from .geometry import (
     refine_patch,
 )
 from .pencil import HomotopyPencil, build_pillbox_pencil, eigenvalue_to_frequency
-from .tracking import TrackConfig, track, track_chain, track_modes
+from .tracking import TrackConfig, track, track_modes
 from .uq import (
     build_smolyak_grid,
     build_tensor_grid,
@@ -53,6 +53,5 @@ __all__ = [
     "rule_1d",
     "solve_smallest",
     "track",
-    "track_chain",
     "track_modes",
 ]

@@ -12,9 +12,10 @@ bench               linear-solve count comparison: tracking vs. direct solves
 Every subcommand takes --config PATH (JSON), --out DIR, --workers N and
 --seed S.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
-uq and bench share one study runner for both problem kinds: solve the base
-pencil once, track every start pair to each grid node (one node task per
-node, spread over --workers processes), then merge and take moments.
+uq, bench and track share one runner: solve the base pencil once, track
+every start pair to each node (a grid node, or a radius of the track sweep;
+one node task per node, spread over --workers processes), then merge the
+results per mode.
 
 Config schema (strict: unknown keys are rejected)
 -------------------------------------------------
@@ -73,7 +74,7 @@ from .pencil import (
     eigenvalue_to_frequency,
     is_spurious,
 )
-from .tracking import TrackConfig, track_chain, track_modes
+from .tracking import TrackConfig, track_modes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -235,17 +236,16 @@ def _pillbox_parametric(base_radius, length, p_max, degree, elements):
     return _PENCIL_CACHE[key]
 
 
-def _select_pillbox_modes(par, base_delta, n_modes):
-    """Lowest physical modes at the base point, solved block by block.
+def _select_pillbox_modes(blocks, stacked, n_modes):
+    """Lowest physical modes of a stacked pillbox pencil, solved block by block.
 
     Returns [(block_index, Eigenpair in block coordinates), ...] ascending.
     Per-block solves keep exactly degenerate cross-family coincidences from
     mixing and let the spurious constant branch be filtered locally.
     """
-    combined = par.at(base_delta)
     candidates = []
-    for bi, b in enumerate(par.blocks):
-        pen_b = block_pencil(combined, b)
+    for bi, b in enumerate(blocks):
+        pen_b = block_pencil(stacked, b)
         k = min(n_modes + 2, pen_b.n - 1)
         for pr in solve_smallest(pen_b, k):
             if is_spurious(pr, pen_b, b):
@@ -264,6 +264,19 @@ def _group_by_block(selected):
     for j, (bi, pair) in enumerate(selected):
         groups.setdefault(bi, []).append((j, pair))
     return dict(sorted(groups.items()))
+
+
+def _pillbox_modes(spec, n_modes, **extra):
+    """A pillbox study namespace: the lowest modes at spec's base radius."""
+    par = _pillbox_parametric(*spec)
+    selected = _select_pillbox_modes(par.blocks, par.base, n_modes)
+    return SimpleNamespace(
+        task="_pillbox_node_task", spec=spec, par=par,
+        starts=[pair for _, pair in selected],
+        groups=_group_by_block(selected),
+        labels=[(par.blocks[bi].family, par.blocks[bi].axial) for bi, _ in selected],
+        **extra,
+    )
 
 
 def _station_angles(n):
@@ -337,15 +350,8 @@ def _pillbox_study(root, prob_sec, n_modes, args):
     root.done()
 
     spec = (base_r, problem.length, problem.p_max, degree, elements)
-    par = _pillbox_parametric(*spec)
-    selected = _select_pillbox_modes(par, [base_r], n_modes)
-    return SimpleNamespace(
-        task="_pillbox_node_task", spec=spec, par=par, grid=grid,
-        starts=[pair for _, pair in selected],
-        groups=_group_by_block(selected),
-        labels=[(par.blocks[bi].family, par.blocks[bi].axial) for bi, _ in selected],
-        summary={"problem": "pillbox", "base_radius_m": base_r},
-    )
+    summary = {"problem": "pillbox", "base_radius_m": base_r}
+    return _pillbox_modes(spec, n_modes, grid=grid, summary=summary)
 
 
 def _parse_disk_problem(sec, args):
@@ -415,34 +421,40 @@ def _disk_study(root, prob_sec, n_modes, args):
 # -- study runner ------------------------------------------------------------
 
 def _track_node(payload, par, tracked):
-    """Track every start pair from the base point to one grid node.
+    """Track every start pair from the base point to one node.
 
     payload is (spec, node_index, node, groups, cfg); groups maps a key to
     [(mode, start Eigenpair), ...] and tracked(pencil, key) gives the pencil
     that group is tracked in.  Returns (node_index, [(mode, lambda,
-    newton_log, solves, rejects, flagged, min_overlap), ...]) ordered by
-    mode; min_overlap is the track's smallest M-overlap between accepted
-    steps (1.0 at the base node, where nothing is tracked).
+    newton_log, solves, rejects, flagged, min_overlap), ...], failures):
+    rows ordered by mode, min_overlap being the track's smallest M-overlap
+    between accepted steps (1.0 at the base node, where nothing is tracked),
+    and [(modes, message), ...] for each group whose tracking raised a
+    CavityError instead of giving rows.
     """
     _, node_index, node, groups, cfg = payload
     if np.array_equal(node, par.base_delta):
         return node_index, sorted(
             (j, pair.value, [], 0, 0, False, 1.0)
             for members in groups.values() for j, pair in members
-        )
+        ), []
     pen_base, pen_node = par.base, par.at(node)
-    results = []
+    results, failures = [], []
     for key, members in groups.items():
-        homotopy = HomotopyPencil(tracked(pen_base, key), tracked(pen_node, key))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            states = track_modes(homotopy, [pair for _, pair in members], cfg)
+        try:
+            homotopy = HomotopyPencil(tracked(pen_base, key), tracked(pen_node, key))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                states = track_modes(homotopy, [pair for _, pair in members], cfg)
+        except CavityError as exc:
+            failures.append(([j for j, _ in members], str(exc)))
+            continue
         results.extend(
             (j, st.eigenpair.value, list(st.newton_log), st.n_solves, st.n_rejects,
              st.flagged, st.min_overlap)
             for (j, _), st in zip(members, states)
         )
-    return node_index, sorted(results)
+    return node_index, sorted(results), failures
 
 
 def _pillbox_node_task(payload):
@@ -463,11 +475,41 @@ def _run_tasks(payloads, worker, n_workers):
         return list(pool.map(worker, payloads))
 
 
+def _track_nodes(study, nodes, cfg_track, n_workers):
+    """Run study.task at every node and merge its rows per mode.
+
+    Adds values and freq (mode x node, NaN where a mode failed), per mode
+    newton_logs, solves, rejects, flags and min_overlap over all nodes, and
+    failures: [{node, modes, error}, ...] in node order.
+    """
+    payloads = [(study.spec, k, node, study.groups, cfg_track) for k, node in enumerate(nodes)]
+    n_modes = len(study.starts)
+    study.values = np.full((n_modes, len(nodes)), np.nan)
+    study.newton_logs = [[] for _ in range(n_modes)]
+    study.solves, study.rejects, study.flags = (np.zeros(n_modes, dtype=int) for _ in range(3))
+    study.min_overlap = np.ones(n_modes)
+    study.failures = []
+    for node_index, rows, failures in _run_tasks(payloads, globals()[study.task], n_workers):
+        for j, lam, log, solves, rejects, flagged, overlap in rows:
+            study.values[j, node_index] = lam
+            study.newton_logs[j] += log
+            study.solves[j] += solves
+            study.rejects[j] += rejects
+            study.flags[j] += flagged
+            study.min_overlap[j] = min(study.min_overlap[j], overlap)
+        study.failures += [
+            {"node": node_index, "modes": modes, "error": error} for modes, error in failures
+        ]
+    with np.errstate(invalid="ignore"):   # NaN < 0 is False, but numpy flags it
+        study.freq = np.vectorize(eigenvalue_to_frequency)(study.values)
+    return study
+
+
 def _run_study(cfg, args):
     """Parse a uq/bench config, track its start pairs to every grid node.
 
-    Returns the problem's study namespace with the merged eigenvalues
-    (values, freq: mode x node), the Newton logs and the solve totals added.
+    Returns the problem's study namespace with _track_nodes' results added;
+    the first failure raises SolverError, before any table is written.
     """
     root = _Section(cfg, "config")
     prob_sec = root.section("problem")
@@ -477,23 +519,10 @@ def _run_study(cfg, args):
     problem = _pillbox_study if kind == "pillbox" else _disk_study
     study = problem(root, prob_sec, n_modes, args)
 
-    payloads = [
-        (study.spec, k, node, study.groups, cfg_track)
-        for k, node in enumerate(study.grid.nodes)
-    ]
-    outcomes = _run_tasks(payloads, globals()[study.task], args.workers)
-    study.values = np.empty((n_modes, study.grid.n_nodes))
-    study.newton_logs = []
-    study.totals = {"n_solves": 0, "n_rejects": 0, "flagged": 0, "min_overlap": 1.0}
-    for node_index, rows in outcomes:
-        for j, lam, log, solves, rejects, flagged, overlap in rows:
-            study.values[j, node_index] = lam
-            study.newton_logs.append(log)
-            study.totals["n_solves"] += solves
-            study.totals["n_rejects"] += rejects
-            study.totals["flagged"] += int(flagged)
-            study.totals["min_overlap"] = min(study.totals["min_overlap"], overlap)
-    study.freq = np.vectorize(eigenvalue_to_frequency)(study.values)
+    _track_nodes(study, study.grid.nodes, cfg_track, args.workers)
+    if study.failures:
+        first = study.failures[0]
+        raise SolverError(f"node {first['node']}, modes {first['modes']}: {first['error']}")
     return study
 
 
@@ -559,10 +588,10 @@ def cmd_uq(cfg, args):
         modes=len(run.starts),
         workers=args.workers,
         newton=_newton_summary(run.newton_logs),
-        bordered_solves=run.totals["n_solves"],
-        rejected_steps=run.totals["n_rejects"],
-        degenerate_flags=run.totals["flagged"],
-        min_overlap=run.totals["min_overlap"],
+        bordered_solves=int(run.solves.sum()),
+        rejected_steps=int(run.rejects.sum()),
+        degenerate_flags=int(run.flags.sum()),
+        min_overlap=float(run.min_overlap.min()),
     )
     _write_json(out / "summary.json", summary)
     print(f"{run.summary['problem']} uq: {len(run.starts)} modes over {run.grid.n_nodes} nodes")
@@ -587,85 +616,55 @@ def cmd_track(cfg, args):
     root.done()
 
     radii = np.array([start]) if start == stop else np.linspace(start, stop, samples)
-    par = _pillbox_parametric(start, problem.length, problem.p_max, degree, elements)
-    selected = _select_pillbox_modes(par, [start], n_modes)
-    groups = _group_by_block(selected)
-
-    table_l = np.full((n_modes, radii.size), np.nan)
-    table_f = np.full((n_modes, radii.size), np.nan)
-    ok = np.zeros((n_modes, radii.size), dtype=bool)
-    per_mode_stats = {}
-    failures = []
-
-    for bi, members in groups.items():
-        block = par.blocks[bi]
-        block_par = ParametricPencil(
-            lambda d, _b=block: block_pencil(par.at(d), _b), 1, base_delta=[start]
-        )
-        starts_b = [pair for _, pair in members]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                values, _, stats = track_chain(
-                    block_par, [[r] for r in radii], starts_b, cfg_track
-                )
-        except CavityError as exc:
-            failures.append(
-                {"block": f"{block.family}{block.axial}", "error": str(exc)}
-            )
-            continue
-        for row, (j, _) in enumerate(members):
-            table_l[j] = values[row]
-            table_f[j] = np.vectorize(eigenvalue_to_frequency)(values[row])
-            ok[j] = True
-            per_mode_stats[j] = {
-                "newton_mean": float(np.mean(stats["newton_iterations"]))
-                if stats["newton_iterations"] else None,
-                "newton_max": int(max(stats["newton_iterations"]))
-                if stats["newton_iterations"] else None,
-                "bordered_solves": stats["n_solves"],
-                "rejected_steps": stats["n_rejects"],
-            }
+    spec = (start, problem.length, problem.p_max, degree, elements)
+    run = _track_nodes(_pillbox_modes(spec, n_modes), radii[:, None], cfg_track, args.workers)
 
     for j in range(n_modes):
-        if not ok[j].any():
-            continue
         with open(out / f"mode_{j:02d}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["radius_m", "lambda", "f_hz"])
             for k, r in enumerate(radii):
-                if ok[j, k]:
+                if np.isfinite(run.values[j, k]):
                     writer.writerow(
-                        [f"{r:.17g}", f"{table_l[j, k]:.17g}", f"{table_f[j, k]:.17g}"]
+                        [f"{r:.17g}", f"{run.values[j, k]:.17g}", f"{run.freq[j, k]:.17g}"]
                     )
 
     with open(out / "discrete_samples.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["radius_m"] + [f"rank_{j}_f_hz" for j in range(n_modes)])
         for r in radii:
-            picked = _select_pillbox_modes(par, [r], n_modes)
+            picked = _select_pillbox_modes(run.par.blocks, run.par.at([r]), n_modes)
             fs = [eigenvalue_to_frequency(pr.value) for _, pr in picked]
             writer.writerow([f"{r:.17g}"] + [f"{v:.17g}" for v in fs])
 
-    crossing = _locate_crossing(radii, table_f, ok)
+    per_mode = {}
+    for j, log in enumerate(run.newton_logs):
+        newton = _newton_summary([log])
+        per_mode[j] = {
+            "newton_mean": newton["mean"],
+            "newton_max": newton["max"],
+            "bordered_solves": int(run.solves[j]),
+            "rejected_steps": int(run.rejects[j]),
+        }
+    crossing = _locate_crossing(radii, run.freq)
     summary = _summary_payload(
         problem="pillbox",
         sweep={"start_m": start, "stop_m": stop, "samples": int(radii.size)},
         modes=n_modes,
-        per_mode=per_mode_stats,
+        per_mode=per_mode,
         crossing_radius_m=crossing,
-        failures=failures,
+        failures=run.failures,
     )
     _write_json(out / "summary.json", summary)
     if crossing is not None:
         print(f"fundamental-mode crossing at r = {crossing:.6g} m")
-    if failures:
-        raise SolverError(f"{len(failures)} block(s) failed to track; see summary.json")
+    if run.failures:
+        raise SolverError(f"{len(run.failures)} tracking failure(s); see summary.json")
 
 
-def _locate_crossing(radii, table_f, ok):
+def _locate_crossing(radii, table_f):
     """First sign change of f0 - f1 along the sweep, linearly interpolated."""
-    if table_f.shape[0] < 2 or not (ok[0].all() and ok[1].all()):
+    if table_f.shape[0] < 2 or not np.isfinite(table_f[:2]).all():
         return None
     d = table_f[0] - table_f[1]
     for k in range(len(radii) - 1):
@@ -782,16 +781,17 @@ def cmd_bench(cfg, args):
     offsets = np.linalg.norm(run.grid.nodes - run.par.base_delta, axis=1)
     pairs = n_modes * int(np.count_nonzero(offsets))
     base_count = direct_counts[int(np.argmin(offsets))]
-    tracked_total = base_count + run.totals["n_solves"]
+    tracked_solves = int(run.solves.sum())
+    tracked_total = base_count + tracked_solves
     direct_total = int(np.sum(direct_counts))
     doc = _summary_payload(
         nodes=run.grid.n_nodes,
         modes=n_modes,
         tracked={
-            "bordered_solves": run.totals["n_solves"],
+            "bordered_solves": tracked_solves,
             "base_eigensolve_solves": base_count,
             "total_solves": tracked_total,
-            "per_mode_point": run.totals["n_solves"] / pairs if pairs else None,
+            "per_mode_point": tracked_solves / pairs if pairs else None,
             "wall_s": tracked_wall,
         },
         direct={

@@ -15,6 +15,7 @@ import scipy.sparse.linalg as spla
 from .errors import DomainError, IterationLimitError, SolverError
 
 DENSE_CUTOFF = 500
+RESIDUAL_TOL = 1e-10   # scaled residual every returned pair must meet
 _SEED = 20240817
 
 
@@ -61,7 +62,7 @@ def _m_orthonormalize(vectors, M):
     return out
 
 
-def _finalize(values, vectors, pencil, tol):
+def _finalize(values, vectors, pencil):
     K, M = pencil.stiffness, pencil.mass
     order = np.argsort(values, kind="stable")
     values = np.asarray(values)[order]
@@ -83,13 +84,13 @@ def _finalize(values, vectors, pencil, tol):
         v = sign_fix(v / np.sqrt(v @ (M @ v)))
         resid = np.linalg.norm(K @ v - lam * (M @ v))
         resid /= (norm_k + abs(lam) * norm_m) * np.linalg.norm(v)
-        if resid > tol:
-            raise SolverError(f"eigenpair residual {resid:.3e} exceeds tolerance {tol:.1e}")
+        if resid > RESIDUAL_TOL:
+            raise SolverError(f"eigenpair residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
         pairs.append(Eigenpair(float(lam), v, float(resid)))
     return pairs
 
 
-def _solve_dense(pencil, n_modes, tol):
+def _solve_dense(pencil, n_modes):
     K = pencil.stiffness.toarray()
     M = pencil.mass.toarray()
     try:
@@ -101,13 +102,13 @@ def _solve_dense(pencil, n_modes, tol):
     A = 0.5 * (A + A.T)
     w, Y = la.eigh(A)
     E = la.solve_triangular(L, Y, lower=True, trans="T")
-    return _finalize(w[:n_modes], E[:, :n_modes], pencil, tol)
+    return _finalize(w[:n_modes], E[:, :n_modes], pencil)
 
 
-def _solve_sparse(pencil, n_modes, tol):
+def _solve_sparse(pencil, n_modes):
     K, M = pencil.stiffness, pencil.mass
     if n_modes >= pencil.n - 1:
-        return _solve_dense(pencil, n_modes, tol)
+        return _solve_dense(pencil, n_modes)
     scale = spla.norm(K, np.inf) / spla.norm(M, np.inf)
     delta = 1e-6 * scale + 1e-300
     v0 = np.random.default_rng(_SEED).standard_normal(pencil.n)
@@ -125,10 +126,10 @@ def _solve_sparse(pencil, n_modes, tol):
             last_exc = exc
     else:
         raise SolverError("shift-invert factorization failed repeatedly") from last_exc
-    return _finalize(w[:n_modes], E[:, :n_modes], pencil, tol)
+    return _finalize(w[:n_modes], E[:, :n_modes], pencil)
 
 
-def solve_smallest(pencil, n_modes, tol=1e-10, method="auto"):
+def solve_smallest(pencil, n_modes, method="auto"):
     """The ``n_modes`` smallest eigenpairs, ascending.
 
     method: "auto" picks dense below DENSE_CUTOFF unknowns, else sparse;
@@ -141,7 +142,7 @@ def solve_smallest(pencil, n_modes, tol=1e-10, method="auto"):
     if method == "auto":
         method = "dense" if pencil.n <= DENSE_CUTOFF else "sparse"
     if method == "dense":
-        return _solve_dense(pencil, int(n_modes), tol)
+        return _solve_dense(pencil, int(n_modes))
     if method == "sparse":
-        return _solve_sparse(pencil, int(n_modes), tol)
+        return _solve_sparse(pencil, int(n_modes))
     raise DomainError(f"unknown method {method!r}")

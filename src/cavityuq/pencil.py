@@ -1,13 +1,11 @@
 """Parametric pencils, algebraic homotopies, and the pillbox block pencil.
 
 A parametric pencil maps a deformation coordinate vector to assembled
-matrices, with caching so repeated evaluation at one point is bit-identical
-and free.  Homotopies are convex combinations of two assembled endpoints;
+matrices and keeps only its base pencil.  Homotopies are convex combinations of two assembled endpoints;
 their t-derivative is the constant matrix difference.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +16,9 @@ from .errors import DomainError
 from .geometry import build_disk_patch
 from .oracle import C0
 
+SPURIOUS_RTOL = 1e-6
+SPURIOUS_OVERLAP = 0.5
+
 
 def eigenvalue_to_frequency(lam):
     """Map a squared wavenumber to a frequency in Hz."""
@@ -27,10 +28,10 @@ def eigenvalue_to_frequency(lam):
 
 
 class ParametricPencil:
-    """delta -> MatrixPencil with per-instance caching.
+    """delta -> MatrixPencil, assembled afresh on every call to at.
 
-    The cache key is the canonical float64 byte encoding of delta, so two
-    calls at the same coordinates return the same matrices, bit for bit.
+    base, the pencil at base_delta, is assembled on first use and kept:
+    every homotopy of a study starts there.
     """
 
     def __init__(self, evaluator, n_parameters, base_delta=None, blocks=None):
@@ -45,30 +46,21 @@ class ParametricPencil:
         if self.base_delta.shape != (self.n_parameters,):
             raise DomainError("base_delta length disagrees with the parameter count")
         self.blocks = blocks
-        self._cache = {}
-        self._lock = threading.Lock()
+        self._base = None
 
-    def _canonical(self, delta):
+    def at(self, delta):
         arr = np.atleast_1d(np.asarray(delta, dtype=float))
         if arr.shape != (self.n_parameters,):
             raise DomainError(
                 f"expected {self.n_parameters} coordinates, got shape {arr.shape}"
             )
-        return arr, arr.tobytes()
-
-    def at(self, delta):
-        arr, key = self._canonical(delta)
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        pen = self._evaluator(arr)
-        with self._lock:
-            return self._cache.setdefault(key, pen)
+        return self._evaluator(arr)
 
     @property
     def base(self):
-        return self.at(self.base_delta)
+        if self._base is None:
+            self._base = self.at(self.base_delta)
+        return self._base
 
 
 class HomotopyPencil:
@@ -237,7 +229,7 @@ def build_pillbox_pencil(radius, length, p_max, space):
     return ParametricPencil(evaluate, 1, base_delta=[radius], blocks=tuple(blocks))
 
 
-def is_spurious(pair, pencil, block, overlap=0.5, rtol=1e-6):
+def is_spurious(pair, pencil, block):
     """True when a pair of one block's pencil is its constant-mode branch.
 
     pencil is the block's own pencil (see block_pencil).  Neumann blocks
@@ -249,7 +241,8 @@ def is_spurious(pair, pencil, block, overlap=0.5, rtol=1e-6):
     ones = np.ones(pencil.n)
     m_ones = pencil.mass @ ones
     ov = abs(pair.vector @ m_ones) / math.sqrt(ones @ m_ones)
-    return abs(pair.value - block.spurious) <= rtol * (1.0 + block.spurious) and ov >= overlap
+    near = abs(pair.value - block.spurious) <= SPURIOUS_RTOL * (1.0 + block.spurious)
+    return near and ov >= SPURIOUS_OVERLAP
 
 
 def block_pencil(pencil, block):

@@ -173,14 +173,13 @@ class BSplineBasis:
         return table
 
 
-def uniform_open_knots(degree, n_elements, domain=(0.0, 1.0)):
-    """Clamped knot vector with ``n_elements`` uniform spans."""
+def uniform_open_knots(degree, n_elements):
+    """Clamped knot vector on [0, 1] with ``n_elements`` uniform spans."""
     if n_elements < 1:
         raise DomainError(f"need at least one element, got {n_elements}")
-    a, b = domain
-    interior = np.linspace(a, b, n_elements + 1)[1:-1]
+    interior = np.linspace(0.0, 1.0, n_elements + 1)[1:-1]
     return KnotVector(
-        np.concatenate([np.full(degree + 1, a), interior, np.full(degree + 1, b)]),
+        np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)]),
         degree,
     )
 

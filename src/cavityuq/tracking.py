@@ -25,7 +25,6 @@ from .errors import (
     NewtonFailure,
     TrackingFailure,
 )
-from .pencil import HomotopyPencil
 
 START_GAP_WARN = 1e-6
 
@@ -287,11 +286,11 @@ def track_modes(homotopy, starts, cfg=TrackConfig()):
     return results
 
 
-def _reorthogonalize_clusters(states, M, rtol=1e-9):
+def _reorthogonalize_clusters(states, M):
     """M-orthogonalize final vectors of members that still share an eigenvalue."""
     order = np.argsort([s.eigenpair.value for s in states], kind="stable")
     vals = [states[i].eigenpair.value for i in order]
-    for grp in group_clusters(vals, rtol=rtol):
+    for grp in group_clusters(vals):
         members = [states[order[i]] for i in grp]
         if len(members) < 2 or not all(m.flagged for m in members):
             continue
@@ -300,31 +299,3 @@ def _reorthogonalize_clusters(states, M, rtol=1e-9):
             st.eigenpair = Eigenpair(st.eigenpair.value, v, st.eigenpair.residual)
             st.c = M @ v
 
-
-def track_chain(parametric, deltas, starts, cfg=TrackConfig()):
-    """Track modes through a sequence of waypoints by chained homotopies.
-
-    Returns (values, final TrackStates, stats): values[j, k] is mode j's
-    eigenvalue at waypoint k, and stats aggregates Newton counts and bordered
-    solves across all legs.
-    """
-    deltas = [np.atleast_1d(np.asarray(d, dtype=float)) for d in deltas]
-    if len(deltas) < 1:
-        raise DomainError("need at least one waypoint")
-    n_modes = len(starts)
-    values = np.full((n_modes, len(deltas)), np.nan)
-    values[:, 0] = [p.value for p in starts]
-    current = list(starts)
-    stats = {"newton_iterations": [], "n_solves": 0, "n_rejects": 0, "flagged": False}
-    finals = None
-    for k in range(1, len(deltas)):
-        homotopy = HomotopyPencil(parametric.at(deltas[k - 1]), parametric.at(deltas[k]))
-        finals = track_modes(homotopy, current, cfg)
-        for j, st in enumerate(finals):
-            values[j, k] = st.eigenpair.value
-            stats["newton_iterations"].extend(st.newton_log)
-            stats["n_solves"] += st.n_solves
-            stats["n_rejects"] += st.n_rejects
-            stats["flagged"] = stats["flagged"] or st.flagged
-        current = [st.eigenpair for st in finals]
-    return values, finals, stats

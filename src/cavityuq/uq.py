@@ -8,7 +8,7 @@ whose weights are probabilities, so density factors never appear explicitly.
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -245,7 +245,6 @@ class CollocationGrid:
     nodes: np.ndarray
     weights: np.ndarray
     kind: str
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_nodes(self):
@@ -276,8 +275,7 @@ def build_tensor_grid(rules):
         nodes[:, d] = tiled
         wt = np.repeat(r.weights, reps_after)
         weights *= np.tile(wt, count // wt.size)
-    meta = {"orders": tuple(r.n for r in rules), "families": tuple(r.family for r in rules)}
-    return CollocationGrid(nodes, weights, "tensor", meta)
+    return CollocationGrid(nodes, weights, "tensor")
 
 
 def _smolyak_order(level_index):
@@ -320,8 +318,7 @@ def build_smolyak_grid(dim, level, family="gauss-hermite", support=None):
     items = sorted(merged.values(), key=lambda it: tuple(it[0]))
     nodes = np.array([it[0] for it in items])
     weights = np.array([it[1] for it in items])
-    meta = {"level": level, "family": family}
-    return CollocationGrid(nodes, weights, "smolyak", meta)
+    return CollocationGrid(nodes, weights, "smolyak")
 
 
 def _compositions(total, parts):
@@ -362,4 +359,4 @@ def load_grid_csv(path):
     if len(rows) < 2:
         raise DomainError(f"{path}: empty grid file")
     body = np.array([[float(v) for v in r] for r in rows[1:]])
-    return CollocationGrid(body[:, :-1], body[:, -1], "imported", {"source": str(path)})
+    return CollocationGrid(body[:, :-1], body[:, -1], "imported")

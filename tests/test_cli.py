@@ -7,12 +7,17 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from cavityuq import cli, oracle, uq
+from cavityuq import cli, oracle, tracking, uq
+from cavityuq.assembly import DiscreteSpace
+from cavityuq.errors import TrackingFailure
 from cavityuq.geometry import load_deformation_spec
+from cavityuq.pencil import build_pillbox_pencil, eigenvalue_to_frequency
 
 
 def run_cli(*argv):
@@ -164,16 +169,19 @@ class TestKlFit:
         assert summary["captured_ratio"] >= 0.95
 
 
+# TM010 (block TM0) and TE111 (block TE1) cross near r = 0.049 m
+PILLBOX_TRACK = {
+    "problem": {"kind": "pillbox", "length": 0.1, "p_max": 1},
+    "discretization": {"degree": 2, "elements": 8},
+    "modes": 2,
+    "sweep": {"start": 0.06, "stop": 0.04, "samples": 11},
+}
+
+
 @pytest.fixture(scope="module")
 def track_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("track")
-    doc = {
-        "problem": {"kind": "pillbox", "length": 0.1, "p_max": 1},
-        "discretization": {"degree": 2, "elements": 8},
-        "modes": 2,
-        "sweep": {"start": 0.06, "stop": 0.04, "samples": 11},
-    }
-    cfg = write_config(tmp, "c.json", doc)
+    cfg = write_config(tmp, "c.json", PILLBOX_TRACK)
     out = tmp / "run"
     code = cli.main(["track", "--config", cfg, "--out", str(out)])
     return code, out
@@ -213,6 +221,81 @@ class TestTrack:
         for stats in summary["per_mode"].values():
             assert 1.0 <= stats["newton_mean"] <= 3.5
             assert stats["newton_max"] <= 5
+
+    def test_tracked_values_are_discrete_eigenvalues(self, track_run):
+        # Above the crossing the tracked TM010 and TE111 are the two lowest
+        # modes, so sorted they are discrete_samples.csv's row.  Below it
+        # TE111's degenerate partner displaces TM010 from that row, so each
+        # radius is also checked against the three lowest modes.
+        _, out = track_run
+        tracked = np.array([
+            [float(row[2]) for row in read_csv(out / f"mode_{j:02d}.csv")[1:]] for j in range(2)
+        ])
+        crossing = json.loads((out / "summary.json").read_text())["crossing_radius_m"]
+        par = build_pillbox_pencil(0.06, 0.1, 1, DiscreteSpace(2, 8))
+        rows = read_csv(out / "discrete_samples.csv")[1:]
+        assert len(rows) == tracked.shape[1] == 11
+        above = 0
+        for k, row in enumerate(rows):
+            r = float(row[0])
+            lowest = [
+                eigenvalue_to_frequency(pair.value)
+                for _, pair in cli._select_pillbox_modes(par.blocks, par.at([r]), 3)
+            ]
+            for f in tracked[:, k]:
+                assert min(abs(f / g - 1.0) for g in lowest) <= 1e-8
+            if r > crossing:
+                above += 1
+                samples = [float(v) for v in row[1:]]
+                np.testing.assert_allclose(np.sort(tracked[:, k]), samples, rtol=1e-8)
+        assert above == 6
+
+    def test_worker_invariance(self, track_run, tmp_path):
+        _, out = track_run
+        out2 = tmp_path / "w2"
+        cfg = str(out.parent / "c.json")
+        assert cli.main(["track", "--config", cfg, "--out", str(out2), "--workers", "2"]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            a, b = (out / name).read_bytes(), (out2 / name).read_bytes()
+            if name == "summary.json":
+                a, b = (dict(json.loads(doc), timestamp_utc=None) for doc in (a, b))
+            assert a == b, name
+
+    def test_one_node_task_per_radius(self, monkeypatch, tmp_path):
+        task, nodes = cli._pillbox_node_task, []
+
+        def counted(payload):
+            nodes.append(payload[1])
+            return task(payload)
+
+        monkeypatch.setattr(cli, "_pillbox_node_task", counted)
+        cfg = write_config(tmp_path, "c.json", PILLBOX_TRACK)
+        assert cli.main(["track", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        assert nodes == list(range(11))
+
+    def test_per_mode_solves_add_up_to_factorizations(self, monkeypatch, tmp_path):
+        # modes 1 and 2 are the TE111 pair, tracked together in block TE1;
+        # each mode reports its own bordered solves, not its block's
+        factorizations = []
+
+        def splu(A):
+            factorizations.append(A.shape)
+            return spla.splu(A)
+
+        monkeypatch.setattr(tracking, "spla", SimpleNamespace(splu=splu, norm=spla.norm))
+        doc = dict(PILLBOX_TRACK, modes=3, sweep={"start": 0.06, "stop": 0.04, "samples": 5})
+        cfg = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "run"
+        assert cli.main(["track", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        solves = [stats["bordered_solves"] for stats in summary["per_mode"].values()]
+        assert len(solves) == 3 and min(solves) > 0
+        assert sum(solves) == len(factorizations)
+        par = build_pillbox_pencil(0.06, 0.1, 1, DiscreteSpace(2, 8))
+        groups = cli._group_by_block(cli._select_pillbox_modes(par.blocks, par.base, 3))
+        assert [[j for j, _ in members] for members in groups.values()] == [[0], [1, 2]]
 
     def test_identity_sweep_single_row(self, tmp_path):
         doc = {
@@ -433,6 +516,63 @@ class TestBench:
         doc = json.loads((out / "bench.json").read_text())
         assert doc["solve_ratio"] == pytest.approx(1.0)
         assert doc["tracked"]["per_mode_point"] is None
+
+
+def fail_third_group(monkeypatch):
+    """Make cli.track_modes raise on its third call.
+
+    At one worker on PILLBOX_TRACK, which tracks two groups per node and
+    nothing at node 0, the start radius, that is the first group of node 2.
+    """
+    track_modes, calls = cli.track_modes, []
+
+    def failing(homotopy, starts, cfg):
+        calls.append(len(starts))
+        if len(calls) == 3:
+            raise TrackingFailure("injected")
+        return track_modes(homotopy, starts, cfg)
+
+    monkeypatch.setattr(cli, "track_modes", failing)
+
+
+class TestFailureIsolation:
+    def test_track_writes_every_other_entry(self, monkeypatch, tmp_path, track_run):
+        fail_third_group(monkeypatch)
+        cfg = write_config(tmp_path, "c.json", PILLBOX_TRACK)
+        out = tmp_path / "run"
+        assert cli.main(["track", "--config", cfg, "--out", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failures"] == [{"node": 2, "modes": [0], "error": "injected"}]
+        assert summary["crossing_radius_m"] is None
+        _, full = track_run
+        rows = read_csv(full / "mode_00.csv")
+        assert read_csv(out / "mode_00.csv") == rows[:3] + rows[4:]
+        for name in ("mode_01.csv", "discrete_samples.csv"):
+            assert (out / name).read_bytes() == (full / name).read_bytes()
+
+    def test_uq_writes_no_table(self, monkeypatch, tmp_path, capsys):
+        fail_third_group(monkeypatch)
+        cfg = write_config(tmp_path, "c.json", PILLBOX_UQ)
+        out = tmp_path / "run"
+        assert cli.main(["uq", "--config", cfg, "--out", str(out)]) == 3
+        assert "injected" in capsys.readouterr().err
+        assert not (out / "mode_table.csv").exists()
+        assert not (out / "summary.json").exists()
+
+    def test_every_failed_node_is_listed(self, tmp_path):
+        # one Newton iteration never converges a step, and the second
+        # rejection takes the step below min_step
+        doc = dict(PILLBOX_TRACK, tracking={"newton_max_iter": 1, "min_step": 0.5})
+        cfg = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "run"
+        assert cli.main(["track", "--config", cfg, "--out", str(out)]) == 3
+        failures = json.loads((out / "summary.json").read_text())["failures"]
+        assert [(f["node"], f["modes"]) for f in failures] == [
+            (k, modes) for k in range(1, 11) for modes in ([0], [1])
+        ]
+        assert all(f["error"].startswith("step underflow") for f in failures)
+        for j in range(2):
+            assert len(read_csv(out / f"mode_{j:02d}.csv")) == 2
 
 
 class TestParser:

@@ -31,7 +31,6 @@ from cavityuq.tracking import (
     newton_correct,
     predict,
     track,
-    track_chain,
     track_modes,
 )
 
@@ -418,36 +417,3 @@ class TestTrackModes:
         assert not [w for w in record if issubclass(w.category, UserWarning)]
         assert [s.flagged for s in states] == [False, False, False]
 
-
-class TestTrackChain:
-    def test_pillbox_block_sweep_matches_direct(self):
-        space = DiscreteSpace(2, 10)
-        par = build_pillbox_pencil(0.05, 0.1, 1, space)
-        b0 = par.blocks[0]
-
-        from cavityuq.pencil import ParametricPencil
-
-        sliced = ParametricPencil(
-            lambda d: block_pencil(par.at(d), b0), 1, base_delta=[0.05]
-        )
-        starts = solve_smallest(sliced.at([0.05]), 2, method="dense")[:1]
-        radii = [[0.05], [0.055], [0.06]]
-        values, finals, stats = track_chain(sliced, radii, starts)
-        assert np.isfinite(values).all()
-        for k, r in enumerate(radii):
-            ref = solve_smallest(sliced.at(r), 1)[0].value
-            assert abs(values[0, k] / ref - 1.0) <= 1e-8
-        assert stats["n_solves"] > 0
-        assert len(stats["newton_iterations"]) == sum(
-            1 for _ in stats["newton_iterations"]
-        )
-        assert finals[0].t == 1.0
-
-    def test_waypoint_validation(self):
-        pen = dense_pencil(np.diag([1.0, 2.0]))
-        par_like = type(
-            "P", (), {"at": staticmethod(lambda d: pen)}
-        )()
-        starts = solve_smallest(pen, 1)
-        with pytest.raises(DomainError):
-            track_chain(par_like, [], starts)
