@@ -64,8 +64,7 @@ class MatrixPencil:
     """Symmetric (K, M) pair of CSR matrices."""
 
     def __init__(self, stiffness, mass, validate=True):
-        K = sp.csr_matrix(stiffness)
-        M = sp.csr_matrix(mass)
+        K, M = (A if isinstance(A, sp.csr_matrix) else sp.csr_matrix(A) for A in (stiffness, mass))
         if K.shape != M.shape or K.shape[0] != K.shape[1]:
             raise DomainError(f"pencil shapes disagree: {K.shape} vs {M.shape}")
         if K.shape[0] == 0:

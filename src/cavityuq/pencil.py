@@ -20,6 +20,24 @@ SPURIOUS_RTOL = 1e-6
 SPURIOUS_OVERLAP = 0.5
 
 
+def _inf_norm(A):
+    """spla.norm(A, inf) over the nonzero entries of the CSR matrix A.
+
+    That is scipy's abs(A).sum(axis=1).max(): the same np.add.reduceat over
+    the non-empty rows gives the same bits.  numpy sums each row pairwise,
+    so a stored zero could move the last bit; zeros are dropped first.
+    """
+    data, indptr = A.data, A.indptr
+    if not data.all():
+        keep = data != 0.0
+        data = data[keep]
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+    if not data.size:
+        return 0.0
+    starts = indptr[:-1][np.diff(indptr) > 0]
+    return np.add.reduceat(np.abs(data), starts).max()
+
+
 def eigenvalue_to_frequency(lam):
     """Map a squared wavenumber to a frequency in Hz."""
     if lam < 0:
@@ -70,8 +88,11 @@ class HomotopyPencil:
     zero where a matrix stores no entry, so at(t) is two axpys on that
     pattern.  Each entry is fl(fl(s a) + fl(t b)) with s = 1 - t, the
     arithmetic of scipy's s * K0 + t * K1, and an exact zero where scipy
-    stores none.  The tracker's bordered matrix takes its fixed CSC layout
-    from the same pattern (see bordered).
+    stores none.  Two pencils are kept with their infinity norms (see
+    norms): the one at t = 0, where every track starts, and the last one at
+    another t.  The tracker's bordered matrix takes its fixed CSC layout
+    from the same pattern and is one matrix refilled in place, valid until
+    the next bordered call (see bordered).
     """
 
     def __init__(self, start, end):
@@ -80,7 +101,7 @@ class HomotopyPencil:
         self.start = start
         self.end = end
         self._derivative = None
-        self._last = None
+        self._kept = [None, None]   # (t, pencil, norms) at t = 0 and at the last other t
         n = start.n
         mats = (start.stiffness, end.stiffness, start.mass, end.mass)
         keys = np.concatenate(
@@ -114,11 +135,12 @@ class HomotopyPencil:
         self._pos[by_col] = np.arange(union.size) + cols[by_col]
         self._pos_c = col_start[1:] + np.arange(n)
         self._pos_e = union.size + n + np.arange(n)
-        self._b_indptr = np.append(col_start + np.arange(n + 1), size).astype(np.int32)
-        self._b_indices = np.empty(size, dtype=np.int32)
-        self._b_indices[self._pos] = rows
-        self._b_indices[self._pos_c] = n
-        self._b_indices[self._pos_e] = np.arange(n)
+        b_indptr = np.append(col_start + np.arange(n + 1), size).astype(np.int32)
+        b_indices = np.empty(size, dtype=np.int32)
+        b_indices[self._pos] = rows
+        b_indices[self._pos_c] = n
+        b_indices[self._pos_e] = np.arange(n)
+        self._bordered = sp.csc_matrix((np.zeros(size), b_indices, b_indptr), shape=(n + 1, n + 1))
 
     def _csr(self, data):
         return sp.csr_matrix((data, self._indices, self._indptr), shape=self.start.stiffness.shape)
@@ -126,34 +148,44 @@ class HomotopyPencil:
     def at(self, t):
         """The pencil at t, stored on the homotopy's pattern.
 
-        The last one is kept: the tracker asks for the pencil at one t for
-        every bordered solve there, the acceptance and the next derivative.
+        It is kept: the tracker asks for the pencil at one t for every
+        bordered solve there, the acceptance and the next derivative, and
+        every track of the homotopy starts at t = 0.
         """
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"homotopy parameter {t} outside [0, 1]")
-        last = self._last
-        if last is None or last[0] != t:
+        slot = 0 if t == 0.0 else 1
+        kept = self._kept[slot]
+        if kept is None or kept[0] != t:
             s = 1.0 - t
-            last = self._last = (t, MatrixPencil(
-                self._csr(s * self._k0 + t * self._k1),
-                self._csr(s * self._m0 + t * self._m1),
-                validate=False,
-            ))
-        return last[1]
+            K = self._csr(s * self._k0 + t * self._k1)
+            M = self._csr(s * self._m0 + t * self._m1)
+            kept = self._kept[slot] = (
+                t, MatrixPencil(K, M, validate=False), (_inf_norm(K), _inf_norm(M))
+            )
+        return kept[1]
+
+    def norms(self, t):
+        """(||K||_inf, ||M||_inf) of at(t), computed once per refill."""
+        self.at(t)
+        return self._kept[0 if t == 0.0 else 1][2]
 
     def bordered(self, t, lam, Me, c):
         """[[K - lam M, -M e], [c^T, 0]] in CSC at t, with Me = M e.
 
         Entries that come out exactly zero are dropped, as K - lam M and
         sp.bmat drop them, so splu receives the arrays sp.bmat would give.
+        Without such an entry the result is the homotopy's one bordered
+        matrix, refilled in place: it is valid until the next call.
         """
         pencil = self.at(t)
-        data = np.empty(self._b_indices.size)
-        data[self._pos] = pencil.stiffness.data - lam * pencil.mass.data
-        data[self._pos_c] = c
-        data[self._pos_e] = -Me
-        dim = pencil.n + 1
-        A = sp.csc_matrix((data, self._b_indices.copy(), self._b_indptr.copy()), shape=(dim, dim))
+        A = self._bordered
+        A.data[self._pos] = pencil.stiffness.data - lam * pencil.mass.data
+        A.data[self._pos_c] = c
+        A.data[self._pos_e] = -Me
+        if A.data.all():
+            return A
+        A = sp.csc_matrix((A.data.copy(), A.indices.copy(), A.indptr.copy()), shape=A.shape)
         A.eliminate_zeros()
         return A
 

@@ -9,6 +9,11 @@ Every derivative and Newton iteration factorizes the bordered system
 [[K - lambda M, -M e], [c^T, 0]] afresh with sparse LU.  The homotopy owns
 one sparsity pattern, built once: its pencils at t and the CSC layout of the
 bordered matrix are both refilled on it (HomotopyPencil.at, .bordered).
+The infinity norms that scale the Newton residual are computed once per
+pencil at t (HomotopyPencil.norms), so every track of a homotopy shares
+those at t = 0.  The bordered matrix is the homotopy's one CSC matrix,
+refilled in place unless an entry is exactly zero; each kernel factorizes
+it before asking for the next.
 """
 
 import math
@@ -74,21 +79,8 @@ class TrackState:
     flagged: bool = False                            # degenerate start
 
 
-def _inf_norm(A):
-    """spla.norm(A, inf) over A's nonzero entries.
-
-    numpy sums each row pairwise, so a stored zero can move the last bit; a
-    pencil of HomotopyPencil.at stores zeros where s K0 + t K1 in scipy
-    stores none.
-    """
-    if not A.data.all():
-        A = A.copy()
-        A.eliminate_zeros()
-    return spla.norm(A, np.inf)
-
-
 def _scaled_residual(r, lam, e, norm_k, norm_m):
-    return float(np.linalg.norm(r) / ((norm_k + abs(lam) * norm_m) * np.linalg.norm(e)))
+    return float(math.sqrt(r @ r) / ((norm_k + abs(lam) * norm_m) * math.sqrt(e @ e)))
 
 
 def _bordered_solve(A, rhs):
@@ -145,7 +137,7 @@ def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter):
     """
     pencil = homotopy.at(t)
     K, M = pencil.stiffness, pencil.mass
-    norm_k, norm_m = _inf_norm(K), _inf_norm(M)
+    norm_k, norm_m = homotopy.norms(t)
     e = np.asarray(e0, dtype=float).copy()
     lam = float(lam0)
     if not (np.all(np.isfinite(e)) and math.isfinite(lam)):
@@ -187,11 +179,10 @@ def _newton_failure(message, iterations):
 def _normalized_accept(M, pair, prev_vector):
     """M-normalize, keep orientation continuous, refresh c = M e."""
     e = pair.vector / math.sqrt(pair.vector @ (M @ pair.vector))
-    overlap = float(prev_vector @ (M @ e))
-    if overlap < 0.0:
-        e = -e
-        overlap = -overlap
     c = M @ e
+    overlap = float(prev_vector @ c)
+    if overlap < 0.0:
+        e, c, overlap = -e, -c, -overlap
     return Eigenpair(pair.value, e, pair.residual), c, overlap
 
 
@@ -201,7 +192,7 @@ def track(homotopy, start, cfg=TrackConfig()):
     e = np.asarray(start.vector, dtype=float)
     e = e / math.sqrt(e @ (M0 @ e))
     lam = float(start.value)
-    res0 = _scaled_residual(K0 @ e - lam * (M0 @ e), lam, e, _inf_norm(K0), _inf_norm(M0))
+    res0 = _scaled_residual(K0 @ e - lam * (M0 @ e), lam, e, *homotopy.norms(0.0))
     if res0 > 1e-8:
         raise DomainError(f"start pair residual {res0:.3e} violates the invariant at t=0")
 

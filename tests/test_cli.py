@@ -284,7 +284,7 @@ class TestTrack:
             factorizations.append(A.shape)
             return spla.splu(A)
 
-        monkeypatch.setattr(tracking, "spla", SimpleNamespace(splu=splu, norm=spla.norm))
+        monkeypatch.setattr(tracking, "spla", SimpleNamespace(splu=splu))
         doc = dict(PILLBOX_TRACK, modes=3, sweep={"start": 0.06, "stop": 0.04, "samples": 5})
         cfg = write_config(tmp_path, "c.json", doc)
         out = tmp_path / "run"

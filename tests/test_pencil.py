@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cavityuq.assembly import DiscreteSpace, assemble
 from cavityuq.eigen import solve_smallest
 from cavityuq.errors import DomainError
 from cavityuq.geometry import build_disk_patch
 from cavityuq.oracle import bessel_zero, pillbox_spectrum
+from cavityuq import pencil as pencil_mod
 from cavityuq.pencil import (
     HomotopyPencil,
     ParametricPencil,
@@ -81,6 +84,38 @@ class TestHomotopy:
         b = assemble(build_disk_patch(0.05), DiscreteSpace(2, 8), bc="dirichlet")
         with pytest.raises(DomainError):
             HomotopyPencil(a, b)
+
+
+def random_csr(rng):
+    """A canonical CSR matrix with random shape, density and magnitudes that
+    stores zeros of both signs in some cases."""
+    n, m = rng.integers(1, 12), rng.integers(1, 40)
+    mask = rng.random((n, m)) < rng.choice([0.0, 0.05, 0.3, 0.9, 1.0])
+    rows, cols = np.nonzero(mask)
+    data = rng.standard_normal(rows.size) * 10.0 ** rng.uniform(-3, 3, rows.size)
+    if rng.random() < 0.5:
+        data[rng.random(rows.size) < 0.2] = 0.0
+        data[rng.random(rows.size) < 0.1] = -0.0
+    if rng.random() < 0.05:
+        data[:] = 0.0
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return sp.csr_matrix((data, cols, indptr), shape=(n, m))
+
+
+class TestInfNorm:
+    def test_matches_spla_norm_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        long_rows = all_zero = 0
+        for _ in range(3000):
+            A = random_csr(rng)
+            pruned = A.copy()
+            pruned.eliminate_zeros()
+            long_rows += int(np.diff(pruned.indptr).max() >= 8)
+            all_zero += int(pruned.nnz == 0)
+            got = np.float64(pencil_mod._inf_norm(A))
+            assert got.tobytes() == np.float64(spla.norm(pruned, np.inf)).tobytes()
+        # rows that numpy sums pairwise, and matrices without a nonzero
+        assert long_rows >= 500 and all_zero >= 100
 
 
 class TestParametricPencil:

@@ -18,6 +18,7 @@ from cavityuq.errors import (
     TrackingFailure,
 )
 from cavityuq.geometry import build_disk_patch
+from cavityuq import pencil as pencil_mod
 from cavityuq import tracking
 from cavityuq.pencil import (
     HomotopyPencil,
@@ -203,8 +204,7 @@ class TestBorderedRefill:
             for got_v, want_v in (
                 (pen.stiffness @ e, want.stiffness @ e),
                 (pen.mass @ e, want.mass @ e),
-                (tracking._inf_norm(pen.stiffness), spla.norm(want.stiffness, np.inf)),
-                (tracking._inf_norm(pen.mass), spla.norm(want.mass, np.inf)),
+                (hom.norms(t), (spla.norm(want.stiffness, np.inf), spla.norm(want.mass, np.inf))),
             ):
                 assert np.asarray(got_v).tobytes() == np.asarray(want_v).tobytes(), t
             ref = reference_bordered(want, lam, e, c)
@@ -215,6 +215,31 @@ class TestBorderedRefill:
                 assert got_a.tobytes() == want_a.tobytes(), (t, attr)
             x = tracking._bordered_solve(A, rhs)
             assert np.array_equal(x, spla.splu(ref).solve(rhs)), t
+
+    def test_kept_matrix_alternates_with_fallback(self):
+        # with e and c free of zeros, K - lam M decides: lam = 2 cancels the
+        # (1, 2) pair at every t, and at t = 0 and t = 1 entries of the
+        # union pattern that one endpoint lacks come out zero
+        pen, lam0, e0, c0 = forced_zero_case()
+        hom = HomotopyPencil(pen, repatterned(pen))
+        e = 1.0 + 0.1 * np.arange(pen.n)
+        c = 0.5 + 0.2 * np.arange(pen.n)
+        rhs = 1.0 + np.arange(pen.n + 1.0)
+        calls = [
+            (0.37, 3.0, e, c, True), (0.0, 3.0, e, c, False), (0.6, 2.5, e, c, True),
+            (0.37, 2.0, e, c, False), (0.8, 3.5, e, c, True), (1.0, 3.0, e, c, False),
+            (0.0, lam0, e0, c0, False), (0.37, 3.0, e, c, True),
+        ]
+        kept = None
+        for t, lam, v, w, reused in calls:
+            A = hom.bordered(t, lam, hom.at(t).mass @ v, w)
+            kept = A if reused and kept is None else kept
+            assert (A is kept) == reused, (t, lam)
+            ref = reference_bordered(reference_pencil(hom, t), lam, v, w)
+            for attr in ("indptr", "indices", "data"):
+                assert getattr(A, attr).tobytes() == getattr(ref, attr).tobytes(), (t, lam, attr)
+            x = tracking._bordered_solve(A, rhs)
+            assert np.array_equal(x, spla.splu(ref).solve(rhs)), (t, lam)
 
     def test_forced_zeros_are_dropped(self):
         pen, lam, e, c = forced_zero_case()
@@ -227,6 +252,52 @@ class TestBorderedRefill:
         assert dense[0, 5] == dense[5, 0] == 0.0             # stored zero, no M entry
         assert dense[2, 3] == -2.0 * 0.25                    # stored zero under M
         assert dense[2, 6] == 0.0 and dense[6, 1] == 0.0     # zero M e and c
+
+
+class Counting:
+    """Module proxy that counts calls of the named attributes."""
+
+    def __init__(self, module, *names):
+        self._module = module
+        self.calls = dict.fromkeys(names, 0)
+
+    def __getattr__(self, name):
+        attr = getattr(self._module, name)
+        if name not in self.calls:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+class TestSolverCalls:
+    def test_newton_loop_builds_no_scipy_matrices(self, monkeypatch):
+        """Per homotopy one bordered CSC matrix, plus one per bordered matrix
+        with an exact zero; no spla.norm; one splu per bordered solve."""
+        space = DiscreteSpace(2, 6)
+        pens = [assemble(build_disk_patch(r), space, bc="dirichlet") for r in (0.05, 0.06)]
+        starts = solve_smallest(pens[0], 2)
+        spla_calls = Counting(tracking.spla, "splu", "norm")
+        sp_calls = Counting(pencil_mod.sp, "csc_matrix")
+        monkeypatch.setattr(tracking, "spla", spla_calls)
+        monkeypatch.setattr(pencil_mod, "sp", sp_calls)
+        pruned = []
+        bordered = HomotopyPencil.bordered
+
+        def spied(self, t, lam, Me, c):
+            A = bordered(self, t, lam, Me, c)
+            pruned.append(A.nnz < self.at(t).stiffness.nnz + 2 * self.start.n)
+            return A
+
+        monkeypatch.setattr(HomotopyPencil, "bordered", spied)
+        states = track_modes(HomotopyPencil(*pens), starts)
+        assert spla_calls.calls["norm"] == 0
+        assert len(pruned) > 1 + sum(pruned)
+        assert sp_calls.calls["csc_matrix"] <= 1 + sum(pruned)
+        assert spla_calls.calls["splu"] == len(pruned) == sum(st.n_solves for st in states)
 
 
 class TestPredict:
