@@ -5,10 +5,17 @@ gradients are pulled back with the inverse Jacobian transpose and volume
 elements carry ``|det J|``.  Quadrature is (p+1)-point Gauss-Legendre per
 direction on every cell of the merged field/geometry breakpoint grid.
 
-All cells are integrated in one batch: the Jacobians at every quadrature
-point come from one tensor-grid evaluation of the geometry, and the local
-matrices of all cells from one batched product each, scattered once.
+Everything that does not depend on the map is built once per space,
+geometry breakpoint grid and boundary condition, and kept on the space (see
+DiscreteSpace.kernel): the quadrature rule, the local shape and gradient
+products, one CSR sparsity pattern with the Dirichlet rows and columns
+already left out, and the map that scatters local entries into its data.
+An assembly is then the Jacobians at the quadrature points, the metric, two
+batched local products and a data-only scatter, so every pencil assembled on
+one space shares one pattern, K and M alike.
 """
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,6 +47,7 @@ class DiscreteSpace:
             BSplineBasis(uniform_open_knots(self.degree, n), self.degree)
             for n in self.n_elements
         )
+        self._kernels = {}
 
     @property
     def shape(self):
@@ -49,6 +57,16 @@ class DiscreteSpace:
     def n_dofs(self):
         nu, nv = self.shape
         return nu * nv
+
+    def kernel(self, geo_bases, bc):
+        """The assembly kernel for maps on geo_bases' breakpoints, built on
+        first use and kept: every map of a study shares its pattern."""
+        if bc not in BC_KINDS:
+            raise DomainError(f"unknown boundary condition {bc!r}; expected one of {BC_KINDS}")
+        key = (bc,) + tuple(b.kv.breakpoints.tobytes() for b in geo_bases)
+        if key not in self._kernels:
+            self._kernels[key] = _Kernel(self, geo_bases, bc)
+        return self._kernels[key]
 
 
 def boundary_dofs(space):
@@ -60,8 +78,79 @@ def boundary_dofs(space):
     return np.flatnonzero(on_boundary)
 
 
+class SparsityPattern:
+    """Canonical CSR index arrays of square matrices that differ only in data.
+
+    Every pencil assembled by one kernel is stored on its pattern, and so is
+    every pencil a homotopy between them gives.  bordered is the tracker's
+    bordered CSC layout on the pattern (pencil.BorderedLayout), built by the
+    first homotopy that needs it and shared by every later one.
+    """
+
+    def __init__(self, indptr, indices):
+        self.indptr = np.asarray(indptr, dtype=np.int32)
+        self.indices = np.asarray(indices, dtype=np.int32)
+        self.n = self.indptr.size - 1
+        self.bordered = None
+        self._blocks = {}
+
+    @classmethod
+    def of(cls, A):
+        """The pattern of a canonical CSR matrix."""
+        if not A.has_canonical_format:
+            raise DomainError("matrix has unsorted or duplicate entries")
+        return cls(A.indptr, A.indices)
+
+    def holds(self, A):
+        """True when the CSR matrix A is stored on this pattern."""
+        return (
+            A.shape == (self.n, self.n)
+            and np.array_equal(A.indptr, self.indptr)
+            and np.array_equal(A.indices, self.indices)
+        )
+
+    def matrix(self, data):
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    @cached_property
+    def transpose(self):
+        """Position of each entry's transpose, for a symmetric pattern: the
+        entries in (column, row) order."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        return np.argsort(self.indices.astype(np.intp) * self.n + rows)
+
+    def block(self, offset, size):
+        """The pattern of the diagonal block of rows and columns offset ..
+        offset + size - 1, kept: every slice of one block shares it.  The
+        block must hold every entry of its rows."""
+        key = (offset, size)
+        if key not in self._blocks:
+            lo, hi = self.indptr[offset], self.indptr[offset + size]
+            cols = self.indices[lo:hi] - offset
+            if cols.size and (cols.min() < 0 or cols.max() >= size):
+                raise DomainError(f"rows {offset}..{offset + size - 1} leave their diagonal block")
+            self._blocks[key] = SparsityPattern(self.indptr[offset : offset + size + 1] - lo, cols)
+        return self._blocks[key]
+
+    @classmethod
+    def block_diagonal(cls, patterns):
+        """The pattern of a block-diagonal stack of patterns."""
+        offsets = np.cumsum([0] + [p.n for p in patterns])
+        starts = np.cumsum([0] + [p.indices.size for p in patterns])
+        indptr = np.concatenate(
+            [p.indptr[:-1] + s for p, s in zip(patterns, starts)] + [starts[-1:]]
+        )
+        indices = np.concatenate([p.indices + o for p, o in zip(patterns, offsets)])
+        return cls(indptr, indices)
+
+
 class MatrixPencil:
-    """Symmetric (K, M) pair of CSR matrices."""
+    """Symmetric (K, M) pair of CSR matrices.
+
+    pattern is the SparsityPattern both matrices are stored on when the
+    pencil was built on one (see on), else None; a pencil validated on a
+    pattern needs a symmetric one.
+    """
 
     def __init__(self, stiffness, mass, validate=True):
         K, M = (A if isinstance(A, sp.csr_matrix) else sp.csr_matrix(A) for A in (stiffness, mass))
@@ -69,16 +158,39 @@ class MatrixPencil:
             raise DomainError(f"pencil shapes disagree: {K.shape} vs {M.shape}")
         if K.shape[0] == 0:
             raise DomainError("empty pencil; the space has no retained DOFs")
-        if validate:
-            for name, A in (("K", K), ("M", M)):
-                skew = abs(A - A.T)
-                top = abs(A).max()
-                if skew.nnz and skew.max() > 1e-12 * top:
-                    raise DomainError(f"{name} is not symmetric: |A-A^T| = {skew.max():.3e}")
-            if M.diagonal().min() <= 0.0:
-                raise DomainError("mass matrix has a nonpositive diagonal entry")
         self.stiffness = K
         self.mass = M
+        self.pattern = None
+        if validate:
+            self._validate()
+
+    @classmethod
+    def on(cls, pattern, k_data, m_data, validate):
+        """The pencil with data k_data and m_data on pattern."""
+        if pattern.n == 0:
+            raise DomainError("empty pencil; the space has no retained DOFs")
+        pencil = cls.__new__(cls)
+        pencil.stiffness = pattern.matrix(k_data)
+        pencil.mass = pattern.matrix(m_data)
+        pencil.pattern = pattern
+        if validate:
+            pencil._validate()
+        return pencil
+
+    def _validate(self):
+        # an assembled pattern is symmetric, so A^T is a gather of A's data
+        for name, A in (("K", self.stiffness), ("M", self.mass)):
+            if self.pattern is None:
+                skew = abs(A - A.T)
+                skew = skew.max() if skew.nnz else 0.0
+                top = abs(A).max()
+            else:
+                skew = np.abs(A.data - A.data[self.pattern.transpose]).max(initial=0.0)
+                top = np.abs(A.data).max(initial=0.0)
+            if skew > 1e-12 * top:
+                raise DomainError(f"{name} is not symmetric: |A-A^T| = {skew:.3e}")
+        if self.mass.diagonal().min() <= 0.0:
+            raise DomainError("mass matrix has a nonpositive diagonal entry")
 
     @property
     def n(self):
@@ -111,84 +223,117 @@ class _DirectionRule:
         self.table = ders.reshape(2, *self.nodes.shape, p + 1)
 
 
-def assemble_full(geom, space):
-    """Assemble (K, M) on the whole tensor space, no boundary conditions."""
-    du = geom.bases[0].kv.domain
-    ds = space.bases[0].kv.domain
-    if du != ds or geom.bases[1].kv.domain != space.bases[1].kv.domain:
-        raise DomainError("field space and geometry live on different parameter domains")
-    rule_u = _DirectionRule(space.bases[0], geom.bases[0].kv.breakpoints)
-    rule_v = _DirectionRule(space.bases[1], geom.bases[1].kv.breakpoints)
-    p = space.degree
-    nloc1 = p + 1
-    nloc = nloc1 * nloc1    # local functions per cell
-    npts = nloc1 * nloc1    # quadrature points per cell
-    cells_u, cells_v = rule_u.first.size, rule_v.first.size
-    n_cells = cells_u * cells_v
+class _Kernel:
+    """Assembly on one space for maps on one breakpoint grid, one bc.
 
-    try:
-        _, J = geom.jacobian_grid(rule_u.nodes.ravel(), rule_v.nodes.ravel())
-    except SingularityError as exc:
-        raise AssemblyError(str(exc)) from exc
-    # axes (cell_u, cell_v, node_u, node_v): cells outer, points inner
-    J = J.reshape(cells_u, nloc1, cells_v, nloc1, 2, 2).transpose(0, 2, 1, 3, 4, 5)
-    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    bad = ~(np.isfinite(det) & (det > 0.0))
-    if bad.any():
-        cu, cv, iu, iv = np.unravel_index(np.argmax(bad), bad.shape)
-        raise AssemblyError(
-            f"Jacobian determinant {det[cu, cv, iu, iv]:.3e} at quadrature point "
-            f"({rule_u.nodes[cu, iu]:.6f}, {rule_v.nodes[cv, iv]:.6f})"
+    us and vs are the quadrature nodes per direction: a map's Jacobians on
+    the grid us x vs are all an assembly needs of it.  Local matrices have
+    axes (cell, local function a * (p + 1) + b, same).  The scatter adds
+    their entries in the order scipy's COO-to-CSR conversion adds them, so
+    that a pencil is bit for bit the conversion of its local matrices:
+    order lists the entries in that order, and slot gives each its place in
+    pattern's data, or the extra place nnz when a Dirichlet row or column
+    drops it.
+    """
+
+    def __init__(self, space, geo_bases, bc):
+        for s, g in zip(space.bases, geo_bases):
+            if s.kv.domain != g.kv.domain:
+                raise DomainError("field space and geometry live on different parameter domains")
+        self.rules = tuple(
+            _DirectionRule(s, g.kv.breakpoints) for s, g in zip(space.bases, geo_bases)
         )
-    weight = np.einsum("ai,bj->abij", rule_u.weights, rule_v.weights)
-    # w det J^-1 J^-T = (w / det) adj(J) adj(J)^T
-    adj = np.stack(
-        [J[..., 1, 1], -J[..., 0, 1], -J[..., 1, 0], J[..., 0, 0]], axis=-1
-    ).reshape(J.shape)
-    metric = (weight / det)[..., None, None] * (adj @ np.swapaxes(adj, -1, -2))
+        rule_u, rule_v = self.rules
+        self.us, self.vs = rule_u.nodes.ravel(), rule_v.nodes.ravel()
+        nloc1 = space.degree + 1
+        nloc = npts = nloc1 * nloc1    # local functions and quadrature points per cell
+        self.cells = (rule_u.first.size, rule_v.first.size)
+        n_cells = self.cells[0] * self.cells[1]
+        # axes (cell_u, cell_v, node_u, node_v): cells outer, points inner
+        self.weight = np.einsum("ai,bj->abij", rule_u.weights, rule_v.weights)
 
-    # (cell, point, local function a * (p + 1) + b)
-    def local(fu, fv):
-        return np.einsum("aik,bjl->abijkl", fu, fv).reshape(n_cells, npts, nloc)
+        # (cell, point, local function)
+        def local(fu, fv):
+            return np.einsum("aik,bjl->abijkl", fu, fv).reshape(n_cells, npts, nloc)
 
-    (vals_u, ders_u), (vals_v, ders_v) = rule_u.table, rule_v.table
-    shape = local(vals_u, vals_v)
-    grad = np.stack([local(ders_u, vals_v), local(vals_u, ders_v)], axis=2)
-    flux = metric.reshape(n_cells, npts, 2, 2) @ grad
-    # per cell, sum over (point, direction) pairs
-    k_loc = grad.reshape(n_cells, 2 * npts, nloc).swapaxes(1, 2) @ flux.reshape(
-        n_cells, 2 * npts, nloc
-    )
-    vol = (weight * det).reshape(n_cells, npts, 1)
-    m_loc = (vol * shape).swapaxes(1, 2) @ shape
+        (vals_u, ders_u), (vals_v, ders_v) = rule_u.table, rule_v.table
+        self.values = local(vals_u, vals_v)
+        self.grad = np.stack([local(ders_u, vals_v), local(vals_u, ders_v)], axis=2)
+        # per cell, sum over (point, direction) pairs
+        self.grad_t = self.grad.reshape(n_cells, 2 * npts, nloc).swapaxes(1, 2)
 
-    local_idx = np.arange(nloc1)
-    idx = (
-        (rule_u.first[:, None, None, None] + local_idx[:, None]) * space.shape[1]
-        + (rule_v.first[:, None] + local_idx)[None, :, None, :]
-    ).reshape(n_cells, nloc)
-    rows = np.broadcast_to(idx[:, :, None], k_loc.shape).ravel()
-    cols = np.broadcast_to(idx[:, None, :], k_loc.shape).ravel()
-    n = space.n_dofs
-    K = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return K, M
+        local_idx = np.arange(nloc1)
+        idx = (
+            (rule_u.first[:, None, None, None] + local_idx[:, None]) * space.shape[1]
+            + (rule_v.first[:, None] + local_idx)[None, :, None, :]
+        ).reshape(n_cells, nloc)
+        rows = np.broadcast_to(idx[:, :, None], (n_cells, nloc, nloc)).ravel()
+        cols = np.broadcast_to(idx[:, None, :], (n_cells, nloc, nloc)).ravel()
+        # the conversion stacks each row's entries in input order, then sorts
+        # them by column (not stably) and adds equal columns left to right
+        by_row = np.argsort(rows, kind="stable")
+        n_full = space.n_dofs
+        rowwise = sp.csr_matrix(
+            (by_row.astype(float), cols[by_row], np.searchsorted(rows[by_row], np.arange(n_full + 1))),
+            shape=(n_full, n_full),
+        )
+        rowwise.sort_indices()
+        self.order = rowwise.data.astype(np.intp)
+
+        kept = np.ones(n_full, dtype=bool)
+        if bc == "dirichlet":
+            kept[boundary_dofs(space)] = False
+        number = np.where(kept, np.cumsum(kept) - 1, -1)
+        rows, cols = number[rows[self.order]], number[cols[self.order]]
+        n = int(kept.sum())
+        inside = (rows >= 0) & (cols >= 0)
+        keys, slot = np.unique(rows[inside] * n + cols[inside], return_inverse=True)
+        self.slot = np.full(rows.size, keys.size)
+        self.slot[inside] = slot
+        self.pattern = SparsityPattern(np.searchsorted(keys, np.arange(n + 1) * n), keys % n)
+
+    def pencil(self, J):
+        """The pencil of a map with Jacobians J on the grid us x vs."""
+        rule_u, rule_v = self.rules
+        (cells_u, cells_v), nloc1 = self.cells, rule_u.nodes.shape[1]
+        J = J.reshape(cells_u, nloc1, cells_v, nloc1, 2, 2).transpose(0, 2, 1, 3, 4, 5)
+        det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+        bad = ~(np.isfinite(det) & (det > 0.0))
+        if bad.any():
+            cu, cv, iu, iv = np.unravel_index(np.argmax(bad), bad.shape)
+            raise AssemblyError(
+                f"Jacobian determinant {det[cu, cv, iu, iv]:.3e} at quadrature point "
+                f"({rule_u.nodes[cu, iu]:.6f}, {rule_v.nodes[cv, iv]:.6f})"
+            )
+        # w det J^-1 J^-T = (w / det) adj(J) adj(J)^T
+        adj = np.stack(
+            [J[..., 1, 1], -J[..., 0, 1], -J[..., 1, 0], J[..., 0, 0]], axis=-1
+        ).reshape(J.shape)
+        metric = (self.weight / det)[..., None, None] * (adj @ np.swapaxes(adj, -1, -2))
+        n_cells, npts, _, nloc = self.grad.shape
+        flux = metric.reshape(n_cells, npts, 2, 2) @ self.grad
+        k_loc = self.grad_t @ flux.reshape(n_cells, 2 * npts, nloc)
+        vol = (self.weight * det).reshape(n_cells, npts, 1)
+        m_loc = (vol * self.values).swapaxes(1, 2) @ self.values
+        nnz = self.pattern.indices.size
+        k, m = (
+            np.bincount(self.slot, weights=A.ravel()[self.order], minlength=nnz + 1)[:nnz]
+            for A in (k_loc, m_loc)
+        )
+        return MatrixPencil.on(self.pattern, k, m, validate=True)
 
 
 def assemble(geom, space, bc="dirichlet"):
     """Assembled pencil with the requested boundary treatment.
 
     Dirichlet rows and columns are eliminated outright; Neumann is the
-    natural condition and keeps every DOF.
+    natural condition and keeps every DOF.  geom needs only bases and
+    jacobian_grid, so a deformed map that gives its Jacobians as an axpy of
+    fields (geometry.deform) is assembled like any other map.
     """
-    if bc not in BC_KINDS:
-        raise DomainError(f"unknown boundary condition {bc!r}; expected one of {BC_KINDS}")
-    K, M = assemble_full(geom, space)
-    if bc == "dirichlet":
-        drop = boundary_dofs(space)
-        kept = np.setdiff1d(np.arange(space.n_dofs), drop)
-    else:
-        kept = np.arange(space.n_dofs)
-    K = K[kept][:, kept].tocsr()
-    M = M[kept][:, kept].tocsr()
-    return MatrixPencil(K, M)
+    kernel = space.kernel(geom.bases, bc)
+    try:
+        _, J = geom.jacobian_grid(kernel.us, kernel.vs)
+    except SingularityError as exc:
+        raise AssemblyError(str(exc)) from exc
+    return kernel.pencil(J)

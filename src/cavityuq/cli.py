@@ -423,49 +423,66 @@ def _disk_study(root, prob_sec, n_modes, args):
 def _track_node(payload, par, tracked):
     """Track every start pair from the base point to one node.
 
-    payload is (spec, node_index, node, groups, cfg); groups maps a key to
-    [(mode, start Eigenpair), ...] and tracked(pencil, key) gives the pencil
-    that group is tracked in.  Returns (node_index, [(mode, lambda,
-    newton_log, solves, rejects, flagged, min_overlap), ...], failures):
-    rows ordered by mode, min_overlap being the track's smallest M-overlap
-    between accepted steps (1.0 at the base node, where nothing is tracked),
-    and [(modes, message), ...] for each group whose tracking raised a
-    CavityError instead of giving rows.
+    payload is (spec, node_index, node, groups, cfg, discrete); groups maps
+    a key to [(mode, start Eigenpair), ...] and tracked(pencil, key) gives
+    the pencil that group is tracked in.  Returns (rows, failures, warnings,
+    pencil): rows [(mode, lambda, newton_log, solves, rejects, flagged,
+    min_overlap), ...] ordered by mode, min_overlap being the track's
+    smallest M-overlap between accepted steps (1.0 at the base node, where
+    nothing is tracked); failures [(modes, message), ...] for each group
+    whose tracking raised a CavityError instead of giving rows; the number
+    of warnings raised meanwhile, recorded instead of shown; and the node's
+    pencil.
     """
-    _, node_index, node, groups, cfg = payload
+    _, _, node, groups, cfg, _ = payload
     if np.array_equal(node, par.base_delta):
-        return node_index, sorted(
+        rows = sorted(
             (j, pair.value, [], 0, 0, False, 1.0)
             for members in groups.values() for j, pair in members
-        ), []
-    pen_base, pen_node = par.base, par.at(node)
-    results, failures = [], []
-    for key, members in groups.items():
-        try:
-            homotopy = HomotopyPencil(tracked(pen_base, key), tracked(pen_node, key))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                states = track_modes(homotopy, [pair for _, pair in members], cfg)
-        except CavityError as exc:
-            failures.append(([j for j, _ in members], str(exc)))
-            continue
-        results.extend(
-            (j, st.eigenpair.value, list(st.newton_log), st.n_solves, st.n_rejects,
-             st.flagged, st.min_overlap)
-            for (j, _), st in zip(members, states)
         )
-    return node_index, sorted(results), failures
+        return rows, [], 0, par.base
+    results, failures = [], []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pen_base, pen_node = par.base, par.at(node)
+        for key, members in groups.items():
+            try:
+                homotopy = HomotopyPencil(tracked(pen_base, key), tracked(pen_node, key))
+                states = track_modes(homotopy, [pair for _, pair in members], cfg)
+            except CavityError as exc:
+                failures.append(([j for j, _ in members], str(exc)))
+                continue
+            results.extend(
+                (j, st.eigenpair.value, list(st.newton_log), st.n_solves, st.n_rejects,
+                 st.flagged, st.min_overlap)
+                for (j, _), st in zip(members, states)
+            )
+    return sorted(results), failures, len(caught), pen_node
 
 
 def _pillbox_node_task(payload):
-    """Pillbox node task: each group is tracked in its own axial block."""
+    """Pillbox node task: each group is tracked in its own axial block.
+
+    Returns (node_index, rows, failures, warnings, discrete values), see
+    _track_node; with discrete > 0, the values are the eigenvalues of the
+    node's lowest discrete modes, rank-ordered, from the pencil tracked in.
+    """
     par = _pillbox_parametric(*payload[0])
-    return _track_node(payload, par, lambda pen, bi: block_pencil(pen, par.blocks[bi]))
+    rows, failures, n_warnings, pencil = _track_node(
+        payload, par, lambda pen, bi: block_pencil(pen, par.blocks[bi])
+    )
+    values, discrete = [], payload[5]
+    if discrete:
+        values = [pair.value for _, pair in _select_pillbox_modes(par.blocks, pencil, discrete)]
+    return payload[1], rows, failures, n_warnings, values
 
 
 def _disk_node_task(payload):
     """Deformed-disk node task: one group, tracked in the full pencil."""
-    return _track_node(payload, _disk_parametric(*payload[0]), lambda pen, _: pen)
+    rows, failures, n_warnings, _ = _track_node(
+        payload, _disk_parametric(*payload[0]), lambda pen, _: pen
+    )
+    return payload[1], rows, failures, n_warnings, []
 
 
 def _run_tasks(payloads, worker, n_workers):
@@ -475,21 +492,29 @@ def _run_tasks(payloads, worker, n_workers):
         return list(pool.map(worker, payloads))
 
 
-def _track_nodes(study, nodes, cfg_track, n_workers):
+def _track_nodes(study, nodes, cfg_track, n_workers, discrete):
     """Run study.task at every node and merge its rows per mode.
 
     Adds values and freq (mode x node, NaN where a mode failed), per mode
-    newton_logs, solves, rejects, flags and min_overlap over all nodes, and
-    failures: [{node, modes, error}, ...] in node order.
+    newton_logs, solves, rejects, flags and min_overlap over all nodes,
+    failures: [{node, modes, error}, ...] in node order, the total of the
+    nodes' warnings, and discrete (node x discrete): the eigenvalues of each
+    node's lowest discrete modes, rank-ordered, when discrete > 0.
     """
-    payloads = [(study.spec, k, node, study.groups, cfg_track) for k, node in enumerate(nodes)]
+    payloads = [
+        (study.spec, k, node, study.groups, cfg_track, discrete) for k, node in enumerate(nodes)
+    ]
     n_modes = len(study.starts)
     study.values = np.full((n_modes, len(nodes)), np.nan)
     study.newton_logs = [[] for _ in range(n_modes)]
     study.solves, study.rejects, study.flags = (np.zeros(n_modes, dtype=int) for _ in range(3))
     study.min_overlap = np.ones(n_modes)
     study.failures = []
-    for node_index, rows, failures in _run_tasks(payloads, globals()[study.task], n_workers):
+    study.warnings = 0
+    study.discrete = np.empty((len(nodes), discrete))
+    for node_index, rows, failures, n_warnings, values in _run_tasks(
+        payloads, globals()[study.task], n_workers
+    ):
         for j, lam, log, solves, rejects, flagged, overlap in rows:
             study.values[j, node_index] = lam
             study.newton_logs[j] += log
@@ -500,6 +525,8 @@ def _track_nodes(study, nodes, cfg_track, n_workers):
         study.failures += [
             {"node": node_index, "modes": modes, "error": error} for modes, error in failures
         ]
+        study.warnings += n_warnings
+        study.discrete[node_index] = values
     with np.errstate(invalid="ignore"):   # NaN < 0 is False, but numpy flags it
         study.freq = np.vectorize(eigenvalue_to_frequency)(study.values)
     return study
@@ -519,7 +546,7 @@ def _run_study(cfg, args):
     problem = _pillbox_study if kind == "pillbox" else _disk_study
     study = problem(root, prob_sec, n_modes, args)
 
-    _track_nodes(study, study.grid.nodes, cfg_track, args.workers)
+    _track_nodes(study, study.grid.nodes, cfg_track, args.workers, 0)
     if study.failures:
         first = study.failures[0]
         raise SolverError(f"node {first['node']}, modes {first['modes']}: {first['error']}")
@@ -592,6 +619,7 @@ def cmd_uq(cfg, args):
         rejected_steps=int(run.rejects.sum()),
         degenerate_flags=int(run.flags.sum()),
         min_overlap=float(run.min_overlap.min()),
+        warnings=run.warnings,
     )
     _write_json(out / "summary.json", summary)
     print(f"{run.summary['problem']} uq: {len(run.starts)} modes over {run.grid.n_nodes} nodes")
@@ -617,7 +645,9 @@ def cmd_track(cfg, args):
 
     radii = np.array([start]) if start == stop else np.linspace(start, stop, samples)
     spec = (start, problem.length, problem.p_max, degree, elements)
-    run = _track_nodes(_pillbox_modes(spec, n_modes), radii[:, None], cfg_track, args.workers)
+    run = _track_nodes(
+        _pillbox_modes(spec, n_modes), radii[:, None], cfg_track, args.workers, n_modes
+    )
 
     for j in range(n_modes):
         with open(out / f"mode_{j:02d}.csv", "w", newline="") as fh:
@@ -632,9 +662,8 @@ def cmd_track(cfg, args):
     with open(out / "discrete_samples.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["radius_m"] + [f"rank_{j}_f_hz" for j in range(n_modes)])
-        for r in radii:
-            picked = _select_pillbox_modes(run.par.blocks, run.par.at([r]), n_modes)
-            fs = [eigenvalue_to_frequency(pr.value) for _, pr in picked]
+        for r, values in zip(radii, run.discrete):
+            fs = [eigenvalue_to_frequency(lam) for lam in values]
             writer.writerow([f"{r:.17g}"] + [f"{v:.17g}" for v in fs])
 
     per_mode = {}
@@ -654,6 +683,7 @@ def cmd_track(cfg, args):
         per_mode=per_mode,
         crossing_radius_m=crossing,
         failures=run.failures,
+        warnings=run.warnings,
     )
     _write_json(out / "summary.json", summary)
     if crossing is not None:

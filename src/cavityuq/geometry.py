@@ -9,12 +9,16 @@ only ever evaluates at interior Gauss points.
 Deformations displace control points.  A deformation model carries a mean
 displacement field plus one field per retained random variable; the fields
 live on the same basis as the geometry map, so deformed geometry stays a
-NURBS patch with unchanged weights.
+NURBS patch with unchanged weights.  A rational map is linear in its control
+points at fixed weights, so a deformed map's points and Jacobians on any
+grid are affine in the parameters: the model evaluates its fields once per
+grid, and deform combines them.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,19 +135,10 @@ class GeometryMap:
         for c in self.degenerate_corners:
             if np.any(np.abs(us - c[0]) < 1e-13) and np.any(np.abs(vs - c[1]) < 1e-13):
                 raise SingularityError(f"map is rank deficient at corner {c}")
-        tu = self.bases[0].collocation(us, 1)
-        tv = self.bases[1].collocation(vs, 1)
-        hom = self.net.homogeneous()
-        n1, n2, k = hom.shape
-        # contract u first, then v: H[i, j] = sum_ab tu[i, a] tv[j, b] hom[a, b]
-        h0, h1 = (tu @ hom.reshape(n1, -1)).reshape(2, us.size, n2, k)
-        H, Hu, Hv = tv[0] @ h0, tv[0] @ h1, tv[1] @ h0
-        w = H[..., 2:]
-        x = H[..., :2] / w
-        J = np.stack(
-            [(Hu[..., :2] - x * Hu[..., 2:]) / w, (Hv[..., :2] - x * Hv[..., 2:]) / w], axis=-1
-        )
-        return x, J
+        return self._grid_values(us, vs)
+
+    def _grid_values(self, us, vs):
+        return _rational_grid(self.bases, self.net.homogeneous(), us, vs)
 
     def _probe_min_det(self, per_span=6):
         us, _ = _gauss_rule_on(self.bases[0].kv, per_span)
@@ -172,13 +167,40 @@ class GeometryMap:
         return ring
 
 
+def _rational_grid(bases, hom, us, vs):
+    """Points and Jacobians on the grid us x vs of the rational map with
+    homogeneous net hom; both are linear in the net's points."""
+    tu = bases[0].collocation(us, 1)
+    tv = bases[1].collocation(vs, 1)
+    n1, n2, k = hom.shape
+    # contract u first, then v: H[i, j] = sum_ab tu[i, a] tv[j, b] hom[a, b]
+    h0, h1 = (tu @ hom.reshape(n1, -1)).reshape(2, us.size, n2, k)
+    H, Hu, Hv = tv[0] @ h0, tv[0] @ h1, tv[1] @ h0
+    w = H[..., 2:]
+    x = H[..., :2] / w
+    J = np.stack(
+        [(Hu[..., :2] - x * Hu[..., 2:]) / w, (Hv[..., :2] - x * Hv[..., 2:]) / w], axis=-1
+    )
+    return x, J
+
+
 def _det(J):
     return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], read-only: every
+    deformed map's probe needs the same ones."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _gauss_rule_on(kv, per_span):
     """Gauss-Legendre nodes and weights on every knot span, left to right."""
-    x, w = np.polynomial.legendre.leggauss(per_span)
+    x, w = _gauss_legendre(per_span)
     a, b = kv.breakpoints[:-1, None], kv.breakpoints[1:, None]
     return (0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), (0.5 * (b - a) * w).ravel()
 
@@ -260,7 +282,13 @@ def refine_patch(geom, levels=1):
 
 @dataclass
 class DeformationModel:
-    """Mean plus per-variable control-point displacement fields."""
+    """Mean plus per-variable control-point displacement fields.
+
+    The weights stay those of the base net, so a deformed map's points and
+    Jacobians are affine in the parameters: on every grid it is asked for,
+    the model evaluates them once for the mean net (base plus mean field)
+    and once per mode field, and keeps them (see deform).
+    """
 
     base: GeometryMap
     mean_field: np.ndarray          # (n1, n2, 2)
@@ -272,30 +300,76 @@ class DeformationModel:
             raise DomainError("mean field shape does not match the control net")
         if self.mode_fields.ndim != 4 or self.mode_fields.shape[1:] != shape:
             raise DomainError("mode field shape does not match the control net")
+        self._grids = {}
 
     @property
     def n_modes(self):
         return self.mode_fields.shape[0]
 
+    def grid_values(self, us, vs, delta):
+        """Points and Jacobians on the grid us x vs of the map at delta: the
+        mean net's plus sum_j delta_j times mode j's."""
+        key = (us.tobytes(), vs.tobytes())
+        if key not in self._grids:
+            w = self.base.net.weights[..., None]
+            fields = [self.base.net.points + self.mean_field, *self.mode_fields]
+            # per field, the 2 point and 4 Jacobian entries of each grid point
+            self._grids[key] = np.stack([
+                np.concatenate([x.reshape(-1, 2), J.reshape(-1, 4)], axis=1)
+                for x, J in (
+                    _rational_grid(self.base.bases, np.concatenate([f * w, w], axis=-1), us, vs)
+                    for f in fields
+                )
+            ])
+        fields = self._grids[key]
+        values = fields[0] + (delta @ fields[1:].reshape(delta.size, fields[0].size)).reshape(
+            fields[0].shape
+        )
+        return (
+            values[:, :2].reshape(us.size, vs.size, 2),
+            values[:, 2:].reshape(us.size, vs.size, 2, 2),
+        )
+
+
+class _DeformedMap(GeometryMap):
+    """A deformation model's map at one parameter point.
+
+    Its control net is the deformed one, and its values on a grid are the
+    model's affine combination there, with no basis evaluation after the
+    model's first visit to that grid.
+    """
+
+    def __init__(self, model, delta):
+        self._model = model
+        self._delta = delta
+        shape = model.mean_field.shape
+        pts = (
+            model.base.net.points
+            + model.mean_field
+            + (delta @ model.mode_fields.reshape(delta.size, model.mean_field.size)).reshape(shape)
+        )
+        super().__init__(model.base.bases, ControlNet(pts, model.base.net.weights), validate=True)
+
+    def _grid_values(self, us, vs):
+        return self._model.grid_values(us, vs, self._delta)
+
 
 def deform(model, delta):
     """Geometry at a parameter point: base + mean + sum_j delta_j * mode_j.
 
-    Raises InvalidDeformationError when the deformed Jacobian determinant is
-    not positive at the interior probe points.
+    A deformation moves control points and keeps the weights, so the map is
+    affine in delta: its Jacobians on the 6-per-span probe grid, at the
+    corners and at any assembly's quadrature points are one (n_modes + 1)-
+    term combination of fields the model evaluated once per grid.  Raises
+    InvalidDeformationError when the deformed Jacobian determinant is not
+    positive at the interior probe points.
     """
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (model.n_modes,):
         raise DomainError(
             f"expected {model.n_modes} deformation parameters, got shape {delta.shape}"
         )
-    pts = (
-        model.base.net.points
-        + model.mean_field
-        + np.tensordot(delta, model.mode_fields, axes=1)
-    )
-    net = ControlNet(pts, model.base.net.weights.copy())
-    return GeometryMap(model.base.bases, net, validate=True)
+    return _DeformedMap(model, delta)
 
 
 class BoundarySampler:

@@ -1,8 +1,14 @@
 """Parametric pencils, algebraic homotopies, and the pillbox block pencil.
 
 A parametric pencil maps a deformation coordinate vector to assembled
-matrices and keeps only its base pencil.  Homotopies are convex combinations of two assembled endpoints;
-their t-derivative is the constant matrix difference.
+matrices and keeps only its base pencil.  Every pencil of a study lives on
+one sparsity pattern (assembly.SparsityPattern): the pattern of the
+assembly kernel, of the pillbox stack, or of one of its blocks.  Homotopies
+are convex combinations of two assembled endpoints on one pattern, so a
+pencil at t is two axpys on its data; their t-derivative is the constant
+matrix difference.  The tracker's bordered matrix is the pattern's
+BorderedLayout, with the column ordering of the first factorization on it:
+one layout and one ordering per study, and per pillbox block.
 """
 
 import math
@@ -11,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import MatrixPencil, assemble, boundary_dofs
+from .assembly import MatrixPencil, SparsityPattern, assemble, boundary_dofs
 from .errors import DomainError
 from .geometry import build_disk_patch
 from .oracle import C0
@@ -81,18 +87,99 @@ class ParametricPencil:
         return self._base
 
 
+class BorderedLayout:
+    """[[K - lam M, -M e], [c^T, 0]] in CSC on one pencil pattern.
+
+    Column j < n holds the pattern's column j, rows ascending, then row n
+    (c_j); column n holds rows 0..n-1 (-M e) and no (n, n) entry.  The
+    layout keeps one CSC matrix and refills its data in place (see fill).
+    Once given SuperLU's column ordering perm_c (see order), it stores that
+    matrix column-permuted from the next fill on: column perm_c[j] holds
+    column j, so splu with the natural ordering factors it as the default
+    ordering factors the unpermuted matrix, and x = y[perm_c].
+    """
+
+    def __init__(self, pattern):
+        n = pattern.n
+        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        cols = pattern.indices
+        # each pattern entry moves down by one c slot per column before it
+        by_col = np.argsort(cols, kind="stable")
+        col_start = np.searchsorted(cols[by_col], np.arange(n + 1))
+        size = cols.size + 2 * n
+        self._pos = np.empty(cols.size, dtype=np.intp)
+        self._pos[by_col] = np.arange(cols.size) + cols[by_col]
+        self._pos_c = col_start[1:] + np.arange(n)
+        self._pos_e = cols.size + n + np.arange(n)
+        indptr = np.append(col_start + np.arange(n + 1), size).astype(np.int32)
+        indices = np.empty(size, dtype=np.int32)
+        indices[self._pos] = rows
+        indices[self._pos_c] = n
+        indices[self._pos_e] = np.arange(n)
+        self._natural = (indices, indptr)
+        self._stored = np.arange(size)      # stored position of each natural entry
+        self.matrix = sp.csc_matrix(
+            (np.zeros(size), indices.copy(), indptr.copy()), shape=(n + 1, n + 1)
+        )
+        self.perm_c = None                  # column permutation the matrix is stored in
+        self._ordering = None
+
+    def order(self, perm_c):
+        """Store the matrix column-permuted by perm_c from the next fill on."""
+        self._ordering = np.asarray(perm_c)
+
+    def fill(self, kml, Me, c):
+        """The bordered matrix with K - lam M data kml, and this layout, or a
+        fresh matrix in natural column order and None.
+
+        Entries that come out exactly zero are dropped, as K - lam M and
+        sp.bmat drop them, so splu receives the arrays sp.bmat would give,
+        columns permuted by perm_c.  Without such an entry the result is the
+        layout's one matrix, refilled in place: it is valid until the next
+        fill.  With one, it is a fresh, pruned matrix.
+        """
+        if self._ordering is not None and self.perm_c is None:
+            self._permute(self._ordering)
+        A = self.matrix
+        A.data[self._pos] = kml
+        A.data[self._pos_c] = c
+        A.data[self._pos_e] = -Me
+        if A.data.all():
+            return A, self
+        indices, indptr = self._natural
+        A = sp.csc_matrix((A.data[self._stored], indices.copy(), indptr.copy()), shape=A.shape)
+        A.eliminate_zeros()
+        return A, None
+
+    def _permute(self, perm_c):
+        # column j of the natural layout becomes stored column perm_c[j]
+        indices, indptr = self._natural
+        counts = np.diff(indptr)
+        col = np.repeat(np.arange(counts.size), counts)
+        inverse = np.empty_like(perm_c)
+        inverse[perm_c] = np.arange(perm_c.size)
+        start = np.concatenate(([0], np.cumsum(counts[inverse])))
+        self._stored = start[perm_c[col]] + np.arange(col.size) - indptr[col]
+        A = self.matrix
+        A.indices[self._stored] = indices
+        A.indptr[:] = start
+        self._pos, self._pos_c, self._pos_e = (
+            self._stored[p] for p in (self._pos, self._pos_c, self._pos_e)
+        )
+        self.perm_c = perm_c
+
+
 class HomotopyPencil:
     """Convex matrix combination between two assembled endpoints.
 
-    K0, K1, M0 and M1 are spread once onto the CSR union of their patterns,
-    zero where a matrix stores no entry, so at(t) is two axpys on that
-    pattern.  Each entry is fl(fl(s a) + fl(t b)) with s = 1 - t, the
-    arithmetic of scipy's s * K0 + t * K1, and an exact zero where scipy
-    stores none.  Two pencils are kept with their infinity norms (see
-    norms): the one at t = 0, where every track starts, and the last one at
-    another t.  The tracker's bordered matrix takes its fixed CSC layout
-    from the same pattern and is one matrix refilled in place, valid until
-    the next bordered call (see bordered).
+    All four endpoint matrices must be stored on one sparsity pattern, which
+    every pencil assembled on one space shares; otherwise DomainError.  at(t)
+    is then two axpys on the pattern's data: each entry is fl(fl(s a) +
+    fl(t b)) with s = 1 - t, the arithmetic of scipy's s * K0 + t * K1.  Two
+    pencils are kept with their infinity norms (see norms): the one at
+    t = 0, where every track starts, and one refilled in place at every
+    other t.  The tracker's bordered matrix is the pattern's BorderedLayout,
+    shared by every homotopy on the pattern (see bordered).
     """
 
     def __init__(self, start, end):
@@ -100,69 +187,43 @@ class HomotopyPencil:
             raise DomainError("homotopy endpoints have different sizes")
         self.start = start
         self.end = end
+        mats = (start.stiffness, start.mass, end.stiffness, end.mass)
+        pattern = start.pattern
+        if pattern is None or end.pattern is not pattern:
+            pattern = pattern or SparsityPattern.of(start.stiffness)
+            if not all(pattern.holds(A) for A in mats):
+                raise DomainError("homotopy endpoints are stored on different sparsity patterns")
+        if pattern.bordered is None:
+            pattern.bordered = BorderedLayout(pattern)
+        self.pattern = pattern
+        self._k0, self._m0, self._k1, self._m1 = (A.data for A in mats)
         self._derivative = None
-        self._kept = [None, None]   # (t, pencil, norms) at t = 0 and at the last other t
-        n = start.n
-        mats = (start.stiffness, end.stiffness, start.mass, end.mass)
-        keys = np.concatenate(
-            [np.repeat(np.arange(n) * n, np.diff(A.indptr)) + A.indices for A in mats]
-        )
-        # the keys are four sorted runs, which a stable sort merges quickly
-        order = np.argsort(keys, kind="stable")
-        ranked = keys[order]
-        first = np.ones(keys.size, dtype=bool)
-        first[1:] = ranked[1:] != ranked[:-1]
-        union = ranked[first]
-        slot = np.empty(keys.size, dtype=np.intp)
-        slot[order] = np.cumsum(first) - 1
-        rows, cols = np.divmod(union, n)
-        # a duplicated stored entry adds up, in storage order
-        self._k0, self._k1, self._m0, self._m1 = (
-            np.bincount(part, weights=A.data, minlength=union.size)
-            for part, A in zip(np.split(slot, np.cumsum([A.nnz for A in mats])[:-1]), mats)
-        )
-        self._indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
-        self._indices = cols.astype(np.int32)
-
-        # Bordered CSC layout: column j < n holds the union's column j, rows
-        # ascending, then row n (c_j); column n holds rows 0..n-1 (-M e) and
-        # no (n, n) entry.  Each union entry moves down by one c slot per
-        # column before it.
-        by_col = np.argsort(cols, kind="stable")
-        col_start = np.searchsorted(cols[by_col], np.arange(n + 1))
-        size = union.size + 2 * n
-        self._pos = np.empty(union.size, dtype=np.intp)
-        self._pos[by_col] = np.arange(union.size) + cols[by_col]
-        self._pos_c = col_start[1:] + np.arange(n)
-        self._pos_e = union.size + n + np.arange(n)
-        b_indptr = np.append(col_start + np.arange(n + 1), size).astype(np.int32)
-        b_indices = np.empty(size, dtype=np.int32)
-        b_indices[self._pos] = rows
-        b_indices[self._pos_c] = n
-        b_indices[self._pos_e] = np.arange(n)
-        self._bordered = sp.csc_matrix((np.zeros(size), b_indices, b_indptr), shape=(n + 1, n + 1))
-
-    def _csr(self, data):
-        return sp.csr_matrix((data, self._indices, self._indptr), shape=self.start.stiffness.shape)
+        self._kept = [None, None]   # [t, pencil, norms] at t = 0 and at the last other t
 
     def at(self, t):
         """The pencil at t, stored on the homotopy's pattern.
 
         It is kept: the tracker asks for the pencil at one t for every
         bordered solve there, the acceptance and the next derivative, and
-        every track of the homotopy starts at t = 0.
+        every track of the homotopy starts at t = 0.  The pencil at t != 0
+        is refilled in place by the next call at another t != 0.
         """
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"homotopy parameter {t} outside [0, 1]")
         slot = 0 if t == 0.0 else 1
         kept = self._kept[slot]
-        if kept is None or kept[0] != t:
-            s = 1.0 - t
-            K = self._csr(s * self._k0 + t * self._k1)
-            M = self._csr(s * self._m0 + t * self._m1)
-            kept = self._kept[slot] = (
-                t, MatrixPencil(K, M, validate=False), (_inf_norm(K), _inf_norm(M))
+        if kept is None:
+            pencil = MatrixPencil.on(
+                self.pattern, np.empty_like(self._k0), np.empty_like(self._m0), validate=False
             )
+            kept = self._kept[slot] = [None, pencil, None]
+        if kept[0] != t:
+            s = 1.0 - t
+            K, M = kept[1].stiffness, kept[1].mass
+            for out, a, b in ((K.data, self._k0, self._k1), (M.data, self._m0, self._m1)):
+                np.multiply(a, s, out=out)
+                out += t * b
+            kept[0], kept[2] = t, (_inf_norm(K), _inf_norm(M))
         return kept[1]
 
     def norms(self, t):
@@ -171,23 +232,11 @@ class HomotopyPencil:
         return self._kept[0 if t == 0.0 else 1][2]
 
     def bordered(self, t, lam, Me, c):
-        """[[K - lam M, -M e], [c^T, 0]] in CSC at t, with Me = M e.
-
-        Entries that come out exactly zero are dropped, as K - lam M and
-        sp.bmat drop them, so splu receives the arrays sp.bmat would give.
-        Without such an entry the result is the homotopy's one bordered
-        matrix, refilled in place: it is valid until the next call.
-        """
+        """[[K - lam M, -M e], [c^T, 0]] at t with Me = M e, as the pattern's
+        BorderedLayout fills it: (matrix, layout), or (fresh pruned matrix,
+        None) when an entry is exactly zero."""
         pencil = self.at(t)
-        A = self._bordered
-        A.data[self._pos] = pencil.stiffness.data - lam * pencil.mass.data
-        A.data[self._pos_c] = c
-        A.data[self._pos_e] = -Me
-        if A.data.all():
-            return A
-        A = sp.csc_matrix((A.data.copy(), A.indices.copy(), A.indptr.copy()), shape=A.shape)
-        A.eliminate_zeros()
-        return A
+        return self.pattern.bordered.fill(pencil.stiffness.data - lam * pencil.mass.data, Me, c)
 
     def derivative(self):
         """Constant t-derivative (K_end - K_start, M_end - M_start)."""
@@ -242,19 +291,23 @@ def build_pillbox_pencil(radius, length, p_max, space):
         blocks.append(PillboxBlock("TE", p, offset, n_n, shift, shift))
         offset += n_n
 
+    stacked = None    # the pattern of the stack, built by the first evaluation
+
     def evaluate(delta):
+        nonlocal stacked
         r = float(delta[0])
         geom = build_disk_patch(r)
         dirichlet = assemble(geom, space, bc="dirichlet")
         neumann = assemble(geom, space, bc="neumann")
-        ks, ms = [], []
-        for b in blocks:
-            pen = dirichlet if b.family == "TM" else neumann
-            ks.append(pen.stiffness + b.axial_shift * pen.mass)
-            ms.append(pen.mass)
-        return MatrixPencil(
-            sp.block_diag(ks, format="csr"),
-            sp.block_diag(ms, format="csr"),
+        pens = [dirichlet if b.family == "TM" else neumann for b in blocks]
+        if stacked is None:
+            stacked = SparsityPattern.block_diagonal([pen.pattern for pen in pens])
+        return MatrixPencil.on(
+            stacked,
+            np.concatenate([
+                pen.stiffness.data + b.axial_shift * pen.mass.data for b, pen in zip(blocks, pens)
+            ]),
+            np.concatenate([pen.mass.data for pen in pens]),
             validate=False,
         )
 
@@ -278,10 +331,13 @@ def is_spurious(pair, pencil, block):
 
 
 def block_pencil(pencil, block):
-    """Slice one axial block out of a stacked pencil."""
-    rows = slice(block.offset, block.offset + block.size)
-    return MatrixPencil(
-        pencil.stiffness[rows, rows].tocsr(),
-        pencil.mass[rows, rows].tocsr(),
-        validate=False,
+    """Slice one axial block out of a stacked pencil.
+
+    The block's matrices are views of the stacked data on the block's
+    pattern, which every slice of that block shares.
+    """
+    pattern = pencil.pattern.block(block.offset, block.size)
+    lo, hi = pencil.pattern.indptr[[block.offset, block.offset + block.size]]
+    return MatrixPencil.on(
+        pattern, pencil.stiffness.data[lo:hi], pencil.mass.data[lo:hi], validate=False
     )

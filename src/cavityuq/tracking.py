@@ -6,14 +6,17 @@ t, and a step-size controller driven by the Newton iteration count: fast
 convergence grows the step, slow or failed correction rejects it and shrinks.
 
 Every derivative and Newton iteration factorizes the bordered system
-[[K - lambda M, -M e], [c^T, 0]] afresh with sparse LU.  The homotopy owns
-one sparsity pattern, built once: its pencils at t and the CSC layout of the
-bordered matrix are both refilled on it (HomotopyPencil.at, .bordered).
-The infinity norms that scale the Newton residual are computed once per
-pencil at t (HomotopyPencil.norms), so every track of a homotopy shares
-those at t = 0.  The bordered matrix is the homotopy's one CSC matrix,
-refilled in place unless an entry is exactly zero; each kernel factorizes
-it before asking for the next.
+[[K - lambda M, -M e], [c^T, 0]] afresh with sparse LU.  Every pencil of a
+study lives on one sparsity pattern, so its pencils at t are refilled on
+it (HomotopyPencil.at) and the bordered matrix is the pattern's one CSC
+matrix, refilled in place unless an entry is exactly zero
+(HomotopyPencil.bordered); each kernel factorizes it before asking for the
+next.  The column ordering depends only on the pattern: the first
+factorization on a pattern computes SuperLU's default one, and every later
+one reuses it with the natural ordering on the column-permuted matrix
+(_bordered_solve).  The infinity norms that scale the Newton residual are
+computed once per pencil at t (HomotopyPencil.norms), so every track of a
+homotopy shares those at t = 0.
 """
 
 import math
@@ -83,19 +86,32 @@ def _scaled_residual(r, lam, e, norm_k, norm_m):
     return float(math.sqrt(r @ r) / ((norm_k + abs(lam) * norm_m) * math.sqrt(e @ e)))
 
 
-def _bordered_solve(A, rhs):
-    """Solve the bordered system A x = rhs by sparse LU."""
+def _bordered_solve(A, layout, rhs):
+    """Solve a bordered system from HomotopyPencil.bordered by sparse LU.
+
+    A is layout's matrix, or a fresh pruned matrix when layout is None.
+    Returns (x, y): the solution, and y with A y = rhs in A's column order.
+    The first factorization of a layout's matrix takes SuperLU's default
+    column ordering and hands it to the layout, which stores its matrix in
+    that order from then on; every later one factors with the natural
+    ordering, so x = y[perm_c].  A fresh matrix takes the default ordering.
+    """
+    perm = None if layout is None else layout.perm_c
     try:
-        lu = spla.splu(A)
+        lu = spla.splu(A) if perm is None else spla.splu(A, permc_spec="NATURAL")
     except RuntimeError as exc:
         raise DegeneracyError(
             "bordered matrix is singular; eigenvalue nearly multiple or "
             "normalization vector orthogonal to the eigenvector"
         ) from exc
-    x = lu.solve(rhs)
-    if not np.all(np.isfinite(x)):
+    y = lu.solve(rhs)
+    if not np.all(np.isfinite(y)):
         raise DegeneracyError("bordered solve produced non-finite values")
-    return x
+    if perm is not None:
+        return y[perm], y
+    if layout is not None:
+        layout.order(lu.perm_c)
+    return y, y
 
 
 def eigenpair_derivative(homotopy, t, pair, c):
@@ -110,9 +126,9 @@ def eigenpair_derivative(homotopy, t, pair, c):
     rhs = np.empty(e.size + 1)
     rhs[:-1] = -(k_prime @ e) + lam * (m_prime @ e)
     rhs[-1] = 0.0
-    A = homotopy.bordered(t, lam, pencil.mass @ e, c)
-    x = _bordered_solve(A, rhs)
-    resid = np.linalg.norm(A @ x - rhs)
+    A, layout = homotopy.bordered(t, lam, pencil.mass @ e, c)
+    x, y = _bordered_solve(A, layout, rhs)
+    resid = np.linalg.norm(A @ y - rhs)
     # row-sum norm straight from the CSC arrays; spla.norm would convert to CSR
     norm_a = np.bincount(A.indices, np.abs(A.data), minlength=A.shape[0]).max()
     scale = norm_a * np.linalg.norm(x) + np.linalg.norm(rhs) + 1e-300
@@ -155,7 +171,7 @@ def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter):
         rhs[:-1] = -r
         rhs[-1] = -(c @ e - 1.0)
         try:
-            x = _bordered_solve(homotopy.bordered(t, lam, Me, c), rhs)
+            x, _ = _bordered_solve(*homotopy.bordered(t, lam, Me, c), rhs)
         except DegeneracyError as exc:
             raise _newton_failure(f"bordered Jacobian failed: {exc}", it) from exc
         e += x[:-1]

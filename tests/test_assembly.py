@@ -12,7 +12,6 @@ from cavityuq.assembly import (
     DiscreteSpace,
     MatrixPencil,
     assemble,
-    assemble_full,
     boundary_dofs,
 )
 from cavityuq.errors import AssemblyError, DomainError
@@ -27,13 +26,24 @@ from cavityuq.geometry import (
 )
 from cavityuq.oracle import bessel_derivative_zero, bessel_zero
 from cavityuq.splines import BSplineBasis, ControlNet, uniform_open_knots
-from cavityuq.uq import default_correlated_covariance, fit_kl, generate_synthetic_observations
+from cavityuq.uq import (
+    build_smolyak_grid,
+    default_correlated_covariance,
+    fit_kl,
+    generate_synthetic_observations,
+)
 
 
 def dirichlet_eigs(geom, degree, n_elements, count):
     pen = assemble(geom, DiscreteSpace(degree, n_elements), bc="dirichlet")
     w = la.eigh(pen.stiffness.toarray(), pen.mass.toarray(), eigvals_only=True)
     return w[:count]
+
+
+def assemble_full(geom, space):
+    """(K, M) on the whole tensor space, no boundary conditions."""
+    pen = assemble(geom, space, bc="neumann")
+    return pen.stiffness, pen.mass
 
 
 def reference_assemble_full(geom, space):
@@ -81,13 +91,17 @@ def reference_assemble_full(geom, space):
     return K, M
 
 
-def readme_disk_at(delta):
+def readme_disk_model():
     """The README deformed disk: KL draw of seed 1234, refinement 3."""
     cov = default_correlated_covariance(18)
     kl = fit_kl(generate_synthetic_observations(cov, np.zeros(18), 5000, 1234), 0.95)
     base = refine_patch(build_disk_patch(0.05), 3)
     sampler = BoundarySampler(2 * np.pi * np.arange(18) / 18, kind="radial")
-    return deform(deformation_from_kl(kl, base, sampler), delta)
+    return deformation_from_kl(kl, base, sampler)
+
+
+def readme_disk_at(delta):
+    return deform(readme_disk_model(), delta)
 
 
 class TestDiscreteSpace:
@@ -192,6 +206,32 @@ class TestBatchedAssembly:
         self.check_against_reference(geom, DiscreteSpace(2, 8))
 
 
+class TestAffineNodes:
+    def test_node_pencils_match_direct_assembly(self):
+        """At every node of the README disk study the pencil of the deformed
+        map, whose Jacobians are an axpy of the model's fields, equals the
+        pencil assembled from the deformed control net, on one pattern."""
+        model = readme_disk_model()
+        space = DiscreteSpace(2, 8)
+        grid = build_smolyak_grid(7, 2, "gauss-hermite", None)
+        base = assemble(deform(model, np.zeros(7)), space)
+        worst = 0.0
+        for delta in grid.nodes:
+            pen = assemble(deform(model, delta), space)
+            pts = model.base.net.points + model.mean_field + np.tensordot(
+                delta, model.mode_fields, axes=1
+            )
+            direct = GeometryMap(model.base.bases, ControlNet(pts, model.base.net.weights),
+                                 validate=False)
+            ref = assemble(direct, space)
+            assert pen.pattern is base.pattern
+            for A, R in ((pen.stiffness, ref.stiffness), (pen.mass, ref.mass)):
+                assert np.array_equal(A.indptr, R.indptr)
+                assert np.array_equal(A.indices, R.indices)
+                worst = max(worst, np.abs(A.data - R.data).max() / np.abs(R.data).max())
+        assert grid.n_nodes == 127 and worst <= 1e-13
+
+
 class TestErrors:
     def test_folded_geometry_raises(self):
         # twisted bilinear net flips the Jacobian sign inside the cell
@@ -225,6 +265,19 @@ class TestMatrixPencil:
         M = sp.identity(2, format="csr")
         with pytest.raises(DomainError):
             MatrixPencil(K, M)
+
+    def test_validation_on_the_assembly_pattern(self):
+        # an assembled pencil is checked through its pattern's transpose map
+        pen = assemble(unit_square_patch(), DiscreteSpace(2, 4))
+        k, m = pen.stiffness.data.copy(), pen.mass.data.copy()
+        MatrixPencil.on(pen.pattern, k, m, validate=True)
+        assert pen.stiffness.indices[1] == 1       # entry 1 is (0, 1)
+        k[1] *= 1.0 + 1e-9
+        with pytest.raises(DomainError, match="K is not symmetric"):
+            MatrixPencil.on(pen.pattern, k, m, validate=True)
+        m[0] = -m[0]                               # entry 0 is (0, 0)
+        with pytest.raises(DomainError, match="nonpositive diagonal"):
+            MatrixPencil.on(pen.pattern, pen.stiffness.data, m, validate=True)
 
     def test_validation_rejects_bad_mass_diagonal(self):
         K = sp.identity(2, format="csr")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -280,9 +281,9 @@ class TestTrack:
         # each mode reports its own bordered solves, not its block's
         factorizations = []
 
-        def splu(A):
+        def splu(A, **options):
             factorizations.append(A.shape)
-            return spla.splu(A)
+            return spla.splu(A, **options)
 
         monkeypatch.setattr(tracking, "spla", SimpleNamespace(splu=splu))
         doc = dict(PILLBOX_TRACK, modes=3, sweep={"start": 0.06, "stop": 0.04, "samples": 5})
@@ -296,6 +297,25 @@ class TestTrack:
         par = build_pillbox_pencil(0.06, 0.1, 1, DiscreteSpace(2, 8))
         groups = cli._group_by_block(cli._select_pillbox_modes(par.blocks, par.base, 3))
         assert [[j for j, _ in members] for members in groups.values()] == [[0], [1, 2]]
+
+    def test_discrete_samples_come_from_the_node_tasks(self, monkeypatch, tmp_path):
+        # the rank-ordered spectrum of each radius is solved once, in its
+        # node task, from the pencil it tracked in; a uq study solves only
+        # its base point
+        select, calls = cli._select_pillbox_modes, []
+
+        def counted(blocks, pencil, n_modes):
+            calls.append(n_modes)
+            return select(blocks, pencil, n_modes)
+
+        monkeypatch.setattr(cli, "_select_pillbox_modes", counted)
+        cfg = write_config(tmp_path, "t.json", PILLBOX_TRACK)
+        assert cli.main(["track", "--config", cfg, "--out", str(tmp_path / "track")]) == 0
+        assert calls == [2] * 12
+        calls.clear()
+        cfg = write_config(tmp_path, "u.json", PILLBOX_UQ)
+        assert cli.main(["uq", "--config", cfg, "--out", str(tmp_path / "uq")]) == 0
+        assert calls == [3]
 
     def test_identity_sweep_single_row(self, tmp_path):
         doc = {
@@ -533,6 +553,69 @@ def fail_third_group(monkeypatch):
         return track_modes(homotopy, starts, cfg)
 
     monkeypatch.setattr(cli, "track_modes", failing)
+
+
+class TestColumnOrdering:
+    """The tracker's factorizations take SuperLU's default column ordering
+    once per sparsity pattern a study tracks on, and reuse it after."""
+
+    @staticmethod
+    def orderings(monkeypatch, tmp_path, doc):
+        specs = []
+
+        def splu(A, **options):
+            specs.append(options.get("permc_spec", "default"))
+            return spla.splu(A, **options)
+
+        monkeypatch.setattr(tracking, "spla", SimpleNamespace(splu=splu))
+        monkeypatch.setattr(cli, "_PENCIL_CACHE", {})
+        cfg = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "run"
+        assert cli.main(["uq", "--config", cfg, "--out", str(out)]) == 0
+        assert len(specs) == json.loads((out / "summary.json").read_text())["bordered_solves"]
+        assert set(specs) == {"default", "NATURAL"}
+        return specs
+
+    def test_one_ordering_per_disk_study(self, monkeypatch, tmp_path):
+        doc = {
+            "problem": {
+                "kind": "deformed-disk", "radius": 0.05,
+                "synthetic": {"variables": 18, "samples": 500, "seed": 1234},
+            },
+            "discretization": {"degree": 2, "refinement": 2},
+            "modes": 2,
+            "grid": {"kind": "smolyak", "family": "gauss-hermite", "level": 1},
+        }
+        assert self.orderings(monkeypatch, tmp_path, doc).count("default") == 1
+
+    def test_one_ordering_per_pillbox_block(self, monkeypatch, tmp_path):
+        # PILLBOX_UQ tracks its 3 modes in 2 blocks, TM0 and TE1
+        specs = self.orderings(monkeypatch, tmp_path, PILLBOX_UQ)
+        assert specs.count("default") == 2
+
+
+class TestWarnings:
+    def test_counted_at_any_worker_count(self, monkeypatch, tmp_path):
+        """Warnings raised while a node is tracked are counted into
+        summary.json, not swallowed; the total is the same at 1 and 2
+        workers, and no table changes."""
+        track_modes = cli.track_modes
+
+        def warning(homotopy, starts, cfg):
+            warnings.warn("tracked", UserWarning)
+            return track_modes(homotopy, starts, cfg)
+
+        monkeypatch.setattr(cli, "track_modes", warning)
+        # one mode, so one group per node; 4 of the 5 nodes are tracked
+        cfg = write_config(tmp_path, "c.json", dict(PILLBOX_UQ, modes=1))
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert cli.main(["uq", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
+            assert json.loads((out / "summary.json").read_text())["warnings"] == 4
+            outs.append(out)
+        for name in ("grid.csv", "mode_table.csv", "moments.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestFailureIsolation:

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from cavityuq.assembly import DiscreteSpace, assemble
+from cavityuq.assembly import DiscreteSpace, MatrixPencil, assemble
 from cavityuq.eigen import solve_smallest
 from cavityuq.errors import DomainError
 from cavityuq.geometry import build_disk_patch
@@ -45,11 +45,12 @@ class TestHomotopy:
         assert (mid - avg).nnz == 0
 
     def test_affine_in_t(self, homotopy):
+        # at(t) refills one kept pencil in place, so each matrix is copied
         h = 0.125
         for t in (0.25, 0.5, 0.625):
             second = (
-                homotopy.at(t + h).stiffness
-                - 2 * homotopy.at(t).stiffness
+                homotopy.at(t + h).stiffness.copy()
+                - 2 * homotopy.at(t).stiffness.copy()
                 + homotopy.at(t - h).stiffness
             )
             top = abs(homotopy.at(t).stiffness).max()
@@ -65,7 +66,10 @@ class TestHomotopy:
         # rounding-level; compare against the matrix scale, not the slope.
         Kp, Mp = homotopy.derivative()
         h = 1e-3
-        for A, Ap in ((lambda t: homotopy.at(t).stiffness, Kp), (lambda t: homotopy.at(t).mass, Mp)):
+        for A, Ap in (
+            (lambda t: homotopy.at(t).stiffness.copy(), Kp),
+            (lambda t: homotopy.at(t).mass.copy(), Mp),
+        ):
             fd = (A(0.5 + h) - A(0.5 - h)) / (2 * h)
             assert abs(fd - Ap).max() <= 1e-12 * abs(A(0.5)).max()
 
@@ -84,6 +88,23 @@ class TestHomotopy:
         b = assemble(build_disk_patch(0.05), DiscreteSpace(2, 8), bc="dirichlet")
         with pytest.raises(DomainError):
             HomotopyPencil(a, b)
+
+    def test_endpoints_share_the_assembly_pattern(self, homotopy):
+        assert homotopy.start.pattern is homotopy.end.pattern is homotopy.pattern
+        assert homotopy.at(0.37).pattern is homotopy.pattern
+
+    def test_pattern_mismatch_rejected(self):
+        a = disk_pencil(0.05)
+        K = a.stiffness.tocoo()
+        drop = (K.row != K.col) & ((K.row + K.col) % 3 == 1)
+        thinned = sp.csr_matrix((K.data[~drop], (K.row[~drop], K.col[~drop])), shape=K.shape)
+        for end in (
+            MatrixPencil(thinned, a.mass, validate=False),                       # K differs
+            MatrixPencil(a.stiffness, sp.identity(a.n, format="csr"), validate=False),  # M differs
+        ):
+            for pair in ((a, end), (end, a)):
+                with pytest.raises(DomainError, match="different sparsity patterns"):
+                    HomotopyPencil(*pair)
 
 
 def random_csr(rng):

@@ -88,7 +88,22 @@ def test_disk_study_calls_hooks_at_run_time(tracer, monkeypatch, tmp_path):
     assert calls["cli.node_tasks"] == 2
     assert calls["tracking.track_modes"] == 2
     assert calls["eigen.solve"] >= 1
-    assert calls["assembly.assemble"] >= 3
+    # the base pencil and one per node, neither grid node being the base
+    assert calls["geometry.deform"] == calls["assembly.assemble"] == 3
+
+
+def test_disk_node_evaluates_no_basis(tracer, monkeypatch, tmp_path):
+    """A disk node is an axpy of the model's Jacobian fields and a scatter
+    on the kept kernel: the basis kernel runs as often on 6 nodes as on 2."""
+    evals = []
+    for order in (2, 6):
+        doc = dict(_SMALL_DISK, grid=dict(_SMALL_DISK["grid"], orders=[order] + [1] * 6))
+        (tmp_path / str(order)).mkdir()
+        calls = _counted_study(tracer, monkeypatch, tmp_path / str(order), doc)
+        assert calls["cli.node_tasks"] == order
+        assert calls["geometry.deform"] == calls["assembly.assemble"] == order + 1
+        evals.append(calls["splines.basis_evals"])
+    assert evals[0] == evals[1] > 0
 
 
 def _installed(tracer, monkeypatch):

@@ -37,9 +37,15 @@ from cavityuq.tracking import (
 
 
 def dense_pencil(K, M=None):
+    """K and M (default the identity) stored on the full n x n pattern, so
+    that any two such pencils of one size can be a homotopy's endpoints."""
     n = K.shape[0]
     M = np.eye(n) if M is None else M
-    return MatrixPencil(sp.csr_matrix(K), sp.csr_matrix(M))
+    full = sp.csr_matrix(np.ones((n, n)))
+    return MatrixPencil(*(
+        sp.csr_matrix((np.asarray(A, dtype=float).ravel(), full.indices, full.indptr), shape=(n, n))
+        for A in (K, M)
+    ))
 
 
 def rotation(theta):
@@ -134,35 +140,46 @@ def reference_bordered(pencil, lam, e, c):
     )
 
 
-def repatterned(pencil):
-    """An endpoint on another pattern: 5/4 of the pencil's diagonal and of
-    its off-diagonal entries with (i + j) % 3 != 1, plus a (0, n-1) pair."""
+def rescaled(pencil):
+    """An endpoint on the pencil's own pattern: 5/4 of its diagonal and of
+    its off-diagonal entries with (i + j) % 3 != 1, stored zeros for the
+    rest, and 0.01 more at (0, n-1) and (n-1, 0) where the pattern has them."""
     n = pencil.n
-    mats = []
-    for A in (pencil.stiffness, pencil.mass):
-        A = A.tocoo()
-        keep = (A.row == A.col) | ((A.row + A.col) % 3 != 1)
-        rows = np.concatenate([A.row[keep], [0, n - 1]])
-        cols = np.concatenate([A.col[keep], [n - 1, 0]])
-        data = np.concatenate([1.25 * A.data[keep], [0.01, 0.01]])
-        mats.append(sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
-    return MatrixPencil(*mats, validate=False)
+    A = pencil.stiffness
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    keep = (rows == A.indices) | ((rows + A.indices) % 3 != 1)
+    corner = (rows + A.indices == n - 1) & ((rows == 0) | (A.indices == 0))
+    return MatrixPencil(*(
+        sp.csr_matrix(
+            (np.where(keep, 1.25 * B.data, 0.0) + np.where(corner, 0.01, 0.0), A.indices, A.indptr),
+            shape=A.shape,
+        )
+        for B in (pencil.stiffness, pencil.mass)
+    ), validate=False)
+
+
+def stored(ref, layout):
+    """The bordered matrix ref as layout stores it: columns permuted by the
+    layout's ordering, if it has one (None: a fresh matrix, natural order)."""
+    if layout is None or layout.perm_c is None:
+        return ref
+    return ref[:, np.argsort(layout.perm_c)].tocsc()
 
 
 def forced_zero_case():
-    """K stores zeros (one where M has an entry, one where it has none),
-    K - 2 M cancels on one off-diagonal pair, and e, M e and c hold zeros."""
+    """K stores zeros (one where M has a nonzero entry, one where M stores a
+    zero too), K - 2 M cancels on one off-diagonal pair, and e, M e and c
+    hold zeros."""
     n = 6
     off = np.arange(n - 1)
     m_off = np.full(n - 1, 0.25)
     k_off = np.array([-1.0, 0.5, 0.0, -1.0, -1.0])   # (1, 2): 0.5 = 2 * 0.25
     rows = np.concatenate([np.arange(n), off, off + 1, [0, n - 1]])
     cols = np.concatenate([np.arange(n), off + 1, off, [n - 1, 0]])
-    K = sp.csr_matrix(
-        (np.concatenate([np.full(n, 4.0), k_off, k_off, [0.0, 0.0]]), (rows, cols)),
-        shape=(n, n),
+    K, M = (
+        sp.csr_matrix((np.concatenate([diag, a, a, [0.0, 0.0]]), (rows, cols)), shape=(n, n))
+        for diag, a in ((np.full(n, 4.0), k_off), (np.ones(n), m_off))
     )
-    M = sp.diags([m_off, np.ones(n), m_off], [-1, 0, 1], format="csr")
     pen = MatrixPencil(K, M, validate=False)
     e = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 2.0])
     return pen, 2.0, e, e.copy()
@@ -170,8 +187,9 @@ def forced_zero_case():
 
 class TestBorderedRefill:
     """The homotopy's refilled pencils and bordered matrices equal scipy's
-    s K0 + t K1 and sp.bmat's, bit for bit, on endpoints whose patterns
-    differ."""
+    s K0 + t K1 and sp.bmat's, bit for bit, on endpoints on one pattern; its
+    solves equal a default splu's, also once the layout reuses the column
+    ordering of its first solve."""
 
     @pytest.fixture(scope="class")
     def cases(self, tm_block):
@@ -179,17 +197,18 @@ class TestBorderedRefill:
         disk = assemble(build_disk_patch(0.05), DiscreteSpace(2, 4), bc="dirichlet")
         par = build_pillbox_pencil(0.05, 0.1, 1, DiscreteSpace(2, 6))
         te = next(b for b in par.blocks if b.family == "TE")
+        mid = tm_block.at(0.37)   # refilled in place by the next at(t): copied
         for name, pen in (
             ("disk16", disk),
             ("pillbox-neumann", block_pencil(par.at([0.05]), te)),
-            ("homotopy-0.37", tm_block.at(0.37)),
+            ("homotopy-0.37", MatrixPencil(mid.stiffness.copy(), mid.mass.copy())),
         ):
             pair = solve_smallest(pen, 2)[1]
             e = pair.vector + 1e-3 * np.linspace(-1.0, 1.0, pen.n)
             out[name] = (pen, pair.value * (1.0 + 1e-3), e, pen.mass @ pair.vector)
         out["forced-zeros"] = forced_zero_case()
         return {
-            name: (HomotopyPencil(pen, repatterned(pen)), lam, e, c)
+            name: (HomotopyPencil(pen, rescaled(pen)), lam, e, c)
             for name, (pen, lam, e, c) in out.items()
         }
 
@@ -208,20 +227,20 @@ class TestBorderedRefill:
             ):
                 assert np.asarray(got_v).tobytes() == np.asarray(want_v).tobytes(), t
             ref = reference_bordered(want, lam, e, c)
-            A = hom.bordered(t, lam, pen.mass @ e, c)
+            A, layout = hom.bordered(t, lam, pen.mass @ e, c)
             for attr in ("indptr", "indices", "data"):
-                got_a, want_a = getattr(A, attr), getattr(ref, attr)
+                got_a, want_a = getattr(A, attr), getattr(stored(ref, layout), attr)
                 assert got_a.dtype == want_a.dtype, (t, attr)
                 assert got_a.tobytes() == want_a.tobytes(), (t, attr)
-            x = tracking._bordered_solve(A, rhs)
+            x, _ = tracking._bordered_solve(A, layout, rhs)
             assert np.array_equal(x, spla.splu(ref).solve(rhs)), t
 
     def test_kept_matrix_alternates_with_fallback(self):
         # with e and c free of zeros, K - lam M decides: lam = 2 cancels the
-        # (1, 2) pair at every t, and at t = 0 and t = 1 entries of the
-        # union pattern that one endpoint lacks come out zero
+        # (1, 2) pair at every t, and at t = 0 and t = 1 entries that one
+        # endpoint stores as zeros come out zero
         pen, lam0, e0, c0 = forced_zero_case()
-        hom = HomotopyPencil(pen, repatterned(pen))
+        hom = HomotopyPencil(pen, rescaled(pen))
         e = 1.0 + 0.1 * np.arange(pen.n)
         c = 0.5 + 0.2 * np.arange(pen.n)
         rhs = 1.0 + np.arange(pen.n + 1.0)
@@ -232,24 +251,27 @@ class TestBorderedRefill:
         ]
         kept = None
         for t, lam, v, w, reused in calls:
-            A = hom.bordered(t, lam, hom.at(t).mass @ v, w)
+            A, layout = hom.bordered(t, lam, hom.at(t).mass @ v, w)
             kept = A if reused and kept is None else kept
-            assert (A is kept) == reused, (t, lam)
-            ref = reference_bordered(reference_pencil(hom, t), lam, v, w)
+            assert (A is kept) == reused == (layout is not None), (t, lam)
+            ref = stored(reference_bordered(reference_pencil(hom, t), lam, v, w), layout)
             for attr in ("indptr", "indices", "data"):
                 assert getattr(A, attr).tobytes() == getattr(ref, attr).tobytes(), (t, lam, attr)
-            x = tracking._bordered_solve(A, rhs)
-            assert np.array_equal(x, spla.splu(ref).solve(rhs)), (t, lam)
+            x, _ = tracking._bordered_solve(A, layout, rhs)
+            want = reference_bordered(reference_pencil(hom, t), lam, v, w)
+            assert np.array_equal(x, spla.splu(want).solve(rhs)), (t, lam)
+        # the first kept solve fixed the ordering, the later ones reused it
+        assert layout is hom.pattern.bordered and layout.perm_c is not None
 
     def test_forced_zeros_are_dropped(self):
         pen, lam, e, c = forced_zero_case()
         assert np.count_nonzero(pen.stiffness.data == 0.0) == 4
         hom = HomotopyPencil(pen, pen)
-        A = hom.bordered(0.0, lam, pen.mass @ e, c)
-        assert np.all(A.data != 0.0)
+        A, layout = hom.bordered(0.0, lam, pen.mass @ e, c)
+        assert layout is None and np.all(A.data != 0.0)
         dense = A.toarray()
         assert dense[1, 2] == dense[2, 1] == 0.0             # K - 2 M cancels
-        assert dense[0, 5] == dense[5, 0] == 0.0             # stored zero, no M entry
+        assert dense[0, 5] == dense[5, 0] == 0.0             # stored zeros in K and M
         assert dense[2, 3] == -2.0 * 0.25                    # stored zero under M
         assert dense[2, 6] == 0.0 and dense[6, 1] == 0.0     # zero M e and c
 
@@ -288,9 +310,9 @@ class TestSolverCalls:
         bordered = HomotopyPencil.bordered
 
         def spied(self, t, lam, Me, c):
-            A = bordered(self, t, lam, Me, c)
-            pruned.append(A.nnz < self.at(t).stiffness.nnz + 2 * self.start.n)
-            return A
+            A, layout = bordered(self, t, lam, Me, c)
+            pruned.append(layout is None)
+            return A, layout
 
         monkeypatch.setattr(HomotopyPencil, "bordered", spied)
         states = track_modes(HomotopyPencil(*pens), starts)
