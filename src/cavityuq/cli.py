@@ -55,6 +55,7 @@ import math
 import sys
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -74,7 +75,7 @@ from .pencil import (
     eigenvalue_to_frequency,
     is_spurious,
 )
-from .tracking import TrackConfig, track_modes
+from .tracking import TrackConfig, mixing, track_modes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -222,8 +223,10 @@ def _degenerate_rule(family, value):
 # by name among this module's globals at run time, so that wrappers
 # installed on the module are seen), the picklable arguments that rebuild
 # its ParametricPencil in a worker, the grid, the start pairs grouped by the
-# pencil they are tracked in, moment labels, and extra summary fields.  Grid
-# nodes are the deformation coordinates delta of both problems.
+# pencil they are tracked in, each group's partner (the next base eigenpair
+# of that pencil, tracked where the group's highest start mixes with it,
+# see _track_node), moment labels, and extra summary fields.  Grid nodes are
+# the deformation coordinates delta of both problems.
 
 _PENCIL_CACHE = {}
 
@@ -236,10 +239,20 @@ def _pillbox_parametric(base_radius, length, p_max, degree, elements):
     return _PENCIL_CACHE[key]
 
 
+class _Selection(list):
+    """Selected [(block_index, Eigenpair), ...] with .partners: block index
+    -> that block's lowest physical candidate left unselected."""
+
+    def __init__(self, items, partners):
+        super().__init__(items)
+        self.partners = partners
+
+
 def _select_pillbox_modes(blocks, stacked, n_modes):
     """Lowest physical modes of a stacked pillbox pencil, solved block by block.
 
-    Returns [(block_index, Eigenpair in block coordinates), ...] ascending.
+    Returns a _Selection: [(block_index, Eigenpair in block coordinates),
+    ...] ascending, and each block's next candidate as its partner.
     Per-block solves keep exactly degenerate cross-family coincidences from
     mixing and let the spurious constant branch be filtered locally.
     """
@@ -256,7 +269,10 @@ def _select_pillbox_modes(blocks, stacked, n_modes):
         raise SolverError(
             f"only {len(candidates)} physical candidates found for {n_modes} modes"
         )
-    return [(bi, pr) for _, bi, _, pr in candidates[:n_modes]]
+    partners = {}
+    for _, bi, _, pr in candidates[n_modes:]:
+        partners.setdefault(bi, pr)
+    return _Selection([(bi, pr) for _, bi, _, pr in candidates[:n_modes]], partners)
 
 
 def _group_by_block(selected):
@@ -270,10 +286,12 @@ def _pillbox_modes(spec, n_modes, **extra):
     """A pillbox study namespace: the lowest modes at spec's base radius."""
     par = _pillbox_parametric(*spec)
     selected = _select_pillbox_modes(par.blocks, par.base, n_modes)
+    groups = _group_by_block(selected)
     return SimpleNamespace(
         task="_pillbox_node_task", spec=spec, par=par,
         starts=[pair for _, pair in selected],
-        groups=_group_by_block(selected),
+        groups=groups,
+        partners={bi: selected.partners.get(bi) for bi in groups},
         labels=[(par.blocks[bi].family, par.blocks[bi].axial) for bi, _ in selected],
         **extra,
     )
@@ -404,10 +422,12 @@ def _disk_study(root, prob_sec, n_modes, args):
 
     spec = (radius, refinement, degree, mean_vec, modes_mat, angles, skind)
     par = _disk_parametric(*spec)
-    starts = solve_smallest(par.base, n_modes)
+    pairs = solve_smallest(par.base, min(n_modes + 1, par.base.n))
+    starts = pairs[:n_modes]
     return SimpleNamespace(
         task="_disk_node_task", spec=spec, par=par, grid=grid, starts=starts,
         groups={0: list(enumerate(starts))},
+        partners={0: pairs[n_modes] if len(pairs) > n_modes else None},
         labels=[("cross-section", 0)] * n_modes,
         summary={
             "problem": "deformed-disk",
@@ -423,66 +443,83 @@ def _disk_study(root, prob_sec, n_modes, args):
 def _track_node(payload, par, tracked):
     """Track every start pair from the base point to one node.
 
-    payload is (spec, node_index, node, groups, cfg, discrete); groups maps
-    a key to [(mode, start Eigenpair), ...] and tracked(pencil, key) gives
-    the pencil that group is tracked in.  Returns (rows, failures, warnings,
-    pencil): rows [(mode, lambda, newton_log, solves, rejects, flagged,
-    min_overlap), ...] ordered by mode, min_overlap being the track's
-    smallest M-overlap between accepted steps (1.0 at the base node, where
-    nothing is tracked); failures [(modes, message), ...] for each group
-    whose tracking raised a CavityError instead of giving rows; the number
-    of warnings raised meanwhile, recorded instead of shown; and the node's
-    pencil.
+    payload is (spec, node_index, node, groups, partners, cfg, discrete);
+    groups maps a key to [(mode, start Eigenpair), ...], ascending by value,
+    partners maps it to the next base eigenpair of its pencil (or None),
+    and tracked(pencil, key) gives the pencil that group is tracked in.  A
+    partner that the group's highest start mixes with (tracking.mixing) is
+    tracked with the group, so that their cluster is not cut, and not
+    reported; its bordered solves are counted with the highest start.
+
+    Returns (rows, failures, tallies, pencil): rows [(mode, lambda,
+    newton_log, solves, rejects, flagged, min_overlap), ...] ordered by
+    mode, min_overlap being the track's smallest M-overlap between accepted
+    steps, or for a cluster member the smallest principal cosine between
+    consecutive cluster subspaces (1.0 at the base node, where nothing is
+    tracked); failures [(modes, message), ...] for each group whose
+    tracking raised a CavityError instead of giving rows; a Counter of the
+    warnings raised meanwhile, recorded instead of shown, of the clusters
+    tracked jointly and of their endpoint re-tracks; and the node's pencil.
     """
-    _, _, node, groups, cfg, _ = payload
+    _, _, node, groups, partners, cfg, _ = payload
     if np.array_equal(node, par.base_delta):
         rows = sorted(
             (j, pair.value, [], 0, 0, False, 1.0)
             for members in groups.values() for j, pair in members
         )
-        return rows, [], 0, par.base
-    results, failures = [], []
+        return rows, [], Counter(), par.base
+    results, failures, tallies = [], [], Counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         pen_base, pen_node = par.base, par.at(node)
         for key, members in groups.items():
+            starts = [pair for _, pair in members]
             try:
                 homotopy = HomotopyPencil(tracked(pen_base, key), tracked(pen_node, key))
-                states = track_modes(homotopy, [pair for _, pair in members], cfg)
+                partner = partners[key]
+                if partner is not None and mixing(homotopy, [starts[-1], partner])[0]:
+                    starts.append(partner)
+                states = track_modes(homotopy, starts, cfg)
             except CavityError as exc:
                 failures.append(([j for j, _ in members], str(exc)))
                 continue
+            tallies["clusters"] += len({st.cluster for st in states if st.cluster})
+            tallies["cluster_retracks"] += len({st.cluster for st in states if st.retracked})
+            if len(states) > len(members):
+                spare = states.pop()
+                states[-1].n_solves += spare.n_solves
             results.extend(
                 (j, st.eigenpair.value, list(st.newton_log), st.n_solves, st.n_rejects,
                  st.flagged, st.min_overlap)
                 for (j, _), st in zip(members, states)
             )
-    return sorted(results), failures, len(caught), pen_node
+    tallies["warnings"] += len(caught)
+    return sorted(results), failures, tallies, pen_node
 
 
 def _pillbox_node_task(payload):
     """Pillbox node task: each group is tracked in its own axial block.
 
-    Returns (node_index, rows, failures, warnings, discrete values), see
+    Returns (node_index, rows, failures, tallies, discrete values), see
     _track_node; with discrete > 0, the values are the eigenvalues of the
     node's lowest discrete modes, rank-ordered, from the pencil tracked in.
     """
     par = _pillbox_parametric(*payload[0])
-    rows, failures, n_warnings, pencil = _track_node(
+    rows, failures, tallies, pencil = _track_node(
         payload, par, lambda pen, bi: block_pencil(pen, par.blocks[bi])
     )
-    values, discrete = [], payload[5]
+    values, discrete = [], payload[6]
     if discrete:
         values = [pair.value for _, pair in _select_pillbox_modes(par.blocks, pencil, discrete)]
-    return payload[1], rows, failures, n_warnings, values
+    return payload[1], rows, failures, tallies, values
 
 
 def _disk_node_task(payload):
     """Deformed-disk node task: one group, tracked in the full pencil."""
-    rows, failures, n_warnings, _ = _track_node(
+    rows, failures, tallies, _ = _track_node(
         payload, _disk_parametric(*payload[0]), lambda pen, _: pen
     )
-    return payload[1], rows, failures, n_warnings, []
+    return payload[1], rows, failures, tallies, []
 
 
 def _run_tasks(payloads, worker, n_workers):
@@ -497,12 +534,14 @@ def _track_nodes(study, nodes, cfg_track, n_workers, discrete):
 
     Adds values and freq (mode x node, NaN where a mode failed), per mode
     newton_logs, solves, rejects, flags and min_overlap over all nodes,
-    failures: [{node, modes, error}, ...] in node order, the total of the
-    nodes' warnings, and discrete (node x discrete): the eigenvalues of each
-    node's lowest discrete modes, rank-ordered, when discrete > 0.
+    failures: [{node, modes, error}, ...] in node order, tallies: the nodes'
+    warnings, clusters and cluster_retracks summed, and discrete (node x
+    discrete): the eigenvalues of each node's lowest discrete modes,
+    rank-ordered, when discrete > 0.
     """
     payloads = [
-        (study.spec, k, node, study.groups, cfg_track, discrete) for k, node in enumerate(nodes)
+        (study.spec, k, node, study.groups, study.partners, cfg_track, discrete)
+        for k, node in enumerate(nodes)
     ]
     n_modes = len(study.starts)
     study.values = np.full((n_modes, len(nodes)), np.nan)
@@ -510,9 +549,9 @@ def _track_nodes(study, nodes, cfg_track, n_workers, discrete):
     study.solves, study.rejects, study.flags = (np.zeros(n_modes, dtype=int) for _ in range(3))
     study.min_overlap = np.ones(n_modes)
     study.failures = []
-    study.warnings = 0
+    study.tallies = Counter()
     study.discrete = np.empty((len(nodes), discrete))
-    for node_index, rows, failures, n_warnings, values in _run_tasks(
+    for node_index, rows, failures, tallies, values in _run_tasks(
         payloads, globals()[study.task], n_workers
     ):
         for j, lam, log, solves, rejects, flagged, overlap in rows:
@@ -525,7 +564,7 @@ def _track_nodes(study, nodes, cfg_track, n_workers, discrete):
         study.failures += [
             {"node": node_index, "modes": modes, "error": error} for modes, error in failures
         ]
-        study.warnings += n_warnings
+        study.tallies.update(tallies)
         study.discrete[node_index] = values
     with np.errstate(invalid="ignore"):   # NaN < 0 is False, but numpy flags it
         study.freq = np.vectorize(eigenvalue_to_frequency)(study.values)
@@ -619,7 +658,9 @@ def cmd_uq(cfg, args):
         rejected_steps=int(run.rejects.sum()),
         degenerate_flags=int(run.flags.sum()),
         min_overlap=float(run.min_overlap.min()),
-        warnings=run.warnings,
+        clusters=run.tallies["clusters"],
+        cluster_retracks=run.tallies["cluster_retracks"],
+        warnings=run.tallies["warnings"],
     )
     _write_json(out / "summary.json", summary)
     print(f"{run.summary['problem']} uq: {len(run.starts)} modes over {run.grid.n_nodes} nodes")
@@ -683,7 +724,9 @@ def cmd_track(cfg, args):
         per_mode=per_mode,
         crossing_radius_m=crossing,
         failures=run.failures,
-        warnings=run.warnings,
+        clusters=run.tallies["clusters"],
+        cluster_retracks=run.tallies["cluster_retracks"],
+        warnings=run.tallies["warnings"],
     )
     _write_json(out / "summary.json", summary)
     if crossing is not None:
@@ -822,6 +865,8 @@ def cmd_bench(cfg, args):
             "base_eigensolve_solves": base_count,
             "total_solves": tracked_total,
             "per_mode_point": tracked_solves / pairs if pairs else None,
+            "clusters": run.tallies["clusters"],
+            "cluster_retracks": run.tallies["cluster_retracks"],
             "wall_s": tracked_wall,
         },
         direct={

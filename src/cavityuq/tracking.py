@@ -5,6 +5,18 @@ bordered-system derivatives, Newton correction against the pencil at the new
 t, and a step-size controller driven by the Newton iteration count: fast
 convergence grows the step, slow or failed correction rejects it and shrinks.
 
+Near-degenerate modes whose first-order model mixes within the homotopy
+(see mixing) advance together instead: one shared step predicts each
+member, takes the Rayleigh-Ritz pairs of the pencil at the new t on the
+span of the predicted vectors, and Newton-corrects each from its Ritz pair;
+it is accepted only if every member converges and their vectors stay
+M-orthogonal (track_cluster).  Inside a cluster, identity is value order:
+generic one-parameter symmetric pencils have avoided crossings, not
+crossings (von Neumann-Wigner), and a step that jumps an avoided crossing
+would swap or merge two separately tracked modes.  An endpoint M-Gram check
+backs every group of modes (track_modes): colliding tracks are re-tracked
+as one cluster, and a collision that remains is a TrackingFailure.
+
 Every derivative and Newton iteration factorizes the bordered system
 [[K - lambda M, -M e], [c^T, 0]] afresh with sparse LU.  Every pencil of a
 study lives on one sparsity pattern, so its pencils at t are refilled on
@@ -24,6 +36,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from .eigen import Eigenpair, _m_orthonormalize, group_clusters
@@ -35,6 +48,7 @@ from .errors import (
 )
 
 START_GAP_WARN = 1e-6
+ORTHO_TOL = 1e-6   # largest |e_i^T M e_j| of two distinct tracks' vectors
 
 
 @dataclass(frozen=True)
@@ -80,6 +94,8 @@ class TrackState:
     n_rejects: int = 0
     min_overlap: float = 1.0
     flagged: bool = False                            # degenerate start
+    cluster: tuple = ()                              # starts tracked jointly
+    retracked: bool = False                          # after an endpoint collision
 
 
 def _scaled_residual(r, lam, e, norm_k, norm_m):
@@ -202,8 +218,8 @@ def _normalized_accept(M, pair, prev_vector):
     return Eigenpair(pair.value, e, pair.residual), c, overlap
 
 
-def track(homotopy, start, cfg=TrackConfig()):
-    """Carry one eigenpair from t = 0 to t = 1 along the homotopy."""
+def _start_state(homotopy, start, cfg):
+    """The state at t = 0: the start pair M-normalized and checked."""
     K0, M0 = homotopy.start.stiffness, homotopy.start.mass
     e = np.asarray(start.vector, dtype=float)
     e = e / math.sqrt(e @ (M0 @ e))
@@ -219,6 +235,12 @@ def track(homotopy, start, cfg=TrackConfig()):
         step=min(cfg.initial_step, 1.0),
     )
     state.trajectory.append((0.0, lam))
+    return state
+
+
+def track(homotopy, start, cfg=TrackConfig()):
+    """Carry one eigenpair from t = 0 to t = 1 along the homotopy."""
+    state = _start_state(homotopy, start, cfg)
 
     derivative = None
     while state.t < 1.0:
@@ -264,19 +286,147 @@ def track(homotopy, start, cfg=TrackConfig()):
     return state
 
 
-def track_modes(homotopy, starts, cfg=TrackConfig()):
-    """Track several start pairs independently; flag degenerate clusters.
+def track_cluster(homotopy, starts, cfg=TrackConfig()):
+    """Carry a cluster of eigenpairs from t = 0 to t = 1 as one block.
 
-    Near-degenerate start values (relative gap below 1e-6) violate the
-    isolated-mode assumption; they are tracked anyway with one normalization
-    vector per member, relying on the discretization split, and flagged.
+    starts ascend by value.  Each step predicts every member to first
+    order, takes the Rayleigh-Ritz pairs of homotopy.at(t + dt) on the span
+    of the predicted vectors, in value order, and Newton-corrects each from
+    its Ritz pair with c = M u.  The step is accepted only if every member
+    converges within n2 iterations and the corrected vectors are pairwise
+    M-orthogonal (|e_i^T M e_j| <= ORTHO_TOL); otherwise all of it is
+    rejected.  Member i is the i-th lowest of the cluster at every accepted
+    t, and its min_overlap is the smallest principal cosine between
+    consecutive cluster subspaces.  Returns one TrackState per start.
+    """
+    states = [_start_state(homotopy, start, cfg) for start in starts]
+    t, step = 0.0, states[0].step
+    derivatives = None
+    while t < 1.0:
+        if derivatives is None:
+            derivatives = []
+            for st in states:
+                derivatives.append(eigenpair_derivative(homotopy, t, st.eigenpair, st.c))
+                st.n_solves += 1
+        dt = min(step, 1.0 - t)
+        t_new = t + dt
+        accepted = _block_step(homotopy, t_new, states, derivatives, dt, cfg)
+        if accepted is None:
+            step *= cfg.eta2
+            for st in states:
+                st.n_rejects += 1
+                st.step = step
+            if step < cfg.min_step:
+                raise TrackingFailure(
+                    f"cluster step underflow at t={t:.6f} (step {step:.3e} "
+                    f"< min_step {cfg.min_step:.3e})",
+                    state=states[0],
+                )
+            continue
+        E_old = np.column_stack([st.eigenpair.vector for st in states])
+        ME = np.column_stack([c for _, c, _ in accepted])
+        cosine = float(np.linalg.svd(E_old.T @ ME, compute_uv=False).min())
+        if max(iters for _, _, iters in accepted) <= cfg.n1:
+            step *= cfg.eta1
+        for st, (pair, c, iters) in zip(states, accepted):
+            st.t, st.eigenpair, st.c, st.step = t_new, pair, c, step
+            st.min_overlap = min(st.min_overlap, cosine)
+            st.newton_log.append(iters)
+            st.trajectory.append((t_new, pair.value))
+        t = t_new
+        derivatives = None
+    return states
+
+
+def _block_step(homotopy, t_new, states, derivatives, dt, cfg):
+    """One shared step of track_cluster to t_new.
+
+    Rayleigh-Ritz on the predicted vectors, then Newton from each Ritz
+    pair.  Returns [(Eigenpair, c, iterations), ...] ascending by value,
+    M-normalized and oriented as _normalized_accept does against the
+    member's last vector; or None when the projected pencil is not
+    definite, a correction fails, or two corrected vectors are not
+    M-orthogonal.  Newton's bordered solves are added to the members.
+    """
+    P = np.column_stack([
+        predict(st.eigenpair, d, dt)[0] for st, d in zip(states, derivatives)
+    ])
+    pencil = homotopy.at(t_new)
+    MP = pencil.mass @ P
+    try:
+        theta, Y = la.eigh(P.T @ (pencil.stiffness @ P), P.T @ MP)
+    except la.LinAlgError:
+        return None
+    max_iter = min(cfg.newton_max_iter, cfg.n2)
+    corrected = []
+    for st, u, Mu, value in zip(states, (P @ Y).T, (MP @ Y).T, theta):
+        try:
+            pair, iters = newton_correct(homotopy, t_new, u, value, Mu, cfg.newton_tol, max_iter)
+        except NewtonFailure as exc:
+            st.n_solves += getattr(exc, "iterations", max_iter)
+            return None
+        st.n_solves += iters
+        corrected.append((pair, iters))
+    corrected.sort(key=lambda item: item[0].value)
+    accepted = []
+    for st, (pair, iters) in zip(states, corrected):
+        pair, c, _ = _normalized_accept(pencil.mass, pair, st.eigenpair.vector)
+        accepted.append((pair, c, iters))
+    E = np.column_stack([pair.vector for pair, _, _ in accepted])
+    if _collisions(E, np.column_stack([c for _, c, _ in accepted])):
+        return None
+    return accepted
+
+
+def mixing(homotopy, pairs):
+    """For each neighbour pair of start pairs (ascending by value): does its
+    first-order 2 x 2 model mix within t in [0, 1]?
+
+    On the M-normalized start vectors E, the pencil restricted to span E is
+    diag(lambda) + t D to first order, D = E^T (K' - lambda-bar M') E with
+    lambda-bar the mean of the two values of each entry.  Neighbours a < b
+    mix when max(|D_aa - D_bb|, 2 |D_ab|) >= lambda_b - lambda_a: their
+    model eigenvalues can meet, or their eigenvectors turn by a large angle.
+    """
+    k_prime, m_prime = homotopy.derivative()
+    M0 = homotopy.start.mass
+    E = np.column_stack([p.vector / math.sqrt(p.vector @ (M0 @ p.vector)) for p in pairs])
+    lam = np.array([p.value for p in pairs])
+    D = E.T @ (k_prime @ E) - 0.5 * np.add.outer(lam, lam) * (E.T @ (m_prime @ E))
+    return [
+        max(abs(D[i, i] - D[i + 1, i + 1]), 2.0 * abs(D[i, i + 1])) >= lam[i + 1] - lam[i]
+        for i in range(len(pairs) - 1)
+    ]
+
+
+def track_modes(homotopy, starts, cfg=TrackConfig()):
+    """Track several start pairs; neighbours that mix as one cluster.
+
+    Starts are grouped in value order: neighbours whose first-order model
+    mixes within the homotopy (see mixing) share a cluster, which
+    track_cluster advances as one block; a start in no cluster is tracked
+    alone by track.  Identity inside a cluster is value order.  Returned
+    states are in the order of starts; a cluster member's state.cluster
+    holds the indices of its cluster's starts.
+
+    The endpoint vectors must be pairwise M-orthogonal (|e_i^T M e_j| <=
+    ORTHO_TOL).  Colliding tracks are re-tracked as one cluster with every
+    start between them (state.retracked); the work of the first attempt
+    stays counted.  If they still collide, TrackingFailure.
+
+    Near-degenerate start values (relative gap below START_GAP_WARN) are
+    warned about and flagged.  Those that do not mix, such as an exactly
+    degenerate pair under a symmetric deformation, are tracked alone with
+    one normalization vector each, relying on the discretization split, and
+    their endpoint vectors are M-orthogonalized if they still share an
+    eigenvalue.
     """
     values = [p.value for p in starts]
-    order = np.argsort(values, kind="stable")
+    order = [int(i) for i in np.argsort(values, kind="stable")]
     flagged = set()
     for grp in group_clusters([values[i] for i in order], rtol=START_GAP_WARN):
         if len(grp) > 1:
-            flagged.update(int(order[i]) for i in grp)
+            flagged.update(order[i] for i in grp)
     if flagged:
         warnings.warn(
             f"{len(flagged)} start eigenvalues are nearly degenerate "
@@ -284,13 +434,64 @@ def track_modes(homotopy, starts, cfg=TrackConfig()):
             "each cluster follow the discretization split",
             stacklevel=2,
         )
-    results = []
-    for j, start in enumerate(starts):
-        st = track(homotopy, start, cfg)
-        st.flagged = j in flagged
-        results.append(st)
-    _reorthogonalize_clusters(results, homotopy.end.mass)
+    clusters = [[0]]   # runs of value ranks
+    for rank, mixed in enumerate(mixing(homotopy, [starts[j] for j in order]), start=1):
+        if mixed:
+            clusters[-1].append(rank)
+        else:
+            clusters.append([rank])
+    results = [None] * len(starts)
+    for ranks in clusters:
+        _track_members(homotopy, starts, [order[r] for r in ranks], cfg, results)
+
+    M = homotopy.end.mass
+    for attempt in range(2):
+        for j in flagged:
+            results[j].flagged = True
+        _reorthogonalize_clusters(results, M)
+        E = np.column_stack([results[j].eigenpair.vector for j in order])
+        collisions = _collisions(E, M @ E)
+        if not collisions:
+            return results
+        if attempt:
+            a, b = collisions[0]
+            raise TrackingFailure(
+                f"tracks {order[a]} and {order[b]} end on one eigenpair after re-tracking"
+            )
+        for a, b in collisions:
+            first = next(k for k, ranks in enumerate(clusters) if a in ranks)
+            last = next(k for k, ranks in enumerate(clusters) if b in ranks)
+            clusters[first:last + 1] = [sum(clusters[first:last + 1], [])]
+        hit = {rank for pair in collisions for rank in pair}
+        for ranks in clusters:
+            if hit.intersection(ranks):
+                _track_members(homotopy, starts, [order[r] for r in ranks], cfg, results)
     return results
+
+
+def _track_members(homotopy, starts, members, cfg, results):
+    """Track starts[members] (ascending by value) into results[members]."""
+    if len(members) == 1:
+        states = [track(homotopy, starts[members[0]], cfg)]
+    else:
+        states = track_cluster(homotopy, [starts[j] for j in members], cfg)
+        for st in states:
+            st.cluster = tuple(members)
+    for j, st in zip(members, states):
+        old = results[j]
+        if old is not None:
+            st.retracked = True
+            st.newton_log[:0] = old.newton_log
+            st.n_solves += old.n_solves
+            st.n_rejects += old.n_rejects
+        results[j] = st
+
+
+def _collisions(E, ME):
+    """Column pairs (a, b), a < b, of E that are not M-orthogonal:
+    |e_a^T M e_b| > ORTHO_TOL, given ME = M E."""
+    G = np.abs(E.T @ ME)
+    return [(int(a), int(b)) for a, b in zip(*np.nonzero(np.triu(G, 1) > ORTHO_TOL))]
 
 
 def _reorthogonalize_clusters(states, M):
@@ -305,4 +506,3 @@ def _reorthogonalize_clusters(states, M):
         for st, v in zip(members, ortho):
             st.eigenpair = Eigenpair(st.eigenpair.value, v, st.eigenpair.residual)
             st.c = M @ v
-

@@ -16,6 +16,7 @@ import scipy.sparse.linalg as spla
 
 from cavityuq import cli, oracle, tracking, uq
 from cavityuq.assembly import DiscreteSpace
+from cavityuq.eigen import solve_smallest
 from cavityuq.errors import TrackingFailure
 from cavityuq.geometry import load_deformation_spec
 from cavityuq.pencil import build_pillbox_pencil, eigenvalue_to_frequency
@@ -499,6 +500,51 @@ class TestDeformedDiskUq:
         assert [r[3] for r in rows] == [r[3] for r in base]
         table = read_csv(tmp_path / "run" / "mode_table.csv")
         assert all(r[1] != b[3] for r, b in zip(table[1:], base[1:]))
+
+
+def readme_disk(seed, modes, refinement=3, grid=None):
+    return {
+        "problem": {
+            "kind": "deformed-disk", "radius": 0.05, "criterion": 0.95,
+            "synthetic": {"variables": 18, "samples": 5000, "seed": seed},
+        },
+        "discretization": {"degree": 2, "refinement": refinement},
+        "modes": modes,
+        "grid": grid or {"kind": "smolyak", "family": "gauss-hermite", "level": 2},
+    }
+
+
+class TestClusters:
+    @pytest.mark.parametrize(
+        "seed, modes", [(1234, 3), (7, 6), (1234, 2)], ids=["readme", "seed7", "cut-cluster"]
+    )
+    def test_tracked_values_are_the_lowest_eigenvalues(self, seed, modes):
+        """At every node the tracked values are the lowest discrete
+        eigenvalues.  The near-degenerate m = 1 pair mixes under the
+        deformation and is tracked as one cluster; at modes 2 the second
+        member, unreported, is tracked with the first."""
+        run = cli._run_study(readme_disk(seed, modes), SimpleNamespace(seed=None, workers=1))
+        assert run.tallies["clusters"] > 0 and run.tallies["cluster_retracks"] == 0
+        for k, node in enumerate(run.grid.nodes):
+            lowest = [p.value for p in solve_smallest(run.par.at(node), modes, method="dense")]
+            np.testing.assert_allclose(np.sort(run.values[:, k]), lowest, rtol=1e-9)
+        # a cluster member's overlap is that of its subspace, which turns
+        # slowly, not that of its own vector, which turns inside the pair
+        assert run.min_overlap.min() > 0.5
+
+    def test_tallies_in_every_summary(self, tmp_path, track_run, pillbox_uq_run):
+        grid = {"kind": "tensor", "family": "gauss-hermite", "orders": [3, 1, 1, 1, 1, 1, 1]}
+        cfg = write_config(tmp_path, "c.json", readme_disk(1234, 3, refinement=2, grid=grid))
+        assert cli.main(["uq", "--config", cfg, "--out", str(tmp_path / "uq")]) == 0
+        assert cli.main(["bench", "--config", cfg, "--out", str(tmp_path / "bench")]) == 0
+        summary = json.loads((tmp_path / "uq" / "summary.json").read_text())
+        tracked = json.loads((tmp_path / "bench" / "bench.json").read_text())["tracked"]
+        # the two nodes off the base point, one cluster each
+        assert summary["clusters"] == tracked["clusters"] == 2
+        assert summary["cluster_retracks"] == tracked["cluster_retracks"] == 0
+        for out in (track_run[1], pillbox_uq_run[1]):
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["clusters"] == summary["cluster_retracks"] == 0
 
 
 class TestBench:

@@ -136,6 +136,21 @@ def test_factorization_hook_sees_every_bordered_solve(tracer, monkeypatch, tmp_p
     assert report["min_overlap"] == summary["min_overlap"]
 
 
+def test_factorization_hook_sees_every_cluster_solve(tracer, monkeypatch, tmp_path):
+    """The cluster path factorizes through tracking.spla as well: with the
+    m = 1 pair tracked as one cluster, every bordered solve is still one
+    traced factorization and one traced back-solve."""
+    trace = _installed(tracer, monkeypatch)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(_SMALL_DISK, modes=3)))
+    out = tmp_path / "run"
+    assert cli.main(["uq", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["clusters"] > 0
+    solves = summary["bordered_solves"]
+    assert trace.calls["tracking.factorize"] == trace.calls["tracking.backsolve"] == solves
+
+
 @pytest.mark.parametrize(
     "kind, doc", [("pillbox", _SMALL_PILLBOX), ("deformed-disk", _SMALL_DISK)]
 )

@@ -510,3 +510,107 @@ class TestTrackModes:
         assert not [w for w in record if issubclass(w.category, UserWarning)]
         assert [s.flagged for s in states] == [False, False, False]
 
+
+
+def avoided_crossing(seed=5, perturbation=0.0):
+    """An 8 x 8 homotopy in a random orthonormal basis whose modes 0 and 1
+    nearly cross: their diagonal entries cross at t = 1e-3, where a 1e-5
+    coupling leaves a gap of 2e-5.  perturbation scales a random symmetric
+    matrix added to the end."""
+    n = 8
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A0 = np.diag([1.0, 1.001] + [float(k) for k in range(2, n)])
+    A1 = np.diag([1.5, 0.501] + [k + 0.3 for k in range(2, n)])
+    for A in (A0, A1):
+        A[0, 1] = A[1, 0] = 1e-5
+    A1[0, 2] = A1[2, 0] = A1[1, 2] = A1[2, 1] = 0.05
+    B = perturbation * rng.standard_normal((n, n))
+    A1 += B + B.T
+    return HomotopyPencil(dense_pencil(Q @ A0 @ Q.T), dense_pencil(Q @ A1 @ Q.T))
+
+
+def end_gram(homotopy, states):
+    E = np.column_stack([st.eigenpair.vector for st in states])
+    return E.T @ (homotopy.at(1.0).mass @ E)
+
+
+class TestClusters:
+    def test_avoided_crossing_is_one_cluster(self):
+        h = avoided_crossing()
+        starts = solve_smallest(h.at(0.0), 2)
+        alone = [track(h, start) for start in starts]
+        # the first step jumps the avoided crossing: tracked alone, the
+        # two modes end in swapped order
+        assert alone[0].eigenpair.value > alone[1].eigenpair.value
+        states = track_modes(h, starts)
+        assert [st.cluster for st in states] == [(0, 1), (0, 1)]
+        ref = la.eigh(h.at(1.0).stiffness.toarray(), eigvals_only=True)[:2]
+        np.testing.assert_allclose([st.eigenpair.value for st in states], ref, rtol=1e-12)
+        assert abs(end_gram(h, states)[0, 1]) <= 1e-12
+        assert sum(st.n_solves for st in states) < sum(st.n_solves for st in alone)
+        assert all(st.t == 1.0 and not st.retracked for st in states)
+
+    def test_identity_is_value_order(self):
+        # one Ritz pair per member at every accepted t, lowest first
+        h = avoided_crossing()
+        states = track_modes(h, solve_smallest(h.at(0.0), 2))
+        for (t0, low), (t1, high) in zip(states[0].trajectory, states[1].trajectory):
+            assert t0 == t1 and low < high
+
+    def test_step_with_collapsed_corrections_is_rejected(self):
+        # on this homotopy the full first step corrects two Ritz pairs onto
+        # one eigenpair; the step is rejected, and the shorter ones end on
+        # the three lowest eigenpairs
+        h = avoided_crossing(seed=11, perturbation=0.3)
+        states = tracking.track_cluster(h, solve_smallest(h.at(0.0), 3))
+        assert [st.n_rejects for st in states] == [1, 1, 1]
+        G = end_gram(h, states)
+        assert np.abs(G - np.diag(np.diag(G))).max() <= tracking.ORTHO_TOL
+        ref = la.eigh(h.at(1.0).stiffness.toarray(), eigvals_only=True)[:3]
+        np.testing.assert_allclose([st.eigenpair.value for st in states], ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("family", ["TM", "TE"])
+    def test_pillbox_radius_homotopy_forms_no_cluster(self, family):
+        # the radius scales the cross-section: |D_aa - D_bb| is |s| times the
+        # gap with |s| < 1, and D_ab is rounding, also for the exactly
+        # degenerate TM110 and TE111 pairs
+        par = build_pillbox_pencil(0.05, 0.1, 1, DiscreteSpace(2, 12))
+        block = next(b for b in par.blocks if (b.family, b.axial) == (family, 1))
+        base = block_pencil(par.base, block)
+        starts = [p for p in solve_smallest(base, 4) if not pencil_mod.is_spurious(p, base, block)]
+        for r in (0.04, 0.06):
+            h = HomotopyPencil(base, block_pencil(par.at([r]), block))
+            assert not any(tracking.mixing(h, starts))
+            with pytest.warns(UserWarning, match="degenerate"):
+                states = track_modes(h, starts)
+            assert all(st.cluster == () for st in states)
+            assert sum(st.flagged for st in states) == 2
+
+    def test_forced_collision_is_retracked(self, monkeypatch):
+        h = avoided_crossing(seed=19, perturbation=0.1)
+        starts = solve_smallest(h.at(0.0), 2)
+        alone = [track(h, start) for start in starts]
+        assert abs(end_gram(h, alone)[0, 1]) > 0.99
+        monkeypatch.setattr(tracking, "mixing", lambda homotopy, pairs: [False] * (len(pairs) - 1))
+        states = track_modes(h, starts)
+        assert all(st.retracked and st.cluster == (0, 1) for st in states)
+        assert abs(end_gram(h, states)[0, 1]) <= tracking.ORTHO_TOL
+        ref = la.eigh(h.at(1.0).stiffness.toarray(), eigvals_only=True)
+        values = [st.eigenpair.value for st in states]
+        assert values[0] < values[1]
+        assert all(np.min(np.abs(ref - v)) <= 1e-12 * v for v in values)
+        # the first attempt's work stays counted
+        for st, first in zip(states, alone):
+            assert st.n_solves > first.n_solves
+            assert st.newton_log[:len(first.newton_log)] == first.newton_log
+
+    def test_collision_after_retrack_fails(self, monkeypatch):
+        h = avoided_crossing(seed=19, perturbation=0.1)
+        monkeypatch.setattr(tracking, "mixing", lambda homotopy, pairs: [False] * (len(pairs) - 1))
+        monkeypatch.setattr(
+            tracking, "track_cluster",
+            lambda homotopy, starts, cfg: [track(homotopy, s, cfg) for s in starts],
+        )
+        with pytest.raises(TrackingFailure, match="one eigenpair after re-tracking"):
+            track_modes(h, solve_smallest(h.at(0.0), 2))
