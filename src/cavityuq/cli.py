@@ -151,9 +151,6 @@ def _parse_tracking(sec):
     kwargs["eta1"] = sec.take("eta1", default=TrackConfig.eta1, kind=float)
     kwargs["eta2"] = sec.take("eta2", default=TrackConfig.eta2, kind=float)
     kwargs["newton_tol"] = sec.take("newton_tol", default=TrackConfig.newton_tol, kind=float, lo=0.0)
-    kwargs["newton_max_iter"] = sec.take(
-        "newton_max_iter", default=TrackConfig.newton_max_iter, kind=int, lo=1
-    )
     kwargs["min_step"] = sec.take("min_step", default=TrackConfig.min_step, kind=float)
     kwargs["initial_step"] = sec.take("initial_step", default=TrackConfig.initial_step, kind=float)
     sec.done()

@@ -116,11 +116,7 @@ class BorderedLayout:
         indices[self._pos] = rows
         indices[self._pos_c] = n
         indices[self._pos_e] = np.arange(n)
-        self._natural = (indices, indptr)
-        self._stored = np.arange(size)      # stored position of each natural entry
-        self.matrix = sp.csc_matrix(
-            (np.zeros(size), indices.copy(), indptr.copy()), shape=(n + 1, n + 1)
-        )
+        self.matrix = sp.csc_matrix((np.zeros(size), indices, indptr), shape=(n + 1, n + 1))
         self.perm_c = None                  # column permutation the matrix is stored in
         self._ordering = None
 
@@ -129,42 +125,31 @@ class BorderedLayout:
         self._ordering = np.asarray(perm_c)
 
     def fill(self, kml, Me, c):
-        """The bordered matrix with K - lam M data kml, and this layout, or a
-        fresh matrix in natural column order and None.
+        """Refill the matrix in place with K - lam M data kml, M e and c.
 
-        Entries that come out exactly zero are dropped, as K - lam M and
-        sp.bmat drop them, so splu receives the arrays sp.bmat would give,
-        columns permuted by perm_c.  Without such an entry the result is the
-        layout's one matrix, refilled in place: it is valid until the next
-        fill.  With one, it is a fresh, pruned matrix.
+        Every entry of the layout stays stored, zero or not, so the matrix
+        keeps one structure: it is valid until the next fill.
         """
         if self._ordering is not None and self.perm_c is None:
             self._permute(self._ordering)
-        A = self.matrix
-        A.data[self._pos] = kml
-        A.data[self._pos_c] = c
-        A.data[self._pos_e] = -Me
-        if A.data.all():
-            return A, self
-        indices, indptr = self._natural
-        A = sp.csc_matrix((A.data[self._stored], indices.copy(), indptr.copy()), shape=A.shape)
-        A.eliminate_zeros()
-        return A, None
+        data = self.matrix.data
+        data[self._pos] = kml
+        data[self._pos_c] = c
+        data[self._pos_e] = -Me
 
     def _permute(self, perm_c):
         # column j of the natural layout becomes stored column perm_c[j]
-        indices, indptr = self._natural
-        counts = np.diff(indptr)
+        A = self.matrix
+        counts = np.diff(A.indptr)
         col = np.repeat(np.arange(counts.size), counts)
         inverse = np.empty_like(perm_c)
         inverse[perm_c] = np.arange(perm_c.size)
         start = np.concatenate(([0], np.cumsum(counts[inverse])))
-        self._stored = start[perm_c[col]] + np.arange(col.size) - indptr[col]
-        A = self.matrix
-        A.indices[self._stored] = indices
+        stored = start[perm_c[col]] + np.arange(col.size) - A.indptr[col]
+        A.indices[stored] = A.indices.copy()
         A.indptr[:] = start
         self._pos, self._pos_c, self._pos_e = (
-            self._stored[p] for p in (self._pos, self._pos_c, self._pos_e)
+            stored[p] for p in (self._pos, self._pos_c, self._pos_e)
         )
         self.perm_c = perm_c
 
@@ -232,11 +217,12 @@ class HomotopyPencil:
         return self._kept[0 if t == 0.0 else 1][2]
 
     def bordered(self, t, lam, Me, c):
-        """[[K - lam M, -M e], [c^T, 0]] at t with Me = M e, as the pattern's
-        BorderedLayout fills it: (matrix, layout), or (fresh pruned matrix,
-        None) when an entry is exactly zero."""
+        """The pattern's BorderedLayout, its matrix refilled in place with
+        [[K - lam M, -M e], [c^T, 0]] at t, given Me = M e."""
         pencil = self.at(t)
-        return self.pattern.bordered.fill(pencil.stiffness.data - lam * pencil.mass.data, Me, c)
+        layout = self.pattern.bordered
+        layout.fill(pencil.stiffness.data - lam * pencil.mass.data, Me, c)
+        return layout
 
     def derivative(self):
         """Constant t-derivative (K_end - K_start, M_end - M_start)."""

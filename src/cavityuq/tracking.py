@@ -1,27 +1,29 @@
 """Eigenvalue tracking along matrix homotopies.
 
-One tracked mode advances through t in [0, 1] by first-order prediction from
-bordered-system derivatives, Newton correction against the pencil at the new
-t, and a step-size controller driven by the Newton iteration count: fast
-convergence grows the step, slow or failed correction rejects it and shrinks.
-
-Near-degenerate modes whose first-order model mixes within the homotopy
-(see mixing) advance together instead: one shared step predicts each
-member, takes the Rayleigh-Ritz pairs of the pencil at the new t on the
-span of the predicted vectors, and Newton-corrects each from its Ritz pair;
-it is accepted only if every member converges and their vectors stay
-M-orthogonal (track_cluster).  Inside a cluster, identity is value order:
-generic one-parameter symmetric pencils have avoided crossings, not
-crossings (von Neumann-Wigner), and a step that jumps an avoided crossing
-would swap or merge two separately tracked modes.  An endpoint M-Gram check
-backs every group of modes (track_modes): colliding tracks are re-tracked
-as one cluster, and a collision that remains is a TrackingFailure.
+One stepping loop advances any number of modes through t in [0, 1] together
+(track_cluster): it takes each member's bordered-system derivative at every
+accepted t, and a step-size controller driven by the Newton iteration
+count sets one shared step: fast convergence grows it, slow or failed
+correction rejects the step for every member and shrinks it.  Only the step
+itself depends on the number of members.  A lone mode (track) is predicted
+to first order and Newton-corrected against the pencil at the new t with
+its previous normalization vector.  Near-degenerate modes whose first-order
+model mixes within the homotopy (see mixing) form a cluster: each member is
+predicted, the Rayleigh-Ritz pairs of the pencil at the new t on the span
+of the predicted vectors are Newton-corrected, and the step is accepted only
+if every member converges and their vectors stay M-orthogonal.  Inside a
+cluster, identity is value order: generic one-parameter symmetric pencils
+have avoided crossings, not crossings (von Neumann-Wigner), and a step that
+jumps an avoided crossing would swap or merge two separately tracked modes.
+An endpoint M-Gram check backs every group of modes (track_modes):
+colliding tracks are re-tracked as one cluster, and a collision that
+remains is a TrackingFailure.
 
 Every derivative and Newton iteration factorizes the bordered system
 [[K - lambda M, -M e], [c^T, 0]] afresh with sparse LU.  Every pencil of a
 study lives on one sparsity pattern, so its pencils at t are refilled on
 it (HomotopyPencil.at) and the bordered matrix is the pattern's one CSC
-matrix, refilled in place unless an entry is exactly zero
+matrix, refilled in place with every entry stored, zero or not
 (HomotopyPencil.bordered); each kernel factorizes it before asking for the
 next.  The column ordering depends only on the pattern: the first
 factorization on a pattern computes SuperLU's default one, and every later
@@ -56,8 +58,8 @@ class TrackConfig:
     """Step-size and Newton parameters.
 
     Convergence in at most n1 iterations grows the next step by eta1; more
-    than n2 iterations (or divergence) rejects the step and retries at eta2
-    times the size; anything between keeps the step.
+    than n2 iterations (Newton stops there) or divergence rejects the step
+    and retries at eta2 times the size; anything between keeps the step.
     """
 
     n1: int = 3
@@ -65,7 +67,6 @@ class TrackConfig:
     n2: int = 5
     eta2: float = 2.0 / 3.0
     newton_tol: float = 1e-10
-    newton_max_iter: int = 8
     min_step: float = 1e-6
     initial_step: float = 1.0
 
@@ -76,8 +77,8 @@ class TrackConfig:
             raise DomainError(f"need 0 < n1 < n2, got {self.n1}, {self.n2}")
         if self.min_step <= 0 or self.initial_step <= 0:
             raise DomainError("steps must be positive")
-        if self.newton_tol <= 0 or self.newton_max_iter < 1:
-            raise DomainError("bad Newton parameters")
+        if self.newton_tol <= 0:
+            raise DomainError(f"newton_tol must be positive, got {self.newton_tol}")
 
 
 @dataclass
@@ -87,7 +88,6 @@ class TrackState:
     t: float
     eigenpair: Eigenpair
     c: np.ndarray
-    step: float
     trajectory: list = field(default_factory=list)   # (t, lambda) accepted
     newton_log: list = field(default_factory=list)   # iterations per accepted step
     n_solves: int = 0                                # bordered solves, total
@@ -102,17 +102,17 @@ def _scaled_residual(r, lam, e, norm_k, norm_m):
     return float(math.sqrt(r @ r) / ((norm_k + abs(lam) * norm_m) * math.sqrt(e @ e)))
 
 
-def _bordered_solve(A, layout, rhs):
-    """Solve a bordered system from HomotopyPencil.bordered by sparse LU.
+def _bordered_solve(layout, rhs):
+    """Solve the bordered system of layout's matrix by sparse LU.
 
-    A is layout's matrix, or a fresh pruned matrix when layout is None.
-    Returns (x, y): the solution, and y with A y = rhs in A's column order.
-    The first factorization of a layout's matrix takes SuperLU's default
-    column ordering and hands it to the layout, which stores its matrix in
-    that order from then on; every later one factors with the natural
-    ordering, so x = y[perm_c].  A fresh matrix takes the default ordering.
+    layout is a BorderedLayout as HomotopyPencil.bordered filled it.
+    Returns (x, y): the solution, and y with A y = rhs for A = layout.matrix
+    in its stored column order.  The first factorization on a layout takes
+    SuperLU's default column ordering and hands it to the layout, which
+    stores its matrix in that order from the next fill on; every later one
+    factors with the natural ordering, so x = y[perm_c].
     """
-    perm = None if layout is None else layout.perm_c
+    A, perm = layout.matrix, layout.perm_c
     try:
         lu = spla.splu(A) if perm is None else spla.splu(A, permc_spec="NATURAL")
     except RuntimeError as exc:
@@ -123,11 +123,10 @@ def _bordered_solve(A, layout, rhs):
     y = lu.solve(rhs)
     if not np.all(np.isfinite(y)):
         raise DegeneracyError("bordered solve produced non-finite values")
-    if perm is not None:
-        return y[perm], y
-    if layout is not None:
+    if perm is None:
         layout.order(lu.perm_c)
-    return y, y
+        return y, y
+    return y[perm], y
 
 
 def eigenpair_derivative(homotopy, t, pair, c):
@@ -142,8 +141,9 @@ def eigenpair_derivative(homotopy, t, pair, c):
     rhs = np.empty(e.size + 1)
     rhs[:-1] = -(k_prime @ e) + lam * (m_prime @ e)
     rhs[-1] = 0.0
-    A, layout = homotopy.bordered(t, lam, pencil.mass @ e, c)
-    x, y = _bordered_solve(A, layout, rhs)
+    layout = homotopy.bordered(t, lam, pencil.mass @ e, c)
+    x, y = _bordered_solve(layout, rhs)
+    A = layout.matrix
     resid = np.linalg.norm(A @ y - rhs)
     # row-sum norm straight from the CSC arrays; spla.norm would convert to CSR
     norm_a = np.bincount(A.indices, np.abs(A.data), minlength=A.shape[0]).max()
@@ -173,7 +173,7 @@ def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter):
     e = np.asarray(e0, dtype=float).copy()
     lam = float(lam0)
     if not (np.all(np.isfinite(e)) and math.isfinite(lam)):
-        raise NewtonFailure("non-finite initial guess")
+        raise _newton_failure("non-finite initial guess", 0)
     dlam = None
     for it in range(max_iter + 1):
         Me = M @ e
@@ -187,7 +187,7 @@ def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter):
         rhs[:-1] = -r
         rhs[-1] = -(c @ e - 1.0)
         try:
-            x, _ = _bordered_solve(*homotopy.bordered(t, lam, Me, c), rhs)
+            x, _ = _bordered_solve(homotopy.bordered(t, lam, Me, c), rhs)
         except DegeneracyError as exc:
             raise _newton_failure(f"bordered Jacobian failed: {exc}", it) from exc
         e += x[:-1]
@@ -218,7 +218,7 @@ def _normalized_accept(M, pair, prev_vector):
     return Eigenpair(pair.value, e, pair.residual), c, overlap
 
 
-def _start_state(homotopy, start, cfg):
+def _start_state(homotopy, start):
     """The state at t = 0: the start pair M-normalized and checked."""
     K0, M0 = homotopy.start.stiffness, homotopy.start.mass
     e = np.asarray(start.vector, dtype=float)
@@ -228,79 +228,28 @@ def _start_state(homotopy, start, cfg):
     if res0 > 1e-8:
         raise DomainError(f"start pair residual {res0:.3e} violates the invariant at t=0")
 
-    state = TrackState(
-        t=0.0,
-        eigenpair=Eigenpair(lam, e, res0),
-        c=M0 @ e,
-        step=min(cfg.initial_step, 1.0),
-    )
-    state.trajectory.append((0.0, lam))
-    return state
+    return TrackState(t=0.0, eigenpair=Eigenpair(lam, e, res0), c=M0 @ e, trajectory=[(0.0, lam)])
 
 
 def track(homotopy, start, cfg=TrackConfig()):
     """Carry one eigenpair from t = 0 to t = 1 along the homotopy."""
-    state = _start_state(homotopy, start, cfg)
-
-    derivative = None
-    while state.t < 1.0:
-        if derivative is None:
-            derivative = eigenpair_derivative(homotopy, state.t, state.eigenpair, state.c)
-            state.n_solves += 1
-        dt = min(state.step, 1.0 - state.t)
-        t_new = state.t + dt
-        e_guess, lam_guess = predict(state.eigenpair, derivative, dt)
-        try:
-            pair_new, iters = newton_correct(
-                homotopy, t_new, e_guess, lam_guess, state.c,
-                cfg.newton_tol, min(cfg.newton_max_iter, cfg.n2),
-            )
-            state.n_solves += iters
-            accepted = True
-        except NewtonFailure as exc:
-            state.n_solves += getattr(exc, "iterations", cfg.n2)
-            accepted = False
-            iters = None
-        if accepted:
-            pair_acc, c, overlap = _normalized_accept(
-                homotopy.at(t_new).mass, pair_new, state.eigenpair.vector
-            )
-            state.t = t_new
-            state.eigenpair = pair_acc
-            state.c = c
-            state.min_overlap = min(state.min_overlap, overlap)
-            state.newton_log.append(iters)
-            state.trajectory.append((t_new, pair_acc.value))
-            derivative = None
-            if iters <= cfg.n1:
-                state.step *= cfg.eta1
-        else:
-            state.n_rejects += 1
-            state.step *= cfg.eta2
-            if state.step < cfg.min_step:
-                raise TrackingFailure(
-                    f"step underflow at t={state.t:.6f} (step {state.step:.3e} "
-                    f"< min_step {cfg.min_step:.3e})",
-                    state=state,
-                )
-    return state
+    return track_cluster(homotopy, [start], cfg)[0]
 
 
 def track_cluster(homotopy, starts, cfg=TrackConfig()):
-    """Carry a cluster of eigenpairs from t = 0 to t = 1 as one block.
+    """Carry one or more eigenpairs from t = 0 to t = 1 with one shared step.
 
-    starts ascend by value.  Each step predicts every member to first
-    order, takes the Rayleigh-Ritz pairs of homotopy.at(t + dt) on the span
-    of the predicted vectors, in value order, and Newton-corrects each from
-    its Ritz pair with c = M u.  The step is accepted only if every member
-    converges within n2 iterations and the corrected vectors are pairwise
-    M-orthogonal (|e_i^T M e_j| <= ORTHO_TOL); otherwise all of it is
-    rejected.  Member i is the i-th lowest of the cluster at every accepted
-    t, and its min_overlap is the smallest principal cosine between
-    consecutive cluster subspaces.  Returns one TrackState per start.
+    starts ascend by value.  At each accepted t the loop takes every
+    member's derivative; a step to t + dt is then either accepted for all
+    members or rejected for all.  One start steps alone (_lone_step),
+    several as one block (_block_step).  Convergence within n1 iterations
+    grows the step by eta1, a rejection shrinks it by eta2, and a step below
+    min_step is a TrackingFailure carrying the first member's state at the
+    last accepted t.  Returns one TrackState per start.
     """
-    states = [_start_state(homotopy, start, cfg) for start in starts]
-    t, step = 0.0, states[0].step
+    states = [_start_state(homotopy, start) for start in starts]
+    step_to = _lone_step if len(states) == 1 else _block_step
+    t, step = 0.0, min(cfg.initial_step, 1.0)
     derivatives = None
     while t < 1.0:
         if derivatives is None:
@@ -310,27 +259,24 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
                 st.n_solves += 1
         dt = min(step, 1.0 - t)
         t_new = t + dt
-        accepted = _block_step(homotopy, t_new, states, derivatives, dt, cfg)
+        accepted = step_to(homotopy, t_new, states, derivatives, dt, cfg)
         if accepted is None:
             step *= cfg.eta2
             for st in states:
                 st.n_rejects += 1
-                st.step = step
             if step < cfg.min_step:
                 raise TrackingFailure(
-                    f"cluster step underflow at t={t:.6f} (step {step:.3e} "
+                    f"step underflow at t={t:.6f} (step {step:.3e} "
                     f"< min_step {cfg.min_step:.3e})",
                     state=states[0],
                 )
             continue
-        E_old = np.column_stack([st.eigenpair.vector for st in states])
-        ME = np.column_stack([c for _, c, _ in accepted])
-        cosine = float(np.linalg.svd(E_old.T @ ME, compute_uv=False).min())
-        if max(iters for _, _, iters in accepted) <= cfg.n1:
+        members, overlap = accepted
+        if max(iters for _, _, iters in members) <= cfg.n1:
             step *= cfg.eta1
-        for st, (pair, c, iters) in zip(states, accepted):
-            st.t, st.eigenpair, st.c, st.step = t_new, pair, c, step
-            st.min_overlap = min(st.min_overlap, cosine)
+        for st, (pair, c, iters) in zip(states, members):
+            st.t, st.eigenpair, st.c = t_new, pair, c
+            st.min_overlap = min(st.min_overlap, overlap)
             st.newton_log.append(iters)
             st.trajectory.append((t_new, pair.value))
         t = t_new
@@ -338,15 +284,46 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
     return states
 
 
-def _block_step(homotopy, t_new, states, derivatives, dt, cfg):
-    """One shared step of track_cluster to t_new.
+def _correct(homotopy, t_new, st, e, lam, c, cfg):
+    """Newton from (e, lam) with normalization vector c for member st:
+    (Eigenpair, iterations), or None on failure.  Adds the bordered solves
+    to st."""
+    try:
+        pair, iters = newton_correct(homotopy, t_new, e, lam, c, cfg.newton_tol, cfg.n2)
+    except NewtonFailure as exc:
+        st.n_solves += exc.iterations
+        return None
+    st.n_solves += iters
+    return pair, iters
 
-    Rayleigh-Ritz on the predicted vectors, then Newton from each Ritz
-    pair.  Returns [(Eigenpair, c, iterations), ...] ascending by value,
-    M-normalized and oriented as _normalized_accept does against the
-    member's last vector; or None when the projected pencil is not
-    definite, a correction fails, or two corrected vectors are not
-    M-orthogonal.  Newton's bordered solves are added to the members.
+
+def _lone_step(homotopy, t_new, states, derivatives, dt, cfg):
+    """One step of a lone start to t_new: its first-order predictor, then
+    Newton with its previous c.
+
+    Returns ([(Eigenpair, c, iterations)], overlap) as _normalized_accept
+    gives them, or None when the correction fails.
+    """
+    (st,), (derivative,) = states, derivatives
+    corrected = _correct(homotopy, t_new, st, *predict(st.eigenpair, derivative, dt), st.c, cfg)
+    if corrected is None:
+        return None
+    pair, iters = corrected
+    pair, c, overlap = _normalized_accept(homotopy.at(t_new).mass, pair, st.eigenpair.vector)
+    return [(pair, c, iters)], overlap
+
+
+def _block_step(homotopy, t_new, states, derivatives, dt, cfg):
+    """One shared step of a cluster to t_new.
+
+    Each member's first-order predictor, Rayleigh-Ritz on the span of the
+    predicted vectors, then Newton from each Ritz pair u with c = M u.
+    Returns ([(Eigenpair, c, iterations), ...], overlap): the pairs
+    ascending by value, M-normalized and oriented as _normalized_accept
+    does against the member's last vector, and the smallest principal
+    cosine between the last and the new cluster subspaces.  Returns None
+    when the projected pencil is not definite, a correction fails, or two
+    corrected vectors are not M-orthogonal (|e_i^T M e_j| > ORTHO_TOL).
     """
     P = np.column_stack([
         predict(st.eigenpair, d, dt)[0] for st, d in zip(states, derivatives)
@@ -357,25 +334,23 @@ def _block_step(homotopy, t_new, states, derivatives, dt, cfg):
         theta, Y = la.eigh(P.T @ (pencil.stiffness @ P), P.T @ MP)
     except la.LinAlgError:
         return None
-    max_iter = min(cfg.newton_max_iter, cfg.n2)
     corrected = []
     for st, u, Mu, value in zip(states, (P @ Y).T, (MP @ Y).T, theta):
-        try:
-            pair, iters = newton_correct(homotopy, t_new, u, value, Mu, cfg.newton_tol, max_iter)
-        except NewtonFailure as exc:
-            st.n_solves += getattr(exc, "iterations", max_iter)
+        member = _correct(homotopy, t_new, st, u, value, Mu, cfg)
+        if member is None:
             return None
-        st.n_solves += iters
-        corrected.append((pair, iters))
+        corrected.append(member)
     corrected.sort(key=lambda item: item[0].value)
     accepted = []
     for st, (pair, iters) in zip(states, corrected):
         pair, c, _ = _normalized_accept(pencil.mass, pair, st.eigenpair.vector)
         accepted.append((pair, c, iters))
     E = np.column_stack([pair.vector for pair, _, _ in accepted])
-    if _collisions(E, np.column_stack([c for _, c, _ in accepted])):
+    ME = np.column_stack([c for _, c, _ in accepted])
+    if _collisions(E, ME):
         return None
-    return accepted
+    E_old = np.column_stack([st.eigenpair.vector for st in states])
+    return accepted, float(np.linalg.svd(E_old.T @ ME, compute_uv=False).min())
 
 
 def mixing(homotopy, pairs):

@@ -84,6 +84,23 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "c.json", doc)
         assert run_cli("uq", "--config", cfg, "--out", str(tmp_path / "o")) == 2
 
+    def test_readme_lists_exactly_the_tracking_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        head = "Optional `tracking` overrides (any config): `"
+        start = readme.index(head) + len(head)
+        documented = json.loads(readme[start:readme.index("`", start)])
+        taken = []
+
+        class Recording(cli._Section):
+            def take(self, key, *args, **kwargs):
+                taken.append(key)
+                return super().take(key, *args, **kwargs)
+
+        cli._parse_tracking(Recording({}, "tracking"))
+        assert sorted(taken) == sorted(documented)
+        cfg = cli._parse_tracking(cli._Section(documented, "tracking"))
+        assert {key: getattr(cfg, key) for key in documented} == documented
+
     def test_bad_worker_count(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", PILLBOX_UQ)
         assert run_cli("uq", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "0") == 2
@@ -689,9 +706,9 @@ class TestFailureIsolation:
         assert not (out / "summary.json").exists()
 
     def test_every_failed_node_is_listed(self, tmp_path):
-        # one Newton iteration never converges a step, and the second
+        # a tolerance below rounding never converges a step, and the second
         # rejection takes the step below min_step
-        doc = dict(PILLBOX_TRACK, tracking={"newton_max_iter": 1, "min_step": 0.5})
+        doc = dict(PILLBOX_TRACK, tracking={"newton_tol": 1e-300, "min_step": 0.5})
         cfg = write_config(tmp_path, "c.json", doc)
         out = tmp_path / "run"
         assert cli.main(["track", "--config", cfg, "--out", str(out)]) == 3

@@ -130,12 +130,20 @@ def reference_pencil(homotopy, t):
     )
 
 
-def reference_bordered(pencil, lam, e, c):
-    """The bordered matrix as sp.bmat assembles it from K - lam M."""
+def reference_bordered(pencil, lam, e, c, pattern):
+    """The bordered matrix as sp.bmat assembles it from K - lam M, with every
+    entry of the pencil's pattern, M e and c stored, zero or not."""
     K, M = pencil.stiffness, pencil.mass
-    Me = M @ e
+    n = pattern.n
+    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    kml = (K - lam * M).toarray()[rows, pattern.indices]
+    i, zero = np.arange(n), np.zeros(n, dtype=int)
     return sp.bmat(
-        [[(K - lam * M).tocsc(), -Me[:, None]], [sp.csr_matrix(c[None, :]), None]],
+        [
+            [sp.csc_matrix((kml, (rows, pattern.indices)), shape=(n, n)),
+             sp.csc_matrix((-(M @ e), (i, zero)), shape=(n, 1))],
+            [sp.csc_matrix((c, (zero, i)), shape=(1, n)), None],
+        ],
         format="csc",
     )
 
@@ -160,8 +168,8 @@ def rescaled(pencil):
 
 def stored(ref, layout):
     """The bordered matrix ref as layout stores it: columns permuted by the
-    layout's ordering, if it has one (None: a fresh matrix, natural order)."""
-    if layout is None or layout.perm_c is None:
+    layout's ordering, once it has one."""
+    if layout.perm_c is None:
         return ref
     return ref[:, np.argsort(layout.perm_c)].tocsc()
 
@@ -187,9 +195,10 @@ def forced_zero_case():
 
 class TestBorderedRefill:
     """The homotopy's refilled pencils and bordered matrices equal scipy's
-    s K0 + t K1 and sp.bmat's, bit for bit, on endpoints on one pattern; its
-    solves equal a default splu's, also once the layout reuses the column
-    ordering of its first solve."""
+    s K0 + t K1 and sp.bmat's, bit for bit, on endpoints on one pattern,
+    with stored zeros kept; its solves equal a default splu's of the same
+    matrix, also once the layout reuses the column ordering of its first
+    solve."""
 
     @pytest.fixture(scope="class")
     def cases(self, tm_block):
@@ -226,54 +235,19 @@ class TestBorderedRefill:
                 (hom.norms(t), (spla.norm(want.stiffness, np.inf), spla.norm(want.mass, np.inf))),
             ):
                 assert np.asarray(got_v).tobytes() == np.asarray(want_v).tobytes(), t
-            ref = reference_bordered(want, lam, e, c)
-            A, layout = hom.bordered(t, lam, pen.mass @ e, c)
+            ref = reference_bordered(want, lam, e, c, hom.pattern)
+            layout = hom.bordered(t, lam, pen.mass @ e, c)
+            A = layout.matrix
+            if t == 1.0:   # the rescaled endpoint's stored zeros stay stored
+                assert not A.data.all()
             for attr in ("indptr", "indices", "data"):
                 got_a, want_a = getattr(A, attr), getattr(stored(ref, layout), attr)
                 assert got_a.dtype == want_a.dtype, (t, attr)
                 assert got_a.tobytes() == want_a.tobytes(), (t, attr)
-            x, _ = tracking._bordered_solve(A, layout, rhs)
+            x, _ = tracking._bordered_solve(layout, rhs)
             assert np.array_equal(x, spla.splu(ref).solve(rhs)), t
-
-    def test_kept_matrix_alternates_with_fallback(self):
-        # with e and c free of zeros, K - lam M decides: lam = 2 cancels the
-        # (1, 2) pair at every t, and at t = 0 and t = 1 entries that one
-        # endpoint stores as zeros come out zero
-        pen, lam0, e0, c0 = forced_zero_case()
-        hom = HomotopyPencil(pen, rescaled(pen))
-        e = 1.0 + 0.1 * np.arange(pen.n)
-        c = 0.5 + 0.2 * np.arange(pen.n)
-        rhs = 1.0 + np.arange(pen.n + 1.0)
-        calls = [
-            (0.37, 3.0, e, c, True), (0.0, 3.0, e, c, False), (0.6, 2.5, e, c, True),
-            (0.37, 2.0, e, c, False), (0.8, 3.5, e, c, True), (1.0, 3.0, e, c, False),
-            (0.0, lam0, e0, c0, False), (0.37, 3.0, e, c, True),
-        ]
-        kept = None
-        for t, lam, v, w, reused in calls:
-            A, layout = hom.bordered(t, lam, hom.at(t).mass @ v, w)
-            kept = A if reused and kept is None else kept
-            assert (A is kept) == reused == (layout is not None), (t, lam)
-            ref = stored(reference_bordered(reference_pencil(hom, t), lam, v, w), layout)
-            for attr in ("indptr", "indices", "data"):
-                assert getattr(A, attr).tobytes() == getattr(ref, attr).tobytes(), (t, lam, attr)
-            x, _ = tracking._bordered_solve(A, layout, rhs)
-            want = reference_bordered(reference_pencil(hom, t), lam, v, w)
-            assert np.array_equal(x, spla.splu(want).solve(rhs)), (t, lam)
-        # the first kept solve fixed the ordering, the later ones reused it
+        # the first solve fixed the ordering, the later ones reused it
         assert layout is hom.pattern.bordered and layout.perm_c is not None
-
-    def test_forced_zeros_are_dropped(self):
-        pen, lam, e, c = forced_zero_case()
-        assert np.count_nonzero(pen.stiffness.data == 0.0) == 4
-        hom = HomotopyPencil(pen, pen)
-        A, layout = hom.bordered(0.0, lam, pen.mass @ e, c)
-        assert layout is None and np.all(A.data != 0.0)
-        dense = A.toarray()
-        assert dense[1, 2] == dense[2, 1] == 0.0             # K - 2 M cancels
-        assert dense[0, 5] == dense[5, 0] == 0.0             # stored zeros in K and M
-        assert dense[2, 3] == -2.0 * 0.25                    # stored zero under M
-        assert dense[2, 6] == 0.0 and dense[6, 1] == 0.0     # zero M e and c
 
 
 class Counting:
@@ -297,8 +271,8 @@ class Counting:
 
 class TestSolverCalls:
     def test_newton_loop_builds_no_scipy_matrices(self, monkeypatch):
-        """Per homotopy one bordered CSC matrix, plus one per bordered matrix
-        with an exact zero; no spla.norm; one splu per bordered solve."""
+        """One bordered CSC matrix per pattern, refilled for every bordered
+        solve; no spla.norm; one splu per bordered solve."""
         space = DiscreteSpace(2, 6)
         pens = [assemble(build_disk_patch(r), space, bc="dirichlet") for r in (0.05, 0.06)]
         starts = solve_smallest(pens[0], 2)
@@ -306,20 +280,20 @@ class TestSolverCalls:
         sp_calls = Counting(pencil_mod.sp, "csc_matrix")
         monkeypatch.setattr(tracking, "spla", spla_calls)
         monkeypatch.setattr(pencil_mod, "sp", sp_calls)
-        pruned = []
+        matrices = []
         bordered = HomotopyPencil.bordered
 
         def spied(self, t, lam, Me, c):
-            A, layout = bordered(self, t, lam, Me, c)
-            pruned.append(layout is None)
-            return A, layout
+            layout = bordered(self, t, lam, Me, c)
+            matrices.append(layout.matrix)
+            return layout
 
         monkeypatch.setattr(HomotopyPencil, "bordered", spied)
         states = track_modes(HomotopyPencil(*pens), starts)
         assert spla_calls.calls["norm"] == 0
-        assert len(pruned) > 1 + sum(pruned)
-        assert sp_calls.calls["csc_matrix"] <= 1 + sum(pruned)
-        assert spla_calls.calls["splu"] == len(pruned) == sum(st.n_solves for st in states)
+        assert sp_calls.calls["csc_matrix"] == 1
+        assert len(matrices) > 1 and all(A is matrices[0] for A in matrices)
+        assert spla_calls.calls["splu"] == len(matrices) == sum(st.n_solves for st in states)
 
 
 class TestPredict:
@@ -570,6 +544,19 @@ class TestClusters:
         ref = la.eigh(h.at(1.0).stiffness.toarray(), eigvals_only=True)[:3]
         np.testing.assert_allclose([st.eigenpair.value for st in states], ref, rtol=1e-12)
 
+    def test_cluster_step_underflow_carries_last_state(self):
+        # a tolerance below rounding rejects every step, and the second
+        # rejection takes the shared step below min_step
+        h = avoided_crossing()
+        starts = solve_smallest(h.at(0.0), 2)
+        cfg = TrackConfig(newton_tol=1e-300, min_step=0.5)
+        with pytest.raises(TrackingFailure, match=r"^step underflow at t=0\.000000") as info:
+            track_modes(h, starts, cfg)
+        state = info.value.state
+        assert isinstance(state, TrackState)
+        assert state.t == 0.0 and state.newton_log == [] and state.n_rejects == 2
+        assert state.eigenpair.value == pytest.approx(starts[0].value)
+
     @pytest.mark.parametrize("family", ["TM", "TE"])
     def test_pillbox_radius_homotopy_forms_no_cluster(self, family):
         # the radius scales the cross-section: |D_aa - D_bb| is |s| times the
@@ -608,9 +595,10 @@ class TestClusters:
     def test_collision_after_retrack_fails(self, monkeypatch):
         h = avoided_crossing(seed=19, perturbation=0.1)
         monkeypatch.setattr(tracking, "mixing", lambda homotopy, pairs: [False] * (len(pairs) - 1))
+        loop = tracking.track_cluster
         monkeypatch.setattr(
             tracking, "track_cluster",
-            lambda homotopy, starts, cfg: [track(homotopy, s, cfg) for s in starts],
+            lambda homotopy, starts, cfg: [loop(homotopy, [s], cfg)[0] for s in starts],
         )
         with pytest.raises(TrackingFailure, match="one eigenpair after re-tracking"):
             track_modes(h, solve_smallest(h.at(0.0), 2))
