@@ -149,7 +149,9 @@ class MatrixPencil:
 
     pattern is the SparsityPattern both matrices are stored on when the
     pencil was built on one (see on), else None; a pencil validated on a
-    pattern needs a symmetric one.
+    pattern needs a symmetric one.  starts holds the tracker's start records
+    of the homotopies that start at this pencil (tracking._start_state),
+    kept with the pencil, whose data must then stay as they are.
     """
 
     def __init__(self, stiffness, mass, validate=True):
@@ -161,6 +163,7 @@ class MatrixPencil:
         self.stiffness = K
         self.mass = M
         self.pattern = None
+        self.starts = {}
         if validate:
             self._validate()
 
@@ -173,6 +176,7 @@ class MatrixPencil:
         pencil.stiffness = pattern.matrix(k_data)
         pencil.mass = pattern.matrix(m_data)
         pencil.pattern = pattern
+        pencil.starts = {}
         if validate:
             pencil._validate()
         return pencil

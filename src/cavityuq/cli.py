@@ -82,6 +82,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 _REQUIRED = object()
+PRUNE_RTOL = 1e-6   # margin of a pillbox block's eigenvalue bound (_select_pillbox_modes)
 
 
 # -- strict configuration parsing -------------------------------------------
@@ -236,6 +237,17 @@ def _pillbox_parametric(base_radius, length, p_max, degree, elements):
     return _PENCIL_CACHE[key]
 
 
+def _pillbox_base_block(spec, bi):
+    """Block bi of the base pencil of spec's pillbox, built once per process:
+    every node's homotopy of that block starts there, so the tracker's start
+    records kept on it serve every node."""
+    key = ("pillbox-base-block", *spec, bi)
+    if key not in _PENCIL_CACHE:
+        par = _pillbox_parametric(*spec)
+        _PENCIL_CACHE[key] = block_pencil(par.base, par.blocks[bi])
+    return _PENCIL_CACHE[key]
+
+
 class _Selection(list):
     """Selected [(block_index, Eigenpair), ...] with .partners: block index
     -> that block's lowest physical candidate left unselected."""
@@ -249,17 +261,34 @@ def _select_pillbox_modes(blocks, stacked, n_modes):
     """Lowest physical modes of a stacked pillbox pencil, solved block by block.
 
     Returns a _Selection: [(block_index, Eigenpair in block coordinates),
-    ...] ascending, and each block's next candidate as its partner.
+    ...] ascending, and each solved block's next candidate as its partner.
     Per-block solves keep exactly degenerate cross-family coincidences from
     mixing and let the spurious constant branch be filtered locally.
+
+    Blocks are solved in ascending axial shift, and a block that cannot
+    hold any of the n_modes lowest is skipped: a block's physical
+    eigenvalues are its family's cross-section ones plus its shift, so the
+    lowest physical eigenvalue of the family's first solved block, less
+    that block's shift, plus the block's shift bounds them from below.  A
+    block whose bound is above the n_modes-th candidate found so far by
+    more than PRUNE_RTOL relative, a margin for the rounding of the solves,
+    is not solved.  The selection and the partners of its blocks are those
+    of solving every block.
     """
     candidates = []
-    for bi, b in enumerate(blocks):
+    lowest = {}   # family -> its lowest physical cross-section eigenvalue
+    for bi in sorted(range(len(blocks)), key=lambda i: blocks[i].axial_shift):
+        b = blocks[bi]
+        if b.family in lowest and len(candidates) >= n_modes:
+            nth = sorted(value for value, *_ in candidates)[n_modes - 1]
+            if lowest[b.family] + b.axial_shift > nth + PRUNE_RTOL * abs(nth):
+                continue
         pen_b = block_pencil(stacked, b)
         k = min(n_modes + 2, pen_b.n - 1)
         for pr in solve_smallest(pen_b, k):
             if is_spurious(pr, pen_b, b):
                 continue
+            lowest.setdefault(b.family, pr.value - b.axial_shift)
             candidates.append((pr.value, bi, len(candidates), pr))
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     if len(candidates) < n_modes:
@@ -437,42 +466,45 @@ def _disk_study(root, prob_sec, n_modes, args):
 
 # -- study runner ------------------------------------------------------------
 
-def _track_node(payload, par, tracked):
+def _track_node(payload, par, base, tracked):
     """Track every start pair from the base point to one node.
 
     payload is (spec, node_index, node, groups, partners, cfg, discrete);
     groups maps a key to [(mode, start Eigenpair), ...], ascending by value,
     partners maps it to the next base eigenpair of its pencil (or None),
-    and tracked(pencil, key) gives the pencil that group is tracked in.  A
-    partner that the group's highest start mixes with (tracking.mixing) is
-    tracked with the group, so that their cluster is not cut, and not
-    reported; its bordered solves are counted with the highest start.
+    base(key) gives the base pencil that group is tracked from, the same
+    object at every node of the process, and tracked(pencil, key) the pencil
+    it is tracked in at the node.  A partner that the group's highest start
+    mixes with (tracking.mixing) is tracked with the group, so that their
+    cluster is not cut, and not reported; its bordered solves and
+    factorizations are counted with the highest start.
 
     Returns (rows, failures, tallies, pencil): rows [(mode, lambda,
-    newton_log, solves, rejects, flagged, min_overlap), ...] ordered by
-    mode, min_overlap being the track's smallest M-overlap between accepted
-    steps, or for a cluster member the smallest principal cosine between
-    consecutive cluster subspaces (1.0 at the base node, where nothing is
-    tracked); failures [(modes, message), ...] for each group whose
-    tracking raised a CavityError instead of giving rows; a Counter of the
-    warnings raised meanwhile, recorded instead of shown, of the clusters
-    tracked jointly and of their endpoint re-tracks; and the node's pencil.
+    newton_log, solves, factorizations, rejects, flagged, min_overlap),
+    ...] ordered by mode, min_overlap being the track's smallest M-overlap
+    between accepted steps, or for a cluster member the smallest principal
+    cosine between consecutive cluster subspaces (1.0 at the base node,
+    where nothing is tracked); failures [(modes, message), ...] for each
+    group whose tracking raised a CavityError instead of giving rows; a
+    Counter of the warnings raised meanwhile, recorded instead of shown, of
+    the clusters tracked jointly and of their endpoint re-tracks; and the
+    node's pencil.
     """
     _, _, node, groups, partners, cfg, _ = payload
     if np.array_equal(node, par.base_delta):
         rows = sorted(
-            (j, pair.value, [], 0, 0, False, 1.0)
+            (j, pair.value, [], 0, 0, 0, False, 1.0)
             for members in groups.values() for j, pair in members
         )
         return rows, [], Counter(), par.base
     results, failures, tallies = [], [], Counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pen_base, pen_node = par.base, par.at(node)
+        pen_node = par.at(node)
         for key, members in groups.items():
             starts = [pair for _, pair in members]
             try:
-                homotopy = HomotopyPencil(tracked(pen_base, key), tracked(pen_node, key))
+                homotopy = HomotopyPencil(base(key), tracked(pen_node, key))
                 partner = partners[key]
                 if partner is not None and mixing(homotopy, [starts[-1], partner])[0]:
                     starts.append(partner)
@@ -485,9 +517,10 @@ def _track_node(payload, par, tracked):
             if len(states) > len(members):
                 spare = states.pop()
                 states[-1].n_solves += spare.n_solves
+                states[-1].n_factorizations += spare.n_factorizations
             results.extend(
-                (j, st.eigenpair.value, list(st.newton_log), st.n_solves, st.n_rejects,
-                 st.flagged, st.min_overlap)
+                (j, st.eigenpair.value, list(st.newton_log), st.n_solves, st.n_factorizations,
+                 st.n_rejects, st.flagged, st.min_overlap)
                 for (j, _), st in zip(members, states)
             )
     tallies["warnings"] += len(caught)
@@ -501,9 +534,12 @@ def _pillbox_node_task(payload):
     _track_node; with discrete > 0, the values are the eigenvalues of the
     node's lowest discrete modes, rank-ordered, from the pencil tracked in.
     """
-    par = _pillbox_parametric(*payload[0])
+    spec = payload[0]
+    par = _pillbox_parametric(*spec)
     rows, failures, tallies, pencil = _track_node(
-        payload, par, lambda pen, bi: block_pencil(pen, par.blocks[bi])
+        payload, par,
+        lambda bi: _pillbox_base_block(spec, bi),
+        lambda pen, bi: block_pencil(pen, par.blocks[bi]),
     )
     values, discrete = [], payload[6]
     if discrete:
@@ -513,9 +549,8 @@ def _pillbox_node_task(payload):
 
 def _disk_node_task(payload):
     """Deformed-disk node task: one group, tracked in the full pencil."""
-    rows, failures, tallies, _ = _track_node(
-        payload, _disk_parametric(*payload[0]), lambda pen, _: pen
-    )
+    par = _disk_parametric(*payload[0])
+    rows, failures, tallies, _ = _track_node(payload, par, lambda _: par.base, lambda pen, _: pen)
     return payload[1], rows, failures, tallies, []
 
 
@@ -530,7 +565,8 @@ def _track_nodes(study, nodes, cfg_track, n_workers, discrete):
     """Run study.task at every node and merge its rows per mode.
 
     Adds values and freq (mode x node, NaN where a mode failed), per mode
-    newton_logs, solves, rejects, flags and min_overlap over all nodes,
+    newton_logs, solves, factorizations, rejects, flags and min_overlap
+    over all nodes,
     failures: [{node, modes, error}, ...] in node order, tallies: the nodes'
     warnings, clusters and cluster_retracks summed, and discrete (node x
     discrete): the eigenvalues of each node's lowest discrete modes,
@@ -543,7 +579,9 @@ def _track_nodes(study, nodes, cfg_track, n_workers, discrete):
     n_modes = len(study.starts)
     study.values = np.full((n_modes, len(nodes)), np.nan)
     study.newton_logs = [[] for _ in range(n_modes)]
-    study.solves, study.rejects, study.flags = (np.zeros(n_modes, dtype=int) for _ in range(3))
+    study.solves, study.factorizations, study.rejects, study.flags = (
+        np.zeros(n_modes, dtype=int) for _ in range(4)
+    )
     study.min_overlap = np.ones(n_modes)
     study.failures = []
     study.tallies = Counter()
@@ -551,10 +589,11 @@ def _track_nodes(study, nodes, cfg_track, n_workers, discrete):
     for node_index, rows, failures, tallies, values in _run_tasks(
         payloads, globals()[study.task], n_workers
     ):
-        for j, lam, log, solves, rejects, flagged, overlap in rows:
+        for j, lam, log, solves, factorizations, rejects, flagged, overlap in rows:
             study.values[j, node_index] = lam
             study.newton_logs[j] += log
             study.solves[j] += solves
+            study.factorizations[j] += factorizations
             study.rejects[j] += rejects
             study.flags[j] += flagged
             study.min_overlap[j] = min(study.min_overlap[j], overlap)
@@ -652,6 +691,7 @@ def cmd_uq(cfg, args):
         workers=args.workers,
         newton=_newton_summary(run.newton_logs),
         bordered_solves=int(run.solves.sum()),
+        factorizations=int(run.factorizations.sum()),
         rejected_steps=int(run.rejects.sum()),
         degenerate_flags=int(run.flags.sum()),
         min_overlap=float(run.min_overlap.min()),
@@ -711,6 +751,7 @@ def cmd_track(cfg, args):
             "newton_mean": newton["mean"],
             "newton_max": newton["max"],
             "bordered_solves": int(run.solves[j]),
+            "factorizations": int(run.factorizations[j]),
             "rejected_steps": int(run.rejects[j]),
         }
     crossing = _locate_crossing(radii, run.freq)
@@ -859,6 +900,7 @@ def cmd_bench(cfg, args):
         modes=n_modes,
         tracked={
             "bordered_solves": tracked_solves,
+            "factorizations": int(run.factorizations.sum()),
             "base_eigensolve_solves": base_count,
             "total_solves": tracked_total,
             "per_mode_point": tracked_solves / pairs if pairs else None,

@@ -19,16 +19,25 @@ An endpoint M-Gram check backs every group of modes (track_modes):
 colliding tracks are re-tracked as one cluster, and a collision that
 remains is a TrackingFailure.
 
-Every derivative and Newton iteration factorizes the bordered system
-[[K - lambda M, -M e], [c^T, 0]] afresh with sparse LU.  Every pencil of a
-study lives on one sparsity pattern, so its pencils at t are refilled on
-it (HomotopyPencil.at) and the bordered matrix is the pattern's one CSC
+Every derivative and every Newton iteration above the tolerance factorizes
+the bordered system [[K - lambda M, -M e], [c^T, 0]] afresh with sparse LU,
+with two exceptions.  The t = 0 end of every homotopy from one pencil is
+that pencil, so the start pencil keeps one start record per start pair
+(_Start, in MatrixPencil.starts): the pair M-normalized and its residual
+checked, c = M e, and the LU of its bordered matrix at t = 0 with a copy of
+that matrix; every homotopy from the pencil takes its start state and its
+derivative at t = 0 from there, and only the back-solve and its residual
+check run again.  And a Newton iterate whose residual already meets the
+tolerance, waiting only for |dlambda| to confirm, is updated with the last
+factorization of the same call (newton_correct).  Every pencil of a study
+lives on one sparsity pattern, so its pencils at t are refilled on it
+(HomotopyPencil.at) and the bordered matrix is the pattern's one CSC
 matrix, refilled in place with every entry stored, zero or not
 (HomotopyPencil.bordered); each kernel factorizes it before asking for the
 next.  The column ordering depends only on the pattern: the first
 factorization on a pattern computes SuperLU's default one, and every later
 one reuses it with the natural ordering on the column-permuted matrix
-(_bordered_solve).  The infinity norms that scale the Newton residual are
+(_BorderedLU).  The infinity norms that scale the Newton residual are
 computed once per pencil at t (HomotopyPencil.norms), so every track of a
 homotopy shares those at t = 0.
 """
@@ -90,7 +99,8 @@ class TrackState:
     c: np.ndarray
     trajectory: list = field(default_factory=list)   # (t, lambda) accepted
     newton_log: list = field(default_factory=list)   # iterations per accepted step
-    n_solves: int = 0                                # bordered solves, total
+    n_solves: int = 0                                # bordered back-solves, total
+    n_factorizations: int = 0                        # bordered LU factorizations, total
     n_rejects: int = 0
     min_overlap: float = 1.0
     flagged: bool = False                            # degenerate start
@@ -102,31 +112,61 @@ def _scaled_residual(r, lam, e, norm_k, norm_m):
     return float(math.sqrt(r @ r) / ((norm_k + abs(lam) * norm_m) * math.sqrt(e @ e)))
 
 
-def _bordered_solve(layout, rhs):
-    """Solve the bordered system of layout's matrix by sparse LU.
+class _BorderedLU:
+    """Sparse LU of a BorderedLayout's matrix as HomotopyPencil.bordered
+    filled it, for any number of right-hand sides (solve).
 
-    layout is a BorderedLayout as HomotopyPencil.bordered filled it.
-    Returns (x, y): the solution, and y with A y = rhs for A = layout.matrix
-    in its stored column order.  The first factorization on a layout takes
-    SuperLU's default column ordering and hands it to the layout, which
-    stores its matrix in that order from the next fill on; every later one
-    factors with the natural ordering, so x = y[perm_c].
+    The first factorization on a layout takes SuperLU's default column
+    ordering and hands it to the layout, which stores its matrix in that
+    order from the next fill on; every later one factors with the natural
+    ordering, so x = y[perm_c].
     """
-    A, perm = layout.matrix, layout.perm_c
-    try:
-        lu = spla.splu(A) if perm is None else spla.splu(A, permc_spec="NATURAL")
-    except RuntimeError as exc:
-        raise DegeneracyError(
-            "bordered matrix is singular; eigenvalue nearly multiple or "
-            "normalization vector orthogonal to the eigenvector"
-        ) from exc
-    y = lu.solve(rhs)
-    if not np.all(np.isfinite(y)):
-        raise DegeneracyError("bordered solve produced non-finite values")
-    if perm is None:
-        layout.order(lu.perm_c)
-        return y, y
-    return y[perm], y
+
+    def __init__(self, layout):
+        A, self._perm = layout.matrix, layout.perm_c
+        try:
+            self._lu = (
+                spla.splu(A) if self._perm is None else spla.splu(A, permc_spec="NATURAL")
+            )
+        except RuntimeError as exc:
+            raise DegeneracyError(
+                "bordered matrix is singular; eigenvalue nearly multiple or "
+                "normalization vector orthogonal to the eigenvector"
+            ) from exc
+        if self._perm is None:
+            layout.order(self._lu.perm_c)
+
+    def solve(self, rhs):
+        """(x, y): the solution, and y with A y = rhs for the factored
+        matrix A in its stored column order."""
+        y = self._lu.solve(rhs)
+        if not np.all(np.isfinite(y)):
+            raise DegeneracyError("bordered solve produced non-finite values")
+        return (y if self._perm is None else y[self._perm]), y
+
+
+class _Start:
+    """A start pair at t = 0 of every homotopy from one pencil.
+
+    Holds the pair M-normalized (eigenpair) with its residual checked,
+    c = M e, and the LU of the bordered matrix [[K0 - lambda0 M0, -M0 e0],
+    [c0^T, 0]] with a copy of that matrix.  None of it depends on where a
+    homotopy ends, so the start pencil keeps the record (_start_state).
+    """
+
+    def __init__(self, homotopy, pair):
+        K0, M0 = homotopy.start.stiffness, homotopy.start.mass
+        e = np.asarray(pair.vector, dtype=float)
+        e = e / math.sqrt(e @ (M0 @ e))
+        lam = float(pair.value)
+        res0 = _scaled_residual(K0 @ e - lam * (M0 @ e), lam, e, *homotopy.norms(0.0))
+        if res0 > 1e-8:
+            raise DomainError(f"start pair residual {res0:.3e} violates the invariant at t=0")
+        self.eigenpair = Eigenpair(lam, e, res0)
+        self.c = M0 @ e
+        layout = homotopy.bordered(0.0, lam, homotopy.at(0.0).mass @ e, self.c)
+        self.lu = _BorderedLU(layout)
+        self.matrix = layout.matrix.copy()
 
 
 def eigenpair_derivative(homotopy, t, pair, c):
@@ -134,16 +174,26 @@ def eigenpair_derivative(homotopy, t, pair, c):
 
     Differentiating K e = lambda M e and c^T e = 1 gives the bordered system
     [[K - lambda M, -M e], [c^T, 0]] [e'; lambda'] = [-K' e + lambda M' e; 0].
+    At t = 0, for the pair and c of a start state (_start_state), the start
+    pencil's record supplies the factorized matrix; otherwise it is
+    factorized here.  Either way the solve's residual is checked against it.
     """
-    pencil = homotopy.at(t)
+    record = None
+    if t == 0.0:
+        record = next(
+            (r for r in homotopy.start.starts.values() if r.eigenpair is pair and r.c is c), None
+        )
+    if record is None:
+        layout = homotopy.bordered(t, pair.value, homotopy.at(t).mass @ pair.vector, c)
+        lu, A = _BorderedLU(layout), layout.matrix
+    else:
+        lu, A = record.lu, record.matrix
     k_prime, m_prime = homotopy.derivative()
     e, lam = pair.vector, pair.value
     rhs = np.empty(e.size + 1)
     rhs[:-1] = -(k_prime @ e) + lam * (m_prime @ e)
     rhs[-1] = 0.0
-    layout = homotopy.bordered(t, lam, pencil.mass @ e, c)
-    x, y = _bordered_solve(layout, rhs)
-    A = layout.matrix
+    x, y = lu.solve(rhs)
     resid = np.linalg.norm(A @ y - rhs)
     # row-sum norm straight from the CSC arrays; spla.norm would convert to CSR
     norm_a = np.bincount(A.indices, np.abs(A.data), minlength=A.shape[0]).max()
@@ -163,9 +213,14 @@ def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter):
     """Newton-Raphson on the eigenproblem of homotopy.at(t) plus c^T e = 1.
 
     Converged when the scaled eigenproblem residual drops below tol and the
-    last eigenvalue update satisfies |dlam| <= tol (1 + |lambda|).  Returns
-    (Eigenpair, iterations); raises NewtonFailure on divergence or cap.
-    The failure carries .iterations for the step-size controller.
+    last eigenvalue update satisfies |dlam| <= tol (1 + |lambda|).  An
+    iterate above tol is updated with a fresh factorization of the bordered
+    Jacobian at it.  An iterate whose residual already meets tol waits only
+    for |dlam| to confirm, and its update reuses the last factorization of
+    this call: a simplified-Newton step with the same fixed point, counted
+    as an iteration like any other.  Returns (Eigenpair, iterations,
+    factorizations); raises NewtonFailure on divergence or cap.  The failure
+    carries .iterations for the step-size controller and .factorizations.
     """
     pencil = homotopy.at(t)
     K, M = pencil.stiffness, pencil.mass
@@ -173,38 +228,49 @@ def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter):
     e = np.asarray(e0, dtype=float).copy()
     lam = float(lam0)
     if not (np.all(np.isfinite(e)) and math.isfinite(lam)):
-        raise _newton_failure("non-finite initial guess", 0)
+        raise _newton_failure("non-finite initial guess", 0, 0)
     dlam = None
+    lu, factorizations = None, 0
     for it in range(max_iter + 1):
         Me = M @ e
         r = K @ e - lam * Me
         res = _scaled_residual(r, lam, e, norm_k, norm_m)
         if res <= tol and (dlam is None or abs(dlam) <= tol * (1.0 + abs(lam))):
-            return Eigenpair(lam, e, res), it
+            return Eigenpair(lam, e, res), it, factorizations
         if it == max_iter:
             break
         rhs = np.empty(e.size + 1)
         rhs[:-1] = -r
         rhs[-1] = -(c @ e - 1.0)
         try:
-            x, _ = _bordered_solve(homotopy.bordered(t, lam, Me, c), rhs)
+            # an iterate within tol that did not return follows an update,
+            # so lu holds this call's last factorization
+            if res > tol:
+                lu = _BorderedLU(homotopy.bordered(t, lam, Me, c))
+                factorizations += 1
+            x, _ = lu.solve(rhs)
         except DegeneracyError as exc:
-            raise _newton_failure(f"bordered Jacobian failed: {exc}", it) from exc
+            raise _newton_failure(
+                f"bordered Jacobian failed: {exc}", it, factorizations
+            ) from exc
         e += x[:-1]
         dlam = x[-1]
         lam += dlam
         if not (np.all(np.isfinite(e)) and math.isfinite(lam)):
-            raise _newton_failure("iteration diverged to non-finite values", it + 1)
-    raise _newton_failure(f"no convergence within {max_iter} iterations", max_iter)
+            raise _newton_failure(
+                "iteration diverged to non-finite values", it + 1, factorizations
+            )
+    raise _newton_failure(f"no convergence within {max_iter} iterations", max_iter, factorizations)
 
 
-def _newton_failure(message, iterations):
+def _newton_failure(message, iterations, factorizations):
     # Built here, not bound to a name in newton_correct: a frame that holds
     # the exception it raises forms a reference cycle with its traceback,
     # which keeps the frame's pencil and homotopy alive until the cyclic
     # garbage collector runs.
     failure = NewtonFailure(message)
     failure.iterations = iterations
+    failure.factorizations = factorizations
     return failure
 
 
@@ -219,16 +285,23 @@ def _normalized_accept(M, pair, prev_vector):
 
 
 def _start_state(homotopy, start):
-    """The state at t = 0: the start pair M-normalized and checked."""
-    K0, M0 = homotopy.start.stiffness, homotopy.start.mass
-    e = np.asarray(start.vector, dtype=float)
-    e = e / math.sqrt(e @ (M0 @ e))
-    lam = float(start.value)
-    res0 = _scaled_residual(K0 @ e - lam * (M0 @ e), lam, e, *homotopy.norms(0.0))
-    if res0 > 1e-8:
-        raise DomainError(f"start pair residual {res0:.3e} violates the invariant at t=0")
+    """The state at t = 0 from the start pencil's record of start.
 
-    return TrackState(t=0.0, eigenpair=Eigenpair(lam, e, res0), c=M0 @ e, trajectory=[(0.0, lam)])
+    The first homotopy from a pencil that tracks a start pair makes its
+    record (_Start) and keeps it in the pencil's starts, keyed by the pair's
+    value and vector bytes; every later one reuses it.  The state counts the
+    record's factorization if it was made here.
+    """
+    kept = homotopy.start.starts
+    key = (float(start.value), np.asarray(start.vector, dtype=float).tobytes())
+    made = key not in kept
+    if made:
+        kept[key] = _Start(homotopy, start)
+    record = kept[key]
+    return TrackState(
+        t=0.0, eigenpair=record.eigenpair, c=record.c,
+        trajectory=[(0.0, record.eigenpair.value)], n_factorizations=int(made),
+    )
 
 
 def track(homotopy, start, cfg=TrackConfig()):
@@ -257,6 +330,7 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
             for st in states:
                 derivatives.append(eigenpair_derivative(homotopy, t, st.eigenpair, st.c))
                 st.n_solves += 1
+                st.n_factorizations += int(t > 0.0)   # at t = 0 the start record's LU serves
         dt = min(step, 1.0 - t)
         t_new = t + dt
         accepted = step_to(homotopy, t_new, states, derivatives, dt, cfg)
@@ -287,13 +361,17 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
 def _correct(homotopy, t_new, st, e, lam, c, cfg):
     """Newton from (e, lam) with normalization vector c for member st:
     (Eigenpair, iterations), or None on failure.  Adds the bordered solves
-    to st."""
+    and factorizations to st."""
     try:
-        pair, iters = newton_correct(homotopy, t_new, e, lam, c, cfg.newton_tol, cfg.n2)
+        pair, iters, factorizations = newton_correct(
+            homotopy, t_new, e, lam, c, cfg.newton_tol, cfg.n2
+        )
     except NewtonFailure as exc:
         st.n_solves += exc.iterations
+        st.n_factorizations += exc.factorizations
         return None
     st.n_solves += iters
+    st.n_factorizations += factorizations
     return pair, iters
 
 
@@ -390,11 +468,14 @@ def track_modes(homotopy, starts, cfg=TrackConfig()):
     stays counted.  If they still collide, TrackingFailure.
 
     Near-degenerate start values (relative gap below START_GAP_WARN) are
-    warned about and flagged.  Those that do not mix, such as an exactly
-    degenerate pair under a symmetric deformation, are tracked alone with
-    one normalization vector each, relying on the discretization split, and
-    their endpoint vectors are M-orthogonalized if they still share an
-    eigenvalue.
+    warned about and flagged.  Those that do not mix are tracked alone with
+    one normalization vector each, and their endpoint vectors are
+    M-orthogonalized if they still share an eigenvalue.  Such is an exactly
+    degenerate pair under a symmetric deformation, like the pillbox's
+    m >= 1 pairs on the symmetric disk patch: its members share one
+    eigenvalue, the gap between their start values is rounding in the base
+    eigensolver, not a discretization split, and each member follows the
+    vector the base eigensolver picked for it.
     """
     values = [p.value for p in starts]
     order = [int(i) for i in np.argsort(values, kind="stable")]
@@ -406,7 +487,7 @@ def track_modes(homotopy, starts, cfg=TrackConfig()):
         warnings.warn(
             f"{len(flagged)} start eigenvalues are nearly degenerate "
             f"(relative gap < {START_GAP_WARN:g}); tracked identities inside "
-            "each cluster follow the discretization split",
+            "each cluster follow the start vectors of the base eigensolve",
             stacklevel=2,
         )
     clusters = [[0]]   # runs of value ranks
@@ -458,6 +539,7 @@ def _track_members(homotopy, starts, members, cfg, results):
             st.retracked = True
             st.newton_log[:0] = old.newton_log
             st.n_solves += old.n_solves
+            st.n_factorizations += old.n_factorizations
             st.n_rejects += old.n_rejects
         results[j] = st
 

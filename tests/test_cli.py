@@ -19,7 +19,13 @@ from cavityuq.assembly import DiscreteSpace
 from cavityuq.eigen import solve_smallest
 from cavityuq.errors import TrackingFailure
 from cavityuq.geometry import load_deformation_spec
-from cavityuq.pencil import build_pillbox_pencil, eigenvalue_to_frequency
+from cavityuq.pencil import (
+    HomotopyPencil,
+    block_pencil,
+    build_pillbox_pencil,
+    eigenvalue_to_frequency,
+    is_spurious,
+)
 
 
 def run_cli(*argv):
@@ -37,6 +43,29 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def count_lu_calls(monkeypatch):
+    """Route the tracker's sparse LU through counters, on a cold pencil cache.
+
+    Returns (factorizations, solves): the permc_spec of every splu call
+    ("default" when none is given) and one entry per back-solve.
+    """
+    factorizations, solves = [], []
+
+    def splu(A, **options):
+        factorizations.append(options.get("permc_spec", "default"))
+        lu = spla.splu(A, **options)
+
+        def solve(rhs):
+            solves.append(A.shape)
+            return lu.solve(rhs)
+
+        return SimpleNamespace(perm_c=lu.perm_c, solve=solve)
+
+    monkeypatch.setattr(tracking, "spla", SimpleNamespace(splu=splu))
+    monkeypatch.setattr(cli, "_PENCIL_CACHE", {})
+    return factorizations, solves
+
+
 PILLBOX_UQ = {
     "problem": {
         "kind": "pillbox",
@@ -47,6 +76,18 @@ PILLBOX_UQ = {
     "discretization": {"degree": 2, "elements": 8},
     "modes": 3,
     "grid": {"kind": "tensor", "family": "clenshaw-curtis", "orders": [5]},
+}
+
+
+# the small disk study of tests/test_tracer_hooks.py: two nodes off the base
+SMALL_DISK = {
+    "problem": {
+        "kind": "deformed-disk", "radius": 0.05,
+        "synthetic": {"variables": 18, "samples": 500, "seed": 1234},
+    },
+    "discretization": {"degree": 2, "refinement": 2},
+    "modes": 1,
+    "grid": {"kind": "tensor", "family": "gauss-hermite", "orders": [2, 1, 1, 1, 1, 1, 1]},
 }
 
 
@@ -100,6 +141,20 @@ class TestConfigValidation:
         assert sorted(taken) == sorted(documented)
         cfg = cli._parse_tracking(cli._Section(documented, "tracking"))
         assert {key: getattr(cfg, key) for key in documented} == documented
+
+    def test_readme_lists_exactly_the_summary_keys(self, tmp_path, pillbox_uq_run):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        head = "`summary.json` keys of `uq`:\n\n"
+        start = readme.index(head) + len(head)
+        bullets = readme[start:readme.index("\n\n", start)].split("\n- ")
+        documented = [bullet.split("`")[1] for bullet in bullets]
+        grid = {"kind": "tensor", "family": "gauss-hermite", "orders": [1] * 7}
+        cfg = write_config(tmp_path, "c.json", dict(SMALL_DISK, grid=grid))
+        assert cli.main(["uq", "--config", cfg, "--out", str(tmp_path / "disk")]) == 0
+        written = set()
+        for out in (pillbox_uq_run[1], tmp_path / "disk"):
+            written.update(json.loads((out / "summary.json").read_text()))
+        assert sorted(documented) == sorted(written)
 
     def test_bad_worker_count(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", PILLBOX_UQ)
@@ -279,7 +334,12 @@ class TestTrack:
         for name in names:
             a, b = (out / name).read_bytes(), (out2 / name).read_bytes()
             if name == "summary.json":
+                # each process factors a start pair's t = 0 matrix once, so
+                # only the factorization counts may depend on the workers
                 a, b = (dict(json.loads(doc), timestamp_utc=None) for doc in (a, b))
+                for doc in (a, b):
+                    for stats in doc["per_mode"].values():
+                        del stats["factorizations"]
             assert a == b, name
 
     def test_one_node_task_per_radius(self, monkeypatch, tmp_path):
@@ -296,22 +356,19 @@ class TestTrack:
 
     def test_per_mode_solves_add_up_to_factorizations(self, monkeypatch, tmp_path):
         # modes 1 and 2 are the TE111 pair, tracked together in block TE1;
-        # each mode reports its own bordered solves, not its block's
-        factorizations = []
-
-        def splu(A, **options):
-            factorizations.append(A.shape)
-            return spla.splu(A, **options)
-
-        monkeypatch.setattr(tracking, "spla", SimpleNamespace(splu=splu))
+        # each mode reports its own bordered solves and factorizations, not
+        # its block's
+        factorizations, solves = count_lu_calls(monkeypatch)
         doc = dict(PILLBOX_TRACK, modes=3, sweep={"start": 0.06, "stop": 0.04, "samples": 5})
         cfg = write_config(tmp_path, "c.json", doc)
         out = tmp_path / "run"
         assert cli.main(["track", "--config", cfg, "--out", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        solves = [stats["bordered_solves"] for stats in summary["per_mode"].values()]
-        assert len(solves) == 3 and min(solves) > 0
-        assert sum(solves) == len(factorizations)
+        per_mode = json.loads((out / "summary.json").read_text())["per_mode"].values()
+        mode_solves = [stats["bordered_solves"] for stats in per_mode]
+        mode_factorizations = [stats["factorizations"] for stats in per_mode]
+        assert len(mode_solves) == 3 and min(mode_solves) > 0 and min(mode_factorizations) > 0
+        assert sum(mode_solves) == len(solves)
+        assert sum(mode_factorizations) == len(factorizations)
         par = build_pillbox_pencil(0.06, 0.1, 1, DiscreteSpace(2, 8))
         groups = cli._group_by_block(cli._select_pillbox_modes(par.blocks, par.base, 3))
         assert [[j for j, _ in members] for members in groups.values()] == [[0], [1, 2]]
@@ -624,18 +681,13 @@ class TestColumnOrdering:
 
     @staticmethod
     def orderings(monkeypatch, tmp_path, doc):
-        specs = []
-
-        def splu(A, **options):
-            specs.append(options.get("permc_spec", "default"))
-            return spla.splu(A, **options)
-
-        monkeypatch.setattr(tracking, "spla", SimpleNamespace(splu=splu))
-        monkeypatch.setattr(cli, "_PENCIL_CACHE", {})
+        specs, solves = count_lu_calls(monkeypatch)
         cfg = write_config(tmp_path, "c.json", doc)
         out = tmp_path / "run"
         assert cli.main(["uq", "--config", cfg, "--out", str(out)]) == 0
-        assert len(specs) == json.loads((out / "summary.json").read_text())["bordered_solves"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(specs) == summary["factorizations"]
+        assert len(solves) == summary["bordered_solves"]
         assert set(specs) == {"default", "NATURAL"}
         return specs
 
@@ -655,6 +707,118 @@ class TestColumnOrdering:
         # PILLBOX_UQ tracks its 3 modes in 2 blocks, TM0 and TE1
         specs = self.orderings(monkeypatch, tmp_path, PILLBOX_UQ)
         assert specs.count("default") == 2
+
+
+def select_every_block(blocks, stacked, n_modes):
+    """The pillbox selection that solves every block, in block order: the
+    reference for the pruned cli._select_pillbox_modes."""
+    candidates = []
+    for bi, b in enumerate(blocks):
+        pen_b = block_pencil(stacked, b)
+        for pr in cli.solve_smallest(pen_b, min(n_modes + 2, pen_b.n - 1)):
+            if not is_spurious(pr, pen_b, b):
+                candidates.append((pr.value, bi, len(candidates), pr))
+    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+    partners = {}
+    for _, bi, _, pr in candidates[n_modes:]:
+        partners.setdefault(bi, pr)
+    return cli._Selection([(bi, pr) for _, bi, _, pr in candidates[:n_modes]], partners)
+
+
+def pair_bytes(pair):
+    return None if pair is None else (pair.value, pair.vector.tobytes())
+
+
+class TestPillboxPruning:
+    """The base selection skips the blocks that cannot hold a requested
+    mode and selects exactly what solving every block selects."""
+
+    @pytest.fixture(scope="class")
+    def pencils(self):
+        space = DiscreteSpace(2, 8)
+        return {
+            (r, p): build_pillbox_pencil(r, 0.1, p, space)
+            for r in (0.04, 0.05, 0.06) for p in (1, 2, 3)
+        }
+
+    @pytest.mark.parametrize("modes", [1, 3, 6, 10])
+    @pytest.mark.parametrize("p_max", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [0.04, 0.05, 0.06])
+    def test_same_selection_as_solving_every_block(self, pencils, radius, p_max, modes):
+        par = pencils[radius, p_max]
+        got = cli._select_pillbox_modes(par.blocks, par.base, modes)
+        want = select_every_block(par.blocks, par.base, modes)
+        assert [(bi, pair_bytes(pr)) for bi, pr in got] == [
+            (bi, pair_bytes(pr)) for bi, pr in want
+        ]
+        for bi in {bi for bi, _ in got}:
+            assert pair_bytes(got.partners.get(bi)) == pair_bytes(want.partners.get(bi))
+
+    def test_benchmark_pillbox_solves_three_of_five_blocks(self, monkeypatch):
+        # TM0, TM1 and TE1 hold the 6 lowest modes at r = 0.05; the bounds
+        # of TM2 and TE2 lie above the 6th candidate
+        par = build_pillbox_pencil(0.05, 0.1, 2, DiscreteSpace(2, 16))
+        solve, solved = cli.solve_smallest, []
+
+        def counted(pencil, k):
+            solved.append(k)
+            return solve(pencil, k)
+
+        monkeypatch.setattr(cli, "solve_smallest", counted)
+        pruned = cli._select_pillbox_modes(par.blocks, par.base, 6)
+        assert len(solved) == 3
+        solved.clear()
+        full = select_every_block(par.blocks, par.base, 6)
+        assert len(solved) == 5
+        assert [pair_bytes(pr) for _, pr in pruned] == [pair_bytes(pr) for _, pr in full]
+
+
+class TestStartRecords:
+    """Every node's homotopy starts at one base pencil per group, so each
+    start pair's bordered matrix at t = 0 is filled and factored once per
+    process, and Newton confirms a converged residual on its last LU."""
+
+    @pytest.mark.parametrize(
+        "doc", [PILLBOX_UQ, SMALL_DISK, dict(SMALL_DISK, modes=2)],
+        ids=["pillbox", "disk", "disk-partner"],
+    )
+    def test_one_start_factorization_per_start_pair(self, monkeypatch, tmp_path, doc):
+        factorizations, _ = count_lu_calls(monkeypatch)
+        fills, tracked, groups = [], set(), []
+        bordered, track_modes = HomotopyPencil.bordered, cli.track_modes
+
+        def filled(self, t, lam, Me, c):
+            fills.append(t)
+            return bordered(self, t, lam, Me, c)
+
+        def recorded(homotopy, starts, cfg):
+            groups.append(len(starts))
+            tracked.update(pair_bytes(pair) for pair in starts)
+            return track_modes(homotopy, starts, cfg)
+
+        monkeypatch.setattr(HomotopyPencil, "bordered", filled)
+        monkeypatch.setattr(cli, "track_modes", recorded)
+        cfg = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "run"
+        assert cli.main(["uq", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(fills) == len(factorizations) == summary["factorizations"]
+        # more start pairs are tracked than there are distinct ones
+        assert sum(groups) > len(tracked) >= doc["modes"]
+        assert fills.count(0.0) == len(tracked)
+        if doc["modes"] == 2:   # the partner is tracked with the pair
+            assert len(tracked) == 3
+
+    def test_readme_study_takes_the_same_steps(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "_PENCIL_CACHE", {})
+        cfg = write_config(tmp_path, "c.json", readme_disk(1234, 3))
+        out = tmp_path / "run"
+        assert cli.main(["uq", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["newton"] == {"accepted_steps": 384, "mean": 1165 / 384, "max": 5}
+        assert summary["rejected_steps"] == 6
+        assert summary["bordered_solves"] == 1564
+        assert summary["factorizations"] <= 900
 
 
 class TestWarnings:

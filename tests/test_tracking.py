@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from cavityuq.assembly import DiscreteSpace, MatrixPencil, assemble
-from cavityuq.eigen import solve_smallest
+from cavityuq.eigen import Eigenpair, solve_smallest
 from cavityuq.errors import (
     DegeneracyError,
     DomainError,
@@ -244,7 +245,7 @@ class TestBorderedRefill:
                 got_a, want_a = getattr(A, attr), getattr(stored(ref, layout), attr)
                 assert got_a.dtype == want_a.dtype, (t, attr)
                 assert got_a.tobytes() == want_a.tobytes(), (t, attr)
-            x, _ = tracking._bordered_solve(layout, rhs)
+            x, _ = tracking._BorderedLU(layout).solve(rhs)
             assert np.array_equal(x, spla.splu(ref).solve(rhs)), t
         # the first solve fixed the ordering, the later ones reused it
         assert layout is hom.pattern.bordered and layout.perm_c is not None
@@ -271,12 +272,24 @@ class Counting:
 
 class TestSolverCalls:
     def test_newton_loop_builds_no_scipy_matrices(self, monkeypatch):
-        """One bordered CSC matrix per pattern, refilled for every bordered
-        solve; no spla.norm; one splu per bordered solve."""
+        """One bordered CSC matrix per pattern, refilled for every
+        factorization; no spla.norm; one splu per factorization and one
+        back-solve per bordered solve."""
         space = DiscreteSpace(2, 6)
         pens = [assemble(build_disk_patch(r), space, bc="dirichlet") for r in (0.05, 0.06)]
         starts = solve_smallest(pens[0], 2)
-        spla_calls = Counting(tracking.spla, "splu", "norm")
+        back_solves = []
+
+        def splu(A, **options):
+            lu = spla.splu(A, **options)
+
+            def solve(rhs):
+                back_solves.append(rhs.size)
+                return lu.solve(rhs)
+
+            return SimpleNamespace(perm_c=lu.perm_c, solve=solve)
+
+        spla_calls = Counting(SimpleNamespace(splu=splu, norm=spla.norm), "splu", "norm")
         sp_calls = Counting(pencil_mod.sp, "csc_matrix")
         monkeypatch.setattr(tracking, "spla", spla_calls)
         monkeypatch.setattr(pencil_mod, "sp", sp_calls)
@@ -293,7 +306,28 @@ class TestSolverCalls:
         assert spla_calls.calls["norm"] == 0
         assert sp_calls.calls["csc_matrix"] == 1
         assert len(matrices) > 1 and all(A is matrices[0] for A in matrices)
-        assert spla_calls.calls["splu"] == len(matrices) == sum(st.n_solves for st in states)
+        factorizations = sum(st.n_factorizations for st in states)
+        assert spla_calls.calls["splu"] == len(matrices) == factorizations
+        assert len(back_solves) == sum(st.n_solves for st in states)
+
+
+class TestStartRecords:
+    def test_start_record_serves_every_homotopy_from_its_pencil(self):
+        """A second homotopy from one start pencil factors nothing at t = 0,
+        and its derivatives there equal a fresh factorization's bit for bit."""
+        space = DiscreteSpace(2, 6)
+        pens = [assemble(build_disk_patch(r), space, bc="dirichlet") for r in (0.05, 0.055, 0.06)]
+        starts = solve_smallest(pens[0], 2)
+        for st in track_modes(HomotopyPencil(pens[0], pens[1]), starts):
+            assert st.n_factorizations > 0 and st.n_solves > st.n_factorizations
+        h = HomotopyPencil(pens[0], pens[2])
+        for start in starts:
+            st = tracking._start_state(h, start)
+            assert st.n_factorizations == 0
+            shared = eigenpair_derivative(h, 0.0, st.eigenpair, st.c)
+            pair = Eigenpair(st.eigenpair.value, st.eigenpair.vector.copy(), 0.0)
+            fresh = eigenpair_derivative(h, 0.0, pair, st.c.copy())
+            assert shared[0].tobytes() == fresh[0].tobytes() and shared[1] == fresh[1]
 
 
 class TestPredict:
@@ -323,7 +357,7 @@ class TestNewton:
         pair = solve_smallest(pen, 1)[0]
         c = pen.mass @ pair.vector
         hom = HomotopyPencil(pen, pen)
-        out, iters = newton_correct(hom, 0.0, pair.vector, pair.value, c, 1e-10, 8)
+        out, iters, _ = newton_correct(hom, 0.0, pair.vector, pair.value, c, 1e-10, 8)
         assert iters == 0
         assert out.value == pair.value
 
@@ -334,7 +368,7 @@ class TestNewton:
         rng = np.random.default_rng(3)
         e0 = pair.vector + 1e-2 * rng.standard_normal(2)
         hom = HomotopyPencil(pen, pen)
-        out, iters = newton_correct(hom, 0.0, e0, pair.value + 1e-2, c, 1e-14, 10)
+        out, iters, _ = newton_correct(hom, 0.0, e0, pair.value + 1e-2, c, 1e-14, 10)
         assert 1 <= iters <= 4
         assert abs(out.value - pair.value) <= 1e-12
         assert abs(c @ out.vector - 1.0) <= 1e-12
@@ -347,6 +381,42 @@ class TestNewton:
         with pytest.raises(NewtonFailure) as info:
             newton_correct(hom, 0.0, pair.vector + 5.0, pair.value + 50.0, c, 1e-14, 2)
         assert info.value.iterations == 2
+
+    @staticmethod
+    def confirming_case():
+        # the exact eigenvector with a wrong eigenvalue: the first update
+        # lands within tol, and only |dlam| is left to confirm
+        pen = dense_pencil(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
+        pair = solve_smallest(pen, 1)[0]
+        hom = HomotopyPencil(pen, pen)
+        return pair, (hom, 0.0, pair.vector, 1.01 * pair.value, pen.mass @ pair.vector, 1e-10, 5)
+
+    def test_confirming_update_reuses_the_last_factorization(self, monkeypatch):
+        pair, args = self.confirming_case()
+        spla_calls = Counting(tracking.spla, "splu")
+        monkeypatch.setattr(tracking, "spla", spla_calls)
+        out, iters, factorizations = newton_correct(*args)
+        assert iters == 2
+        assert factorizations == spla_calls.calls["splu"] == iters - 1
+        assert out.value == pytest.approx(pair.value, rel=1e-14)
+
+    def test_non_finite_confirming_update_fails(self, monkeypatch):
+        _, args = self.confirming_case()
+
+        def splu(A, **options):
+            lu, solves = spla.splu(A, **options), []
+
+            def solve(rhs):
+                solves.append(rhs)
+                y = lu.solve(rhs)
+                return y if len(solves) == 1 else np.full_like(y, np.nan)
+
+            return SimpleNamespace(perm_c=lu.perm_c, solve=solve)
+
+        monkeypatch.setattr(tracking, "spla", SimpleNamespace(splu=splu))
+        with pytest.raises(NewtonFailure, match="non-finite") as info:
+            newton_correct(*args)
+        assert info.value.iterations == info.value.factorizations == 1
 
     def test_failure_releases_the_pencil_without_cycle_collection(self):
         pen = dense_pencil(np.array([[2.0, -1.0], [-1.0, 2.0]]))
