@@ -92,7 +92,6 @@ class SparsityPattern:
         self.indices = np.asarray(indices, dtype=np.int32)
         self.n = self.indptr.size - 1
         self.bordered = None
-        self._blocks = {}
 
     @classmethod
     def of(cls, A):
@@ -118,30 +117,6 @@ class SparsityPattern:
         entries in (column, row) order."""
         rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         return np.argsort(self.indices.astype(np.intp) * self.n + rows)
-
-    def block(self, offset, size):
-        """The pattern of the diagonal block of rows and columns offset ..
-        offset + size - 1, kept: every slice of one block shares it.  The
-        block must hold every entry of its rows."""
-        key = (offset, size)
-        if key not in self._blocks:
-            lo, hi = self.indptr[offset], self.indptr[offset + size]
-            cols = self.indices[lo:hi] - offset
-            if cols.size and (cols.min() < 0 or cols.max() >= size):
-                raise DomainError(f"rows {offset}..{offset + size - 1} leave their diagonal block")
-            self._blocks[key] = SparsityPattern(self.indptr[offset : offset + size + 1] - lo, cols)
-        return self._blocks[key]
-
-    @classmethod
-    def block_diagonal(cls, patterns):
-        """The pattern of a block-diagonal stack of patterns."""
-        offsets = np.cumsum([0] + [p.n for p in patterns])
-        starts = np.cumsum([0] + [p.indices.size for p in patterns])
-        indptr = np.concatenate(
-            [p.indptr[:-1] + s for p, s in zip(patterns, starts)] + [starts[-1:]]
-        )
-        indices = np.concatenate([p.indices + o for p, o in zip(patterns, offsets)])
-        return cls(indptr, indices)
 
 
 class MatrixPencil:

@@ -57,14 +57,16 @@ import time
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import geometry, oracle, uq
-from .assembly import DiscreteSpace, assemble
+from .assembly import DiscreteSpace, MatrixPencil, assemble
 from .eigen import solve_smallest
 from .errors import CavityError, ConfigError, SolverError
 from .pencil import (
@@ -82,7 +84,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 _REQUIRED = object()
-PRUNE_RTOL = 1e-6   # margin of a pillbox block's eigenvalue bound (_select_pillbox_modes)
 
 
 # -- strict configuration parsing -------------------------------------------
@@ -238,9 +239,9 @@ def _pillbox_parametric(base_radius, length, p_max, degree, elements):
 
 
 def _pillbox_base_block(spec, bi):
-    """Block bi of the base pencil of spec's pillbox, built once per process:
-    every node's homotopy of that block starts there, so the tracker's start
-    records kept on it serve every node."""
+    """Block bi of the base pencil of spec's pillbox, built once per study
+    and process: every node's homotopy of that block starts there, so the
+    tracker's start records kept on it serve every node."""
     key = ("pillbox-base-block", *spec, bi)
     if key not in _PENCIL_CACHE:
         par = _pillbox_parametric(*spec)
@@ -257,48 +258,36 @@ class _Selection(list):
         self.partners = partners
 
 
-def _select_pillbox_modes(blocks, stacked, n_modes):
-    """Lowest physical modes of a stacked pillbox pencil, solved block by block.
+def _select_pillbox_modes(blocks, sections, n_modes):
+    """Lowest physical modes of a pillbox at one radius, from its cross-sections.
 
-    Returns a _Selection: [(block_index, Eigenpair in block coordinates),
-    ...] ascending, and each solved block's next candidate as its partner.
-    Per-block solves keep exactly degenerate cross-family coincidences from
-    mixing and let the spurious constant branch be filtered locally.
-
-    Blocks are solved in ascending axial shift, and a block that cannot
-    hold any of the n_modes lowest is skipped: a block's physical
-    eigenvalues are its family's cross-section ones plus its shift, so the
-    lowest physical eigenvalue of the family's first solved block, less
-    that block's shift, plus the block's shift bounds them from below.  A
-    block whose bound is above the n_modes-th candidate found so far by
-    more than PRUNE_RTOL relative, a margin for the rounding of the solves,
-    is not solved.  The selection and the partners of its blocks are those
-    of solving every block.
+    sections maps each family to its cross-section pencil (a value of
+    build_pillbox_pencil's at).  Each is solved once for its n_modes + 2
+    lowest pairs, less the TE constant-mode pair at 0.  A block's candidates
+    are its family's pairs with the block's shift added to the value:
+    eigenpairs of the block's pencil (block_pencil) with the same vectors.
+    Returns a _Selection: [(block_index, Eigenpair), ...] ascending, and
+    each block's lowest candidate left unselected as its partner.  Keeping
+    candidates per block keeps exactly degenerate cross-family coincidences
+    from mixing.
     """
-    candidates = []
-    lowest = {}   # family -> its lowest physical cross-section eigenvalue
-    for bi in sorted(range(len(blocks)), key=lambda i: blocks[i].axial_shift):
-        b = blocks[bi]
-        if b.family in lowest and len(candidates) >= n_modes:
-            nth = sorted(value for value, *_ in candidates)[n_modes - 1]
-            if lowest[b.family] + b.axial_shift > nth + PRUNE_RTOL * abs(nth):
-                continue
-        pen_b = block_pencil(stacked, b)
-        k = min(n_modes + 2, pen_b.n - 1)
-        for pr in solve_smallest(pen_b, k):
-            if is_spurious(pr, pen_b, b):
-                continue
-            lowest.setdefault(b.family, pr.value - b.axial_shift)
-            candidates.append((pr.value, bi, len(candidates), pr))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+    pairs = {}
+    for family, pen in sections.items():
+        k = min(n_modes + 2, pen.n - 1)
+        pairs[family] = [pr for pr in solve_smallest(pen, k) if not is_spurious(pr, pen)]
+    candidates = sorted(
+        (pr.value + b.axial_shift, bi, j, pr)
+        for bi, b in enumerate(blocks) for j, pr in enumerate(pairs[b.family])
+    )
     if len(candidates) < n_modes:
         raise SolverError(
             f"only {len(candidates)} physical candidates found for {n_modes} modes"
         )
+    shifted = [(bi, replace(pr, value=value)) for value, bi, _, pr in candidates]
     partners = {}
-    for _, bi, _, pr in candidates[n_modes:]:
+    for bi, pr in shifted[n_modes:]:
         partners.setdefault(bi, pr)
-    return _Selection([(bi, pr) for _, bi, _, pr in candidates[:n_modes]], partners)
+    return _Selection(shifted[:n_modes], partners)
 
 
 def _group_by_block(selected):
@@ -856,6 +845,20 @@ def cmd_pillbox_reference(cfg, args):
 
 # -- subcommand: bench -------------------------------------------------------
 
+def _direct_pencil(par, pen):
+    """The pencil the direct solve takes at a node whose pencil par gave as
+    pen: the disk's own, or the pillbox's block pencils stacked
+    block-diagonally."""
+    if par.blocks is None:
+        return pen
+    blocks = [block_pencil(pen, b) for b in par.blocks]
+    return MatrixPencil(
+        sp.block_diag([b.stiffness for b in blocks], format="csr"),
+        sp.block_diag([b.mass for b in blocks], format="csr"),
+        validate=False,
+    )
+
+
 def _counted_direct_solve(pen, k, sigma):
     """Shift-invert Lanczos for the k lowest modes, counting linear solves."""
     counter = [0]
@@ -881,12 +884,13 @@ def cmd_bench(cfg, args):
     tracked_wall = time.perf_counter() - t0
 
     n_modes = len(run.starts)
-    k_direct = min(2 * n_modes, run.par.base.n - 1)
+    k_direct = min(2 * n_modes, _direct_pencil(run.par, run.par.base).n - 1)
     sigma = 0.9 * float(run.values.min())
     direct_counts = []
     t0 = time.perf_counter()
     for node in run.grid.nodes:
-        direct_counts.append(_counted_direct_solve(run.par.at(node), k_direct, sigma))
+        pen = _direct_pencil(run.par, run.par.at(node))
+        direct_counts.append(_counted_direct_solve(pen, k_direct, sigma))
     direct_wall = time.perf_counter() - t0
 
     offsets = np.linalg.norm(run.grid.nodes - run.par.base_delta, axis=1)
@@ -966,6 +970,7 @@ def main(argv=None):
     if args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return EXIT_CONFIG
+    _PENCIL_CACHE.clear()   # one cache per command: counts depend on the study only
     try:
         cfg = _load_config(args.config)
         args.handler(cfg, args)

@@ -1,14 +1,14 @@
-"""Parametric pencils, algebraic homotopies, and the pillbox block pencil.
+"""Parametric pencils, algebraic homotopies, and the pillbox cross-sections.
 
-A parametric pencil maps a deformation coordinate vector to assembled
-matrices and keeps only its base pencil.  Every pencil of a study lives on
-one sparsity pattern (assembly.SparsityPattern): the pattern of the
-assembly kernel, of the pillbox stack, or of one of its blocks.  Homotopies
-are convex combinations of two assembled endpoints on one pattern, so a
-pencil at t is two axpys on its data; their t-derivative is the constant
-matrix difference.  The tracker's bordered matrix is the pattern's
-BorderedLayout, with the column ordering of the first factorization on it:
-one layout and one ordering per study, and per pillbox block.
+A parametric pencil maps a deformation coordinate vector to the pencil
+there and keeps only its base pencil.  Every pencil of a study lives on
+one sparsity pattern (assembly.SparsityPattern) per assembly kernel: the
+disk's, or one per pillbox cross-section, shared by that family's axial
+blocks.  Homotopies are convex combinations of two endpoints on one
+pattern, so a pencil at t is two axpys on its data; their t-derivative is
+the constant matrix difference.  The tracker's bordered matrix is the
+pattern's BorderedLayout, with the column ordering of the first
+factorization on it: one layout and one ordering per pattern.
 """
 
 import math
@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import MatrixPencil, SparsityPattern, assemble, boundary_dofs
+from .assembly import MatrixPencil, SparsityPattern, assemble
 from .errors import DomainError
 from .geometry import build_disk_patch
 from .oracle import C0
 
-SPURIOUS_RTOL = 1e-6
+SPURIOUS_ATOL = 1e-6
 SPURIOUS_OVERLAP = 0.5
 
 
@@ -52,10 +52,12 @@ def eigenvalue_to_frequency(lam):
 
 
 class ParametricPencil:
-    """delta -> MatrixPencil, assembled afresh on every call to at.
+    """delta -> the pencil at delta, evaluated afresh on every call to at.
 
-    base, the pencil at base_delta, is assembled on first use and kept:
-    every homotopy of a study starts there.
+    The evaluator assembles a deformed disk; for the pillbox it scales the
+    data of cross-sections assembled once (build_pillbox_pencil).  base,
+    the pencil at base_delta, is evaluated on first use and kept: every
+    homotopy of a study starts there.
     """
 
     def __init__(self, evaluator, n_parameters, base_delta=None, blocks=None):
@@ -236,27 +238,25 @@ class HomotopyPencil:
 
 @dataclass(frozen=True)
 class PillboxBlock:
-    """One axial block of the stacked cylinder pencil.
-
-    spurious is the eigenvalue of the nonphysical constant-mode branch that
-    Neumann blocks carry; None for Dirichlet blocks.
-    """
+    """One axial block: its family's cross-section pencil shifted by
+    axial_shift = (axial pi / length)^2 (see block_pencil)."""
 
     family: str
     axial: int
-    offset: int
-    size: int
     axial_shift: float
-    spurious: float | None
 
 
 def build_pillbox_pencil(radius, length, p_max, space):
-    """Radius-parametrized block pencil for a cylinder of the given length.
+    """Radius-parametrized cross-section pencils of a cylinder of the given length.
 
     A translation-invariant cavity factors into cross-section modes times
-    axial sinusoids: Dirichlet blocks carry axial orders p = 0..p_max and
-    Neumann blocks p = 1..p_max, each shifted by (p*pi/length)^2.  One
-    cross-section assembly per boundary condition serves every block.
+    axial sinusoids: TM blocks are the Dirichlet cross-section with axial
+    orders p = 0..p_max, TE blocks the Neumann one with p = 1..p_max, each
+    shifted by (p*pi/length)^2.  The disk is assembled once per boundary
+    condition, at the base radius.  A radius r only dilates it: the 2-D
+    stiffness does not change and the mass scales with the area, so at([r])
+    is {"TM": ..., "TE": ...}, the base pencils with their mass data scaled
+    by (r/radius)^2 on the same patterns.
     """
     if radius <= 0 or length <= 0:
         raise DomainError(f"cavity dimensions must be positive, got r={radius}, l={length}")
@@ -264,66 +264,44 @@ def build_pillbox_pencil(radius, length, p_max, space):
         raise DomainError(f"axial order cap must be a positive integer, got {p_max}")
     p_max = int(p_max)
 
-    blocks = []
-    offset = 0
-    n_d = space.n_dofs - boundary_dofs(space).size
-    n_n = space.n_dofs
-    for p in range(0, p_max + 1):
-        shift = (p * math.pi / length) ** 2
-        blocks.append(PillboxBlock("TM", p, offset, n_d, shift, None))
-        offset += n_d
-    for p in range(1, p_max + 1):
-        shift = (p * math.pi / length) ** 2
-        blocks.append(PillboxBlock("TE", p, offset, n_n, shift, shift))
-        offset += n_n
-
-    stacked = None    # the pattern of the stack, built by the first evaluation
+    blocks = [PillboxBlock("TM", p, (p * math.pi / length) ** 2) for p in range(0, p_max + 1)]
+    blocks += [PillboxBlock("TE", p, (p * math.pi / length) ** 2) for p in range(1, p_max + 1)]
+    geom = build_disk_patch(radius)
+    base = {"TM": assemble(geom, space, bc="dirichlet"), "TE": assemble(geom, space, bc="neumann")}
 
     def evaluate(delta):
-        nonlocal stacked
         r = float(delta[0])
-        geom = build_disk_patch(r)
-        dirichlet = assemble(geom, space, bc="dirichlet")
-        neumann = assemble(geom, space, bc="neumann")
-        pens = [dirichlet if b.family == "TM" else neumann for b in blocks]
-        if stacked is None:
-            stacked = SparsityPattern.block_diagonal([pen.pattern for pen in pens])
-        return MatrixPencil.on(
-            stacked,
-            np.concatenate([
-                pen.stiffness.data + b.axial_shift * pen.mass.data for b, pen in zip(blocks, pens)
-            ]),
-            np.concatenate([pen.mass.data for pen in pens]),
-            validate=False,
-        )
+        if r <= 0:
+            raise DomainError(f"cavity radius must be positive, got r={r}")
+        scale = (r / radius) ** 2
+        return {
+            family: MatrixPencil.on(
+                pen.pattern, pen.stiffness.data, scale * pen.mass.data, validate=False
+            )
+            for family, pen in base.items()
+        }
 
     return ParametricPencil(evaluate, 1, base_delta=[radius], blocks=tuple(blocks))
 
 
-def is_spurious(pair, pencil, block):
-    """True when a pair of one block's pencil is its constant-mode branch.
+def is_spurious(pair, pencil):
+    """True when a pair of a cross-section pencil is the constant mode.
 
-    pencil is the block's own pencil (see block_pencil).  Neumann blocks
-    carry a nonphysical branch at block.spurious whose eigenvector is the
-    constant; Dirichlet blocks have none.
+    The Neumann (TE) cross-section carries this nonphysical branch at 0;
+    the Dirichlet one has none, its boundary functions being eliminated.
     """
-    if block.spurious is None:
-        return False
     ones = np.ones(pencil.n)
     m_ones = pencil.mass @ ones
     ov = abs(pair.vector @ m_ones) / math.sqrt(ones @ m_ones)
-    near = abs(pair.value - block.spurious) <= SPURIOUS_RTOL * (1.0 + block.spurious)
-    return near and ov >= SPURIOUS_OVERLAP
+    return abs(pair.value) <= SPURIOUS_ATOL and ov >= SPURIOUS_OVERLAP
 
 
-def block_pencil(pencil, block):
-    """Slice one axial block out of a stacked pencil.
-
-    The block's matrices are views of the stacked data on the block's
-    pattern, which every slice of that block shares.
-    """
-    pattern = pencil.pattern.block(block.offset, block.size)
-    lo, hi = pencil.pattern.indptr[[block.offset, block.offset + block.size]]
+def block_pencil(sections, block):
+    """One axial block: K + shift M of its family's pencil in sections (a
+    value of build_pillbox_pencil's at), on that cross-section's pattern,
+    which every block of the family shares."""
+    pen = sections[block.family]
     return MatrixPencil.on(
-        pattern, pencil.stiffness.data[lo:hi], pencil.mass.data[lo:hi], validate=False
+        pen.pattern, pen.stiffness.data + block.axial_shift * pen.mass.data, pen.mass.data,
+        validate=False,
     )

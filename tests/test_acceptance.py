@@ -20,7 +20,6 @@ from cavityuq.assembly import DiscreteSpace, MatrixPencil
 from cavityuq.eigen import Eigenpair, solve_smallest
 from cavityuq.pencil import (
     HomotopyPencil,
-    block_pencil,
     build_pillbox_pencil,
     eigenvalue_to_frequency,
     is_spurious,
@@ -63,13 +62,13 @@ def _ten_lowest(elements, reference):
     p_max = max(lab.p for lab, _ in reference)
     space = DiscreteSpace(2, elements)
     par = build_pillbox_pencil(RADIUS, LENGTH, p_max, space)
-    pen = par.at([RADIUS])
     fs = []
-    for b in par.blocks:
-        pen_b = block_pencil(pen, b)
+    # a block's spectrum is its cross-section's, shifted
+    for family, pen in par.at([RADIUS]).items():
+        values = [p.value for p in solve_smallest(pen, 11) if not is_spurious(p, pen)]
         fs += [
-            eigenvalue_to_frequency(p.value)
-            for p in solve_smallest(pen_b, 11) if not is_spurious(p, pen_b, b)
+            eigenvalue_to_frequency(v + b.axial_shift)
+            for b in par.blocks if b.family == family for v in values
         ]
     fs = sorted(fs)[:10]
     return max(abs(f - fr) / fr for f, (_, fr) in zip(fs, reference))

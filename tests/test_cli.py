@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -704,19 +705,23 @@ class TestColumnOrdering:
         assert self.orderings(monkeypatch, tmp_path, doc).count("default") == 1
 
     def test_one_ordering_per_pillbox_block(self, monkeypatch, tmp_path):
-        # PILLBOX_UQ tracks its 3 modes in 2 blocks, TM0 and TE1
+        # PILLBOX_UQ tracks its 3 modes in 2 blocks, TM0 and TE1; the blocks
+        # of one family share its cross-section's pattern and ordering
         specs = self.orderings(monkeypatch, tmp_path, PILLBOX_UQ)
         assert specs.count("default") == 2
 
 
-def select_every_block(blocks, stacked, n_modes):
-    """The pillbox selection that solves every block, in block order: the
-    reference for the pruned cli._select_pillbox_modes."""
+def select_every_block(blocks, sections, n_modes):
+    """The pillbox selection that solves every block pencil directly, in
+    block order: the reference for cli._select_pillbox_modes.  A TE block's
+    constant-mode pair sits at the block's shift, and its mass matrix is its
+    cross-section's."""
     candidates = []
     for bi, b in enumerate(blocks):
-        pen_b = block_pencil(stacked, b)
-        for pr in cli.solve_smallest(pen_b, min(n_modes + 2, pen_b.n - 1)):
-            if not is_spurious(pr, pen_b, b):
+        pen_b = block_pencil(sections, b)
+        for pr in solve_smallest(pen_b, min(n_modes + 2, pen_b.n - 1)):
+            at_zero = replace(pr, value=pr.value - b.axial_shift)
+            if not is_spurious(at_zero, sections[b.family]):
                 candidates.append((pr.value, bi, len(candidates), pr))
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     partners = {}
@@ -730,8 +735,9 @@ def pair_bytes(pair):
 
 
 class TestPillboxPruning:
-    """The base selection skips the blocks that cannot hold a requested
-    mode and selects exactly what solving every block selects."""
+    """The base selection solves no block pencil: each family's
+    cross-section is solved once and its pairs are shifted into every block
+    of the family.  It selects what solving every block selects."""
 
     @pytest.fixture(scope="class")
     def pencils(self):
@@ -748,29 +754,31 @@ class TestPillboxPruning:
         par = pencils[radius, p_max]
         got = cli._select_pillbox_modes(par.blocks, par.base, modes)
         want = select_every_block(par.blocks, par.base, modes)
-        assert [(bi, pair_bytes(pr)) for bi, pr in got] == [
-            (bi, pair_bytes(pr)) for bi, pr in want
-        ]
-        for bi in {bi for bi, _ in got}:
-            assert pair_bytes(got.partners.get(bi)) == pair_bytes(want.partners.get(bi))
+        assert [bi for bi, _ in got] == [bi for bi, _ in want]
+        np.testing.assert_allclose(
+            [pr.value for _, pr in got], [pr.value for _, pr in want], rtol=1e-10
+        )
+        assert sorted(got.partners) == sorted(want.partners)
+        np.testing.assert_allclose(
+            [got.partners[bi].value for bi in sorted(got.partners)],
+            [want.partners[bi].value for bi in sorted(want.partners)],
+            rtol=1e-10,
+        )
 
-    def test_benchmark_pillbox_solves_three_of_five_blocks(self, monkeypatch):
-        # TM0, TM1 and TE1 hold the 6 lowest modes at r = 0.05; the bounds
-        # of TM2 and TE2 lie above the 6th candidate
+    def test_benchmark_pillbox_solves_each_cross_section_once(self, monkeypatch):
+        # the criterion-3 selection: 6 modes from 5 blocks, 2 dense solves
         par = build_pillbox_pencil(0.05, 0.1, 2, DiscreteSpace(2, 16))
         solve, solved = cli.solve_smallest, []
 
         def counted(pencil, k):
-            solved.append(k)
+            solved.append((pencil, k))
             return solve(pencil, k)
 
         monkeypatch.setattr(cli, "solve_smallest", counted)
-        pruned = cli._select_pillbox_modes(par.blocks, par.base, 6)
-        assert len(solved) == 3
-        solved.clear()
-        full = select_every_block(par.blocks, par.base, 6)
-        assert len(solved) == 5
-        assert [pair_bytes(pr) for _, pr in pruned] == [pair_bytes(pr) for _, pr in full]
+        sections = par.base
+        selected = cli._select_pillbox_modes(par.blocks, sections, 6)
+        assert solved == [(sections["TM"], 8), (sections["TE"], 8)]
+        assert {par.blocks[bi].family for bi, _ in selected} == {"TM", "TE"}
 
 
 class TestStartRecords:
@@ -819,6 +827,22 @@ class TestStartRecords:
         assert summary["rejected_steps"] == 6
         assert summary["bordered_solves"] == 1564
         assert summary["factorizations"] <= 900
+
+
+class TestPencilCache:
+    @pytest.mark.parametrize("doc", [PILLBOX_UQ, SMALL_DISK], ids=["pillbox", "disk"])
+    def test_repeated_study_reads_the_same_factorizations(self, tmp_path, doc):
+        """Each command starts on an empty pencil cache, so a study's
+        factorization count does not depend on what its process ran before:
+        start records kept from an earlier run would save their
+        factorizations."""
+        cfg = write_config(tmp_path, "c.json", doc)
+        counts = []
+        for run in ("first", "second"):
+            out = tmp_path / run
+            assert cli.main(["uq", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
+            counts.append(json.loads((out / "summary.json").read_text())["factorizations"])
+        assert counts[0] == counts[1] > 0
 
 
 class TestWarnings:

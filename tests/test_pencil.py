@@ -1,4 +1,4 @@
-"""Tests for parametric pencils, homotopies, and the pillbox stack."""
+"""Tests for parametric pencils, homotopies, and the pillbox cross-sections."""
 
 import math
 
@@ -160,13 +160,15 @@ def stack():
 
 
 def split_block_spectra(stack, k):
-    """(physical, spurious) lists of (block, pair) from each block's k lowest."""
-    pen = stack.base
+    """(physical, spurious): physical lists (block, shifted value) from each
+    family's k lowest cross-section pairs, spurious the constant-mode pairs."""
     phys, bad = [], []
-    for b in stack.blocks:
-        pen_b = block_pencil(pen, b)
-        for pair in solve_smallest(pen_b, k):
-            (bad if is_spurious(pair, pen_b, b) else phys).append((b, pair))
+    for family, pen in stack.base.items():
+        for pair in solve_smallest(pen, k):
+            if is_spurious(pair, pen):
+                bad.append((family, pair))
+                continue
+            phys += [(b, pair.value + b.axial_shift) for b in stack.blocks if b.family == family]
     return phys, bad
 
 
@@ -174,12 +176,19 @@ class TestPillboxPencil:
     def test_block_layout(self, stack):
         fams = [(b.family, b.axial) for b in stack.blocks]
         assert fams == [("TM", 0), ("TM", 1), ("TM", 2), ("TE", 1), ("TE", 2)]
-        pen = stack.base
-        assert pen.n == sum(b.size for b in stack.blocks)
         for b in stack.blocks:
-            assert (b.spurious is None) == (b.family == "TM")
-            if b.spurious is not None:
-                assert b.spurious == pytest.approx((b.axial * math.pi / 0.1) ** 2, rel=1e-15)
+            assert b.axial_shift == pytest.approx((b.axial * math.pi / 0.1) ** 2, rel=1e-15)
+        sections = stack.base
+        assert sorted(sections) == ["TE", "TM"]
+        assert sections["TE"].n == SPACE.n_dofs
+        assert sections["TM"].n == disk_pencil(0.06).n < SPACE.n_dofs
+        # every block of a family is its cross-section, shifted, on its pattern
+        for b in stack.blocks:
+            pen, section = block_pencil(sections, b), sections[b.family]
+            assert pen.pattern is section.pattern
+            assert np.array_equal(pen.mass.data, section.mass.data)
+            want = section.stiffness.data + b.axial_shift * section.mass.data
+            assert np.array_equal(pen.stiffness.data, want)
 
     def test_dirichlet_block_matches_direct_assembly(self, stack):
         pen = stack.at([0.06])
@@ -202,23 +211,39 @@ class TestPillboxPencil:
         wb = [p.value for p in solve_smallest(b, 4)]
         np.testing.assert_allclose(np.array(wa) / np.array(wb), 4.0, rtol=1e-10)
 
+    @pytest.mark.parametrize("r", [0.04, 0.10])
+    def test_node_pencils_match_direct_assembly(self, stack, r):
+        # a radius dilates the disk: K keeps its data and M scales by
+        # (r / r0)^2, on the kernel's pattern, with no assembly
+        sections = stack.at([r])
+        for family, bc in (("TM", "dirichlet"), ("TE", "neumann")):
+            direct = disk_pencil(r, bc)
+            got = sections[family]
+            assert got.pattern is direct.pattern
+            for a, b in ((got.stiffness, direct.stiffness), (got.mass, direct.mass)):
+                assert np.abs(a.data - b.data).max() <= 1e-13 * np.abs(b.data).max()
+
     def test_ten_lowest_frequencies_match_analytic_table(self, stack):
         pairs, bad = split_block_spectra(stack, 12)
-        assert len(bad) == 2
-        phys = sorted(pairs, key=lambda bp: bp[1].value)
+        assert len(bad) == 1
+        phys = sorted(value for _, value in pairs)
         ref = pillbox_spectrum(0.06, 0.1, 10)
-        for (label, f_ref), (_, pair) in zip(ref, phys[:10]):
-            f = eigenvalue_to_frequency(pair.value)
+        for (label, f_ref), value in zip(ref, phys[:10]):
+            f = eigenvalue_to_frequency(value)
             assert abs(f / f_ref - 1.0) <= 5e-4, str(label)
 
     def test_spurious_modes_sit_at_axial_shift(self, stack):
+        # the TE cross-section carries exactly one constant-mode pair, at 0;
+        # in a TE block it sits at the block's axial shift
         _, bad = split_block_spectra(stack, 12)
-        assert len(bad) == 2
-        got = sorted(p.value for _, p in bad)
-        want = sorted(b.spurious for b in stack.blocks if b.spurious is not None)
-        np.testing.assert_allclose(got, want, rtol=1e-8)
-        for b, _ in bad:
-            assert b.family == "TE"
+        assert [family for family, _ in bad] == ["TE"]
+        (_, pair), = bad
+        assert abs(pair.value) <= 1e-9
+        for b in stack.blocks:
+            if b.family == "TE":
+                lowest = solve_smallest(block_pencil(stack.base, b), 1)[0]
+                assert lowest.value == pytest.approx(b.axial_shift, rel=1e-8)
+                np.testing.assert_allclose(lowest.vector, lowest.vector.mean(), rtol=1e-8)
 
     def test_validation(self):
         with pytest.raises(DomainError):

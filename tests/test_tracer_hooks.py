@@ -69,7 +69,7 @@ def test_pillbox_study_calls_hooks_at_run_time(tracer, monkeypatch, tmp_path):
     assert calls["cli.node_tasks"] == 3
     assert calls["pencil.build"] == 1
     assert calls["eigen.solve"] >= 1
-    assert calls["pencil.block"] >= 2 * calls["tracking.track_modes"] > 0
+    assert calls["pencil.block"] >= calls["tracking.track_modes"] > 0
 
 
 _SMALL_DISK = {
@@ -104,6 +104,18 @@ def test_disk_node_evaluates_no_basis(tracer, monkeypatch, tmp_path):
         assert calls["geometry.deform"] == calls["assembly.assemble"] == order + 1
         evals.append(calls["splines.basis_evals"])
     assert evals[0] == evals[1] > 0
+
+
+def test_pillbox_node_assembles_nothing(tracer, monkeypatch, tmp_path):
+    """A pillbox node scales the mass data of the two cross-sections, which
+    are assembled once per study: 2 assemblies at 3 nodes and at 5."""
+    for order in (3, 5):
+        doc = dict(_SMALL_PILLBOX, grid=dict(_SMALL_PILLBOX["grid"], orders=[order]))
+        (tmp_path / str(order)).mkdir()
+        calls = _counted_study(tracer, monkeypatch, tmp_path / str(order), doc)
+        assert calls["cli.node_tasks"] == order
+        assert calls["pencil.build"] == 1
+        assert calls["assembly.assemble"] == 2
 
 
 def _installed(tracer, monkeypatch):

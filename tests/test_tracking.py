@@ -635,7 +635,11 @@ class TestClusters:
         par = build_pillbox_pencil(0.05, 0.1, 1, DiscreteSpace(2, 12))
         block = next(b for b in par.blocks if (b.family, b.axial) == (family, 1))
         base = block_pencil(par.base, block)
-        starts = [p for p in solve_smallest(base, 4) if not pencil_mod.is_spurious(p, base, block)]
+        section = par.base[family]
+        starts = [
+            Eigenpair(p.value + block.axial_shift, p.vector, p.residual)
+            for p in solve_smallest(section, 4) if not pencil_mod.is_spurious(p, section)
+        ]
         for r in (0.04, 0.06):
             h = HomotopyPencil(base, block_pencil(par.at([r]), block))
             assert not any(tracking.mixing(h, starts))
