@@ -10,7 +10,8 @@ pillbox-reference   closed-form labeled mode table of the cylinder cavity
 bench               linear-solve count comparison: tracking vs. direct solves
 
 Every subcommand takes --config PATH (JSON), --out DIR, --workers N and
---seed S.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+--seed S.  Exit codes: 0 success, 2 configuration error (a bad config, or a
+missing or malformed file it names), 3 numerical failure.
 
 uq, bench and track share one runner: solve the base pencil once, track
 every start pair to each node (a grid node, or a radius of the track sweep;
@@ -134,14 +135,19 @@ class _Section:
             raise ConfigError(f"{self.where}: unknown keys: {extra}")
 
 
-def _load_config(path):
+def _read_input(load, path):
+    """load(path) for the config file or a file it names: input from outside
+    the program, so a missing or malformed one is a configuration error."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        return load(path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from None
+    except (ValueError, TypeError, CavityError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse_tracking(sec):
@@ -390,9 +396,9 @@ def _pillbox_study(root, prob_sec, n_modes, args):
 def _parse_disk_problem(sec, args):
     radius = sec.take("radius", kind=float, lo=1e-6)
     criterion = sec.take("criterion", default=0.95, kind=float)
-    obs_path = sec.take("observations", default=None)
+    obs_path = sec.take("observations", default=None, kind=str)
     synth = sec.section("synthetic", default=None)
-    model_path = sec.take("model", default=None)
+    model_path = sec.take("model", default=None, kind=str)
     sec.done()
     sources = [s for s in (obs_path, synth, model_path) if s is not None]
     if len(sources) != 1:
@@ -400,10 +406,10 @@ def _parse_disk_problem(sec, args):
             "problem: give exactly one of observations, synthetic, model"
         )
     if model_path is not None:
-        sampler, mean, modes = geometry.load_deformation_spec(model_path)
+        sampler, mean, modes = _read_input(geometry.load_deformation_spec, model_path)
         return radius, sampler.angles, sampler.kind, mean, modes, None
     if obs_path is not None:
-        obs = uq.load_observations(obs_path)
+        obs = _read_input(uq.load_observations, obs_path)
     else:
         variables = synth.take("variables", default=18, kind=int, lo=1, hi=512)
         samples = synth.take("samples", default=5000, kind=int, lo=2)
@@ -544,13 +550,19 @@ def _disk_node_task(payload):
 
 
 def _run_tasks(payloads, worker, n_workers):
+    """Yield worker(payload) for each payload, in order.  Closing the
+    generator early cancels the tasks that have not started."""
     if n_workers <= 1 or len(payloads) <= 1:
-        return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, payloads))
+        yield from map(worker, payloads)
+        return
+    pool = ProcessPoolExecutor(max_workers=n_workers)
+    try:
+        yield from pool.map(worker, payloads)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _track_nodes(study, nodes, cfg_track, n_workers, discrete):
+def _track_nodes(study, nodes, cfg_track, n_workers, discrete, fail_fast):
     """Run study.task at every node and merge its rows per mode.
 
     Adds values and freq (mode x node, NaN where a mode failed), per mode
@@ -559,7 +571,8 @@ def _track_nodes(study, nodes, cfg_track, n_workers, discrete):
     failures: [{node, modes, error}, ...] in node order, tallies: the nodes'
     warnings, clusters and cluster_retracks summed, and discrete (node x
     discrete): the eigenvalues of each node's lowest discrete modes,
-    rank-ordered, when discrete > 0.
+    rank-ordered, when discrete > 0.  With fail_fast, no node after the
+    first one that reports a failure is tracked.
     """
     payloads = [
         (study.spec, k, node, study.groups, study.partners, cfg_track, discrete)
@@ -575,9 +588,8 @@ def _track_nodes(study, nodes, cfg_track, n_workers, discrete):
     study.failures = []
     study.tallies = Counter()
     study.discrete = np.empty((len(nodes), discrete))
-    for node_index, rows, failures, tallies, values in _run_tasks(
-        payloads, globals()[study.task], n_workers
-    ):
+    results = _run_tasks(payloads, globals()[study.task], n_workers)
+    for node_index, rows, failures, tallies, values in results:
         for j, lam, log, solves, factorizations, rejects, flagged, overlap in rows:
             study.values[j, node_index] = lam
             study.newton_logs[j] += log
@@ -591,6 +603,9 @@ def _track_nodes(study, nodes, cfg_track, n_workers, discrete):
         ]
         study.tallies.update(tallies)
         study.discrete[node_index] = values
+        if failures and fail_fast:
+            results.close()
+            break
     with np.errstate(invalid="ignore"):   # NaN < 0 is False, but numpy flags it
         study.freq = np.vectorize(eigenvalue_to_frequency)(study.values)
     return study
@@ -600,7 +615,8 @@ def _run_study(cfg, args):
     """Parse a uq/bench config, track its start pairs to every grid node.
 
     Returns the problem's study namespace with _track_nodes' results added;
-    the first failure raises SolverError, before any table is written.
+    the first failing node, in node order, stops the study and raises
+    SolverError, before any table is written.
     """
     root = _Section(cfg, "config")
     prob_sec = root.section("problem")
@@ -610,7 +626,7 @@ def _run_study(cfg, args):
     problem = _pillbox_study if kind == "pillbox" else _disk_study
     study = problem(root, prob_sec, n_modes, args)
 
-    _track_nodes(study, study.grid.nodes, cfg_track, args.workers, 0)
+    _track_nodes(study, study.grid.nodes, cfg_track, args.workers, 0, fail_fast=True)
     if study.failures:
         first = study.failures[0]
         raise SolverError(f"node {first['node']}, modes {first['modes']}: {first['error']}")
@@ -713,7 +729,8 @@ def cmd_track(cfg, args):
     radii = np.array([start]) if start == stop else np.linspace(start, stop, samples)
     spec = (start, problem.length, problem.p_max, degree, elements)
     run = _track_nodes(
-        _pillbox_modes(spec, n_modes), radii[:, None], cfg_track, args.workers, n_modes
+        _pillbox_modes(spec, n_modes), radii[:, None], cfg_track, args.workers, n_modes,
+        fail_fast=False,
     )
 
     for j in range(n_modes):
@@ -784,7 +801,7 @@ def cmd_kl_fit(cfg, args):
     obs_path = root.take("observations", kind=str)
     criterion = root.take("criterion", default=0.95, kind=float)
     root.done()
-    obs = uq.load_observations(obs_path)
+    obs = _read_input(uq.load_observations, obs_path)
     kl = uq.fit_kl(obs, criterion)
     sampler = geometry.BoundarySampler(_station_angles(obs.n_variables), "radial")
     geometry.save_deformation_spec(out / "kl_model.json", sampler, kl.mean, kl.scaled_modes)
@@ -885,7 +902,9 @@ def cmd_bench(cfg, args):
 
     n_modes = len(run.starts)
     k_direct = min(2 * n_modes, _direct_pencil(run.par, run.par.base).n - 1)
-    sigma = 0.9 * float(run.values.min())
+    # 3 significant digits: the Lanczos iteration count jumps with the last
+    # bits of the shift, which must not follow the rounding of tracked values
+    sigma = float(f"{0.9 * run.values.min():.3g}")
     direct_counts = []
     t0 = time.perf_counter()
     for node in run.grid.nodes:
@@ -972,7 +991,7 @@ def main(argv=None):
         return EXIT_CONFIG
     _PENCIL_CACHE.clear()   # one cache per command: counts depend on the study only
     try:
-        cfg = _load_config(args.config)
+        cfg = _read_input(lambda p: json.loads(Path(p).read_text()), args.config)
         args.handler(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

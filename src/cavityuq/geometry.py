@@ -4,7 +4,10 @@ The core object is a tensor-product rational patch mapping the unit square
 to a planar domain.  The disk patch is the classical nine-point biquadratic
 construction whose boundary reproduces the circle exactly; its four
 parametric corners are rank deficient, which is tolerated because assembly
-only ever evaluates at interior Gauss points.
+only ever evaluates at interior Gauss points.  The map has one evaluator:
+a point (the boundary search's) or a grid of points and Jacobians (the
+fold probe's, an assembly's) is one contraction of per-direction basis
+tables with the homogeneous control net.
 
 Deformations displace control points.  A deformation model carries a mean
 displacement field plus one field per retained random variable; the fields
@@ -72,48 +75,16 @@ class GeometryMap:
 
     # -- evaluation -----------------------------------------------------
 
-    def _homogeneous_ders(self, uv):
-        """Value and first parametric derivatives of (sum w P B, sum w B) at
-        parameter points uv, shape (n, 2); each has shape (n, 3).
-
-        One kernel call per direction; each point is contracted on its own
-        active block of the homogeneous net.
-        """
-        bu, bv = self.bases
-        pu, pv = bu.degree, bv.degree
-        su, du = bu.eval_basis_derivatives(uv[:, 0], 1)
-        sv, dv = bv.eval_basis_derivatives(uv[:, 1], 1)
-        hom = self.net.homogeneous()
-        out = np.empty((3, len(uv), hom.shape[-1]))
-        for n, (a, b) in enumerate(zip(su, sv)):
-            block = hom[a - pu : a + 1, b - pv : b + 1]
-            out[0, n] = np.einsum("i,j,ijk->k", du[0, n], dv[0, n], block)
-            out[1, n] = np.einsum("i,j,ijk->k", du[1, n], dv[0, n], block)
-            out[2, n] = np.einsum("i,j,ijk->k", du[0, n], dv[1, n], block)
-        return out
-
     def map_point(self, uv):
         """Physical point of one parameter point, or of each row of an
-        (n, 2) array of them."""
+        (n, 2) array of them: the per-direction basis tables contracted with
+        the homogeneous net, as on a grid."""
         uv = np.asarray(uv, dtype=float)
-        H = self._homogeneous_ders(uv.reshape(-1, 2))[0]
+        us, vs = uv.reshape(-1, 2).T
+        tu = self.bases[0].collocation(us, 0)[0]
+        tv = self.bases[1].collocation(vs, 0)[0]
+        H = np.einsum("ia,ib,abk->ik", tu, tv, self.net.homogeneous())
         return (H[:, :2] / H[:, 2:]).reshape(uv.shape)
-
-    def map_and_jacobian(self, uv):
-        """Physical point and 2x2 Jacobian dF/d(u, v) at a parameter point.
-
-        Raises SingularityError at a marked degenerate corner.
-        """
-        for c in self.degenerate_corners:
-            if abs(uv[0] - c[0]) < 1e-13 and abs(uv[1] - c[1]) < 1e-13:
-                raise SingularityError(f"map is rank deficient at corner {c}")
-        H, Hu, Hv = self._homogeneous_ders(np.array([uv], dtype=float))[:, 0]
-        w = H[2]
-        x = H[:2] / w
-        J = np.empty((2, 2))
-        J[:, 0] = (Hu[:2] - x * Hu[2]) / w
-        J[:, 1] = (Hv[:2] - x * Hv[2]) / w
-        return x, J
 
     def jacobian_grid(self, us, vs):
         """Physical points and Jacobians on the tensor grid us x vs.
@@ -141,21 +112,9 @@ class GeometryMap:
         return _rational_grid(self.bases, self.net.homogeneous(), us, vs)
 
     def _probe_min_det(self, per_span=6):
-        us, _ = _gauss_rule_on(self.bases[0].kv, per_span)
-        vs, _ = _gauss_rule_on(self.bases[1].kv, per_span)
+        us, vs = (_gauss_nodes_on(b.kv, per_span) for b in self.bases)
         _, J = self.jacobian_grid(us, vs)
         return float(_det(J).min())
-
-    # -- derived quantities ----------------------------------------------
-
-    def area(self, per_span=48):
-        """Domain area by Gauss quadrature of |det J| (per_span points per
-        knot span per direction; the integrand is smooth, so this converges
-        exponentially)."""
-        us, wu = _gauss_rule_on(self.bases[0].kv, per_span)
-        vs, wv = _gauss_rule_on(self.bases[1].kv, per_span)
-        _, J = self.jacobian_grid(us, vs)
-        return float(wu @ np.abs(_det(J)) @ wv)
 
     def boundary_ring(self):
         """Control-point indices on the patch boundary, ordered cyclically."""
@@ -189,20 +148,19 @@ def _det(J):
 
 
 @lru_cache(maxsize=None)
-def _gauss_legendre(n):
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], read-only: every
-    deformed map's probe needs the same ones."""
-    rule = np.polynomial.legendre.leggauss(n)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
+def _gauss_legendre_nodes(n):
+    """n-point Gauss-Legendre nodes on [-1, 1], read-only: every deformed
+    map's probe needs the same ones."""
+    x = np.polynomial.legendre.leggauss(n)[0]
+    x.flags.writeable = False
+    return x
 
 
-def _gauss_rule_on(kv, per_span):
-    """Gauss-Legendre nodes and weights on every knot span, left to right."""
-    x, w = _gauss_legendre(per_span)
+def _gauss_nodes_on(kv, per_span):
+    """Gauss-Legendre nodes on every knot span, left to right."""
+    x = _gauss_legendre_nodes(per_span)
     a, b = kv.breakpoints[:-1, None], kv.breakpoints[1:, None]
-    return (0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), (0.5 * (b - a) * w).ravel()
+    return (0.5 * (a + b) + 0.5 * (b - a) * x).ravel()
 
 
 def build_disk_patch(radius):
@@ -229,26 +187,6 @@ def build_disk_patch(radius):
     kv = KnotVector([0, 0, 0, 1, 1, 1], 2)
     basis = BSplineBasis(kv, 2)
     return GeometryMap((basis, BSplineBasis(kv, 2)), ControlNet(pts, wts))
-
-
-def build_rectangle_patch(lx, ly, origin=(0.0, 0.0)):
-    """Axis-aligned rectangle as a bilinear patch (identity-like map)."""
-    if lx <= 0.0 or ly <= 0.0:
-        raise DomainError(f"side lengths must be positive, got {lx}, {ly}")
-    x0, y0 = origin
-    pts = np.array(
-        [
-            [[x0, y0], [x0, y0 + ly]],
-            [[x0 + lx, y0], [x0 + lx, y0 + ly]],
-        ]
-    )
-    kv = KnotVector([0, 0, 1, 1], 1)
-    basis = BSplineBasis(kv, 1)
-    return GeometryMap((basis, BSplineBasis(kv, 1)), ControlNet(pts))
-
-
-def unit_square_patch():
-    return build_rectangle_patch(1.0, 1.0)
 
 
 def refine_patch(geom, levels=1):
@@ -569,6 +507,6 @@ def load_deformation_spec(path):
     sampler = BoundarySampler(doc["station_angles"], doc["kind"])
     mean = np.asarray(doc["mean"], dtype=float)
     modes = np.asarray(doc["modes"], dtype=float)
-    if modes.size and modes.shape[0] != sampler.dimension:
-        raise DomainError("mode matrix rows do not match the sampler dimension")
+    if mean.shape != (sampler.dimension,) or modes.ndim != 2 or len(modes) != sampler.dimension:
+        raise DomainError("mean and mode matrix rows must match the sampler dimension")
     return sampler, mean, modes

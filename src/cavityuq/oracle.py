@@ -114,10 +114,14 @@ def _enumerate_modes(r: float, l: float, f_cut: float):
     return modes
 
 
-def _lowest_modes(r: float, l: float, count: int, with_multiplicity: bool):
-    """(frequency_hz, ModeLabel) pairs, ascending, up to a cutoff at or above
-    the count-th lowest mode, where each m >= 1 mode counts twice when
-    with_multiplicity is set and once otherwise."""
+def pillbox_frequencies(r: float, l: float, count: int):
+    """The ``count`` lowest cylinder modes as (ModeLabel, frequency_hz) pairs.
+
+    Doubly degenerate modes (m >= 1) appear once, carrying degeneracy 2.
+    Ties are broken by (family, m, n, p) so the order is deterministic.
+    Raises DomainError when the supported Bessel zeros (m, n <= 10) cannot
+    certify the count lowest.
+    """
     if r <= 0.0 or l <= 0.0:
         raise DomainError(f"radius and length must be positive, got r={r}, l={l}")
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
@@ -136,38 +140,12 @@ def _lowest_modes(r: float, l: float, count: int, with_multiplicity: bool):
                 x = zero_of(m, n)
                 for p in range(p_min, count + 1):
                     k = math.hypot(x / r, p * math.pi / l)
-                    f = C0 * k / (2.0 * math.pi)
-                    cand.extend([f] * (2 if with_multiplicity and m >= 1 else 1))
+                    cand.append(C0 * k / (2.0 * math.pi))
     cand.sort()
     f_cut = cand[count - 1] * (1.0 + 1e-9)
     modes = _enumerate_modes(r, l, f_cut)
     modes.sort(key=lambda t: (t[0], t[1].family, t[1].m, t[1].n, t[1].p))
-    return modes
-
-
-def pillbox_frequencies(r: float, l: float, count: int):
-    """The ``count`` lowest cylinder modes as (ModeLabel, frequency_hz) pairs.
-
-    Doubly degenerate modes (m >= 1) appear once, carrying degeneracy 2.
-    Ties are broken by (family, m, n, p) so the order is deterministic.
-    Raises DomainError when the supported Bessel zeros (m, n <= 10) cannot
-    certify the count lowest.
-    """
-    return [(lab, f) for f, lab in _lowest_modes(r, l, count, False)[:count]]
-
-
-def pillbox_spectrum(r: float, l: float, count: int):
-    """The ``count`` lowest frequencies counted with multiplicity.
-
-    Degenerate modes contribute two consecutive equal entries; this is the
-    flat list a discrete eigensolve should reproduce.
-    """
-    flat = []
-    for f, lab in _lowest_modes(r, l, count, True):
-        flat.extend([(lab, f)] * lab.degeneracy)
-        if len(flat) >= count:
-            break
-    return flat[:count]
+    return [(lab, f) for f, lab in modes[:count]]
 
 
 def crossing_radius(l: float) -> float:

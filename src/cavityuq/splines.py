@@ -86,10 +86,6 @@ class BSplineBasis:
         self.degree = degree
         self.n_basis = self.kv.n_basis
 
-    @property
-    def knots(self):
-        return self.kv.knots
-
     def eval_basis_derivatives(self, points, order):
         """Nonzero basis values and derivatives up to ``order`` at many points.
 

@@ -45,19 +45,11 @@ class ObservationMatrix:
         return self.data.shape[1]
 
 
-def save_observations(path, obs):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(obs.names)
-        for row in obs.data:
-            writer.writerow([f"{v:.17g}" for v in row])
-
-
 def load_observations(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if len(rows) < 3:
-        raise DomainError(f"{path}: expected a header and at least 2 sample rows")
+        raise DomainError("expected a header and at least 2 sample rows")
     return ObservationMatrix(np.array([[float(v) for v in r] for r in rows[1:]]), rows[0])
 
 

@@ -74,8 +74,8 @@ def _ten_lowest(elements, reference):
     return max(abs(f - fr) / fr for f, (_, fr) in zip(fs, reference))
 
 
-def test_criterion_1_pillbox_analytic_agreement(report):
-    reference = oracle.pillbox_spectrum(RADIUS, LENGTH, 10)
+def test_criterion_1_pillbox_analytic_agreement(report, pillbox_spectrum):
+    reference = pillbox_spectrum(RADIUS, LENGTH, 10)
     t0 = time.perf_counter()
     err_coarse = _ten_lowest(16, reference)
     err_fine = _ten_lowest(32, reference)

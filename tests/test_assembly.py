@@ -22,7 +22,6 @@ from cavityuq.geometry import (
     deform,
     deformation_from_kl,
     refine_patch,
-    unit_square_patch,
 )
 from cavityuq.oracle import bessel_derivative_zero, bessel_zero
 from cavityuq.splines import BSplineBasis, ControlNet, uniform_open_knots
@@ -47,7 +46,9 @@ def assemble_full(geom, space):
 
 
 def reference_assemble_full(geom, space):
-    """Cell-by-point assembly, one map_and_jacobian call per quadrature point."""
+    """Cell-by-point assembly, one single-point Jacobian per quadrature
+    point, evaluated from the map's own control net."""
+    geom = GeometryMap(geom.bases, geom.net, validate=False)
     p = space.degree
     xg, wg = np.polynomial.legendre.leggauss(p + 1)
     cells = []
@@ -77,7 +78,7 @@ def reference_assemble_full(geom, space):
             ).ravel()
             for iu in range(nodes_u.size):
                 for iv in range(nodes_v.size):
-                    _, J = geom.map_and_jacobian((nodes_u[iu], nodes_v[iv]))
+                    J = geom.jacobian_grid([nodes_u[iu]], [nodes_v[iv]])[1][0, 0]
                     det = np.linalg.det(J)
                     shape = np.outer(tab_u[iu][0], tab_v[iv][0]).ravel()
                     grad = np.array([
@@ -126,30 +127,30 @@ class TestBoundaryDofs:
         inner = np.setdiff1d(np.arange(16), ring)
         np.testing.assert_array_equal(inner, [5, 6, 9, 10])
 
-    def test_eliminated_dimension_matches_assembly(self):
+    def test_eliminated_dimension_matches_assembly(self, unit_square_patch):
         s = DiscreteSpace(2, 5)
-        pen = assemble(unit_square_patch(), s, bc="dirichlet")
+        pen = assemble(unit_square_patch, s, bc="dirichlet")
         assert pen.n == s.n_dofs - boundary_dofs(s).size
-        assert assemble(unit_square_patch(), s, bc="neumann").n == s.n_dofs
+        assert assemble(unit_square_patch, s, bc="neumann").n == s.n_dofs
 
 
 class TestSquareAssembly:
-    def test_laplace_eigenvalues(self):
-        w = dirichlet_eigs(unit_square_patch(), 2, 16, 4)
+    def test_laplace_eigenvalues(self, unit_square_patch):
+        w = dirichlet_eigs(unit_square_patch, 2, 16, 4)
         exact = math.pi**2 * np.array([2.0, 5.0, 5.0, 8.0])
         np.testing.assert_allclose(w, exact, rtol=1e-4)
 
-    def test_mass_sums_to_area_exactly(self):
-        pen = assemble(unit_square_patch(), DiscreteSpace(3, 7), bc="neumann")
+    def test_mass_sums_to_area_exactly(self, unit_square_patch):
+        pen = assemble(unit_square_patch, DiscreteSpace(3, 7), bc="neumann")
         assert abs(pen.mass.sum() - 1.0) <= 1e-14
 
-    def test_neumann_kernel_contains_constants(self):
-        pen = assemble(unit_square_patch(), DiscreteSpace(2, 8), bc="neumann")
+    def test_neumann_kernel_contains_constants(self, unit_square_patch):
+        pen = assemble(unit_square_patch, DiscreteSpace(2, 8), bc="neumann")
         resid = np.abs(pen.stiffness @ np.ones(pen.n)).max()
         assert resid <= 1e-12 * np.abs(pen.stiffness).max()
 
-    def test_symmetry(self):
-        K, M = assemble_full(unit_square_patch(), DiscreteSpace(3, 6))
+    def test_symmetry(self, unit_square_patch):
+        K, M = assemble_full(unit_square_patch, DiscreteSpace(3, 6))
         for A in (K, M):
             skew = abs(A - A.T)
             assert skew.nnz == 0 or skew.max() <= 1e-12 * abs(A).max()
@@ -254,9 +255,9 @@ class TestErrors:
         u, v = map(float, re.search(r"\(([-\d.]+), ([-\d.]+)\)", str(info.value)).groups())
         assert 0.25 < u < 0.5 and 0.25 < v < 0.5
 
-    def test_unknown_bc_rejected(self):
+    def test_unknown_bc_rejected(self, unit_square_patch):
         with pytest.raises(DomainError):
-            assemble(unit_square_patch(), DiscreteSpace(2, 4), bc="robin")
+            assemble(unit_square_patch, DiscreteSpace(2, 4), bc="robin")
 
 
 class TestMatrixPencil:
@@ -266,9 +267,9 @@ class TestMatrixPencil:
         with pytest.raises(DomainError):
             MatrixPencil(K, M)
 
-    def test_validation_on_the_assembly_pattern(self):
+    def test_validation_on_the_assembly_pattern(self, unit_square_patch):
         # an assembled pencil is checked through its pattern's transpose map
-        pen = assemble(unit_square_patch(), DiscreteSpace(2, 4))
+        pen = assemble(unit_square_patch, DiscreteSpace(2, 4))
         k, m = pen.stiffness.data.copy(), pen.mass.data.copy()
         MatrixPencil.on(pen.pattern, k, m, validate=True)
         assert pen.stiffness.indices[1] == 1       # entry 1 is (0, 1)

@@ -161,6 +161,44 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "c.json", PILLBOX_UQ)
         assert run_cli("uq", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "0") == 2
 
+    @pytest.mark.parametrize(
+        "command, key, content",
+        [(command, "observations", content) for command in ("kl-fit", "uq") for content in (
+            None,                           # missing
+            "a,b\n1.0,2.0\n3.0,x\n",        # non-numeric cell
+            "a,b\n1.0,2.0\n3.0\n",          # ragged row
+            "a,b\n1.0,2.0\n",               # too few sample rows
+        )] + [("uq", "model", content) for content in (
+            None,
+            "{not json",
+            json.dumps({"station_angles": [0.0, 3.0], "kind": "radial", "mean": [0.0, 0.0]}),
+            json.dumps({"station_angles": [0.0, 3.0], "kind": "radial", "mean": [0.0, 0.0],
+                        "modes": []}),
+            json.dumps({"station_angles": [0.0, 3.0], "kind": "radial", "mean": [0.0],
+                        "modes": [[1e-4], [2e-4]]}),
+        )],
+        ids=[f"{c}-observations-{k}" for c in ("kl-fit", "uq")
+             for k in ("missing", "non-numeric", "ragged", "short")]
+        + ["uq-model-missing", "uq-model-invalid-json", "uq-model-without-modes",
+           "uq-model-empty-modes", "uq-model-short-mean"],
+    )
+    def test_bad_file_named_by_config(self, tmp_path, capsys, command, key, content):
+        path = tmp_path / ("model.json" if key == "model" else "obs.csv")
+        if content is not None:
+            path.write_text(content)
+        if command == "kl-fit":
+            doc = {key: str(path)}
+        else:
+            doc = {
+                "problem": {"kind": "deformed-disk", "radius": 0.05, key: str(path)},
+                "modes": 1,
+                "grid": {"kind": "smolyak", "family": "gauss-hermite", "level": 1},
+            }
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and "Traceback" not in err
+
     def test_numerical_failure_exit(self, tmp_path):
         # 18 stations cannot be interpolated on a once-refined patch
         doc = {
@@ -223,11 +261,11 @@ class TestGridCommand:
 
 
 class TestKlFit:
-    def test_fit_and_reuse(self, tmp_path):
+    def test_fit_and_reuse(self, tmp_path, save_observations):
         C = uq.default_correlated_covariance()
         obs = uq.generate_synthetic_observations(C, np.zeros(18), 3000, seed=77)
         obs_path = tmp_path / "obs.csv"
-        uq.save_observations(obs_path, obs)
+        save_observations(obs_path, obs)
         cfg = write_config(tmp_path, "c.json",
                            {"observations": str(obs_path), "criterion": 0.95})
         out = tmp_path / "kl"
@@ -646,6 +684,25 @@ class TestBench:
         assert doc["tracked"]["bordered_solves"] == summary["bordered_solves"]
         assert doc["nodes"] == summary["nodes"] and doc["modes"] == summary["modes"]
 
+    def test_direct_count_ignores_the_last_bit_of_tracked_values(self, monkeypatch, tmp_path):
+        cfg = write_config(tmp_path, "c.json", PILLBOX_UQ)
+        run_study, counts = cli._run_study, []
+
+        def nudged(direction):
+            def study(cfg, args):
+                run = run_study(cfg, args)
+                if direction:
+                    run.values = np.nextafter(run.values, direction * np.inf)
+                return run
+            return study
+
+        for direction in (0, 1, -1):
+            monkeypatch.setattr(cli, "_run_study", nudged(direction))
+            out = tmp_path / f"b{direction}"
+            assert cli.main(["bench", "--config", cfg, "--out", str(out)]) == 0
+            counts.append(json.loads((out / "bench.json").read_text())["direct"]["solves_per_node"])
+        assert counts[1] == counts[0] and counts[2] == counts[0]
+
     def test_single_node_grid(self, tmp_path):
         doc = json.loads(json.dumps(PILLBOX_UQ))
         doc["problem"]["distribution"]["support"] = [0.05, 0.05]
@@ -660,7 +717,8 @@ class TestBench:
 
 
 def fail_third_group(monkeypatch):
-    """Make cli.track_modes raise on its third call.
+    """Make cli.track_modes raise on its third call; returns the list of its
+    calls' start counts.
 
     At one worker on PILLBOX_TRACK, which tracks two groups per node and
     nothing at node 0, the start radius, that is the first group of node 2.
@@ -674,6 +732,7 @@ def fail_third_group(monkeypatch):
         return track_modes(homotopy, starts, cfg)
 
     monkeypatch.setattr(cli, "track_modes", failing)
+    return calls
 
 
 class TestColumnOrdering:
@@ -892,6 +951,23 @@ class TestFailureIsolation:
         assert "injected" in capsys.readouterr().err
         assert not (out / "mode_table.csv").exists()
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["uq", "bench"])
+    def test_study_stops_at_the_first_failed_node(self, monkeypatch, tmp_path, capsys, command):
+        # PILLBOX_UQ tracks two groups at each of nodes 0, 1, 3 and 4 (node 2
+        # is the base radius), so the third call is node 1's first group
+        calls = fail_third_group(monkeypatch)
+        task, nodes = cli._pillbox_node_task, []
+
+        def recorded(payload):
+            nodes.append(payload[1])
+            return task(payload)
+
+        monkeypatch.setattr(cli, "_pillbox_node_task", recorded)
+        cfg = write_config(tmp_path, "c.json", PILLBOX_UQ)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err == "numerical failure: node 1, modes [0]: injected\n"
+        assert nodes == [0, 1] and calls == [1, 2, 1, 2]
 
     def test_every_failed_node_is_listed(self, tmp_path):
         # a tolerance below rounding never converges a step, and the second

@@ -74,8 +74,8 @@ class TestPillboxModes:
         for label, _ in oracle.pillbox_frequencies(0.05, 0.1, 15):
             assert label.degeneracy == (2 if label.m >= 1 else 1)
 
-    def test_spectrum_expands_multiplicity_and_is_sorted(self):
-        flat = oracle.pillbox_spectrum(0.05, 0.1, 10)
+    def test_spectrum_expands_multiplicity_and_is_sorted(self, pillbox_spectrum):
+        flat = pillbox_spectrum(0.05, 0.1, 10)
         freqs = [f for _, f in flat]
         assert len(freqs) == 10
         assert freqs == sorted(freqs)

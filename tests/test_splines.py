@@ -55,7 +55,7 @@ def naive_table(basis, points, order):
     """Reference for BSplineBasis.collocation, entry by entry."""
     return np.array([
         [
-            [naive_derivative(basis.knots, basis.degree, i, u, k) for i in range(basis.n_basis)]
+            [naive_derivative(basis.kv.knots, basis.degree, i, u, k) for i in range(basis.n_basis)]
             for u in points
         ]
         for k in range(order + 1)

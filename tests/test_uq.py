@@ -271,11 +271,11 @@ class TestCsvIO:
         assert np.array_equal(back.nodes, g.nodes)
         assert np.array_equal(back.weights, g.weights)
 
-    def test_observation_roundtrip(self, tmp_path):
+    def test_observation_roundtrip(self, tmp_path, save_observations):
         rng = np.random.default_rng(3)
         obs = uq.ObservationMatrix(rng.normal(size=(6, 4)), ["a", "b", "c", "d"])
         path = tmp_path / "obs.csv"
-        uq.save_observations(path, obs)
+        save_observations(path, obs)
         back = uq.load_observations(path)
         assert np.array_equal(back.data, obs.data)
         assert back.names == obs.names
