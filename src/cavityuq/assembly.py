@@ -12,13 +12,13 @@ products, one CSR sparsity pattern with the Dirichlet rows and columns
 already left out, and the map that scatters local entries into its data.
 An assembly is then the Jacobians at the quadrature points, the metric, two
 batched local products and a data-only scatter, so every pencil assembled on
-one space shares one pattern, K and M alike.
+one space shares one pattern, K and M alike.  Matrices are data on that
+pattern (PatternMatrix), with a numpy product: nothing here imports scipy.
 """
 
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import AssemblyError, DomainError, SingularityError
 from .splines import BSplineBasis, uniform_open_knots
@@ -81,99 +81,125 @@ def boundary_dofs(space):
 class SparsityPattern:
     """Canonical CSR index arrays of square matrices that differ only in data.
 
-    Every pencil assembled by one kernel is stored on its pattern, and so is
-    every pencil a homotopy between them gives.  bordered is the tracker's
-    bordered CSC layout on the pattern (pencil.BorderedLayout), built by the
-    first homotopy that needs it and shared by every later one.
+    Every row holds an entry: a pencil's mass matrix has a positive
+    diagonal.  Every pencil assembled by one kernel is stored on its
+    pattern, and so is every pencil a homotopy between them gives.  bordered
+    is the tracker's bordered layout on the pattern (pencil.BorderedLayout),
+    built by the first homotopy that needs it and shared by every later one.
     """
 
     def __init__(self, indptr, indices):
         self.indptr = np.asarray(indptr, dtype=np.int32)
         self.indices = np.asarray(indices, dtype=np.int32)
         self.n = self.indptr.size - 1
+        if not (np.diff(self.indptr) > 0).all():
+            raise DomainError("sparsity pattern has an empty row")
         self.bordered = None
 
-    @classmethod
-    def of(cls, A):
-        """The pattern of a canonical CSR matrix."""
-        if not A.has_canonical_format:
-            raise DomainError("matrix has unsorted or duplicate entries")
-        return cls(A.indptr, A.indices)
-
-    def holds(self, A):
-        """True when the CSR matrix A is stored on this pattern."""
-        return (
-            A.shape == (self.n, self.n)
-            and np.array_equal(A.indptr, self.indptr)
-            and np.array_equal(A.indices, self.indices)
-        )
-
     def matrix(self, data):
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        return PatternMatrix(self, data)
+
+    @cached_property
+    def rows(self):
+        """The row of each entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
     @cached_property
     def transpose(self):
         """Position of each entry's transpose, for a symmetric pattern: the
         entries in (column, row) order."""
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        return np.argsort(self.indices.astype(np.intp) * self.n + rows)
+        return np.argsort(self.indices.astype(np.intp) * self.n + self.rows)
+
+
+class PatternMatrix:
+    """A square matrix: data in its SparsityPattern's CSR entry order.
+
+    A @ x takes a vector or a block of columns.  Each row's products are
+    summed by np.add.reduceat, the fastest numpy kernel measured against a
+    bincount by row and rows padded to one width; a block is taken column
+    by column, which beat a reduceat along the block's rows.
+    """
+
+    def __init__(self, pattern, data):
+        self.pattern = pattern
+        self.data = data
+
+    @property
+    def shape(self):
+        return (self.pattern.n, self.pattern.n)
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        if x.ndim == 2:
+            return np.column_stack([self @ col for col in x.T])
+        p = self.pattern
+        return np.add.reduceat(self.data * x[p.indices], p.indptr[:-1])
+
+    def toarray(self):
+        A = np.zeros(self.shape)
+        A[self.pattern.rows, self.pattern.indices] = self.data
+        return A
+
+    def tocsr(self):
+        """The scipy CSR matrix on this data, for the sparse tier's
+        eigensolver and bench's Lanczos solves; imports scipy."""
+        import scipy.sparse as sp
+
+        p = self.pattern
+        return sp.csr_matrix((self.data, p.indices, p.indptr), shape=self.shape)
+
+    def norm_inf(self):
+        """The largest absolute row sum, bit for bit scipy's spla.norm(A, inf).
+
+        That is abs(A).sum(axis=1).max() in scipy: the same np.add.reduceat
+        over the non-empty rows gives the same bits.  numpy sums each row
+        pairwise, so a stored zero could move the last bit; zeros are
+        dropped first.
+        """
+        data, indptr = self.data, self.pattern.indptr
+        if not data.all():
+            keep = data != 0.0
+            data = data[keep]
+            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        if not data.size:
+            return 0.0
+        starts = indptr[:-1][np.diff(indptr) > 0]
+        return np.add.reduceat(np.abs(data), starts).max()
 
 
 class MatrixPencil:
-    """Symmetric (K, M) pair of CSR matrices.
+    """Symmetric (K, M) pair of matrices with data k_data and m_data on one
+    SparsityPattern.
 
-    pattern is the SparsityPattern both matrices are stored on when the
-    pencil was built on one (see on), else None; a pencil validated on a
-    pattern needs a symmetric one.  starts holds the tracker's start records
-    of the homotopies that start at this pencil (tracking._start_state),
-    kept with the pencil, whose data must then stay as they are.
+    Validation needs a symmetric pattern.  starts holds the tracker's start
+    records of the homotopies that start at this pencil
+    (tracking._start_state), kept with the pencil, whose data must then
+    stay as they are.
     """
 
-    def __init__(self, stiffness, mass, validate=True):
-        K, M = (A if isinstance(A, sp.csr_matrix) else sp.csr_matrix(A) for A in (stiffness, mass))
-        if K.shape != M.shape or K.shape[0] != K.shape[1]:
-            raise DomainError(f"pencil shapes disagree: {K.shape} vs {M.shape}")
-        if K.shape[0] == 0:
+    def __init__(self, pattern, k_data, m_data, validate=True):
+        if pattern.n == 0:
             raise DomainError("empty pencil; the space has no retained DOFs")
-        self.stiffness = K
-        self.mass = M
-        self.pattern = None
+        self.stiffness = pattern.matrix(k_data)
+        self.mass = pattern.matrix(m_data)
+        self.pattern = pattern
         self.starts = {}
         if validate:
             self._validate()
 
-    @classmethod
-    def on(cls, pattern, k_data, m_data, validate):
-        """The pencil with data k_data and m_data on pattern."""
-        if pattern.n == 0:
-            raise DomainError("empty pencil; the space has no retained DOFs")
-        pencil = cls.__new__(cls)
-        pencil.stiffness = pattern.matrix(k_data)
-        pencil.mass = pattern.matrix(m_data)
-        pencil.pattern = pattern
-        pencil.starts = {}
-        if validate:
-            pencil._validate()
-        return pencil
-
     def _validate(self):
-        # an assembled pattern is symmetric, so A^T is a gather of A's data
+        # a symmetric pattern's A^T is a gather of A's data
         for name, A in (("K", self.stiffness), ("M", self.mass)):
-            if self.pattern is None:
-                skew = abs(A - A.T)
-                skew = skew.max() if skew.nnz else 0.0
-                top = abs(A).max()
-            else:
-                skew = np.abs(A.data - A.data[self.pattern.transpose]).max(initial=0.0)
-                top = np.abs(A.data).max(initial=0.0)
-            if skew > 1e-12 * top:
+            skew = np.abs(A.data - A.data[self.pattern.transpose]).max(initial=0.0)
+            if skew > 1e-12 * np.abs(A.data).max(initial=0.0):
                 raise DomainError(f"{name} is not symmetric: |A-A^T| = {skew:.3e}")
-        if self.mass.diagonal().min() <= 0.0:
+        diagonal = self.pattern.rows == self.pattern.indices
+        if diagonal.sum() < self.n or self.mass.data[diagonal].min() <= 0.0:
             raise DomainError("mass matrix has a nonpositive diagonal entry")
 
     @property
     def n(self):
-        return self.stiffness.shape[0]
+        return self.pattern.n
 
 
 class _DirectionRule:
@@ -208,11 +234,10 @@ class _Kernel:
     us and vs are the quadrature nodes per direction: a map's Jacobians on
     the grid us x vs are all an assembly needs of it.  Local matrices have
     axes (cell, local function a * (p + 1) + b, same).  The scatter adds
-    their entries in the order scipy's COO-to-CSR conversion adds them, so
-    that a pencil is bit for bit the conversion of its local matrices:
-    order lists the entries in that order, and slot gives each its place in
-    pattern's data, or the extra place nnz when a Dirichlet row or column
-    drops it.
+    the local entries that land on one matrix entry in the order of the
+    local matrices: order lists the entries a Dirichlet row or column does
+    not drop, stably sorted by (row, column), and slot gives each its place
+    in pattern's data.
     """
 
     def __init__(self, space, geo_bases, bc):
@@ -248,27 +273,17 @@ class _Kernel:
         ).reshape(n_cells, nloc)
         rows = np.broadcast_to(idx[:, :, None], (n_cells, nloc, nloc)).ravel()
         cols = np.broadcast_to(idx[:, None, :], (n_cells, nloc, nloc)).ravel()
-        # the conversion stacks each row's entries in input order, then sorts
-        # them by column (not stably) and adds equal columns left to right
-        by_row = np.argsort(rows, kind="stable")
-        n_full = space.n_dofs
-        rowwise = sp.csr_matrix(
-            (by_row.astype(float), cols[by_row], np.searchsorted(rows[by_row], np.arange(n_full + 1))),
-            shape=(n_full, n_full),
-        )
-        rowwise.sort_indices()
-        self.order = rowwise.data.astype(np.intp)
-
-        kept = np.ones(n_full, dtype=bool)
+        kept = np.ones(space.n_dofs, dtype=bool)
         if bc == "dirichlet":
             kept[boundary_dofs(space)] = False
         number = np.where(kept, np.cumsum(kept) - 1, -1)
-        rows, cols = number[rows[self.order]], number[cols[self.order]]
+        rows, cols = number[rows], number[cols]
         n = int(kept.sum())
-        inside = (rows >= 0) & (cols >= 0)
-        keys, slot = np.unique(rows[inside] * n + cols[inside], return_inverse=True)
-        self.slot = np.full(rows.size, keys.size)
-        self.slot[inside] = slot
+        inside = np.flatnonzero((rows >= 0) & (cols >= 0))
+        key = rows[inside] * n + cols[inside]
+        by_key = np.argsort(key, kind="stable")
+        self.order = inside[by_key]
+        keys, self.slot = np.unique(key[by_key], return_inverse=True)
         self.pattern = SparsityPattern(np.searchsorted(keys, np.arange(n + 1) * n), keys % n)
 
     def pencil(self, J):
@@ -296,10 +311,10 @@ class _Kernel:
         m_loc = (vol * self.values).swapaxes(1, 2) @ self.values
         nnz = self.pattern.indices.size
         k, m = (
-            np.bincount(self.slot, weights=A.ravel()[self.order], minlength=nnz + 1)[:nnz]
+            np.bincount(self.slot, weights=A.ravel()[self.order], minlength=nnz)
             for A in (k_loc, m_loc)
         )
-        return MatrixPencil.on(self.pattern, k, m, validate=True)
+        return MatrixPencil(self.pattern, k, m, validate=True)
 
 
 def assemble(geom, space, bc="dirichlet"):

@@ -63,11 +63,9 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import geometry, oracle, uq
-from .assembly import DiscreteSpace, MatrixPencil, assemble
+from .assembly import DiscreteSpace, assemble
 from .eigen import solve_smallest
 from .errors import CavityError, ConfigError, SolverError
 from .pencil import (
@@ -862,33 +860,37 @@ def cmd_pillbox_reference(cfg, args):
 
 # -- subcommand: bench -------------------------------------------------------
 
-def _direct_pencil(par, pen):
-    """The pencil the direct solve takes at a node whose pencil par gave as
-    pen: the disk's own, or the pillbox's block pencils stacked
+def _direct_matrices(par, pen):
+    """The scipy CSR (K, M) the direct solve takes at a node whose pencil
+    par gave as pen: the disk's own, or the pillbox's block pencils stacked
     block-diagonally."""
     if par.blocks is None:
-        return pen
+        return pen.stiffness.tocsr(), pen.mass.tocsr()
+    import scipy.sparse as sp
+
     blocks = [block_pencil(pen, b) for b in par.blocks]
-    return MatrixPencil(
-        sp.block_diag([b.stiffness for b in blocks], format="csr"),
-        sp.block_diag([b.mass for b in blocks], format="csr"),
-        validate=False,
+    return (
+        sp.block_diag([b.stiffness.tocsr() for b in blocks], format="csr"),
+        sp.block_diag([b.mass.tocsr() for b in blocks], format="csr"),
     )
 
 
-def _counted_direct_solve(pen, k, sigma):
+def _counted_direct_solve(K, M, k, sigma):
     """Shift-invert Lanczos for the k lowest modes, counting linear solves."""
+    import scipy.sparse.linalg as spla
+
     counter = [0]
-    op = spla.splu((pen.stiffness - sigma * pen.mass).tocsc())
+    op = spla.splu((K - sigma * M).tocsc())
 
     def apply(x):
         counter[0] += 1
         return op.solve(x)
 
-    opinv = spla.LinearOperator(pen.stiffness.shape, matvec=apply)
-    v0 = np.full(pen.n, 1.0 / math.sqrt(pen.n))
+    n = K.shape[0]
+    opinv = spla.LinearOperator(K.shape, matvec=apply)
+    v0 = np.full(n, 1.0 / math.sqrt(n))
     spla.eigsh(
-        pen.stiffness, k=k, M=pen.mass, sigma=sigma, which="LA",
+        K, k=k, M=M, sigma=sigma, which="LA",
         v0=v0, OPinv=opinv, return_eigenvectors=False,
     )
     return counter[0]
@@ -901,15 +903,15 @@ def cmd_bench(cfg, args):
     tracked_wall = time.perf_counter() - t0
 
     n_modes = len(run.starts)
-    k_direct = min(2 * n_modes, _direct_pencil(run.par, run.par.base).n - 1)
+    k_direct = min(2 * n_modes, _direct_matrices(run.par, run.par.base)[0].shape[0] - 1)
     # 3 significant digits: the Lanczos iteration count jumps with the last
     # bits of the shift, which must not follow the rounding of tracked values
     sigma = float(f"{0.9 * run.values.min():.3g}")
     direct_counts = []
     t0 = time.perf_counter()
     for node in run.grid.nodes:
-        pen = _direct_pencil(run.par, run.par.at(node))
-        direct_counts.append(_counted_direct_solve(pen, k_direct, sigma))
+        K, M = _direct_matrices(run.par, run.par.at(node))
+        direct_counts.append(_counted_direct_solve(K, M, k_direct, sigma))
     direct_wall = time.perf_counter() - t0
 
     offsets = np.linalg.norm(run.grid.nodes - run.par.base_delta, axis=1)

@@ -1,16 +1,16 @@
 """Generalized symmetric-definite eigensolvers.
 
-Two interchangeable paths: a dense Cholesky reduction used as the reference
-for small pencils, and shift-invert Lanczos on sparse factorizations for
-large ones.  Both return M-normalized, sign-fixed eigenpairs in ascending
-order so downstream normalization vectors are reproducible.
+Two interchangeable paths: a dense Cholesky reduction in numpy, used up to
+DENSE_CUTOFF unknowns and as the reference, and shift-invert Lanczos on
+sparse factorizations above it, which imports scipy.  Both return
+M-normalized, sign-fixed eigenpairs in ascending order so downstream
+normalization vectors are reproducible.  DENSE_CUTOFF also sets the
+tracker's tier (pencil.BorderedLayout).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
-import scipy.sparse.linalg as spla
 
 from .errors import DomainError, IterationLimitError, SolverError
 
@@ -77,8 +77,8 @@ def _finalize(values, vectors, pencil):
             for i, v in zip(grp, ortho):
                 vectors[i] = v
 
-    norm_k = spla.norm(K, np.inf)
-    norm_m = spla.norm(M, np.inf)
+    norm_k = K.norm_inf()
+    norm_m = M.norm_inf()
     pairs = []
     for lam, v in zip(values, vectors):
         v = sign_fix(v / np.sqrt(v @ (M @ v)))
@@ -90,33 +90,37 @@ def _finalize(values, vectors, pencil):
     return pairs
 
 
+def dense_eigh(K, M):
+    """Eigenvalues, ascending, and M-orthonormal eigenvectors of the dense
+    symmetric-definite pencil (K, M): M = L L^T, then numpy's eigh of
+    L^-1 K L^-T, symmetrized.  Raises np.linalg.LinAlgError when M is not
+    positive definite."""
+    L_inv = np.linalg.inv(np.linalg.cholesky(M))
+    A = L_inv @ K @ L_inv.T
+    w, Y = np.linalg.eigh(0.5 * (A + A.T))
+    return w, L_inv.T @ Y
+
+
 def _solve_dense(pencil, n_modes):
-    K = pencil.stiffness.toarray()
-    M = pencil.mass.toarray()
-    try:
-        L = la.cholesky(M, lower=True)
-    except la.LinAlgError as exc:
-        raise SolverError("mass matrix is not positive definite") from exc
-    B = la.solve_triangular(L, K, lower=True)
-    A = la.solve_triangular(L, B.T, lower=True)
-    A = 0.5 * (A + A.T)
-    # The full eigh stays although a subset would be cheaper: with
-    # la.eigh(K, M, subset_by_index=...) the criterion-3 pillbox's five block
-    # solves took 0.055 s instead of 0.19 s, but their rounding closed the
-    # gap of the exactly degenerate TE111 pair to 0.0.  The pair then mixed
-    # and was tracked as a cluster (4 clusters instead of 0), Newton
-    # converged at iteration 0, and criterion 4's mean read 1.33, below its
+    # The whole spectrum, not a subset: a subset solve (scipy's
+    # la.eigh(K, M, subset_by_index=...)) closed the gap of the criterion-3
+    # pillbox's exactly degenerate TE111 pair to 0.0; the pair was then
+    # tracked as a cluster, and criterion 4's mean fell to 1.33, below its
     # 1.5 floor.
-    w, Y = la.eigh(A)
-    E = la.solve_triangular(L, Y, lower=True, trans="T")
+    try:
+        w, E = dense_eigh(pencil.stiffness.toarray(), pencil.mass.toarray())
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("mass matrix is not positive definite") from exc
     return _finalize(w[:n_modes], E[:, :n_modes], pencil)
 
 
 def _solve_sparse(pencil, n_modes):
-    K, M = pencil.stiffness, pencil.mass
     if n_modes >= pencil.n - 1:
         return _solve_dense(pencil, n_modes)
-    scale = spla.norm(K, np.inf) / spla.norm(M, np.inf)
+    import scipy.sparse.linalg as spla
+
+    K, M = pencil.stiffness.tocsr(), pencil.mass.tocsr()
+    scale = pencil.stiffness.norm_inf() / pencil.mass.norm_inf()
     delta = 1e-6 * scale + 1e-300
     v0 = np.random.default_rng(_SEED).standard_normal(pencil.n)
     last_exc = None

@@ -223,9 +223,11 @@ class DeformationModel:
     """Mean plus per-variable control-point displacement fields.
 
     The weights stay those of the base net, so a deformed map's points and
-    Jacobians are affine in the parameters: on every grid it is asked for,
-    the model evaluates them once for the mean net (base plus mean field)
-    and once per mode field, and keeps them (see deform).
+    Jacobians are affine in the parameters: on a grid it is asked for, the
+    model evaluates them once for the mean net (base plus mean field) and
+    once per mode field, and keeps them for the last grid of each size (see
+    deform): every node of a study asks for the same corner, probe and
+    quadrature grids, and one-off queries replace one another.
     """
 
     base: GeometryMap
@@ -247,19 +249,20 @@ class DeformationModel:
     def grid_values(self, us, vs, delta):
         """Points and Jacobians on the grid us x vs of the map at delta: the
         mean net's plus sum_j delta_j times mode j's."""
-        key = (us.tobytes(), vs.tobytes())
-        if key not in self._grids:
+        size, grid = (us.size, vs.size), (us.tobytes(), vs.tobytes())
+        kept = self._grids.get(size)
+        if kept is None or kept[0] != grid:
             w = self.base.net.weights[..., None]
             fields = [self.base.net.points + self.mean_field, *self.mode_fields]
             # per field, the 2 point and 4 Jacobian entries of each grid point
-            self._grids[key] = np.stack([
+            kept = self._grids[size] = grid, np.stack([
                 np.concatenate([x.reshape(-1, 2), J.reshape(-1, 4)], axis=1)
                 for x, J in (
                     _rational_grid(self.base.bases, np.concatenate([f * w, w], axis=-1), us, vs)
                     for f in fields
                 )
             ])
-        fields = self._grids[key]
+        fields = kept[1]
         values = fields[0] + (delta @ fields[1:].reshape(delta.size, fields[0].size)).reshape(
             fields[0].shape
         )

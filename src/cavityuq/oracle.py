@@ -14,11 +14,6 @@ are doubly degenerate and reported once with ``degeneracy == 2``.
 import math
 from dataclasses import dataclass
 
-# scipy loads submodules lazily: ``scipy.special`` is imported at the first
-# zero, not here, because a study that never asks for a zero (every ``uq``
-# run) would otherwise pay its import time at start-up.
-import scipy
-
 from .errors import DomainError
 
 # vacuum speed of light, m/s (exact SI value, equals 1/sqrt(eps0*mu0))
@@ -38,12 +33,18 @@ def _check_zero_args(m: int, n: int) -> None:
 def bessel_zero(m: int, n: int) -> float:
     """n-th positive zero of J_m (n = 1 is the first)."""
     _check_zero_args(m, n)
+    # imported at the first zero: pencil imports C0 from here, and a study,
+    # which asks for no zero, imports no scipy
+    import scipy.special
+
     return float(scipy.special.jn_zeros(m, n)[n - 1])
 
 
 def bessel_derivative_zero(m: int, n: int) -> float:
     """n-th positive zero of J_m' (the trivial zero at x = 0 is excluded)."""
     _check_zero_args(m, n)
+    import scipy.special
+
     return float(scipy.special.jnp_zeros(m, n)[n - 1])
 
 

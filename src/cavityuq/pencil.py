@@ -7,41 +7,24 @@ disk's, or one per pillbox cross-section, shared by that family's axial
 blocks.  Homotopies are convex combinations of two endpoints on one
 pattern, so a pencil at t is two axpys on its data; their t-derivative is
 the constant matrix difference.  The tracker's bordered matrix is the
-pattern's BorderedLayout, with the column ordering of the first
-factorization on it: one layout and one ordering per pattern.
+pattern's BorderedLayout: one layout per pattern, dense up to DENSE_CUTOFF
+unknowns, else CSC with the column ordering of the first factorization on
+it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assembly import MatrixPencil, SparsityPattern, assemble
+from .assembly import MatrixPencil, assemble
+from .eigen import DENSE_CUTOFF
 from .errors import DomainError
 from .geometry import build_disk_patch
 from .oracle import C0
 
 SPURIOUS_ATOL = 1e-6
 SPURIOUS_OVERLAP = 0.5
-
-
-def _inf_norm(A):
-    """spla.norm(A, inf) over the nonzero entries of the CSR matrix A.
-
-    That is scipy's abs(A).sum(axis=1).max(): the same np.add.reduceat over
-    the non-empty rows gives the same bits.  numpy sums each row pairwise,
-    so a stored zero could move the last bit; zeros are dropped first.
-    """
-    data, indptr = A.data, A.indptr
-    if not data.all():
-        keep = data != 0.0
-        data = data[keep]
-        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
-    if not data.size:
-        return 0.0
-    starts = indptr[:-1][np.diff(indptr) > 0]
-    return np.add.reduceat(np.abs(data), starts).max()
 
 
 def eigenvalue_to_frequency(lam):
@@ -90,21 +73,35 @@ class ParametricPencil:
 
 
 class BorderedLayout:
-    """[[K - lam M, -M e], [c^T, 0]] in CSC on one pencil pattern.
+    """[[K - lam M, -M e], [c^T, 0]] on one pencil pattern, in its tier.
 
-    Column j < n holds the pattern's column j, rows ascending, then row n
-    (c_j); column n holds rows 0..n-1 (-M e) and no (n, n) entry.  The
-    layout keeps one CSC matrix and refills its data in place (see fill).
-    Once given SuperLU's column ordering perm_c (see order), it stores that
-    matrix column-permuted from the next fill on: column perm_c[j] holds
-    column j, so splu with the natural ordering factors it as the default
-    ordering factors the unpermuted matrix, and x = y[perm_c].
+    The tier is chosen here, once per pattern.  Up to DENSE_CUTOFF unknowns
+    matrix is a dense (n + 1)^2 array: the pattern's entries, c and -M e are
+    written through their flat positions, and every other entry stays zero.
+    Above it, matrix is CSC: column j < n holds the pattern's column j, rows
+    ascending, then row n (c_j); column n holds rows 0..n-1 (-M e) and no
+    (n, n) entry.  Once given SuperLU's column ordering perm_c (see order),
+    the CSC layout stores its matrix column-permuted from the next fill on:
+    column perm_c[j] holds column j, so splu with the natural ordering
+    factors it as the default ordering factors the unpermuted matrix, and
+    x = y[perm_c].  Either tier keeps one matrix and refills its data in
+    place (see fill).
     """
 
     def __init__(self, pattern):
         n = pattern.n
-        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
-        cols = pattern.indices
+        rows, cols = pattern.rows, pattern.indices
+        self.perm_c = None                  # column permutation the matrix is stored in
+        self._ordering = None
+        if n <= DENSE_CUTOFF:
+            self.matrix = np.zeros((n + 1, n + 1))
+            self._data = self.matrix.reshape(-1)
+            self._pos = rows * (n + 1) + cols
+            self._pos_c = n * (n + 1) + np.arange(n)
+            self._pos_e = np.arange(n) * (n + 1) + n
+            return
+        import scipy.sparse as sp
+
         # each pattern entry moves down by one c slot per column before it
         by_col = np.argsort(cols, kind="stable")
         col_start = np.searchsorted(cols[by_col], np.arange(n + 1))
@@ -119,12 +116,12 @@ class BorderedLayout:
         indices[self._pos_c] = n
         indices[self._pos_e] = np.arange(n)
         self.matrix = sp.csc_matrix((np.zeros(size), indices, indptr), shape=(n + 1, n + 1))
-        self.perm_c = None                  # column permutation the matrix is stored in
-        self._ordering = None
+        self._data = self.matrix.data
 
     def order(self, perm_c):
-        """Store the matrix column-permuted by perm_c from the next fill on."""
-        self._ordering = np.asarray(perm_c)
+        """Store the matrix column-permuted by perm_c from the next fill on;
+        a dense factorization's perm_c, None, leaves it as it is."""
+        self._ordering = None if perm_c is None else np.asarray(perm_c)
 
     def fill(self, kml, Me, c):
         """Refill the matrix in place with K - lam M data kml, M e and c.
@@ -134,7 +131,7 @@ class BorderedLayout:
         """
         if self._ordering is not None and self.perm_c is None:
             self._permute(self._ordering)
-        data = self.matrix.data
+        data = self._data
         data[self._pos] = kml
         data[self._pos_c] = c
         data[self._pos_e] = -Me
@@ -159,31 +156,29 @@ class BorderedLayout:
 class HomotopyPencil:
     """Convex matrix combination between two assembled endpoints.
 
-    All four endpoint matrices must be stored on one sparsity pattern, which
-    every pencil assembled on one space shares; otherwise DomainError.  at(t)
-    is then two axpys on the pattern's data: each entry is fl(fl(s a) +
-    fl(t b)) with s = 1 - t, the arithmetic of scipy's s * K0 + t * K1.  Two
-    pencils are kept with their infinity norms (see norms): the one at
-    t = 0, where every track starts, and one refilled in place at every
-    other t.  The tracker's bordered matrix is the pattern's BorderedLayout,
-    shared by every homotopy on the pattern (see bordered).
+    Both endpoints must be stored on one sparsity pattern, which every
+    pencil assembled on one space shares; otherwise DomainError.  at(t) is
+    then two axpys on the pattern's data: each entry is fl(fl(s a) +
+    fl(t b)) with s = 1 - t.  Two pencils are kept with their infinity norms
+    (see norms): the one at t = 0, where every track starts, and one
+    refilled in place at every other t.  The tracker's bordered matrix is
+    the pattern's BorderedLayout, shared by every homotopy on the pattern
+    (see bordered).
     """
 
     def __init__(self, start, end):
-        if start.stiffness.shape != end.stiffness.shape:
+        if start.n != end.n:
             raise DomainError("homotopy endpoints have different sizes")
+        if end.pattern is not start.pattern:
+            raise DomainError("homotopy endpoints are stored on different sparsity patterns")
         self.start = start
         self.end = end
-        mats = (start.stiffness, start.mass, end.stiffness, end.mass)
-        pattern = start.pattern
-        if pattern is None or end.pattern is not pattern:
-            pattern = pattern or SparsityPattern.of(start.stiffness)
-            if not all(pattern.holds(A) for A in mats):
-                raise DomainError("homotopy endpoints are stored on different sparsity patterns")
-        if pattern.bordered is None:
-            pattern.bordered = BorderedLayout(pattern)
-        self.pattern = pattern
-        self._k0, self._m0, self._k1, self._m1 = (A.data for A in mats)
+        self.pattern = start.pattern
+        if self.pattern.bordered is None:
+            self.pattern.bordered = BorderedLayout(self.pattern)
+        self._k0, self._m0, self._k1, self._m1 = (
+            A.data for A in (start.stiffness, start.mass, end.stiffness, end.mass)
+        )
         self._derivative = None
         self._kept = [None, None]   # [t, pencil, norms] at t = 0 and at the last other t
 
@@ -200,7 +195,7 @@ class HomotopyPencil:
         slot = 0 if t == 0.0 else 1
         kept = self._kept[slot]
         if kept is None:
-            pencil = MatrixPencil.on(
+            pencil = MatrixPencil(
                 self.pattern, np.empty_like(self._k0), np.empty_like(self._m0), validate=False
             )
             kept = self._kept[slot] = [None, pencil, None]
@@ -210,7 +205,7 @@ class HomotopyPencil:
             for out, a, b in ((K.data, self._k0, self._k1), (M.data, self._m0, self._m1)):
                 np.multiply(a, s, out=out)
                 out += t * b
-            kept[0], kept[2] = t, (_inf_norm(K), _inf_norm(M))
+            kept[0], kept[2] = t, (K.norm_inf(), M.norm_inf())
         return kept[1]
 
     def norms(self, t):
@@ -227,11 +222,12 @@ class HomotopyPencil:
         return layout
 
     def derivative(self):
-        """Constant t-derivative (K_end - K_start, M_end - M_start)."""
+        """Constant t-derivative (K_end - K_start, M_end - M_start), on the
+        homotopy's pattern."""
         if self._derivative is None:
             self._derivative = (
-                (self.end.stiffness - self.start.stiffness).tocsr(),
-                (self.end.mass - self.start.mass).tocsr(),
+                self.pattern.matrix(self._k1 - self._k0),
+                self.pattern.matrix(self._m1 - self._m0),
             )
         return self._derivative
 
@@ -275,7 +271,7 @@ def build_pillbox_pencil(radius, length, p_max, space):
             raise DomainError(f"cavity radius must be positive, got r={r}")
         scale = (r / radius) ** 2
         return {
-            family: MatrixPencil.on(
+            family: MatrixPencil(
                 pen.pattern, pen.stiffness.data, scale * pen.mass.data, validate=False
             )
             for family, pen in base.items()
@@ -301,7 +297,7 @@ def block_pencil(sections, block):
     value of build_pillbox_pencil's at), on that cross-section's pattern,
     which every block of the family shares."""
     pen = sections[block.family]
-    return MatrixPencil.on(
+    return MatrixPencil(
         pen.pattern, pen.stiffness.data + block.axial_shift * pen.mass.data, pen.mass.data,
         validate=False,
     )

@@ -20,37 +20,41 @@ colliding tracks are re-tracked as one cluster, and a collision that
 remains is a TrackingFailure.
 
 Every derivative and every Newton iteration above the tolerance factorizes
-the bordered system [[K - lambda M, -M e], [c^T, 0]] afresh with sparse LU,
-with two exceptions.  The t = 0 end of every homotopy from one pencil is
-that pencil, so the start pencil keeps one start record per start pair
-(_Start, in MatrixPencil.starts): the pair M-normalized and its residual
-checked, c = M e, and the LU of its bordered matrix at t = 0 with a copy of
-that matrix; every homotopy from the pencil takes its start state and its
-derivative at t = 0 from there, and only the back-solve and its residual
-check run again.  And a Newton iterate whose residual already meets the
-tolerance, waiting only for |dlambda| to confirm, is updated with the last
-factorization of the same call (newton_correct).  Every pencil of a study
-lives on one sparsity pattern, so its pencils at t are refilled on it
-(HomotopyPencil.at) and the bordered matrix is the pattern's one CSC
-matrix, refilled in place with every entry stored, zero or not
-(HomotopyPencil.bordered); each kernel factorizes it before asking for the
-next.  The column ordering depends only on the pattern: the first
-factorization on a pattern computes SuperLU's default one, and every later
-one reuses it with the natural ordering on the column-permuted matrix
-(_BorderedLU).  The infinity norms that scale the Newton residual are
-computed once per pencil at t (HomotopyPencil.norms), so every track of a
-homotopy shares those at t = 0.
+the bordered system [[K - lambda M, -M e], [c^T, 0]] afresh, with two
+exceptions.  The t = 0 end of every homotopy from one pencil is that
+pencil, so the start pencil keeps one start record per start pair (_Start,
+in MatrixPencil.starts): the pair M-normalized and its residual checked,
+c = M e, and the factorization of its bordered matrix at t = 0 with a copy
+of that matrix; every homotopy from the pencil takes its start state and
+its derivative at t = 0 from there, and only the back-solve and its
+residual check run again.  And a Newton iterate whose residual already
+meets the tolerance, waiting only for |dlambda| to confirm, is updated with
+the last factorization of the same call (newton_correct).  Every pencil of
+a study lives on one sparsity pattern, so its pencils at t are refilled on
+it (HomotopyPencil.at) and the bordered matrix is the pattern's one
+BorderedLayout matrix, refilled in place with every entry stored, zero or
+not (HomotopyPencil.bordered); each kernel factorizes it before asking for
+the next.  The infinity norms that scale the Newton residual are computed
+once per pencil at t (HomotopyPencil.norms), so every track of a homotopy
+shares those at t = 0.
+
+Every factorization is one spla.splu call and every back-solve one .solve
+on what it returns, in either of the layout's tiers.  Up to DENSE_CUTOFF
+unknowns the matrix is dense: splu keeps a copy, and each solve is LAPACK
+gesv on it (np.linalg.solve); numpy has no LU to reuse.  Above it, splu is
+SuperLU, which scipy gives: the first factorization on a pattern computes
+its default column ordering, and every later one reuses it with the
+natural ordering on the column-permuted matrix (_BorderedLU).
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg as la
-import scipy.sparse.linalg as spla
 
-from .eigen import Eigenpair, _m_orthonormalize, group_clusters
+from .eigen import Eigenpair, _m_orthonormalize, dense_eigh, group_clusters
 from .errors import (
     DegeneracyError,
     DomainError,
@@ -112,14 +116,47 @@ def _scaled_residual(r, lam, e, norm_k, norm_m):
     return float(math.sqrt(r @ r) / ((norm_k + abs(lam) * norm_m) * math.sqrt(e @ e)))
 
 
+class _DenseLU:
+    """A dense bordered matrix, copied: each solve is LAPACK gesv on it."""
+
+    perm_c = None   # no column ordering to hand to the layout
+
+    def __init__(self, A):
+        self.matrix = A.copy()
+
+    def solve(self, rhs):
+        return np.linalg.solve(self.matrix, rhs)
+
+
+def _splu(A, permc_spec=None):
+    """The factorization of a bordered layout's matrix in its tier: a dense
+    array's kept copy (_DenseLU), or SuperLU of a CSC matrix."""
+    if isinstance(A, np.ndarray):
+        return _DenseLU(A)
+    from scipy.sparse.linalg import splu
+
+    return splu(A, permc_spec=permc_spec)
+
+
+# The factorization seam: every bordered factorization of either tier is one
+# spla.splu call, and every back-solve one .solve on its result.
+spla = SimpleNamespace(splu=_splu)
+
+
+_SINGULAR = (
+    "bordered matrix is singular; eigenvalue nearly multiple or "
+    "normalization vector orthogonal to the eigenvector"
+)
+
+
 class _BorderedLU:
-    """Sparse LU of a BorderedLayout's matrix as HomotopyPencil.bordered
+    """Factorization of a BorderedLayout's matrix as HomotopyPencil.bordered
     filled it, for any number of right-hand sides (solve).
 
-    The first factorization on a layout takes SuperLU's default column
+    On a CSC layout, the first factorization takes SuperLU's default column
     ordering and hands it to the layout, which stores its matrix in that
     order from the next fill on; every later one factors with the natural
-    ordering, so x = y[perm_c].
+    ordering, so x = y[perm_c].  A dense layout's perm_c stays None.
     """
 
     def __init__(self, layout):
@@ -129,20 +166,28 @@ class _BorderedLU:
                 spla.splu(A) if self._perm is None else spla.splu(A, permc_spec="NATURAL")
             )
         except RuntimeError as exc:
-            raise DegeneracyError(
-                "bordered matrix is singular; eigenvalue nearly multiple or "
-                "normalization vector orthogonal to the eigenvector"
-            ) from exc
+            raise DegeneracyError(_SINGULAR) from exc
         if self._perm is None:
             layout.order(self._lu.perm_c)
 
     def solve(self, rhs):
         """(x, y): the solution, and y with A y = rhs for the factored
         matrix A in its stored column order."""
-        y = self._lu.solve(rhs)
+        try:
+            y = self._lu.solve(rhs)
+        except np.linalg.LinAlgError as exc:
+            raise DegeneracyError(_SINGULAR) from exc
         if not np.all(np.isfinite(y)):
             raise DegeneracyError("bordered solve produced non-finite values")
         return (y if self._perm is None else y[self._perm]), y
+
+
+def _norm_inf(A):
+    """The largest absolute row sum of a bordered matrix, dense or CSC."""
+    if isinstance(A, np.ndarray):
+        return np.abs(A).sum(axis=1).max()
+    # straight from the CSC arrays; spla.norm would convert to CSR
+    return np.bincount(A.indices, np.abs(A.data), minlength=A.shape[0]).max()
 
 
 class _Start:
@@ -195,9 +240,7 @@ def eigenpair_derivative(homotopy, t, pair, c):
     rhs[-1] = 0.0
     x, y = lu.solve(rhs)
     resid = np.linalg.norm(A @ y - rhs)
-    # row-sum norm straight from the CSC arrays; spla.norm would convert to CSR
-    norm_a = np.bincount(A.indices, np.abs(A.data), minlength=A.shape[0]).max()
-    scale = norm_a * np.linalg.norm(x) + np.linalg.norm(rhs) + 1e-300
+    scale = _norm_inf(A) * np.linalg.norm(x) + np.linalg.norm(rhs) + 1e-300
     if resid > 1e-10 * scale:
         raise DegeneracyError(f"bordered solve residual {resid / scale:.3e} too large")
     return x[:-1], float(x[-1])
@@ -409,8 +452,8 @@ def _block_step(homotopy, t_new, states, derivatives, dt, cfg):
     pencil = homotopy.at(t_new)
     MP = pencil.mass @ P
     try:
-        theta, Y = la.eigh(P.T @ (pencil.stiffness @ P), P.T @ MP)
-    except la.LinAlgError:
+        theta, Y = dense_eigh(P.T @ (pencil.stiffness @ P), P.T @ MP)
+    except np.linalg.LinAlgError:
         return None
     corrected = []
     for st, u, Mu, value in zip(states, (P @ Y).T, (MP @ Y).T, theta):

@@ -1,13 +1,54 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and pencil helpers shared by the test modules.
+
+The pencil helpers are plain functions, imported as ``from conftest import ...``:
+the library stores every pencil on a SparsityPattern, and these make one
+from scipy or dense matrices.
+"""
 
 import csv
+from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cavityuq import oracle
+from cavityuq.assembly import MatrixPencil, SparsityPattern
 from cavityuq.geometry import GeometryMap
 from cavityuq.splines import BSplineBasis, ControlNet, KnotVector
+
+
+def csr_pencil(K, M, validate=True):
+    """The pencil of K and M, scipy sparse or dense, on the union of their
+    stored entries and its transpose; stored zeros stay stored."""
+    K, M = sp.csr_matrix(K), sp.csr_matrix(M)
+    n = K.shape[0]
+    coo = [A.tocoo() for A in (K, M)]
+    rows = np.concatenate([c.row for c in coo] + [c.col for c in coo]).astype(np.int64)
+    cols = np.concatenate([c.col for c in coo] + [c.row for c in coo]).astype(np.int64)
+    keys = np.unique(rows * n + cols)
+    pattern = SparsityPattern(np.searchsorted(keys, np.arange(n + 1) * n), keys % n)
+    r, c = keys // n, keys % n
+    return MatrixPencil(
+        pattern, *(np.asarray(A[r, c]).ravel() for A in (K, M)), validate=validate
+    )
+
+
+@lru_cache(maxsize=None)
+def full_pattern(n):
+    """The n x n pattern holding every entry, one object per size."""
+    return SparsityPattern(np.arange(n + 1) * n, np.tile(np.arange(n), n))
+
+
+def dense_pencil(K, M=None, validate=True):
+    """K and M (default the identity) on full_pattern(n), so that any two
+    such pencils of one size can be a homotopy's endpoints."""
+    n = K.shape[0]
+    M = np.eye(n) if M is None else M
+    return MatrixPencil(
+        full_pattern(n), *(np.asarray(A, dtype=float).ravel() for A in (K, M)),
+        validate=validate,
+    )
 
 
 def _rectangle_patch(lx, ly):

@@ -14,9 +14,10 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from conftest import dense_pencil
 
 from cavityuq import cli, oracle, uq
-from cavityuq.assembly import DiscreteSpace, MatrixPencil
+from cavityuq.assembly import DiscreteSpace
 from cavityuq.eigen import Eigenpair, solve_smallest
 from cavityuq.pencil import (
     HomotopyPencil,
@@ -217,7 +218,7 @@ def test_criterion_7_tracking_oracle_equivalence(report):
             return A @ A.T + shift * np.eye(n)
 
         hom = HomotopyPencil(
-            MatrixPencil(spd(0.5), spd(1.0)), MatrixPencil(spd(0.5), spd(1.0))
+            dense_pencil(spd(0.5), spd(1.0)), dense_pencil(spd(0.5), spd(1.0))
         )
         starts = solve_smallest(hom.at(0.0), 3)
         states = track_modes(hom, starts)

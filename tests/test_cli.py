@@ -1,6 +1,7 @@
 """End-to-end driver tests on small study configurations."""
 
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -13,11 +14,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from cavityuq import cli, oracle, tracking, uq
 from cavityuq.assembly import DiscreteSpace
-from cavityuq.eigen import solve_smallest
+from cavityuq.eigen import DENSE_CUTOFF, solve_smallest
 from cavityuq.errors import TrackingFailure
 from cavityuq.geometry import load_deformation_spec
 from cavityuq.pencil import (
@@ -45,16 +45,18 @@ def read_csv(path):
 
 
 def count_lu_calls(monkeypatch):
-    """Route the tracker's sparse LU through counters, on a cold pencil cache.
+    """Route the tracker's factorizations through counters, on a cold
+    pencil cache.
 
     Returns (factorizations, solves): the permc_spec of every splu call
     ("default" when none is given) and one entry per back-solve.
     """
     factorizations, solves = [], []
+    seam = tracking.spla.splu
 
     def splu(A, **options):
         factorizations.append(options.get("permc_spec", "default"))
-        lu = spla.splu(A, **options)
+        lu = seam(A, **options)
 
         def solve(rhs):
             solves.append(A.shape)
@@ -535,28 +537,87 @@ class TestPillboxUq:
         assert "orders" in capsys.readouterr().err
 
     def test_cold_study_does_not_import_scipy_special(self, tmp_path):
-        # the oracle loads scipy.special at its first Bessel zero; a study
-        # asks for none, so a fresh process must not pay for the import
+        # a study at or below DENSE_CUTOFF unknowns runs on numpy alone, and
+        # the oracle loads scipy.special at its first Bessel zero, which a
+        # study does not ask for: a fresh process imports no scipy module
         doc = json.loads(json.dumps(PILLBOX_UQ))
         doc["discretization"]["elements"] = 6
         doc["modes"] = 2
         doc["grid"]["orders"] = [3]
         cfg = write_config(tmp_path, "c.json", doc)
-        script = (
-            "import sys\n"
-            "from cavityuq import cli\n"
-            "code = cli.main(sys.argv[1:])\n"
-            "print(code, 'scipy.special' in sys.modules)\n"
+        assert cold_study(cfg, tmp_path / "run") == "0 []"
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def cold_python(script, *argv):
+    """The last line a fresh interpreter prints, running script with the
+    package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def cold_study(cfg, out):
+    """'<exit code> <scipy modules loaded>' of a uq study in a fresh process."""
+    script = (
+        "import sys\n"
+        "from cavityuq import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        f"print(code, {_SCIPY_MODULES})\n"
+    )
+    return cold_python(script, "uq", "--config", cfg, "--out", out, "--workers", "1")
+
+
+class TestTiers:
+    """Up to DENSE_CUTOFF unknowns a study runs on numpy alone; above it,
+    the tracker takes the sparse tier, which imports scipy."""
+
+    def test_cold_import_loads_no_scipy(self):
+        assert cold_python(f"import sys, cavityuq.cli; print({_SCIPY_MODULES})") == "[]"
+
+    def test_cold_benchmark_studies_load_no_scipy(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", _ROOT / "perfbench" / "workloads.py"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "uq", "--config", cfg,
-             "--out", str(tmp_path / "run"), "--workers", "1"],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False"
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        assert workloads.WORKLOADS
+        for name, workload in workloads.WORKLOADS.items():
+            cfg = workloads.write_config(tmp_path / f"{name}.json", workloads.study_config(workload))
+            assert cold_study(cfg, tmp_path / name) == "0 []", name
+
+    def test_sparse_tier_agrees_with_dense_solves(self, monkeypatch):
+        """PILLBOX_SPARSE tracks on CSC layouts with SuperLU; at each node,
+        each tracked value is a value of a dense solve of its family's
+        cross-section, shifted into its block.  Identity is kept, not rank:
+        the TE111 pair passes TM010 between the nodes."""
+        monkeypatch.setattr(cli, "_PENCIL_CACHE", {})
+        run = cli._run_study(json.loads(json.dumps(PILLBOX_SPARSE)),
+                             SimpleNamespace(seed=None, workers=1))
+        sections = run.par.base
+        assert min(pen.n for pen in sections.values()) > DENSE_CUTOFF
+        for pen in sections.values():
+            assert not isinstance(pen.pattern.bordered.matrix, np.ndarray)
+        assert len(run.starts) == 2 and run.grid.n_nodes == 3
+        for k, node in enumerate(run.grid.nodes):
+            dense = {
+                family: np.array([pair.value for pair in solve_smallest(pen, 4, method="dense")])
+                for family, pen in run.par.at(node).items()
+            }
+            for j, (family, axial) in enumerate(run.labels):
+                shift = next(b.axial_shift for b in run.par.blocks
+                             if (b.family, b.axial) == (family, axial))
+                lam = run.values[j, k]
+                assert np.abs(dense[family] + shift - lam).min() <= 1e-10 * lam, (k, j)
 
 
 class TestDeformedDiskUq:
@@ -735,23 +796,42 @@ def fail_third_group(monkeypatch):
     return calls
 
 
+# PILLBOX_UQ at 24 elements: cross-sections of n = 576 (TM) and 676 (TE)
+# unknowns, above DENSE_CUTOFF, tracked at 3 nodes
+PILLBOX_SPARSE = dict(
+    PILLBOX_UQ, discretization={"degree": 2, "elements": 24}, modes=2,
+    grid={"kind": "tensor", "family": "clenshaw-curtis", "orders": [3]},
+)
+
+
 class TestColumnOrdering:
-    """The tracker's factorizations take SuperLU's default column ordering
-    once per sparsity pattern a study tracks on, and reuse it after."""
+    """Above DENSE_CUTOFF the tracker's factorizations take SuperLU's
+    default column ordering once per sparsity pattern a study tracks on, and
+    reuse it after; at or below it, a layout is dense and takes none."""
 
     @staticmethod
     def orderings(monkeypatch, tmp_path, doc):
+        """The permc_spec of every factorization of a uq study, and the
+        bordered layouts of the patterns it tracked on."""
         specs, solves = count_lu_calls(monkeypatch)
+        layouts = []
+        init = tracking._BorderedLU.__init__
+
+        def spied(self, layout):
+            if all(layout is not seen for seen in layouts):
+                layouts.append(layout)
+            init(self, layout)
+
+        monkeypatch.setattr(tracking._BorderedLU, "__init__", spied)
         cfg = write_config(tmp_path, "c.json", doc)
         out = tmp_path / "run"
         assert cli.main(["uq", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert len(specs) == summary["factorizations"]
         assert len(solves) == summary["bordered_solves"]
-        assert set(specs) == {"default", "NATURAL"}
-        return specs
+        return specs, layouts
 
-    def test_one_ordering_per_disk_study(self, monkeypatch, tmp_path):
+    def test_disk_study_takes_no_ordering(self, monkeypatch, tmp_path):
         doc = {
             "problem": {
                 "kind": "deformed-disk", "radius": 0.05,
@@ -761,13 +841,19 @@ class TestColumnOrdering:
             "modes": 2,
             "grid": {"kind": "smolyak", "family": "gauss-hermite", "level": 1},
         }
-        assert self.orderings(monkeypatch, tmp_path, doc).count("default") == 1
+        specs, (layout,) = self.orderings(monkeypatch, tmp_path, doc)
+        assert isinstance(layout.matrix, np.ndarray) and layout.perm_c is None
+        assert specs and set(specs) == {"default"}
 
     def test_one_ordering_per_pillbox_block(self, monkeypatch, tmp_path):
-        # PILLBOX_UQ tracks its 3 modes in 2 blocks, TM0 and TE1; the blocks
-        # of one family share its cross-section's pattern and ordering
-        specs = self.orderings(monkeypatch, tmp_path, PILLBOX_UQ)
-        assert specs.count("default") == 2
+        # PILLBOX_SPARSE tracks its 2 modes in 2 blocks, TM0 and TE1; the
+        # blocks of one family share its cross-section's pattern and ordering
+        specs, layouts = self.orderings(monkeypatch, tmp_path, PILLBOX_SPARSE)
+        assert set(specs) == {"default", "NATURAL"} and specs.count("default") == 2
+        assert len(layouts) == 2
+        for layout in layouts:
+            assert not isinstance(layout.matrix, np.ndarray) and layout.perm_c is not None
+
 
 
 def select_every_block(blocks, sections, n_modes):

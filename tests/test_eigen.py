@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import csr_pencil
 
-from cavityuq.assembly import DiscreteSpace, MatrixPencil, assemble
+from cavityuq.assembly import DiscreteSpace, assemble
 from cavityuq.eigen import group_clusters, sign_fix, solve_smallest
 from cavityuq.errors import DomainError, SolverError
 from cavityuq.geometry import build_disk_patch
@@ -19,7 +20,7 @@ def random_spd_pencil(n, seed):
     K = A @ A.T + n * np.eye(n)
     B = r.standard_normal((n, n))
     M = B @ B.T + n * np.eye(n)
-    return MatrixPencil(sp.csr_matrix(K), sp.csr_matrix(M))
+    return csr_pencil(sp.csr_matrix(K), sp.csr_matrix(M))
 
 
 @pytest.fixture(scope="module")
@@ -34,14 +35,14 @@ def disk_dirichlet():
 
 class TestSmallClosedForms:
     def test_diagonal_pencil(self):
-        pen = MatrixPencil(sp.diags([1.0, 2.0, 3.0]).tocsr(), sp.identity(3, format="csr"))
+        pen = csr_pencil(sp.diags([1.0, 2.0, 3.0]).tocsr(), sp.identity(3, format="csr"))
         pairs = solve_smallest(pen, 2)
         assert [p.value for p in pairs] == [1.0, 2.0]
         np.testing.assert_allclose(pairs[0].vector, [1, 0, 0], atol=1e-14)
         np.testing.assert_allclose(pairs[1].vector, [0, 1, 0], atol=1e-14)
 
     def test_two_by_two(self):
-        pen = MatrixPencil(
+        pen = csr_pencil(
             sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]])),
             sp.identity(2, format="csr"),
         )
@@ -119,7 +120,7 @@ class TestRandomPencils:
 
 class TestValidationAndErrors:
     def test_bad_mode_count(self):
-        pen = MatrixPencil(sp.identity(3, format="csr"), sp.identity(3, format="csr"))
+        pen = csr_pencil(sp.identity(3, format="csr"), sp.identity(3, format="csr"))
         with pytest.raises(DomainError):
             solve_smallest(pen, 0)
         with pytest.raises(DomainError):
@@ -131,7 +132,7 @@ class TestValidationAndErrors:
         K = sp.identity(3, format="csr")
         M = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
         with pytest.raises(SolverError):
-            solve_smallest(MatrixPencil(K, M), 1)
+            solve_smallest(csr_pencil(K, M), 1)
 
 
 class TestHelpers:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cavityuq import geometry
+from cavityuq.assembly import DiscreteSpace
 from cavityuq.errors import (
     DomainError,
     InterpolationError,
@@ -25,6 +26,7 @@ from cavityuq.geometry import (
     save_deformation_spec,
 )
 from cavityuq.splines import ControlNet
+from cavityuq.uq import default_correlated_covariance, fit_kl, generate_synthetic_observations
 
 rng = np.random.default_rng(42)
 
@@ -305,6 +307,24 @@ class TestDeformation:
         model = deformation_from_kl(_Reduced(np.zeros(2), np.zeros((2, 2))), g, sam)
         with pytest.raises(DomainError):
             deform(model, [0.1])
+
+    def test_single_point_queries_keep_one_grid(self):
+        """The model keeps the last grid of each size: 200 single-point
+        queries on the README disk's deformed map add one kept grid, not
+        200, and the assembly kernel's grid keeps its values bit for bit."""
+        cov = default_correlated_covariance(18)
+        kl = fit_kl(generate_synthetic_observations(cov, np.zeros(18), 5000, 1234), 0.95)
+        sampler = BoundarySampler(2 * np.pi * np.arange(18) / 18, kind="radial")
+        model = deformation_from_kl(kl, refine_patch(build_disk_patch(0.05), 3), sampler)
+        g = deform(model, [-1.73, 0.0, 1.73, 0.0, 0.0, 0.0, 0.0])
+        kernel = DiscreteSpace(2, 8).kernel(g.bases, "dirichlet")
+        x0, J0 = g.jacobian_grid(kernel.us, kernel.vs)
+        kept = len(model._grids)
+        for u, v in np.random.default_rng(5).uniform(0.05, 0.95, (200, 2)):
+            g.jacobian_grid([u], [v])
+        assert len(model._grids) == kept + 1
+        x1, J1 = g.jacobian_grid(kernel.us, kernel.vs)
+        assert x1.tobytes() == x0.tobytes() and J1.tobytes() == J0.tobytes()
 
 
 class TestSerialization:

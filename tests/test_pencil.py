@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from conftest import csr_pencil
 
-from cavityuq.assembly import DiscreteSpace, MatrixPencil, assemble
+from cavityuq.assembly import DiscreteSpace, PatternMatrix, SparsityPattern, assemble
 from cavityuq.eigen import solve_smallest
 from cavityuq.errors import DomainError
 from cavityuq.geometry import build_disk_patch
 from cavityuq.oracle import bessel_zero
-from cavityuq import pencil as pencil_mod
 from cavityuq.pencil import (
     HomotopyPencil,
     ParametricPencil,
@@ -36,30 +36,31 @@ def homotopy():
 
 class TestHomotopy:
     def test_endpoints_exact(self, homotopy):
-        assert (homotopy.at(0.0).stiffness - homotopy.start.stiffness).nnz == 0
-        assert (homotopy.at(1.0).mass - homotopy.end.mass).nnz == 0
+        assert np.array_equal(homotopy.at(0.0).stiffness.data, homotopy.start.stiffness.data)
+        assert np.array_equal(homotopy.at(1.0).mass.data, homotopy.end.mass.data)
 
     def test_midpoint_is_entrywise_average(self, homotopy):
-        mid = homotopy.at(0.5).stiffness
-        avg = 0.5 * homotopy.start.stiffness + 0.5 * homotopy.end.stiffness
-        assert (mid - avg).nnz == 0
+        mid = homotopy.at(0.5).stiffness.data
+        avg = 0.5 * homotopy.start.stiffness.data + 0.5 * homotopy.end.stiffness.data
+        assert np.array_equal(mid, avg)
 
     def test_affine_in_t(self, homotopy):
         # at(t) refills one kept pencil in place, so each matrix is copied
         h = 0.125
         for t in (0.25, 0.5, 0.625):
             second = (
-                homotopy.at(t + h).stiffness.copy()
-                - 2 * homotopy.at(t).stiffness.copy()
-                + homotopy.at(t - h).stiffness
+                homotopy.at(t + h).stiffness.data.copy()
+                - 2 * homotopy.at(t).stiffness.data.copy()
+                + homotopy.at(t - h).stiffness.data
             )
-            top = abs(homotopy.at(t).stiffness).max()
-            assert abs(second).max() <= 1e-12 * top
+            top = np.abs(homotopy.at(t).stiffness.data).max()
+            assert np.abs(second).max() <= 1e-12 * top
 
     def test_derivative_is_difference(self, homotopy):
         Kp, Mp = homotopy.derivative()
-        assert (Kp - (homotopy.end.stiffness - homotopy.start.stiffness)).nnz == 0
-        assert (Mp - (homotopy.end.mass - homotopy.start.mass)).nnz == 0
+        assert Kp.pattern is Mp.pattern is homotopy.pattern
+        assert np.array_equal(Kp.data, homotopy.end.stiffness.data - homotopy.start.stiffness.data)
+        assert np.array_equal(Mp.data, homotopy.end.mass.data - homotopy.start.mass.data)
 
     def test_derivative_matches_finite_differences(self, homotopy):
         # 2-D stiffness is invariant under pure rescaling, so K' here is
@@ -67,16 +68,16 @@ class TestHomotopy:
         Kp, Mp = homotopy.derivative()
         h = 1e-3
         for A, Ap in (
-            (lambda t: homotopy.at(t).stiffness.copy(), Kp),
-            (lambda t: homotopy.at(t).mass.copy(), Mp),
+            (lambda t: homotopy.at(t).stiffness.data.copy(), Kp),
+            (lambda t: homotopy.at(t).mass.data.copy(), Mp),
         ):
             fd = (A(0.5 + h) - A(0.5 - h)) / (2 * h)
-            assert abs(fd - Ap).max() <= 1e-12 * abs(A(0.5)).max()
+            assert np.abs(fd - Ap.data).max() <= 1e-12 * np.abs(A(0.5)).max()
 
     def test_identity_homotopy_has_zero_derivative(self):
         pen = disk_pencil(0.05)
         Kp, Mp = HomotopyPencil(pen, pen).derivative()
-        assert Kp.nnz == 0 and Mp.nnz == 0
+        assert not Kp.data.any() and not Mp.data.any()
 
     def test_parameter_domain(self, homotopy):
         for t in (-0.01, 1.01):
@@ -95,12 +96,13 @@ class TestHomotopy:
 
     def test_pattern_mismatch_rejected(self):
         a = disk_pencil(0.05)
-        K = a.stiffness.tocoo()
+        K = a.stiffness.tocsr().tocoo()
         drop = (K.row != K.col) & ((K.row + K.col) % 3 == 1)
         thinned = sp.csr_matrix((K.data[~drop], (K.row[~drop], K.col[~drop])), shape=K.shape)
         for end in (
-            MatrixPencil(thinned, a.mass, validate=False),                       # K differs
-            MatrixPencil(a.stiffness, sp.identity(a.n, format="csr"), validate=False),  # M differs
+            csr_pencil(thinned, thinned, validate=False),     # fewer entries
+            # the same entries on another pattern object
+            csr_pencil(a.stiffness.tocsr(), sp.identity(a.n, format="csr"), validate=False),
         ):
             for pair in ((a, end), (end, a)):
                 with pytest.raises(DomainError, match="different sparsity patterns"):
@@ -108,10 +110,11 @@ class TestHomotopy:
 
 
 def random_csr(rng):
-    """A canonical CSR matrix with random shape, density and magnitudes that
-    stores zeros of both signs in some cases."""
-    n, m = rng.integers(1, 12), rng.integers(1, 40)
-    mask = rng.random((n, m)) < rng.choice([0.0, 0.05, 0.3, 0.9, 1.0])
+    """A canonical square CSR matrix with random size, density and
+    magnitudes that stores its diagonal, as every pattern does, and zeros
+    of both signs in some cases."""
+    n = m = rng.integers(1, 40)
+    mask = (rng.random((n, m)) < rng.choice([0.0, 0.05, 0.3, 0.9, 1.0])) | np.eye(n, dtype=bool)
     rows, cols = np.nonzero(mask)
     data = rng.standard_normal(rows.size) * 10.0 ** rng.uniform(-3, 3, rows.size)
     if rng.random() < 0.5:
@@ -133,7 +136,7 @@ class TestInfNorm:
             pruned.eliminate_zeros()
             long_rows += int(np.diff(pruned.indptr).max() >= 8)
             all_zero += int(pruned.nnz == 0)
-            got = np.float64(pencil_mod._inf_norm(A))
+            got = np.float64(PatternMatrix(SparsityPattern(A.indptr, A.indices), A.data).norm_inf())
             assert got.tobytes() == np.float64(spla.norm(pruned, np.inf)).tobytes()
         # rows that numpy sums pairwise, and matrices without a nonzero
         assert long_rows >= 500 and all_zero >= 100
@@ -145,7 +148,7 @@ class TestParametricPencil:
         a = par.at([0.055])
         b = par.at([0.055])
         assert np.array_equal(a.stiffness.data, b.stiffness.data)
-        assert np.array_equal(a.stiffness.indices, b.stiffness.indices)
+        assert a.pattern is b.pattern
         assert np.array_equal(a.mass.data, b.mass.data)
 
     def test_shape_validation(self):
@@ -194,8 +197,9 @@ class TestPillboxPencil:
         pen = stack.at([0.06])
         tm0 = block_pencil(pen, stack.blocks[0])
         direct = disk_pencil(0.06)
-        assert (tm0.stiffness - direct.stiffness).nnz == 0
-        assert (tm0.mass - direct.mass).nnz == 0
+        assert tm0.pattern is direct.pattern
+        assert np.array_equal(tm0.stiffness.data, direct.stiffness.data)
+        assert np.array_equal(tm0.mass.data, direct.mass.data)
 
     def test_p0_block_lowest_eigenvalue(self, stack):
         tm0 = block_pencil(stack.at([0.05]), stack.blocks[0])

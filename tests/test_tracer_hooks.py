@@ -164,6 +164,24 @@ def test_factorization_hook_sees_every_cluster_solve(tracer, monkeypatch, tmp_pa
     assert trace.calls["tracking.backsolve"] == summary["bordered_solves"]
 
 
+def test_factorization_hook_sees_the_sparse_tier(tracer, monkeypatch, tmp_path):
+    """Above DENSE_CUTOFF the tracker factors CSC matrices with SuperLU
+    through the same seam: at 24 elements (n = 576 and 676) every
+    factorization and back-solve is still one traced call."""
+    trace = _installed(tracer, monkeypatch)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(_SMALL_PILLBOX, discretization={"degree": 2, "elements": 24})))
+    out = tmp_path / "run"
+    assert cli.main(["uq", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    layouts = [pen.pattern.bordered for pen in cli._pillbox_parametric(
+        0.05, 0.1, 1, 2, 24).base.values()]
+    assert all(layout.perm_c is not None for layout in layouts)
+    assert 0 < summary["factorizations"] < summary["bordered_solves"]
+    assert trace.calls["tracking.factorize"] == summary["factorizations"]
+    assert trace.calls["tracking.backsolve"] == summary["bordered_solves"]
+
+
 @pytest.mark.parametrize(
     "kind, doc", [("pillbox", _SMALL_PILLBOX), ("deformed-disk", _SMALL_DISK)]
 )

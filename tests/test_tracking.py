@@ -9,9 +9,10 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from conftest import csr_pencil, dense_pencil
 
 from cavityuq.assembly import DiscreteSpace, MatrixPencil, assemble
-from cavityuq.eigen import Eigenpair, solve_smallest
+from cavityuq.eigen import DENSE_CUTOFF, Eigenpair, solve_smallest
 from cavityuq.errors import (
     DegeneracyError,
     DomainError,
@@ -35,18 +36,6 @@ from cavityuq.tracking import (
     track,
     track_modes,
 )
-
-
-def dense_pencil(K, M=None):
-    """K and M (default the identity) stored on the full n x n pattern, so
-    that any two such pencils of one size can be a homotopy's endpoints."""
-    n = K.shape[0]
-    M = np.eye(n) if M is None else M
-    full = sp.csr_matrix(np.ones((n, n)))
-    return MatrixPencil(*(
-        sp.csr_matrix((np.asarray(A, dtype=float).ravel(), full.indices, full.indptr), shape=(n, n))
-        for A in (K, M)
-    ))
 
 
 def rotation(theta):
@@ -122,19 +111,19 @@ class TestDerivative:
 
 
 def reference_pencil(homotopy, t):
-    """The homotopy's pencil at t through scipy arithmetic, s K0 + t K1."""
+    """The homotopy's (K, M) at t through scipy arithmetic, s K0 + t K1."""
     s = 1.0 - t
-    return MatrixPencil(
-        s * homotopy.start.stiffness + t * homotopy.end.stiffness,
-        s * homotopy.start.mass + t * homotopy.end.mass,
-        validate=False,
+    return tuple(
+        s * a.tocsr() + t * b.tocsr()
+        for a, b in ((homotopy.start.stiffness, homotopy.end.stiffness),
+                     (homotopy.start.mass, homotopy.end.mass))
     )
 
 
-def reference_bordered(pencil, lam, e, c, pattern):
+def reference_bordered(K, M, lam, Me, c, pattern):
     """The bordered matrix as sp.bmat assembles it from K - lam M, with every
-    entry of the pencil's pattern, M e and c stored, zero or not."""
-    K, M = pencil.stiffness, pencil.mass
+    entry of the pencil's pattern, M e (given as Me) and c stored, zero or
+    not."""
     n = pattern.n
     rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
     kml = (K - lam * M).toarray()[rows, pattern.indices]
@@ -142,7 +131,7 @@ def reference_bordered(pencil, lam, e, c, pattern):
     return sp.bmat(
         [
             [sp.csc_matrix((kml, (rows, pattern.indices)), shape=(n, n)),
-             sp.csc_matrix((-(M @ e), (i, zero)), shape=(n, 1))],
+             sp.csc_matrix((-Me, (i, zero)), shape=(n, 1))],
             [sp.csc_matrix((c, (zero, i)), shape=(1, n)), None],
         ],
         format="csc",
@@ -153,16 +142,11 @@ def rescaled(pencil):
     """An endpoint on the pencil's own pattern: 5/4 of its diagonal and of
     its off-diagonal entries with (i + j) % 3 != 1, stored zeros for the
     rest, and 0.01 more at (0, n-1) and (n-1, 0) where the pattern has them."""
-    n = pencil.n
-    A = pencil.stiffness
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    keep = (rows == A.indices) | ((rows + A.indices) % 3 != 1)
-    corner = (rows + A.indices == n - 1) & ((rows == 0) | (A.indices == 0))
-    return MatrixPencil(*(
-        sp.csr_matrix(
-            (np.where(keep, 1.25 * B.data, 0.0) + np.where(corner, 0.01, 0.0), A.indices, A.indptr),
-            shape=A.shape,
-        )
+    n, p = pencil.n, pencil.pattern
+    keep = (p.rows == p.indices) | ((p.rows + p.indices) % 3 != 1)
+    corner = (p.rows + p.indices == n - 1) & ((p.rows == 0) | (p.indices == 0))
+    return MatrixPencil(p, *(
+        np.where(keep, 1.25 * B.data, 0.0) + np.where(corner, 0.01, 0.0)
         for B in (pencil.stiffness, pencil.mass)
     ), validate=False)
 
@@ -189,7 +173,7 @@ def forced_zero_case():
         sp.csr_matrix((np.concatenate([diag, a, a, [0.0, 0.0]]), (rows, cols)), shape=(n, n))
         for diag, a in ((np.full(n, 4.0), k_off), (np.ones(n), m_off))
     )
-    pen = MatrixPencil(K, M, validate=False)
+    pen = csr_pencil(K, M, validate=False)
     e = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 2.0])
     return pen, 2.0, e, e.copy()
 
@@ -197,9 +181,11 @@ def forced_zero_case():
 class TestBorderedRefill:
     """The homotopy's refilled pencils and bordered matrices equal scipy's
     s K0 + t K1 and sp.bmat's, bit for bit, on endpoints on one pattern,
-    with stored zeros kept; its solves equal a default splu's of the same
-    matrix, also once the layout reuses the column ordering of its first
-    solve."""
+    with stored zeros kept.  Up to DENSE_CUTOFF unknowns the layout is the
+    dense bordered matrix, unpermuted, and its solves equal np.linalg.solve
+    of it; above, it is the CSC matrix and its solves equal a default
+    splu's of it, also once the layout reuses the column ordering of its
+    first solve."""
 
     @pytest.fixture(scope="class")
     def cases(self, tm_block):
@@ -208,10 +194,14 @@ class TestBorderedRefill:
         par = build_pillbox_pencil(0.05, 0.1, 1, DiscreteSpace(2, 6))
         te = next(b for b in par.blocks if b.family == "TE")
         mid = tm_block.at(0.37)   # refilled in place by the next at(t): copied
+        big = assemble(build_disk_patch(0.05), DiscreteSpace(2, 24), bc="dirichlet")
+        assert big.n > DENSE_CUTOFF
         for name, pen in (
             ("disk16", disk),
             ("pillbox-neumann", block_pencil(par.at([0.05]), te)),
-            ("homotopy-0.37", MatrixPencil(mid.stiffness.copy(), mid.mass.copy())),
+            ("homotopy-0.37", MatrixPencil(mid.pattern, mid.stiffness.data.copy(),
+                                           mid.mass.data.copy())),
+            ("disk576-sparse", big),
         ):
             pair = solve_smallest(pen, 2)[1]
             e = pair.vector + 1e-3 * np.linspace(-1.0, 1.0, pen.n)
@@ -223,22 +213,32 @@ class TestBorderedRefill:
         }
 
     @pytest.mark.parametrize(
-        "name", ["disk16", "pillbox-neumann", "homotopy-0.37", "forced-zeros"]
+        "name", ["disk16", "pillbox-neumann", "homotopy-0.37", "forced-zeros", "disk576-sparse"]
     )
     def test_matches_bmat_bit_for_bit(self, cases, name):
         hom, lam, e, c = cases[name]
+        dense = hom.start.n <= DENSE_CUTOFF
         rhs = 1.0 + np.arange(hom.start.n + 1.0)
         for t in (0.0, 0.37, 1.0):
-            pen, want = hom.at(t), reference_pencil(hom, t)
-            for got_v, want_v in (
-                (pen.stiffness @ e, want.stiffness @ e),
-                (pen.mass @ e, want.mass @ e),
-                (hom.norms(t), (spla.norm(want.stiffness, np.inf), spla.norm(want.mass, np.inf))),
-            ):
-                assert np.asarray(got_v).tobytes() == np.asarray(want_v).tobytes(), t
-            ref = reference_bordered(want, lam, e, c, hom.pattern)
-            layout = hom.bordered(t, lam, pen.mass @ e, c)
+            pen, (K, M) = hom.at(t), reference_pencil(hom, t)
+            for got, want in ((pen.stiffness, K), (pen.mass, M)):
+                assert np.array_equal(got.toarray(), want.toarray()), t
+                # numpy sums each row in another order than scipy's matvec
+                top = np.abs(want).max() * np.abs(e).sum()
+                assert np.abs(got @ e - want @ e).max() <= 1e-15 * top, t
+            norms = (spla.norm(K, np.inf), spla.norm(M, np.inf))
+            assert np.asarray(hom.norms(t)).tobytes() == np.asarray(norms).tobytes(), t
+            Me = pen.mass @ e
+            ref = reference_bordered(K, M, lam, Me, c, hom.pattern)
+            layout = hom.bordered(t, lam, Me, c)
             A = layout.matrix
+            if dense:
+                assert isinstance(A, np.ndarray) and layout.perm_c is None
+                # equal values; toarray's sum turns a stored -0.0 into 0.0
+                assert np.array_equal(A, ref.toarray()), t
+                x, _ = tracking._BorderedLU(layout).solve(rhs)
+                assert np.array_equal(x, np.linalg.solve(ref.toarray(), rhs)), t
+                continue
             if t == 1.0:   # the rescaled endpoint's stored zeros stay stored
                 assert not A.data.all()
             for attr in ("indptr", "indices", "data"):
@@ -247,8 +247,9 @@ class TestBorderedRefill:
                 assert got_a.tobytes() == want_a.tobytes(), (t, attr)
             x, _ = tracking._BorderedLU(layout).solve(rhs)
             assert np.array_equal(x, spla.splu(ref).solve(rhs)), t
-        # the first solve fixed the ordering, the later ones reused it
-        assert layout is hom.pattern.bordered and layout.perm_c is not None
+        assert layout is hom.pattern.bordered
+        if not dense:   # the first solve fixed the ordering, the later ones reused it
+            assert layout.perm_c is not None
 
 
 class Counting:
@@ -272,16 +273,17 @@ class Counting:
 
 class TestSolverCalls:
     def test_newton_loop_builds_no_scipy_matrices(self, monkeypatch):
-        """One bordered CSC matrix per pattern, refilled for every
-        factorization; no spla.norm; one splu per factorization and one
-        back-solve per bordered solve."""
+        """One dense bordered matrix per pattern, refilled for every
+        factorization; one splu per factorization and one back-solve per
+        bordered solve, both through the tracker's seam."""
         space = DiscreteSpace(2, 6)
         pens = [assemble(build_disk_patch(r), space, bc="dirichlet") for r in (0.05, 0.06)]
         starts = solve_smallest(pens[0], 2)
         back_solves = []
+        seam = tracking.spla.splu
 
         def splu(A, **options):
-            lu = spla.splu(A, **options)
+            lu = seam(A, **options)
 
             def solve(rhs):
                 back_solves.append(rhs.size)
@@ -289,10 +291,8 @@ class TestSolverCalls:
 
             return SimpleNamespace(perm_c=lu.perm_c, solve=solve)
 
-        spla_calls = Counting(SimpleNamespace(splu=splu, norm=spla.norm), "splu", "norm")
-        sp_calls = Counting(pencil_mod.sp, "csc_matrix")
+        spla_calls = Counting(SimpleNamespace(splu=splu), "splu")
         monkeypatch.setattr(tracking, "spla", spla_calls)
-        monkeypatch.setattr(pencil_mod, "sp", sp_calls)
         matrices = []
         bordered = HomotopyPencil.bordered
 
@@ -303,8 +303,7 @@ class TestSolverCalls:
 
         monkeypatch.setattr(HomotopyPencil, "bordered", spied)
         states = track_modes(HomotopyPencil(*pens), starts)
-        assert spla_calls.calls["norm"] == 0
-        assert sp_calls.calls["csc_matrix"] == 1
+        assert isinstance(matrices[0], np.ndarray)
         assert len(matrices) > 1 and all(A is matrices[0] for A in matrices)
         factorizations = sum(st.n_factorizations for st in states)
         assert spla_calls.calls["splu"] == len(matrices) == factorizations
@@ -403,8 +402,10 @@ class TestNewton:
     def test_non_finite_confirming_update_fails(self, monkeypatch):
         _, args = self.confirming_case()
 
+        seam = tracking.spla.splu
+
         def splu(A, **options):
-            lu, solves = spla.splu(A, **options), []
+            lu, solves = seam(A, **options), []
 
             def solve(rhs):
                 solves.append(rhs)
