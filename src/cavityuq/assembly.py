@@ -84,8 +84,8 @@ class SparsityPattern:
     Every row holds an entry: a pencil's mass matrix has a positive
     diagonal.  Every pencil assembled by one kernel is stored on its
     pattern, and so is every pencil a homotopy between them gives.  bordered
-    is the tracker's bordered layout on the pattern (pencil.BorderedLayout),
-    built by the first homotopy that needs it and shared by every later one.
+    is the tracker's bordered system on the pattern (tracking._Bordered),
+    made by its first factorization there and shared by every later one.
     """
 
     def __init__(self, indptr, indices):

@@ -57,7 +57,6 @@ import sys
 import time
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -553,6 +552,9 @@ def _run_tasks(payloads, worker, n_workers):
     if n_workers <= 1 or len(payloads) <= 1:
         yield from map(worker, payloads)
         return
+    # imported here: a study at one worker never starts a pool
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=n_workers)
     try:
         yield from pool.map(worker, payloads)

@@ -4,8 +4,9 @@ Two interchangeable paths: a dense Cholesky reduction in numpy, used up to
 DENSE_CUTOFF unknowns and as the reference, and shift-invert Lanczos on
 sparse factorizations above it, which imports scipy.  Both return
 M-normalized, sign-fixed eigenpairs in ascending order so downstream
-normalization vectors are reproducible.  DENSE_CUTOFF also sets the
-tracker's tier (pencil.BorderedLayout).
+normalization vectors are reproducible.  DENSE_CUTOFF also sets the tier
+of the tracker's bordered system (tracking._Bordered); no other module of
+the package reads it.
 """
 
 from dataclasses import dataclass

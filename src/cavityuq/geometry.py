@@ -128,17 +128,20 @@ class GeometryMap:
 
 def _rational_grid(bases, hom, us, vs):
     """Points and Jacobians on the grid us x vs of the rational map with
-    homogeneous net hom; both are linear in the net's points."""
+    homogeneous net hom, both linear in the net's points.  hom's last axis
+    holds dim weighted coordinates, then the weight, so maps that share the
+    weights stack their (x, y) and share one evaluation: x has shape
+    (len(us), len(vs), dim) and J (len(us), len(vs), dim, 2)."""
     tu = bases[0].collocation(us, 1)
     tv = bases[1].collocation(vs, 1)
     n1, n2, k = hom.shape
     # contract u first, then v: H[i, j] = sum_ab tu[i, a] tv[j, b] hom[a, b]
     h0, h1 = (tu @ hom.reshape(n1, -1)).reshape(2, us.size, n2, k)
     H, Hu, Hv = tv[0] @ h0, tv[0] @ h1, tv[1] @ h0
-    w = H[..., 2:]
-    x = H[..., :2] / w
+    w = H[..., -1:]
+    x = H[..., :-1] / w
     J = np.stack(
-        [(Hu[..., :2] - x * Hu[..., 2:]) / w, (Hv[..., :2] - x * Hv[..., 2:]) / w], axis=-1
+        [(Hu[..., :-1] - x * Hu[..., -1:]) / w, (Hv[..., :-1] - x * Hv[..., -1:]) / w], axis=-1
     )
     return x, J
 
@@ -224,10 +227,11 @@ class DeformationModel:
 
     The weights stay those of the base net, so a deformed map's points and
     Jacobians are affine in the parameters: on a grid it is asked for, the
-    model evaluates them once for the mean net (base plus mean field) and
-    once per mode field, and keeps them for the last grid of each size (see
-    deform): every node of a study asks for the same corner, probe and
-    quadrature grids, and one-off queries replace one another.
+    model evaluates them for the mean net (base plus mean field) and every
+    mode field at once, as one net of stacked coordinates, and keeps them
+    for the last grid of each size (see deform): every node of a study asks
+    for the same corner, probe and quadrature grids, and one-off queries
+    replace one another.
     """
 
     base: GeometryMap
@@ -254,14 +258,14 @@ class DeformationModel:
         if kept is None or kept[0] != grid:
             w = self.base.net.weights[..., None]
             fields = [self.base.net.points + self.mean_field, *self.mode_fields]
+            hom = np.concatenate([f * w for f in fields] + [w], axis=-1)
+            x, J = _rational_grid(self.base.bases, hom, us, vs)
             # per field, the 2 point and 4 Jacobian entries of each grid point
-            kept = self._grids[size] = grid, np.stack([
-                np.concatenate([x.reshape(-1, 2), J.reshape(-1, 4)], axis=1)
-                for x, J in (
-                    _rational_grid(self.base.bases, np.concatenate([f * w, w], axis=-1), us, vs)
-                    for f in fields
-                )
-            ])
+            n = us.size * vs.size
+            kept = self._grids[size] = grid, np.concatenate([
+                x.reshape(n, len(fields), 2).transpose(1, 0, 2),
+                J.reshape(n, len(fields), 4).transpose(1, 0, 2),
+            ], axis=2)
         fields = kept[1]
         values = fields[0] + (delta @ fields[1:].reshape(delta.size, fields[0].size)).reshape(
             fields[0].shape

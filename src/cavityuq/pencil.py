@@ -6,10 +6,8 @@ one sparsity pattern (assembly.SparsityPattern) per assembly kernel: the
 disk's, or one per pillbox cross-section, shared by that family's axial
 blocks.  Homotopies are convex combinations of two endpoints on one
 pattern, so a pencil at t is two axpys on its data; their t-derivative is
-the constant matrix difference.  The tracker's bordered matrix is the
-pattern's BorderedLayout: one layout per pattern, dense up to DENSE_CUTOFF
-unknowns, else CSC with the column ordering of the first factorization on
-it.
+the constant matrix difference.  The tracker builds its bordered matrices
+from them itself (tracking._Bordered, one per pattern).
 """
 
 import math
@@ -18,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import MatrixPencil, assemble
-from .eigen import DENSE_CUTOFF
 from .errors import DomainError
 from .geometry import build_disk_patch
 from .oracle import C0
@@ -72,87 +69,6 @@ class ParametricPencil:
         return self._base
 
 
-class BorderedLayout:
-    """[[K - lam M, -M e], [c^T, 0]] on one pencil pattern, in its tier.
-
-    The tier is chosen here, once per pattern.  Up to DENSE_CUTOFF unknowns
-    matrix is a dense (n + 1)^2 array: the pattern's entries, c and -M e are
-    written through their flat positions, and every other entry stays zero.
-    Above it, matrix is CSC: column j < n holds the pattern's column j, rows
-    ascending, then row n (c_j); column n holds rows 0..n-1 (-M e) and no
-    (n, n) entry.  Once given SuperLU's column ordering perm_c (see order),
-    the CSC layout stores its matrix column-permuted from the next fill on:
-    column perm_c[j] holds column j, so splu with the natural ordering
-    factors it as the default ordering factors the unpermuted matrix, and
-    x = y[perm_c].  Either tier keeps one matrix and refills its data in
-    place (see fill).
-    """
-
-    def __init__(self, pattern):
-        n = pattern.n
-        rows, cols = pattern.rows, pattern.indices
-        self.perm_c = None                  # column permutation the matrix is stored in
-        self._ordering = None
-        if n <= DENSE_CUTOFF:
-            self.matrix = np.zeros((n + 1, n + 1))
-            self._data = self.matrix.reshape(-1)
-            self._pos = rows * (n + 1) + cols
-            self._pos_c = n * (n + 1) + np.arange(n)
-            self._pos_e = np.arange(n) * (n + 1) + n
-            return
-        import scipy.sparse as sp
-
-        # each pattern entry moves down by one c slot per column before it
-        by_col = np.argsort(cols, kind="stable")
-        col_start = np.searchsorted(cols[by_col], np.arange(n + 1))
-        size = cols.size + 2 * n
-        self._pos = np.empty(cols.size, dtype=np.intp)
-        self._pos[by_col] = np.arange(cols.size) + cols[by_col]
-        self._pos_c = col_start[1:] + np.arange(n)
-        self._pos_e = cols.size + n + np.arange(n)
-        indptr = np.append(col_start + np.arange(n + 1), size).astype(np.int32)
-        indices = np.empty(size, dtype=np.int32)
-        indices[self._pos] = rows
-        indices[self._pos_c] = n
-        indices[self._pos_e] = np.arange(n)
-        self.matrix = sp.csc_matrix((np.zeros(size), indices, indptr), shape=(n + 1, n + 1))
-        self._data = self.matrix.data
-
-    def order(self, perm_c):
-        """Store the matrix column-permuted by perm_c from the next fill on;
-        a dense factorization's perm_c, None, leaves it as it is."""
-        self._ordering = None if perm_c is None else np.asarray(perm_c)
-
-    def fill(self, kml, Me, c):
-        """Refill the matrix in place with K - lam M data kml, M e and c.
-
-        Every entry of the layout stays stored, zero or not, so the matrix
-        keeps one structure: it is valid until the next fill.
-        """
-        if self._ordering is not None and self.perm_c is None:
-            self._permute(self._ordering)
-        data = self._data
-        data[self._pos] = kml
-        data[self._pos_c] = c
-        data[self._pos_e] = -Me
-
-    def _permute(self, perm_c):
-        # column j of the natural layout becomes stored column perm_c[j]
-        A = self.matrix
-        counts = np.diff(A.indptr)
-        col = np.repeat(np.arange(counts.size), counts)
-        inverse = np.empty_like(perm_c)
-        inverse[perm_c] = np.arange(perm_c.size)
-        start = np.concatenate(([0], np.cumsum(counts[inverse])))
-        stored = start[perm_c[col]] + np.arange(col.size) - A.indptr[col]
-        A.indices[stored] = A.indices.copy()
-        A.indptr[:] = start
-        self._pos, self._pos_c, self._pos_e = (
-            stored[p] for p in (self._pos, self._pos_c, self._pos_e)
-        )
-        self.perm_c = perm_c
-
-
 class HomotopyPencil:
     """Convex matrix combination between two assembled endpoints.
 
@@ -161,9 +77,7 @@ class HomotopyPencil:
     then two axpys on the pattern's data: each entry is fl(fl(s a) +
     fl(t b)) with s = 1 - t.  Two pencils are kept with their infinity norms
     (see norms): the one at t = 0, where every track starts, and one
-    refilled in place at every other t.  The tracker's bordered matrix is
-    the pattern's BorderedLayout, shared by every homotopy on the pattern
-    (see bordered).
+    refilled in place at every other t.
     """
 
     def __init__(self, start, end):
@@ -174,8 +88,6 @@ class HomotopyPencil:
         self.start = start
         self.end = end
         self.pattern = start.pattern
-        if self.pattern.bordered is None:
-            self.pattern.bordered = BorderedLayout(self.pattern)
         self._k0, self._m0, self._k1, self._m1 = (
             A.data for A in (start.stiffness, start.mass, end.stiffness, end.mass)
         )
@@ -212,14 +124,6 @@ class HomotopyPencil:
         """(||K||_inf, ||M||_inf) of at(t), computed once per refill."""
         self.at(t)
         return self._kept[0 if t == 0.0 else 1][2]
-
-    def bordered(self, t, lam, Me, c):
-        """The pattern's BorderedLayout, its matrix refilled in place with
-        [[K - lam M, -M e], [c^T, 0]] at t, given Me = M e."""
-        pencil = self.at(t)
-        layout = self.pattern.bordered
-        layout.fill(pencil.stiffness.data - lam * pencil.mass.data, Me, c)
-        return layout
 
     def derivative(self):
         """Constant t-derivative (K_end - K_start, M_end - M_start), on the

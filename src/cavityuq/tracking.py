@@ -24,37 +24,34 @@ the bordered system [[K - lambda M, -M e], [c^T, 0]] afresh, with two
 exceptions.  The t = 0 end of every homotopy from one pencil is that
 pencil, so the start pencil keeps one start record per start pair (_Start,
 in MatrixPencil.starts): the pair M-normalized and its residual checked,
-c = M e, and the factorization of its bordered matrix at t = 0 with a copy
-of that matrix; every homotopy from the pencil takes its start state and
-its derivative at t = 0 from there, and only the back-solve and its
-residual check run again.  And a Newton iterate whose residual already
-meets the tolerance, waiting only for |dlambda| to confirm, is updated with
-the last factorization of the same call (newton_correct).  Every pencil of
-a study lives on one sparsity pattern, so its pencils at t are refilled on
-it (HomotopyPencil.at) and the bordered matrix is the pattern's one
-BorderedLayout matrix, refilled in place with every entry stored, zero or
-not (HomotopyPencil.bordered); each kernel factorizes it before asking for
-the next.  The infinity norms that scale the Newton residual are computed
-once per pencil at t (HomotopyPencil.norms), so every track of a homotopy
-shares those at t = 0.
+c = M e, and the LU of its bordered matrix at t = 0; every homotopy from
+the pencil takes its start state and its derivative at t = 0 from there,
+and only the back-solve and its residual check run again.  And a Newton
+iterate whose residual already meets the tolerance, waiting only for
+|dlambda| to confirm, is updated with the last factorization of the same
+call (newton_correct).  The infinity norms that scale the Newton residual
+are computed once per pencil at t (HomotopyPencil.norms), so every track
+of a homotopy shares those at t = 0.
 
+Every pencil of a study lives on one sparsity pattern, whose one _Bordered
+picks the tier once and builds a new bordered matrix for every
+factorization, which its LU keeps (_BorderedLU): nothing copies a matrix.
 Every factorization is one spla.splu call and every back-solve one .solve
-on what it returns, in either of the layout's tiers.  Up to DENSE_CUTOFF
-unknowns the matrix is dense: splu keeps a copy, and each solve is LAPACK
-gesv on it (np.linalg.solve); numpy has no LU to reuse.  Above it, splu is
-SuperLU, which scipy gives: the first factorization on a pattern computes
-its default column ordering, and every later one reuses it with the
-natural ordering on the column-permuted matrix (_BorderedLU).
+on its result.  Up to DENSE_CUTOFF unknowns the matrix is a dense array
+and each solve is LAPACK gesv on it, since numpy keeps no LU; above it,
+the matrix is CSC and splu is scipy's SuperLU, which reuses the column
+ordering of the pattern's first factorization.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
-from .eigen import Eigenpair, _m_orthonormalize, dense_eigh, group_clusters
+from .eigen import DENSE_CUTOFF, Eigenpair, _m_orthonormalize, dense_eigh, group_clusters
 from .errors import (
     DegeneracyError,
     DomainError,
@@ -116,23 +113,12 @@ def _scaled_residual(r, lam, e, norm_k, norm_m):
     return float(math.sqrt(r @ r) / ((norm_k + abs(lam) * norm_m) * math.sqrt(e @ e)))
 
 
-class _DenseLU:
-    """A dense bordered matrix, copied: each solve is LAPACK gesv on it."""
-
-    perm_c = None   # no column ordering to hand to the layout
-
-    def __init__(self, A):
-        self.matrix = A.copy()
-
-    def solve(self, rhs):
-        return np.linalg.solve(self.matrix, rhs)
-
-
 def _splu(A, permc_spec=None):
-    """The factorization of a bordered layout's matrix in its tier: a dense
-    array's kept copy (_DenseLU), or SuperLU of a CSC matrix."""
+    """The factorization of a bordered matrix in its tier: SuperLU of a CSC
+    matrix, or for a dense array, LAPACK gesv on it at every solve, since
+    numpy keeps no LU."""
     if isinstance(A, np.ndarray):
-        return _DenseLU(A)
+        return SimpleNamespace(solve=partial(np.linalg.solve, A))
     from scipy.sparse.linalg import splu
 
     return splu(A, permc_spec=permc_spec)
@@ -149,25 +135,91 @@ _SINGULAR = (
 )
 
 
-class _BorderedLU:
-    """Factorization of a BorderedLayout's matrix as HomotopyPencil.bordered
-    filled it, for any number of right-hand sides (solve).
+class _Bordered:
+    """[[K - lam M, -M e], [c^T, 0]] on one sparsity pattern, in its tier:
+    dense up to DENSE_CUTOFF unknowns, else CSC.
 
-    On a CSC layout, the first factorization takes SuperLU's default column
-    ordering and hands it to the layout, which stores its matrix in that
-    order from the next fill on; every later one factors with the natural
-    ordering, so x = y[perm_c].  A dense layout's perm_c stays None.
+    factor builds a new matrix on every call.  A dense one is a fresh
+    (n + 1)^2 array with the pattern's entries, c and -M e written through
+    their flat positions.  A CSC one is fresh data on the layout's index
+    arrays: column j < n holds the pattern's column j, rows ascending, then
+    row n (c_j); column n holds rows 0..n-1 (-M e), and there is no (n, n)
+    entry.  Once the first factorization gives SuperLU's column ordering
+    perm_c (order), new index arrays store every later matrix with column j
+    at perm_c[j], which splu factors with the natural ordering as the
+    default ordering factors the unpermuted matrix; x = y[perm_c].
     """
 
-    def __init__(self, layout):
-        A, self._perm = layout.matrix, layout.perm_c
+    def __init__(self, pattern):
+        n = self.n = pattern.n
+        rows, cols = pattern.rows, pattern.indices
+        self.dense = n <= DENSE_CUTOFF
+        self.perm_c = None                  # column ordering of the CSC tier, once known
+        if self.dense:
+            self._pos = rows * (n + 1) + cols
+            self._pos_c = n * (n + 1) + np.arange(n)
+            self._pos_e = np.arange(n) * (n + 1) + n
+            return
+        # each pattern entry moves down by one c slot per column before it
+        by_col = np.argsort(cols, kind="stable")
+        col_start = np.searchsorted(cols[by_col], np.arange(n + 1))
+        size = cols.size + 2 * n
+        self._pos = np.empty(cols.size, dtype=np.intp)
+        self._pos[by_col] = np.arange(cols.size) + cols[by_col]
+        self._pos_c = col_start[1:] + np.arange(n)
+        self._pos_e = cols.size + n + np.arange(n)
+        self._indptr = np.append(col_start + np.arange(n + 1), size).astype(np.int32)
+        self._indices = np.empty(size, dtype=np.int32)
+        self._indices[self._pos] = rows
+        self._indices[self._pos_c] = n
+        self._indices[self._pos_e] = np.arange(n)
+
+    def factor(self, kml, Me, c):
+        """The _BorderedLU of a new matrix with K - lam M data kml, M e and c."""
+        shape = (self.n + 1, self.n + 1)
+        data = np.zeros(shape).reshape(-1) if self.dense else np.empty(self._indices.size)
+        data[self._pos] = kml
+        data[self._pos_c] = c
+        data[self._pos_e] = -Me
+        if self.dense:
+            return _BorderedLU(self, data.reshape(shape))
+        import scipy.sparse as sp
+
+        return _BorderedLU(self, sp.csc_matrix((data, self._indices, self._indptr), shape=shape))
+
+    def order(self, perm_c):
+        # column j of the natural layout becomes stored column perm_c[j];
+        # new index arrays, so matrices already built keep theirs
+        counts = np.diff(self._indptr)
+        col = np.repeat(np.arange(counts.size), counts)
+        inverse = np.empty_like(perm_c)
+        inverse[perm_c] = np.arange(perm_c.size)
+        start = np.concatenate(([0], np.cumsum(counts[inverse])))
+        stored = start[perm_c[col]] + np.arange(col.size) - self._indptr[col]
+        indices = np.empty_like(self._indices)
+        indices[stored] = self._indices
+        self._indices, self._indptr = indices, start.astype(np.int32)
+        self._pos, self._pos_c, self._pos_e = (
+            stored[p] for p in (self._pos, self._pos_c, self._pos_e)
+        )
+        self.perm_c = perm_c
+
+
+class _BorderedLU:
+    """The factorization of one bordered matrix, which it keeps (matrix),
+    for any number of right-hand sides (solve).  The first one on a CSC
+    layout takes SuperLU's default column ordering and hands it to the
+    layout (order)."""
+
+    def __init__(self, layout, A):
+        self.matrix, self._layout, self._perm = A, layout, layout.perm_c
         try:
             self._lu = (
                 spla.splu(A) if self._perm is None else spla.splu(A, permc_spec="NATURAL")
             )
         except RuntimeError as exc:
             raise DegeneracyError(_SINGULAR) from exc
-        if self._perm is None:
+        if self._perm is None and not layout.dense:
             layout.order(self._lu.perm_c)
 
     def solve(self, rhs):
@@ -181,13 +233,22 @@ class _BorderedLU:
             raise DegeneracyError("bordered solve produced non-finite values")
         return (y if self._perm is None else y[self._perm]), y
 
+    def norm_inf(self):
+        """The largest absolute row sum of the factored matrix."""
+        A = self.matrix
+        if self._layout.dense:
+            return np.abs(A).sum(axis=1).max()
+        # straight from the CSC arrays; spla.norm would convert to CSR
+        return np.bincount(A.indices, np.abs(A.data), minlength=A.shape[0]).max()
 
-def _norm_inf(A):
-    """The largest absolute row sum of a bordered matrix, dense or CSC."""
-    if isinstance(A, np.ndarray):
-        return np.abs(A).sum(axis=1).max()
-    # straight from the CSC arrays; spla.norm would convert to CSR
-    return np.bincount(A.indices, np.abs(A.data), minlength=A.shape[0]).max()
+
+def _factor(homotopy, t, lam, Me, c):
+    """The _BorderedLU of [[K - lam M, -M e], [c^T, 0]] at t, given Me = M e,
+    on the homotopy pattern's _Bordered, which the first call makes."""
+    pattern, pencil = homotopy.pattern, homotopy.at(t)
+    if pattern.bordered is None:
+        pattern.bordered = _Bordered(pattern)
+    return pattern.bordered.factor(pencil.stiffness.data - lam * pencil.mass.data, Me, c)
 
 
 class _Start:
@@ -195,7 +256,7 @@ class _Start:
 
     Holds the pair M-normalized (eigenpair) with its residual checked,
     c = M e, and the LU of the bordered matrix [[K0 - lambda0 M0, -M0 e0],
-    [c0^T, 0]] with a copy of that matrix.  None of it depends on where a
+    [c0^T, 0]], which keeps that matrix.  None of it depends on where a
     homotopy ends, so the start pencil keeps the record (_start_state).
     """
 
@@ -209,9 +270,7 @@ class _Start:
             raise DomainError(f"start pair residual {res0:.3e} violates the invariant at t=0")
         self.eigenpair = Eigenpair(lam, e, res0)
         self.c = M0 @ e
-        layout = homotopy.bordered(0.0, lam, homotopy.at(0.0).mass @ e, self.c)
-        self.lu = _BorderedLU(layout)
-        self.matrix = layout.matrix.copy()
+        self.lu = _factor(homotopy, 0.0, lam, homotopy.at(0.0).mass @ e, self.c)
 
 
 def eigenpair_derivative(homotopy, t, pair, c):
@@ -223,24 +282,19 @@ def eigenpair_derivative(homotopy, t, pair, c):
     pencil's record supplies the factorized matrix; otherwise it is
     factorized here.  Either way the solve's residual is checked against it.
     """
-    record = None
-    if t == 0.0:
-        record = next(
-            (r for r in homotopy.start.starts.values() if r.eigenpair is pair and r.c is c), None
-        )
-    if record is None:
-        layout = homotopy.bordered(t, pair.value, homotopy.at(t).mass @ pair.vector, c)
-        lu, A = _BorderedLU(layout), layout.matrix
-    else:
-        lu, A = record.lu, record.matrix
+    records = homotopy.start.starts.values() if t == 0.0 else ()
+    record = next((r for r in records if r.eigenpair is pair and r.c is c), None)
+    lu = record.lu if record else _factor(
+        homotopy, t, pair.value, homotopy.at(t).mass @ pair.vector, c
+    )
     k_prime, m_prime = homotopy.derivative()
     e, lam = pair.vector, pair.value
     rhs = np.empty(e.size + 1)
     rhs[:-1] = -(k_prime @ e) + lam * (m_prime @ e)
     rhs[-1] = 0.0
     x, y = lu.solve(rhs)
-    resid = np.linalg.norm(A @ y - rhs)
-    scale = _norm_inf(A) * np.linalg.norm(x) + np.linalg.norm(rhs) + 1e-300
+    resid = np.linalg.norm(lu.matrix @ y - rhs)
+    scale = lu.norm_inf() * np.linalg.norm(x) + np.linalg.norm(rhs) + 1e-300
     if resid > 1e-10 * scale:
         raise DegeneracyError(f"bordered solve residual {resid / scale:.3e} too large")
     return x[:-1], float(x[-1])
@@ -289,7 +343,7 @@ def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter):
             # an iterate within tol that did not return follows an update,
             # so lu holds this call's last factorization
             if res > tol:
-                lu = _BorderedLU(homotopy.bordered(t, lam, Me, c))
+                lu = _factor(homotopy, t, lam, Me, c)
                 factorizations += 1
             x, _ = lu.solve(rhs)
         except DegeneracyError as exc:

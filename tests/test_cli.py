@@ -21,7 +21,6 @@ from cavityuq.eigen import DENSE_CUTOFF, solve_smallest
 from cavityuq.errors import TrackingFailure
 from cavityuq.geometry import load_deformation_spec
 from cavityuq.pencil import (
-    HomotopyPencil,
     block_pencil,
     build_pillbox_pencil,
     eigenvalue_to_frequency,
@@ -62,11 +61,23 @@ def count_lu_calls(monkeypatch):
             solves.append(A.shape)
             return lu.solve(rhs)
 
-        return SimpleNamespace(perm_c=lu.perm_c, solve=solve)
+        return SolveSpy(lu, solve)
 
     monkeypatch.setattr(tracking, "spla", SimpleNamespace(splu=splu))
     monkeypatch.setattr(cli, "_PENCIL_CACHE", {})
     return factorizations, solves
+
+
+class SolveSpy:
+    """An LU whose solve is the given function; every other attribute (a
+    SuperLU's perm_c) is the LU's own."""
+
+    def __init__(self, lu, solve):
+        self._lu = lu
+        self.solve = solve
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
 
 
 PILLBOX_UQ = {
@@ -566,15 +577,24 @@ def cold_python(script, *argv):
 _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
-def cold_study(cfg, out):
-    """'<exit code> <scipy modules loaded>' of a uq study in a fresh process."""
+def cold_study(cfg, out, probe=_SCIPY_MODULES):
+    """'<exit code> <probe>' of a uq study at one worker in a fresh process:
+    by default, the scipy modules it loaded."""
     script = (
         "import sys\n"
         "from cavityuq import cli\n"
         "code = cli.main(sys.argv[1:])\n"
-        f"print(code, {_SCIPY_MODULES})\n"
+        f"print(code, {probe})\n"
     )
     return cold_python(script, "uq", "--config", cfg, "--out", out, "--workers", "1")
+
+
+def test_one_worker_study_imports_no_process_pool(tmp_path):
+    # the pool's modules are about 20 ms of a cold import; the --workers 2
+    # invariance tests cover the pool path
+    cfg = write_config(tmp_path, "c.json", SMALL_DISK)
+    probe = "'concurrent.futures.process' in sys.modules"
+    assert cold_study(cfg, tmp_path / "run", probe) == "0 False"
 
 
 class TestTiers:
@@ -606,7 +626,7 @@ class TestTiers:
         sections = run.par.base
         assert min(pen.n for pen in sections.values()) > DENSE_CUTOFF
         for pen in sections.values():
-            assert not isinstance(pen.pattern.bordered.matrix, np.ndarray)
+            assert not pen.pattern.bordered.dense and pen.pattern.bordered.perm_c is not None
         assert len(run.starts) == 2 and run.grid.n_nodes == 3
         for k, node in enumerate(run.grid.nodes):
             dense = {
@@ -811,16 +831,18 @@ class TestColumnOrdering:
 
     @staticmethod
     def orderings(monkeypatch, tmp_path, doc):
-        """The permc_spec of every factorization of a uq study, and the
-        bordered layouts of the patterns it tracked on."""
+        """The permc_spec of every factorization of a uq study, the
+        bordered layouts of the patterns it tracked on, and the types of
+        the matrices it factored."""
         specs, solves = count_lu_calls(monkeypatch)
-        layouts = []
+        layouts, kinds = [], set()
         init = tracking._BorderedLU.__init__
 
-        def spied(self, layout):
+        def spied(self, layout, A):
             if all(layout is not seen for seen in layouts):
                 layouts.append(layout)
-            init(self, layout)
+            kinds.add(type(A))
+            init(self, layout, A)
 
         monkeypatch.setattr(tracking._BorderedLU, "__init__", spied)
         cfg = write_config(tmp_path, "c.json", doc)
@@ -829,7 +851,7 @@ class TestColumnOrdering:
         summary = json.loads((out / "summary.json").read_text())
         assert len(specs) == summary["factorizations"]
         assert len(solves) == summary["bordered_solves"]
-        return specs, layouts
+        return specs, layouts, kinds
 
     def test_disk_study_takes_no_ordering(self, monkeypatch, tmp_path):
         doc = {
@@ -841,19 +863,18 @@ class TestColumnOrdering:
             "modes": 2,
             "grid": {"kind": "smolyak", "family": "gauss-hermite", "level": 1},
         }
-        specs, (layout,) = self.orderings(monkeypatch, tmp_path, doc)
-        assert isinstance(layout.matrix, np.ndarray) and layout.perm_c is None
+        specs, (layout,), kinds = self.orderings(monkeypatch, tmp_path, doc)
+        assert layout.dense and layout.perm_c is None and kinds == {np.ndarray}
         assert specs and set(specs) == {"default"}
 
     def test_one_ordering_per_pillbox_block(self, monkeypatch, tmp_path):
         # PILLBOX_SPARSE tracks its 2 modes in 2 blocks, TM0 and TE1; the
         # blocks of one family share its cross-section's pattern and ordering
-        specs, layouts = self.orderings(monkeypatch, tmp_path, PILLBOX_SPARSE)
+        specs, layouts, kinds = self.orderings(monkeypatch, tmp_path, PILLBOX_SPARSE)
         assert set(specs) == {"default", "NATURAL"} and specs.count("default") == 2
-        assert len(layouts) == 2
+        assert len(layouts) == 2 and np.ndarray not in kinds
         for layout in layouts:
-            assert not isinstance(layout.matrix, np.ndarray) and layout.perm_c is not None
-
+            assert not layout.dense and layout.perm_c is not None
 
 
 def select_every_block(blocks, sections, n_modes):
@@ -938,18 +959,18 @@ class TestStartRecords:
     def test_one_start_factorization_per_start_pair(self, monkeypatch, tmp_path, doc):
         factorizations, _ = count_lu_calls(monkeypatch)
         fills, tracked, groups = [], set(), []
-        bordered, track_modes = HomotopyPencil.bordered, cli.track_modes
+        factor, track_modes = tracking._factor, cli.track_modes
 
-        def filled(self, t, lam, Me, c):
+        def filled(homotopy, t, lam, Me, c):
             fills.append(t)
-            return bordered(self, t, lam, Me, c)
+            return factor(homotopy, t, lam, Me, c)
 
         def recorded(homotopy, starts, cfg):
             groups.append(len(starts))
             tracked.update(pair_bytes(pair) for pair in starts)
             return track_modes(homotopy, starts, cfg)
 
-        monkeypatch.setattr(HomotopyPencil, "bordered", filled)
+        monkeypatch.setattr(tracking, "_factor", filled)
         monkeypatch.setattr(cli, "track_modes", recorded)
         cfg = write_config(tmp_path, "c.json", doc)
         out = tmp_path / "run"

@@ -61,3 +61,13 @@ def test_no_library_definition_is_test_only():
         if name not in used
     ]
     assert unused == []
+
+
+def test_only_the_solvers_name_the_dense_cutoff():
+    # the tier decision stays behind the base eigensolve (eigen) and the
+    # bordered system (tracking)
+    naming = [
+        path.name for path, tree in _trees(sorted(_PACKAGE.glob("*.py")))
+        if "DENSE_CUTOFF" in _uses([(path, tree)])
+    ]
+    assert naming == ["eigen.py", "tracking.py"]

@@ -151,12 +151,12 @@ def rescaled(pencil):
     ), validate=False)
 
 
-def stored(ref, layout):
-    """The bordered matrix ref as layout stores it: columns permuted by the
-    layout's ordering, once it has one."""
-    if layout.perm_c is None:
+def stored(ref, perm_c):
+    """The bordered matrix ref as a layout with column ordering perm_c
+    (None before the first factorization) stores it."""
+    if perm_c is None:
         return ref
-    return ref[:, np.argsort(layout.perm_c)].tocsc()
+    return ref[:, np.argsort(perm_c)].tocsc()
 
 
 def forced_zero_case():
@@ -181,11 +181,11 @@ def forced_zero_case():
 class TestBorderedRefill:
     """The homotopy's refilled pencils and bordered matrices equal scipy's
     s K0 + t K1 and sp.bmat's, bit for bit, on endpoints on one pattern,
-    with stored zeros kept.  Up to DENSE_CUTOFF unknowns the layout is the
-    dense bordered matrix, unpermuted, and its solves equal np.linalg.solve
-    of it; above, it is the CSC matrix and its solves equal a default
-    splu's of it, also once the layout reuses the column ordering of its
-    first solve."""
+    with stored zeros kept.  Up to DENSE_CUTOFF unknowns each factored
+    matrix is the dense bordered matrix, unpermuted, and its solves equal
+    np.linalg.solve of it; above, it is the CSC matrix and its solves equal
+    a default splu's of it, also once the layout reuses the column ordering
+    of its first factorization."""
 
     @pytest.fixture(scope="class")
     def cases(self, tm_block):
@@ -219,6 +219,7 @@ class TestBorderedRefill:
         hom, lam, e, c = cases[name]
         dense = hom.start.n <= DENSE_CUTOFF
         rhs = 1.0 + np.arange(hom.start.n + 1.0)
+        layouts = set()
         for t in (0.0, 0.37, 1.0):
             pen, (K, M) = hom.at(t), reference_pencil(hom, t)
             for got, want in ((pen.stiffness, K), (pen.mass, M)):
@@ -230,26 +231,60 @@ class TestBorderedRefill:
             assert np.asarray(hom.norms(t)).tobytes() == np.asarray(norms).tobytes(), t
             Me = pen.mass @ e
             ref = reference_bordered(K, M, lam, Me, c, hom.pattern)
-            layout = hom.bordered(t, lam, Me, c)
-            A = layout.matrix
+            perm_c = getattr(hom.pattern.bordered, "perm_c", None)
+            lu = tracking._factor(hom, t, lam, Me, c)
+            A = lu.matrix
+            layouts.add(id(hom.pattern.bordered))
             if dense:
-                assert isinstance(A, np.ndarray) and layout.perm_c is None
+                assert isinstance(A, np.ndarray) and hom.pattern.bordered.perm_c is None
                 # equal values; toarray's sum turns a stored -0.0 into 0.0
                 assert np.array_equal(A, ref.toarray()), t
-                x, _ = tracking._BorderedLU(layout).solve(rhs)
+                x, _ = lu.solve(rhs)
                 assert np.array_equal(x, np.linalg.solve(ref.toarray(), rhs)), t
                 continue
             if t == 1.0:   # the rescaled endpoint's stored zeros stay stored
                 assert not A.data.all()
             for attr in ("indptr", "indices", "data"):
-                got_a, want_a = getattr(A, attr), getattr(stored(ref, layout), attr)
+                got_a, want_a = getattr(A, attr), getattr(stored(ref, perm_c), attr)
                 assert got_a.dtype == want_a.dtype, (t, attr)
                 assert got_a.tobytes() == want_a.tobytes(), (t, attr)
-            x, _ = tracking._BorderedLU(layout).solve(rhs)
+            x, _ = lu.solve(rhs)
             assert np.array_equal(x, spla.splu(ref).solve(rhs)), t
-        assert layout is hom.pattern.bordered
-        if not dense:   # the first solve fixed the ordering, the later ones reused it
-            assert layout.perm_c is not None
+        assert len(layouts) == 1
+        if not dense:   # the first factorization fixed the ordering, the later ones reused it
+            assert hom.pattern.bordered.perm_c is not None
+
+    @pytest.mark.parametrize("name", ["disk16", "disk576-sparse"])
+    def test_start_record_outlives_later_fills(self, cases, name):
+        """Every fill builds a new matrix: a start record's factored matrix
+        and its derivative at t = 0 stay as they were, bit for bit, after
+        Newton and other factorizations on the same pattern."""
+        hom, lam, e, c = cases[name]
+        # a start pencil without records on a fresh layout, so the record's
+        # matrix is the first on it and the column ordering comes after it
+        start = MatrixPencil(hom.pattern, hom.start.stiffness.data, hom.start.mass.data,
+                             validate=False)
+        hom = HomotopyPencil(start, hom.end)
+        hom.pattern.bordered = None
+        st = tracking._start_state(hom, solve_smallest(start, 1)[0])
+        (record,) = start.starts.values()
+        A = record.lu.matrix
+        kept = [np.array(a, copy=True) for a in
+                ((A,) if isinstance(A, np.ndarray) else (A.data, A.indices, A.indptr))]
+        before = eigenpair_derivative(hom, 0.0, st.eigenpair, st.c)
+        _, iters, factorizations = newton_correct(
+            hom, 0.01, st.eigenpair.vector, st.eigenpair.value, st.c, 1e-10, 5
+        )
+        assert iters >= factorizations > 0
+        for t in (0.0, 0.37, 1.0):
+            tracking._factor(hom, t, lam, hom.at(t).mass @ e, c)
+        after = eigenpair_derivative(hom, 0.0, st.eigenpair, st.c)
+        assert record.lu.matrix is A
+        now = (A,) if isinstance(A, np.ndarray) else (A.data, A.indices, A.indptr)
+        assert [a.tobytes() for a in now] == [a.tobytes() for a in kept]
+        assert before[0].tobytes() == after[0].tobytes() and before[1] == after[1]
+        if name == "disk576-sparse":
+            assert hom.pattern.bordered.perm_c is not None
 
 
 class Counting:
@@ -273,40 +308,31 @@ class Counting:
 
 class TestSolverCalls:
     def test_newton_loop_builds_no_scipy_matrices(self, monkeypatch):
-        """One dense bordered matrix per pattern, refilled for every
-        factorization; one splu per factorization and one back-solve per
-        bordered solve, both through the tracker's seam."""
+        """A new dense bordered array for every factorization, no scipy
+        matrix; one splu per factorization and one back-solve per bordered
+        solve, both through the tracker's seam."""
         space = DiscreteSpace(2, 6)
         pens = [assemble(build_disk_patch(r), space, bc="dirichlet") for r in (0.05, 0.06)]
         starts = solve_smallest(pens[0], 2)
-        back_solves = []
+        matrices, back_solves = [], []
         seam = tracking.spla.splu
 
         def splu(A, **options):
+            matrices.append(A)
             lu = seam(A, **options)
 
             def solve(rhs):
                 back_solves.append(rhs.size)
                 return lu.solve(rhs)
 
-            return SimpleNamespace(perm_c=lu.perm_c, solve=solve)
+            return SimpleNamespace(solve=solve)
 
-        spla_calls = Counting(SimpleNamespace(splu=splu), "splu")
-        monkeypatch.setattr(tracking, "spla", spla_calls)
-        matrices = []
-        bordered = HomotopyPencil.bordered
-
-        def spied(self, t, lam, Me, c):
-            layout = bordered(self, t, lam, Me, c)
-            matrices.append(layout.matrix)
-            return layout
-
-        monkeypatch.setattr(HomotopyPencil, "bordered", spied)
+        monkeypatch.setattr(tracking, "spla", SimpleNamespace(splu=splu))
         states = track_modes(HomotopyPencil(*pens), starts)
-        assert isinstance(matrices[0], np.ndarray)
-        assert len(matrices) > 1 and all(A is matrices[0] for A in matrices)
-        factorizations = sum(st.n_factorizations for st in states)
-        assert spla_calls.calls["splu"] == len(matrices) == factorizations
+        assert len(matrices) > 1 and all(type(A) is np.ndarray for A in matrices)
+        # each array is kept alive here, so no two can share an address
+        assert len({A.ctypes.data for A in matrices}) == len(matrices)
+        assert len(matrices) == sum(st.n_factorizations for st in states)
         assert len(back_solves) == sum(st.n_solves for st in states)
 
 
@@ -412,7 +438,7 @@ class TestNewton:
                 y = lu.solve(rhs)
                 return y if len(solves) == 1 else np.full_like(y, np.nan)
 
-            return SimpleNamespace(perm_c=lu.perm_c, solve=solve)
+            return SimpleNamespace(solve=solve)
 
         monkeypatch.setattr(tracking, "spla", SimpleNamespace(splu=splu))
         with pytest.raises(NewtonFailure, match="non-finite") as info:
