@@ -11,12 +11,14 @@ bench               linear-solve count comparison: tracking vs. direct solves
 
 Every subcommand takes --config PATH (JSON), --out DIR, --workers N and
 --seed S.  Exit codes: 0 success, 2 configuration error (a bad config, or a
-missing or malformed file it names), 3 numerical failure.
+missing or malformed file it names; a NaN or infinite number in either is
+one), 3 numerical failure.
 
-uq, bench and track share one runner: solve the base pencil once, track
-every start pair to each node (a grid node, or a radius of the track sweep;
-one node task per node, spread over --workers processes), then merge the
-results per mode.
+uq, bench and track share one runner: solve the base pencil once, then run
+one node task per node (a grid node, or a radius of the track sweep) on at
+most --workers processes, and never more processes than nodes.  A task
+tracks every start pair to its node and returns the node's _Record; the
+study's _Record merges them, node k at column k.
 
 Config schema (strict: unknown keys are rejected)
 -------------------------------------------------
@@ -58,6 +60,7 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -102,14 +105,11 @@ class _Section:
             raise ConfigError(f"{self.where}: missing required key {key!r}")
         else:
             return default
-        if kind is int:
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
-                raise ConfigError(f"{self.where}.{key}: expected an integer, got {value!r}")
-            value = int(value)
-        elif kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{self.where}.{key}: expected a number, got {value!r}")
-            value = float(value)
+        if kind is int or kind is float:
+            if not _is_finite(value) or (kind is int and int(value) != value):
+                noun = "an integer" if kind is int else "a finite number"
+                raise ConfigError(f"{self.where}.{key}: expected {noun}, got {value!r}")
+            value = kind(value)
         elif kind is str and not isinstance(value, str):
             raise ConfigError(f"{self.where}.{key}: expected a string, got {value!r}")
         if choices is not None and value not in choices:
@@ -130,6 +130,12 @@ class _Section:
         if self._data:
             extra = ", ".join(sorted(self._data))
             raise ConfigError(f"{self.where}: unknown keys: {extra}")
+
+
+def _is_finite(value):
+    """A number, not a bool, that is finite as a float: not NaN or infinite."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
 
 
 def _read_input(load, path):
@@ -202,12 +208,8 @@ def _grid_from_section(sec, dim, support, allow_explicit):
 
 
 def _check_interval(value, where, allow_empty):
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        raise ConfigError(f"{where}: expected [lo, hi]")
+    if not isinstance(value, list) or len(value) != 2 or not all(map(_is_finite, value)):
+        raise ConfigError(f"{where}: expected [lo, hi] of finite numbers")
     lo, hi = float(value[0]), float(value[1])
     if hi < lo or (hi == lo and not allow_empty):
         raise ConfigError(f"{where}: need lo < hi, got [{lo}, {hi}]")
@@ -225,10 +227,10 @@ def _degenerate_rule(family, value):
 # by name among this module's globals at run time, so that wrappers
 # installed on the module are seen), the picklable arguments that rebuild
 # its ParametricPencil in a worker, the grid, the start pairs grouped by the
-# pencil they are tracked in, each group's partner (the next base eigenpair
-# of that pencil, tracked where the group's highest start mixes with it,
-# see _track_node), moment labels, and extra summary fields.  Grid nodes are
-# the deformation coordinates delta of both problems.
+# pencil they are tracked in, each group with its partner (the next base
+# eigenpair of that pencil, tracked where the group's highest start mixes
+# with it, see _track_node), moment labels, and extra summary fields.  Grid
+# nodes are the deformation coordinates delta of both problems.
 
 _PENCIL_CACHE = {}
 
@@ -252,15 +254,6 @@ def _pillbox_base_block(spec, bi):
     return _PENCIL_CACHE[key]
 
 
-class _Selection(list):
-    """Selected [(block_index, Eigenpair), ...] with .partners: block index
-    -> that block's lowest physical candidate left unselected."""
-
-    def __init__(self, items, partners):
-        super().__init__(items)
-        self.partners = partners
-
-
 def _select_pillbox_modes(blocks, sections, n_modes):
     """Lowest physical modes of a pillbox at one radius, from its cross-sections.
 
@@ -269,8 +262,8 @@ def _select_pillbox_modes(blocks, sections, n_modes):
     lowest pairs, less the TE constant-mode pair at 0.  A block's candidates
     are its family's pairs with the block's shift added to the value:
     eigenpairs of the block's pencil (block_pencil) with the same vectors.
-    Returns a _Selection: [(block_index, Eigenpair), ...] ascending, and
-    each block's lowest candidate left unselected as its partner.  Keeping
+    Returns (selected, partners): [(block_index, Eigenpair), ...] ascending,
+    and block index -> that block's lowest candidate left unselected.  Keeping
     candidates per block keeps exactly degenerate cross-family coincidences
     from mixing.
     """
@@ -290,26 +283,24 @@ def _select_pillbox_modes(blocks, sections, n_modes):
     partners = {}
     for bi, pr in shifted[n_modes:]:
         partners.setdefault(bi, pr)
-    return _Selection(shifted[:n_modes], partners)
+    return shifted[:n_modes], partners
 
 
-def _group_by_block(selected):
+def _group_by_block(selected, partners):
     groups = {}
     for j, (bi, pair) in enumerate(selected):
         groups.setdefault(bi, []).append((j, pair))
-    return dict(sorted(groups.items()))
+    return {bi: (members, partners.get(bi)) for bi, members in sorted(groups.items())}
 
 
 def _pillbox_modes(spec, n_modes, **extra):
     """A pillbox study namespace: the lowest modes at spec's base radius."""
     par = _pillbox_parametric(*spec)
-    selected = _select_pillbox_modes(par.blocks, par.base, n_modes)
-    groups = _group_by_block(selected)
+    selected, partners = _select_pillbox_modes(par.blocks, par.base, n_modes)
     return SimpleNamespace(
         task="_pillbox_node_task", spec=spec, par=par,
         starts=[pair for _, pair in selected],
-        groups=groups,
-        partners={bi: selected.partners.get(bi) for bi in groups},
+        groups=_group_by_block(selected, partners),
         labels=[(par.blocks[bi].family, par.blocks[bi].axial) for bi, _ in selected],
         **extra,
     )
@@ -444,8 +435,7 @@ def _disk_study(root, prob_sec, n_modes, args):
     starts = pairs[:n_modes]
     return SimpleNamespace(
         task="_disk_node_task", spec=spec, par=par, grid=grid, starts=starts,
-        groups={0: list(enumerate(starts))},
-        partners={0: pairs[n_modes] if len(pairs) > n_modes else None},
+        groups={0: (list(enumerate(starts)), pairs[n_modes] if len(pairs) > n_modes else None)},
         labels=[("cross-section", 0)] * n_modes,
         summary={
             "problem": "deformed-disk",
@@ -458,164 +448,162 @@ def _disk_study(root, prob_sec, n_modes, args):
 
 # -- study runner ------------------------------------------------------------
 
-def _track_node(payload, par, base, tracked):
-    """Track every start pair from the base point to one node.
+COUNTS = ("bordered_solves", "factorizations", "rejected_steps", "degenerate_flags")
+TALLIES = ("clusters", "cluster_retracks", "warnings")
 
-    payload is (spec, node_index, node, groups, partners, cfg, discrete);
-    groups maps a key to [(mode, start Eigenpair), ...], ascending by value,
-    partners maps it to the next base eigenpair of its pencil (or None),
-    base(key) gives the base pencil that group is tracked from, the same
-    object at every node of the process, and tracked(pencil, key) the pencil
-    it is tracked in at the node.  A partner that the group's highest start
-    mixes with (tracking.mixing) is tracked with the group, so that their
-    cluster is not cut, and not reported; its bordered solves and
-    factorizations are counted with the highest start.
 
-    Returns (rows, failures, tallies, pencil): rows [(mode, lambda,
-    newton_log, solves, factorizations, rejects, flagged, min_overlap),
-    ...] ordered by mode, min_overlap being the track's smallest M-overlap
-    between accepted steps, or for a cluster member the smallest principal
-    cosine between consecutive cluster subspaces (1.0 at the base node,
-    where nothing is tracked); failures [(modes, message), ...] for each
-    group whose tracking raised a CavityError instead of giving rows; a
-    Counter of the warnings raised meanwhile, recorded instead of shown, of
-    the clusters tracked jointly and of their endpoint re-tracks; and the
-    node's pencil.
+class _Record:
+    """Tracking results at n_nodes nodes: one node task's, or a study's.
+
+    values is mode x node, NaN where a mode's group failed; per mode, counts
+    has an integer column per COUNTS key, newton_logs the Newton iterations
+    of each accepted step and min_overlap a track's smallest M-overlap
+    between accepted steps (for a cluster member, the smallest principal
+    cosine between consecutive cluster subspaces; 1.0 where nothing is
+    tracked).  failures is [{node, modes, error}, ...], tallies counts the
+    warnings raised (recorded, not shown), the clusters tracked jointly and
+    their endpoint re-tracks, and discrete (node x discrete) holds each
+    node's lowest discrete eigenvalues, rank-ordered.
     """
-    _, _, node, groups, partners, cfg, _ = payload
+
+    def __init__(self, n_modes, n_nodes, discrete):
+        self.values = np.full((n_modes, n_nodes), np.nan)
+        self.counts = np.zeros(n_modes, dtype=[(name, int) for name in COUNTS])
+        self.newton_logs = [[] for _ in range(n_modes)]
+        self.min_overlap = np.ones(n_modes)
+        self.failures = []
+        self.tallies = Counter()
+        self.discrete = np.empty((n_nodes, discrete))
+
+    def merge(self, k, rec):
+        """Add the one-node record rec as node k."""
+        self.values[:, k] = rec.values[:, 0]
+        for name in COUNTS:
+            self.counts[name] += rec.counts[name]
+        for log, steps in zip(self.newton_logs, rec.newton_logs):
+            log += steps
+        np.minimum(self.min_overlap, rec.min_overlap, out=self.min_overlap)
+        self.failures += rec.failures
+        self.tallies.update(rec.tallies)
+        self.discrete[k] = rec.discrete[0]
+
+
+def _track_node(job, k, node, par, base, tracked):
+    """Track every start pair from the base point to node k.
+
+    job holds the study's spec, groups (key -> ([(mode, start Eigenpair),
+    ...] ascending by value, partner): the partner is the next base
+    eigenpair of the group's pencil, or None), tracking config cfg and
+    discrete count.  base(key) gives the base pencil a group is tracked
+    from, the same object at every node of the process, and tracked(pencil,
+    key) the pencil it is tracked in at the node.  A partner that the
+    group's highest start mixes with (tracking.mixing) is tracked with the
+    group, so that their cluster is not cut, and not reported; its bordered
+    solves and factorizations are counted with the highest start.
+
+    Returns the node's one-column _Record, failures included, and pencil.
+    """
+    rec = _Record(sum(len(members) for members, _ in job.groups.values()), 1, job.discrete)
     if np.array_equal(node, par.base_delta):
-        rows = sorted(
-            (j, pair.value, [], 0, 0, 0, False, 1.0)
-            for members in groups.values() for j, pair in members
-        )
-        return rows, [], Counter(), par.base
-    results, failures, tallies = [], [], Counter()
+        for members, _ in job.groups.values():
+            for j, pair in members:
+                rec.values[j, 0] = pair.value
+        return rec, par.base
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         pen_node = par.at(node)
-        for key, members in groups.items():
+        for key, (members, partner) in job.groups.items():
             starts = [pair for _, pair in members]
             try:
                 homotopy = HomotopyPencil(base(key), tracked(pen_node, key))
-                partner = partners[key]
                 if partner is not None and mixing(homotopy, [starts[-1], partner])[0]:
                     starts.append(partner)
-                states = track_modes(homotopy, starts, cfg)
+                states = track_modes(homotopy, starts, job.cfg)
             except CavityError as exc:
-                failures.append(([j for j, _ in members], str(exc)))
+                modes = [j for j, _ in members]
+                rec.failures.append({"node": k, "modes": modes, "error": str(exc)})
                 continue
-            tallies["clusters"] += len({st.cluster for st in states if st.cluster})
-            tallies["cluster_retracks"] += len({st.cluster for st in states if st.retracked})
+            rec.tallies["clusters"] += len({st.cluster for st in states if st.cluster})
+            rec.tallies["cluster_retracks"] += len({st.cluster for st in states if st.retracked})
             if len(states) > len(members):
                 spare = states.pop()
                 states[-1].n_solves += spare.n_solves
                 states[-1].n_factorizations += spare.n_factorizations
-            results.extend(
-                (j, st.eigenpair.value, list(st.newton_log), st.n_solves, st.n_factorizations,
-                 st.n_rejects, st.flagged, st.min_overlap)
-                for (j, _), st in zip(members, states)
-            )
-    tallies["warnings"] += len(caught)
-    return sorted(results), failures, tallies, pen_node
+            for (j, _), st in zip(members, states):
+                rec.values[j, 0] = st.eigenpair.value
+                rec.newton_logs[j] = st.newton_log
+                rec.counts[j] = st.n_solves, st.n_factorizations, st.n_rejects, st.flagged
+                rec.min_overlap[j] = st.min_overlap
+    rec.tallies["warnings"] += len(caught)
+    return rec, pen_node
 
 
-def _pillbox_node_task(payload):
+def _pillbox_node_task(job, k, node):
     """Pillbox node task: each group is tracked in its own axial block.
 
-    Returns (node_index, rows, failures, tallies, discrete values), see
-    _track_node; with discrete > 0, the values are the eigenvalues of the
-    node's lowest discrete modes, rank-ordered, from the pencil tracked in.
+    Returns the node's _Record (see _track_node); with job.discrete > 0, its
+    discrete row holds the eigenvalues of the node's lowest discrete modes,
+    rank-ordered, from the pencil tracked in.
     """
-    spec = payload[0]
-    par = _pillbox_parametric(*spec)
-    rows, failures, tallies, pencil = _track_node(
-        payload, par,
-        lambda bi: _pillbox_base_block(spec, bi),
+    par = _pillbox_parametric(*job.spec)
+    rec, pencil = _track_node(
+        job, k, node, par,
+        lambda bi: _pillbox_base_block(job.spec, bi),
         lambda pen, bi: block_pencil(pen, par.blocks[bi]),
     )
-    values, discrete = [], payload[6]
-    if discrete:
-        values = [pair.value for _, pair in _select_pillbox_modes(par.blocks, pencil, discrete)]
-    return payload[1], rows, failures, tallies, values
+    if job.discrete:
+        selected, _ = _select_pillbox_modes(par.blocks, pencil, job.discrete)
+        rec.discrete[0] = [pair.value for _, pair in selected]
+    return rec
 
 
-def _disk_node_task(payload):
+def _disk_node_task(job, k, node):
     """Deformed-disk node task: one group, tracked in the full pencil."""
-    par = _disk_parametric(*payload[0])
-    rows, failures, tallies, _ = _track_node(payload, par, lambda _: par.base, lambda pen, _: pen)
-    return payload[1], rows, failures, tallies, []
+    par = _disk_parametric(*job.spec)
+    return _track_node(job, k, node, par, lambda _: par.base, lambda pen, _: pen)[0]
 
 
-def _run_tasks(payloads, worker, n_workers):
-    """Yield worker(payload) for each payload, in order.  Closing the
-    generator early cancels the tasks that have not started."""
-    if n_workers <= 1 or len(payloads) <= 1:
-        yield from map(worker, payloads)
+def _run_tasks(task, nodes, n_workers):
+    """Yield task(k, node) for each node, in order, on at most n_workers
+    processes and never more than there are nodes.  Closing the generator
+    early cancels the tasks that have not started."""
+    if n_workers <= 1 or len(nodes) <= 1:
+        yield from map(task, range(len(nodes)), nodes)
         return
     # imported here: a study at one worker never starts a pool
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=n_workers)
+    pool = ProcessPoolExecutor(max_workers=min(n_workers, len(nodes)))
     try:
-        yield from pool.map(worker, payloads)
+        yield from pool.map(task, range(len(nodes)), nodes)
     finally:
         pool.shutdown(cancel_futures=True)
 
 
 def _track_nodes(study, nodes, cfg_track, n_workers, discrete, fail_fast):
-    """Run study.task at every node and merge its rows per mode.
-
-    Adds values and freq (mode x node, NaN where a mode failed), per mode
-    newton_logs, solves, factorizations, rejects, flags and min_overlap
-    over all nodes,
-    failures: [{node, modes, error}, ...] in node order, tallies: the nodes'
-    warnings, clusters and cluster_retracks summed, and discrete (node x
-    discrete): the eigenvalues of each node's lowest discrete modes,
-    rank-ordered, when discrete > 0.  With fail_fast, no node after the
-    first one that reports a failure is tracked.
+    """Run study.task at every node and merge the nodes' records, node k at
+    column k, into the study's _Record, which gets freq too: values in Hz.
+    With fail_fast, no node after the first one that reports a failure is
+    tracked.
     """
-    payloads = [
-        (study.spec, k, node, study.groups, study.partners, cfg_track, discrete)
-        for k, node in enumerate(nodes)
-    ]
-    n_modes = len(study.starts)
-    study.values = np.full((n_modes, len(nodes)), np.nan)
-    study.newton_logs = [[] for _ in range(n_modes)]
-    study.solves, study.factorizations, study.rejects, study.flags = (
-        np.zeros(n_modes, dtype=int) for _ in range(4)
-    )
-    study.min_overlap = np.ones(n_modes)
-    study.failures = []
-    study.tallies = Counter()
-    study.discrete = np.empty((len(nodes), discrete))
-    results = _run_tasks(payloads, globals()[study.task], n_workers)
-    for node_index, rows, failures, tallies, values in results:
-        for j, lam, log, solves, factorizations, rejects, flagged, overlap in rows:
-            study.values[j, node_index] = lam
-            study.newton_logs[j] += log
-            study.solves[j] += solves
-            study.factorizations[j] += factorizations
-            study.rejects[j] += rejects
-            study.flags[j] += flagged
-            study.min_overlap[j] = min(study.min_overlap[j], overlap)
-        study.failures += [
-            {"node": node_index, "modes": modes, "error": error} for modes, error in failures
-        ]
-        study.tallies.update(tallies)
-        study.discrete[node_index] = values
-        if failures and fail_fast:
+    job = SimpleNamespace(spec=study.spec, groups=study.groups, cfg=cfg_track, discrete=discrete)
+    run = _Record(len(study.starts), len(nodes), discrete)
+    results = _run_tasks(partial(globals()[study.task], job), nodes, n_workers)
+    for k, rec in enumerate(results):
+        run.merge(k, rec)
+        if rec.failures and fail_fast:
             results.close()
             break
     with np.errstate(invalid="ignore"):   # NaN < 0 is False, but numpy flags it
-        study.freq = np.vectorize(eigenvalue_to_frequency)(study.values)
-    return study
+        run.freq = np.vectorize(eigenvalue_to_frequency)(run.values)
+    return run
 
 
 def _run_study(cfg, args):
     """Parse a uq/bench config, track its start pairs to every grid node.
 
-    Returns the problem's study namespace with _track_nodes' results added;
-    the first failing node, in node order, stops the study and raises
+    Returns the problem's study namespace and _track_nodes' record; the
+    first failing node, in node order, stops the study and raises
     SolverError, before any table is written.
     """
     root = _Section(cfg, "config")
@@ -626,11 +614,11 @@ def _run_study(cfg, args):
     problem = _pillbox_study if kind == "pillbox" else _disk_study
     study = problem(root, prob_sec, n_modes, args)
 
-    _track_nodes(study, study.grid.nodes, cfg_track, args.workers, 0, fail_fast=True)
-    if study.failures:
-        first = study.failures[0]
+    run = _track_nodes(study, study.grid.nodes, cfg_track, args.workers, 0, fail_fast=True)
+    if run.failures:
+        first = run.failures[0]
         raise SolverError(f"node {first['node']}, modes {first['modes']}: {first['error']}")
-    return study
+    return study, run
 
 
 # -- shared reporting --------------------------------------------------------
@@ -676,36 +664,32 @@ def _out_dir(args):
 
 def cmd_uq(cfg, args):
     out = _out_dir(args)
-    run = _run_study(cfg, args)
-    mean, var = uq.estimate_moments(run.freq, run.grid)
+    study, run = _run_study(cfg, args)
+    mean, var = uq.estimate_moments(run.freq, study.grid)
     sd = np.sqrt(np.maximum(var, 0.0))
-    uq.save_grid_csv(out / "grid.csv", run.grid)
+    uq.save_grid_csv(out / "grid.csv", study.grid)
     _write_mode_table(out / "mode_table.csv", run.freq)
     with open(out / "moments.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mode", "family", "axial_order", "base_f_hz", "mean_f_hz", "sd_f_hz"])
-        for j, ((family, axial), pair) in enumerate(zip(run.labels, run.starts)):
+        for j, ((family, axial), pair) in enumerate(zip(study.labels, study.starts)):
             base_f = eigenvalue_to_frequency(pair.value)
             writer.writerow(
                 [j, family, axial, f"{base_f:.17g}", f"{mean[j]:.17g}", f"{sd[j]:.17g}"]
             )
     summary = _summary_payload(
-        **run.summary,
-        nodes=run.grid.n_nodes,
-        modes=len(run.starts),
+        **study.summary,
+        **{name: int(run.counts[name].sum()) for name in COUNTS},
+        **{name: run.tallies[name] for name in TALLIES},
+        nodes=study.grid.n_nodes,
+        modes=len(study.starts),
         workers=args.workers,
         newton=_newton_summary(run.newton_logs),
-        bordered_solves=int(run.solves.sum()),
-        factorizations=int(run.factorizations.sum()),
-        rejected_steps=int(run.rejects.sum()),
-        degenerate_flags=int(run.flags.sum()),
         min_overlap=float(run.min_overlap.min()),
-        clusters=run.tallies["clusters"],
-        cluster_retracks=run.tallies["cluster_retracks"],
-        warnings=run.tallies["warnings"],
     )
     _write_json(out / "summary.json", summary)
-    print(f"{run.summary['problem']} uq: {len(run.starts)} modes over {run.grid.n_nodes} nodes")
+    print(f"{study.summary['problem']} uq: {len(study.starts)} modes over "
+          f"{study.grid.n_nodes} nodes")
 
 
 # -- subcommand: track -------------------------------------------------------
@@ -756,9 +740,8 @@ def cmd_track(cfg, args):
         per_mode[j] = {
             "newton_mean": newton["mean"],
             "newton_max": newton["max"],
-            "bordered_solves": int(run.solves[j]),
-            "factorizations": int(run.factorizations[j]),
-            "rejected_steps": int(run.rejects[j]),
+            **{name: int(run.counts[name][j])
+               for name in ("bordered_solves", "factorizations", "rejected_steps")},
         }
     crossing = _locate_crossing(radii, run.freq)
     summary = _summary_payload(
@@ -768,9 +751,7 @@ def cmd_track(cfg, args):
         per_mode=per_mode,
         crossing_radius_m=crossing,
         failures=run.failures,
-        clusters=run.tallies["clusters"],
-        cluster_retracks=run.tallies["cluster_retracks"],
-        warnings=run.tallies["warnings"],
+        **{name: run.tallies[name] for name in TALLIES},
     )
     _write_json(out / "summary.json", summary)
     if crossing is not None:
@@ -901,33 +882,33 @@ def _counted_direct_solve(K, M, k, sigma):
 def cmd_bench(cfg, args):
     out = _out_dir(args)
     t0 = time.perf_counter()
-    run = _run_study(cfg, args)
+    study, run = _run_study(cfg, args)
     tracked_wall = time.perf_counter() - t0
 
-    n_modes = len(run.starts)
-    k_direct = min(2 * n_modes, _direct_matrices(run.par, run.par.base)[0].shape[0] - 1)
+    par, n_modes = study.par, len(study.starts)
+    k_direct = min(2 * n_modes, _direct_matrices(par, par.base)[0].shape[0] - 1)
     # 3 significant digits: the Lanczos iteration count jumps with the last
     # bits of the shift, which must not follow the rounding of tracked values
     sigma = float(f"{0.9 * run.values.min():.3g}")
     direct_counts = []
     t0 = time.perf_counter()
-    for node in run.grid.nodes:
-        K, M = _direct_matrices(run.par, run.par.at(node))
+    for node in study.grid.nodes:
+        K, M = _direct_matrices(par, par.at(node))
         direct_counts.append(_counted_direct_solve(K, M, k_direct, sigma))
     direct_wall = time.perf_counter() - t0
 
-    offsets = np.linalg.norm(run.grid.nodes - run.par.base_delta, axis=1)
+    offsets = np.linalg.norm(study.grid.nodes - par.base_delta, axis=1)
     pairs = n_modes * int(np.count_nonzero(offsets))
     base_count = direct_counts[int(np.argmin(offsets))]
-    tracked_solves = int(run.solves.sum())
+    tracked_solves = int(run.counts["bordered_solves"].sum())
     tracked_total = base_count + tracked_solves
     direct_total = int(np.sum(direct_counts))
     doc = _summary_payload(
-        nodes=run.grid.n_nodes,
+        nodes=study.grid.n_nodes,
         modes=n_modes,
         tracked={
             "bordered_solves": tracked_solves,
-            "factorizations": int(run.factorizations.sum()),
+            "factorizations": int(run.counts["factorizations"].sum()),
             "base_eigensolve_solves": base_count,
             "total_solves": tracked_total,
             "per_mode_point": tracked_solves / pairs if pairs else None,

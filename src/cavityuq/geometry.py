@@ -67,7 +67,7 @@ class GeometryMap:
         )
         if validate:
             bad = self._probe_min_det()
-            if bad <= 0.0:
+            if not bad > 0.0:   # a NaN determinant fails too
                 raise InvalidDeformationError(
                     f"Jacobian determinant {bad:.3e} is not positive at an "
                     "interior probe point"
@@ -262,10 +262,11 @@ class DeformationModel:
             x, J = _rational_grid(self.base.bases, hom, us, vs)
             # per field, the 2 point and 4 Jacobian entries of each grid point
             n = us.size * vs.size
-            kept = self._grids[size] = grid, np.concatenate([
+            # C order, so that the mode fields reshape to a matrix without a copy
+            kept = self._grids[size] = grid, np.ascontiguousarray(np.concatenate([
                 x.reshape(n, len(fields), 2).transpose(1, 0, 2),
                 J.reshape(n, len(fields), 4).transpose(1, 0, 2),
-            ], axis=2)
+            ], axis=2))
         fields = kept[1]
         values = fields[0] + (delta @ fields[1:].reshape(delta.size, fields[0].size)).reshape(
             fields[0].shape
@@ -516,4 +517,6 @@ def load_deformation_spec(path):
     modes = np.asarray(doc["modes"], dtype=float)
     if mean.shape != (sampler.dimension,) or modes.ndim != 2 or len(modes) != sampler.dimension:
         raise DomainError("mean and mode matrix rows must match the sampler dimension")
+    if not all(np.isfinite(a).all() for a in (sampler.angles, mean, modes)):
+        raise DomainError("station angles, mean and modes must be finite")
     return sampler, mean, modes

@@ -45,7 +45,7 @@ ordering of the pattern's first factorization.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import partial
 from types import SimpleNamespace
 
@@ -81,6 +81,8 @@ class TrackConfig:
     initial_step: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise DomainError(f"step-control parameters must be finite, got {self}")
         if not (0.0 < self.eta2 < 1.0 < self.eta1):
             raise DomainError(f"need 0 < eta2 < 1 < eta1, got {self.eta2}, {self.eta1}")
         if not 0 < self.n1 < self.n2:

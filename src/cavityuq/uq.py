@@ -25,6 +25,8 @@ class ObservationMatrix:
         data = np.asarray(data, dtype=float)
         if data.ndim != 2:
             raise DomainError(f"observation matrix must be 2-D, got {data.shape}")
+        if not np.isfinite(data).all():
+            raise DomainError("observation matrix has a non-finite entry")
         if data.shape[0] < 2:
             raise DegenerateDataError(
                 f"need at least 2 samples for a covariance, got {data.shape[0]}"

@@ -1,5 +1,6 @@
 """End-to-end driver tests on small study configurations."""
 
+import concurrent.futures
 import csv
 import importlib.util
 import json
@@ -170,6 +171,33 @@ class TestConfigValidation:
             written.update(json.loads((out / "summary.json").read_text()))
         assert sorted(documented) == sorted(written)
 
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            ("modes", math.nan),
+            ("modes", math.inf),
+            ("problem.length", math.inf),
+            ("problem.length", math.nan),
+            ("problem.length", 10**400),
+            ("problem.distribution.support", [0.04, math.inf]),
+            ("tracking.min_step", math.nan),
+        ],
+        ids=["modes-nan", "modes-inf", "length-inf", "length-nan", "length-beyond-float",
+             "support-inf", "min-step-nan"],
+    )
+    def test_non_finite_number(self, tmp_path, capsys, where, value):
+        # json writes NaN and Infinity, and Python's json reads them back
+        doc = json.loads(json.dumps(PILLBOX_UQ))
+        *path, key = where.split(".")
+        section = doc
+        for name in path:
+            section = section.setdefault(name, {})
+        section[key] = value
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert run_cli("uq", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config.{where}: ") and "Traceback" not in err
+
     def test_bad_worker_count(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", PILLBOX_UQ)
         assert run_cli("uq", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "0") == 2
@@ -181,6 +209,8 @@ class TestConfigValidation:
             "a,b\n1.0,2.0\n3.0,x\n",        # non-numeric cell
             "a,b\n1.0,2.0\n3.0\n",          # ragged row
             "a,b\n1.0,2.0\n",               # too few sample rows
+            "a,b\n1.0,2.0\n3.0,nan\n",      # NaN cell
+            "a,b\n1.0,2.0\n3.0,inf\n",      # infinite cell
         )] + [("uq", "model", content) for content in (
             None,
             "{not json",
@@ -189,11 +219,13 @@ class TestConfigValidation:
                         "modes": []}),
             json.dumps({"station_angles": [0.0, 3.0], "kind": "radial", "mean": [0.0],
                         "modes": [[1e-4], [2e-4]]}),
+            json.dumps({"station_angles": [0.0, 3.0], "kind": "radial", "mean": [math.nan, 0.0],
+                        "modes": [[1e-4], [2e-4]]}),
         )],
         ids=[f"{c}-observations-{k}" for c in ("kl-fit", "uq")
-             for k in ("missing", "non-numeric", "ragged", "short")]
+             for k in ("missing", "non-numeric", "ragged", "short", "nan", "inf")]
         + ["uq-model-missing", "uq-model-invalid-json", "uq-model-without-modes",
-           "uq-model-empty-modes", "uq-model-short-mean"],
+           "uq-model-empty-modes", "uq-model-short-mean", "uq-model-nan-mean"],
     )
     def test_bad_file_named_by_config(self, tmp_path, capsys, command, key, content):
         path = tmp_path / ("model.json" if key == "model" else "obs.csv")
@@ -364,10 +396,8 @@ class TestTrack:
         above = 0
         for k, row in enumerate(rows):
             r = float(row[0])
-            lowest = [
-                eigenvalue_to_frequency(pair.value)
-                for _, pair in cli._select_pillbox_modes(par.blocks, par.at([r]), 3)
-            ]
+            selected, _ = cli._select_pillbox_modes(par.blocks, par.at([r]), 3)
+            lowest = [eigenvalue_to_frequency(pair.value) for _, pair in selected]
             for f in tracked[:, k]:
                 assert min(abs(f / g - 1.0) for g in lowest) <= 1e-8
             if r > crossing:
@@ -397,9 +427,9 @@ class TestTrack:
     def test_one_node_task_per_radius(self, monkeypatch, tmp_path):
         task, nodes = cli._pillbox_node_task, []
 
-        def counted(payload):
-            nodes.append(payload[1])
-            return task(payload)
+        def counted(job, k, node):
+            nodes.append(k)
+            return task(job, k, node)
 
         monkeypatch.setattr(cli, "_pillbox_node_task", counted)
         cfg = write_config(tmp_path, "c.json", PILLBOX_TRACK)
@@ -422,8 +452,8 @@ class TestTrack:
         assert sum(mode_solves) == len(solves)
         assert sum(mode_factorizations) == len(factorizations)
         par = build_pillbox_pencil(0.06, 0.1, 1, DiscreteSpace(2, 8))
-        groups = cli._group_by_block(cli._select_pillbox_modes(par.blocks, par.base, 3))
-        assert [[j for j, _ in members] for members in groups.values()] == [[0], [1, 2]]
+        groups = cli._group_by_block(*cli._select_pillbox_modes(par.blocks, par.base, 3))
+        assert [[j for j, _ in members] for members, _ in groups.values()] == [[0], [1, 2]]
 
     def test_discrete_samples_come_from_the_node_tasks(self, monkeypatch, tmp_path):
         # the rank-ordered spectrum of each radius is solved once, in its
@@ -597,6 +627,33 @@ def test_one_worker_study_imports_no_process_pool(tmp_path):
     assert cold_study(cfg, tmp_path / "run", probe) == "0 False"
 
 
+def test_pool_never_exceeds_the_node_count(monkeypatch, tmp_path):
+    """A pool forks all its processes at its first task, so --workers 64 on
+    a 3-node study must ask for 3.  The stand-in pool records its size and
+    runs the tasks in this process; the tables equal a 1-worker run's."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    doc = dict(PILLBOX_UQ, grid={"kind": "tensor", "family": "clenshaw-curtis", "orders": [3]})
+    cfg = write_config(tmp_path, "c.json", doc)
+    for workers in ("1", "64"):
+        out = str(tmp_path / workers)
+        assert cli.main(["uq", "--config", cfg, "--out", out, "--workers", workers]) == 0
+    assert sizes == [3]
+    for name in ("grid.csv", "mode_table.csv", "moments.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "64" / name).read_bytes()
+
+
 class TestTiers:
     """Up to DENSE_CUTOFF unknowns a study runs on numpy alone; above it,
     the tracker takes the sparse tier, which imports scipy."""
@@ -621,20 +678,20 @@ class TestTiers:
         cross-section, shifted into its block.  Identity is kept, not rank:
         the TE111 pair passes TM010 between the nodes."""
         monkeypatch.setattr(cli, "_PENCIL_CACHE", {})
-        run = cli._run_study(json.loads(json.dumps(PILLBOX_SPARSE)),
-                             SimpleNamespace(seed=None, workers=1))
-        sections = run.par.base
+        study, run = cli._run_study(json.loads(json.dumps(PILLBOX_SPARSE)),
+                                    SimpleNamespace(seed=None, workers=1))
+        sections = study.par.base
         assert min(pen.n for pen in sections.values()) > DENSE_CUTOFF
         for pen in sections.values():
             assert not pen.pattern.bordered.dense and pen.pattern.bordered.perm_c is not None
-        assert len(run.starts) == 2 and run.grid.n_nodes == 3
-        for k, node in enumerate(run.grid.nodes):
+        assert len(study.starts) == 2 and study.grid.n_nodes == 3
+        for k, node in enumerate(study.grid.nodes):
             dense = {
                 family: np.array([pair.value for pair in solve_smallest(pen, 4, method="dense")])
-                for family, pen in run.par.at(node).items()
+                for family, pen in study.par.at(node).items()
             }
-            for j, (family, axial) in enumerate(run.labels):
-                shift = next(b.axial_shift for b in run.par.blocks
+            for j, (family, axial) in enumerate(study.labels):
+                shift = next(b.axial_shift for b in study.par.blocks
                              if (b.family, b.axial) == (family, axial))
                 lam = run.values[j, k]
                 assert np.abs(dense[family] + shift - lam).min() <= 1e-10 * lam, (k, j)
@@ -717,10 +774,11 @@ class TestClusters:
         eigenvalues.  The near-degenerate m = 1 pair mixes under the
         deformation and is tracked as one cluster; at modes 2 the second
         member, unreported, is tracked with the first."""
-        run = cli._run_study(readme_disk(seed, modes), SimpleNamespace(seed=None, workers=1))
+        args = SimpleNamespace(seed=None, workers=1)
+        study, run = cli._run_study(readme_disk(seed, modes), args)
         assert run.tallies["clusters"] > 0 and run.tallies["cluster_retracks"] == 0
-        for k, node in enumerate(run.grid.nodes):
-            lowest = [p.value for p in solve_smallest(run.par.at(node), modes, method="dense")]
+        for k, node in enumerate(study.grid.nodes):
+            lowest = [p.value for p in solve_smallest(study.par.at(node), modes, method="dense")]
             np.testing.assert_allclose(np.sort(run.values[:, k]), lowest, rtol=1e-9)
         # a cluster member's overlap is that of its subspace, which turns
         # slowly, not that of its own vector, which turns inside the pair
@@ -770,12 +828,12 @@ class TestBench:
         run_study, counts = cli._run_study, []
 
         def nudged(direction):
-            def study(cfg, args):
-                run = run_study(cfg, args)
+            def nudged_study(cfg, args):
+                study, run = run_study(cfg, args)
                 if direction:
                     run.values = np.nextafter(run.values, direction * np.inf)
-                return run
-            return study
+                return study, run
+            return nudged_study
 
         for direction in (0, 1, -1):
             monkeypatch.setattr(cli, "_run_study", nudged(direction))
@@ -893,7 +951,7 @@ def select_every_block(blocks, sections, n_modes):
     partners = {}
     for _, bi, _, pr in candidates[n_modes:]:
         partners.setdefault(bi, pr)
-    return cli._Selection([(bi, pr) for _, bi, _, pr in candidates[:n_modes]], partners)
+    return [(bi, pr) for _, bi, _, pr in candidates[:n_modes]], partners
 
 
 def pair_bytes(pair):
@@ -918,16 +976,16 @@ class TestPillboxPruning:
     @pytest.mark.parametrize("radius", [0.04, 0.05, 0.06])
     def test_same_selection_as_solving_every_block(self, pencils, radius, p_max, modes):
         par = pencils[radius, p_max]
-        got = cli._select_pillbox_modes(par.blocks, par.base, modes)
-        want = select_every_block(par.blocks, par.base, modes)
+        got, got_partners = cli._select_pillbox_modes(par.blocks, par.base, modes)
+        want, want_partners = select_every_block(par.blocks, par.base, modes)
         assert [bi for bi, _ in got] == [bi for bi, _ in want]
         np.testing.assert_allclose(
             [pr.value for _, pr in got], [pr.value for _, pr in want], rtol=1e-10
         )
-        assert sorted(got.partners) == sorted(want.partners)
+        assert sorted(got_partners) == sorted(want_partners)
         np.testing.assert_allclose(
-            [got.partners[bi].value for bi in sorted(got.partners)],
-            [want.partners[bi].value for bi in sorted(want.partners)],
+            [got_partners[bi].value for bi in sorted(got_partners)],
+            [want_partners[bi].value for bi in sorted(want_partners)],
             rtol=1e-10,
         )
 
@@ -942,7 +1000,7 @@ class TestPillboxPruning:
 
         monkeypatch.setattr(cli, "solve_smallest", counted)
         sections = par.base
-        selected = cli._select_pillbox_modes(par.blocks, sections, 6)
+        selected, _ = cli._select_pillbox_modes(par.blocks, sections, 6)
         assert solved == [(sections["TM"], 8), (sections["TE"], 8)]
         assert {par.blocks[bi].family for bi, _ in selected} == {"TM", "TE"}
 
@@ -1066,9 +1124,9 @@ class TestFailureIsolation:
         calls = fail_third_group(monkeypatch)
         task, nodes = cli._pillbox_node_task, []
 
-        def recorded(payload):
-            nodes.append(payload[1])
-            return task(payload)
+        def recorded(job, k, node):
+            nodes.append(k)
+            return task(job, k, node)
 
         monkeypatch.setattr(cli, "_pillbox_node_task", recorded)
         cfg = write_config(tmp_path, "c.json", PILLBOX_UQ)

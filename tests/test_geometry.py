@@ -1,12 +1,13 @@
 """Tests for exact patches and deformation fields."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cavityuq import geometry
-from cavityuq.assembly import DiscreteSpace
+from cavityuq.assembly import DiscreteSpace, assemble
 from cavityuq.errors import (
     DomainError,
     InterpolationError,
@@ -301,6 +302,15 @@ class TestDeformation:
         negative = (det <= 0.0).any(axis=(1, 3))
         assert negative[1, 1] and negative.sum() == 1
 
+    def test_nan_determinant_raises(self):
+        # a NaN control point makes every interior determinant NaN, which is
+        # not positive either
+        g = build_disk_patch(0.05)
+        sam = BoundarySampler(np.array([0.5, 2.4]), kind="radial")
+        model = deformation_from_kl(_Reduced(np.zeros(2), np.array([[6e-4], [-3e-4]])), g, sam)
+        with pytest.raises(InvalidDeformationError, match="determinant nan"):
+            deform(model, [math.nan])
+
     def test_wrong_delta_length_rejected(self):
         g = build_disk_patch(0.05)
         sam = BoundarySampler(np.array([0.0, np.pi]), kind="radial")
@@ -326,6 +336,19 @@ class TestDeformation:
         x1, J1 = g.jacobian_grid(kernel.us, kernel.vs)
         assert x1.tobytes() == x0.tobytes() and J1.tobytes() == J0.tobytes()
 
+    def test_kept_mode_fields_reshape_without_a_copy(self):
+        """A query multiplies delta into the kept mode fields as one matrix;
+        each kept grid (corners, probe and quadrature points) stores them in
+        C order, so that matrix is a view, not a copy per query."""
+        draw = np.random.default_rng(3)
+        sam = BoundarySampler(2 * np.pi * np.arange(9) / 9, kind="xy")
+        reduced = _Reduced(draw.normal(scale=2e-4, size=18), draw.normal(scale=2e-4, size=(18, 3)))
+        model = deformation_from_kl(reduced, refine_patch(build_disk_patch(0.05), 1), sam)
+        assemble(deform(model, [0.9, -1.1, 0.4]), DiscreteSpace(2, 2), bc="dirichlet")
+        assert len(model._grids) == 3
+        for _, fields in model._grids.values():
+            assert np.shares_memory(fields[1:].reshape(3, fields[0].size), fields)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -339,6 +362,16 @@ class TestSerialization:
         np.testing.assert_allclose(sam2.angles, sam.angles, atol=0)
         np.testing.assert_allclose(mean2, mean, atol=0)
         np.testing.assert_allclose(modes2, modes, atol=0)
+
+    @pytest.mark.parametrize("entry", ["station_angles", "mean", "modes"])
+    def test_non_finite_entry_rejected(self, tmp_path, entry):
+        doc = {"station_angles": [0.2, 1.7], "kind": "radial",
+               "mean": [1e-4, -2e-4], "modes": [[1e-4], [2e-4]]}
+        doc[entry][1] = [math.nan] if entry == "modes" else math.nan
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match="finite"):
+            load_deformation_spec(path)
 
     def test_rebuilt_model_matches(self, tmp_path):
         g = build_disk_patch(0.05)

@@ -1,6 +1,7 @@
 """Tests for homotopy eigenvalue tracking."""
 
 import gc
+import math
 import weakref
 from types import SimpleNamespace
 
@@ -69,6 +70,13 @@ class TestConfig:
             TrackConfig(n1=5, n2=5)
         with pytest.raises(DomainError):
             TrackConfig(min_step=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["eta1", "eta2", "newton_tol", "min_step", "initial_step"])
+    def test_non_finite_parameters_rejected(self, key, value):
+        # a NaN min_step would switch the step-underflow guard off
+        with pytest.raises(DomainError, match="finite"):
+            TrackConfig(**{key: value})
 
 
 class TestDerivative:

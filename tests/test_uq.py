@@ -30,6 +30,14 @@ class TestObservationMatrix:
             uq.ObservationMatrix(np.ones((3, 2)), names=["only_one"])
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        data = np.ones((3, 2))
+        data[1, 0] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            uq.ObservationMatrix(data)
+
+
 class TestKLFit:
     def test_recovers_dominant_directions(self):
         # independent coordinates with std 2, 1, 0.1: the 0.95 criterion
