@@ -35,18 +35,21 @@ of a homotopy shares those at t = 0.
 
 Every pencil of a study lives on one sparsity pattern, whose one _Bordered
 picks the tier once and builds a new bordered matrix for every
-factorization, which its LU keeps (_BorderedLU): nothing copies a matrix.
-Every factorization is one spla.splu call and every back-solve one .solve
-on its result.  Up to DENSE_CUTOFF unknowns the matrix is a dense array
-and each solve is LAPACK gesv on it, since numpy keeps no LU; above it,
-the matrix is CSC and splu is scipy's SuperLU, which reuses the column
-ordering of the pattern's first factorization.
+factorization, which its LU keeps (_BorderedLU) with the matrix's infinity
+norm once a derivative asks for it.  Every factorization is one spla.splu
+call and every back-solve one .solve on its result.  Up to DENSE_CUTOFF
+unknowns the matrix is a dense array, and splu is one LAPACK getrf on a
+column-major copy of it, kept for one getrs per solve (_DenseLU), through
+the OpenBLAS that numpy links; where numpy's build exports no getrf, each
+solve is one gesv on the matrix instead, with the same bits.  Above the
+cutoff, the matrix is CSC and splu is scipy's SuperLU, which reuses the
+column ordering of the pattern's first factorization.
 """
 
 import math
 import warnings
 from dataclasses import astuple, dataclass, field
-from functools import partial
+from functools import cache, cached_property, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -115,12 +118,62 @@ def _scaled_residual(r, lam, e, norm_k, norm_m):
     return float(math.sqrt(r @ r) / ((norm_k + abs(lam) * norm_m) * math.sqrt(e @ e)))
 
 
+@cache
+def _lapack():
+    """(dgetrf, dgetrs) of the 64-bit-integer OpenBLAS that numpy's
+    scipy-openblas wheels link, or None where numpy's build does not export
+    them.  Looked up at the first dense factorization, never at import."""
+    import ctypes   # numpy has loaded it already
+
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        getrf, getrs = lib.scipy_dgetrf_64_, lib.scipy_dgetrs_64_
+    except (OSError, AttributeError):
+        return None
+    ptr = ctypes.c_void_p
+    getrf.argtypes = [ptr] * 6   # M, N, A, LDA, IPIV, INFO
+    # TRANS, N, NRHS, A, LDA, IPIV, B, LDB, INFO and the length of TRANS
+    getrs.argtypes = [ctypes.c_char_p] + [ptr] * 8 + [ctypes.c_size_t]
+    getrf.restype = getrs.restype = None
+    return getrf, getrs
+
+
+class _DenseLU:
+    """LAPACK getrf of a square array, kept for one getrs per solve.  The
+    solutions are np.linalg.solve's bit for bit, as its gesv is getrf then
+    getrs.  The buffers and their addresses are set once per LU."""
+
+    def __init__(self, routines, A):
+        getrf, self._getrs = routines
+        self._lu = np.array(A, dtype=float, order="F")   # getrf overwrites it with L and U
+        n = len(self._lu)
+        if self._lu.shape != (n, n):
+            raise ValueError(f"getrf takes a square matrix, not shape {self._lu.shape}")
+        self._ints = np.zeros(n + 3, dtype=np.int64)     # N, NRHS, INFO, then the pivots
+        self._ints[:2] = n, 1
+        at, lu = self._ints.ctypes.data, self._lu.ctypes.data
+        p_n, p_nrhs, p_info, p_ipiv = at, at + 8, at + 16, at + 24
+        getrf(p_n, p_n, lu, p_n, p_ipiv, p_info)
+        if self._ints[2] > 0:
+            raise RuntimeError("Factor is exactly singular")
+        self._head, self._tail = (p_n, p_nrhs, lu, p_n, p_ipiv), (p_n, p_info, 1)
+
+    def solve(self, rhs):
+        x = np.array(rhs, dtype=float)   # getrs overwrites it with the solution
+        self._getrs(b"N", *self._head, x.ctypes.data, *self._tail)
+        return x
+
+
 def _splu(A, permc_spec=None):
     """The factorization of a bordered matrix in its tier: SuperLU of a CSC
-    matrix, or for a dense array, LAPACK gesv on it at every solve, since
-    numpy keeps no LU."""
+    matrix, or for a dense array, LAPACK getrf kept for one getrs per solve
+    (_DenseLU).  Where numpy's build exports no getrf, each solve of a dense
+    array is LAPACK gesv on it (np.linalg.solve), with the same bits."""
     if isinstance(A, np.ndarray):
-        return SimpleNamespace(solve=partial(np.linalg.solve, A))
+        routines = _lapack()
+        if routines is None:
+            return SimpleNamespace(solve=partial(np.linalg.solve, A))
+        return _DenseLU(routines, A)
     from scipy.sparse.linalg import splu
 
     return splu(A, permc_spec=permc_spec)
@@ -235,6 +288,7 @@ class _BorderedLU:
             raise DegeneracyError("bordered solve produced non-finite values")
         return (y if self._perm is None else y[self._perm]), y
 
+    @cached_property
     def norm_inf(self):
         """The largest absolute row sum of the factored matrix."""
         A = self.matrix
@@ -296,7 +350,7 @@ def eigenpair_derivative(homotopy, t, pair, c):
     rhs[-1] = 0.0
     x, y = lu.solve(rhs)
     resid = np.linalg.norm(lu.matrix @ y - rhs)
-    scale = lu.norm_inf() * np.linalg.norm(x) + np.linalg.norm(rhs) + 1e-300
+    scale = lu.norm_inf * np.linalg.norm(x) + np.linalg.norm(rhs) + 1e-300
     if resid > 1e-10 * scale:
         raise DegeneracyError(f"bordered solve residual {resid / scale:.3e} too large")
     return x[:-1], float(x[-1])

@@ -619,12 +619,80 @@ def cold_study(cfg, out, probe=_SCIPY_MODULES):
     return cold_python(script, "uq", "--config", cfg, "--out", out, "--workers", "1")
 
 
+def load_workloads():
+    """perfbench/workloads.py, the benchmark's study configs."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", _ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def test_one_worker_study_imports_no_process_pool(tmp_path):
     # the pool's modules are about 20 ms of a cold import; the --workers 2
     # invariance tests cover the pool path
     cfg = write_config(tmp_path, "c.json", SMALL_DISK)
     probe = "'concurrent.futures.process' in sys.modules"
     assert cold_study(cfg, tmp_path / "run", probe) == "0 False"
+
+
+@pytest.mark.parametrize("workload", ["pillbox-cc5", "disk-readme"])
+def test_base_point_study_never_looks_up_lapack(tmp_path, workload):
+    # the benchmark's set-up study: a one-node grid at the base point
+    # factors no bordered matrix, so neither the import nor the study looks
+    # up the kept-LU routines, and ctypes, which the lookup uses, is loaded
+    # by numpy before the package is imported
+    workloads = load_workloads()
+    config = workloads.study_config(workloads.WORKLOADS[workload], setup=True)
+    cfg = workloads.write_config(tmp_path / "setup.json", config)
+    script = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "from cavityuq import cli, tracking\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, tracking._lapack.cache_info().currsize,\n"
+        "      sorted(m for m in set(sys.modules) - before if 'ctypes' in m))\n"
+    )
+    argv = ("uq", "--config", cfg, "--out", tmp_path / "run", "--workers", "1")
+    assert cold_python(script, *argv) == "0 0 []"
+
+
+@pytest.mark.parametrize("name", ["pillbox-6", "readme-2-nodes"])
+def test_gesv_fallback_gives_the_kept_lu_bits(monkeypatch, tmp_path, name):
+    """Where numpy's build exports no getrf, every dense back-solve is one
+    gesv on its matrix.  The tables and summary.json (bar timestamp_utc),
+    with its bordered_solves and factorizations, equal the kept LU's."""
+    if tracking._lapack() is None:
+        pytest.skip("numpy's LAPACK exports no 64-bit-integer getrf and getrs")
+    if name == "pillbox-6":
+        doc = json.loads(json.dumps(PILLBOX_UQ))
+        doc["discretization"]["elements"] = 6
+    else:
+        grid = {"kind": "tensor", "family": "gauss-hermite", "orders": [2, 1, 1, 1, 1, 1, 1]}
+        doc = readme_disk(1234, 3, grid=grid)
+    cfg = write_config(tmp_path, "c.json", doc)
+    seam, kinds = tracking.spla.splu, []
+
+    def splu(A, **options):
+        lu = seam(A, **options)
+        kinds.append(type(lu))
+        return lu
+
+    monkeypatch.setattr(tracking, "spla", SimpleNamespace(splu=splu))
+    for path, lapack in (("getrf", tracking._lapack), ("gesv", lambda: None)):
+        monkeypatch.setattr(tracking, "_lapack", lapack)
+        assert cli.main(["uq", "--config", cfg, "--out", str(tmp_path / path)]) == 0
+    n = len(kinds) // 2
+    assert n > 0 and set(kinds[:n]) == {tracking._DenseLU} and set(kinds[n:]) == {SimpleNamespace}
+    for table in ("grid.csv", "mode_table.csv", "moments.csv"):
+        assert (tmp_path / "getrf" / table).read_bytes() == (tmp_path / "gesv" / table).read_bytes()
+    kept, fallback = (
+        dict(json.loads((tmp_path / path / "summary.json").read_text()), timestamp_utc=None)
+        for path in ("getrf", "gesv")
+    )
+    assert kept["factorizations"] == n and kept["bordered_solves"] > n
+    assert kept == fallback
 
 
 def test_pool_never_exceeds_the_node_count(monkeypatch, tmp_path):
@@ -662,11 +730,7 @@ class TestTiers:
         assert cold_python(f"import sys, cavityuq.cli; print({_SCIPY_MODULES})") == "[]"
 
     def test_cold_benchmark_studies_load_no_scipy(self, tmp_path):
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", _ROOT / "perfbench" / "workloads.py"
-        )
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = load_workloads()
         assert workloads.WORKLOADS
         for name, workload in workloads.WORKLOADS.items():
             cfg = workloads.write_config(tmp_path / f"{name}.json", workloads.study_config(workload))

@@ -344,6 +344,52 @@ class TestSolverCalls:
         assert len(back_solves) == sum(st.n_solves for st in states)
 
 
+def kept_lapack():
+    """The kept-LU routines, or a skip where numpy's build exports none."""
+    routines = tracking._lapack()
+    if routines is None:
+        pytest.skip("numpy's LAPACK exports no 64-bit-integer getrf and getrs")
+    return routines
+
+
+class TestKeptLU:
+    """A dense bordered factorization is one LAPACK getrf, kept for one
+    getrs per back-solve; where numpy's build exports no getrf, each
+    back-solve is one gesv on the matrix.  Both give the same bits."""
+
+    @pytest.mark.parametrize("n", [65, 326])
+    def test_solves_equal_gesv_bit_for_bit(self, n):
+        kept_lapack()
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))
+        before = A.copy()
+        lu = tracking.spla.splu(A)
+        assert isinstance(lu, tracking._DenseLU)
+        for rhs in rng.standard_normal((3, n)):
+            assert lu.solve(rhs).tobytes() == np.linalg.solve(A, rhs).tobytes()
+        assert A.tobytes() == before.tobytes()
+
+    def test_non_square_array_is_refused_before_lapack(self):
+        with pytest.raises(ValueError, match="square"):
+            tracking._DenseLU(kept_lapack(), np.ones((3, 4)))
+
+    @pytest.mark.parametrize("kept", [True, False], ids=["getrf", "gesv"])
+    def test_zero_pivot_raises_degeneracy(self, monkeypatch, kept):
+        # row 1 of K - 2 M is zero, and so are (M e)_1 and c_1: the bordered
+        # matrix has a zero row, so elimination meets an exactly zero pivot
+        pen = dense_pencil(np.diag([1.0, 2.0, 3.0]))
+        e = np.array([1.0, 0.0, 0.0])
+        if kept:
+            kept_lapack()
+        else:
+            monkeypatch.setattr(tracking, "_lapack", lambda: None)
+        with pytest.raises(DegeneracyError) as raised:
+            tracking._factor(HomotopyPencil(pen, pen), 0.0, 2.0, e, e).solve(np.ones(4))
+        # getrf fails in the factorization; without it, gesv does at the solve
+        cause = RuntimeError if kept else np.linalg.LinAlgError
+        assert type(raised.value.__cause__) is cause
+
+
 class TestStartRecords:
     def test_start_record_serves_every_homotopy_from_its_pencil(self):
         """A second homotopy from one start pencil factors nothing at t = 0,
@@ -361,6 +407,10 @@ class TestStartRecords:
             pair = Eigenpair(st.eigenpair.value, st.eigenpair.vector.copy(), 0.0)
             fresh = eigenpair_derivative(h, 0.0, pair, st.c.copy())
             assert shared[0].tobytes() == fresh[0].tobytes() and shared[1] == fresh[1]
+        # the record's LU computed its norm once, for the first derivative
+        for record in pens[0].starts.values():
+            A = record.lu.matrix
+            assert vars(record.lu)["norm_inf"] == np.abs(A).sum(axis=1).max()
 
 
 class TestPredict:
