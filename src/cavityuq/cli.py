@@ -9,10 +9,10 @@ grid                stand-alone collocation grid construction
 pillbox-reference   closed-form labeled mode table of the cylinder cavity
 bench               linear-solve count comparison: tracking vs. direct solves
 
-Every subcommand takes --config PATH (JSON), --out DIR, --workers N and
---seed S.  Exit codes: 0 success, 2 configuration error (a bad config, or a
-missing or malformed file it names; a NaN or infinite number in either is
-one), 3 numerical failure.
+Every subcommand takes --config PATH (JSON), --out DIR and --workers N.
+Exit codes: 0 success, 2 configuration error (a bad config, or a missing or
+malformed file it names; a NaN or infinite number in either is one), 3
+numerical failure.
 
 uq, bench and track share one runner: solve the base pencil once, then run
 one node task per node (a grid node, or a radius of the track sweep) on at
@@ -59,7 +59,7 @@ import sys
 import time
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -154,16 +154,11 @@ def _read_input(load, path):
 
 
 def _parse_tracking(sec):
-    if sec is None:
-        return TrackConfig()
-    kwargs = {}
-    kwargs["n1"] = sec.take("n1", default=TrackConfig.n1, kind=int, lo=1)
-    kwargs["n2"] = sec.take("n2", default=TrackConfig.n2, kind=int, lo=2)
-    kwargs["eta1"] = sec.take("eta1", default=TrackConfig.eta1, kind=float)
-    kwargs["eta2"] = sec.take("eta2", default=TrackConfig.eta2, kind=float)
-    kwargs["newton_tol"] = sec.take("newton_tol", default=TrackConfig.newton_tol, kind=float, lo=0.0)
-    kwargs["min_step"] = sec.take("min_step", default=TrackConfig.min_step, kind=float)
-    kwargs["initial_step"] = sec.take("initial_step", default=TrackConfig.initial_step, kind=float)
+    """TrackConfig from each of its fields by name, default and type; the
+    bounds are TrackConfig's own."""
+    kwargs = {
+        f.name: sec.take(f.name, default=f.default, kind=f.type) for f in fields(TrackConfig)
+    }
     sec.done()
     try:
         return TrackConfig(**kwargs)
@@ -325,9 +320,7 @@ def _disk_parametric(radius, refinement, degree, mean, modes, angles, kind):
         def evaluate(delta):
             return assemble(geometry.deform(model, delta), space, bc="dirichlet")
 
-        _PENCIL_CACHE[key] = ParametricPencil(
-            evaluate, modes.shape[1], base_delta=np.zeros(modes.shape[1])
-        )
+        _PENCIL_CACHE[key] = ParametricPencil(evaluate, np.zeros(modes.shape[1]))
     return _PENCIL_CACHE[key]
 
 
@@ -347,17 +340,15 @@ def _parse_pillbox_problem(sec, need_distribution):
 
 
 def _parse_pillbox_discretization(sec):
-    if sec is None:
-        return 2, 16
     degree = sec.take("degree", default=2, kind=int, lo=1, hi=6)
     elements = sec.take("elements", default=16, kind=int, lo=2, hi=256)
     sec.done()
     return degree, elements
 
 
-def _pillbox_study(root, prob_sec, n_modes, args):
+def _pillbox_study(root, prob_sec, n_modes):
     problem = _parse_pillbox_problem(prob_sec, need_distribution=True)
-    degree, elements = _parse_pillbox_discretization(root.section("discretization", default=None))
+    degree, elements = _parse_pillbox_discretization(root.section("discretization", default={}))
     _, (lo, hi) = problem.distribution
     base_r = problem.radius if problem.radius is not None else 0.5 * (lo + hi)
     grid_sec = root.section("grid")
@@ -381,7 +372,7 @@ def _pillbox_study(root, prob_sec, n_modes, args):
     return _pillbox_modes(spec, n_modes, grid=grid, summary=summary)
 
 
-def _parse_disk_problem(sec, args):
+def _parse_disk_problem(sec):
     radius = sec.take("radius", kind=float, lo=1e-6)
     criterion = sec.take("criterion", default=0.95, kind=float)
     obs_path = sec.take("observations", default=None, kind=str)
@@ -403,8 +394,6 @@ def _parse_disk_problem(sec, args):
         samples = synth.take("samples", default=5000, kind=int, lo=2)
         seed = synth.take("seed", default=20240817, kind=int)
         synth.done()
-        if args.seed is not None:
-            seed = args.seed
         cov = uq.default_correlated_covariance(variables)
         obs = uq.generate_synthetic_observations(cov, np.zeros(variables), samples, seed)
     kl = uq.fit_kl(obs, criterion)
@@ -412,15 +401,12 @@ def _parse_disk_problem(sec, args):
     return radius, angles, "radial", kl.mean, kl.scaled_modes, kl
 
 
-def _disk_study(root, prob_sec, n_modes, args):
-    radius, angles, skind, mean_vec, modes_mat, kl = _parse_disk_problem(prob_sec, args)
-    disc = root.section("discretization", default=None)
-    if disc is None:
-        degree, refinement = 2, 3
-    else:
-        degree = disc.take("degree", default=2, kind=int, lo=1, hi=6)
-        refinement = disc.take("refinement", default=3, kind=int, lo=1, hi=8)
-        disc.done()
+def _disk_study(root, prob_sec, n_modes):
+    radius, angles, skind, mean_vec, modes_mat, kl = _parse_disk_problem(prob_sec)
+    disc = root.section("discretization", default={})
+    degree = disc.take("degree", default=2, kind=int, lo=1, hi=6)
+    refinement = disc.take("refinement", default=3, kind=int, lo=1, hi=8)
+    disc.done()
     n_t = modes_mat.shape[1]
     grid = _grid_from_section(root.section("grid"), dim=n_t, support=None, allow_explicit=False)
     root.done()
@@ -610,9 +596,9 @@ def _run_study(cfg, args):
     prob_sec = root.section("problem")
     kind = prob_sec.take("kind", kind=str, choices=("pillbox", "deformed-disk"))
     n_modes = root.take("modes", kind=int, lo=1, hi=64)
-    cfg_track = _parse_tracking(root.section("tracking", default=None))
+    cfg_track = _parse_tracking(root.section("tracking", default={}))
     problem = _pillbox_study if kind == "pillbox" else _disk_study
-    study = problem(root, prob_sec, n_modes, args)
+    study = problem(root, prob_sec, n_modes)
 
     run = _track_nodes(study, study.grid.nodes, cfg_track, args.workers, 0, fail_fast=True)
     if run.failures:
@@ -700,14 +686,14 @@ def cmd_track(cfg, args):
     prob_sec = root.section("problem")
     kind = prob_sec.take("kind", kind=str, choices=("pillbox",))
     problem = _parse_pillbox_problem(prob_sec, need_distribution=False)
-    degree, elements = _parse_pillbox_discretization(root.section("discretization", default=None))
+    degree, elements = _parse_pillbox_discretization(root.section("discretization", default={}))
     n_modes = root.take("modes", kind=int, lo=1, hi=64)
     sweep = root.section("sweep")
     start = sweep.take("start", kind=float, lo=1e-6)
     stop = sweep.take("stop", kind=float, lo=1e-6)
     samples = sweep.take("samples", kind=int, lo=1, hi=10_000)
     sweep.done()
-    cfg_track = _parse_tracking(root.section("tracking", default=None))
+    cfg_track = _parse_tracking(root.section("tracking", default={}))
     root.done()
 
     radii = np.array([start]) if start == stop else np.linspace(start, stop, samples)
@@ -963,8 +949,6 @@ def _build_parser():
         sp.add_argument("--config", required=True, help="JSON study configuration")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the sampling seed of synthetic sources")
         sp.set_defaults(handler=handler)
     return parser
 

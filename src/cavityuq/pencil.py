@@ -35,30 +35,23 @@ class ParametricPencil:
     """delta -> the pencil at delta, evaluated afresh on every call to at.
 
     The evaluator assembles a deformed disk; for the pillbox it scales the
-    data of cross-sections assembled once (build_pillbox_pencil).  base,
-    the pencil at base_delta, is evaluated on first use and kept: every
-    homotopy of a study starts there.
+    data of cross-sections assembled once (build_pillbox_pencil).  A delta
+    has as many coordinates as base_delta.  base, the pencil at base_delta,
+    is evaluated on first use and kept: every homotopy of a study starts
+    there.
     """
 
-    def __init__(self, evaluator, n_parameters, base_delta=None, blocks=None):
-        if n_parameters < 0:
-            raise DomainError("parameter count cannot be negative")
+    def __init__(self, evaluator, base_delta, blocks=None):
         self._evaluator = evaluator
-        self.n_parameters = int(n_parameters)
-        self.base_delta = (
-            np.zeros(self.n_parameters) if base_delta is None
-            else np.asarray(base_delta, dtype=float)
-        )
-        if self.base_delta.shape != (self.n_parameters,):
-            raise DomainError("base_delta length disagrees with the parameter count")
+        self.base_delta = np.asarray(base_delta, dtype=float)
         self.blocks = blocks
         self._base = None
 
     def at(self, delta):
         arr = np.atleast_1d(np.asarray(delta, dtype=float))
-        if arr.shape != (self.n_parameters,):
+        if arr.shape != self.base_delta.shape:
             raise DomainError(
-                f"expected {self.n_parameters} coordinates, got shape {arr.shape}"
+                f"expected {self.base_delta.size} coordinates, got shape {arr.shape}"
             )
         return self._evaluator(arr)
 
@@ -73,11 +66,11 @@ class HomotopyPencil:
     """Convex matrix combination between two assembled endpoints.
 
     Both endpoints must be stored on one sparsity pattern, which every
-    pencil assembled on one space shares; otherwise DomainError.  at(t) is
-    then two axpys on the pattern's data: each entry is fl(fl(s a) +
-    fl(t b)) with s = 1 - t.  Two pencils are kept with their infinity norms
-    (see norms): the one at t = 0, where every track starts, and one
-    refilled in place at every other t.
+    pencil assembled on one space shares; otherwise DomainError.  at(0) is
+    start, where every track starts.  At any other t the pencil is two
+    axpys on the pattern's data, each entry fl(fl(s a) + fl(t b)) with
+    s = 1 - t, in one pencil kept with its infinity norms (see norms) and
+    refilled in place at every new t.
     """
 
     def __init__(self, start, end):
@@ -92,25 +85,26 @@ class HomotopyPencil:
             A.data for A in (start.stiffness, start.mass, end.stiffness, end.mass)
         )
         self._derivative = None
-        self._kept = [None, None]   # [t, pencil, norms] at t = 0 and at the last other t
+        self._kept = None   # [t, pencil, norms] at the last t > 0
 
     def at(self, t):
-        """The pencil at t, stored on the homotopy's pattern.
+        """The pencil at t, stored on the homotopy's pattern: start at t = 0.
 
-        It is kept: the tracker asks for the pencil at one t for every
-        bordered solve there, the acceptance and the next derivative, and
-        every track of the homotopy starts at t = 0.  The pencil at t != 0
-        is refilled in place by the next call at another t != 0.
+        The pencil at t > 0 is kept: the tracker asks for the pencil at one
+        t for every bordered solve there, the acceptance and the next
+        derivative.  It is refilled in place by the next call at another
+        t > 0.
         """
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"homotopy parameter {t} outside [0, 1]")
-        slot = 0 if t == 0.0 else 1
-        kept = self._kept[slot]
-        if kept is None:
+        if t == 0.0:
+            return self.start
+        if self._kept is None:
             pencil = MatrixPencil(
                 self.pattern, np.empty_like(self._k0), np.empty_like(self._m0), validate=False
             )
-            kept = self._kept[slot] = [None, pencil, None]
+            self._kept = [None, pencil, None]
+        kept = self._kept
         if kept[0] != t:
             s = 1.0 - t
             K, M = kept[1].stiffness, kept[1].mass
@@ -121,9 +115,12 @@ class HomotopyPencil:
         return kept[1]
 
     def norms(self, t):
-        """(||K||_inf, ||M||_inf) of at(t), computed once per refill."""
+        """(||K||_inf, ||M||_inf) of at(t): at t > 0 computed once per
+        refill, at t = 0 on every call (once per start record)."""
+        if t == 0.0:
+            return self.start.stiffness.norm_inf(), self.start.mass.norm_inf()
         self.at(t)
-        return self._kept[0 if t == 0.0 else 1][2]
+        return self._kept[2]
 
     def derivative(self):
         """Constant t-derivative (K_end - K_start, M_end - M_start), on the
@@ -181,7 +178,7 @@ def build_pillbox_pencil(radius, length, p_max, space):
             for family, pen in base.items()
         }
 
-    return ParametricPencil(evaluate, 1, base_delta=[radius], blocks=tuple(blocks))
+    return ParametricPencil(evaluate, [radius], blocks=tuple(blocks))
 
 
 def is_spurious(pair, pencil):

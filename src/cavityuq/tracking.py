@@ -30,8 +30,7 @@ and only the back-solve and its residual check run again.  And a Newton
 iterate whose residual already meets the tolerance, waiting only for
 |dlambda| to confirm, is updated with the last factorization of the same
 call (newton_correct).  The infinity norms that scale the Newton residual
-are computed once per pencil at t (HomotopyPencil.norms), so every track
-of a homotopy shares those at t = 0.
+are computed once per pencil at t (HomotopyPencil.norms).
 
 Every pencil of a study lives on one sparsity pattern, whose one _Bordered
 picks the tier once and builds a new bordered matrix for every

@@ -94,6 +94,15 @@ PILLBOX_UQ = {
 }
 
 
+# TM010 (block TM0) and TE111 (block TE1) cross near r = 0.049 m
+PILLBOX_TRACK = {
+    "problem": {"kind": "pillbox", "length": 0.1, "p_max": 1},
+    "discretization": {"degree": 2, "elements": 8},
+    "modes": 2,
+    "sweep": {"start": 0.06, "stop": 0.04, "samples": 11},
+}
+
+
 # the small disk study of tests/test_tracer_hooks.py: two nodes off the base
 SMALL_DISK = {
     "problem": {
@@ -139,6 +148,39 @@ class TestConfigValidation:
         doc["tracking"] = {"n1": 5, "n2": 2}
         cfg = write_config(tmp_path, "c.json", doc)
         assert run_cli("uq", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"n1": 0}, {"n2": 3}, {"eta1": 1.0}, {"eta2": 1.0}, {"newton_tol": 0.0},
+         {"min_step": 0.0}],
+        ids=["n1=0", "n2<=n1", "eta1<=1", "eta2>=1", "newton_tol=0", "min_step=0"],
+    )
+    def test_tracking_bounds_are_trackconfigs(self, tmp_path, capsys, override):
+        # the parser leaves every bound to TrackConfig, so each one reads the
+        # same: the section, then TrackConfig's own message
+        cfg = write_config(tmp_path, "c.json", dict(PILLBOX_UQ, tracking=override))
+        assert run_cli("uq", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("config error: config.tracking: ")
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [("uq", PILLBOX_UQ), ("uq", SMALL_DISK), ("track", PILLBOX_TRACK)],
+        ids=["pillbox", "disk", "track"],
+    )
+    def test_empty_sections_read_as_missing(self, tmp_path, command, doc):
+        base = {key: value for key, value in doc.items() if key != "discretization"}
+        outputs = []
+        for name, extra in (("missing", {}), ("empty", {"discretization": {}, "tracking": {}})):
+            cfg = write_config(tmp_path, f"{name}.json", dict(base, **extra))
+            out = tmp_path / name
+            assert run_cli(command, "--config", cfg, "--out", str(out)) == 0
+            outputs.append({
+                p.name: p.read_bytes() for p in out.iterdir() if p.name != "summary.json"
+            })
+            summary = json.loads((out / "summary.json").read_text())
+            outputs[-1]["summary.json"] = dict(summary, timestamp_utc=None)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) >= 4
 
     def test_readme_lists_exactly_the_tracking_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -325,15 +367,6 @@ class TestKlFit:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["retained"] == 7
         assert summary["captured_ratio"] >= 0.95
-
-
-# TM010 (block TM0) and TE111 (block TE1) cross near r = 0.049 m
-PILLBOX_TRACK = {
-    "problem": {"kind": "pillbox", "length": 0.1, "p_max": 1},
-    "discretization": {"degree": 2, "elements": 8},
-    "modes": 2,
-    "sweep": {"start": 0.06, "stop": 0.04, "samples": 11},
-}
 
 
 @pytest.fixture(scope="module")
@@ -635,6 +668,35 @@ def test_one_worker_study_imports_no_process_pool(tmp_path):
     cfg = write_config(tmp_path, "c.json", SMALL_DISK)
     probe = "'concurrent.futures.process' in sys.modules"
     assert cold_study(cfg, tmp_path / "run", probe) == "0 False"
+
+
+# the small pillbox study of tests/test_tracer_hooks.py
+SMALL_PILLBOX = dict(
+    PILLBOX_UQ,
+    discretization={"degree": 2, "elements": 6},
+    modes=2,
+    grid={"kind": "tensor", "family": "clenshaw-curtis", "orders": [3]},
+)
+
+
+@pytest.mark.parametrize("doc", [SMALL_PILLBOX, SMALL_DISK], ids=["pillbox", "disk"])
+def test_spawned_workers_write_the_one_worker_tables(tmp_path, doc):
+    """Workers started by spawn, as under forkserver, import the package
+    afresh and rebuild their pencils from the study's spec: their tables are
+    the one-worker run's bits.  Pencil arrays handed to the workers by
+    pickling instead moved a disk table by up to 3.9e-16 relative."""
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert cli.main(["uq", "--config", cfg, "--out", str(tmp_path / "1"), "--workers", "1"]) == 0
+    script = (
+        "import multiprocessing, sys\n"
+        "from cavityuq import cli\n"
+        "multiprocessing.set_start_method('spawn', force=True)\n"
+        "print(cli.main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / "2"
+    assert cold_python(script, "uq", "--config", cfg, "--out", out, "--workers", "2") == "0"
+    for name in ("grid.csv", "mode_table.csv", "moments.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (out / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("workload", ["pillbox-cc5", "disk-readme"])
@@ -1223,4 +1285,10 @@ class TestParser:
     def test_requires_config_flag(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["uq"])
+        assert exc.value.code == 2
+
+    def test_no_seed_flag(self, tmp_path):
+        # a synthetic draw's seed is set in the config alone
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["uq", "--config", str(tmp_path / "c.json"), "--seed", "5"])
         assert exc.value.code == 2

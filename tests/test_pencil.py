@@ -144,7 +144,7 @@ class TestInfNorm:
 
 class TestParametricPencil:
     def test_repeated_evaluation_is_bit_identical(self):
-        par = ParametricPencil(lambda d: disk_pencil(d[0]), 1, base_delta=[0.05])
+        par = ParametricPencil(lambda d: disk_pencil(d[0]), [0.05])
         a = par.at([0.055])
         b = par.at([0.055])
         assert np.array_equal(a.stiffness.data, b.stiffness.data)
@@ -152,7 +152,7 @@ class TestParametricPencil:
         assert np.array_equal(a.mass.data, b.mass.data)
 
     def test_shape_validation(self):
-        par = ParametricPencil(lambda d: disk_pencil(d[0]), 1)
+        par = ParametricPencil(lambda d: disk_pencil(d[0]), [0.05])
         with pytest.raises(DomainError):
             par.at([0.05, 0.06])
 
