@@ -43,9 +43,9 @@ sweep (track): {start, stop, samples}  radii in meters
 grid (uq, bench, grid):
   {kind: "tensor", family, orders: [n, ...]} or
   {kind: "smolyak", family, level}
-  The support of uniform families and the dimension are derived from the
-  problem; the stand-alone grid command accepts explicit "support"/"dim".
-  A zero-width pillbox distribution takes a tensor grid with orders [1].
+  The support and the dimension come from the problem: a pillbox takes a
+  uniform family, and a zero-width support a one-node grid.  The grid
+  command takes an explicit "dim", and "support" for the uniform families.
 tracking (optional): step-control overrides, keys as in TrackConfig
 kl-fit config: {observations: path, criterion: fraction}
 pillbox-reference config: {radius, length, count}
@@ -69,7 +69,7 @@ import numpy as np
 from . import geometry, oracle, uq
 from .assembly import DiscreteSpace, assemble
 from .eigen import solve_smallest
-from .errors import CavityError, ConfigError, SolverError
+from .errors import CavityError, ConfigError, DomainError, SolverError
 from .pencil import (
     HomotopyPencil,
     ParametricPencil,
@@ -173,7 +173,6 @@ def _grid_from_section(sec, dim, support, allow_explicit):
         support = sec.take("support", default=support)
         if support is not None:
             support = _check_interval(support, f"{sec.where}.support", allow_empty=False)
-    rule_support = None if family == "gauss-hermite" else support
     try:
         if kind == "tensor":
             orders = sec.take("orders")
@@ -187,7 +186,7 @@ def _grid_from_section(sec, dim, support, allow_explicit):
                     f"got {len(orders)}"
                 )
             sec.done()
-            rules = [uq.rule_1d(family, n, rule_support) for n in orders]
+            rules = [uq.rule_1d(family, n, support) for n in orders]
             return uq.build_tensor_grid(rules)
         level = sec.take("level", kind=int, lo=0)
         if allow_explicit:
@@ -195,7 +194,7 @@ def _grid_from_section(sec, dim, support, allow_explicit):
         if dim is None:
             raise ConfigError(f"{sec.where}: smolyak grids need a dimension")
         sec.done()
-        return uq.build_smolyak_grid(dim, level, family, rule_support)
+        return uq.build_smolyak_grid(dim, level, family, support)
     except ConfigError:
         raise
     except CavityError as exc:
@@ -209,11 +208,6 @@ def _check_interval(value, where, allow_empty):
     if hi < lo or (hi == lo and not allow_empty):
         raise ConfigError(f"{where}: need lo < hi, got [{lo}, {hi}]")
     return lo, hi
-
-
-def _degenerate_rule(family, value):
-    # zero-width distribution: a single unit-weight node
-    return uq.Rule1D(family, 1, np.array([value]), np.array([1.0]), (value, value))
 
 
 # -- study problems ----------------------------------------------------------
@@ -351,20 +345,7 @@ def _pillbox_study(root, prob_sec, n_modes):
     degree, elements = _parse_pillbox_discretization(root.section("discretization", default={}))
     _, (lo, hi) = problem.distribution
     base_r = problem.radius if problem.radius is not None else 0.5 * (lo + hi)
-    grid_sec = root.section("grid")
-    if lo == hi:
-        grid_sec.take("kind", kind=str, choices=("tensor",))
-        gfam = grid_sec.take("family", kind=str, choices=uq.RULE_FAMILIES)
-        orders = grid_sec.take("orders", default=[1])
-        if orders != [1] or type(orders[0]) is not int:
-            raise ConfigError(
-                f"{grid_sec.where}.orders: a zero-width distribution takes [1], got {orders!r}"
-            )
-        grid_sec.done()
-        grid = uq.build_tensor_grid([_degenerate_rule(gfam, lo)])
-        base_r = lo
-    else:
-        grid = _grid_from_section(grid_sec, dim=1, support=(lo, hi), allow_explicit=False)
+    grid = _grid_from_section(root.section("grid"), dim=1, support=(lo, hi), allow_explicit=False)
     root.done()
 
     spec = (base_r, problem.length, problem.p_max, degree, elements)
@@ -392,13 +373,21 @@ def _parse_disk_problem(sec):
     else:
         variables = synth.take("variables", default=18, kind=int, lo=1, hi=512)
         samples = synth.take("samples", default=5000, kind=int, lo=2)
-        seed = synth.take("seed", default=20240817, kind=int)
+        seed = synth.take("seed", default=20240817, kind=int, lo=0)
         synth.done()
         cov = uq.default_correlated_covariance(variables)
         obs = uq.generate_synthetic_observations(cov, np.zeros(variables), samples, seed)
-    kl = uq.fit_kl(obs, criterion)
+    kl = _fit_kl(obs, criterion, sec.where)
     angles = _station_angles(obs.n_variables)
     return radius, angles, "radial", kl.mean, kl.scaled_modes, kl
+
+
+def _fit_kl(obs, criterion, where):
+    """uq.fit_kl, whose bound on the criterion is the config's at where."""
+    try:
+        return uq.fit_kl(obs, criterion)
+    except DomainError as exc:
+        raise ConfigError(f"{where}.criterion: {exc}") from None
 
 
 def _disk_study(root, prob_sec, n_modes):
@@ -609,12 +598,20 @@ def _run_study(cfg, args):
 
 # -- shared reporting --------------------------------------------------------
 
-def _write_mode_table(path, freq):
+def _write_csv(path, header, rows):
+    """A CSV table: floats to 17 significant digits, other cells as they are."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["mode"] + [f"node_{k}_f_hz" for k in range(freq.shape[1])])
-        for j, row in enumerate(freq):
-            writer.writerow([j] + [f"{v:.17g}" for v in row])
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def _write_summary(path, **fields):
+    """A JSON summary of fields and the time it is written, keys sorted."""
+    doc = {"timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), **fields}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _newton_summary(logs):
@@ -626,18 +623,6 @@ def _newton_summary(logs):
         "mean": float(np.mean(flat)),
         "max": int(max(flat)),
     }
-
-
-def _summary_payload(**kw):
-    doc = {"timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
-    doc.update(kw)
-    return doc
-
-
-def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _out_dir(args):
@@ -654,16 +639,19 @@ def cmd_uq(cfg, args):
     mean, var = uq.estimate_moments(run.freq, study.grid)
     sd = np.sqrt(np.maximum(var, 0.0))
     uq.save_grid_csv(out / "grid.csv", study.grid)
-    _write_mode_table(out / "mode_table.csv", run.freq)
-    with open(out / "moments.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "family", "axial_order", "base_f_hz", "mean_f_hz", "sd_f_hz"])
-        for j, ((family, axial), pair) in enumerate(zip(study.labels, study.starts)):
-            base_f = eigenvalue_to_frequency(pair.value)
-            writer.writerow(
-                [j, family, axial, f"{base_f:.17g}", f"{mean[j]:.17g}", f"{sd[j]:.17g}"]
-            )
-    summary = _summary_payload(
+    _write_csv(
+        out / "mode_table.csv",
+        ["mode"] + [f"node_{k}_f_hz" for k in range(run.freq.shape[1])],
+        ([j, *row] for j, row in enumerate(run.freq)),
+    )
+    _write_csv(
+        out / "moments.csv",
+        ["mode", "family", "axial_order", "base_f_hz", "mean_f_hz", "sd_f_hz"],
+        ([j, family, axial, eigenvalue_to_frequency(pair.value), mean[j], sd[j]]
+         for j, ((family, axial), pair) in enumerate(zip(study.labels, study.starts))),
+    )
+    _write_summary(
+        out / "summary.json",
         **study.summary,
         **{name: int(run.counts[name].sum()) for name in COUNTS},
         **{name: run.tallies[name] for name in TALLIES},
@@ -673,7 +661,6 @@ def cmd_uq(cfg, args):
         newton=_newton_summary(run.newton_logs),
         min_overlap=float(run.min_overlap.min()),
     )
-    _write_json(out / "summary.json", summary)
     print(f"{study.summary['problem']} uq: {len(study.starts)} modes over "
           f"{study.grid.n_nodes} nodes")
 
@@ -704,21 +691,16 @@ def cmd_track(cfg, args):
     )
 
     for j in range(n_modes):
-        with open(out / f"mode_{j:02d}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["radius_m", "lambda", "f_hz"])
-            for k, r in enumerate(radii):
-                if np.isfinite(run.values[j, k]):
-                    writer.writerow(
-                        [f"{r:.17g}", f"{run.values[j, k]:.17g}", f"{run.freq[j, k]:.17g}"]
-                    )
-
-    with open(out / "discrete_samples.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["radius_m"] + [f"rank_{j}_f_hz" for j in range(n_modes)])
-        for r, values in zip(radii, run.discrete):
-            fs = [eigenvalue_to_frequency(lam) for lam in values]
-            writer.writerow([f"{r:.17g}"] + [f"{v:.17g}" for v in fs])
+        _write_csv(
+            out / f"mode_{j:02d}.csv",
+            ["radius_m", "lambda", "f_hz"],
+            (row for row in zip(radii, run.values[j], run.freq[j]) if np.isfinite(row[1])),
+        )
+    _write_csv(
+        out / "discrete_samples.csv",
+        ["radius_m"] + [f"rank_{j}_f_hz" for j in range(n_modes)],
+        ([r, *map(eigenvalue_to_frequency, values)] for r, values in zip(radii, run.discrete)),
+    )
 
     per_mode = {}
     for j, log in enumerate(run.newton_logs):
@@ -730,7 +712,8 @@ def cmd_track(cfg, args):
                for name in ("bordered_solves", "factorizations", "rejected_steps")},
         }
     crossing = _locate_crossing(radii, run.freq)
-    summary = _summary_payload(
+    _write_summary(
+        out / "summary.json",
         problem="pillbox",
         sweep={"start_m": start, "stop_m": stop, "samples": int(radii.size)},
         modes=n_modes,
@@ -739,7 +722,6 @@ def cmd_track(cfg, args):
         failures=run.failures,
         **{name: run.tallies[name] for name in TALLIES},
     )
-    _write_json(out / "summary.json", summary)
     if crossing is not None:
         print(f"fundamental-mode crossing at r = {crossing:.6g} m")
     if run.failures:
@@ -769,20 +751,20 @@ def cmd_kl_fit(cfg, args):
     criterion = root.take("criterion", default=0.95, kind=float)
     root.done()
     obs = _read_input(uq.load_observations, obs_path)
-    kl = uq.fit_kl(obs, criterion)
+    kl = _fit_kl(obs, criterion, root.where)
     sampler = geometry.BoundarySampler(_station_angles(obs.n_variables), "radial")
     geometry.save_deformation_spec(out / "kl_model.json", sampler, kl.mean, kl.scaled_modes)
 
     X = obs.data - obs.data.mean(axis=0)
     spectrum = np.sort(np.linalg.eigvalsh((X.T @ X) / (obs.n_samples - 1)))[::-1]
     cum = np.cumsum(spectrum) / spectrum.sum()
-    with open(out / "kl_spectrum.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "variance", "cumulative_ratio"])
-        for j, (v, c) in enumerate(zip(spectrum, cum)):
-            writer.writerow([j, f"{v:.17g}", f"{c:.17g}"])
-
-    summary = _summary_payload(
+    _write_csv(
+        out / "kl_spectrum.csv",
+        ["mode", "variance", "cumulative_ratio"],
+        ([j, v, c] for j, (v, c) in enumerate(zip(spectrum, cum))),
+    )
+    _write_summary(
+        out / "summary.json",
         observations=str(obs_path),
         n_samples=obs.n_samples,
         n_variables=obs.n_variables,
@@ -791,7 +773,6 @@ def cmd_kl_fit(cfg, args):
         captured_ratio=kl.captured_ratio,
         total_variance=kl.total_variance,
     )
-    _write_json(out / "summary.json", summary)
     print(f"retained {kl.n_modes} of {obs.n_variables} variables "
           f"({kl.captured_ratio:.4f} of the variance)")
 
@@ -817,13 +798,11 @@ def cmd_pillbox_reference(cfg, args):
     count = root.take("count", default=10, kind=int, lo=1, hi=500)
     root.done()
     table = oracle.pillbox_frequencies(radius, length, count)
-    with open(out / "pillbox_reference.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["family", "m", "n", "p", "degeneracy", "f_hz"])
-        for label, f in table:
-            writer.writerow(
-                [label.family, label.m, label.n, label.p, label.degeneracy, f"{f:.17g}"]
-            )
+    _write_csv(
+        out / "pillbox_reference.csv",
+        ["family", "m", "n", "p", "degeneracy", "f_hz"],
+        ([lab.family, lab.m, lab.n, lab.p, lab.degeneracy, f] for lab, f in table),
+    )
     print(f"{len(table)} labeled modes written for r={radius} m, l={length} m")
 
 
@@ -889,7 +868,8 @@ def cmd_bench(cfg, args):
     tracked_solves = int(run.counts["bordered_solves"].sum())
     tracked_total = base_count + tracked_solves
     direct_total = int(np.sum(direct_counts))
-    doc = _summary_payload(
+    _write_summary(
+        out / "bench.json",
         nodes=study.grid.n_nodes,
         modes=n_modes,
         tracked={
@@ -911,7 +891,6 @@ def cmd_bench(cfg, args):
         },
         solve_ratio=direct_total / tracked_total,
     )
-    _write_json(out / "bench.json", doc)
     print(
         f"tracked {tracked_total} solves vs direct {direct_total} solves "
         f"(ratio {direct_total / tracked_total:.2f})"

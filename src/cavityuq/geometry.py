@@ -451,27 +451,15 @@ def _minimal_curvature_solve(A, rhs):
     return d
 
 
-def _field_from_station_values(geom, A, ring, disp):
-    """Control-point displacement field whose boundary trace interpolates
-    the station displacement vectors; interior points follow the ring mean."""
-    d = _minimal_curvature_solve(A, disp)   # (n_ring, 2)
-    field = np.zeros(geom.net.points.shape)
-    on_ring = np.zeros(geom.net.shape, dtype=bool)
-    for (i, j), val in zip(ring, d):
-        field[i, j] = val
-        on_ring[i, j] = True
-    interior_fill = d.mean(axis=0)
-    field[~on_ring] = interior_fill
-    return field
-
-
 def deformation_from_kl(kl, base, sampler):
     """Deformation fields interpolating a reduced model's station data.
 
     ``kl`` needs ``mean`` (physical vector) and ``scaled_modes`` (columns
     are per-variable station patterns).  Every field is expressed on the
     geometry map's own basis: the returned model displaces control points,
-    and its boundary trace passes through the station values exactly.
+    and its boundary trace passes through the station values exactly.  The
+    mean and every mode are the right-hand sides of one ring interpolation
+    solve; each field's interior points follow the mean of its ring values.
     """
     mean = np.asarray(kl.mean, dtype=float)
     modes = np.asarray(kl.scaled_modes, dtype=float)
@@ -482,14 +470,13 @@ def deformation_from_kl(kl, base, sampler):
         )
     params = locate_boundary_parameters(base, sampler.angles)
     A, ring = _ring_interpolation_matrix(base, params)
-    mean_field = _field_from_station_values(base, A, ring, sampler.station_displacements(mean))
-    mode_fields = np.stack(
-        [
-            _field_from_station_values(base, A, ring, sampler.station_displacements(modes[:, j]))
-            for j in range(modes.shape[1])
-        ]
-    ) if modes.shape[1] else np.zeros((0,) + base.net.points.shape)
-    return DeformationModel(base, mean_field, mode_fields)
+    # station displacements, one (x, y) column pair per field
+    disp = np.hstack([sampler.station_displacements(v) for v in (mean, *modes.T)])
+    d = _minimal_curvature_solve(A, disp).reshape(len(ring), -1, 2)
+    fields = np.tile(d.mean(axis=0)[:, None, None], base.net.shape + (1,))   # ring means
+    i, j = np.array(ring).T
+    fields[:, i, j] = d.transpose(1, 0, 2)
+    return DeformationModel(base, fields[0], fields[1:])
 
 
 # -- serialization --------------------------------------------------------

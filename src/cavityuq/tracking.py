@@ -320,12 +320,12 @@ class _Start:
         e = np.asarray(pair.vector, dtype=float)
         e = e / math.sqrt(e @ (M0 @ e))
         lam = float(pair.value)
-        res0 = _scaled_residual(K0 @ e - lam * (M0 @ e), lam, e, *homotopy.norms(0.0))
+        self.c = M0 @ e   # also M e: at(0) is the start pencil
+        res0 = _scaled_residual(K0 @ e - lam * self.c, lam, e, *homotopy.norms(0.0))
         if res0 > 1e-8:
             raise DomainError(f"start pair residual {res0:.3e} violates the invariant at t=0")
         self.eigenpair = Eigenpair(lam, e, res0)
-        self.c = M0 @ e
-        self.lu = _factor(homotopy, 0.0, lam, homotopy.at(0.0).mass @ e, self.c)
+        self.lu = _factor(homotopy, 0.0, lam, self.c, self.c)
 
 
 def eigenpair_derivative(homotopy, t, pair, c):

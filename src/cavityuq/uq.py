@@ -63,7 +63,6 @@ class KLModel:
     modes: np.ndarray        # orthonormal columns, one per retained mode
     variances: np.ndarray    # positive, descending
     total_variance: float
-    criterion: float
 
     @property
     def n_modes(self):
@@ -112,7 +111,7 @@ def fit_kl(obs, criterion=0.95):
     gram = modes.T @ modes
     if np.abs(gram - np.eye(n_t)).max() > 1e-12:
         raise DegenerateDataError("covariance eigenvectors lost orthonormality")
-    return KLModel(mu, modes, kept.copy(), total, criterion)
+    return KLModel(mu, modes, kept.copy(), total)
 
 
 def generate_synthetic_observations(cov, mean, n_samples, seed):
@@ -166,11 +165,9 @@ def default_correlated_covariance(n=18):
 
 @dataclass(frozen=True)
 class Rule1D:
-    family: str
     n: int
     nodes: np.ndarray
     weights: np.ndarray
-    support: tuple | None
 
 
 def _symmetrize(nodes, weights):
@@ -202,9 +199,9 @@ def _clenshaw_curtis_reference(n):
 def rule_1d(family, n, support=None):
     """Probabilists' 1-D rule: weights sum to one.
 
-    gauss-hermite integrates against the standard normal density (support
-    ignored); gauss-legendre and clenshaw-curtis integrate against the
-    uniform density on the support interval (default [-1, 1]).
+    gauss-hermite integrates against the standard normal density and takes
+    no support; gauss-legendre and clenshaw-curtis integrate against the
+    uniform density on the support (default [-1, 1]), one node if it is [a, a].
     """
     if family not in RULE_FAMILIES:
         raise DomainError(f"unknown rule family {family!r}; expected one of {RULE_FAMILIES}")
@@ -217,10 +214,10 @@ def rule_1d(family, n, support=None):
         nodes, weights = np.polynomial.hermite_e.hermegauss(n)
         weights = weights / weights.sum()
         nodes, weights = _symmetrize(nodes, weights)
-        return Rule1D(family, n, nodes, weights, None)
+        return Rule1D(n, nodes, weights)
     a, b = (-1.0, 1.0) if support is None else map(float, support)
-    if not b > a:
-        raise DomainError(f"support must be an increasing interval, got ({a}, {b})")
+    if not (b > a or b == a and n == 1):
+        raise DomainError(f"support ({a}, {b}) must increase, or have zero width for orders of 1")
     if family == "gauss-legendre":
         ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
         ref_weights = ref_weights / 2.0
@@ -229,7 +226,7 @@ def rule_1d(family, n, support=None):
         ref_weights = ref_weights / 2.0
     ref_nodes, ref_weights = _symmetrize(ref_nodes, ref_weights)
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * ref_nodes
-    return Rule1D(family, n, nodes, ref_weights, (a, b))
+    return Rule1D(n, nodes, ref_weights)
 
 
 @dataclass(frozen=True)

@@ -286,6 +286,33 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("seed", -1, "config.problem.synthetic.seed: -1 is below the minimum 0"),
+         ("criterion", 0, "config.problem.criterion: criterion must lie in (0, 1]"),
+         ("criterion", 2.0, "config.problem.criterion: criterion must lie in (0, 1]")],
+        ids=["seed=-1", "criterion=0", "criterion=2.0"],
+    )
+    def test_disk_source_bounds(self, tmp_path, capsys, key, value, message):
+        doc = json.loads(json.dumps(SMALL_DISK))
+        if key == "seed":
+            doc["problem"]["synthetic"]["seed"] = value
+        else:
+            doc["problem"][key] = value
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert run_cli("uq", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    def test_kl_fit_criterion_bound(self, tmp_path, capsys, save_observations):
+        obs = uq.generate_synthetic_observations(np.eye(3), np.zeros(3), 20, seed=5)
+        save_observations(tmp_path / "obs.csv", obs)
+        cfg = write_config(tmp_path, "c.json",
+                           {"observations": str(tmp_path / "obs.csv"), "criterion": 1.5})
+        assert run_cli("kl-fit", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config.criterion: criterion must lie in (0, 1], got 1.5"
+        )
+
     def test_numerical_failure_exit(self, tmp_path):
         # 18 stations cannot be interpolated on a once-refined patch
         doc = {
@@ -345,6 +372,15 @@ class TestGridCommand:
         back = uq.load_grid_csv(out / "grid.csv")
         assert back.n_nodes == 6
         assert back.nodes.min() >= 0.0 and back.nodes.max() <= 1.0
+
+    def test_gauss_hermite_takes_no_support(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"grid": {"kind": "tensor", "family": "gauss-hermite",
+                      "orders": [3], "support": [0.0, 1.0]}},
+        )
+        assert run_cli("grid", "--config", cfg, "--out", str(tmp_path / "g")) == 2
+        assert "gauss-hermite has fixed Gaussian support" in capsys.readouterr().err
 
 
 class TestKlFit:
@@ -609,6 +645,44 @@ class TestPillboxUq:
         cfg = write_config(tmp_path, "c.json", doc)
         assert cli.main(["uq", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
         assert "orders" in capsys.readouterr().err
+
+    def test_zero_width_takes_any_one_node_grid(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(PILLBOX_UQ))
+        doc["problem"]["distribution"]["support"] = [0.05, 0.05]
+        doc["grid"] = {"kind": "tensor", "family": "clenshaw-curtis", "orders": [1]}
+        tensor = tmp_path / "tensor"
+        assert cli.main(["uq", "--config", write_config(tmp_path, "t.json", doc),
+                         "--out", str(tensor)]) == 0
+        doc["grid"] = {"kind": "smolyak", "family": "gauss-legendre", "level": 0}
+        smolyak = tmp_path / "smolyak"
+        assert cli.main(["uq", "--config", write_config(tmp_path, "s.json", doc),
+                         "--out", str(smolyak)]) == 0
+        for name in ("grid.csv", "mode_table.csv", "moments.csv"):
+            assert (smolyak / name).read_bytes() == (tensor / name).read_bytes()
+        doc["grid"]["level"] = 1
+        capsys.readouterr()
+        assert cli.main(["uq", "--config", write_config(tmp_path, "l1.json", doc),
+                         "--out", str(tmp_path / "l1")]) == 2
+        assert "zero width for orders of 1" in capsys.readouterr().err
+        # an explicit radius is where tracking starts, as for any support
+        doc["problem"]["radius"] = 0.052
+        doc["grid"]["level"] = 0
+        start = tmp_path / "start"
+        assert cli.main(["uq", "--config", write_config(tmp_path, "r.json", doc),
+                         "--out", str(start)]) == 0
+        assert json.loads((start / "summary.json").read_text())["base_radius_m"] == 0.052
+
+    @pytest.mark.parametrize("grid", [
+        {"kind": "tensor", "family": "gauss-hermite", "orders": [3]},
+        {"kind": "smolyak", "family": "gauss-hermite", "level": 1},
+    ], ids=["tensor", "smolyak"])
+    def test_gauss_hermite_grid_is_a_config_error(self, tmp_path, capsys, grid):
+        # a radius takes a uniform family: Gauss-Hermite nodes are no radii
+        doc = json.loads(json.dumps(PILLBOX_UQ))
+        doc["grid"] = grid
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert cli.main(["uq", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert "gauss-hermite has fixed Gaussian support" in capsys.readouterr().err
 
     def test_cold_study_does_not_import_scipy_special(self, tmp_path):
         # a study at or below DENSE_CUTOFF unknowns runs on numpy alone, and

@@ -264,6 +264,37 @@ class TestDeformation:
         for uv, d in zip(locate_boundary_parameters(g, sam.angles), disp):
             np.testing.assert_allclose(gd.map_point(uv), g.map_point(uv) + d, atol=1e-12)
 
+    def test_interior_points_take_their_fields_ring_mean(self):
+        g = refine_patch(build_disk_patch(0.05), 2)
+        sam = BoundarySampler(2 * np.pi * np.arange(9) / 9, kind="xy")
+        reduced = _Reduced(rng.normal(scale=2e-4, size=18), rng.normal(scale=2e-4, size=(18, 3)))
+        model = deformation_from_kl(reduced, g, sam)
+        i, j = np.array(g.boundary_ring()).T
+        interior = np.ones(g.net.shape, dtype=bool)
+        interior[i, j] = False
+        for field in (model.mean_field, *model.mode_fields):
+            ring_mean = field[i, j].mean(axis=0)
+            np.testing.assert_allclose(
+                field[interior], np.broadcast_to(ring_mean, (interior.sum(), 2)),
+                rtol=0, atol=1e-15 * np.abs(field).max(),
+            )
+
+    def test_stacked_fields_match_each_field_alone(self):
+        # one interpolation solve takes every field as a right-hand side;
+        # BLAS builds may round it differently from one solve per field
+        g = refine_patch(build_disk_patch(0.05), 3)
+        sam = BoundarySampler(2 * np.pi * np.arange(18) / 18, kind="radial")
+        mean = rng.normal(scale=2e-4, size=18)
+        modes = rng.normal(scale=2e-4, size=(18, 4))
+        model = deformation_from_kl(_Reduced(mean, modes), g, sam)
+        alone = [deformation_from_kl(_Reduced(mean, np.zeros((18, 0))), g, sam).mean_field]
+        alone += [
+            deformation_from_kl(_Reduced(np.zeros(18), modes[:, k:k + 1]), g, sam).mode_fields[0]
+            for k in range(modes.shape[1])
+        ]
+        for field, ref in zip((model.mean_field, *model.mode_fields), alone, strict=True):
+            np.testing.assert_allclose(field, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
     def test_too_many_stations_for_coarse_patch(self):
         g = build_disk_patch(0.05)
         sam = BoundarySampler(2 * np.pi * np.arange(9) / 9, kind="xy")
