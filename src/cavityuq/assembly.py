@@ -112,12 +112,15 @@ class SparsityPattern:
 
 
 class PatternMatrix:
-    """A square matrix: data in its SparsityPattern's CSR entry order.
+    """A square matrix: data in its SparsityPattern's CSR entry order, or
+    a stack of them, one matrix per row of 2-D data.
 
-    A @ x takes a vector or a block of columns.  Each row's products are
-    summed by np.add.reduceat, the fastest numpy kernel measured against a
-    bincount by row and rows padded to one width; a block is taken column
-    by column, which beat a reduceat along the block's rows.
+    A @ x takes a vector or a block of columns; a stack takes one vector
+    per matrix, the rows of x.  Each row's products are summed by
+    np.add.reduceat, the fastest numpy kernel measured against a bincount by
+    row and rows padded to one width; a block is taken column by column,
+    which beat a reduceat along the block's rows.  A stack's reduceat runs
+    along its rows: the sums of each matrix alone, in the same order.
     """
 
     def __init__(self, pattern, data):
@@ -130,9 +133,11 @@ class PatternMatrix:
 
     def __matmul__(self, x):
         x = np.asarray(x)
+        p = self.pattern
+        if self.data.ndim == 2:
+            return stacked_products(x, self)[0]
         if x.ndim == 2:
             return np.column_stack([self @ col for col in x.T])
-        p = self.pattern
         return np.add.reduceat(self.data * x[p.indices], p.indptr[:-1])
 
     def toarray(self):
@@ -154,9 +159,13 @@ class PatternMatrix:
         That is abs(A).sum(axis=1).max() in scipy: the same np.add.reduceat
         over the non-empty rows gives the same bits.  numpy sums each row
         pairwise, so a stored zero could move the last bit; zeros are
-        dropped first.
+        dropped first.  A stack gives one norm per matrix.
         """
         data, indptr = self.data, self.pattern.indptr
+        if data.ndim == 2:
+            if data.all():   # every row of a pattern holds an entry
+                return np.add.reduceat(np.abs(data), indptr[:-1], axis=1).max(axis=1)
+            return np.array([self.pattern.matrix(row).norm_inf() for row in data])
         if not data.all():
             keep = data != 0.0
             data = data[keep]
@@ -165,6 +174,15 @@ class PatternMatrix:
             return 0.0
         starts = indptr[:-1][np.diff(indptr) > 0]
         return np.add.reduceat(np.abs(data), starts).max()
+
+
+def stacked_products(x, *stacks):
+    """A @ x for each stack A of matrices on one pattern (PatternMatrix
+    with 2-D data), row i of x multiplying matrix i: x is gathered once for
+    them all."""
+    p = stacks[0].pattern
+    gathered = x[:, p.indices]
+    return [np.add.reduceat(A.data * gathered, p.indptr[:-1], axis=1) for A in stacks]
 
 
 class MatrixPencil:
@@ -211,7 +229,9 @@ class _DirectionRule:
     """
 
     def __init__(self, basis, geo_breaks):
-        merged = np.unique(np.concatenate([basis.kv.breakpoints, geo_breaks]))
+        # sorted, each value once; np.unique would load numpy.ma
+        merged = np.sort(np.concatenate([basis.kv.breakpoints, geo_breaks]))
+        merged = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
         keep = [merged[0]]
         for x in merged[1:]:
             if x - keep[-1] > 1e-12:

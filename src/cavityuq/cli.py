@@ -14,10 +14,14 @@ Exit codes: 0 success, 2 configuration error (a bad config, or a missing or
 malformed file it names; a NaN or infinite number in either is one), 3
 numerical failure.
 
-uq, bench and track share one runner: solve the base pencil once, then run
-one node task per node (a grid node, or a radius of the track sweep) on at
-most --workers processes, and never more processes than nodes.  A task
-tracks every start pair to its node and returns the node's _Record; the
+uq, bench and track share one runner: solve the base pencil once, then cut
+the nodes (grid nodes, or the radii of the track sweep) into chunks of
+consecutive nodes and run one node task per chunk on at most --workers
+processes, and never more processes than chunks.  A chunk holds as many
+nodes as the tracker takes homotopy ends at once (tracking.batch_size of
+the largest pencil tracked in), so its boundaries depend on the study
+alone.  A task tracks every start pair to each node of its chunk, the
+chunk's homotopies in lockstep, and returns the chunk's _Record; the
 study's _Record merges them, node k at column k.
 
 Config schema (strict: unknown keys are rejected)
@@ -78,7 +82,7 @@ from .pencil import (
     eigenvalue_to_frequency,
     is_spurious,
 )
-from .tracking import TrackConfig, mixing, track_modes
+from .tracking import TrackConfig, batch_size, track_modes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -218,8 +222,9 @@ def _check_interval(value, where, allow_empty):
 # its ParametricPencil in a worker, the grid, the start pairs grouped by the
 # pencil they are tracked in, each group with its partner (the next base
 # eigenpair of that pencil, tracked where the group's highest start mixes
-# with it, see _track_node), moment labels, and extra summary fields.  Grid
-# nodes are the deformation coordinates delta of both problems.
+# with it, see tracking.track_modes), the nodes per chunk, moment labels,
+# and extra summary fields.  Grid nodes are the deformation coordinates
+# delta of both problems.
 
 _PENCIL_CACHE = {}
 
@@ -290,6 +295,7 @@ def _pillbox_modes(spec, n_modes, **extra):
         task="_pillbox_node_task", spec=spec, par=par,
         starts=[pair for _, pair in selected],
         groups=_group_by_block(selected, partners),
+        chunk=batch_size(max(pen.n for pen in par.base.values())),
         labels=[(par.blocks[bi].family, par.blocks[bi].axial) for bi, _ in selected],
         **extra,
     )
@@ -411,6 +417,7 @@ def _disk_study(root, prob_sec, n_modes):
     return SimpleNamespace(
         task="_disk_node_task", spec=spec, par=par, grid=grid, starts=starts,
         groups={0: (list(enumerate(starts)), pairs[n_modes] if len(pairs) > n_modes else None)},
+        chunk=batch_size(par.base.n),
         labels=[("cross-section", 0)] * n_modes,
         summary={
             "problem": "deformed-disk",
@@ -428,17 +435,18 @@ TALLIES = ("clusters", "cluster_retracks", "warnings")
 
 
 class _Record:
-    """Tracking results at n_nodes nodes: one node task's, or a study's.
+    """Tracking results at n_nodes nodes: one chunk task's, or a study's.
 
     values is mode x node, NaN where a mode's group failed; per mode, counts
     has an integer column per COUNTS key, newton_logs the Newton iterations
-    of each accepted step and min_overlap a track's smallest M-overlap
-    between accepted steps (for a cluster member, the smallest principal
-    cosine between consecutive cluster subspaces; 1.0 where nothing is
-    tracked).  failures is [{node, modes, error}, ...], tallies counts the
-    warnings raised (recorded, not shown), the clusters tracked jointly and
-    their endpoint re-tracks, and discrete (node x discrete) holds each
-    node's lowest discrete eigenvalues, rank-ordered.
+    of each accepted step, node after node, and min_overlap a track's
+    smallest M-overlap between accepted steps (for a cluster member, the
+    smallest principal cosine between consecutive cluster subspaces; 1.0
+    where nothing is tracked).  failures is [{node, modes, error}, ...] in
+    node order, tallies counts the warnings raised (recorded, not shown),
+    the clusters tracked jointly and their endpoint re-tracks, and discrete
+    (node x discrete) holds each node's lowest discrete eigenvalues,
+    rank-ordered.
     """
 
     def __init__(self, n_modes, n_nodes, discrete):
@@ -451,8 +459,9 @@ class _Record:
         self.discrete = np.empty((n_nodes, discrete))
 
     def merge(self, k, rec):
-        """Add the one-node record rec as node k."""
-        self.values[:, k] = rec.values[:, 0]
+        """Add the record rec of a chunk as the nodes from k on."""
+        cols = slice(k, k + rec.values.shape[1])
+        self.values[:, cols] = rec.values
         for name in COUNTS:
             self.counts[name] += rec.counts[name]
         for log, steps in zip(self.newton_logs, rec.newton_logs):
@@ -460,111 +469,117 @@ class _Record:
         np.minimum(self.min_overlap, rec.min_overlap, out=self.min_overlap)
         self.failures += rec.failures
         self.tallies.update(rec.tallies)
-        self.discrete[k] = rec.discrete[0]
+        self.discrete[cols] = rec.discrete
 
 
-def _track_node(job, k, node, par, base, tracked):
-    """Track every start pair from the base point to node k.
+def _track_chunk(job, first, nodes, par, base, tracked):
+    """Track every start pair from the base point to each node of the chunk
+    that starts at node first, all nodes of a group in one batch homotopy.
 
     job holds the study's spec, groups (key -> ([(mode, start Eigenpair),
     ...] ascending by value, partner): the partner is the next base
     eigenpair of the group's pencil, or None), tracking config cfg and
     discrete count.  base(key) gives the base pencil a group is tracked
     from, the same object at every node of the process, and tracked(pencil,
-    key) the pencil it is tracked in at the node.  A partner that the
-    group's highest start mixes with (tracking.mixing) is tracked with the
-    group, so that their cluster is not cut, and not reported; its bordered
-    solves and factorizations are counted with the highest start.
+    key) the pencil it is tracked in at a node.  The partner is tracked
+    where it mixes with the group's highest start and not reported
+    (tracking.track_modes).  A node that is the base point is not tracked.
 
-    Returns the node's one-column _Record, failures included, and pencil.
+    Returns the chunk's _Record, failures included, and each node's pencil.
     """
-    rec = _Record(sum(len(members) for members, _ in job.groups.values()), 1, job.discrete)
-    if np.array_equal(node, par.base_delta):
-        for members, _ in job.groups.values():
-            for j, pair in members:
-                rec.values[j, 0] = pair.value
-        return rec, par.base
+    n_modes = sum(len(members) for members, _ in job.groups.values())
+    rec = _Record(n_modes, len(nodes), job.discrete)
+    at_base = [np.array_equal(node, par.base_delta) for node in nodes]
+    for members, _ in job.groups.values():
+        for j, pair in members:
+            rec.values[j, np.flatnonzero(at_base)] = pair.value
+    cols = [i for i, base_node in enumerate(at_base) if not base_node]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pen_node = par.at(node)
-        for key, (members, partner) in job.groups.items():
-            starts = [pair for _, pair in members]
+        pencils = [par.base if b else par.at(node) for node, b in zip(nodes, at_base)]
+        for key, (members, partner) in job.groups.items() if cols else ():
             try:
-                homotopy = HomotopyPencil(base(key), tracked(pen_node, key))
-                if partner is not None and mixing(homotopy, [starts[-1], partner])[0]:
-                    starts.append(partner)
-                states = track_modes(homotopy, starts, job.cfg)
+                homotopy = HomotopyPencil(base(key), [tracked(pencils[i], key) for i in cols])
+                outcomes = track_modes(homotopy, [pair for _, pair in members], job.cfg, partner)
             except CavityError as exc:
-                modes = [j for j, _ in members]
-                rec.failures.append({"node": k, "modes": modes, "error": str(exc)})
-                continue
-            rec.tallies["clusters"] += len({st.cluster for st in states if st.cluster})
-            rec.tallies["cluster_retracks"] += len({st.cluster for st in states if st.retracked})
-            if len(states) > len(members):
-                spare = states.pop()
-                states[-1].n_solves += spare.n_solves
-                states[-1].n_factorizations += spare.n_factorizations
-            for (j, _), st in zip(members, states):
-                rec.values[j, 0] = st.eigenpair.value
-                rec.newton_logs[j] = st.newton_log
-                rec.counts[j] = st.n_solves, st.n_factorizations, st.n_rejects, st.flagged
-                rec.min_overlap[j] = st.min_overlap
+                outcomes = [exc] * len(cols)
+            for i, states in zip(cols, outcomes):
+                if isinstance(states, CavityError):
+                    modes = [j for j, _ in members]
+                    rec.failures.append({"node": first + i, "modes": modes, "error": str(states)})
+                    continue
+                rec.tallies["clusters"] += len({st.cluster for st in states if st.cluster})
+                rec.tallies["cluster_retracks"] += len(
+                    {st.cluster for st in states if st.retracked}
+                )
+                for (j, _), st in zip(members, states):
+                    rec.values[j, i] = st.eigenpair.value
+                    rec.newton_logs[j] += st.newton_log
+                    for name, count in zip(COUNTS, (
+                        st.n_solves, st.n_factorizations, st.n_rejects, st.flagged
+                    )):
+                        rec.counts[name][j] += count
+                    rec.min_overlap[j] = min(rec.min_overlap[j], st.min_overlap)
+    rec.failures.sort(key=lambda failure: failure["node"])
     rec.tallies["warnings"] += len(caught)
-    return rec, pen_node
+    return rec, pencils
 
 
-def _pillbox_node_task(job, k, node):
-    """Pillbox node task: each group is tracked in its own axial block.
+def _pillbox_node_task(job, first, nodes):
+    """Pillbox chunk task: each group is tracked in its own axial block.
 
-    Returns the node's _Record (see _track_node); with job.discrete > 0, its
-    discrete row holds the eigenvalues of the node's lowest discrete modes,
-    rank-ordered, from the pencil tracked in.
+    Returns the chunk's _Record (see _track_chunk); with job.discrete > 0,
+    its discrete rows hold the eigenvalues of each node's lowest discrete
+    modes, rank-ordered, from the pencil tracked in.
     """
     par = _pillbox_parametric(*job.spec)
-    rec, pencil = _track_node(
-        job, k, node, par,
+    rec, pencils = _track_chunk(
+        job, first, nodes, par,
         lambda bi: _pillbox_base_block(job.spec, bi),
         lambda pen, bi: block_pencil(pen, par.blocks[bi]),
     )
-    if job.discrete:
+    for i, pencil in enumerate(pencils if job.discrete else ()):
         selected, _ = _select_pillbox_modes(par.blocks, pencil, job.discrete)
-        rec.discrete[0] = [pair.value for _, pair in selected]
+        rec.discrete[i] = [pair.value for _, pair in selected]
     return rec
 
 
-def _disk_node_task(job, k, node):
-    """Deformed-disk node task: one group, tracked in the full pencil."""
+def _disk_node_task(job, first, nodes):
+    """Deformed-disk chunk task: one group, tracked in the full pencil."""
     par = _disk_parametric(*job.spec)
-    return _track_node(job, k, node, par, lambda _: par.base, lambda pen, _: pen)[0]
+    return _track_chunk(job, first, nodes, par, lambda _: par.base, lambda pen, _: pen)[0]
 
 
-def _run_tasks(task, nodes, n_workers):
-    """Yield task(k, node) for each node, in order, on at most n_workers
-    processes and never more than there are nodes.  Closing the generator
-    early cancels the tasks that have not started."""
-    if n_workers <= 1 or len(nodes) <= 1:
-        yield from map(task, range(len(nodes)), nodes)
+def _run_tasks(task, nodes, size, n_workers):
+    """Yield (k, task(k, chunk)) for the chunks of size consecutive nodes,
+    k the first node of each, in order, on at most n_workers processes and
+    never more than there are chunks.  Closing the generator early cancels
+    the tasks that have not started."""
+    firsts = range(0, len(nodes), size)
+    chunks = [nodes[k:k + size] for k in firsts]
+    if n_workers <= 1 or len(chunks) <= 1:
+        yield from zip(firsts, map(task, firsts, chunks))
         return
     # imported here: a study at one worker never starts a pool
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=min(n_workers, len(nodes)))
+    pool = ProcessPoolExecutor(max_workers=min(n_workers, len(chunks)))
     try:
-        yield from pool.map(task, range(len(nodes)), nodes)
+        yield from zip(firsts, pool.map(task, firsts, chunks))
     finally:
         pool.shutdown(cancel_futures=True)
 
 
 def _track_nodes(study, nodes, cfg_track, n_workers, discrete, fail_fast):
-    """Run study.task at every node and merge the nodes' records, node k at
-    column k, into the study's _Record, which gets freq too: values in Hz.
-    With fail_fast, no node after the first one that reports a failure is
-    tracked.
+    """Run study.task on every chunk of study.chunk nodes and merge the
+    chunks' records, node k at column k, into the study's _Record, which
+    gets freq too: values in Hz.  With fail_fast, no chunk after the first
+    one that reports a failure is tracked.
     """
     job = SimpleNamespace(spec=study.spec, groups=study.groups, cfg=cfg_track, discrete=discrete)
     run = _Record(len(study.starts), len(nodes), discrete)
-    results = _run_tasks(partial(globals()[study.task], job), nodes, n_workers)
-    for k, rec in enumerate(results):
+    results = _run_tasks(partial(globals()[study.task], job), nodes, study.chunk, n_workers)
+    for k, rec in results:
         run.merge(k, rec)
         if rec.failures and fail_fast:
             results.close()

@@ -94,12 +94,14 @@ def _finalize(values, vectors, pencil):
 def dense_eigh(K, M):
     """Eigenvalues, ascending, and M-orthonormal eigenvectors of the dense
     symmetric-definite pencil (K, M): M = L L^T, then numpy's eigh of
-    L^-1 K L^-T, symmetrized.  Raises np.linalg.LinAlgError when M is not
-    positive definite."""
+    L^-1 K L^-T, symmetrized.  Stacks of pencils give stacks of both, each
+    as the pencil alone would.  Raises np.linalg.LinAlgError when an M is
+    not positive definite."""
     L_inv = np.linalg.inv(np.linalg.cholesky(M))
-    A = L_inv @ K @ L_inv.T
-    w, Y = np.linalg.eigh(0.5 * (A + A.T))
-    return w, L_inv.T @ Y
+    L_inv_t = np.swapaxes(L_inv, -1, -2)
+    A = L_inv @ K @ L_inv_t
+    w, Y = np.linalg.eigh(0.5 * (A + np.swapaxes(A, -1, -2)))
+    return w, L_inv_t @ Y
 
 
 def _solve_dense(pencil, n_modes):

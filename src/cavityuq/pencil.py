@@ -63,74 +63,115 @@ class ParametricPencil:
 
 
 class HomotopyPencil:
-    """Convex matrix combination between two assembled endpoints.
+    """Convex matrix combinations from one start pencil to one end, or to
+    each of several.
 
-    Both endpoints must be stored on one sparsity pattern, which every
-    pencil assembled on one space shares; otherwise DomainError.  at(0) is
-    start, where every track starts.  At any other t the pencil is two
-    axpys on the pattern's data, each entry fl(fl(s a) + fl(t b)) with
-    s = 1 - t, in one pencil kept with its infinity norms (see norms) and
-    refilled in place at every new t.
+    end is one assembled pencil, which makes a single homotopy, or a
+    sequence of them, a batch whose ends the tracker advances together: the
+    ends' data are stacked once, row b for ends[b].  Every end must be
+    stored on the start's sparsity pattern, which every pencil assembled on
+    one space shares; otherwise DomainError.  at(0) is start, where every
+    track starts.  At t = 1 an end's pencil is its own data, as
+    fl(0 a + 1 b) = b.  At any other t it is two axpys on the pattern's
+    data, each entry fl(fl(s a) + fl(t b)) with s = 1 - t.  The pencil last
+    asked for is kept with its infinity norms (see norms).
     """
 
     def __init__(self, start, end):
-        if start.n != end.n:
-            raise DomainError("homotopy endpoints have different sizes")
-        if end.pattern is not start.pattern:
-            raise DomainError("homotopy endpoints are stored on different sparsity patterns")
+        self.single = isinstance(end, MatrixPencil)
+        self.ends = (end,) if self.single else tuple(end)
+        if not self.ends:
+            raise DomainError("a homotopy needs at least one end")
+        for pen in self.ends:
+            if pen.n != start.n:
+                raise DomainError("homotopy endpoints have different sizes")
+            if pen.pattern is not start.pattern:
+                raise DomainError("homotopy endpoints are stored on different sparsity patterns")
         self.start = start
-        self.end = end
         self.pattern = start.pattern
-        self._k0, self._m0, self._k1, self._m1 = (
-            A.data for A in (start.stiffness, start.mass, end.stiffness, end.mass)
+        self._k0, self._m0 = start.stiffness.data, start.mass.data
+        self._k1, self._m1 = (
+            np.stack([getattr(pen, name).data for pen in self.ends])
+            for name in ("stiffness", "mass")
         )
         self._derivative = None
-        self._kept = None   # [t, pencil, norms] at the last t > 0
+        self._end_norms = None
+        self._kept = None   # [t, ends, pencil, norms] of the last stacked at
 
-    def at(self, t):
-        """The pencil at t, stored on the homotopy's pattern: start at t = 0.
+    @property
+    def end(self):
+        """The end of a homotopy with one end."""
+        (end,) = self.ends
+        return end
 
-        The pencil at t > 0 is kept: the tracker asks for the pencil at one
-        t for every bordered solve there, the acceptance and the next
-        derivative.  It is refilled in place by the next call at another
-        t > 0.
+    def at(self, t, ends=None):
+        """The pencil at t, stored on the homotopy's pattern.
+
+        Without ends, the pencil of the homotopy's one end: start at t = 0.
+        With ends, an index array into self.ends, a pencil whose data stack
+        the listed ends' pencils at t, row i for ends[i] (start's data in
+        every row at t = 0).  The tracker asks for the pencils at one t for
+        every bordered solve there, the acceptance and the next derivative,
+        so the last stack is kept until the next call at another t or on
+        other ends.
         """
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"homotopy parameter {t} outside [0, 1]")
-        if t == 0.0:
-            return self.start
-        if self._kept is None:
-            pencil = MatrixPencil(
-                self.pattern, np.empty_like(self._k0), np.empty_like(self._m0), validate=False
+        if ends is None:
+            if t == 0.0:
+                return self.start
+            pencil = self.at(t, np.zeros(1, dtype=np.intp))
+            return MatrixPencil(
+                self.pattern, pencil.stiffness.data[0], pencil.mass.data[0], validate=False
             )
-            self._kept = [None, pencil, None]
+        ends = np.asarray(ends, dtype=np.intp)
         kept = self._kept
-        if kept[0] != t:
-            s = 1.0 - t
-            K, M = kept[1].stiffness, kept[1].mass
-            for out, a, b in ((K.data, self._k0, self._k1), (M.data, self._m0, self._m1)):
-                np.multiply(a, s, out=out)
-                out += t * b
-            kept[0], kept[2] = t, (K.norm_inf(), M.norm_inf())
-        return kept[1]
-
-    def norms(self, t):
-        """(||K||_inf, ||M||_inf) of at(t): at t > 0 computed once per
-        refill, at t = 0 on every call (once per start record)."""
+        if kept is not None and kept[0] == t and np.array_equal(kept[1], ends):
+            return kept[2]
         if t == 0.0:
-            return self.start.stiffness.norm_inf(), self.start.mass.norm_inf()
-        self.at(t)
-        return self._kept[2]
+            K, M = (np.broadcast_to(a, (ends.size, a.size)) for a in (self._k0, self._m0))
+        elif t == 1.0:
+            K, M = self._k1[ends], self._m1[ends]
+        else:
+            s = 1.0 - t
+            K, M = np.empty((2, ends.size, self._k0.size))
+            for out, a, b in ((K, self._k0, self._k1), (M, self._m0, self._m1)):
+                np.multiply(a, s, out=out)
+                out += t * b[ends]
+        pencil = MatrixPencil(self.pattern, K, M, validate=False)
+        self._kept = [t, ends, pencil, None]
+        return pencil
 
-    def derivative(self):
+    def norms(self, t, ends=None):
+        """(||K||_inf, ||M||_inf) of at(t, ends), one pair per listed end:
+        computed once per end at t = 1, once per stack at other t > 0, and
+        at t = 0 on every call (once per start record)."""
+        if ends is None:
+            if t == 0.0:
+                return self.start.stiffness.norm_inf(), self.start.mass.norm_inf()
+            return tuple(float(v[0]) for v in self.norms(t, np.zeros(1, dtype=np.intp)))
+        ends = np.asarray(ends, dtype=np.intp)
+        if t == 0.0:
+            k, m = self.norms(0.0)
+            return np.full(ends.size, k), np.full(ends.size, m)
+        if t == 1.0:
+            if self._end_norms is None:
+                self._end_norms = tuple(
+                    self.pattern.matrix(a).norm_inf() for a in (self._k1, self._m1)
+                )
+            return tuple(v[ends] for v in self._end_norms)
+        pencil = self.at(t, ends)
+        if self._kept[3] is None:
+            self._kept[3] = pencil.stiffness.norm_inf(), pencil.mass.norm_inf()
+        return self._kept[3]
+
+    def derivative(self, ends=None):
         """Constant t-derivative (K_end - K_start, M_end - M_start), on the
-        homotopy's pattern."""
+        homotopy's pattern: of its one end, or stacked for the listed ends."""
         if self._derivative is None:
-            self._derivative = (
-                self.pattern.matrix(self._k1 - self._k0),
-                self.pattern.matrix(self._m1 - self._m0),
-            )
-        return self._derivative
+            self._derivative = (self._k1 - self._k0, self._m1 - self._m0)
+        rows = 0 if ends is None else np.asarray(ends, dtype=np.intp)
+        return tuple(self.pattern.matrix(d[rows]) for d in self._derivative)
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,9 @@ class KnotVector:
         self.knots = knots
         self.degree = degree
         self.n_basis = knots.size - degree - 1
-        # breakpoints of the nonzero spans
-        self.breakpoints = np.unique(knots)
+        # breakpoints of the nonzero spans: the knots are sorted, so each
+        # is a knot unlike the one before (np.unique would load numpy.ma)
+        self.breakpoints = knots[np.concatenate(([True], knots[1:] != knots[:-1]))]
         # span of the right end: the last nonempty one
         n = self.n_basis
         self._last_span = int(np.flatnonzero(knots[:n] < knots[1 : n + 1])[-1])

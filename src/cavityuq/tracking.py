@@ -19,6 +19,20 @@ An endpoint M-Gram check backs every group of modes (track_modes):
 colliding tracks are re-tracked as one cluster, and a collision that
 remains is a TrackingFailure.
 
+A homotopy may have several ends (pencil.HomotopyPencil), all from one
+start pencil: the study runner tracks a chunk of grid nodes at once, one
+end per node.  The loop then advances every end's homotopy in lockstep,
+with the end as the leading axis of every stacked array: each end keeps
+its own t, step and state, and predictors, Ritz projections, residuals,
+norms and acceptance are stacked products, each row the same operations
+in the same order as the end's homotopy alone.  A rejection, a step underflow or a
+singular bordered system belongs to its end: only that end retries or
+fails, and a batch returns the failure in that end's place.  A single
+homotopy, made with one end pencil rather than a sequence of them, returns
+its end's result and raises its failure.
+The ends a batch takes at once follow from one budget on its stacked
+bordered matrices (batch_size).
+
 Every derivative and every Newton iteration above the tolerance factorizes
 the bordered system [[K - lambda M, -M e], [c^T, 0]] afresh, with two
 exceptions.  The t = 0 end of every homotopy from one pencil is that
@@ -30,19 +44,21 @@ and only the back-solve and its residual check run again.  And a Newton
 iterate whose residual already meets the tolerance, waiting only for
 |dlambda| to confirm, is updated with the last factorization of the same
 call (newton_correct).  The infinity norms that scale the Newton residual
-are computed once per pencil at t (HomotopyPencil.norms).
+are computed once per end at t = 1 and once per stack at other t
+(HomotopyPencil.norms).
 
 Every pencil of a study lives on one sparsity pattern, whose one _Bordered
 picks the tier once and builds a new bordered matrix for every
 factorization, which its LU keeps (_BorderedLU) with the matrix's infinity
 norm once a derivative asks for it.  Every factorization is one spla.splu
-call and every back-solve one .solve on its result.  Up to DENSE_CUTOFF
-unknowns the matrix is a dense array, and splu is one LAPACK getrf on a
-column-major copy of it, kept for one getrs per solve (_DenseLU), through
-the OpenBLAS that numpy links; where numpy's build exports no getrf, each
-solve is one gesv on the matrix instead, with the same bits.  Above the
-cutoff, the matrix is CSC and splu is scipy's SuperLU, which reuses the
-column ordering of the pattern's first factorization.
+call of one matrix and every back-solve one .solve of one right-hand side
+on its result.  Up to DENSE_CUTOFF unknowns the matrices of a stack are
+filled as one (A, n + 1, n + 1) array, and splu is one LAPACK getrf on a
+column-major copy of a matrix, kept for one getrs per solve (_DenseLU),
+through the OpenBLAS that numpy links; where numpy's build exports no
+getrf, each solve is one gesv on the matrix instead, with the same bits.
+Above the cutoff, the matrix is CSC and splu is scipy's SuperLU, which
+reuses the column ordering of the pattern's first factorization.
 """
 
 import math
@@ -53,16 +69,27 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .assembly import stacked_products
 from .eigen import DENSE_CUTOFF, Eigenpair, _m_orthonormalize, dense_eigh, group_clusters
 from .errors import (
+    CavityError,
     DegeneracyError,
     DomainError,
     NewtonFailure,
     TrackingFailure,
 )
+from .pencil import HomotopyPencil
 
 START_GAP_WARN = 1e-6
 ORTHO_TOL = 1e-6   # largest |e_i^T M e_j| of two distinct tracks' vectors
+STACK_ENTRIES = 2**16   # bordered-matrix entries of the ends a batch takes at once
+
+
+def batch_size(n):
+    """The ends a batch of homotopies on n unknowns takes at once: as many
+    as keep their stacked bordered matrices within STACK_ENTRIES entries,
+    and at least one."""
+    return max(1, STACK_ENTRIES // (n + 1) ** 2)
 
 
 @dataclass(frozen=True)
@@ -113,8 +140,36 @@ class TrackState:
     retracked: bool = False                          # after an endpoint collision
 
 
-def _scaled_residual(r, lam, e, norm_k, norm_m):
-    return float(math.sqrt(r @ r) / ((norm_k + abs(lam) * norm_m) * math.sqrt(e @ e)))
+class Tracks(list):
+    """The TrackStates of one start on a batch's ends, in end order, an end
+    whose track failed holding its CavityError, with the statistics of one
+    state over the tracked ends: newton_log is their logs one after another,
+    n_solves and n_rejects are their sums and min_overlap their minimum."""
+
+    def __init__(self, outcomes):
+        super().__init__(outcomes)
+        done = [st for st in self if isinstance(st, TrackState)]
+        self.newton_log = [it for st in done for it in st.newton_log]
+        self.n_solves = sum(st.n_solves for st in done)
+        self.n_rejects = sum(st.n_rejects for st in done)
+        self.min_overlap = min((st.min_overlap for st in done), default=1.0)
+
+
+def _one(outcomes):
+    """The outcome of a homotopy's one end; a failure is raised, from a list
+    that no longer holds it, so no frame of the raise refers to it."""
+    if isinstance(outcomes[0], CavityError):
+        raise outcomes.pop()
+    return outcomes[0]
+
+
+def _dots(X, Y):
+    """x @ y for each pair of rows: one BLAS dot each, as for vectors."""
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+
+def _scaled_residuals(R, lam, E, norm_k, norm_m):
+    return np.sqrt(_dots(R, R)) / ((norm_k + np.abs(lam) * norm_m) * np.sqrt(_dots(E, E)))
 
 
 @cache
@@ -193,15 +248,16 @@ class _Bordered:
     """[[K - lam M, -M e], [c^T, 0]] on one sparsity pattern, in its tier:
     dense up to DENSE_CUTOFF unknowns, else CSC.
 
-    factor builds a new matrix on every call.  A dense one is a fresh
-    (n + 1)^2 array with the pattern's entries, c and -M e written through
-    their flat positions.  A CSC one is fresh data on the layout's index
-    arrays: column j < n holds the pattern's column j, rows ascending, then
-    row n (c_j); column n holds rows 0..n-1 (-M e), and there is no (n, n)
-    entry.  Once the first factorization gives SuperLU's column ordering
-    perm_c (order), new index arrays store every later matrix with column j
-    at perm_c[j], which splu factors with the natural ordering as the
-    default ordering factors the unpermuted matrix; x = y[perm_c].
+    factor builds a new matrix for every row of its arguments.  Dense ones
+    are one fresh (rows, n + 1, n + 1) array with the pattern's entries, c
+    and -M e written through their flat positions.  A CSC one is fresh data
+    on the layout's index arrays: column j < n holds the pattern's column
+    j, rows ascending, then row n (c_j); column n holds rows 0..n-1 (-M e),
+    and there is no (n, n) entry.  Once the first factorization gives
+    SuperLU's column ordering perm_c (order), new index arrays store every
+    later matrix with column j at perm_c[j], which splu factors with the
+    natural ordering as the default ordering factors the unpermuted matrix;
+    x = y[perm_c].
     """
 
     def __init__(self, pattern):
@@ -229,17 +285,35 @@ class _Bordered:
         self._indices[self._pos_e] = np.arange(n)
 
     def factor(self, kml, Me, c):
-        """The _BorderedLU of a new matrix with K - lam M data kml, M e and c."""
+        """Per row of kml (K - lam M data), Me (M e) and c: the _BorderedLU
+        of a new matrix, or the DegeneracyError that refused it."""
+        out = []
+        for A in self._matrices(kml, Me, c):
+            try:
+                out.append(_BorderedLU(self, A))
+            except DegeneracyError as exc:
+                out.append(exc.with_traceback(None))
+        return out
+
+    def _matrices(self, kml, Me, c):
+        # one at a time: a CSC matrix is built on the index arrays that the
+        # factorization before it left
         shape = (self.n + 1, self.n + 1)
-        data = np.zeros(shape).reshape(-1) if self.dense else np.empty(self._indices.size)
-        data[self._pos] = kml
-        data[self._pos_c] = c
-        data[self._pos_e] = -Me
         if self.dense:
-            return _BorderedLU(self, data.reshape(shape))
+            data = np.zeros((len(kml), shape[0] * shape[1]))
+            data[:, self._pos] = kml
+            data[:, self._pos_c] = c
+            data[:, self._pos_e] = -Me
+            yield from data.reshape(-1, *shape)
+            return
         import scipy.sparse as sp
 
-        return _BorderedLU(self, sp.csc_matrix((data, self._indices, self._indptr), shape=shape))
+        for row in range(len(kml)):
+            data = np.empty(self._indices.size)
+            data[self._pos] = kml[row]
+            data[self._pos_c] = c[row]
+            data[self._pos_e] = -Me[row]
+            yield sp.csc_matrix((data, self._indices, self._indptr), shape=shape)
 
     def order(self, perm_c):
         # column j of the natural layout becomes stored column perm_c[j];
@@ -283,7 +357,7 @@ class _BorderedLU:
             y = self._lu.solve(rhs)
         except np.linalg.LinAlgError as exc:
             raise DegeneracyError(_SINGULAR) from exc
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise DegeneracyError("bordered solve produced non-finite values")
         return (y if self._perm is None else y[self._perm]), y
 
@@ -297,13 +371,21 @@ class _BorderedLU:
         return np.bincount(A.indices, np.abs(A.data), minlength=A.shape[0]).max()
 
 
-def _factor(homotopy, t, lam, Me, c):
-    """The _BorderedLU of [[K - lam M, -M e], [c^T, 0]] at t, given Me = M e,
-    on the homotopy pattern's _Bordered, which the first call makes."""
-    pattern, pencil = homotopy.pattern, homotopy.at(t)
+def _factor(homotopy, t, lam, Me, c, ends=None):
+    """[[K - lam M, -M e], [c^T, 0]] at t, given Me = M e, on the homotopy
+    pattern's _Bordered, which the first call makes.  With ends, an index
+    array into homotopy.ends, lam, Me and c hold one row per listed end, and
+    the result holds its _BorderedLU or DegeneracyError per end; without,
+    the one end's _BorderedLU, its failure raised."""
+    single = ends is None
+    if single:
+        lam, Me, c, ends = [lam], [Me], [c], np.zeros(1, dtype=np.intp)
+    pattern, pencil = homotopy.pattern, homotopy.at(t, ends)
     if pattern.bordered is None:
         pattern.bordered = _Bordered(pattern)
-    return pattern.bordered.factor(pencil.stiffness.data - lam * pencil.mass.data, Me, c)
+    kml = pencil.stiffness.data - np.asarray(lam)[:, None] * pencil.mass.data
+    out = pattern.bordered.factor(kml, np.asarray(Me), np.asarray(c))
+    return _one(out) if single else out
 
 
 class _Start:
@@ -321,14 +403,16 @@ class _Start:
         e = e / math.sqrt(e @ (M0 @ e))
         lam = float(pair.value)
         self.c = M0 @ e   # also M e: at(0) is the start pencil
-        res0 = _scaled_residual(K0 @ e - lam * self.c, lam, e, *homotopy.norms(0.0))
+        res0 = float(_scaled_residuals(
+            (K0 @ e - lam * self.c)[None], lam, e[None], *homotopy.norms(0.0)
+        )[0])
         if res0 > 1e-8:
             raise DomainError(f"start pair residual {res0:.3e} violates the invariant at t=0")
         self.eigenpair = Eigenpair(lam, e, res0)
         self.lu = _factor(homotopy, 0.0, lam, self.c, self.c)
 
 
-def eigenpair_derivative(homotopy, t, pair, c):
+def eigenpair_derivative(homotopy, t, pair, c, ends=None):
     """t-derivatives (e', lambda') of an isolated eigenpair of homotopy.at(t).
 
     Differentiating K e = lambda M e and c^T e = 1 gives the bordered system
@@ -336,32 +420,58 @@ def eigenpair_derivative(homotopy, t, pair, c):
     At t = 0, for the pair and c of a start state (_start_state), the start
     pencil's record supplies the factorized matrix; otherwise it is
     factorized here.  Either way the solve's residual is checked against it.
+
+    With ends, an index array into homotopy.ends, the derivatives are taken
+    at every listed end: pair and c are one pair and vector for all of them
+    or stack one per end (an Eigenpair of arrays), and the result holds
+    (e', lambda') or the DegeneracyError per end.  Without, they are the one
+    end's, its failure raised.
     """
+    single = ends is None
+    ends = np.zeros(1, dtype=np.intp) if single else np.asarray(ends, dtype=np.intp)
     records = homotopy.start.starts.values() if t == 0.0 else ()
     record = next((r for r in records if r.eigenpair is pair and r.c is c), None)
-    lu = record.lu if record else _factor(
-        homotopy, t, pair.value, homotopy.at(t).mass @ pair.vector, c
-    )
-    k_prime, m_prime = homotopy.derivative()
-    e, lam = pair.vector, pair.value
-    rhs = np.empty(e.size + 1)
-    rhs[:-1] = -(k_prime @ e) + lam * (m_prime @ e)
-    rhs[-1] = 0.0
-    x, y = lu.solve(rhs)
-    resid = np.linalg.norm(lu.matrix @ y - rhs)
-    scale = lu.norm_inf * np.linalg.norm(x) + np.linalg.norm(rhs) + 1e-300
-    if resid > 1e-10 * scale:
-        raise DegeneracyError(f"bordered solve residual {resid / scale:.3e} too large")
-    return x[:-1], float(x[-1])
+    n = homotopy.pattern.n
+    E = np.broadcast_to(pair.vector, (ends.size, n))
+    lam = np.broadcast_to(pair.value, ends.shape)
+    if record:
+        lus = [record.lu] * ends.size
+    else:
+        Me = homotopy.at(t, ends).mass @ E
+        lus = _factor(homotopy, t, lam, Me, np.broadcast_to(c, (ends.size, n)), ends)
+    k_e, m_e = stacked_products(E, *homotopy.derivative(ends))
+    rhs = np.empty((ends.size, n + 1))
+    rhs[:, :-1] = -k_e + lam[:, None] * m_e
+    rhs[:, -1] = 0.0
+    out = []
+    for lu, b in zip(lus, rhs):
+        if isinstance(lu, CavityError):
+            out.append(lu)
+            continue
+        try:
+            x, y = lu.solve(b)
+        except DegeneracyError as exc:
+            out.append(exc.with_traceback(None))
+            continue
+        r = lu.matrix @ y - b
+        resid = math.sqrt(r @ r)
+        scale = lu.norm_inf * math.sqrt(x @ x) + math.sqrt(b @ b) + 1e-300
+        if resid > 1e-10 * scale:
+            out.append(DegeneracyError(f"bordered solve residual {resid / scale:.3e} too large"))
+            continue
+        out.append((x[:-1], float(x[-1])))
+    return _one(out) if single else out
 
 
 def predict(pair, derivative, dt):
-    """First-order Taylor step: (e + dt e', lambda + dt lambda')."""
+    """First-order Taylor step: (e + dt e', lambda + dt lambda').  For a
+    pair whose value and vector stack one per row, dt holds one step per
+    row."""
     de, dlam = derivative
-    return pair.vector + dt * de, pair.value + dt * dlam
+    return pair.vector + np.expand_dims(dt, -1) * de, pair.value + dt * dlam
 
 
-def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter):
+def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter, ends=None):
     """Newton-Raphson on the eigenproblem of homotopy.at(t) plus c^T e = 1.
 
     Converged when the scaled eigenproblem residual drops below tol and the
@@ -373,67 +483,114 @@ def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter):
     as an iteration like any other.  Returns (Eigenpair, iterations,
     factorizations); raises NewtonFailure on divergence or cap.  The failure
     carries .iterations for the step-size controller and .factorizations.
+
+    With ends, an index array into homotopy.ends, every listed end is
+    corrected at once: e0, lam0 and c hold one row or value per end, and
+    the result holds the tuple or the NewtonFailure per end.
     """
-    pencil = homotopy.at(t)
-    K, M = pencil.stiffness, pencil.mass
-    norm_k, norm_m = homotopy.norms(t)
-    e = np.asarray(e0, dtype=float).copy()
-    lam = float(lam0)
-    if not (np.all(np.isfinite(e)) and math.isfinite(lam)):
-        raise _newton_failure("non-finite initial guess", 0, 0)
-    dlam = None
-    lu, factorizations = None, 0
+    single = ends is None
+    if single:
+        e0, lam0, c, ends = [e0], [lam0], np.asarray(c)[None], np.zeros(1, dtype=np.intp)
+    # E and lam are this call's own: iterates are updated in place
+    E, lam = np.array(e0, dtype=float), np.array(lam0, dtype=float)
+    C, ends = np.asarray(c), np.asarray(ends, dtype=np.intp)
+    pencil = homotopy.at(t, ends)
+    norm_k, norm_m = homotopy.norms(t, ends)
+    pattern = homotopy.pattern
+    out = [None] * ends.size
+    factorizations = np.zeros(ends.size, dtype=int)
+    lus = [None] * ends.size
+    dlam = np.zeros(ends.size)
+    finite = np.isfinite(E).all(axis=1) & np.isfinite(lam)
+    for i in np.flatnonzero(~finite):
+        out[i] = _newton_failure("non-finite initial guess", 0, 0)
+    live = np.flatnonzero(finite)
     for it in range(max_iter + 1):
-        Me = M @ e
-        r = K @ e - lam * Me
-        res = _scaled_residual(r, lam, e, norm_k, norm_m)
-        if res <= tol and (dlam is None or abs(dlam) <= tol * (1.0 + abs(lam))):
-            return Eigenpair(lam, e, res), it, factorizations
-        if it == max_iter:
+        if not live.size:
             break
-        rhs = np.empty(e.size + 1)
-        rhs[:-1] = -r
-        rhs[-1] = -(c @ e - 1.0)
-        try:
-            # an iterate within tol that did not return follows an update,
-            # so lu holds this call's last factorization
-            if res > tol:
-                lu = _factor(homotopy, t, lam, Me, c)
-                factorizations += 1
-            x, _ = lu.solve(rhs)
-        except DegeneracyError as exc:
-            raise _newton_failure(
-                f"bordered Jacobian failed: {exc}", it, factorizations
-            ) from exc
-        e += x[:-1]
-        dlam = x[-1]
-        lam += dlam
-        if not (np.all(np.isfinite(e)) and math.isfinite(lam)):
-            raise _newton_failure(
-                "iteration diverged to non-finite values", it + 1, factorizations
+        El, lam_l = E[live], lam[live]
+        K, M = (pencil.stiffness, pencil.mass) if live.size == ends.size else (
+            pattern.matrix(A.data[live]) for A in (pencil.stiffness, pencil.mass)
+        )
+        Ke, Me = stacked_products(El, K, M)
+        R = Ke - lam_l[:, None] * Me
+        res = _scaled_residuals(R, lam_l, El, norm_k[live], norm_m[live])
+        done = res <= tol
+        if it:
+            done &= np.abs(dlam[live]) <= tol * (1.0 + np.abs(lam_l))
+        for k in np.flatnonzero(done):
+            i = live[k]
+            pair = Eigenpair(float(lam[i]), E[i].copy(), float(res[k]))
+            out[i] = (pair, it, int(factorizations[i]))
+        left = np.flatnonzero(~done)
+        if it == max_iter:
+            for i in live[left]:
+                out[i] = _newton_failure(
+                    f"no convergence within {max_iter} iterations", max_iter, factorizations[i]
+                )
+            break
+        rhs = np.empty((left.size, El.shape[1] + 1))
+        rhs[:, :-1] = -R[left]
+        # every row of C as given: the dot of a strided row runs another
+        # BLAS kernel than that of a contiguous one
+        rhs[:, -1] = -(_dots(C, E)[live[left]] - 1.0)
+        # an iterate within tol that is left follows an update, so lus
+        # holds this call's last factorization of it
+        fresh = left[res[left] > tol]
+        rows = live[fresh]
+        new = _factor(homotopy, t, lam[rows], Me[fresh], C[rows], ends[rows]) if rows.size else []
+        for i, lu in zip(rows, new):
+            lus[i] = lu
+            factorizations[i] += not isinstance(lu, CavityError)
+        solved, X = [], []
+        for i, b in zip(live[left], rhs):
+            lu = lus[i]
+            try:
+                if isinstance(lu, CavityError):
+                    raise DegeneracyError(str(lu))
+                x, _ = lu.solve(b)
+            except DegeneracyError as exc:
+                out[i] = _newton_failure(f"bordered Jacobian failed: {exc}", it, factorizations[i])
+                continue
+            solved.append(i)
+            X.append(x)
+        live = np.array(solved, dtype=np.intp)
+        if not live.size:
+            break
+        X = np.array(X)
+        E[live] += X[:, :-1]
+        dlam[live] = X[:, -1]
+        lam[live] += dlam[live]
+        finite = np.isfinite(E[live]).all(axis=1) & np.isfinite(lam[live])
+        for i in live[~finite]:
+            out[i] = _newton_failure(
+                "iteration diverged to non-finite values", it + 1, factorizations[i]
             )
-    raise _newton_failure(f"no convergence within {max_iter} iterations", max_iter, factorizations)
+        live = live[finite]
+    return _one(out) if single else out
 
 
 def _newton_failure(message, iterations, factorizations):
-    # Built here, not bound to a name in newton_correct: a frame that holds
-    # the exception it raises forms a reference cycle with its traceback,
-    # which keeps the frame's pencil and homotopy alive until the cyclic
-    # garbage collector runs.
+    # Built here, not raised where it is made: a frame that holds the
+    # exception it raises forms a reference cycle with its traceback, which
+    # keeps the frame's pencil and homotopy alive until the cyclic garbage
+    # collector runs.
     failure = NewtonFailure(message)
     failure.iterations = iterations
-    failure.factorizations = factorizations
+    failure.factorizations = int(factorizations)
     return failure
 
 
-def _normalized_accept(M, pair, prev_vector):
-    """M-normalize, keep orientation continuous, refresh c = M e."""
-    e = pair.vector / math.sqrt(pair.vector @ (M @ pair.vector))
-    c = M @ e
-    overlap = float(prev_vector @ c)
-    if overlap < 0.0:
-        e, c, overlap = -e, -c, -overlap
-    return Eigenpair(pair.value, e, pair.residual), c, overlap
+def _normalized_accept(M, V, prev):
+    """M-normalize each row of V, keep orientation continuous with the row
+    of prev, refresh c = M e: (E, C, overlaps), M a stack of one mass
+    matrix per row."""
+    E = V / np.sqrt(_dots(V, M @ V))[:, None]
+    C = M @ E
+    overlap = _dots(prev, C)
+    flip = overlap < 0.0
+    E[flip], C[flip], overlap[flip] = -E[flip], -C[flip], -overlap[flip]
+    return E, C, overlap
 
 
 def _start_state(homotopy, start):
@@ -457,8 +614,12 @@ def _start_state(homotopy, start):
 
 
 def track(homotopy, start, cfg=TrackConfig()):
-    """Carry one eigenpair from t = 0 to t = 1 along the homotopy."""
-    return track_cluster(homotopy, [start], cfg)[0]
+    """Carry one eigenpair from t = 0 to t = 1 along the homotopy: its
+    TrackState, or for a batch, the Tracks of its ends."""
+    outcomes = track_cluster(homotopy, [start], cfg)
+    if homotopy.single:
+        return outcomes[0]
+    return Tracks(o if isinstance(o, CavityError) else o[0] for o in outcomes)
 
 
 def track_cluster(homotopy, starts, cfg=TrackConfig()):
@@ -470,122 +631,213 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
     several as one block (_block_step).  Convergence within n1 iterations
     grows the step by eta1, a rejection shrinks it by eta2, and a step below
     min_step is a TrackingFailure carrying the first member's state at the
-    last accepted t.  Returns one TrackState per start.
+    last accepted t.  Returns one TrackState per start; for a batch, one
+    such list per end, or the CavityError that ended the end's track.
+
+    Each end of a batch keeps its own t and step.  The ends at one t take
+    their derivatives together, and those stepping to one t step together.
     """
-    states = [_start_state(homotopy, start) for start in starts]
-    step_to = _lone_step if len(states) == 1 else _block_step
-    t, step = 0.0, min(cfg.initial_step, 1.0)
-    derivatives = None
-    while t < 1.0:
-        if derivatives is None:
-            derivatives = []
-            for st in states:
-                derivatives.append(eigenpair_derivative(homotopy, t, st.eigenpair, st.c))
-                st.n_solves += 1
-                st.n_factorizations += int(t > 0.0)   # at t = 0 the start record's LU serves
-        dt = min(step, 1.0 - t)
-        t_new = t + dt
-        accepted = step_to(homotopy, t_new, states, derivatives, dt, cfg)
-        if accepted is None:
-            step *= cfg.eta2
-            for st in states:
-                st.n_rejects += 1
-            if step < cfg.min_step:
-                raise TrackingFailure(
-                    f"step underflow at t={t:.6f} (step {step:.3e} "
-                    f"< min_step {cfg.min_step:.3e})",
-                    state=states[0],
+    outcomes = _track_ends(homotopy, starts, cfg)
+    return _one(outcomes) if homotopy.single else outcomes
+
+
+def _track_ends(homotopy, starts, cfg):
+    n_ends, m = len(homotopy.ends), len(starts)
+    states = [[_start_state(homotopy, s) for s in starts] for _ in range(n_ends)]
+    records = [(st.eigenpair, st.c) for st in states[0]]   # every end starts there
+    E = np.array([[pair.vector] * n_ends for pair, _ in records])    # member, end, dof
+    lam = np.array([[pair.value] * n_ends for pair, _ in records])
+    C = np.array([[c] * n_ends for _, c in records])
+    dE, dlam = np.empty_like(E), np.empty_like(lam)
+    t, step = np.zeros(n_ends), np.full(n_ends, min(cfg.initial_step, 1.0))
+    failed = [None] * n_ends
+    stale = np.ones(n_ends, dtype=bool)   # needs its derivatives at t
+    live = np.arange(n_ends)
+    step_to = _lone_step if m == 1 else _block_step
+    while live.size:
+        for t_at in sorted(set(t[live[stale[live]]].tolist())):
+            rows = live[stale[live] & (t[live] == t_at)]
+            for i, record in enumerate(records):
+                pair, c = record if t_at == 0.0 else (
+                    Eigenpair(lam[i, rows], E[i, rows], None), C[i, rows]
                 )
+                results = eigenpair_derivative(homotopy, t_at, pair, c, rows)
+                for b, result in zip(rows, results):
+                    states[b][i].n_solves += 1
+                    states[b][i].n_factorizations += int(t_at > 0.0)
+                    if isinstance(result, CavityError):
+                        failed[b] = failed[b] or result
+                    else:
+                        dE[i, b], dlam[i, b] = result
+            stale[rows] = False
+        live = np.array([b for b in live if failed[b] is None], dtype=np.intp)
+        dt = np.minimum(step[live], 1.0 - t[live])
+        t_new = t[live] + dt
+        for t_to in sorted(set(t_new.tolist())):
+            at = t_new == t_to
+            rows = live[at]
+            accepted = step_to(
+                homotopy, t_to, rows, [states[b] for b in rows],
+                (E[:, rows], lam[:, rows], C[:, rows]), (dE[:, rows], dlam[:, rows]), dt[at], cfg,
+            )
+            for b, acc in zip(rows, accepted):
+                if acc is None:
+                    step[b] *= cfg.eta2
+                    for st in states[b]:
+                        st.n_rejects += 1
+                    if step[b] < cfg.min_step:
+                        failed[b] = TrackingFailure(
+                            f"step underflow at t={t[b]:.6f} (step {step[b]:.3e} "
+                            f"< min_step {cfg.min_step:.3e})",
+                            state=states[b][0],
+                        )
+                    continue
+                members, overlap = acc
+                if max(iters for _, _, iters in members) <= cfg.n1:
+                    step[b] *= cfg.eta1
+                for i, (st, (pair, c, iters)) in enumerate(zip(states[b], members)):
+                    st.t, st.eigenpair, st.c = t_to, pair, c
+                    st.min_overlap = min(st.min_overlap, overlap)
+                    st.newton_log.append(iters)
+                    st.trajectory.append((t_to, pair.value))
+                    E[i, b], lam[i, b], C[i, b] = pair.vector, pair.value, c
+                t[b], stale[b] = t_to, True
+        live = np.array([b for b in live if failed[b] is None and t[b] < 1.0], dtype=np.intp)
+    return [failed[b] or states[b] for b in range(n_ends)]
+
+
+def _correct(homotopy, t_new, rows, members, e, lam, c, cfg):
+    """Newton from the rows of (e, lam) with normalization vectors c at the
+    listed ends, each end's member state in members: per end (Eigenpair,
+    iterations), or None on failure.  Adds the bordered solves and
+    factorizations to each member."""
+    out = []
+    results = newton_correct(homotopy, t_new, e, lam, c, cfg.newton_tol, cfg.n2, rows)
+    for st, result in zip(members, results):
+        if isinstance(result, NewtonFailure):
+            st.n_solves += result.iterations
+            st.n_factorizations += result.factorizations
+            out.append(None)
             continue
-        members, overlap = accepted
-        if max(iters for _, _, iters in members) <= cfg.n1:
-            step *= cfg.eta1
-        for st, (pair, c, iters) in zip(states, members):
-            st.t, st.eigenpair, st.c = t_new, pair, c
-            st.min_overlap = min(st.min_overlap, overlap)
-            st.newton_log.append(iters)
-            st.trajectory.append((t_new, pair.value))
-        t = t_new
-        derivatives = None
-    return states
+        pair, iters, factorizations = result
+        st.n_solves += iters
+        st.n_factorizations += int(factorizations)
+        out.append((pair, iters))
+    return out
 
 
-def _correct(homotopy, t_new, st, e, lam, c, cfg):
-    """Newton from (e, lam) with normalization vector c for member st:
-    (Eigenpair, iterations), or None on failure.  Adds the bordered solves
-    and factorizations to st."""
-    try:
-        pair, iters, factorizations = newton_correct(
-            homotopy, t_new, e, lam, c, cfg.newton_tol, cfg.n2
-        )
-    except NewtonFailure as exc:
-        st.n_solves += exc.iterations
-        st.n_factorizations += exc.factorizations
-        return None
-    st.n_solves += iters
-    st.n_factorizations += factorizations
-    return pair, iters
+def _lone_step(homotopy, t_new, rows, states, current, derivatives, dt, cfg):
+    """One step of a lone start to t_new at the listed ends: its
+    first-order predictor, then Newton with its previous c.
 
-
-def _lone_step(homotopy, t_new, states, derivatives, dt, cfg):
-    """One step of a lone start to t_new: its first-order predictor, then
-    Newton with its previous c.
-
-    Returns ([(Eigenpair, c, iterations)], overlap) as _normalized_accept
-    gives them, or None when the correction fails.
+    current and derivatives stack (E, lam, C) and (E', lam') as member,
+    end.  Returns per end ([(Eigenpair, c, iterations)], overlap) as
+    _normalized_accept gives them, or None when the correction fails.
     """
-    (st,), (derivative,) = states, derivatives
-    corrected = _correct(homotopy, t_new, st, *predict(st.eigenpair, derivative, dt), st.c, cfg)
-    if corrected is None:
-        return None
-    pair, iters = corrected
-    pair, c, overlap = _normalized_accept(homotopy.at(t_new).mass, pair, st.eigenpair.vector)
-    return [(pair, c, iters)], overlap
+    (E,), (lam,), (C,) = current
+    (dE,), (dlam,) = derivatives
+    e, value = predict(Eigenpair(lam, E, None), (dE, dlam), dt)
+    corrected = _correct(homotopy, t_new, rows, [st for st, in states], e, value, C, cfg)
+    ok = [k for k, result in enumerate(corrected) if result is not None]
+    out = [None] * rows.size
+    if not ok:
+        return out
+    V = np.array([corrected[k][0].vector for k in ok])
+    M = homotopy.at(t_new, rows[ok]).mass
+    E_new, C_new, overlap = _normalized_accept(M, V, E[ok])
+    for k, e_k, c_k, ov in zip(ok, E_new, C_new, overlap):
+        pair, iters = corrected[k]
+        out[k] = [(Eigenpair(pair.value, e_k, pair.residual), c_k, iters)], float(ov)
+    return out
 
 
-def _block_step(homotopy, t_new, states, derivatives, dt, cfg):
-    """One shared step of a cluster to t_new.
+def _block_step(homotopy, t_new, rows, states, current, derivatives, dt, cfg):
+    """One shared step of a cluster to t_new at the listed ends.
 
     Each member's first-order predictor, Rayleigh-Ritz on the span of the
     predicted vectors, then Newton from each Ritz pair u with c = M u.
-    Returns ([(Eigenpair, c, iterations), ...], overlap): the pairs
+    Returns per end ([(Eigenpair, c, iterations), ...], overlap): the pairs
     ascending by value, M-normalized and oriented as _normalized_accept
     does against the member's last vector, and the smallest principal
     cosine between the last and the new cluster subspaces.  Returns None
-    when the projected pencil is not definite, a correction fails, or two
-    corrected vectors are not M-orthogonal (|e_i^T M e_j| > ORTHO_TOL).
+    for an end whose projected pencil is not definite, whose correction
+    fails, or whose corrected vectors are not M-orthogonal
+    (|e_i^T M e_j| > ORTHO_TOL).
     """
-    P = np.column_stack([
-        predict(st.eigenpair, d, dt)[0] for st, d in zip(states, derivatives)
-    ])
-    pencil = homotopy.at(t_new)
-    MP = pencil.mass @ P
+    E, lam, C = current
+    m = len(E)
+    P = np.stack([
+        predict(Eigenpair(lam[i], E[i], None), (derivatives[0][i], derivatives[1][i]), dt)[0]
+        for i in range(m)
+    ], axis=2)   # end, dof, member
+    pencil = homotopy.at(t_new, rows)
+    KP, MP = (np.stack(products, axis=2) for products in zip(*(
+        stacked_products(P[:, :, i], pencil.stiffness, pencil.mass) for i in range(m)
+    )))
+    PT = np.swapaxes(P, 1, 2)
+    ritz = _ritz(PT @ KP, PT @ MP)
+    out = [None] * rows.size
+    alive = [k for k in range(rows.size) if ritz[k] is not None]
+    if not alive:
+        return out
+    theta = np.array([ritz[k][0] for k in alive])
+    Y = np.array([ritz[k][1] for k in alive])
+    U, MU = P[alive] @ Y, MP[alive] @ Y
+    corrected = [[] for _ in alive]
+    for i in range(m):
+        at = [a for a, k in enumerate(alive) if len(corrected[a]) == i]
+        if not at:
+            break
+        results = _correct(
+            homotopy, t_new, rows[[alive[a] for a in at]], [states[alive[a]][i] for a in at],
+            U[at, :, i], theta[at, i], MU[at][:, :, i], cfg,
+        )
+        for a, result in zip(at, results):
+            if result is not None:
+                corrected[a].append(result)
+    done = [a for a in range(len(alive)) if len(corrected[a]) == m]
+    if not done:
+        return out
+    for a in done:
+        corrected[a].sort(key=lambda item: item[0].value)
+    keep = [alive[a] for a in done]
+    M = homotopy.at(t_new, rows[keep]).mass
+    accepted = [[] for _ in done]
+    E_new, C_new = np.empty((2, len(done), E.shape[2], m))
+    for i in range(m):
+        V = np.array([corrected[a][i][0].vector for a in done])
+        e_i, c_i, _ = _normalized_accept(M, V, E[i, keep])
+        E_new[:, :, i], C_new[:, :, i] = e_i, c_i
+        for d, a in enumerate(done):
+            pair, iters = corrected[a][i]
+            accepted[d].append((Eigenpair(pair.value, e_i[d], pair.residual), c_i[d], iters))
+    E_old = np.ascontiguousarray(np.moveaxis(E[:, keep], 0, 2))
+    cosines = np.linalg.svd(np.swapaxes(E_old, 1, 2) @ C_new, compute_uv=False).min(axis=1)
+    for d, k in enumerate(keep):
+        if not _collisions(E_new[d].T @ C_new[d]):
+            out[k] = accepted[d], float(cosines[d])
+    return out
+
+
+def _ritz(K, M):
+    """Per projected pencil of the stacks K and M, dense_eigh's (values,
+    vectors), or None where M is not positive definite."""
     try:
-        theta, Y = dense_eigh(P.T @ (pencil.stiffness @ P), P.T @ MP)
+        return list(zip(*dense_eigh(K, M)))
     except np.linalg.LinAlgError:
-        return None
-    corrected = []
-    for st, u, Mu, value in zip(states, (P @ Y).T, (MP @ Y).T, theta):
-        member = _correct(homotopy, t_new, st, u, value, Mu, cfg)
-        if member is None:
-            return None
-        corrected.append(member)
-    corrected.sort(key=lambda item: item[0].value)
-    accepted = []
-    for st, (pair, iters) in zip(states, corrected):
-        pair, c, _ = _normalized_accept(pencil.mass, pair, st.eigenpair.vector)
-        accepted.append((pair, c, iters))
-    E = np.column_stack([pair.vector for pair, _, _ in accepted])
-    ME = np.column_stack([c for _, c, _ in accepted])
-    if _collisions(E, ME):
-        return None
-    E_old = np.column_stack([st.eigenpair.vector for st in states])
-    return accepted, float(np.linalg.svd(E_old.T @ ME, compute_uv=False).min())
+        out = []
+        for k, m in zip(K, M):
+            try:
+                out.append(dense_eigh(k, m))
+            except np.linalg.LinAlgError:
+                out.append(None)
+        return out
 
 
 def mixing(homotopy, pairs):
     """For each neighbour pair of start pairs (ascending by value): does its
-    first-order 2 x 2 model mix within t in [0, 1]?
+    first-order 2 x 2 model mix within t in [0, 1]?  For a batch, one such
+    list per end.
 
     On the M-normalized start vectors E, the pencil restricted to span E is
     diag(lambda) + t D to first order, D = E^T (K' - lambda-bar M') E with
@@ -593,18 +845,25 @@ def mixing(homotopy, pairs):
     mix when max(|D_aa - D_bb|, 2 |D_ab|) >= lambda_b - lambda_a: their
     model eigenvalues can meet, or their eigenvectors turn by a large angle.
     """
-    k_prime, m_prime = homotopy.derivative()
+    ends = np.arange(len(homotopy.ends))
+    k_prime, m_prime = homotopy.derivative(ends)
     M0 = homotopy.start.mass
     E = np.column_stack([p.vector / math.sqrt(p.vector @ (M0 @ p.vector)) for p in pairs])
     lam = np.array([p.value for p in pairs])
-    D = E.T @ (k_prime @ E) - 0.5 * np.add.outer(lam, lam) * (E.T @ (m_prime @ E))
-    return [
-        max(abs(D[i, i] - D[i + 1, i + 1]), 2.0 * abs(D[i, i + 1])) >= lam[i + 1] - lam[i]
-        for i in range(len(pairs) - 1)
+    KE, ME = (np.stack(products, axis=2) for products in zip(*(
+        stacked_products(np.broadcast_to(col, (ends.size, col.size)), k_prime, m_prime)
+        for col in E.T
+    )))
+    D = E.T @ KE - 0.5 * np.add.outer(lam, lam) * (E.T @ ME)
+    out = [
+        [max(abs(d[i, i] - d[i + 1, i + 1]), 2.0 * abs(d[i, i + 1])) >= lam[i + 1] - lam[i]
+         for i in range(len(pairs) - 1)]
+        for d in D
     ]
+    return out[0] if homotopy.single else out
 
 
-def track_modes(homotopy, starts, cfg=TrackConfig()):
+def track_modes(homotopy, starts, cfg=TrackConfig(), partner=None):
     """Track several start pairs; neighbours that mix as one cluster.
 
     Starts are grouped in value order: neighbours whose first-order model
@@ -612,7 +871,11 @@ def track_modes(homotopy, starts, cfg=TrackConfig()):
     track_cluster advances as one block; a start in no cluster is tracked
     alone by track.  Identity inside a cluster is value order.  Returned
     states are in the order of starts; a cluster member's state.cluster
-    holds the indices of its cluster's starts.
+    holds the indices of its cluster's starts.  A partner, the next pair of
+    the start pencil above the starts, is tracked where it mixes with a
+    start, so that their cluster is not cut, and not returned: its bordered
+    solves and factorizations are counted with the last start, and its
+    index in a cluster is len(starts).
 
     The endpoint vectors must be pairwise M-orthogonal (|e_i^T M e_j| <=
     ORTHO_TOL).  Colliding tracks are re-tracked as one cluster with every
@@ -628,79 +891,135 @@ def track_modes(homotopy, starts, cfg=TrackConfig()):
     eigenvalue, the gap between their start values is rounding in the base
     eigensolver, not a discretization split, and each member follows the
     vector the base eigensolver picked for it.
+
+    For a batch, mixing is evaluated once per end and the ends are grouped
+    by the clusters they track, each group tracked together; the result
+    holds one list of states per end, or the CavityError that ended it,
+    and every end with near-degenerate starts warns once.
     """
-    values = [p.value for p in starts]
+    pairs = list(starts) + ([partner] if partner is not None else [])
+    values = [p.value for p in pairs]
     order = [int(i) for i in np.argsort(values, kind="stable")]
-    flagged = set()
-    for grp in group_clusters([values[i] for i in order], rtol=START_GAP_WARN):
-        if len(grp) > 1:
-            flagged.update(order[i] for i in grp)
-    if flagged:
-        warnings.warn(
-            f"{len(flagged)} start eigenvalues are nearly degenerate "
-            f"(relative gap < {START_GAP_WARN:g}); tracked identities inside "
-            "each cluster follow the start vectors of the base eigensolve",
-            stacklevel=2,
-        )
-    clusters = [[0]]   # runs of value ranks
-    for rank, mixed in enumerate(mixing(homotopy, [starts[j] for j in order]), start=1):
-        if mixed:
-            clusters[-1].append(rank)
-        else:
-            clusters.append([rank])
-    results = [None] * len(starts)
-    for ranks in clusters:
-        _track_members(homotopy, starts, [order[r] for r in ranks], cfg, results)
-
-    M = homotopy.end.mass
-    for attempt in range(2):
-        for j in flagged:
-            results[j].flagged = True
-        _reorthogonalize_clusters(results, M)
-        E = np.column_stack([results[j].eigenpair.vector for j in order])
-        collisions = _collisions(E, M @ E)
-        if not collisions:
-            return results
-        if attempt:
-            a, b = collisions[0]
-            raise TrackingFailure(
-                f"tracks {order[a]} and {order[b]} end on one eigenpair after re-tracking"
-            )
-        for a, b in collisions:
-            first = next(k for k, ranks in enumerate(clusters) if a in ranks)
-            last = next(k for k, ranks in enumerate(clusters) if b in ranks)
-            clusters[first:last + 1] = [sum(clusters[first:last + 1], [])]
-        hit = {rank for pair in collisions for rank in pair}
+    flags = mixing(homotopy, [pairs[j] for j in order])
+    layouts = {}   # cluster layout -> the ends that track it
+    for b, mixed in enumerate([flags] if homotopy.single else flags):
+        clusters = [[0]]   # runs of value ranks
+        for rank, joined in enumerate(mixed, start=1):
+            if joined:
+                clusters[-1].append(rank)
+            else:
+                clusters.append([rank])
+        # the partner is tracked only in a cluster with a start
+        clusters = [c for c in clusters if len(c) > 1 or order[c[0]] < len(starts)]
+        layouts.setdefault(tuple(map(tuple, clusters)), []).append(b)
+    results = [[None] * len(pairs) for _ in homotopy.ends]
+    for layout, ends in layouts.items():
+        clusters = [list(c) for c in layout]
+        tracked = sorted(r for c in clusters for r in c)
+        flagged = set()
+        for grp in group_clusters([values[order[r]] for r in tracked], rtol=START_GAP_WARN):
+            if len(grp) > 1:
+                flagged.update(order[tracked[i]] for i in grp)
+        for _ in ends:
+            if flagged:
+                warnings.warn(
+                    f"{len(flagged)} start eigenvalues are nearly degenerate "
+                    f"(relative gap < {START_GAP_WARN:g}); tracked identities inside "
+                    "each cluster follow the start vectors of the base eigensolve",
+                    stacklevel=2,
+                )
         for ranks in clusters:
-            if hit.intersection(ranks):
-                _track_members(homotopy, starts, [order[r] for r in ranks], cfg, results)
-    return results
+            _track_members(homotopy, pairs, [order[r] for r in ranks], cfg, results, ends)
+        _check_endpoints(homotopy, ends, pairs, order, tracked, clusters, flagged, cfg, results)
+    for res in results:
+        if isinstance(res, list) and len(pairs) > len(starts):
+            spare = res.pop()
+            if spare is not None:
+                res[-1].n_solves += spare.n_solves
+                res[-1].n_factorizations += spare.n_factorizations
+    return _one(results) if homotopy.single else results
 
 
-def _track_members(homotopy, starts, members, cfg, results):
-    """Track starts[members] (ascending by value) into results[members]."""
+def _check_endpoints(homotopy, ends, pairs, order, tracked, clusters, flagged, cfg, results):
+    """The endpoint check of the listed ends, which track the same clusters:
+    M-orthogonalize each end's flagged members' vectors that share a value,
+    then re-track an end's colliding tracks as one cluster once; a
+    collision after that fails the end."""
+    layouts = {b: [list(c) for c in clusters] for b in ends}
+    for attempt in range(2):
+        ends = [b for b in ends if not isinstance(results[b], CavityError)]
+        if not ends:
+            return
+        states = [[results[b][order[r]] for r in tracked] for b in ends]
+        for b in ends:
+            for j in flagged:
+                results[b][j].flagged = True
+        if flagged:
+            for b, sts in zip(ends, states):
+                _reorthogonalize_clusters(sts, homotopy.ends[b].mass)
+        E = np.array([[st.eigenpair.vector for st in sts] for sts in states])   # end, track, dof
+        M = homotopy.at(1.0, ends).mass
+        ME = np.stack([M @ E[:, k] for k in range(len(tracked))], axis=2)
+        colliding = [(b, hits) for b, G in zip(ends, E @ ME) if (hits := _collisions(G))]
+        if attempt:
+            for b, collisions in colliding:
+                a, c = (order[tracked[k]] for k in collisions[0])
+                results[b] = TrackingFailure(
+                    f"tracks {a} and {c} end on one eigenpair after re-tracking"
+                )
+            return
+        for b, collisions in colliding:
+            layout, hit = layouts[b], set()
+            for a, c in collisions:
+                ra, rc = tracked[a], tracked[c]
+                first = next(k for k, ranks in enumerate(layout) if ra in ranks)
+                last = next(k for k, ranks in enumerate(layout) if rc in ranks)
+                layout[first:last + 1] = [sum(layout[first:last + 1], [])]
+                hit.update((ra, rc))
+            for ranks in layout:
+                if hit.intersection(ranks):
+                    _track_members(homotopy, pairs, [order[r] for r in ranks], cfg, results, [b])
+        ends = [b for b, _ in colliding]
+
+
+def _track_members(homotopy, pairs, members, cfg, results, ends):
+    """Track pairs[members] (ascending by value) at the listed ends into
+    results[end][members]; an end that fails takes its error in results
+    and is tracked no further."""
+    ends = [b for b in ends if not isinstance(results[b], CavityError)]
+    if not ends:
+        return
+    if not homotopy.single and len(ends) < len(homotopy.ends):
+        homotopy = HomotopyPencil(homotopy.start, [homotopy.ends[b] for b in ends])
     if len(members) == 1:
-        states = [track(homotopy, starts[members[0]], cfg)]
+        outcomes = track(homotopy, pairs[members[0]], cfg)
+        outcomes = [o if isinstance(o, CavityError) else [o] for o in
+                    ([outcomes] if homotopy.single else outcomes)]
     else:
-        states = track_cluster(homotopy, [starts[j] for j in members], cfg)
-        for st in states:
-            st.cluster = tuple(members)
-    for j, st in zip(members, states):
-        old = results[j]
-        if old is not None:
-            st.retracked = True
-            st.newton_log[:0] = old.newton_log
-            st.n_solves += old.n_solves
-            st.n_factorizations += old.n_factorizations
-            st.n_rejects += old.n_rejects
-        results[j] = st
+        outcomes = track_cluster(homotopy, [pairs[j] for j in members], cfg)
+        outcomes = [outcomes] if homotopy.single else outcomes
+        for states in outcomes:
+            for st in states if isinstance(states, list) else ():
+                st.cluster = tuple(members)
+    for b, states in zip(ends, outcomes):
+        if isinstance(states, CavityError):
+            results[b] = states
+            continue
+        for j, st in zip(members, states):
+            old = results[b][j]
+            if old is not None:
+                st.retracked = True
+                st.newton_log[:0] = old.newton_log
+                st.n_solves += old.n_solves
+                st.n_factorizations += old.n_factorizations
+                st.n_rejects += old.n_rejects
+            results[b][j] = st
 
 
-def _collisions(E, ME):
-    """Column pairs (a, b), a < b, of E that are not M-orthogonal:
-    |e_a^T M e_b| > ORTHO_TOL, given ME = M E."""
-    G = np.abs(E.T @ ME)
-    return [(int(a), int(b)) for a, b in zip(*np.nonzero(np.triu(G, 1) > ORTHO_TOL))]
+def _collisions(G):
+    """Pairs (a, b), a < b, of vectors that are not M-orthogonal,
+    |e_a^T M e_b| > ORTHO_TOL, given their M-Gram matrix G."""
+    return [(int(a), int(b)) for a, b in zip(*np.nonzero(np.triu(np.abs(G), 1) > ORTHO_TOL))]
 
 
 def _reorthogonalize_clusters(states, M):

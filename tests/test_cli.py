@@ -494,16 +494,19 @@ class TestTrack:
             assert a == b, name
 
     def test_one_node_task_per_radius(self, monkeypatch, tmp_path):
-        task, nodes = cli._pillbox_node_task, []
+        # one task per chunk of consecutive radii: at 8 elements the TE
+        # cross-section has n = 100 unknowns, so a chunk holds 6 radii
+        task, chunks = cli._pillbox_node_task, []
 
-        def counted(job, k, node):
-            nodes.append(k)
-            return task(job, k, node)
+        def counted(job, first, nodes):
+            chunks.append(list(range(first, first + len(nodes))))
+            return task(job, first, nodes)
 
         monkeypatch.setattr(cli, "_pillbox_node_task", counted)
         cfg = write_config(tmp_path, "c.json", PILLBOX_TRACK)
         assert cli.main(["track", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
-        assert nodes == list(range(11))
+        assert tracking.batch_size(100) == 6
+        assert chunks == [list(range(6)), list(range(6, 11))]
 
     def test_per_mode_solves_add_up_to_factorizations(self, monkeypatch, tmp_path):
         # modes 1 and 2 are the TE111 pair, tracked together in block TE1;
@@ -833,8 +836,9 @@ def test_gesv_fallback_gives_the_kept_lu_bits(monkeypatch, tmp_path, name):
 
 def test_pool_never_exceeds_the_node_count(monkeypatch, tmp_path):
     """A pool forks all its processes at its first task, so --workers 64 on
-    a 3-node study must ask for 3.  The stand-in pool records its size and
-    runs the tasks in this process; the tables equal a 1-worker run's."""
+    a study of 2 chunks must ask for 2, and on one of 1 chunk (3 nodes) for
+    none.  The stand-in pool records its size and runs the tasks in this
+    process; the tables equal a 1-worker run's."""
     sizes = []
 
     class SerialPool:
@@ -848,14 +852,47 @@ def test_pool_never_exceeds_the_node_count(monkeypatch, tmp_path):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    doc = dict(PILLBOX_UQ, grid={"kind": "tensor", "family": "clenshaw-curtis", "orders": [3]})
+    # 6 nodes per chunk at 8 elements (TE cross-section n = 100)
+    for orders, chunks in (([3], []), ([9], [2])):
+        sizes.clear()
+        grid = {"kind": "tensor", "family": "clenshaw-curtis", "orders": orders}
+        doc = dict(PILLBOX_UQ, grid=grid)
+        cfg = write_config(tmp_path, "c.json", doc)
+        for workers in ("1", "64"):
+            out = str(tmp_path / workers)
+            assert cli.main(["uq", "--config", cfg, "--out", out, "--workers", workers]) == 0
+        assert sizes == chunks
+        for name in ("grid.csv", "mode_table.csv", "moments.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "64" / name).read_bytes()
+
+
+def test_chunked_tables_do_not_depend_on_the_workers(monkeypatch, tmp_path):
+    """18 disk nodes at n = 64 unknowns are two chunks, of 15 nodes and 3:
+    the tables are the same bytes at 1, 2 and 3 workers, and no run starts
+    more processes than there are chunks."""
+    sizes = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    doc = dict(
+        SMALL_DISK, discretization={"degree": 2, "refinement": 3}, modes=3,
+        grid={"kind": "tensor", "family": "gauss-hermite", "orders": [3, 3, 2, 1, 1, 1, 1]},
+    )
     cfg = write_config(tmp_path, "c.json", doc)
-    for workers in ("1", "64"):
+    assert tracking.batch_size(64) == 15
+    for workers in ("1", "2", "3"):
         out = str(tmp_path / workers)
         assert cli.main(["uq", "--config", cfg, "--out", out, "--workers", workers]) == 0
-    assert sizes == [3]
-    for name in ("grid.csv", "mode_table.csv", "moments.csv"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "64" / name).read_bytes()
+    assert json.loads((tmp_path / "1" / "summary.json").read_text())["nodes"] == 18
+    assert sizes == [2, 2]
+    for name in ("mode_table.csv", "moments.csv"):
+        first = (tmp_path / "1" / name).read_bytes()
+        assert (tmp_path / "2" / name).read_bytes() == first
+        assert (tmp_path / "3" / name).read_bytes() == first
 
 
 class TestTiers:
@@ -871,6 +908,15 @@ class TestTiers:
         for name, workload in workloads.WORKLOADS.items():
             cfg = workloads.write_config(tmp_path / f"{name}.json", workloads.study_config(workload))
             assert cold_study(cfg, tmp_path / name) == "0 []", name
+
+    def test_cold_benchmark_studies_load_no_numpy_ma(self, tmp_path):
+        # numpy's plain np.unique imports numpy.ma for its masked-array test
+        workloads = load_workloads()
+        probe = "'numpy.ma' in sys.modules"
+        for name, workload in workloads.WORKLOADS.items():
+            path = tmp_path / f"{name}.json"
+            cfg = workloads.write_config(path, workloads.study_config(workload))
+            assert cold_study(cfg, tmp_path / name, probe) == "0 False", name
 
     def test_sparse_tier_agrees_with_dense_solves(self, monkeypatch):
         """PILLBOX_SPARSE tracks on CSC layouts with SuperLU; at each node,
@@ -1055,22 +1101,27 @@ class TestBench:
         assert doc["tracked"]["per_mode_point"] is None
 
 
-def fail_third_group(monkeypatch):
-    """Make cli.track_modes raise on its third call; returns the list of its
-    calls' start counts.
+def fail_group_ends(monkeypatch, failing):
+    """Make cli.track_modes report TrackingFailure("injected") at the ends
+    failing[call] of its calls, numbered from 0 at one worker; returns the
+    list of its calls' (start count, end count).
 
-    At one worker on PILLBOX_TRACK, which tracks two groups per node and
-    nothing at node 0, the start radius, that is the first group of node 2.
+    A call tracks one group at every node of a chunk that is not the base
+    point, one homotopy end per node, in node order; the groups of a chunk
+    are called in turn.  So on PILLBOX_TRACK, which tracks two groups per
+    node and nothing at node 0, the start radius, end 1 of call 0 is the
+    first group of node 2.
     """
     track_modes, calls = cli.track_modes, []
 
-    def failing(homotopy, starts, cfg):
-        calls.append(len(starts))
-        if len(calls) == 3:
-            raise TrackingFailure("injected")
-        return track_modes(homotopy, starts, cfg)
+    def injected(homotopy, starts, cfg, partner=None):
+        calls.append((len(starts), len(homotopy.ends)))
+        outcomes = track_modes(homotopy, starts, cfg, partner)
+        for b in failing.get(len(calls) - 1, ()):
+            outcomes[b] = TrackingFailure("injected")
+        return outcomes
 
-    monkeypatch.setattr(cli, "track_modes", failing)
+    monkeypatch.setattr(cli, "track_modes", injected)
     return calls
 
 
@@ -1219,14 +1270,18 @@ class TestStartRecords:
         fills, tracked, groups = [], set(), []
         factor, track_modes = tracking._factor, cli.track_modes
 
-        def filled(homotopy, t, lam, Me, c):
-            fills.append(t)
-            return factor(homotopy, t, lam, Me, c)
+        def filled(homotopy, t, lam, Me, c, ends=None):
+            # one fill per matrix: a call fills one per listed end
+            fills.extend([t] * (1 if ends is None else len(ends)))
+            return factor(homotopy, t, lam, Me, c, ends)
 
-        def recorded(homotopy, starts, cfg):
-            groups.append(len(starts))
-            tracked.update(pair_bytes(pair) for pair in starts)
-            return track_modes(homotopy, starts, cfg)
+        def recorded(homotopy, starts, cfg, partner=None):
+            # start pairs tracked per (node, group), one node per end
+            groups.append(len(starts) * len(homotopy.ends))
+            outcomes = track_modes(homotopy, starts, cfg, partner)
+            # the pairs tracked from the base pencil, the partner where it mixes
+            tracked.update(homotopy.start.starts)
+            return outcomes
 
         monkeypatch.setattr(tracking, "_factor", filled)
         monkeypatch.setattr(cli, "track_modes", recorded)
@@ -1276,9 +1331,10 @@ class TestWarnings:
         workers, and no table changes."""
         track_modes = cli.track_modes
 
-        def warning(homotopy, starts, cfg):
-            warnings.warn("tracked", UserWarning)
-            return track_modes(homotopy, starts, cfg)
+        def warning(homotopy, starts, cfg, partner=None):
+            for _ in homotopy.ends:   # one warning per (node, group)
+                warnings.warn("tracked", UserWarning)
+            return track_modes(homotopy, starts, cfg, partner)
 
         monkeypatch.setattr(cli, "track_modes", warning)
         # one mode, so one group per node; 4 of the 5 nodes are tracked
@@ -1295,7 +1351,7 @@ class TestWarnings:
 
 class TestFailureIsolation:
     def test_track_writes_every_other_entry(self, monkeypatch, tmp_path, track_run):
-        fail_third_group(monkeypatch)
+        fail_group_ends(monkeypatch, {0: [1]})
         cfg = write_config(tmp_path, "c.json", PILLBOX_TRACK)
         out = tmp_path / "run"
         assert cli.main(["track", "--config", cfg, "--out", str(out)]) == 3
@@ -1309,7 +1365,7 @@ class TestFailureIsolation:
             assert (out / name).read_bytes() == (full / name).read_bytes()
 
     def test_uq_writes_no_table(self, monkeypatch, tmp_path, capsys):
-        fail_third_group(monkeypatch)
+        fail_group_ends(monkeypatch, {0: [1]})
         cfg = write_config(tmp_path, "c.json", PILLBOX_UQ)
         out = tmp_path / "run"
         assert cli.main(["uq", "--config", cfg, "--out", str(out)]) == 3
@@ -1319,20 +1375,24 @@ class TestFailureIsolation:
 
     @pytest.mark.parametrize("command", ["uq", "bench"])
     def test_study_stops_at_the_first_failed_node(self, monkeypatch, tmp_path, capsys, command):
-        # PILLBOX_UQ tracks two groups at each of nodes 0, 1, 3 and 4 (node 2
-        # is the base radius), so the third call is node 1's first group
-        calls = fail_third_group(monkeypatch)
-        task, nodes = cli._pillbox_node_task, []
+        # PILLBOX_UQ on 9 nodes is two chunks, nodes 0-5 and 6-8, and tracks
+        # two groups at each node but node 4, the base radius: the first
+        # chunk's calls track nodes 0, 1, 2, 3 and 5.  Its first group fails
+        # at node 3 and its second at node 1, so node 1 is the first failure
+        # in node order, and the second chunk is never tracked.
+        calls = fail_group_ends(monkeypatch, {0: [3], 1: [1]})
+        task, chunks = cli._pillbox_node_task, []
 
-        def recorded(job, k, node):
-            nodes.append(k)
-            return task(job, k, node)
+        def recorded(job, first, nodes):
+            chunks.append(first)
+            return task(job, first, nodes)
 
         monkeypatch.setattr(cli, "_pillbox_node_task", recorded)
-        cfg = write_config(tmp_path, "c.json", PILLBOX_UQ)
+        doc = dict(PILLBOX_UQ, grid={"kind": "tensor", "family": "clenshaw-curtis", "orders": [9]})
+        cfg = write_config(tmp_path, "c.json", doc)
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 3
-        assert capsys.readouterr().err == "numerical failure: node 1, modes [0]: injected\n"
-        assert nodes == [0, 1] and calls == [1, 2, 1, 2]
+        assert capsys.readouterr().err == "numerical failure: node 1, modes [1, 2]: injected\n"
+        assert chunks == [0] and calls == [(1, 5), (2, 5)]
 
     def test_every_failed_node_is_listed(self, tmp_path):
         # a tolerance below rounding never converges a step, and the second

@@ -66,7 +66,8 @@ _SMALL_PILLBOX = {
 
 def test_pillbox_study_calls_hooks_at_run_time(tracer, monkeypatch, tmp_path):
     calls = _counted_study(tracer, monkeypatch, tmp_path, _SMALL_PILLBOX)
-    assert calls["cli.node_tasks"] == 3
+    # one node task per chunk: the 3 nodes fit one (15 nodes at n = 64)
+    assert calls["cli.node_tasks"] == 1
     assert calls["pencil.build"] == 1
     assert calls["eigen.solve"] >= 1
     assert calls["pencil.block"] >= calls["tracking.track_modes"] > 0
@@ -85,8 +86,9 @@ _SMALL_DISK = {
 
 def test_disk_study_calls_hooks_at_run_time(tracer, monkeypatch, tmp_path):
     calls = _counted_study(tracer, monkeypatch, tmp_path, _SMALL_DISK)
-    assert calls["cli.node_tasks"] == 2
-    assert calls["tracking.track_modes"] == 2
+    # one node task and one track_modes per chunk: the 2 nodes fit one
+    assert calls["cli.node_tasks"] == 1
+    assert calls["tracking.track_modes"] == 1
     assert calls["eigen.solve"] >= 1
     # the base pencil and one per node, neither grid node being the base
     assert calls["geometry.deform"] == calls["assembly.assemble"] == 3
@@ -100,7 +102,7 @@ def test_disk_node_evaluates_no_basis(tracer, monkeypatch, tmp_path):
         doc = dict(_SMALL_DISK, grid=dict(_SMALL_DISK["grid"], orders=[order] + [1] * 6))
         (tmp_path / str(order)).mkdir()
         calls = _counted_study(tracer, monkeypatch, tmp_path / str(order), doc)
-        assert calls["cli.node_tasks"] == order
+        assert calls["cli.node_tasks"] == 1   # one chunk holds every node
         assert calls["geometry.deform"] == calls["assembly.assemble"] == order + 1
         evals.append(calls["splines.basis_evals"])
     assert evals[0] == evals[1] > 0
@@ -113,7 +115,7 @@ def test_pillbox_node_assembles_nothing(tracer, monkeypatch, tmp_path):
         doc = dict(_SMALL_PILLBOX, grid=dict(_SMALL_PILLBOX["grid"], orders=[order]))
         (tmp_path / str(order)).mkdir()
         calls = _counted_study(tracer, monkeypatch, tmp_path / str(order), doc)
-        assert calls["cli.node_tasks"] == order
+        assert calls["cli.node_tasks"] == 1   # one chunk holds every node
         assert calls["pencil.build"] == 1
         assert calls["assembly.assemble"] == 2
 

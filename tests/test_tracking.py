@@ -761,3 +761,103 @@ class TestClusters:
         )
         with pytest.raises(TrackingFailure, match="one eigenpair after re-tracking"):
             track_modes(h, solve_smallest(h.at(0.0), 2))
+
+
+def same_track(batch, alone):
+    """A batch end's TrackState against the single homotopy's: values to
+    1e-13 relative, the same steps, Newton iterations and counts."""
+    assert batch.t == alone.t
+    assert [t for t, _ in batch.trajectory] == [t for t, _ in alone.trajectory]
+    np.testing.assert_allclose(
+        [lam for _, lam in batch.trajectory], [lam for _, lam in alone.trajectory], rtol=1e-13
+    )
+    np.testing.assert_allclose(batch.eigenpair.vector, alone.eigenpair.vector, rtol=1e-13,
+                               atol=1e-13 * np.abs(alone.eigenpair.vector).max())
+    assert batch.newton_log == alone.newton_log
+    for name in ("n_solves", "n_factorizations", "n_rejects", "cluster", "retracked", "flagged"):
+        assert getattr(batch, name) == getattr(alone, name), name
+
+
+class TestBatch:
+    """A homotopy with B ends tracks each end as B single-end homotopies
+    would: the same values, M-orthonormal vectors and counts, a rejection
+    or failure staying with its end."""
+
+    # end k rotates the start's eigenvectors by ANGLES[k]: under CFG, end 1
+    # rejects its first step, end 2 fails after accepting part of the way,
+    # and end 3 takes three rejections
+    ANGLES = (0.05, 0.5, 1.0, 0.8, 1.4)
+    CFG = TrackConfig(n1=2, n2=4, initial_step=1.0, min_step=0.2)
+
+    @classmethod
+    def rotated_ends(cls):
+        K0 = np.diag([1.0, 10.0])
+        return K0, [dense_pencil(rotation(a) @ K0 @ rotation(a).T) for a in cls.ANGLES]
+
+    def test_lone_track_equals_single_homotopies(self):
+        K0, ends = self.rotated_ends()
+        singles, batched = dense_pencil(K0), dense_pencil(K0)   # each keeps its own records
+        start = solve_smallest(singles, 1)[0]
+        alone = []
+        for end in ends:
+            try:
+                alone.append(track(HomotopyPencil(singles, end), start, self.CFG))
+            except TrackingFailure as exc:
+                alone.append(exc)
+        tracks = track(HomotopyPencil(batched, ends), start, self.CFG)
+        assert isinstance(tracks, tracking.Tracks) and len(tracks) == len(ends)
+        assert isinstance(tracks[2], TrackingFailure) and isinstance(alone[2], TrackingFailure)
+        assert str(tracks[2]) == str(alone[2]) and tracks[2].state.t == alone[2].state.t > 0.0
+        # end 1's first step was rejected: its first accepted t is short of 1
+        assert tracks[1].n_rejects >= 1 and tracks[1].trajectory[1][0] < 1.0
+        for k in (0, 1, 3, 4):
+            assert tracks[k].t == 1.0
+            same_track(tracks[k], alone[k])
+            e = tracks[k].eigenpair.vector
+            assert abs(e @ (ends[k].mass @ e) - 1.0) <= 1e-13
+        # read as one state, the tracks sum their ends' statistics
+        done = [alone[k] for k in (0, 1, 3, 4)]
+        assert tracks.n_solves == sum(st.n_solves for st in done)
+        assert tracks.n_rejects == sum(st.n_rejects for st in done)
+        assert tracks.newton_log == [it for st in done for it in st.newton_log]
+        assert tracks.min_overlap == min(st.min_overlap for st in done)
+
+    def test_track_modes_equals_single_homotopies(self):
+        # a cluster and a lone mode, with the next pair as partner, at ends
+        # of growing perturbation: each end as its own homotopy
+        base = avoided_crossing()
+        ends = [avoided_crossing(perturbation=p).end for p in (0.0, 0.02, 0.05)]
+        singles = dense_pencil(base.start.stiffness.toarray())
+        batched = dense_pencil(base.start.stiffness.toarray())
+        pairs = solve_smallest(singles, 4)
+        starts, partner = pairs[:3], pairs[3]
+        alone = [
+            track_modes(HomotopyPencil(singles, end), starts, partner=partner) for end in ends
+        ]
+        batch = track_modes(HomotopyPencil(batched, ends), starts, partner=partner)
+        assert len(batch) == len(ends) and all(st.cluster for st in batch[0][:2])
+        for k, end in enumerate(ends):
+            assert len(batch[k]) == len(starts)
+            for got, want in zip(batch[k], alone[k]):
+                same_track(got, want)
+            E = np.column_stack([st.eigenpair.vector for st in batch[k]])
+            np.testing.assert_allclose(E.T @ (end.mass @ E), np.eye(3), atol=1e-10)
+
+    def test_failure_stays_with_its_end(self, monkeypatch):
+        # a singular bordered system at one end's derivative fails that end
+        # alone; the others finish as they would alone
+        K0, ends = self.rotated_ends()
+        start_pencil = dense_pencil(K0)
+        start = solve_smallest(start_pencil, 1)[0]
+        derivatives = tracking.eigenpair_derivative
+
+        def singular_at_end_3(homotopy, t, pair, c, ends=None):
+            out = derivatives(homotopy, t, pair, c, ends)
+            if ends is not None and 3 in ends:
+                out[list(ends).index(3)] = DegeneracyError("injected")
+            return out
+
+        monkeypatch.setattr(tracking, "eigenpair_derivative", singular_at_end_3)
+        tracks = track(HomotopyPencil(start_pencil, ends), start)
+        assert str(tracks[3]) == "injected"
+        assert all(tracks[k].t == 1.0 for k in (0, 1, 2, 4))
