@@ -4,10 +4,11 @@ A parametric pencil maps a deformation coordinate vector to the pencil
 there and keeps only its base pencil.  Every pencil of a study lives on
 one sparsity pattern (assembly.SparsityPattern) per assembly kernel: the
 disk's, or one per pillbox cross-section, shared by that family's axial
-blocks.  Homotopies are convex combinations of two endpoints on one
-pattern, so a pencil at t is two axpys on its data; their t-derivative is
-the constant matrix difference.  The tracker builds its bordered matrices
-from them itself (tracking._Bordered, one per pattern).
+blocks.  A homotopy is the convex combinations of one start pencil with
+each of a batch of end pencils, all on one pattern, so a pencil at t is two
+axpys on its data; its t-derivative is the constant matrix difference.  The
+tracker builds its bordered matrices from them itself (tracking._Bordered,
+one per pattern).
 """
 
 import math
@@ -63,23 +64,23 @@ class ParametricPencil:
 
 
 class HomotopyPencil:
-    """Convex matrix combinations from one start pencil to one end, or to
-    each of several.
+    """Convex matrix combinations from one start pencil to each of a batch
+    of end pencils.
 
-    end is one assembled pencil, which makes a single homotopy, or a
-    sequence of them, a batch whose ends the tracker advances together: the
-    ends' data are stacked once, row b for ends[b].  Every end must be
-    stored on the start's sparsity pattern, which every pencil assembled on
-    one space shares; otherwise DomainError.  at(0) is start, where every
-    track starts.  At t = 1 an end's pencil is its own data, as
-    fl(0 a + 1 b) = b.  At any other t it is two axpys on the pattern's
-    data, each entry fl(fl(s a) + fl(t b)) with s = 1 - t.  The pencil last
-    asked for is kept with its infinity norms (see norms).
+    ends is a sequence of assembled pencils, whose homotopies the tracker
+    advances together: their data are stacked once, row b for ends[b].
+    Every end must be stored on the start's sparsity pattern, which every
+    pencil assembled on one space shares; otherwise DomainError.  Every
+    method takes an index array into ends and answers one row per listed
+    end.  At t = 0 every row is start's data, where every track starts.  At
+    t = 1 an end's row is its own data, as fl(0 a + 1 b) = b.  At any other
+    t it is two axpys on the pattern's data, each entry fl(fl(s a) + fl(t b))
+    with s = 1 - t.  The pencil last asked for is kept with its infinity
+    norms (see norms).
     """
 
-    def __init__(self, start, end):
-        self.single = isinstance(end, MatrixPencil)
-        self.ends = (end,) if self.single else tuple(end)
+    def __init__(self, start, ends):
+        self.ends = tuple(ends)
         if not self.ends:
             raise DomainError("a homotopy needs at least one end")
         for pen in self.ends:
@@ -96,34 +97,18 @@ class HomotopyPencil:
         )
         self._derivative = None
         self._end_norms = None
-        self._kept = None   # [t, ends, pencil, norms] of the last stacked at
+        self._kept = None   # [t, ends, pencil, norms] of the last at
 
-    @property
-    def end(self):
-        """The end of a homotopy with one end."""
-        (end,) = self.ends
-        return end
-
-    def at(self, t, ends=None):
-        """The pencil at t, stored on the homotopy's pattern.
-
-        Without ends, the pencil of the homotopy's one end: start at t = 0.
-        With ends, an index array into self.ends, a pencil whose data stack
-        the listed ends' pencils at t, row i for ends[i] (start's data in
-        every row at t = 0).  The tracker asks for the pencils at one t for
-        every bordered solve there, the acceptance and the next derivative,
-        so the last stack is kept until the next call at another t or on
-        other ends.
+    def at(self, t, ends):
+        """The pencil at t of the listed ends, an index array into
+        self.ends, stored on the homotopy's pattern: its data stack the
+        ends' pencils at t, row i for ends[i].  The tracker asks for the
+        pencils at one t for every bordered solve there, the acceptance and
+        the next derivative, so the last stack is kept until the next call
+        at another t or on other ends.
         """
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"homotopy parameter {t} outside [0, 1]")
-        if ends is None:
-            if t == 0.0:
-                return self.start
-            pencil = self.at(t, np.zeros(1, dtype=np.intp))
-            return MatrixPencil(
-                self.pattern, pencil.stiffness.data[0], pencil.mass.data[0], validate=False
-            )
         ends = np.asarray(ends, dtype=np.intp)
         kept = self._kept
         if kept is not None and kept[0] == t and np.array_equal(kept[1], ends):
@@ -142,17 +127,13 @@ class HomotopyPencil:
         self._kept = [t, ends, pencil, None]
         return pencil
 
-    def norms(self, t, ends=None):
+    def norms(self, t, ends):
         """(||K||_inf, ||M||_inf) of at(t, ends), one pair per listed end:
         computed once per end at t = 1, once per stack at other t > 0, and
         at t = 0 on every call (once per start record)."""
-        if ends is None:
-            if t == 0.0:
-                return self.start.stiffness.norm_inf(), self.start.mass.norm_inf()
-            return tuple(float(v[0]) for v in self.norms(t, np.zeros(1, dtype=np.intp)))
         ends = np.asarray(ends, dtype=np.intp)
         if t == 0.0:
-            k, m = self.norms(0.0)
+            k, m = self.start.stiffness.norm_inf(), self.start.mass.norm_inf()
             return np.full(ends.size, k), np.full(ends.size, m)
         if t == 1.0:
             if self._end_norms is None:
@@ -165,13 +146,13 @@ class HomotopyPencil:
             self._kept[3] = pencil.stiffness.norm_inf(), pencil.mass.norm_inf()
         return self._kept[3]
 
-    def derivative(self, ends=None):
-        """Constant t-derivative (K_end - K_start, M_end - M_start), on the
-        homotopy's pattern: of its one end, or stacked for the listed ends."""
+    def derivative(self, ends):
+        """Constant t-derivative (K_end - K_start, M_end - M_start) of the
+        listed ends, stacked on the homotopy's pattern."""
         if self._derivative is None:
             self._derivative = (self._k1 - self._k0, self._m1 - self._m0)
-        rows = 0 if ends is None else np.asarray(ends, dtype=np.intp)
-        return tuple(self.pattern.matrix(d[rows]) for d in self._derivative)
+        ends = np.asarray(ends, dtype=np.intp)
+        return tuple(self.pattern.matrix(d[ends]) for d in self._derivative)
 
 
 @dataclass(frozen=True)

@@ -19,26 +19,26 @@ An endpoint M-Gram check backs every group of modes (track_modes):
 colliding tracks are re-tracked as one cluster, and a collision that
 remains is a TrackingFailure.
 
-A homotopy may have several ends (pencil.HomotopyPencil), all from one
-start pencil: the study runner tracks a chunk of grid nodes at once, one
-end per node.  The loop then advances every end's homotopy in lockstep,
-with the end as the leading axis of every stacked array: each end keeps
-its own t, step and state, and predictors, Ritz projections, residuals,
-norms and acceptance are stacked products, each row the same operations
-in the same order as the end's homotopy alone.  A rejection, a step underflow or a
-singular bordered system belongs to its end: only that end retries or
-fails, and a batch returns the failure in that end's place.  A single
-homotopy, made with one end pencil rather than a sequence of them, returns
-its end's result and raises its failure.
-The ends a batch takes at once follow from one budget on its stacked
-bordered matrices (batch_size).
+Every homotopy is a batch: one start pencil and a sequence of ends
+(pencil.HomotopyPencil), and the study runner tracks a chunk of grid nodes
+at once, one end per node.  The loop advances every end's homotopy in
+lockstep, with the end as the leading axis of every stacked array: each end
+keeps its own t, step and state, and predictors, Ritz projections,
+residuals, norms and acceptance are stacked products, each row the same
+operations in the same order as the end's homotopy alone.  Every entry
+takes or reads its ends and returns one outcome per end: a result, or the
+failure that ended that end.  A rejection, a step underflow or a singular
+bordered system belongs to its end: only that end retries or fails.  The
+ends a batch takes at once follow from one budget on its stacked bordered
+matrices (batch_size).
 
 Every derivative and every Newton iteration above the tolerance factorizes
 the bordered system [[K - lambda M, -M e], [c^T, 0]] afresh, with two
 exceptions.  The t = 0 end of every homotopy from one pencil is that
 pencil, so the start pencil keeps one start record per start pair (_Start,
 in MatrixPencil.starts): the pair M-normalized and its residual checked,
-c = M e, and the LU of its bordered matrix at t = 0; every homotopy from
+c = M e, and the LU of its bordered matrix at t = 0 (or the failure that
+refused it, which every derivative there returns); every homotopy from
 the pencil takes its start state and its derivative at t = 0 from there,
 and only the back-solve and its residual check run again.  And a Newton
 iterate whose residual already meets the tolerance, waiting only for
@@ -153,14 +153,6 @@ class Tracks(list):
         self.n_solves = sum(st.n_solves for st in done)
         self.n_rejects = sum(st.n_rejects for st in done)
         self.min_overlap = min((st.min_overlap for st in done), default=1.0)
-
-
-def _one(outcomes):
-    """The outcome of a homotopy's one end; a failure is raised, from a list
-    that no longer holds it, so no frame of the raise refers to it."""
-    if isinstance(outcomes[0], CavityError):
-        raise outcomes.pop()
-    return outcomes[0]
 
 
 def _dots(X, Y):
@@ -371,30 +363,28 @@ class _BorderedLU:
         return np.bincount(A.indices, np.abs(A.data), minlength=A.shape[0]).max()
 
 
-def _factor(homotopy, t, lam, Me, c, ends=None):
+def _factor(homotopy, t, lam, Me, c, ends):
     """[[K - lam M, -M e], [c^T, 0]] at t, given Me = M e, on the homotopy
-    pattern's _Bordered, which the first call makes.  With ends, an index
-    array into homotopy.ends, lam, Me and c hold one row per listed end, and
-    the result holds its _BorderedLU or DegeneracyError per end; without,
-    the one end's _BorderedLU, its failure raised."""
-    single = ends is None
-    if single:
-        lam, Me, c, ends = [lam], [Me], [c], np.zeros(1, dtype=np.intp)
+    pattern's _Bordered, which the first call makes.  ends is an index
+    array into homotopy.ends, and lam, Me and c hold one row per listed end;
+    the result holds its _BorderedLU or DegeneracyError per end."""
     pattern, pencil = homotopy.pattern, homotopy.at(t, ends)
     if pattern.bordered is None:
         pattern.bordered = _Bordered(pattern)
     kml = pencil.stiffness.data - np.asarray(lam)[:, None] * pencil.mass.data
-    out = pattern.bordered.factor(kml, np.asarray(Me), np.asarray(c))
-    return _one(out) if single else out
+    return pattern.bordered.factor(kml, np.asarray(Me), np.asarray(c))
 
 
 class _Start:
     """A start pair at t = 0 of every homotopy from one pencil.
 
     Holds the pair M-normalized (eigenpair) with its residual checked,
-    c = M e, and the LU of the bordered matrix [[K0 - lambda0 M0, -M0 e0],
-    [c0^T, 0]], which keeps that matrix.  None of it depends on where a
-    homotopy ends, so the start pencil keeps the record (_start_state).
+    c = M e, and the outcome of factoring the bordered matrix
+    [[K0 - lambda0 M0, -M0 e0], [c0^T, 0]]: its LU, which keeps that matrix,
+    or the DegeneracyError that refused it, which every derivative at t = 0
+    returns.  None of it depends on where a homotopy ends, so the start
+    pencil keeps the record (_start_state).  A pair that is no eigenpair of
+    the start pencil is the caller's error, raised as DomainError.
     """
 
     def __init__(self, homotopy, pair):
@@ -402,33 +392,30 @@ class _Start:
         e = np.asarray(pair.vector, dtype=float)
         e = e / math.sqrt(e @ (M0 @ e))
         lam = float(pair.value)
-        self.c = M0 @ e   # also M e: at(0) is the start pencil
+        self.c = M0 @ e   # also M e: at t = 0 every end's pencil is the start pencil
         res0 = float(_scaled_residuals(
-            (K0 @ e - lam * self.c)[None], lam, e[None], *homotopy.norms(0.0)
+            (K0 @ e - lam * self.c)[None], lam, e[None], *homotopy.norms(0.0, [0])
         )[0])
         if res0 > 1e-8:
             raise DomainError(f"start pair residual {res0:.3e} violates the invariant at t=0")
         self.eigenpair = Eigenpair(lam, e, res0)
-        self.lu = _factor(homotopy, 0.0, lam, self.c, self.c)
+        (self.lu,) = _factor(homotopy, 0.0, [lam], self.c[None], self.c[None], [0])
 
 
-def eigenpair_derivative(homotopy, t, pair, c, ends=None):
-    """t-derivatives (e', lambda') of an isolated eigenpair of homotopy.at(t).
+def eigenpair_derivative(homotopy, t, pair, c, ends):
+    """t-derivatives (e', lambda') of an isolated eigenpair of homotopy.at(t)
+    at every listed end, an index array into homotopy.ends.
 
     Differentiating K e = lambda M e and c^T e = 1 gives the bordered system
     [[K - lambda M, -M e], [c^T, 0]] [e'; lambda'] = [-K' e + lambda M' e; 0].
     At t = 0, for the pair and c of a start state (_start_state), the start
-    pencil's record supplies the factorized matrix; otherwise it is
-    factorized here.  Either way the solve's residual is checked against it.
-
-    With ends, an index array into homotopy.ends, the derivatives are taken
-    at every listed end: pair and c are one pair and vector for all of them
-    or stack one per end (an Eigenpair of arrays), and the result holds
-    (e', lambda') or the DegeneracyError per end.  Without, they are the one
-    end's, its failure raised.
+    pencil's record supplies the factorization's outcome; otherwise the
+    matrix is factorized here.  Either way the solve's residual is checked
+    against it.  pair and c are one pair and vector for every end or stack
+    one per end (an Eigenpair of arrays), and the result holds (e', lambda')
+    or the DegeneracyError per end.
     """
-    single = ends is None
-    ends = np.zeros(1, dtype=np.intp) if single else np.asarray(ends, dtype=np.intp)
+    ends = np.asarray(ends, dtype=np.intp)
     records = homotopy.start.starts.values() if t == 0.0 else ()
     record = next((r for r in records if r.eigenpair is pair and r.c is c), None)
     n = homotopy.pattern.n
@@ -460,7 +447,7 @@ def eigenpair_derivative(homotopy, t, pair, c, ends=None):
             out.append(DegeneracyError(f"bordered solve residual {resid / scale:.3e} too large"))
             continue
         out.append((x[:-1], float(x[-1])))
-    return _one(out) if single else out
+    return out
 
 
 def predict(pair, derivative, dt):
@@ -471,8 +458,10 @@ def predict(pair, derivative, dt):
     return pair.vector + np.expand_dims(dt, -1) * de, pair.value + dt * dlam
 
 
-def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter, ends=None):
-    """Newton-Raphson on the eigenproblem of homotopy.at(t) plus c^T e = 1.
+def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter, ends):
+    """Newton-Raphson on the eigenproblem of homotopy.at(t) plus c^T e = 1 at
+    every listed end, an index array into homotopy.ends: e0, lam0 and c hold
+    one row or value per end.
 
     Converged when the scaled eigenproblem residual drops below tol and the
     last eigenvalue update satisfies |dlam| <= tol (1 + |lambda|).  An
@@ -480,17 +469,11 @@ def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter, ends=None):
     Jacobian at it.  An iterate whose residual already meets tol waits only
     for |dlam| to confirm, and its update reuses the last factorization of
     this call: a simplified-Newton step with the same fixed point, counted
-    as an iteration like any other.  Returns (Eigenpair, iterations,
-    factorizations); raises NewtonFailure on divergence or cap.  The failure
-    carries .iterations for the step-size controller and .factorizations.
-
-    With ends, an index array into homotopy.ends, every listed end is
-    corrected at once: e0, lam0 and c hold one row or value per end, and
-    the result holds the tuple or the NewtonFailure per end.
+    as an iteration like any other.  Returns per end (Eigenpair,
+    iterations, factorizations), or the NewtonFailure of divergence or the
+    cap, which carries .iterations for the step-size controller and
+    .factorizations.
     """
-    single = ends is None
-    if single:
-        e0, lam0, c, ends = [e0], [lam0], np.asarray(c)[None], np.zeros(1, dtype=np.intp)
     # E and lam are this call's own: iterates are updated in place
     E, lam = np.array(e0, dtype=float), np.array(lam0, dtype=float)
     C, ends = np.asarray(c), np.asarray(ends, dtype=np.intp)
@@ -567,7 +550,7 @@ def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter, ends=None):
                 "iteration diverged to non-finite values", it + 1, factorizations[i]
             )
         live = live[finite]
-    return _one(out) if single else out
+    return out
 
 
 def _newton_failure(message, iterations, factorizations):
@@ -614,11 +597,9 @@ def _start_state(homotopy, start):
 
 
 def track(homotopy, start, cfg=TrackConfig()):
-    """Carry one eigenpair from t = 0 to t = 1 along the homotopy: its
-    TrackState, or for a batch, the Tracks of its ends."""
+    """Carry one eigenpair from t = 0 to t = 1 along the homotopy: the Tracks
+    of its ends."""
     outcomes = track_cluster(homotopy, [start], cfg)
-    if homotopy.single:
-        return outcomes[0]
     return Tracks(o if isinstance(o, CavityError) else o[0] for o in outcomes)
 
 
@@ -631,17 +612,12 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
     several as one block (_block_step).  Convergence within n1 iterations
     grows the step by eta1, a rejection shrinks it by eta2, and a step below
     min_step is a TrackingFailure carrying the first member's state at the
-    last accepted t.  Returns one TrackState per start; for a batch, one
-    such list per end, or the CavityError that ended the end's track.
+    last accepted t.  Returns per end one TrackState per start, or the
+    CavityError that ended the end's track.
 
-    Each end of a batch keeps its own t and step.  The ends at one t take
-    their derivatives together, and those stepping to one t step together.
+    Each end keeps its own t and step.  The ends at one t take their
+    derivatives together, and those stepping to one t step together.
     """
-    outcomes = _track_ends(homotopy, starts, cfg)
-    return _one(outcomes) if homotopy.single else outcomes
-
-
-def _track_ends(homotopy, starts, cfg):
     n_ends, m = len(homotopy.ends), len(starts)
     states = [[_start_state(homotopy, s) for s in starts] for _ in range(n_ends)]
     records = [(st.eigenpair, st.c) for st in states[0]]   # every end starts there
@@ -836,8 +812,7 @@ def _ritz(K, M):
 
 def mixing(homotopy, pairs):
     """For each neighbour pair of start pairs (ascending by value): does its
-    first-order 2 x 2 model mix within t in [0, 1]?  For a batch, one such
-    list per end.
+    first-order 2 x 2 model mix within t in [0, 1]?  One such list per end.
 
     On the M-normalized start vectors E, the pencil restricted to span E is
     diag(lambda) + t D to first order, D = E^T (K' - lambda-bar M') E with
@@ -855,12 +830,11 @@ def mixing(homotopy, pairs):
         for col in E.T
     )))
     D = E.T @ KE - 0.5 * np.add.outer(lam, lam) * (E.T @ ME)
-    out = [
+    return [
         [max(abs(d[i, i] - d[i + 1, i + 1]), 2.0 * abs(d[i, i + 1])) >= lam[i + 1] - lam[i]
          for i in range(len(pairs) - 1)]
         for d in D
     ]
-    return out[0] if homotopy.single else out
 
 
 def track_modes(homotopy, starts, cfg=TrackConfig(), partner=None):
@@ -869,13 +843,13 @@ def track_modes(homotopy, starts, cfg=TrackConfig(), partner=None):
     Starts are grouped in value order: neighbours whose first-order model
     mixes within the homotopy (see mixing) share a cluster, which
     track_cluster advances as one block; a start in no cluster is tracked
-    alone by track.  Identity inside a cluster is value order.  Returned
-    states are in the order of starts; a cluster member's state.cluster
-    holds the indices of its cluster's starts.  A partner, the next pair of
-    the start pencil above the starts, is tracked where it mixes with a
-    start, so that their cluster is not cut, and not returned: its bordered
-    solves and factorizations are counted with the last start, and its
-    index in a cluster is len(starts).
+    alone by track.  Identity inside a cluster is value order.  Returns per
+    end its states in the order of starts, or the CavityError that ended
+    it; a cluster member's state.cluster holds the indices of its cluster's
+    starts.  A partner, the next pair of the start pencil above the starts,
+    is tracked where it mixes with a start, so that their cluster is not
+    cut, and not returned: its bordered solves and factorizations are
+    counted with the last start, and its index in a cluster is len(starts).
 
     The endpoint vectors must be pairwise M-orthogonal (|e_i^T M e_j| <=
     ORTHO_TOL).  Colliding tracks are re-tracked as one cluster with every
@@ -892,17 +866,16 @@ def track_modes(homotopy, starts, cfg=TrackConfig(), partner=None):
     eigensolver, not a discretization split, and each member follows the
     vector the base eigensolver picked for it.
 
-    For a batch, mixing is evaluated once per end and the ends are grouped
-    by the clusters they track, each group tracked together; the result
-    holds one list of states per end, or the CavityError that ended it,
-    and every end with near-degenerate starts warns once.
+    mixing is evaluated once per end and the ends are grouped by the
+    clusters they track, each group tracked together; every end with
+    near-degenerate starts warns once.
     """
     pairs = list(starts) + ([partner] if partner is not None else [])
     values = [p.value for p in pairs]
     order = [int(i) for i in np.argsort(values, kind="stable")]
     flags = mixing(homotopy, [pairs[j] for j in order])
     layouts = {}   # cluster layout -> the ends that track it
-    for b, mixed in enumerate([flags] if homotopy.single else flags):
+    for b, mixed in enumerate(flags):
         clusters = [[0]]   # runs of value ranks
         for rank, joined in enumerate(mixed, start=1):
             if joined:
@@ -937,7 +910,7 @@ def track_modes(homotopy, starts, cfg=TrackConfig(), partner=None):
             if spare is not None:
                 res[-1].n_solves += spare.n_solves
                 res[-1].n_factorizations += spare.n_factorizations
-    return _one(results) if homotopy.single else results
+    return results
 
 
 def _check_endpoints(homotopy, ends, pairs, order, tracked, clusters, flagged, cfg, results):
@@ -989,15 +962,13 @@ def _track_members(homotopy, pairs, members, cfg, results, ends):
     ends = [b for b in ends if not isinstance(results[b], CavityError)]
     if not ends:
         return
-    if not homotopy.single and len(ends) < len(homotopy.ends):
+    if len(ends) < len(homotopy.ends):
         homotopy = HomotopyPencil(homotopy.start, [homotopy.ends[b] for b in ends])
     if len(members) == 1:
-        outcomes = track(homotopy, pairs[members[0]], cfg)
-        outcomes = [o if isinstance(o, CavityError) else [o] for o in
-                    ([outcomes] if homotopy.single else outcomes)]
+        outcomes = [o if isinstance(o, CavityError) else [o]
+                    for o in track(homotopy, pairs[members[0]], cfg)]
     else:
         outcomes = track_cluster(homotopy, [pairs[j] for j in members], cfg)
-        outcomes = [outcomes] if homotopy.single else outcomes
         for states in outcomes:
             for st in states if isinstance(states, list) else ():
                 st.cluster = tuple(members)

@@ -202,6 +202,8 @@ def rule_1d(family, n, support=None):
     gauss-hermite integrates against the standard normal density and takes
     no support; gauss-legendre and clenshaw-curtis integrate against the
     uniform density on the support (default [-1, 1]), one node if it is [a, a].
+    A rule whose nodes or weights numpy does not compute as finite numbers
+    (gauss-hermite's overflow past a few hundred nodes) is a DomainError.
     """
     if family not in RULE_FAMILIES:
         raise DomainError(f"unknown rule family {family!r}; expected one of {RULE_FAMILIES}")
@@ -211,22 +213,25 @@ def rule_1d(family, n, support=None):
     if family == "gauss-hermite":
         if support is not None:
             raise DomainError("gauss-hermite has fixed Gaussian support")
-        nodes, weights = np.polynomial.hermite_e.hermegauss(n)
-        weights = weights / weights.sum()
+        with np.errstate(all="ignore"):   # an overflow is reported below
+            nodes, weights = np.polynomial.hermite_e.hermegauss(n)
+            weights = weights / weights.sum()
         nodes, weights = _symmetrize(nodes, weights)
-        return Rule1D(n, nodes, weights)
-    a, b = (-1.0, 1.0) if support is None else map(float, support)
-    if not (b > a or b == a and n == 1):
-        raise DomainError(f"support ({a}, {b}) must increase, or have zero width for orders of 1")
-    if family == "gauss-legendre":
-        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
-        ref_weights = ref_weights / 2.0
     else:
-        ref_nodes, ref_weights = _clenshaw_curtis_reference(n)
-        ref_weights = ref_weights / 2.0
-    ref_nodes, ref_weights = _symmetrize(ref_nodes, ref_weights)
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * ref_nodes
-    return Rule1D(n, nodes, ref_weights)
+        a, b = (-1.0, 1.0) if support is None else map(float, support)
+        if not (b > a or b == a and n == 1):
+            raise DomainError(
+                f"support ({a}, {b}) must increase, or have zero width for orders of 1"
+            )
+        if family == "gauss-legendre":
+            ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        else:
+            ref_nodes, ref_weights = _clenshaw_curtis_reference(n)
+        ref_nodes, weights = _symmetrize(ref_nodes, ref_weights / 2.0)
+        nodes = 0.5 * (a + b) + 0.5 * (b - a) * ref_nodes
+    if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+        raise DomainError(f"numpy computes no finite {family} rule of order {n}")
+    return Rule1D(n, nodes, weights)
 
 
 @dataclass(frozen=True)

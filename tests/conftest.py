@@ -51,6 +51,15 @@ def dense_pencil(K, M=None, validate=True):
     )
 
 
+def pencil_at(homotopy, t):
+    """The pencil at t of a homotopy's first end: the row of
+    homotopy.at(t, [0]), as a MatrixPencil of its own."""
+    pen = homotopy.at(t, [0])
+    return MatrixPencil(
+        homotopy.pattern, pen.stiffness.data[0], pen.mass.data[0], validate=False
+    )
+
+
 def _rectangle_patch(lx, ly):
     """Axis-aligned rectangle [0, lx] x [0, ly] as a bilinear patch."""
     pts = np.array([[[0.0, 0.0], [0.0, ly]], [[lx, 0.0], [lx, ly]]])

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from conftest import dense_pencil
+from conftest import dense_pencil, pencil_at
 
 from cavityuq import cli, oracle, uq
 from cavityuq.assembly import DiscreteSpace
@@ -218,31 +218,26 @@ def test_criterion_7_tracking_oracle_equivalence(report):
             return A @ A.T + shift * np.eye(n)
 
         hom = HomotopyPencil(
-            dense_pencil(spd(0.5), spd(1.0)), dense_pencil(spd(0.5), spd(1.0))
+            dense_pencil(spd(0.5), spd(1.0)), [dense_pencil(spd(0.5), spd(1.0))]
         )
-        starts = solve_smallest(hom.at(0.0), 3)
-        states = track_modes(hom, starts)
-        w1 = sla.eigh(
-            hom.at(1.0).stiffness.toarray(), hom.at(1.0).mass.toarray(),
-            eigvals_only=True,
-        )
+        starts = solve_smallest(hom.start, 3)
+        (states,) = track_modes(hom, starts)
+        end = hom.ends[0]
+        w1 = sla.eigh(end.stiffness.toarray(), end.mass.toarray(), eigvals_only=True)
         for st in states:
             lam = st.eigenpair.value
             worst_eig = max(worst_eig, float(np.min(np.abs(w1 - lam)) / abs(lam)))
 
         # lowest-mode derivative at mid-homotopy vs central differences
         h = 1e-4
-        pen = hom.at(0.5)
+        pen = pencil_at(hom, 0.5)
         w, V = sla.eigh(pen.stiffness.toarray(), pen.mass.toarray())
         pair = Eigenpair(float(w[0]), V[:, 0], 0.0)
         c = pen.mass @ pair.vector
-        _, dlam = eigenpair_derivative(hom, 0.5, pair, c)
+        [(_, dlam)] = eigenpair_derivative(hom, 0.5, pair, c, [0])
         lo, hi = (
-            sla.eigh(
-                hom.at(0.5 + s).stiffness.toarray(), hom.at(0.5 + s).mass.toarray(),
-                eigvals_only=True,
-            )[0]
-            for s in (-h, h)
+            sla.eigh(p.stiffness.toarray(), p.mass.toarray(), eigvals_only=True)[0]
+            for p in (pencil_at(hom, 0.5 + s) for s in (-h, h))
         )
         worst_der = max(worst_der, abs(dlam - (hi - lo) / (2 * h)) / abs(dlam))
     ok = worst_eig <= 1e-9 and worst_der <= 1e-5

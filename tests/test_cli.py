@@ -382,6 +382,16 @@ class TestGridCommand:
         assert run_cli("grid", "--config", cfg, "--out", str(tmp_path / "g")) == 2
         assert "gauss-hermite has fixed Gaussian support" in capsys.readouterr().err
 
+    def test_gauss_hermite_order_without_finite_rule_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"grid": {"kind": "tensor", "family": "gauss-hermite", "orders": [400]}},
+        )
+        out = tmp_path / "g"
+        assert run_cli("grid", "--config", cfg, "--out", str(out)) == 2
+        assert "no finite gauss-hermite rule of order 400" in capsys.readouterr().err
+        assert not (out / "grid.csv").exists()
+
 
 class TestKlFit:
     def test_fit_and_reuse(self, tmp_path, save_observations):

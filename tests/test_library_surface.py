@@ -1,5 +1,7 @@
 """Every function, class and method of the library has a caller outside the
-tests: code that only tests call belongs in the tests."""
+tests: code that only tests call belongs in the tests.  A method or property
+counts as called only where a pipeline looks it up as an attribute or names
+it in a string, not where a local name happens to share its spelling."""
 
 import ast
 from pathlib import Path
@@ -17,18 +19,20 @@ def _trees(paths):
     return [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
 
 
-def _uses(trees):
+def _uses(trees, attributes_only=False):
     """Every name a module looks up: Name ids, Attribute attrs, imported
     names, and string constants that are identifiers (a name looked up at
-    run time, as in getattr(module, "name") or globals()[name])."""
+    run time, as in getattr(module, "name") or globals()[name]).  With
+    attributes_only, only the attrs and the strings: the ways a method or
+    property is looked up, which a bare name of the same spelling is not."""
     names = set()
     for _, tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not attributes_only:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, ast.alias) and not attributes_only:
                 names.update(node.name.split("."))
             elif (
                 isinstance(node, ast.Constant)
@@ -40,11 +44,19 @@ def _uses(trees):
 
 
 def _definitions(path, tree):
+    """(where, name, is_method) of every function and class the module
+    defines; a method is a function defined in a class body."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods = {
+        id(child)
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for child in node.body if isinstance(child, functions)
+    }
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, (*functions, ast.ClassDef)):
             name = node.name
             if not (name.startswith("__") and name.endswith("__")):
-                yield f"{path.name}:{node.lineno} {name}", name
+                yield f"{path.name}:{node.lineno} {name}", name, id(node) in methods
 
 
 def test_no_library_definition_is_test_only():
@@ -54,13 +66,13 @@ def test_no_library_definition_is_test_only():
     pipelines = callers + _trees(
         p for p in sorted((_ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")
     )
-    used = _uses(pipelines)
+    used, looked_up = _uses(pipelines), _uses(pipelines, attributes_only=True)
     unused = [
         where
         for path, tree in library
         if path.name not in _EXEMPT_MODULES
-        for where, name in _definitions(path, tree)
-        if name not in used
+        for where, name, method in _definitions(path, tree)
+        if name not in (looked_up if method else used)
     ]
     assert unused == []
 

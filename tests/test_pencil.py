@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import csr_pencil
+from conftest import csr_pencil, pencil_at
 
 from cavityuq.assembly import DiscreteSpace, PatternMatrix, SparsityPattern, assemble
 from cavityuq.eigen import solve_smallest
@@ -31,68 +31,70 @@ def disk_pencil(r, bc="dirichlet"):
 
 @pytest.fixture(scope="module")
 def homotopy():
-    return HomotopyPencil(disk_pencil(0.05), disk_pencil(0.06))
+    return HomotopyPencil(disk_pencil(0.05), [disk_pencil(0.06)])
 
 
 class TestHomotopy:
     def test_endpoints_exact(self, homotopy):
-        assert np.array_equal(homotopy.at(0.0).stiffness.data, homotopy.start.stiffness.data)
-        assert np.array_equal(homotopy.at(1.0).mass.data, homotopy.end.mass.data)
+        assert np.array_equal(
+            pencil_at(homotopy, 0.0).stiffness.data, homotopy.start.stiffness.data
+        )
+        assert np.array_equal(pencil_at(homotopy, 1.0).mass.data, homotopy.ends[0].mass.data)
 
     def test_midpoint_is_entrywise_average(self, homotopy):
-        mid = homotopy.at(0.5).stiffness.data
-        avg = 0.5 * homotopy.start.stiffness.data + 0.5 * homotopy.end.stiffness.data
+        mid = pencil_at(homotopy, 0.5).stiffness.data
+        avg = 0.5 * homotopy.start.stiffness.data + 0.5 * homotopy.ends[0].stiffness.data
         assert np.array_equal(mid, avg)
 
     def test_affine_in_t(self, homotopy):
-        # at(t) refills one kept pencil in place, so each matrix is copied
         h = 0.125
         for t in (0.25, 0.5, 0.625):
             second = (
-                homotopy.at(t + h).stiffness.data.copy()
-                - 2 * homotopy.at(t).stiffness.data.copy()
-                + homotopy.at(t - h).stiffness.data
+                pencil_at(homotopy, t + h).stiffness.data
+                - 2 * pencil_at(homotopy, t).stiffness.data
+                + pencil_at(homotopy, t - h).stiffness.data
             )
-            top = np.abs(homotopy.at(t).stiffness.data).max()
+            top = np.abs(pencil_at(homotopy, t).stiffness.data).max()
             assert np.abs(second).max() <= 1e-12 * top
 
     def test_derivative_is_difference(self, homotopy):
-        Kp, Mp = homotopy.derivative()
+        Kp, Mp = homotopy.derivative([0])
         assert Kp.pattern is Mp.pattern is homotopy.pattern
-        assert np.array_equal(Kp.data, homotopy.end.stiffness.data - homotopy.start.stiffness.data)
-        assert np.array_equal(Mp.data, homotopy.end.mass.data - homotopy.start.mass.data)
+        end = homotopy.ends[0]
+        assert np.array_equal(Kp.data[0], end.stiffness.data - homotopy.start.stiffness.data)
+        assert np.array_equal(Mp.data[0], end.mass.data - homotopy.start.mass.data)
 
     def test_derivative_matches_finite_differences(self, homotopy):
         # 2-D stiffness is invariant under pure rescaling, so K' here is
         # rounding-level; compare against the matrix scale, not the slope.
-        Kp, Mp = homotopy.derivative()
+        Kp, Mp = homotopy.derivative([0])
         h = 1e-3
         for A, Ap in (
-            (lambda t: homotopy.at(t).stiffness.data.copy(), Kp),
-            (lambda t: homotopy.at(t).mass.data.copy(), Mp),
+            (lambda t: pencil_at(homotopy, t).stiffness.data, Kp),
+            (lambda t: pencil_at(homotopy, t).mass.data, Mp),
         ):
             fd = (A(0.5 + h) - A(0.5 - h)) / (2 * h)
-            assert np.abs(fd - Ap.data).max() <= 1e-12 * np.abs(A(0.5)).max()
+            assert np.abs(fd - Ap.data[0]).max() <= 1e-12 * np.abs(A(0.5)).max()
 
     def test_identity_homotopy_has_zero_derivative(self):
         pen = disk_pencil(0.05)
-        Kp, Mp = HomotopyPencil(pen, pen).derivative()
+        Kp, Mp = HomotopyPencil(pen, [pen]).derivative([0])
         assert not Kp.data.any() and not Mp.data.any()
 
     def test_parameter_domain(self, homotopy):
         for t in (-0.01, 1.01):
             with pytest.raises(DomainError):
-                homotopy.at(t)
+                homotopy.at(t, [0])
 
     def test_size_mismatch_rejected(self):
         a = disk_pencil(0.05)
         b = assemble(build_disk_patch(0.05), DiscreteSpace(2, 8), bc="dirichlet")
         with pytest.raises(DomainError):
-            HomotopyPencil(a, b)
+            HomotopyPencil(a, [b])
 
     def test_endpoints_share_the_assembly_pattern(self, homotopy):
-        assert homotopy.start.pattern is homotopy.end.pattern is homotopy.pattern
-        assert homotopy.at(0.37).pattern is homotopy.pattern
+        assert homotopy.start.pattern is homotopy.ends[0].pattern is homotopy.pattern
+        assert homotopy.at(0.37, [0]).pattern is homotopy.pattern
 
     def test_pattern_mismatch_rejected(self):
         a = disk_pencil(0.05)
@@ -104,9 +106,9 @@ class TestHomotopy:
             # the same entries on another pattern object
             csr_pencil(a.stiffness.tocsr(), sp.identity(a.n, format="csr"), validate=False),
         ):
-            for pair in ((a, end), (end, a)):
+            for start, other in ((a, end), (end, a)):
                 with pytest.raises(DomainError, match="different sparsity patterns"):
-                    HomotopyPencil(*pair)
+                    HomotopyPencil(start, [other])
 
 
 def random_csr(rng):

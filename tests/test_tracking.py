@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import csr_pencil, dense_pencil
+from conftest import csr_pencil, dense_pencil, pencil_at
 
 from cavityuq.assembly import DiscreteSpace, MatrixPencil, assemble
 from cavityuq.eigen import DENSE_CUTOFF, Eigenpair, solve_smallest
@@ -50,7 +50,7 @@ def tm_block():
     par = build_pillbox_pencil(0.05, 0.1, 1, space)
     b0 = par.blocks[0]
     return HomotopyPencil(
-        block_pencil(par.at([0.05]), b0), block_pencil(par.at([0.06]), b0)
+        block_pencil(par.at([0.05]), b0), [block_pencil(par.at([0.06]), b0)]
     )
 
 
@@ -83,39 +83,37 @@ class TestDerivative:
     def test_stationary_homotopy_gives_zero(self):
         pen = dense_pencil(np.diag([1.0, 2.0]))
         pair = solve_smallest(pen, 1)[0]
-        hom = HomotopyPencil(pen, pen)
-        de, dlam = eigenpair_derivative(hom, 0.0, pair, pen.mass @ pair.vector)
+        hom = HomotopyPencil(pen, [pen])
+        [(de, dlam)] = eigenpair_derivative(hom, 0.0, pair, pen.mass @ pair.vector, [0])
         assert np.abs(de).max() == 0.0 and dlam == 0.0
 
     def test_diagonal_first_order_perturbation(self):
         pen = dense_pencil(np.diag([1.0, 2.0]))
         pair = solve_smallest(pen, 1)[0]
         # K' = diag(3.7, -1.2) up to rounding, M' = 0
-        hom = HomotopyPencil(pen, dense_pencil(np.diag([1.0 + 3.7, 2.0 - 1.2])))
-        de, dlam = eigenpair_derivative(hom, 0.0, pair, pen.mass @ pair.vector)
+        hom = HomotopyPencil(pen, [dense_pencil(np.diag([1.0 + 3.7, 2.0 - 1.2]))])
+        [(de, dlam)] = eigenpair_derivative(hom, 0.0, pair, pen.mass @ pair.vector, [0])
         assert dlam == pytest.approx(3.7, abs=1e-12)
         assert np.abs(de).max() <= 1e-12
 
     def test_matches_finite_differences_on_radius_leg(self, tm_block):
-        mid = tm_block.at(0.5)
+        mid = pencil_at(tm_block, 0.5)
         pair = solve_smallest(mid, 1)[0]
         c = mid.mass @ pair.vector
-        _, dlam = eigenpair_derivative(tm_block, 0.5, pair, c)
+        [(_, dlam)] = eigenpair_derivative(tm_block, 0.5, pair, c, [0])
         h = 1e-4
         fd = (
-            solve_smallest(tm_block.at(0.5 + h), 1)[0].value
-            - solve_smallest(tm_block.at(0.5 - h), 1)[0].value
+            solve_smallest(pencil_at(tm_block, 0.5 + h), 1)[0].value
+            - solve_smallest(pencil_at(tm_block, 0.5 - h), 1)[0].value
         ) / (2 * h)
         assert abs(dlam / fd - 1.0) <= 1e-5
 
     def test_multiple_eigenvalue_raises_degeneracy(self):
         pen = dense_pencil(np.eye(2))
         e = np.array([1.0, 0.0])
-        from cavityuq.eigen import Eigenpair
-
         pair = Eigenpair(1.0, e, 0.0)
-        with pytest.raises(DegeneracyError):
-            eigenpair_derivative(HomotopyPencil(pen, pen), 0.0, pair, pen.mass @ e)
+        (failure,) = eigenpair_derivative(HomotopyPencil(pen, [pen]), 0.0, pair, pen.mass @ e, [0])
+        assert isinstance(failure, DegeneracyError)
 
 
 def reference_pencil(homotopy, t):
@@ -123,8 +121,8 @@ def reference_pencil(homotopy, t):
     s = 1.0 - t
     return tuple(
         s * a.tocsr() + t * b.tocsr()
-        for a, b in ((homotopy.start.stiffness, homotopy.end.stiffness),
-                     (homotopy.start.mass, homotopy.end.mass))
+        for a, b in ((homotopy.start.stiffness, homotopy.ends[0].stiffness),
+                     (homotopy.start.mass, homotopy.ends[0].mass))
     )
 
 
@@ -201,14 +199,12 @@ class TestBorderedRefill:
         disk = assemble(build_disk_patch(0.05), DiscreteSpace(2, 4), bc="dirichlet")
         par = build_pillbox_pencil(0.05, 0.1, 1, DiscreteSpace(2, 6))
         te = next(b for b in par.blocks if b.family == "TE")
-        mid = tm_block.at(0.37)   # refilled in place by the next at(t): copied
         big = assemble(build_disk_patch(0.05), DiscreteSpace(2, 24), bc="dirichlet")
         assert big.n > DENSE_CUTOFF
         for name, pen in (
             ("disk16", disk),
             ("pillbox-neumann", block_pencil(par.at([0.05]), te)),
-            ("homotopy-0.37", MatrixPencil(mid.pattern, mid.stiffness.data.copy(),
-                                           mid.mass.data.copy())),
+            ("homotopy-0.37", pencil_at(tm_block, 0.37)),
             ("disk576-sparse", big),
         ):
             pair = solve_smallest(pen, 2)[1]
@@ -216,7 +212,7 @@ class TestBorderedRefill:
             out[name] = (pen, pair.value * (1.0 + 1e-3), e, pen.mass @ pair.vector)
         out["forced-zeros"] = forced_zero_case()
         return {
-            name: (HomotopyPencil(pen, rescaled(pen)), lam, e, c)
+            name: (HomotopyPencil(pen, [rescaled(pen)]), lam, e, c)
             for name, (pen, lam, e, c) in out.items()
         }
 
@@ -229,18 +225,18 @@ class TestBorderedRefill:
         rhs = 1.0 + np.arange(hom.start.n + 1.0)
         layouts = set()
         for t in (0.0, 0.37, 1.0):
-            pen, (K, M) = hom.at(t), reference_pencil(hom, t)
+            pen, (K, M) = pencil_at(hom, t), reference_pencil(hom, t)
             for got, want in ((pen.stiffness, K), (pen.mass, M)):
                 assert np.array_equal(got.toarray(), want.toarray()), t
                 # numpy sums each row in another order than scipy's matvec
                 top = np.abs(want).max() * np.abs(e).sum()
                 assert np.abs(got @ e - want @ e).max() <= 1e-15 * top, t
             norms = (spla.norm(K, np.inf), spla.norm(M, np.inf))
-            assert np.asarray(hom.norms(t)).tobytes() == np.asarray(norms).tobytes(), t
+            assert np.concatenate(hom.norms(t, [0])).tobytes() == np.asarray(norms).tobytes(), t
             Me = pen.mass @ e
             ref = reference_bordered(K, M, lam, Me, c, hom.pattern)
             perm_c = getattr(hom.pattern.bordered, "perm_c", None)
-            lu = tracking._factor(hom, t, lam, Me, c)
+            (lu,) = tracking._factor(hom, t, [lam], [Me], [c], [0])
             A = lu.matrix
             layouts.add(id(hom.pattern.bordered))
             if dense:
@@ -272,21 +268,21 @@ class TestBorderedRefill:
         # matrix is the first on it and the column ordering comes after it
         start = MatrixPencil(hom.pattern, hom.start.stiffness.data, hom.start.mass.data,
                              validate=False)
-        hom = HomotopyPencil(start, hom.end)
+        hom = HomotopyPencil(start, hom.ends)
         hom.pattern.bordered = None
         st = tracking._start_state(hom, solve_smallest(start, 1)[0])
         (record,) = start.starts.values()
         A = record.lu.matrix
         kept = [np.array(a, copy=True) for a in
                 ((A,) if isinstance(A, np.ndarray) else (A.data, A.indices, A.indptr))]
-        before = eigenpair_derivative(hom, 0.0, st.eigenpair, st.c)
-        _, iters, factorizations = newton_correct(
-            hom, 0.01, st.eigenpair.vector, st.eigenpair.value, st.c, 1e-10, 5
+        [before] = eigenpair_derivative(hom, 0.0, st.eigenpair, st.c, [0])
+        [(_, iters, factorizations)] = newton_correct(
+            hom, 0.01, [st.eigenpair.vector], [st.eigenpair.value], [st.c], 1e-10, 5, [0]
         )
         assert iters >= factorizations > 0
         for t in (0.0, 0.37, 1.0):
-            tracking._factor(hom, t, lam, hom.at(t).mass @ e, c)
-        after = eigenpair_derivative(hom, 0.0, st.eigenpair, st.c)
+            tracking._factor(hom, t, [lam], [pencil_at(hom, t).mass @ e], [c], [0])
+        [after] = eigenpair_derivative(hom, 0.0, st.eigenpair, st.c, [0])
         assert record.lu.matrix is A
         now = (A,) if isinstance(A, np.ndarray) else (A.data, A.indices, A.indptr)
         assert [a.tobytes() for a in now] == [a.tobytes() for a in kept]
@@ -336,7 +332,7 @@ class TestSolverCalls:
             return SimpleNamespace(solve=solve)
 
         monkeypatch.setattr(tracking, "spla", SimpleNamespace(splu=splu))
-        states = track_modes(HomotopyPencil(*pens), starts)
+        (states,) = track_modes(HomotopyPencil(pens[0], [pens[1]]), starts)
         assert len(matrices) > 1 and all(type(A) is np.ndarray for A in matrices)
         # each array is kept alive here, so no two can share an address
         assert len({A.ctypes.data for A in matrices}) == len(matrices)
@@ -383,11 +379,17 @@ class TestKeptLU:
             kept_lapack()
         else:
             monkeypatch.setattr(tracking, "_lapack", lambda: None)
-        with pytest.raises(DegeneracyError) as raised:
-            tracking._factor(HomotopyPencil(pen, pen), 0.0, 2.0, e, e).solve(np.ones(4))
+        (outcome,) = tracking._factor(HomotopyPencil(pen, [pen]), 0.0, [2.0], [e], [e], [0])
         # getrf fails in the factorization; without it, gesv does at the solve
+        if kept:
+            failure = outcome
+        else:
+            with pytest.raises(DegeneracyError) as raised:
+                outcome.solve(np.ones(4))
+            failure = raised.value
+        assert isinstance(failure, DegeneracyError)
         cause = RuntimeError if kept else np.linalg.LinAlgError
-        assert type(raised.value.__cause__) is cause
+        assert type(failure.__cause__) is cause
 
 
 class TestStartRecords:
@@ -397,20 +399,33 @@ class TestStartRecords:
         space = DiscreteSpace(2, 6)
         pens = [assemble(build_disk_patch(r), space, bc="dirichlet") for r in (0.05, 0.055, 0.06)]
         starts = solve_smallest(pens[0], 2)
-        for st in track_modes(HomotopyPencil(pens[0], pens[1]), starts):
+        for st in track_modes(HomotopyPencil(pens[0], [pens[1]]), starts)[0]:
             assert st.n_factorizations > 0 and st.n_solves > st.n_factorizations
-        h = HomotopyPencil(pens[0], pens[2])
+        h = HomotopyPencil(pens[0], [pens[2]])
         for start in starts:
             st = tracking._start_state(h, start)
             assert st.n_factorizations == 0
-            shared = eigenpair_derivative(h, 0.0, st.eigenpair, st.c)
+            [shared] = eigenpair_derivative(h, 0.0, st.eigenpair, st.c, [0])
             pair = Eigenpair(st.eigenpair.value, st.eigenpair.vector.copy(), 0.0)
-            fresh = eigenpair_derivative(h, 0.0, pair, st.c.copy())
+            [fresh] = eigenpair_derivative(h, 0.0, pair, st.c.copy(), [0])
             assert shared[0].tobytes() == fresh[0].tobytes() and shared[1] == fresh[1]
         # the record's LU computed its norm once, for the first derivative
         for record in pens[0].starts.values():
             A = record.lu.matrix
             assert vars(record.lu)["norm_inf"] == np.abs(A).sum(axis=1).max()
+
+    def test_singular_start_fails_every_end(self):
+        """A start pair whose bordered matrix at t = 0 is singular fails every
+        end with a DegeneracyError, returned in the end's place, not raised;
+        with getrf, its record keeps the refused factorization."""
+        pen = dense_pencil(np.eye(2))
+        start = Eigenpair(1.0, np.array([1.0, 0.0]), 0.0)
+        ends = [dense_pencil(np.diag([1.0, d])) for d in (2.0, 3.0)]
+        tracks = track(HomotopyPencil(pen, ends), start)
+        assert len(tracks) == 2 and all(isinstance(o, DegeneracyError) for o in tracks)
+        (record,) = pen.starts.values()
+        if tracking._lapack() is not None:
+            assert all(o is record.lu for o in tracks)
 
 
 class TestPredict:
@@ -422,14 +437,14 @@ class TestPredict:
         np.testing.assert_array_equal(e, pair.vector)
 
     def test_error_is_second_order_on_radius_leg(self, tm_block):
-        mid = tm_block.at(0.5)
+        mid = pencil_at(tm_block, 0.5)
         pair = solve_smallest(mid, 1)[0]
         c = mid.mass @ pair.vector
-        der = eigenpair_derivative(tm_block, 0.5, pair, c)
+        [der] = eigenpair_derivative(tm_block, 0.5, pair, c, [0])
         errs = []
         for dt in (0.1, 0.05):
             _, lam_pred = predict(pair, der, dt)
-            lam_true = solve_smallest(tm_block.at(0.5 + dt), 1)[0].value
+            lam_true = solve_smallest(pencil_at(tm_block, 0.5 + dt), 1)[0].value
             errs.append(abs(lam_pred - lam_true))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.5)
 
@@ -439,8 +454,10 @@ class TestNewton:
         pen = dense_pencil(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         pair = solve_smallest(pen, 1)[0]
         c = pen.mass @ pair.vector
-        hom = HomotopyPencil(pen, pen)
-        out, iters, _ = newton_correct(hom, 0.0, pair.vector, pair.value, c, 1e-10, 8)
+        hom = HomotopyPencil(pen, [pen])
+        [(out, iters, _)] = newton_correct(
+            hom, 0.0, [pair.vector], [pair.value], [c], 1e-10, 8, [0]
+        )
         assert iters == 0
         assert out.value == pair.value
 
@@ -450,8 +467,10 @@ class TestNewton:
         c = pen.mass @ pair.vector
         rng = np.random.default_rng(3)
         e0 = pair.vector + 1e-2 * rng.standard_normal(2)
-        hom = HomotopyPencil(pen, pen)
-        out, iters, _ = newton_correct(hom, 0.0, e0, pair.value + 1e-2, c, 1e-14, 10)
+        hom = HomotopyPencil(pen, [pen])
+        [(out, iters, _)] = newton_correct(
+            hom, 0.0, [e0], [pair.value + 1e-2], [c], 1e-14, 10, [0]
+        )
         assert 1 <= iters <= 4
         assert abs(out.value - pair.value) <= 1e-12
         assert abs(c @ out.vector - 1.0) <= 1e-12
@@ -460,10 +479,11 @@ class TestNewton:
         pen = dense_pencil(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         pair = solve_smallest(pen, 1)[0]
         c = pen.mass @ pair.vector
-        hom = HomotopyPencil(pen, pen)
-        with pytest.raises(NewtonFailure) as info:
-            newton_correct(hom, 0.0, pair.vector + 5.0, pair.value + 50.0, c, 1e-14, 2)
-        assert info.value.iterations == 2
+        hom = HomotopyPencil(pen, [pen])
+        (failure,) = newton_correct(
+            hom, 0.0, [pair.vector + 5.0], [pair.value + 50.0], [c], 1e-14, 2, [0]
+        )
+        assert isinstance(failure, NewtonFailure) and failure.iterations == 2
 
     @staticmethod
     def confirming_case():
@@ -471,14 +491,15 @@ class TestNewton:
         # lands within tol, and only |dlam| is left to confirm
         pen = dense_pencil(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
         pair = solve_smallest(pen, 1)[0]
-        hom = HomotopyPencil(pen, pen)
-        return pair, (hom, 0.0, pair.vector, 1.01 * pair.value, pen.mass @ pair.vector, 1e-10, 5)
+        hom = HomotopyPencil(pen, [pen])
+        c = pen.mass @ pair.vector
+        return pair, (hom, 0.0, [pair.vector], [1.01 * pair.value], [c], 1e-10, 5, [0])
 
     def test_confirming_update_reuses_the_last_factorization(self, monkeypatch):
         pair, args = self.confirming_case()
         spla_calls = Counting(tracking.spla, "splu")
         monkeypatch.setattr(tracking, "spla", spla_calls)
-        out, iters, factorizations = newton_correct(*args)
+        [(out, iters, factorizations)] = newton_correct(*args)
         assert iters == 2
         assert factorizations == spla_calls.calls["splu"] == iters - 1
         assert out.value == pytest.approx(pair.value, rel=1e-14)
@@ -499,22 +520,22 @@ class TestNewton:
             return SimpleNamespace(solve=solve)
 
         monkeypatch.setattr(tracking, "spla", SimpleNamespace(splu=splu))
-        with pytest.raises(NewtonFailure, match="non-finite") as info:
-            newton_correct(*args)
-        assert info.value.iterations == info.value.factorizations == 1
+        (failure,) = newton_correct(*args)
+        assert isinstance(failure, NewtonFailure) and "non-finite" in str(failure)
+        assert failure.iterations == failure.factorizations == 1
 
     def test_failure_releases_the_pencil_without_cycle_collection(self):
         pen = dense_pencil(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         pair = solve_smallest(pen, 1)[0]
         c = pen.mass @ pair.vector
-        hom = HomotopyPencil(pen, pen)
+        hom = HomotopyPencil(pen, [pen])
         ref = weakref.ref(pen)
         gc.disable()
         try:
-            try:
-                newton_correct(hom, 0.0, pair.vector + 5.0, pair.value + 50.0, c, 1e-14, 2)
-            except NewtonFailure as exc:
-                assert exc.iterations == 2
+            (failure,) = newton_correct(
+                hom, 0.0, [pair.vector + 5.0], [pair.value + 50.0], [c], 1e-14, 2, [0]
+            )
+            assert isinstance(failure, NewtonFailure) and failure.iterations == 2
             del pen, hom
             assert ref() is None
         finally:
@@ -525,15 +546,15 @@ class TestTrack:
     def test_identity_homotopy_single_step(self):
         pen = assemble(build_disk_patch(0.05), DiscreteSpace(2, 8), bc="dirichlet")
         start = solve_smallest(pen, 1)[0]
-        st = track(HomotopyPencil(pen, pen), start)
+        (st,) = track(HomotopyPencil(pen, [pen]), start)
         assert st.t == 1.0
         assert st.newton_log == [0]
         assert st.eigenpair.value == start.value
 
     def test_radius_leg_reaches_direct_solve(self, tm_block):
-        start = solve_smallest(tm_block.at(0.0), 1)[0]
-        st = track(tm_block, start)
-        ref = solve_smallest(tm_block.at(1.0), 1)[0].value
+        start = solve_smallest(tm_block.start, 1)[0]
+        (st,) = track(tm_block, start)
+        ref = solve_smallest(tm_block.ends[0], 1)[0].value
         assert abs(st.eigenpair.value / ref - 1.0) <= 1e-8
         assert st.min_overlap > 0.9
         ts = [t for t, _ in st.trajectory]
@@ -548,16 +569,14 @@ class TestTrack:
             return A @ A.T + n * np.eye(n)
 
         K0, M0, K1, M1 = spd(50), spd(50), spd(50), spd(50)
-        h = HomotopyPencil(dense_pencil(K0, M0), dense_pencil(K1, M1))
+        h = HomotopyPencil(dense_pencil(K0, M0), [dense_pencil(K1, M1)])
         ref = la.eigh(K1, M1, eigvals_only=True)
-        for start in solve_smallest(h.at(0.0), 5):
-            lam = track(h, start).eigenpair.value
+        for start in solve_smallest(h.start, 5):
+            lam = track(h, start)[0].eigenpair.value
             assert np.min(np.abs(ref - lam)) <= 1e-9 * abs(lam)
 
     def test_bad_start_rejected(self, tm_block):
-        from cavityuq.eigen import Eigenpair
-
-        n = tm_block.at(0.0).n
+        n = tm_block.start.n
         junk = Eigenpair(1.0, np.ones(n), 1.0)
         with pytest.raises(DomainError):
             track(tm_block, junk)
@@ -565,8 +584,8 @@ class TestTrack:
 
 class TestStepControl:
     def test_growth_by_eta1_on_easy_path(self, tm_block):
-        start = solve_smallest(tm_block.at(0.0), 1)[0]
-        st = track(tm_block, start, TrackConfig(initial_step=0.01))
+        start = solve_smallest(tm_block.start, 1)[0]
+        (st,) = track(tm_block, start, TrackConfig(initial_step=0.01))
         dts = np.diff([t for t, _ in st.trajectory])
         ratios = dts[1:4] / dts[:3]
         np.testing.assert_allclose(ratios, 1.1, rtol=1e-12)
@@ -576,10 +595,10 @@ class TestStepControl:
         # onto the wrong branch in 4 iterations, so n2=2 forces rejections
         K0 = np.diag([1.0, 10.0])
         R = rotation(1.4)
-        h = HomotopyPencil(dense_pencil(K0), dense_pencil(R @ K0 @ R.T))
-        start = solve_smallest(h.at(0.0), 1)[0]
+        h = HomotopyPencil(dense_pencil(K0), [dense_pencil(R @ K0 @ R.T)])
+        start = solve_smallest(h.start, 1)[0]
         cfg = TrackConfig(n1=1, n2=2, initial_step=1.0)
-        st = track(h, start, cfg)
+        (st,) = track(h, start, cfg)
         assert st.n_rejects >= 1
         assert all(i <= 2 for i in st.newton_log)
         assert st.eigenpair.value == pytest.approx(1.0, rel=1e-10)
@@ -588,11 +607,11 @@ class TestStepControl:
     def test_step_underflow_carries_last_state(self):
         K0 = np.diag([1.0, 10.0])
         R = rotation(1.4)
-        h = HomotopyPencil(dense_pencil(K0), dense_pencil(R @ K0 @ R.T))
-        start = solve_smallest(h.at(0.0), 1)[0]
-        with pytest.raises(TrackingFailure) as info:
-            track(h, start, TrackConfig(n1=1, n2=2, initial_step=1.0, min_step=0.5))
-        state = info.value.state
+        h = HomotopyPencil(dense_pencil(K0), [dense_pencil(R @ K0 @ R.T)])
+        start = solve_smallest(h.start, 1)[0]
+        (failure,) = track(h, start, TrackConfig(n1=1, n2=2, initial_step=1.0, min_step=0.5))
+        assert isinstance(failure, TrackingFailure)
+        state = failure.state
         assert isinstance(state, TrackState)
         assert state.t == 0.0
         assert state.eigenpair.value == pytest.approx(start.value)
@@ -604,16 +623,16 @@ class TestTrackModes:
         par = build_pillbox_pencil(0.05, 0.1, 1, space)
         b0 = par.blocks[0]
         h = HomotopyPencil(
-            block_pencil(par.at([0.05]), b0), block_pencil(par.at([0.06]), b0)
+            block_pencil(par.at([0.05]), b0), [block_pencil(par.at([0.06]), b0)]
         )
-        starts = solve_smallest(h.at(0.0), 3)
+        starts = solve_smallest(h.start, 3)
         with pytest.warns(UserWarning, match="degenerate"):
-            states = track_modes(h, starts)
+            (states,) = track_modes(h, starts)
         assert [s.flagged for s in states] == [False, True, True]
-        M = h.at(1.0).mass
+        M = h.ends[0].mass
         g = states[1].eigenpair.vector @ (M @ states[2].eigenpair.vector)
         assert abs(g) <= 1e-8
-        ref = [p.value for p in solve_smallest(h.at(1.0), 3)]
+        ref = [p.value for p in solve_smallest(h.ends[0], 3)]
         for st, r in zip(states, ref):
             assert abs(st.eigenpair.value / r - 1.0) <= 1e-8
 
@@ -621,7 +640,7 @@ class TestTrackModes:
         space = DiscreteSpace(2, 8)
         pens = [assemble(build_disk_patch(r), space, bc="dirichlet") for r in (0.05, 0.06)]
         before = [vars(p).copy() for p in pens]
-        track_modes(HomotopyPencil(*pens), solve_smallest(pens[0], 2))
+        track_modes(HomotopyPencil(pens[0], [pens[1]]), solve_smallest(pens[0], 2))
         for pen, old in zip(pens, before):
             assert vars(pen).keys() == old.keys()
             assert all(vars(pen)[k] is v for k, v in old.items())
@@ -629,13 +648,13 @@ class TestTrackModes:
     def test_isolated_modes_do_not_warn(self):
         pen0 = dense_pencil(np.diag([1.0, 2.0, 4.0]))
         pen1 = dense_pencil(np.diag([1.5, 2.5, 4.5]))
-        h = HomotopyPencil(pen0, pen1)
+        h = HomotopyPencil(pen0, [pen1])
         starts = solve_smallest(pen0, 3)
         import warnings
 
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            states = track_modes(h, starts)
+            (states,) = track_modes(h, starts)
         assert not [w for w in record if issubclass(w.category, UserWarning)]
         assert [s.flagged for s in states] == [False, False, False]
 
@@ -656,25 +675,30 @@ def avoided_crossing(seed=5, perturbation=0.0):
     A1[0, 2] = A1[2, 0] = A1[1, 2] = A1[2, 1] = 0.05
     B = perturbation * rng.standard_normal((n, n))
     A1 += B + B.T
-    return HomotopyPencil(dense_pencil(Q @ A0 @ Q.T), dense_pencil(Q @ A1 @ Q.T))
+    return HomotopyPencil(dense_pencil(Q @ A0 @ Q.T), [dense_pencil(Q @ A1 @ Q.T)])
+
+
+def never_mixing(homotopy, pairs):
+    """A mixing stand-in: no neighbour pair mixes at any end."""
+    return [[False] * (len(pairs) - 1) for _ in homotopy.ends]
 
 
 def end_gram(homotopy, states):
     E = np.column_stack([st.eigenpair.vector for st in states])
-    return E.T @ (homotopy.at(1.0).mass @ E)
+    return E.T @ (homotopy.ends[0].mass @ E)
 
 
 class TestClusters:
     def test_avoided_crossing_is_one_cluster(self):
         h = avoided_crossing()
-        starts = solve_smallest(h.at(0.0), 2)
-        alone = [track(h, start) for start in starts]
+        starts = solve_smallest(h.start, 2)
+        alone = [track(h, start)[0] for start in starts]
         # the first step jumps the avoided crossing: tracked alone, the
         # two modes end in swapped order
         assert alone[0].eigenpair.value > alone[1].eigenpair.value
-        states = track_modes(h, starts)
+        (states,) = track_modes(h, starts)
         assert [st.cluster for st in states] == [(0, 1), (0, 1)]
-        ref = la.eigh(h.at(1.0).stiffness.toarray(), eigvals_only=True)[:2]
+        ref = la.eigh(h.ends[0].stiffness.toarray(), eigvals_only=True)[:2]
         np.testing.assert_allclose([st.eigenpair.value for st in states], ref, rtol=1e-12)
         assert abs(end_gram(h, states)[0, 1]) <= 1e-12
         assert sum(st.n_solves for st in states) < sum(st.n_solves for st in alone)
@@ -683,7 +707,7 @@ class TestClusters:
     def test_identity_is_value_order(self):
         # one Ritz pair per member at every accepted t, lowest first
         h = avoided_crossing()
-        states = track_modes(h, solve_smallest(h.at(0.0), 2))
+        (states,) = track_modes(h, solve_smallest(h.start, 2))
         for (t0, low), (t1, high) in zip(states[0].trajectory, states[1].trajectory):
             assert t0 == t1 and low < high
 
@@ -692,22 +716,23 @@ class TestClusters:
         # one eigenpair; the step is rejected, and the shorter ones end on
         # the three lowest eigenpairs
         h = avoided_crossing(seed=11, perturbation=0.3)
-        states = tracking.track_cluster(h, solve_smallest(h.at(0.0), 3))
+        (states,) = tracking.track_cluster(h, solve_smallest(h.start, 3))
         assert [st.n_rejects for st in states] == [1, 1, 1]
         G = end_gram(h, states)
         assert np.abs(G - np.diag(np.diag(G))).max() <= tracking.ORTHO_TOL
-        ref = la.eigh(h.at(1.0).stiffness.toarray(), eigvals_only=True)[:3]
+        ref = la.eigh(h.ends[0].stiffness.toarray(), eigvals_only=True)[:3]
         np.testing.assert_allclose([st.eigenpair.value for st in states], ref, rtol=1e-12)
 
     def test_cluster_step_underflow_carries_last_state(self):
         # a tolerance below rounding rejects every step, and the second
         # rejection takes the shared step below min_step
         h = avoided_crossing()
-        starts = solve_smallest(h.at(0.0), 2)
+        starts = solve_smallest(h.start, 2)
         cfg = TrackConfig(newton_tol=1e-300, min_step=0.5)
-        with pytest.raises(TrackingFailure, match=r"^step underflow at t=0\.000000") as info:
-            track_modes(h, starts, cfg)
-        state = info.value.state
+        (failure,) = track_modes(h, starts, cfg)
+        assert isinstance(failure, TrackingFailure)
+        assert str(failure).startswith("step underflow at t=0.000000")
+        state = failure.state
         assert isinstance(state, TrackState)
         assert state.t == 0.0 and state.newton_log == [] and state.n_rejects == 2
         assert state.eigenpair.value == pytest.approx(starts[0].value)
@@ -726,23 +751,23 @@ class TestClusters:
             for p in solve_smallest(section, 4) if not pencil_mod.is_spurious(p, section)
         ]
         for r in (0.04, 0.06):
-            h = HomotopyPencil(base, block_pencil(par.at([r]), block))
-            assert not any(tracking.mixing(h, starts))
+            h = HomotopyPencil(base, [block_pencil(par.at([r]), block)])
+            assert not any(tracking.mixing(h, starts)[0])
             with pytest.warns(UserWarning, match="degenerate"):
-                states = track_modes(h, starts)
+                (states,) = track_modes(h, starts)
             assert all(st.cluster == () for st in states)
             assert sum(st.flagged for st in states) == 2
 
     def test_forced_collision_is_retracked(self, monkeypatch):
         h = avoided_crossing(seed=19, perturbation=0.1)
-        starts = solve_smallest(h.at(0.0), 2)
-        alone = [track(h, start) for start in starts]
+        starts = solve_smallest(h.start, 2)
+        alone = [track(h, start)[0] for start in starts]
         assert abs(end_gram(h, alone)[0, 1]) > 0.99
-        monkeypatch.setattr(tracking, "mixing", lambda homotopy, pairs: [False] * (len(pairs) - 1))
-        states = track_modes(h, starts)
+        monkeypatch.setattr(tracking, "mixing", never_mixing)
+        (states,) = track_modes(h, starts)
         assert all(st.retracked and st.cluster == (0, 1) for st in states)
         assert abs(end_gram(h, states)[0, 1]) <= tracking.ORTHO_TOL
-        ref = la.eigh(h.at(1.0).stiffness.toarray(), eigvals_only=True)
+        ref = la.eigh(h.ends[0].stiffness.toarray(), eigvals_only=True)
         values = [st.eigenpair.value for st in states]
         assert values[0] < values[1]
         assert all(np.min(np.abs(ref - v)) <= 1e-12 * v for v in values)
@@ -753,14 +778,16 @@ class TestClusters:
 
     def test_collision_after_retrack_fails(self, monkeypatch):
         h = avoided_crossing(seed=19, perturbation=0.1)
-        monkeypatch.setattr(tracking, "mixing", lambda homotopy, pairs: [False] * (len(pairs) - 1))
+        monkeypatch.setattr(tracking, "mixing", never_mixing)
         loop = tracking.track_cluster
+        # the one end's members tracked alone, each by a homotopy of its own
         monkeypatch.setattr(
             tracking, "track_cluster",
-            lambda homotopy, starts, cfg: [loop(homotopy, [s], cfg)[0] for s in starts],
+            lambda homotopy, starts, cfg: [[loop(homotopy, [s], cfg)[0][0] for s in starts]],
         )
-        with pytest.raises(TrackingFailure, match="one eigenpair after re-tracking"):
-            track_modes(h, solve_smallest(h.at(0.0), 2))
+        (failure,) = track_modes(h, solve_smallest(h.start, 2))
+        assert isinstance(failure, TrackingFailure)
+        assert "one eigenpair after re-tracking" in str(failure)
 
 
 def same_track(batch, alone):
@@ -798,12 +825,7 @@ class TestBatch:
         K0, ends = self.rotated_ends()
         singles, batched = dense_pencil(K0), dense_pencil(K0)   # each keeps its own records
         start = solve_smallest(singles, 1)[0]
-        alone = []
-        for end in ends:
-            try:
-                alone.append(track(HomotopyPencil(singles, end), start, self.CFG))
-            except TrackingFailure as exc:
-                alone.append(exc)
+        alone = [track(HomotopyPencil(singles, [end]), start, self.CFG)[0] for end in ends]
         tracks = track(HomotopyPencil(batched, ends), start, self.CFG)
         assert isinstance(tracks, tracking.Tracks) and len(tracks) == len(ends)
         assert isinstance(tracks[2], TrackingFailure) and isinstance(alone[2], TrackingFailure)
@@ -826,13 +848,14 @@ class TestBatch:
         # a cluster and a lone mode, with the next pair as partner, at ends
         # of growing perturbation: each end as its own homotopy
         base = avoided_crossing()
-        ends = [avoided_crossing(perturbation=p).end for p in (0.0, 0.02, 0.05)]
+        ends = [avoided_crossing(perturbation=p).ends[0] for p in (0.0, 0.02, 0.05)]
         singles = dense_pencil(base.start.stiffness.toarray())
         batched = dense_pencil(base.start.stiffness.toarray())
         pairs = solve_smallest(singles, 4)
         starts, partner = pairs[:3], pairs[3]
         alone = [
-            track_modes(HomotopyPencil(singles, end), starts, partner=partner) for end in ends
+            track_modes(HomotopyPencil(singles, [end]), starts, partner=partner)[0]
+            for end in ends
         ]
         batch = track_modes(HomotopyPencil(batched, ends), starts, partner=partner)
         assert len(batch) == len(ends) and all(st.cluster for st in batch[0][:2])
@@ -851,9 +874,9 @@ class TestBatch:
         start = solve_smallest(start_pencil, 1)[0]
         derivatives = tracking.eigenpair_derivative
 
-        def singular_at_end_3(homotopy, t, pair, c, ends=None):
+        def singular_at_end_3(homotopy, t, pair, c, ends):
             out = derivatives(homotopy, t, pair, c, ends)
-            if ends is not None and 3 in ends:
+            if 3 in ends:
                 out[list(ends).index(3)] = DegeneracyError("injected")
             return out
 

@@ -147,6 +147,18 @@ class TestRule1D:
         with pytest.raises(DomainError):
             uq.rule_1d("gauss-legendre", 3, support=(1.0, 1.0))
 
+    def test_gauss_hermite_rules_up_to_order_200_are_finite(self):
+        for n in range(1, 201):
+            r = uq.rule_1d("gauss-hermite", n)
+            assert np.isfinite(r.nodes).all() and np.isfinite(r.weights).all(), n
+            assert abs(r.weights.sum() - 1.0) < 1e-12, n
+
+    def test_rule_numpy_cannot_compute_is_refused(self):
+        # numpy's hermegauss overflows at a few hundred nodes; the rule it
+        # returns there has NaN weights
+        with pytest.raises(DomainError, match="no finite gauss-hermite rule of order 400"):
+            uq.rule_1d("gauss-hermite", 400)
+
 
 class TestTensorGrid:
     def test_product_structure(self):
