@@ -191,7 +191,7 @@ class MatrixPencil:
 
     Validation needs a symmetric pattern.  starts holds the tracker's start
     records of the homotopies that start at this pencil
-    (tracking._start_state), kept with the pencil, whose data must then
+    (tracking._start_record), kept with the pencil, whose data must then
     stay as they are.
     """
 

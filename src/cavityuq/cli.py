@@ -34,9 +34,10 @@ problem (track, uq, bench):
     distribution: {family: "uniform", support: [lo, hi]}   (uq/bench)
   kind: "deformed-disk" (uq/bench)
     radius: base disk radius in meters
-    criterion: variance fraction for the covariance truncation
+    criterion: variance fraction for the covariance truncation (not with model)
     observations: CSV path of station offsets (radial, equally spaced angles)
-    synthetic: {variables: int, samples: int, seed: int}  (alternative source)
+    synthetic: {variables: int, samples: int, seed: int}  (alternative source;
+      samples x variables at most SYNTHETIC_ENTRY_CAP)
     model: path of a saved reduction (kl-fit output, third alternative)
 discretization:
   degree: B-spline degree (default 2)
@@ -89,6 +90,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 _REQUIRED = object()
+# entries of one synthetic observation matrix: 80 MB; drawing it peaks at
+# three such matrices
+SYNTHETIC_ENTRY_CAP = 10**7
 
 
 # -- strict configuration parsing -------------------------------------------
@@ -361,7 +365,7 @@ def _pillbox_study(root, prob_sec, n_modes):
 
 def _parse_disk_problem(sec):
     radius = sec.take("radius", kind=float, lo=1e-6)
-    criterion = sec.take("criterion", default=0.95, kind=float)
+    criterion = sec.take("criterion", default=None, kind=float)
     obs_path = sec.take("observations", default=None, kind=str)
     synth = sec.section("synthetic", default=None)
     model_path = sec.take("model", default=None, kind=str)
@@ -372,18 +376,25 @@ def _parse_disk_problem(sec):
             "problem: give exactly one of observations, synthetic, model"
         )
     if model_path is not None:
+        if criterion is not None:
+            raise ConfigError(
+                f"{sec.where}.criterion: a model fixes its retained modes; "
+                "give criterion with observations or synthetic"
+            )
         sampler, mean, modes = _read_input(geometry.load_deformation_spec, model_path)
         return radius, sampler.angles, sampler.kind, mean, modes, None
     if obs_path is not None:
         obs = _read_input(uq.load_observations, obs_path)
     else:
         variables = synth.take("variables", default=18, kind=int, lo=1, hi=512)
-        samples = synth.take("samples", default=5000, kind=int, lo=2)
+        samples = synth.take(
+            "samples", default=5000, kind=int, lo=2, hi=SYNTHETIC_ENTRY_CAP // variables
+        )
         seed = synth.take("seed", default=20240817, kind=int, lo=0)
         synth.done()
         cov = uq.default_correlated_covariance(variables)
         obs = uq.generate_synthetic_observations(cov, np.zeros(variables), samples, seed)
-    kl = _fit_kl(obs, criterion, sec.where)
+    kl = _fit_kl(obs, 0.95 if criterion is None else criterion, sec.where)
     angles = _station_angles(obs.n_variables)
     return radius, angles, "radial", kl.mean, kl.scaled_modes, kl
 

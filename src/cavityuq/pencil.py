@@ -75,8 +75,7 @@ class HomotopyPencil:
     end.  At t = 0 every row is start's data, where every track starts.  At
     t = 1 an end's row is its own data, as fl(0 a + 1 b) = b.  At any other
     t it is two axpys on the pattern's data, each entry fl(fl(s a) + fl(t b))
-    with s = 1 - t.  The pencil last asked for is kept with its infinity
-    norms (see norms).
+    with s = 1 - t.
     """
 
     def __init__(self, start, ends):
@@ -96,23 +95,14 @@ class HomotopyPencil:
             for name in ("stiffness", "mass")
         )
         self._derivative = None
-        self._end_norms = None
-        self._kept = None   # [t, ends, pencil, norms] of the last at
 
     def at(self, t, ends):
         """The pencil at t of the listed ends, an index array into
         self.ends, stored on the homotopy's pattern: its data stack the
-        ends' pencils at t, row i for ends[i].  The tracker asks for the
-        pencils at one t for every bordered solve there, the acceptance and
-        the next derivative, so the last stack is kept until the next call
-        at another t or on other ends.
-        """
+        ends' pencils at t, row i for ends[i]."""
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"homotopy parameter {t} outside [0, 1]")
         ends = np.asarray(ends, dtype=np.intp)
-        kept = self._kept
-        if kept is not None and kept[0] == t and np.array_equal(kept[1], ends):
-            return kept[2]
         if t == 0.0:
             K, M = (np.broadcast_to(a, (ends.size, a.size)) for a in (self._k0, self._m0))
         elif t == 1.0:
@@ -123,28 +113,7 @@ class HomotopyPencil:
             for out, a, b in ((K, self._k0, self._k1), (M, self._m0, self._m1)):
                 np.multiply(a, s, out=out)
                 out += t * b[ends]
-        pencil = MatrixPencil(self.pattern, K, M, validate=False)
-        self._kept = [t, ends, pencil, None]
-        return pencil
-
-    def norms(self, t, ends):
-        """(||K||_inf, ||M||_inf) of at(t, ends), one pair per listed end:
-        computed once per end at t = 1, once per stack at other t > 0, and
-        at t = 0 on every call (once per start record)."""
-        ends = np.asarray(ends, dtype=np.intp)
-        if t == 0.0:
-            k, m = self.start.stiffness.norm_inf(), self.start.mass.norm_inf()
-            return np.full(ends.size, k), np.full(ends.size, m)
-        if t == 1.0:
-            if self._end_norms is None:
-                self._end_norms = tuple(
-                    self.pattern.matrix(a).norm_inf() for a in (self._k1, self._m1)
-                )
-            return tuple(v[ends] for v in self._end_norms)
-        pencil = self.at(t, ends)
-        if self._kept[3] is None:
-            self._kept[3] = pencil.stiffness.norm_inf(), pencil.mass.norm_inf()
-        return self._kept[3]
+        return MatrixPencil(self.pattern, K, M, validate=False)
 
     def derivative(self, ends):
         """Constant t-derivative (K_end - K_start, M_end - M_start) of the

@@ -32,20 +32,23 @@ bordered system belongs to its end: only that end retries or fails.  The
 ends a batch takes at once follow from one budget on its stacked bordered
 matrices (batch_size).
 
+Only the stepping loop evaluates a homotopy (HomotopyPencil.at): once per
+group of ends stepping to one t, and once per group taking derivatives at
+one t > 0.  Every kernel works on the pencil stack and the LUs it is
+handed, and Newton scales its residuals by its stack's infinity norms.
+
 Every derivative and every Newton iteration above the tolerance factorizes
 the bordered system [[K - lambda M, -M e], [c^T, 0]] afresh, with two
 exceptions.  The t = 0 end of every homotopy from one pencil is that
 pencil, so the start pencil keeps one start record per start pair (_Start,
 in MatrixPencil.starts): the pair M-normalized and its residual checked,
 c = M e, and the LU of its bordered matrix at t = 0 (or the failure that
-refused it, which every derivative there returns); every homotopy from
-the pencil takes its start state and its derivative at t = 0 from there,
-and only the back-solve and its residual check run again.  And a Newton
-iterate whose residual already meets the tolerance, waiting only for
-|dlambda| to confirm, is updated with the last factorization of the same
-call (newton_correct).  The infinity norms that scale the Newton residual
-are computed once per end at t = 1 and once per stack at other t
-(HomotopyPencil.norms).
+refused it).  Every homotopy from the pencil takes its start state from
+there, and the loop hands the record's outcome to every derivative at
+t = 0, where only the back-solve and its residual check run again.  And a
+Newton iterate whose residual already meets the tolerance, waiting only
+for |dlambda| to confirm, is updated with the last factorization of the
+same call (newton_correct).
 
 Every pencil of a study lives on one sparsity pattern, whose one _Bordered
 picks the tier once and builds a new bordered matrix for every
@@ -69,7 +72,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .assembly import stacked_products
+from .assembly import MatrixPencil, stacked_products
 from .eigen import DENSE_CUTOFF, Eigenpair, _m_orthonormalize, dense_eigh, group_clusters
 from .errors import (
     CavityError,
@@ -363,71 +366,72 @@ class _BorderedLU:
         return np.bincount(A.indices, np.abs(A.data), minlength=A.shape[0]).max()
 
 
-def _factor(homotopy, t, lam, Me, c, ends):
-    """[[K - lam M, -M e], [c^T, 0]] at t, given Me = M e, on the homotopy
-    pattern's _Bordered, which the first call makes.  ends is an index
-    array into homotopy.ends, and lam, Me and c hold one row per listed end;
-    the result holds its _BorderedLU or DegeneracyError per end."""
-    pattern, pencil = homotopy.pattern, homotopy.at(t, ends)
+def _factor(pencil, lam, Me, c):
+    """[[K - lam M, -M e], [c^T, 0]] of each pencil of a stack, given
+    Me = M e, on its pattern's _Bordered, which the first call makes.  lam,
+    Me and c hold one row per pencil (a pencil of 1-D data is a stack of
+    one); the result holds its _BorderedLU or DegeneracyError per pencil."""
+    pattern = pencil.pattern
     if pattern.bordered is None:
         pattern.bordered = _Bordered(pattern)
     kml = pencil.stiffness.data - np.asarray(lam)[:, None] * pencil.mass.data
     return pattern.bordered.factor(kml, np.asarray(Me), np.asarray(c))
 
 
+def _rows(pencil, rows):
+    """The pencils at the ascending positions rows of a stack, as a stack:
+    the stack itself where rows are all of them."""
+    if len(rows) == len(pencil.stiffness.data):
+        return pencil
+    K, M = pencil.stiffness.data[rows], pencil.mass.data[rows]
+    return MatrixPencil(pencil.pattern, K, M, validate=False)
+
+
 class _Start:
-    """A start pair at t = 0 of every homotopy from one pencil.
+    """A start pair at t = 0 of every homotopy from one pencil (pencil).
 
     Holds the pair M-normalized (eigenpair) with its residual checked,
     c = M e, and the outcome of factoring the bordered matrix
     [[K0 - lambda0 M0, -M0 e0], [c0^T, 0]]: its LU, which keeps that matrix,
     or the DegeneracyError that refused it, which every derivative at t = 0
     returns.  None of it depends on where a homotopy ends, so the start
-    pencil keeps the record (_start_state).  A pair that is no eigenpair of
+    pencil keeps the record (_start_record).  A pair that is no eigenpair of
     the start pencil is the caller's error, raised as DomainError.
     """
 
-    def __init__(self, homotopy, pair):
-        K0, M0 = homotopy.start.stiffness, homotopy.start.mass
+    def __init__(self, pencil, pair):
+        K0, M0 = pencil.stiffness, pencil.mass
         e = np.asarray(pair.vector, dtype=float)
         e = e / math.sqrt(e @ (M0 @ e))
         lam = float(pair.value)
         self.c = M0 @ e   # also M e: at t = 0 every end's pencil is the start pencil
         res0 = float(_scaled_residuals(
-            (K0 @ e - lam * self.c)[None], lam, e[None], *homotopy.norms(0.0, [0])
+            (K0 @ e - lam * self.c)[None], lam, e[None], K0.norm_inf(), M0.norm_inf()
         )[0])
         if res0 > 1e-8:
             raise DomainError(f"start pair residual {res0:.3e} violates the invariant at t=0")
         self.eigenpair = Eigenpair(lam, e, res0)
-        (self.lu,) = _factor(homotopy, 0.0, [lam], self.c[None], self.c[None], [0])
+        (self.lu,) = _factor(pencil, [lam], self.c[None], self.c[None])
 
 
-def eigenpair_derivative(homotopy, t, pair, c, ends):
-    """t-derivatives (e', lambda') of an isolated eigenpair of homotopy.at(t)
-    at every listed end, an index array into homotopy.ends.
+def eigenpair_derivative(derivative, pair, lus):
+    """t-derivatives (e', lambda') of an isolated eigenpair, one per end of
+    the factorizations lus.
 
     Differentiating K e = lambda M e and c^T e = 1 gives the bordered system
     [[K - lambda M, -M e], [c^T, 0]] [e'; lambda'] = [-K' e + lambda M' e; 0].
-    At t = 0, for the pair and c of a start state (_start_state), the start
-    pencil's record supplies the factorization's outcome; otherwise the
-    matrix is factorized here.  Either way the solve's residual is checked
-    against it.  pair and c are one pair and vector for every end or stack
-    one per end (an Eigenpair of arrays), and the result holds (e', lambda')
-    or the DegeneracyError per end.
+    lus holds per end the _BorderedLU of that matrix, or the CavityError that
+    refused it, which is the end's result; derivative is the stack (K', M')
+    of the same ends (HomotopyPencil.derivative).  Each solve's residual is
+    checked against its factored matrix.  pair is one pair for every end or
+    stacks one per end (an Eigenpair of arrays), and the result holds
+    (e', lambda') or the DegeneracyError per end.
     """
-    ends = np.asarray(ends, dtype=np.intp)
-    records = homotopy.start.starts.values() if t == 0.0 else ()
-    record = next((r for r in records if r.eigenpair is pair and r.c is c), None)
-    n = homotopy.pattern.n
-    E = np.broadcast_to(pair.vector, (ends.size, n))
-    lam = np.broadcast_to(pair.value, ends.shape)
-    if record:
-        lus = [record.lu] * ends.size
-    else:
-        Me = homotopy.at(t, ends).mass @ E
-        lus = _factor(homotopy, t, lam, Me, np.broadcast_to(c, (ends.size, n)), ends)
-    k_e, m_e = stacked_products(E, *homotopy.derivative(ends))
-    rhs = np.empty((ends.size, n + 1))
+    n = derivative[0].pattern.n
+    E = np.broadcast_to(pair.vector, (len(lus), n))
+    lam = np.broadcast_to(pair.value, (len(lus),))
+    k_e, m_e = stacked_products(E, *derivative)
+    rhs = np.empty((len(lus), n + 1))
     rhs[:, :-1] = -k_e + lam[:, None] * m_e
     rhs[:, -1] = 0.0
     out = []
@@ -458,10 +462,10 @@ def predict(pair, derivative, dt):
     return pair.vector + np.expand_dims(dt, -1) * de, pair.value + dt * dlam
 
 
-def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter, ends):
-    """Newton-Raphson on the eigenproblem of homotopy.at(t) plus c^T e = 1 at
-    every listed end, an index array into homotopy.ends: e0, lam0 and c hold
-    one row or value per end.
+def newton_correct(pencil, e0, lam0, c, tol, max_iter):
+    """Newton-Raphson on the eigenproblem of each pencil of a stack plus
+    c^T e = 1: e0, lam0 and c hold one row or value per pencil, and the
+    stack's infinity norms scale its residuals.
 
     Converged when the scaled eigenproblem residual drops below tol and the
     last eigenvalue update satisfies |dlam| <= tol (1 + |lambda|).  An
@@ -476,14 +480,12 @@ def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter, ends):
     """
     # E and lam are this call's own: iterates are updated in place
     E, lam = np.array(e0, dtype=float), np.array(lam0, dtype=float)
-    C, ends = np.asarray(c), np.asarray(ends, dtype=np.intp)
-    pencil = homotopy.at(t, ends)
-    norm_k, norm_m = homotopy.norms(t, ends)
-    pattern = homotopy.pattern
-    out = [None] * ends.size
-    factorizations = np.zeros(ends.size, dtype=int)
-    lus = [None] * ends.size
-    dlam = np.zeros(ends.size)
+    C, size = np.asarray(c), len(E)
+    norm_k, norm_m = pencil.stiffness.norm_inf(), pencil.mass.norm_inf()
+    out = [None] * size
+    factorizations = np.zeros(size, dtype=int)
+    lus = [None] * size
+    dlam = np.zeros(size)
     finite = np.isfinite(E).all(axis=1) & np.isfinite(lam)
     for i in np.flatnonzero(~finite):
         out[i] = _newton_failure("non-finite initial guess", 0, 0)
@@ -492,10 +494,8 @@ def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter, ends):
         if not live.size:
             break
         El, lam_l = E[live], lam[live]
-        K, M = (pencil.stiffness, pencil.mass) if live.size == ends.size else (
-            pattern.matrix(A.data[live]) for A in (pencil.stiffness, pencil.mass)
-        )
-        Ke, Me = stacked_products(El, K, M)
+        stack = _rows(pencil, live)
+        Ke, Me = stacked_products(El, stack.stiffness, stack.mass)
         R = Ke - lam_l[:, None] * Me
         res = _scaled_residuals(R, lam_l, El, norm_k[live], norm_m[live])
         done = res <= tol
@@ -521,7 +521,7 @@ def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter, ends):
         # holds this call's last factorization of it
         fresh = left[res[left] > tol]
         rows = live[fresh]
-        new = _factor(homotopy, t, lam[rows], Me[fresh], C[rows], ends[rows]) if rows.size else []
+        new = _factor(_rows(pencil, rows), lam[rows], Me[fresh], C[rows]) if rows.size else []
         for i, lu in zip(rows, new):
             lus[i] = lu
             factorizations[i] += not isinstance(lu, CavityError)
@@ -556,7 +556,7 @@ def newton_correct(homotopy, t, e0, lam0, c, tol, max_iter, ends):
 def _newton_failure(message, iterations, factorizations):
     # Built here, not raised where it is made: a frame that holds the
     # exception it raises forms a reference cycle with its traceback, which
-    # keeps the frame's pencil and homotopy alive until the cyclic garbage
+    # keeps the frame's pencil stack alive until the cyclic garbage
     # collector runs.
     failure = NewtonFailure(message)
     failure.iterations = iterations
@@ -576,24 +576,17 @@ def _normalized_accept(M, V, prev):
     return E, C, overlap
 
 
-def _start_state(homotopy, start):
-    """The state at t = 0 from the start pencil's record of start.
-
-    The first homotopy from a pencil that tracks a start pair makes its
-    record (_Start) and keeps it in the pencil's starts, keyed by the pair's
-    value and vector bytes; every later one reuses it.  The state counts the
-    record's factorization if it was made here.
-    """
-    kept = homotopy.start.starts
+def _start_record(pencil, start):
+    """The start pencil's record of start (_Start), and whether this call
+    made it: the first homotopy from a pencil that tracks a start pair makes
+    its record and keeps it in the pencil's starts, keyed by the pair's
+    value and vector bytes; every later one reuses it."""
+    kept = pencil.starts
     key = (float(start.value), np.asarray(start.vector, dtype=float).tobytes())
     made = key not in kept
     if made:
-        kept[key] = _Start(homotopy, start)
-    record = kept[key]
-    return TrackState(
-        t=0.0, eigenpair=record.eigenpair, c=record.c,
-        trajectory=[(0.0, record.eigenpair.value)], n_factorizations=int(made),
-    )
+        kept[key] = _Start(pencil, start)
+    return kept[key], made
 
 
 def track(homotopy, start, cfg=TrackConfig()):
@@ -616,14 +609,21 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
     CavityError that ended the end's track.
 
     Each end keeps its own t and step.  The ends at one t take their
-    derivatives together, and those stepping to one t step together.
+    derivatives together, and those stepping to one t step together: each
+    group's pencils at its t are evaluated once (HomotopyPencil.at) and
+    handed to the kernels.  At t = 0 every end starts from the start
+    pencil's records (_start_record), whose LUs, or refusals, its
+    derivatives there take; the first end's state counts the factorization
+    of a record made here.
     """
     n_ends, m = len(homotopy.ends), len(starts)
-    states = [[_start_state(homotopy, s) for s in starts] for _ in range(n_ends)]
-    records = [(st.eigenpair, st.c) for st in states[0]]   # every end starts there
-    E = np.array([[pair.vector] * n_ends for pair, _ in records])    # member, end, dof
-    lam = np.array([[pair.value] * n_ends for pair, _ in records])
-    C = np.array([[c] * n_ends for _, c in records])
+    records, made = zip(*(_start_record(homotopy.start, s) for s in starts))
+    states = [[TrackState(0.0, r.eigenpair, r.c, [(0.0, r.eigenpair.value)],
+                          n_factorizations=int(new and not b)) for r, new in zip(records, made)]
+              for b in range(n_ends)]
+    E = np.array([[r.eigenpair.vector] * n_ends for r in records])    # member, end, dof
+    lam = np.array([[r.eigenpair.value] * n_ends for r in records])
+    C = np.array([[r.c] * n_ends for r in records])
     dE, dlam = np.empty_like(E), np.empty_like(lam)
     t, step = np.zeros(n_ends), np.full(n_ends, min(cfg.initial_step, 1.0))
     failed = [None] * n_ends
@@ -633,11 +633,15 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
     while live.size:
         for t_at in sorted(set(t[live[stale[live]]].tolist())):
             rows = live[stale[live] & (t[live] == t_at)]
+            derivative = homotopy.derivative(rows)
+            pencil = homotopy.at(t_at, rows) if t_at > 0.0 else None
             for i, record in enumerate(records):
-                pair, c = record if t_at == 0.0 else (
-                    Eigenpair(lam[i, rows], E[i, rows], None), C[i, rows]
-                )
-                results = eigenpair_derivative(homotopy, t_at, pair, c, rows)
+                if pencil is None:
+                    pair, lus = record.eigenpair, [record.lu] * rows.size
+                else:
+                    pair = Eigenpair(lam[i, rows], E[i, rows], None)
+                    lus = _factor(pencil, pair.value, pencil.mass @ pair.vector, C[i, rows])
+                results = eigenpair_derivative(derivative, pair, lus)
                 for b, result in zip(rows, results):
                     states[b][i].n_solves += 1
                     states[b][i].n_factorizations += int(t_at > 0.0)
@@ -653,7 +657,7 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
             at = t_new == t_to
             rows = live[at]
             accepted = step_to(
-                homotopy, t_to, rows, [states[b] for b in rows],
+                homotopy.at(t_to, rows), [states[b] for b in rows],
                 (E[:, rows], lam[:, rows], C[:, rows]), (dE[:, rows], dlam[:, rows]), dt[at], cfg,
             )
             for b, acc in zip(rows, accepted):
@@ -682,13 +686,13 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
     return [failed[b] or states[b] for b in range(n_ends)]
 
 
-def _correct(homotopy, t_new, rows, members, e, lam, c, cfg):
-    """Newton from the rows of (e, lam) with normalization vectors c at the
-    listed ends, each end's member state in members: per end (Eigenpair,
-    iterations), or None on failure.  Adds the bordered solves and
-    factorizations to each member."""
+def _correct(pencil, members, e, lam, c, cfg):
+    """Newton from the rows of (e, lam) with normalization vectors c on the
+    stack's pencils, one end each, the end's member state in members: per
+    end (Eigenpair, iterations), or None on failure.  Adds the bordered
+    solves and factorizations to each member."""
     out = []
-    results = newton_correct(homotopy, t_new, e, lam, c, cfg.newton_tol, cfg.n2, rows)
+    results = newton_correct(pencil, e, lam, c, cfg.newton_tol, cfg.n2)
     for st, result in zip(members, results):
         if isinstance(result, NewtonFailure):
             st.n_solves += result.iterations
@@ -702,8 +706,8 @@ def _correct(homotopy, t_new, rows, members, e, lam, c, cfg):
     return out
 
 
-def _lone_step(homotopy, t_new, rows, states, current, derivatives, dt, cfg):
-    """One step of a lone start to t_new at the listed ends: its
+def _lone_step(pencil, states, current, derivatives, dt, cfg):
+    """One step of a lone start to the pencils of a stack, one per end: its
     first-order predictor, then Newton with its previous c.
 
     current and derivatives stack (E, lam, C) and (E', lam') as member,
@@ -713,22 +717,21 @@ def _lone_step(homotopy, t_new, rows, states, current, derivatives, dt, cfg):
     (E,), (lam,), (C,) = current
     (dE,), (dlam,) = derivatives
     e, value = predict(Eigenpair(lam, E, None), (dE, dlam), dt)
-    corrected = _correct(homotopy, t_new, rows, [st for st, in states], e, value, C, cfg)
+    corrected = _correct(pencil, [st for st, in states], e, value, C, cfg)
     ok = [k for k, result in enumerate(corrected) if result is not None]
-    out = [None] * rows.size
+    out = [None] * len(states)
     if not ok:
         return out
     V = np.array([corrected[k][0].vector for k in ok])
-    M = homotopy.at(t_new, rows[ok]).mass
-    E_new, C_new, overlap = _normalized_accept(M, V, E[ok])
+    E_new, C_new, overlap = _normalized_accept(_rows(pencil, ok).mass, V, E[ok])
     for k, e_k, c_k, ov in zip(ok, E_new, C_new, overlap):
         pair, iters = corrected[k]
         out[k] = [(Eigenpair(pair.value, e_k, pair.residual), c_k, iters)], float(ov)
     return out
 
 
-def _block_step(homotopy, t_new, rows, states, current, derivatives, dt, cfg):
-    """One shared step of a cluster to t_new at the listed ends.
+def _block_step(pencil, states, current, derivatives, dt, cfg):
+    """One shared step of a cluster to the pencils of a stack, one per end.
 
     Each member's first-order predictor, Rayleigh-Ritz on the span of the
     predicted vectors, then Newton from each Ritz pair u with c = M u.
@@ -746,14 +749,13 @@ def _block_step(homotopy, t_new, rows, states, current, derivatives, dt, cfg):
         predict(Eigenpair(lam[i], E[i], None), (derivatives[0][i], derivatives[1][i]), dt)[0]
         for i in range(m)
     ], axis=2)   # end, dof, member
-    pencil = homotopy.at(t_new, rows)
     KP, MP = (np.stack(products, axis=2) for products in zip(*(
         stacked_products(P[:, :, i], pencil.stiffness, pencil.mass) for i in range(m)
     )))
     PT = np.swapaxes(P, 1, 2)
     ritz = _ritz(PT @ KP, PT @ MP)
-    out = [None] * rows.size
-    alive = [k for k in range(rows.size) if ritz[k] is not None]
+    out = [None] * len(states)
+    alive = [k for k in range(len(states)) if ritz[k] is not None]
     if not alive:
         return out
     theta = np.array([ritz[k][0] for k in alive])
@@ -765,7 +767,7 @@ def _block_step(homotopy, t_new, rows, states, current, derivatives, dt, cfg):
         if not at:
             break
         results = _correct(
-            homotopy, t_new, rows[[alive[a] for a in at]], [states[alive[a]][i] for a in at],
+            _rows(pencil, [alive[a] for a in at]), [states[alive[a]][i] for a in at],
             U[at, :, i], theta[at, i], MU[at][:, :, i], cfg,
         )
         for a, result in zip(at, results):
@@ -777,7 +779,7 @@ def _block_step(homotopy, t_new, rows, states, current, derivatives, dt, cfg):
     for a in done:
         corrected[a].sort(key=lambda item: item[0].value)
     keep = [alive[a] for a in done]
-    M = homotopy.at(t_new, rows[keep]).mass
+    M = _rows(pencil, keep).mass
     accepted = [[] for _ in done]
     E_new, C_new = np.empty((2, len(done), E.shape[2], m))
     for i in range(m):

@@ -16,6 +16,13 @@ from .errors import DegenerateDataError, DomainError, GridSizeError
 
 RULE_FAMILIES = ("gauss-hermite", "gauss-legendre", "clenshaw-curtis")
 TENSOR_NODE_CAP = 10**7
+# numpy's Gauss rules solve an order x order eigenproblem: at 2049 nodes
+# (a nested Clenshaw-Curtis order) about 0.75 s and 70 MB
+RULE_ORDER_CAP = 2049
+# coordinates (points x dimension) of the points a Smolyak grid visits
+# before merging them: its time and memory grow with them, about 1.2 s and
+# 33 MB per million at dimension 7
+SMOLYAK_COORDINATE_CAP = 10**6
 
 
 class ObservationMatrix:
@@ -203,13 +210,17 @@ def rule_1d(family, n, support=None):
     no support; gauss-legendre and clenshaw-curtis integrate against the
     uniform density on the support (default [-1, 1]), one node if it is [a, a].
     A rule whose nodes or weights numpy does not compute as finite numbers
-    (gauss-hermite's overflow past a few hundred nodes) is a DomainError.
+    (gauss-hermite's overflow past a few hundred nodes) is a DomainError,
+    and an order above RULE_ORDER_CAP a GridSizeError, raised before numpy
+    runs.
     """
     if family not in RULE_FAMILIES:
         raise DomainError(f"unknown rule family {family!r}; expected one of {RULE_FAMILIES}")
     if int(n) != n or n < 1:
         raise DomainError(f"node count must be a positive integer, got {n}")
     n = int(n)
+    if n > RULE_ORDER_CAP:
+        raise GridSizeError(f"{family} rule of order {n} exceeds the cap of {RULE_ORDER_CAP}")
     if family == "gauss-hermite":
         if support is not None:
             raise DomainError("gauss-hermite has fixed Gaussian support")
@@ -282,13 +293,21 @@ def build_smolyak_grid(dim, level, family="gauss-hermite", support=None):
     """Smolyak combination of 1-D rules with orders 1, 3, 5, ...
 
     Duplicate nodes from different index blocks (the shared origin for
-    Gauss-Hermite) are merged with summed weights.
+    Gauss-Hermite) are merged with summed weights.  A grid whose blocks
+    hold more than SMOLYAK_COORDINATE_CAP coordinates is a GridSizeError,
+    counted before any block is enumerated (_smolyak_visits).
     """
     if int(dim) != dim or dim < 1:
         raise DomainError(f"dimension must be a positive integer, got {dim}")
     if int(level) != level or level < 0:
         raise DomainError(f"level must be a nonnegative integer, got {level}")
     dim, level = int(dim), int(level)
+    limit = SMOLYAK_COORDINATE_CAP // dim
+    if _smolyak_visits(dim, level, limit) > limit:
+        raise GridSizeError(
+            f"smolyak grid of level {level} in dimension {dim} visits more than {limit} "
+            f"points, over the cap of {SMOLYAK_COORDINATE_CAP} coordinates"
+        )
     q = dim + level
     cache = {}
 
@@ -315,6 +334,29 @@ def build_smolyak_grid(dim, level, family="gauss-hermite", support=None):
     nodes = np.array([it[0] for it in items])
     weights = np.array([it[1] for it in items])
     return CollocationGrid(nodes, weights, "smolyak")
+
+
+def _smolyak_visits(dim, level, cap):
+    """The points build_smolyak_grid(dim, level) visits, the sum over its
+    index blocks of prod(2 i_k - 1), or cap + 1 once it is known to exceed
+    cap: counted without enumerating a block, in at most about cap steps."""
+    if level == 0:
+        return 1
+    if dim * (2 * level + 1) > cap:   # the blocks (level + 1, 1, ..., 1) alone
+        return cap + 1
+    # g[r]: the points of the blocks of d parts summing to d + r, for d = 1;
+    # a part i adds 2 i - 1 points per point of the other d - 1 parts
+    g = [2 * r + 1 for r in range(level + 1)]
+    for _ in range(dim - 1):
+        g_next = []
+        for r in range(level + 1):
+            points = sum((2 * j + 1) * g[r - j] for j in range(r + 1))
+            if points > cap:   # neither more parts nor a larger sum visit fewer
+                return cap + 1
+            g_next.append(points)
+        g = g_next
+    # the blocks with a nonzero combination coefficient
+    return min(sum(g[max(0, level + 1 - dim):]), cap + 1)
 
 
 def _compositions(total, parts):

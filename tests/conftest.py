@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cavityuq import oracle
+from cavityuq import oracle, tracking
 from cavityuq.assembly import MatrixPencil, SparsityPattern
 from cavityuq.geometry import GeometryMap
 from cavityuq.splines import BSplineBasis, ControlNet, KnotVector
@@ -58,6 +58,15 @@ def pencil_at(homotopy, t):
     return MatrixPencil(
         homotopy.pattern, pen.stiffness.data[0], pen.mass.data[0], validate=False
     )
+
+
+def derivative_at(homotopy, t, pair, c):
+    """tracking.eigenpair_derivative of pair, with normalization vector c,
+    on the pencil at t of a homotopy's first end, whose bordered matrix is
+    factored first: [(e', lambda')], or [the DegeneracyError]."""
+    pen = pencil_at(homotopy, t)
+    lus = tracking._factor(pen, [pair.value], [pen.mass @ pair.vector], [c])
+    return tracking.eigenpair_derivative(homotopy.derivative([0]), pair, lus)
 
 
 def _rectangle_patch(lx, ly):

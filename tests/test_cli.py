@@ -290,13 +290,26 @@ class TestConfigValidation:
         "key, value, message",
         [("seed", -1, "config.problem.synthetic.seed: -1 is below the minimum 0"),
          ("criterion", 0, "config.problem.criterion: criterion must lie in (0, 1]"),
-         ("criterion", 2.0, "config.problem.criterion: criterion must lie in (0, 1]")],
-        ids=["seed=-1", "criterion=0", "criterion=2.0"],
+         ("criterion", 2.0, "config.problem.criterion: criterion must lie in (0, 1]"),
+         # one sample above 10**7 entries of 18 variables
+         ("samples", 555_556,
+          "config.problem.synthetic.samples: 555556 exceeds the maximum 555555"),
+         # value is the criterion given beside a model
+         ("model", 5.0, "config.problem.criterion: a model fixes its retained modes")],
+        ids=["seed=-1", "criterion=0", "criterion=2.0", "samples-over-cap",
+             "criterion-with-model"],
     )
     def test_disk_source_bounds(self, tmp_path, capsys, key, value, message):
         doc = json.loads(json.dumps(SMALL_DISK))
-        if key == "seed":
-            doc["problem"]["synthetic"]["seed"] = value
+        if key in ("seed", "samples"):
+            doc["problem"]["synthetic"][key] = value
+        elif key == "model":
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps({"station_angles": [0.0, 3.0], "kind": "radial",
+                                         "mean": [0.0, 0.0], "modes": [[1e-4], [2e-4]]}))
+            doc["problem"] = {"kind": "deformed-disk", "radius": 0.05, "model": str(model),
+                              "criterion": value}
+            doc["grid"]["orders"] = [2]
         else:
             doc["problem"][key] = value
         cfg = write_config(tmp_path, "c.json", doc)
@@ -360,6 +373,21 @@ class TestGridCommand:
         back = uq.load_grid_csv(out / "grid.csv")
         assert back.n_nodes == 127 and back.dim == 7
         assert abs(back.weights.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [({"kind": "smolyak", "family": "gauss-hermite", "dim": 7, "level": 6},
+          "smolyak grid of level 6 in dimension 7 visits more than 142857 points"),
+         ({"kind": "tensor", "family": "gauss-legendre", "orders": [2050]},
+          "gauss-legendre rule of order 2050 exceeds the cap of 2049")],
+        ids=["smolyak-level-6", "legendre-order-2050"],
+    )
+    def test_grid_over_its_cap_is_refused(self, tmp_path, capsys, grid, message):
+        cfg = write_config(tmp_path, "c.json", {"grid": grid})
+        out = tmp_path / "g"
+        assert run_cli("grid", "--config", cfg, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config.grid: {message}")
+        assert not (out / "grid.csv").exists()
 
     def test_tensor_with_support(self, tmp_path):
         cfg = write_config(
@@ -1277,13 +1305,17 @@ class TestStartRecords:
     )
     def test_one_start_factorization_per_start_pair(self, monkeypatch, tmp_path, doc):
         factorizations, _ = count_lu_calls(monkeypatch)
-        fills, tracked, groups = [], set(), []
-        factor, track_modes = tracking._factor, cli.track_modes
+        fills, made, tracked, groups = [], [], set(), []
+        factor, start, track_modes = tracking._factor, tracking._Start, cli.track_modes
 
-        def filled(homotopy, t, lam, Me, c, ends=None):
-            # one fill per matrix: a call fills one per listed end
-            fills.extend([t] * (1 if ends is None else len(ends)))
-            return factor(homotopy, t, lam, Me, c, ends)
+        def filled(pencil, lam, Me, c):
+            # one fill per matrix: a call fills one per pencil of its stack
+            fills.extend(lam)
+            return factor(pencil, lam, Me, c)
+
+        def started(pencil, pair):
+            made.append(pair.value)
+            return start(pencil, pair)
 
         def recorded(homotopy, starts, cfg, partner=None):
             # start pairs tracked per (node, group), one node per end
@@ -1294,6 +1326,7 @@ class TestStartRecords:
             return outcomes
 
         monkeypatch.setattr(tracking, "_factor", filled)
+        monkeypatch.setattr(tracking, "_Start", started)
         monkeypatch.setattr(cli, "track_modes", recorded)
         cfg = write_config(tmp_path, "c.json", doc)
         out = tmp_path / "run"
@@ -1302,7 +1335,8 @@ class TestStartRecords:
         assert len(fills) == len(factorizations) == summary["factorizations"]
         # more start pairs are tracked than there are distinct ones
         assert sum(groups) > len(tracked) >= doc["modes"]
-        assert fills.count(0.0) == len(tracked)
+        # one start record, and with it one fill at t = 0, per distinct pair
+        assert len(made) == len(tracked)
         if doc["modes"] == 2:   # the partner is tracked with the pair
             assert len(tracked) == 3
 

@@ -85,3 +85,18 @@ def test_only_the_solvers_name_the_dense_cutoff():
         if "DENSE_CUTOFF" in _uses([(path, tree)])
     ]
     assert naming == ["eigen.py", "tracking.py"]
+
+
+def test_only_the_stepping_loop_takes_a_homotopy():
+    # the stepping loop and the drivers above it evaluate a homotopy; every
+    # kernel below them works on the pencil stacks and LUs it is handed
+    path = _PACKAGE / "tracking.py"
+    taking = {
+        node.name
+        for _, tree in _trees([path]) for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "homotopy" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    }
+    assert taking == {
+        "track", "track_cluster", "mixing", "track_modes", "_check_endpoints", "_track_members"
+    }

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import csr_pencil, dense_pencil, pencil_at
+from conftest import csr_pencil, dense_pencil, derivative_at, pencil_at
 
 from cavityuq.assembly import DiscreteSpace, MatrixPencil, assemble
 from cavityuq.eigen import DENSE_CUTOFF, Eigenpair, solve_smallest
@@ -84,7 +84,7 @@ class TestDerivative:
         pen = dense_pencil(np.diag([1.0, 2.0]))
         pair = solve_smallest(pen, 1)[0]
         hom = HomotopyPencil(pen, [pen])
-        [(de, dlam)] = eigenpair_derivative(hom, 0.0, pair, pen.mass @ pair.vector, [0])
+        [(de, dlam)] = derivative_at(hom, 0.0, pair, pen.mass @ pair.vector)
         assert np.abs(de).max() == 0.0 and dlam == 0.0
 
     def test_diagonal_first_order_perturbation(self):
@@ -92,7 +92,7 @@ class TestDerivative:
         pair = solve_smallest(pen, 1)[0]
         # K' = diag(3.7, -1.2) up to rounding, M' = 0
         hom = HomotopyPencil(pen, [dense_pencil(np.diag([1.0 + 3.7, 2.0 - 1.2]))])
-        [(de, dlam)] = eigenpair_derivative(hom, 0.0, pair, pen.mass @ pair.vector, [0])
+        [(de, dlam)] = derivative_at(hom, 0.0, pair, pen.mass @ pair.vector)
         assert dlam == pytest.approx(3.7, abs=1e-12)
         assert np.abs(de).max() <= 1e-12
 
@@ -100,7 +100,7 @@ class TestDerivative:
         mid = pencil_at(tm_block, 0.5)
         pair = solve_smallest(mid, 1)[0]
         c = mid.mass @ pair.vector
-        [(_, dlam)] = eigenpair_derivative(tm_block, 0.5, pair, c, [0])
+        [(_, dlam)] = derivative_at(tm_block, 0.5, pair, c)
         h = 1e-4
         fd = (
             solve_smallest(pencil_at(tm_block, 0.5 + h), 1)[0].value
@@ -112,7 +112,7 @@ class TestDerivative:
         pen = dense_pencil(np.eye(2))
         e = np.array([1.0, 0.0])
         pair = Eigenpair(1.0, e, 0.0)
-        (failure,) = eigenpair_derivative(HomotopyPencil(pen, [pen]), 0.0, pair, pen.mass @ e, [0])
+        (failure,) = derivative_at(HomotopyPencil(pen, [pen]), 0.0, pair, pen.mass @ e)
         assert isinstance(failure, DegeneracyError)
 
 
@@ -231,12 +231,15 @@ class TestBorderedRefill:
                 # numpy sums each row in another order than scipy's matvec
                 top = np.abs(want).max() * np.abs(e).sum()
                 assert np.abs(got @ e - want @ e).max() <= 1e-15 * top, t
+            # the norms Newton scales its residuals by: the stack's
+            stack = hom.at(t, [0])
             norms = (spla.norm(K, np.inf), spla.norm(M, np.inf))
-            assert np.concatenate(hom.norms(t, [0])).tobytes() == np.asarray(norms).tobytes(), t
+            got_norms = np.concatenate([stack.stiffness.norm_inf(), stack.mass.norm_inf()])
+            assert got_norms.tobytes() == np.asarray(norms).tobytes(), t
             Me = pen.mass @ e
             ref = reference_bordered(K, M, lam, Me, c, hom.pattern)
             perm_c = getattr(hom.pattern.bordered, "perm_c", None)
-            (lu,) = tracking._factor(hom, t, [lam], [Me], [c], [0])
+            (lu,) = tracking._factor(stack, [lam], [Me], [c])
             A = lu.matrix
             layouts.add(id(hom.pattern.bordered))
             if dense:
@@ -270,19 +273,20 @@ class TestBorderedRefill:
                              validate=False)
         hom = HomotopyPencil(start, hom.ends)
         hom.pattern.bordered = None
-        st = tracking._start_state(hom, solve_smallest(start, 1)[0])
-        (record,) = start.starts.values()
+        record, made = tracking._start_record(start, solve_smallest(start, 1)[0])
+        assert made and list(start.starts.values()) == [record]
         A = record.lu.matrix
         kept = [np.array(a, copy=True) for a in
                 ((A,) if isinstance(A, np.ndarray) else (A.data, A.indices, A.indptr))]
-        [before] = eigenpair_derivative(hom, 0.0, st.eigenpair, st.c, [0])
+        derivative, pair = hom.derivative([0]), record.eigenpair
+        [before] = eigenpair_derivative(derivative, pair, [record.lu])
         [(_, iters, factorizations)] = newton_correct(
-            hom, 0.01, [st.eigenpair.vector], [st.eigenpair.value], [st.c], 1e-10, 5, [0]
+            hom.at(0.01, [0]), [pair.vector], [pair.value], [record.c], 1e-10, 5
         )
         assert iters >= factorizations > 0
         for t in (0.0, 0.37, 1.0):
-            tracking._factor(hom, t, [lam], [pencil_at(hom, t).mass @ e], [c], [0])
-        [after] = eigenpair_derivative(hom, 0.0, st.eigenpair, st.c, [0])
+            tracking._factor(hom.at(t, [0]), [lam], [pencil_at(hom, t).mass @ e], [c])
+        [after] = eigenpair_derivative(derivative, pair, [record.lu])
         assert record.lu.matrix is A
         now = (A,) if isinstance(A, np.ndarray) else (A.data, A.indices, A.indptr)
         assert [a.tobytes() for a in now] == [a.tobytes() for a in kept]
@@ -379,7 +383,7 @@ class TestKeptLU:
             kept_lapack()
         else:
             monkeypatch.setattr(tracking, "_lapack", lambda: None)
-        (outcome,) = tracking._factor(HomotopyPencil(pen, [pen]), 0.0, [2.0], [e], [e], [0])
+        (outcome,) = tracking._factor(pen, [2.0], [e], [e])
         # getrf fails in the factorization; without it, gesv does at the solve
         if kept:
             failure = outcome
@@ -403,11 +407,11 @@ class TestStartRecords:
             assert st.n_factorizations > 0 and st.n_solves > st.n_factorizations
         h = HomotopyPencil(pens[0], [pens[2]])
         for start in starts:
-            st = tracking._start_state(h, start)
-            assert st.n_factorizations == 0
-            [shared] = eigenpair_derivative(h, 0.0, st.eigenpair, st.c, [0])
-            pair = Eigenpair(st.eigenpair.value, st.eigenpair.vector.copy(), 0.0)
-            [fresh] = eigenpair_derivative(h, 0.0, pair, st.c.copy(), [0])
+            record, made = tracking._start_record(h.start, start)
+            assert not made
+            [shared] = eigenpair_derivative(h.derivative([0]), record.eigenpair, [record.lu])
+            pair = Eigenpair(record.eigenpair.value, record.eigenpair.vector.copy(), 0.0)
+            [fresh] = derivative_at(h, 0.0, pair, record.c.copy())
             assert shared[0].tobytes() == fresh[0].tobytes() and shared[1] == fresh[1]
         # the record's LU computed its norm once, for the first derivative
         for record in pens[0].starts.values():
@@ -440,7 +444,7 @@ class TestPredict:
         mid = pencil_at(tm_block, 0.5)
         pair = solve_smallest(mid, 1)[0]
         c = mid.mass @ pair.vector
-        [der] = eigenpair_derivative(tm_block, 0.5, pair, c, [0])
+        [der] = derivative_at(tm_block, 0.5, pair, c)
         errs = []
         for dt in (0.1, 0.05):
             _, lam_pred = predict(pair, der, dt)
@@ -454,10 +458,8 @@ class TestNewton:
         pen = dense_pencil(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         pair = solve_smallest(pen, 1)[0]
         c = pen.mass @ pair.vector
-        hom = HomotopyPencil(pen, [pen])
-        [(out, iters, _)] = newton_correct(
-            hom, 0.0, [pair.vector], [pair.value], [c], 1e-10, 8, [0]
-        )
+        stack = HomotopyPencil(pen, [pen]).at(0.0, [0])
+        [(out, iters, _)] = newton_correct(stack, [pair.vector], [pair.value], [c], 1e-10, 8)
         assert iters == 0
         assert out.value == pair.value
 
@@ -467,10 +469,8 @@ class TestNewton:
         c = pen.mass @ pair.vector
         rng = np.random.default_rng(3)
         e0 = pair.vector + 1e-2 * rng.standard_normal(2)
-        hom = HomotopyPencil(pen, [pen])
-        [(out, iters, _)] = newton_correct(
-            hom, 0.0, [e0], [pair.value + 1e-2], [c], 1e-14, 10, [0]
-        )
+        stack = HomotopyPencil(pen, [pen]).at(0.0, [0])
+        [(out, iters, _)] = newton_correct(stack, [e0], [pair.value + 1e-2], [c], 1e-14, 10)
         assert 1 <= iters <= 4
         assert abs(out.value - pair.value) <= 1e-12
         assert abs(c @ out.vector - 1.0) <= 1e-12
@@ -479,9 +479,9 @@ class TestNewton:
         pen = dense_pencil(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         pair = solve_smallest(pen, 1)[0]
         c = pen.mass @ pair.vector
-        hom = HomotopyPencil(pen, [pen])
+        stack = HomotopyPencil(pen, [pen]).at(0.0, [0])
         (failure,) = newton_correct(
-            hom, 0.0, [pair.vector + 5.0], [pair.value + 50.0], [c], 1e-14, 2, [0]
+            stack, [pair.vector + 5.0], [pair.value + 50.0], [c], 1e-14, 2
         )
         assert isinstance(failure, NewtonFailure) and failure.iterations == 2
 
@@ -491,9 +491,9 @@ class TestNewton:
         # lands within tol, and only |dlam| is left to confirm
         pen = dense_pencil(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
         pair = solve_smallest(pen, 1)[0]
-        hom = HomotopyPencil(pen, [pen])
+        stack = HomotopyPencil(pen, [pen]).at(0.0, [0])
         c = pen.mass @ pair.vector
-        return pair, (hom, 0.0, [pair.vector], [1.01 * pair.value], [c], 1e-10, 5, [0])
+        return pair, (stack, [pair.vector], [1.01 * pair.value], [c], 1e-10, 5)
 
     def test_confirming_update_reuses_the_last_factorization(self, monkeypatch):
         pair, args = self.confirming_case()
@@ -528,15 +528,15 @@ class TestNewton:
         pen = dense_pencil(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         pair = solve_smallest(pen, 1)[0]
         c = pen.mass @ pair.vector
-        hom = HomotopyPencil(pen, [pen])
-        ref = weakref.ref(pen)
+        stack = HomotopyPencil(pen, [pen]).at(0.0, [0])
+        ref = weakref.ref(stack)
         gc.disable()
         try:
             (failure,) = newton_correct(
-                hom, 0.0, [pair.vector + 5.0], [pair.value + 50.0], [c], 1e-14, 2, [0]
+                stack, [pair.vector + 5.0], [pair.value + 50.0], [c], 1e-14, 2
             )
             assert isinstance(failure, NewtonFailure) and failure.iterations == 2
-            del pen, hom
+            del stack
             assert ref() is None
         finally:
             gc.enable()
@@ -872,15 +872,19 @@ class TestBatch:
         K0, ends = self.rotated_ends()
         start_pencil = dense_pencil(K0)
         start = solve_smallest(start_pencil, 1)[0]
+        hom = HomotopyPencil(start_pencil, ends)
         derivatives = tracking.eigenpair_derivative
+        # end 3's row of every derivative stack that holds it
+        end_3 = hom.derivative([3])[0].data[0]
 
-        def singular_at_end_3(homotopy, t, pair, c, ends):
-            out = derivatives(homotopy, t, pair, c, ends)
-            if 3 in ends:
-                out[list(ends).index(3)] = DegeneracyError("injected")
+        def singular_at_end_3(derivative, pair, lus):
+            out = derivatives(derivative, pair, lus)
+            for k, row in enumerate(derivative[0].data):
+                if np.array_equal(row, end_3):
+                    out[k] = DegeneracyError("injected")
             return out
 
         monkeypatch.setattr(tracking, "eigenpair_derivative", singular_at_end_3)
-        tracks = track(HomotopyPencil(start_pencil, ends), start)
+        tracks = track(hom, start)
         assert str(tracks[3]) == "injected"
         assert all(tracks[k].t == 1.0 for k in (0, 1, 2, 4))

@@ -159,6 +159,24 @@ class TestRule1D:
         with pytest.raises(DomainError, match="no finite gauss-hermite rule of order 400"):
             uq.rule_1d("gauss-hermite", 400)
 
+    @pytest.mark.parametrize("family", uq.RULE_FAMILIES)
+    def test_order_above_the_cap_is_refused_before_numpy(self, monkeypatch, family):
+        # numpy's Gauss rules solve an n x n eigenproblem: at 2,050 nodes
+        # about 0.75 s and 70 MB, and the cost grows as n^3
+        def refuse(n):
+            raise AssertionError(f"numpy was asked for a rule of order {n}")
+
+        for module, name in ((np.polynomial.hermite_e, "hermegauss"),
+                             (np.polynomial.legendre, "leggauss"),
+                             (uq, "_clenshaw_curtis_reference")):
+            monkeypatch.setattr(module, name, refuse)
+        with pytest.raises(GridSizeError, match=f"{family} rule of order 2050 exceeds the cap"):
+            uq.rule_1d(family, uq.RULE_ORDER_CAP + 1)
+        assert uq.RULE_ORDER_CAP == 2049
+
+    def test_order_at_the_cap_is_built(self):
+        assert uq.rule_1d("clenshaw-curtis", 2049).n == 2049
+
 
 class TestTensorGrid:
     def test_product_structure(self):
@@ -220,6 +238,35 @@ class TestSmolyakGrid:
         # combination coefficients make some merged weights negative
         g = uq.build_smolyak_grid(7, 2)
         assert g.weights.min() < 0.0 < g.weights.max()
+
+    def test_visits_are_counted_without_enumeration(self):
+        # the points of every index block build_smolyak_grid enumerates
+        for dim in range(1, 7):
+            for level in range(6):
+                visited = sum(
+                    math.prod(2 * i - 1 for i in idx)
+                    for total in range(max(dim, level + 1), dim + level + 1)
+                    for idx in uq._compositions(total, dim)
+                )
+                assert uq._smolyak_visits(dim, level, 10**9) == visited, (dim, level)
+                assert uq._smolyak_visits(dim, level, visited - 1) == visited, (dim, level)
+
+    @pytest.mark.parametrize(
+        "dim, level",
+        [(7, 185), (7, 10**9), (1, 10**9), (2, 10**6), (10**9, 1), (3 * 10**5, 1)],
+    )
+    def test_count_of_an_unbounded_grid_stops_at_the_cap(self, dim, level):
+        # level 185 at dimension 7 would visit about 4.5e22 points
+        limit = uq.SMOLYAK_COORDINATE_CAP // dim
+        assert uq._smolyak_visits(dim, level, limit) == limit + 1
+
+    def test_coordinate_cap(self):
+        # dimension 7: level 5 visits 52,074 points (364,518 coordinates),
+        # level 6 212,738 (1,489,166), which took 1.8 s and 76 MB to build
+        limit = uq.SMOLYAK_COORDINATE_CAP // 7
+        assert uq._smolyak_visits(7, 5, limit) == 52_074
+        with pytest.raises(GridSizeError, match="cap of 1000000 coordinates"):
+            uq.build_smolyak_grid(7, 6)
 
     def test_validation(self):
         with pytest.raises(DomainError):
