@@ -194,8 +194,9 @@ def _grid_from_section(sec, dim, support, allow_explicit):
                     f"got {len(orders)}"
                 )
             sec.done()
-            rules = [uq.rule_1d(family, n, support) for n in orders]
-            return uq.build_tensor_grid(rules)
+            uq.check_tensor_orders(orders)
+            rules = {n: uq.rule_1d(family, n, support) for n in dict.fromkeys(orders)}
+            return uq.build_tensor_grid([rules[n] for n in orders])
         level = sec.take("level", kind=int, lo=0)
         if allow_explicit:
             dim = sec.take("dim", default=dim, kind=int, lo=1)

@@ -5,16 +5,20 @@ One stepping loop advances any number of modes through t in [0, 1] together
 accepted t, and a step-size controller driven by the Newton iteration
 count sets one shared step: fast convergence grows it, slow or failed
 correction rejects the step for every member and shrinks it.  Only the step
-itself depends on the number of members.  A lone mode (track) is predicted
-to first order and Newton-corrected against the pencil at the new t with
-its previous normalization vector.  Near-degenerate modes whose first-order
-model mixes within the homotopy (see mixing) form a cluster: each member is
-predicted, the Rayleigh-Ritz pairs of the pencil at the new t on the span
-of the predicted vectors are Newton-corrected, and the step is accepted only
-if every member converges and their vectors stay M-orthogonal.  Inside a
-cluster, identity is value order: generic one-parameter symmetric pencils
-have avoided crossings, not crossings (von Neumann-Wigner), and a step that
-jumps an avoided crossing would swap or merge two separately tracked modes.
+itself depends on the number of members, and one kernel takes it (_step).
+Near-degenerate modes whose first-order model mixes within the homotopy
+(see mixing) form a cluster: each member is predicted to first order, the
+Rayleigh-Ritz pairs of the pencil at the new t on the span of the
+predicted vectors are Newton-corrected, and the step is accepted only if
+every member converges and their vectors stay M-orthogonal.  A lone mode
+is a cluster of one that skips the projection and the check: its
+predicted pair is Newton-corrected with its previous normalization vector.
+track and Tracks, one start's form of track_cluster, stay only because the
+benchmark tracer reads per-track statistics through track; they go once it
+reads the states that track_modes returns.  Inside a cluster, identity is
+value order: generic one-parameter symmetric pencils have avoided
+crossings, not crossings (von Neumann-Wigner), and a step that jumps an
+avoided crossing would swap or merge two separately tracked modes.
 An endpoint M-Gram check backs every group of modes (track_modes):
 colliding tracks are re-tracked as one cluster, and a collision that
 remains is a TrackingFailure.
@@ -564,18 +568,6 @@ def _newton_failure(message, iterations, factorizations):
     return failure
 
 
-def _normalized_accept(M, V, prev):
-    """M-normalize each row of V, keep orientation continuous with the row
-    of prev, refresh c = M e: (E, C, overlaps), M a stack of one mass
-    matrix per row."""
-    E = V / np.sqrt(_dots(V, M @ V))[:, None]
-    C = M @ E
-    overlap = _dots(prev, C)
-    flip = overlap < 0.0
-    E[flip], C[flip], overlap[flip] = -E[flip], -C[flip], -overlap[flip]
-    return E, C, overlap
-
-
 def _start_record(pencil, start):
     """The start pencil's record of start (_Start), and whether this call
     made it: the first homotopy from a pencil that tracks a start pair makes
@@ -591,7 +583,8 @@ def _start_record(pencil, start):
 
 def track(homotopy, start, cfg=TrackConfig()):
     """Carry one eigenpair from t = 0 to t = 1 along the homotopy: the Tracks
-    of its ends."""
+    of its ends, from track_cluster on a cluster of one.  The benchmark
+    tracer reads per-track statistics through it."""
     outcomes = track_cluster(homotopy, [start], cfg)
     return Tracks(o if isinstance(o, CavityError) else o[0] for o in outcomes)
 
@@ -601,11 +594,12 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
 
     starts ascend by value.  At each accepted t the loop takes every
     member's derivative; a step to t + dt is then either accepted for all
-    members or rejected for all.  One start steps alone (_lone_step),
-    several as one block (_block_step).  Convergence within n1 iterations
-    grows the step by eta1, a rejection shrinks it by eta2, and a step below
-    min_step is a TrackingFailure carrying the first member's state at the
-    last accepted t.  Returns per end one TrackState per start, or the
+    members or rejected for all.  One kernel steps every group (_step): a
+    lone start is a cluster of one, which skips the Rayleigh-Ritz
+    projection and the M-orthogonality check.  Convergence within n1
+    iterations grows the step by eta1, a rejection shrinks it by eta2, and
+    a step below min_step is a TrackingFailure carrying the first member's
+    state at the last accepted t.  Returns per end one TrackState per start, or the
     CavityError that ended the end's track.
 
     Each end keeps its own t and step.  The ends at one t take their
@@ -616,7 +610,7 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
     derivatives there take; the first end's state counts the factorization
     of a record made here.
     """
-    n_ends, m = len(homotopy.ends), len(starts)
+    n_ends = len(homotopy.ends)
     records, made = zip(*(_start_record(homotopy.start, s) for s in starts))
     states = [[TrackState(0.0, r.eigenpair, r.c, [(0.0, r.eigenpair.value)],
                           n_factorizations=int(new and not b)) for r, new in zip(records, made)]
@@ -629,7 +623,6 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
     failed = [None] * n_ends
     stale = np.ones(n_ends, dtype=bool)   # needs its derivatives at t
     live = np.arange(n_ends)
-    step_to = _lone_step if m == 1 else _block_step
     while live.size:
         for t_at in sorted(set(t[live[stale[live]]].tolist())):
             rows = live[stale[live] & (t[live] == t_at)]
@@ -656,7 +649,7 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
         for t_to in sorted(set(t_new.tolist())):
             at = t_new == t_to
             rows = live[at]
-            accepted = step_to(
+            accepted = _step(
                 homotopy.at(t_to, rows), [states[b] for b in rows],
                 (E[:, rows], lam[:, rows], C[:, rows]), (dE[:, rows], dlam[:, rows]), dt[at], cfg,
             )
@@ -686,93 +679,64 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
     return [failed[b] or states[b] for b in range(n_ends)]
 
 
-def _correct(pencil, members, e, lam, c, cfg):
-    """Newton from the rows of (e, lam) with normalization vectors c on the
-    stack's pencils, one end each, the end's member state in members: per
-    end (Eigenpair, iterations), or None on failure.  Adds the bordered
-    solves and factorizations to each member."""
-    out = []
-    results = newton_correct(pencil, e, lam, c, cfg.newton_tol, cfg.n2)
-    for st, result in zip(members, results):
-        if isinstance(result, NewtonFailure):
-            st.n_solves += result.iterations
-            st.n_factorizations += result.factorizations
-            out.append(None)
-            continue
-        pair, iters, factorizations = result
-        st.n_solves += iters
-        st.n_factorizations += int(factorizations)
-        out.append((pair, iters))
-    return out
-
-
-def _lone_step(pencil, states, current, derivatives, dt, cfg):
-    """One step of a lone start to the pencils of a stack, one per end: its
-    first-order predictor, then Newton with its previous c.
+def _step(pencil, states, current, derivatives, dt, cfg):
+    """One shared step of a group of m starts to the pencils of a stack,
+    one per end.
 
     current and derivatives stack (E, lam, C) and (E', lam') as member,
-    end.  Returns per end ([(Eigenpair, c, iterations)], overlap) as
-    _normalized_accept gives them, or None when the correction fails.
-    """
-    (E,), (lam,), (C,) = current
-    (dE,), (dlam,) = derivatives
-    e, value = predict(Eigenpair(lam, E, None), (dE, dlam), dt)
-    corrected = _correct(pencil, [st for st, in states], e, value, C, cfg)
-    ok = [k for k, result in enumerate(corrected) if result is not None]
-    out = [None] * len(states)
-    if not ok:
-        return out
-    V = np.array([corrected[k][0].vector for k in ok])
-    E_new, C_new, overlap = _normalized_accept(_rows(pencil, ok).mass, V, E[ok])
-    for k, e_k, c_k, ov in zip(ok, E_new, C_new, overlap):
-        pair, iters = corrected[k]
-        out[k] = [(Eigenpair(pair.value, e_k, pair.residual), c_k, iters)], float(ov)
-    return out
-
-
-def _block_step(pencil, states, current, derivatives, dt, cfg):
-    """One shared step of a cluster to the pencils of a stack, one per end.
-
-    Each member's first-order predictor, Rayleigh-Ritz on the span of the
-    predicted vectors, then Newton from each Ritz pair u with c = M u.
+    end.  Each member's first-order predictor starts Newton: a lone start
+    (m = 1) corrects its predicted pair with its previous c; a cluster
+    first takes the Rayleigh-Ritz pairs of the pencil on the span of the
+    predicted vectors and corrects each Ritz pair u with c = M u.  Adds each
+    correction's bordered solves and factorizations to its member's state.
     Returns per end ([(Eigenpair, c, iterations), ...], overlap): the pairs
-    ascending by value, M-normalized and oriented as _normalized_accept
-    does against the member's last vector, and the smallest principal
-    cosine between the last and the new cluster subspaces.  Returns None
-    for an end whose projected pencil is not definite, whose correction
-    fails, or whose corrected vectors are not M-orthogonal
-    (|e_i^T M e_j| > ORTHO_TOL).
+    ascending by value, M-normalized with c = M e, and each oriented so that
+    its cosine e_old^T M e with the member's last vector is positive.  The
+    overlap is that cosine for a lone start, and for a cluster the smallest
+    principal cosine between the last and the new cluster subspaces.
+    Returns None for an end whose correction fails, and for a cluster end
+    whose projected pencil is not definite or whose corrected vectors are
+    not M-orthogonal (|e_i^T M e_j| > ORTHO_TOL).
     """
     E, lam, C = current
     m = len(E)
-    P = np.stack([
-        predict(Eigenpair(lam[i], E[i], None), (derivatives[0][i], derivatives[1][i]), dt)[0]
-        for i in range(m)
-    ], axis=2)   # end, dof, member
-    KP, MP = (np.stack(products, axis=2) for products in zip(*(
-        stacked_products(P[:, :, i], pencil.stiffness, pencil.mass) for i in range(m)
-    )))
-    PT = np.swapaxes(P, 1, 2)
-    ritz = _ritz(PT @ KP, PT @ MP)
+    P, theta = predict(Eigenpair(lam, E, None), derivatives, dt)
+    P, theta = P.transpose(1, 2, 0), theta.T   # end, dof, member; end, member
     out = [None] * len(states)
-    alive = [k for k in range(len(states)) if ritz[k] is not None]
-    if not alive:
-        return out
-    theta = np.array([ritz[k][0] for k in alive])
-    Y = np.array([ritz[k][1] for k in alive])
-    U, MU = P[alive] @ Y, MP[alive] @ Y
+    if m == 1:
+        alive, U, CU = range(len(states)), P, C.transpose(1, 2, 0)
+    else:
+        P = np.ascontiguousarray(P)
+        KP, MP = (np.stack(products, axis=2) for products in zip(*(
+            stacked_products(P[:, :, i], pencil.stiffness, pencil.mass) for i in range(m)
+        )))
+        PT = np.swapaxes(P, 1, 2)
+        ritz = _ritz(PT @ KP, PT @ MP)
+        alive = [k for k in range(len(states)) if ritz[k] is not None]
+        if not alive:
+            return out
+        theta = np.array([ritz[k][0] for k in alive])
+        Y = np.array([ritz[k][1] for k in alive])
+        U, CU = P[alive] @ Y, MP[alive] @ Y
     corrected = [[] for _ in alive]
     for i in range(m):
-        at = [a for a, k in enumerate(alive) if len(corrected[a]) == i]
+        at = [a for a in range(len(alive)) if len(corrected[a]) == i]
         if not at:
             break
-        results = _correct(
-            _rows(pencil, [alive[a] for a in at]), [states[alive[a]][i] for a in at],
-            U[at, :, i], theta[at, i], MU[at][:, :, i], cfg,
+        rows = [alive[a] for a in at]
+        results = newton_correct(
+            _rows(pencil, rows), U[at, :, i], theta[at, i], CU[at][:, :, i], cfg.newton_tol, cfg.n2
         )
-        for a, result in zip(at, results):
-            if result is not None:
-                corrected[a].append(result)
+        for a, k, result in zip(at, rows, results):
+            st = states[k][i]
+            if isinstance(result, NewtonFailure):
+                st.n_solves += result.iterations
+                st.n_factorizations += result.factorizations
+                continue
+            pair, iters, factorizations = result
+            st.n_solves += iters
+            st.n_factorizations += int(factorizations)
+            corrected[a].append((pair, iters))
     done = [a for a in range(len(alive)) if len(corrected[a]) == m]
     if not done:
         return out
@@ -781,18 +745,25 @@ def _block_step(pencil, states, current, derivatives, dt, cfg):
     keep = [alive[a] for a in done]
     M = _rows(pencil, keep).mass
     accepted = [[] for _ in done]
-    E_new, C_new = np.empty((2, len(done), E.shape[2], m))
+    E_new, C_new = [], []
     for i in range(m):
         V = np.array([corrected[a][i][0].vector for a in done])
-        e_i, c_i, _ = _normalized_accept(M, V, E[i, keep])
-        E_new[:, :, i], C_new[:, :, i] = e_i, c_i
+        e_i = V / np.sqrt(_dots(V, M @ V))[:, None]
+        c_i = M @ e_i
+        cosines = _dots(E[i, keep], c_i)
+        flip = cosines < 0.0
+        e_i[flip], c_i[flip], cosines[flip] = -e_i[flip], -c_i[flip], -cosines[flip]
+        E_new.append(e_i)
+        C_new.append(c_i)
         for d, a in enumerate(done):
             pair, iters = corrected[a][i]
             accepted[d].append((Eigenpair(pair.value, e_i[d], pair.residual), c_i[d], iters))
-    E_old = np.ascontiguousarray(np.moveaxis(E[:, keep], 0, 2))
-    cosines = np.linalg.svd(np.swapaxes(E_old, 1, 2) @ C_new, compute_uv=False).min(axis=1)
+    if m > 1:
+        E_new, C_new = np.stack(E_new, axis=2), np.stack(C_new, axis=2)
+        E_old = np.ascontiguousarray(np.moveaxis(E[:, keep], 0, 2))
+        cosines = np.linalg.svd(np.swapaxes(E_old, 1, 2) @ C_new, compute_uv=False).min(axis=1)
     for d, k in enumerate(keep):
-        if not _collisions(E_new[d].T @ C_new[d]):
+        if m == 1 or not _collisions(E_new[d].T @ C_new[d]):
             out[k] = accepted[d], float(cosines[d])
     return out
 

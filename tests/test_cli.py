@@ -389,6 +389,42 @@ class TestGridCommand:
         assert capsys.readouterr().err.startswith(f"config error: config.grid: {message}")
         assert not (out / "grid.csv").exists()
 
+    @pytest.mark.parametrize(
+        "orders", [[2049, 2049, 2], [64, 64, 64, 1, 1, 1, 1]], ids=["nodes", "dimension"]
+    )
+    def test_tensor_grid_over_its_cap_is_refused_before_any_rule(
+        self, tmp_path, capsys, monkeypatch, orders
+    ):
+        # 8,396,802 nodes, and 262,144 nodes in dimension 7: both over the
+        # 10^6 coordinates, checked on the orders alone
+        def no_rule(*args):
+            raise AssertionError("a rule was built")
+
+        monkeypatch.setattr(uq, "rule_1d", no_rule)
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"grid": {"kind": "tensor", "family": "clenshaw-curtis", "orders": orders}},
+        )
+        out = tmp_path / "g"
+        assert run_cli("grid", "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config.grid: tensor grid in dimension {len(orders)}")
+        assert "over the cap of 1000000 coordinates" in err
+        assert not (out / "grid.csv").exists()
+
+    def test_smolyak_grid_of_any_dimension(self, tmp_path):
+        # level 0 is one node in any dimension; its index block is
+        # enumerated without recursion
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"grid": {"kind": "smolyak", "family": "gauss-hermite", "level": 0, "dim": 3000}},
+        )
+        out = tmp_path / "g"
+        assert run_cli("grid", "--config", cfg, "--out", str(out)) == 0
+        back = uq.load_grid_csv(out / "grid.csv")
+        assert back.nodes.shape == (1, 3000) and not back.nodes.any()
+        assert back.weights.tolist() == [1.0]
+
     def test_tensor_with_support(self, tmp_path):
         cfg = write_config(
             tmp_path, "c.json",

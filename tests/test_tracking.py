@@ -575,6 +575,28 @@ class TestTrack:
             lam = track(h, start)[0].eigenpair.value
             assert np.min(np.abs(ref - lam)) <= 1e-9 * abs(lam)
 
+    def test_lone_start_is_never_ritz_projected(self, tm_block, monkeypatch):
+        # a lone start is a cluster of one that Newton corrects from its
+        # predicted pair: on the radius homotopy, whose eigenvectors do not
+        # change, a Rayleigh quotient would leave Newton nothing to do
+        def no_ritz(K, M):
+            raise AssertionError("a cluster of one was Rayleigh-Ritz projected")
+
+        monkeypatch.setattr(tracking, "_ritz", no_ritz)
+        start = solve_smallest(tm_block.start, 1)[0]
+        [(st,)] = tracking.track_cluster(tm_block, [start])
+        ref = solve_smallest(tm_block.ends[0], 1)[0].value
+        assert abs(st.eigenpair.value / ref - 1.0) <= 1e-8
+        assert st.t == 1.0 and min(st.newton_log) >= 1
+        rng = np.random.default_rng(11)
+        K0, M0, K1, M1 = (A @ A.T + 50 * np.eye(50) for A in rng.standard_normal((4, 50, 50)))
+        h = HomotopyPencil(dense_pencil(K0, M0), [dense_pencil(K1, M1)])
+        ref = la.eigh(K1, M1, eigvals_only=True)
+        for start in solve_smallest(h.start, 3):
+            [(st,)] = tracking.track_cluster(h, [start])
+            lam = st.eigenpair.value
+            assert st.t == 1.0 and np.min(np.abs(ref - lam)) <= 1e-9 * abs(lam)
+
     def test_bad_start_rejected(self, tm_block):
         n = tm_block.start.n
         junk = Eigenpair(1.0, np.ones(n), 1.0)

@@ -196,6 +196,10 @@ class TestTensorGrid:
         r = uq.rule_1d("gauss-hermite", 25)
         with pytest.raises(GridSizeError):
             uq.build_tensor_grid([r] * 6)
+        # nodes times dimension, at the cap and one order above it
+        uq.check_tensor_orders([1000, 500])
+        with pytest.raises(GridSizeError, match="cap of 1000000 coordinates"):
+            uq.check_tensor_orders([1000, 501])
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -238,6 +242,16 @@ class TestSmolyakGrid:
         # combination coefficients make some merged weights negative
         g = uq.build_smolyak_grid(7, 2)
         assert g.weights.min() < 0.0 < g.weights.max()
+
+    def test_compositions_in_lexicographic_order(self):
+        for parts in range(1, 6):
+            for total in range(parts, parts + 6):
+                want = sorted(
+                    c for c in itertools.product(range(1, total + 1), repeat=parts)
+                    if sum(c) == total
+                )
+                assert list(uq._compositions(total, parts)) == want, (total, parts)
+        assert list(uq._compositions(3000, 3000)) == [(1,) * 3000]
 
     def test_visits_are_counted_without_enumeration(self):
         # the points of every index block build_smolyak_grid enumerates
