@@ -178,6 +178,47 @@ class TestRule1D:
         assert uq.rule_1d("clenshaw-curtis", 2049).n == 2049
 
 
+def _enumerated_tensor_grid(rules):
+    """The tensor grid point by point, the last dimension fastest: the
+    reference the array-wise build_tensor_grid must match bit for bit."""
+    nodes, weights = [], []
+    for combo in itertools.product(*(range(r.n) for r in rules)):
+        nodes.append([r.nodes[j] for r, j in zip(rules, combo)])
+        weights.append(math.prod(r.weights[j] for r, j in zip(rules, combo)))
+    return np.array(nodes), np.array(weights)
+
+
+def _enumerated_smolyak_grid(dim, level, family, support):
+    """The Smolyak combination point by point: every point of every index
+    block keyed by its coordinates rounded to 12 decimals, the first visit
+    kept, weights summed in visiting order, nodes sorted as tuples."""
+    q = dim + level
+    merged = {}
+    for total in range(max(dim, q - dim + 1), q + 1):
+        coeff = (-1.0) ** (q - total) * math.comb(dim - 1, q - total)
+        for idx in uq._compositions(total, dim):
+            rules = [uq.rule_1d(family, 2 * i - 1, support) for i in idx]
+            for combo in itertools.product(*(range(r.n) for r in rules)):
+                node = np.array([r.nodes[j] for r, j in zip(rules, combo)])
+                w = coeff * math.prod(r.weights[j] for r, j in zip(rules, combo))
+                key = (np.round(node, 12) + 0.0).tobytes()
+                if key in merged:
+                    merged[key][1] += w
+                else:
+                    merged[key] = [node, w]
+    items = sorted(merged.values(), key=lambda it: tuple(it[0]))
+    return np.array([it[0] for it in items]), np.array([it[1] for it in items])
+
+
+def _same_bits(grid, reference):
+    nodes, weights = reference
+    return (grid.nodes.shape == nodes.shape and grid.nodes.tobytes() == nodes.tobytes()
+            and grid.weights.tobytes() == weights.tobytes())
+
+
+_SUPPORTS = {"gauss-hermite": None, "gauss-legendre": (0.04, 0.06), "clenshaw-curtis": (-0.5, 1.5)}
+
+
 class TestTensorGrid:
     def test_product_structure(self):
         r = uq.rule_1d("gauss-hermite", 3)
@@ -191,6 +232,30 @@ class TestTensorGrid:
         g = uq.build_tensor_grid([r])
         assert np.array_equal(g.nodes[:, 0], r.nodes)
         assert np.array_equal(g.weights, r.weights)
+
+    @pytest.mark.parametrize("family", uq.RULE_FAMILIES)
+    @pytest.mark.parametrize("orders", [
+        [1], [4], [3, 2], [2, 1, 5, 1, 1, 4], [1] * 5, [5] * 6, [1] * 80 + [3, 2],
+        [1] * 40 + [2] + [1] * 40, [9, 1, 7],
+    ])
+    def test_matches_point_by_point_enumeration(self, family, orders):
+        rules = [uq.rule_1d(family, n, _SUPPORTS[family]) for n in orders]
+        assert _same_bits(uq.build_tensor_grid(rules), _enumerated_tensor_grid(rules))
+
+    def test_order_one_rules_on_zero_width_supports(self):
+        # a support [a, a] holds one node, which is a constant column
+        rules = [uq.rule_1d(f, 1, (a, a)) for f, a in
+                 (("gauss-legendre", 0.05), ("clenshaw-curtis", -2.0), ("clenshaw-curtis", 0.0))]
+        rules.insert(1, uq.rule_1d("clenshaw-curtis", 3, (0.04, 0.06)))
+        g = uq.build_tensor_grid(rules)
+        assert _same_bits(g, _enumerated_tensor_grid(rules))
+        assert g.nodes[:, [0, 2, 3]].tolist() == [[0.05, -2.0, 0.0]] * 3
+
+    def test_one_node_in_dimension_999999(self):
+        # orders of one up to the coordinate cap: no per-dimension array work
+        g = uq.build_tensor_grid([uq.rule_1d("clenshaw-curtis", 1, (0.25, 0.25))] * 999_999)
+        assert g.nodes.shape == (1, 999_999) and g.weights.tolist() == [1.0]
+        assert (g.nodes == 0.25).all()
 
     def test_node_cap(self):
         r = uq.rule_1d("gauss-hermite", 25)
@@ -242,6 +307,21 @@ class TestSmolyakGrid:
         # combination coefficients make some merged weights negative
         g = uq.build_smolyak_grid(7, 2)
         assert g.weights.min() < 0.0 < g.weights.max()
+
+    @pytest.mark.parametrize("family", uq.RULE_FAMILIES)
+    @pytest.mark.parametrize("dim, level", [
+        (1, 0), (1, 4), (2, 3), (3, 1), (3, 3), (4, 2), (5, 5), (7, 2), (7, 4), (10, 2), (70, 1),
+    ])
+    def test_matches_point_by_point_enumeration(self, family, dim, level):
+        support = _SUPPORTS[family]
+        assert _same_bits(uq.build_smolyak_grid(dim, level, family, support),
+                          _enumerated_smolyak_grid(dim, level, family, support))
+
+    @pytest.mark.parametrize("family", ["gauss-legendre", "clenshaw-curtis"])
+    def test_level_zero_on_a_zero_width_support(self, family):
+        g = uq.build_smolyak_grid(4, 0, family, (0.05, 0.05))
+        assert _same_bits(g, _enumerated_smolyak_grid(4, 0, family, (0.05, 0.05)))
+        assert g.nodes.tolist() == [[0.05] * 4] and g.weights.tolist() == [1.0]
 
     def test_compositions_in_lexicographic_order(self):
         for parts in range(1, 6):
