@@ -72,10 +72,10 @@ class HomotopyPencil:
     Every end must be stored on the start's sparsity pattern, which every
     pencil assembled on one space shares; otherwise DomainError.  Every
     method takes an index array into ends and answers one row per listed
-    end.  At t = 0 every row is start's data, where every track starts.  At
-    t = 1 an end's row is its own data, as fl(0 a + 1 b) = b.  At any other
-    t it is two axpys on the pattern's data, each entry fl(fl(s a) + fl(t b))
-    with s = 1 - t.
+    end.  An end's row at its t is two axpys on the pattern's data, each
+    entry fl(fl(s a) + fl(t b)) with s = 1 - t: at t = 0 start's entry a,
+    where every track starts, and at t = 1 the end's own entry b, up to the
+    sign of a zero.
     """
 
     def __init__(self, start, ends):
@@ -97,22 +97,18 @@ class HomotopyPencil:
         self._derivative = None
 
     def at(self, t, ends):
-        """The pencil at t of the listed ends, an index array into
-        self.ends, stored on the homotopy's pattern: its data stack the
-        ends' pencils at t, row i for ends[i]."""
-        if not 0.0 <= t <= 1.0:
-            raise DomainError(f"homotopy parameter {t} outside [0, 1]")
+        """The pencils of the listed ends, an index array into self.ends,
+        each at its own t (one per end, or one for all), stored on the
+        homotopy's pattern: its data stack them, row i for ends[i]."""
         ends = np.asarray(ends, dtype=np.intp)
-        if t == 0.0:
-            K, M = (np.broadcast_to(a, (ends.size, a.size)) for a in (self._k0, self._m0))
-        elif t == 1.0:
-            K, M = self._k1[ends], self._m1[ends]
-        else:
-            s = 1.0 - t
-            K, M = np.empty((2, ends.size, self._k0.size))
-            for out, a, b in ((K, self._k0, self._k1), (M, self._m0, self._m1)):
-                np.multiply(a, s, out=out)
-                out += t * b[ends]
+        t = np.broadcast_to(np.asarray(t, dtype=float), ends.shape)
+        if not ((t >= 0.0) & (t <= 1.0)).all():
+            raise DomainError(f"homotopy parameter outside [0, 1] in {t}")
+        s, t = (1.0 - t)[:, None], t[:, None]
+        K, M = np.empty((2, ends.size, self._k0.size))
+        for out, a, b in ((K, self._k0, self._k1), (M, self._m0, self._m1)):
+            np.multiply(a, s, out=out)
+            out += t * b[ends]
         return MatrixPencil(self.pattern, K, M, validate=False)
 
     def derivative(self, ends):

@@ -602,13 +602,13 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
     state at the last accepted t.  Returns per end one TrackState per start, or the
     CavityError that ended the end's track.
 
-    Each end keeps its own t and step.  The ends at one t take their
-    derivatives together, and those stepping to one t step together: each
-    group's pencils at its t are evaluated once (HomotopyPencil.at) and
-    handed to the kernels.  At t = 0 every end starts from the start
-    pencil's records (_start_record), whose LUs, or refusals, its
-    derivatives there take; the first end's state counts the factorization
-    of a record made here.
+    Each end keeps its own t and step.  A round first takes, in one pass,
+    the derivatives of every end that has none at its t: at t = 0 from the start pencil's
+    records (_start_record), whose LUs, or refusals, they take, and at
+    t > 0 from a fresh factorization at the end's own t.  It then steps
+    every live end from its own t in one _step call, on the ends' pencils
+    at their own t + dt (HomotopyPencil.at).  The first end's state counts
+    the factorization of a record made here.
     """
     n_ends = len(homotopy.ends)
     records, made = zip(*(_start_record(homotopy.start, s) for s in starts))
@@ -624,57 +624,57 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
     stale = np.ones(n_ends, dtype=bool)   # needs its derivatives at t
     live = np.arange(n_ends)
     while live.size:
-        for t_at in sorted(set(t[live[stale[live]]].tolist())):
-            rows = live[stale[live] & (t[live] == t_at)]
-            derivative = homotopy.derivative(rows)
-            pencil = homotopy.at(t_at, rows) if t_at > 0.0 else None
-            for i, record in enumerate(records):
-                if pencil is None:
-                    pair, lus = record.eigenpair, [record.lu] * rows.size
+        rows = live[stale[live]]
+        derivative = homotopy.derivative(rows)
+        moved = t[rows] > 0.0
+        at = rows[moved]
+        pencil = homotopy.at(t[at], at) if at.size else None
+        for i, record in enumerate(records):
+            lus = [record.lu] * rows.size
+            if pencil is not None:
+                fresh = _factor(pencil, lam[i, at], pencil.mass @ E[i, at], C[i, at])
+                for k, lu in zip(np.flatnonzero(moved), fresh):
+                    lus[k] = lu
+            results = eigenpair_derivative(derivative, Eigenpair(lam[i, rows], E[i, rows], None), lus)
+            for b, result, m in zip(rows, results, moved):
+                states[b][i].n_solves += 1
+                states[b][i].n_factorizations += int(m)
+                if isinstance(result, CavityError):
+                    failed[b] = failed[b] or result
                 else:
-                    pair = Eigenpair(lam[i, rows], E[i, rows], None)
-                    lus = _factor(pencil, pair.value, pencil.mass @ pair.vector, C[i, rows])
-                results = eigenpair_derivative(derivative, pair, lus)
-                for b, result in zip(rows, results):
-                    states[b][i].n_solves += 1
-                    states[b][i].n_factorizations += int(t_at > 0.0)
-                    if isinstance(result, CavityError):
-                        failed[b] = failed[b] or result
-                    else:
-                        dE[i, b], dlam[i, b] = result
-            stale[rows] = False
+                    dE[i, b], dlam[i, b] = result
+        stale[rows] = False
         live = np.array([b for b in live if failed[b] is None], dtype=np.intp)
+        if not live.size:
+            break
         dt = np.minimum(step[live], 1.0 - t[live])
         t_new = t[live] + dt
-        for t_to in sorted(set(t_new.tolist())):
-            at = t_new == t_to
-            rows = live[at]
-            accepted = _step(
-                homotopy.at(t_to, rows), [states[b] for b in rows],
-                (E[:, rows], lam[:, rows], C[:, rows]), (dE[:, rows], dlam[:, rows]), dt[at], cfg,
-            )
-            for b, acc in zip(rows, accepted):
-                if acc is None:
-                    step[b] *= cfg.eta2
-                    for st in states[b]:
-                        st.n_rejects += 1
-                    if step[b] < cfg.min_step:
-                        failed[b] = TrackingFailure(
-                            f"step underflow at t={t[b]:.6f} (step {step[b]:.3e} "
-                            f"< min_step {cfg.min_step:.3e})",
-                            state=states[b][0],
-                        )
-                    continue
-                members, overlap = acc
-                if max(iters for _, _, iters in members) <= cfg.n1:
-                    step[b] *= cfg.eta1
-                for i, (st, (pair, c, iters)) in enumerate(zip(states[b], members)):
-                    st.t, st.eigenpair, st.c = t_to, pair, c
-                    st.min_overlap = min(st.min_overlap, overlap)
-                    st.newton_log.append(iters)
-                    st.trajectory.append((t_to, pair.value))
-                    E[i, b], lam[i, b], C[i, b] = pair.vector, pair.value, c
-                t[b], stale[b] = t_to, True
+        accepted = _step(
+            homotopy.at(t_new, live), [states[b] for b in live],
+            (E[:, live], lam[:, live], C[:, live]), (dE[:, live], dlam[:, live]), dt, cfg,
+        )
+        for b, t_to, acc in zip(live, t_new.tolist(), accepted):
+            if acc is None:
+                step[b] *= cfg.eta2
+                for st in states[b]:
+                    st.n_rejects += 1
+                if step[b] < cfg.min_step:
+                    failed[b] = TrackingFailure(
+                        f"step underflow at t={t[b]:.6f} (step {step[b]:.3e} "
+                        f"< min_step {cfg.min_step:.3e})",
+                        state=states[b][0],
+                    )
+                continue
+            members, overlap = acc
+            if max(iters for _, _, iters in members) <= cfg.n1:
+                step[b] *= cfg.eta1
+            for i, (st, (pair, c, iters)) in enumerate(zip(states[b], members)):
+                st.t, st.eigenpair, st.c = t_to, pair, c
+                st.min_overlap = min(st.min_overlap, overlap)
+                st.newton_log.append(iters)
+                st.trajectory.append((t_to, pair.value))
+                E[i, b], lam[i, b], C[i, b] = pair.vector, pair.value, c
+            t[b], stale[b] = t_to, True
         live = np.array([b for b in live if failed[b] is None and t[b] < 1.0], dtype=np.intp)
     return [failed[b] or states[b] for b in range(n_ends)]
 

@@ -57,6 +57,23 @@ class TestHomotopy:
             top = np.abs(pencil_at(homotopy, t).stiffness.data).max()
             assert np.abs(second).max() <= 1e-12 * top
 
+    def test_each_end_at_its_own_t(self):
+        # one stack of ends at different t is, row for row and bit for bit,
+        # each end's own pencil at its t
+        ends = [disk_pencil(r) for r in (0.055, 0.06, 0.045)]
+        hom = HomotopyPencil(disk_pencil(0.05), ends)
+        ts, rows = [0.0, 0.37, 1.0, 0.37, 0.8125], [2, 0, 1, 1, 0]
+        stack = hom.at(ts, rows)
+        for k, (t, b) in enumerate(zip(ts, rows)):
+            own = hom.at(t, [b])
+            for name in ("stiffness", "mass"):
+                row = getattr(stack, name).data[k]
+                assert row.tobytes() == getattr(own, name).data[0].tobytes(), (t, b, name)
+        assert np.array_equal(stack.stiffness.data[0], hom.start.stiffness.data)
+        assert np.array_equal(stack.mass.data[2], ends[1].mass.data)
+        with pytest.raises(DomainError):
+            hom.at([0.5, 1.5], [0, 1])
+
     def test_derivative_is_difference(self, homotopy):
         Kp, Mp = homotopy.derivative([0])
         assert Kp.pattern is Mp.pattern is homotopy.pattern
