@@ -459,7 +459,11 @@ def deformation_from_kl(kl, base, sampler):
     geometry map's own basis: the returned model displaces control points,
     and its boundary trace passes through the station values exactly.  The
     mean and every mode are the right-hand sides of one ring interpolation
-    solve; each field's interior points follow the mean of its ring values.
+    solve.  Each field's interior points are the discrete harmonic
+    extension of its ring values on the control net's index grid (the
+    5-point Laplace equation; Xu, Mourrain, Duvigneau & Galligo, CMAME
+    2011), so a smooth ring displacement moves the interior smoothly and
+    a rigid translation moves every point alike.
     """
     mean = np.asarray(kl.mean, dtype=float)
     modes = np.asarray(kl.scaled_modes, dtype=float)
@@ -473,10 +477,30 @@ def deformation_from_kl(kl, base, sampler):
     # station displacements, one (x, y) column pair per field
     disp = np.hstack([sampler.station_displacements(v) for v in (mean, *modes.T)])
     d = _minimal_curvature_solve(A, disp).reshape(len(ring), -1, 2)
-    fields = np.tile(d.mean(axis=0)[:, None, None], base.net.shape + (1,))   # ring means
+    fields = np.zeros((d.shape[1],) + base.net.shape + (2,))
     i, j = np.array(ring).T
     fields[:, i, j] = d.transpose(1, 0, 2)
+    _harmonic_interior(fields)
     return DeformationModel(base, fields[0], fields[1:])
+
+
+def _harmonic_interior(fields):
+    """Fill the interior of stacked control-point fields (field, n1, n2, 2),
+    zero there, with the discrete harmonic extension of their ring values:
+    each interior point is the mean of its four neighbours on the net's
+    index grid (the 5-point Laplace equation, ring values fixed).  One dense
+    solve for every field and coordinate."""
+    m1, m2 = fields.shape[1] - 2, fields.shape[2] - 2
+    if m1 < 1 or m2 < 1:
+        return
+    k = np.arange(m1 * m2).reshape(m1, m2)
+    L = 4.0 * np.eye(k.size)
+    for a, b in ((k[1:], k[:-1]), (k[:, 1:], k[:, :-1])):
+        L[a, b] = L[b, a] = -1.0
+    # the ring neighbours of each interior point: the interior is still zero
+    rhs = fields[:, :-2, 1:-1] + fields[:, 2:, 1:-1] + fields[:, 1:-1, :-2] + fields[:, 1:-1, 2:]
+    x = np.linalg.solve(L, rhs.transpose(1, 2, 0, 3).reshape(k.size, -1))
+    fields[:, 1:-1, 1:-1] = x.reshape(m1, m2, -1, 2).transpose(2, 0, 1, 3)
 
 
 # -- serialization --------------------------------------------------------

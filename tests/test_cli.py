@@ -1382,10 +1382,21 @@ class TestStartRecords:
         out = tmp_path / "run"
         assert cli.main(["uq", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["newton"] == {"accepted_steps": 384, "mean": 1165 / 384, "max": 5}
-        assert summary["rejected_steps"] == 6
-        assert summary["bordered_solves"] == 1564
-        assert summary["factorizations"] <= 900
+        assert summary["newton"] == {"accepted_steps": 379, "mean": 1008 / 379, "max": 5}
+        assert summary["rejected_steps"] == 1
+        assert summary["bordered_solves"] == 1392
+        assert summary["factorizations"] <= 700
+
+class TestFoldFreeDeformation:
+    @pytest.mark.parametrize("seed", [103, 118])
+    def test_synthetic_draws_that_folded_the_patch_complete(self, monkeypatch, tmp_path, seed):
+        # under the ring-mean interior fill these draws folded the patch at
+        # a level-2 node, and the study exited 3
+        monkeypatch.setattr(cli, "_PENCIL_CACHE", {})
+        cfg = write_config(tmp_path, "c.json", readme_disk(seed, 3))
+        out = tmp_path / "run"
+        assert cli.main(["uq", "--config", cfg, "--out", str(out)]) == 0
+        assert not json.loads((out / "summary.json").read_text())["warnings"]
 
 
 class TestPencilCache:

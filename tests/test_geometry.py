@@ -27,7 +27,12 @@ from cavityuq.geometry import (
     save_deformation_spec,
 )
 from cavityuq.splines import ControlNet
-from cavityuq.uq import default_correlated_covariance, fit_kl, generate_synthetic_observations
+from cavityuq.uq import (
+    build_smolyak_grid,
+    default_correlated_covariance,
+    fit_kl,
+    generate_synthetic_observations,
+)
 
 rng = np.random.default_rng(42)
 
@@ -264,20 +269,49 @@ class TestDeformation:
         for uv, d in zip(locate_boundary_parameters(g, sam.angles), disp):
             np.testing.assert_allclose(gd.map_point(uv), g.map_point(uv) + d, atol=1e-12)
 
-    def test_interior_points_take_their_fields_ring_mean(self):
+    def test_interior_points_solve_the_discrete_laplace_equation(self):
+        # each interior control point is the mean of its four neighbours on
+        # the net's index grid, for every field and coordinate
         g = refine_patch(build_disk_patch(0.05), 2)
         sam = BoundarySampler(2 * np.pi * np.arange(9) / 9, kind="xy")
         reduced = _Reduced(rng.normal(scale=2e-4, size=18), rng.normal(scale=2e-4, size=(18, 3)))
         model = deformation_from_kl(reduced, g, sam)
-        i, j = np.array(g.boundary_ring()).T
-        interior = np.ones(g.net.shape, dtype=bool)
-        interior[i, j] = False
+        assert g.net.shape[0] > 3 and g.net.shape[1] > 3
         for field in (model.mean_field, *model.mode_fields):
-            ring_mean = field[i, j].mean(axis=0)
+            neighbours = field[:-2, 1:-1] + field[2:, 1:-1] + field[1:-1, :-2] + field[1:-1, 2:]
             np.testing.assert_allclose(
-                field[interior], np.broadcast_to(ring_mean, (interior.sum(), 2)),
-                rtol=0, atol=1e-15 * np.abs(field).max(),
+                4.0 * field[1:-1, 1:-1], neighbours, rtol=0, atol=1e-14 * np.abs(field).max(),
             )
+
+    def test_ring_points_are_the_ring_interpolation_solve(self):
+        # the fill moves only interior points: the ring is the interpolation
+        # solve's, bit for bit, as it was under the ring-mean fill
+        g = refine_patch(build_disk_patch(0.05), 3)
+        sam = BoundarySampler(2 * np.pi * np.arange(18) / 18, kind="radial")
+        mean, modes = rng.normal(scale=2e-4, size=18), rng.normal(scale=2e-4, size=(18, 4))
+        model = deformation_from_kl(_Reduced(mean, modes), g, sam)
+        A, ring = geometry._ring_interpolation_matrix(
+            g, locate_boundary_parameters(g, sam.angles)
+        )
+        disp = np.hstack([sam.station_displacements(v) for v in (mean, *modes.T)])
+        d = geometry._minimal_curvature_solve(A, disp).reshape(len(ring), -1, 2)
+        i, j = np.array(ring).T
+        fields = np.concatenate([model.mean_field[None], model.mode_fields])
+        assert fields[:, i, j].tobytes() == np.ascontiguousarray(d.transpose(1, 0, 2)).tobytes()
+
+    @pytest.mark.parametrize("refinement", [4, 5])
+    def test_refined_readme_model_deforms_every_level_two_node(self, refinement):
+        # under the ring-mean fill, 67 (refinement 4) and 104 (refinement 5)
+        # of these 127 nodes folded the patch
+        cov = default_correlated_covariance(18)
+        kl = fit_kl(generate_synthetic_observations(cov, np.zeros(18), 5000, seed=1234), 0.95)
+        g = refine_patch(build_disk_patch(0.05), refinement)
+        sam = BoundarySampler(2 * np.pi * np.arange(18) / 18, kind="radial")
+        model = deformation_from_kl(kl, g, sam)
+        nodes = build_smolyak_grid(kl.n_modes, 2).nodes
+        assert len(nodes) == 127
+        for node in nodes:
+            deform(model, node)   # InvalidDeformationError on a fold
 
     def test_stacked_fields_match_each_field_alone(self):
         # one interpolation solve takes every field as a right-hand side;
