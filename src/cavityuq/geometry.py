@@ -490,17 +490,15 @@ def _harmonic_interior(fields):
     each interior point is the mean of its four neighbours on the net's
     index grid (the 5-point Laplace equation, ring values fixed).  One dense
     solve for every field and coordinate."""
-    m1, m2 = fields.shape[1] - 2, fields.shape[2] - 2
-    if m1 < 1 or m2 < 1:
-        return
+    count, m1, m2 = len(fields), fields.shape[1] - 2, fields.shape[2] - 2
     k = np.arange(m1 * m2).reshape(m1, m2)
     L = 4.0 * np.eye(k.size)
     for a, b in ((k[1:], k[:-1]), (k[:, 1:], k[:, :-1])):
         L[a, b] = L[b, a] = -1.0
     # the ring neighbours of each interior point: the interior is still zero
     rhs = fields[:, :-2, 1:-1] + fields[:, 2:, 1:-1] + fields[:, 1:-1, :-2] + fields[:, 1:-1, 2:]
-    x = np.linalg.solve(L, rhs.transpose(1, 2, 0, 3).reshape(k.size, -1))
-    fields[:, 1:-1, 1:-1] = x.reshape(m1, m2, -1, 2).transpose(2, 0, 1, 3)
+    x = np.linalg.solve(L, rhs.transpose(1, 2, 0, 3).reshape(k.size, 2 * count))
+    fields[:, 1:-1, 1:-1] = x.reshape(m1, m2, count, 2).transpose(2, 0, 1, 3)
 
 
 # -- serialization --------------------------------------------------------

@@ -603,12 +603,12 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
     CavityError that ended the end's track.
 
     Each end keeps its own t and step.  A round first takes, in one pass,
-    the derivatives of every end that has none at its t: at t = 0 from the start pencil's
-    records (_start_record), whose LUs, or refusals, they take, and at
-    t > 0 from a fresh factorization at the end's own t.  It then steps
-    every live end from its own t in one _step call, on the ends' pencils
-    at their own t + dt (HomotopyPencil.at).  The first end's state counts
-    the factorization of a record made here.
+    the derivatives of every end that has none at its t: at t = 0 from the
+    start pencil's records (_start_record), whose LUs, or refusals, they
+    take, and at t > 0 from a fresh factorization at the end's own t.  It
+    then steps every live end from its own t in one _step call, on the
+    ends' pencils at their own t + dt (HomotopyPencil.at).  The first end's
+    state counts the factorization of a record made here.
     """
     n_ends = len(homotopy.ends)
     records, made = zip(*(_start_record(homotopy.start, s) for s in starts))
@@ -627,12 +627,12 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
         rows = live[stale[live]]
         derivative = homotopy.derivative(rows)
         moved = t[rows] > 0.0
-        at = rows[moved]
-        pencil = homotopy.at(t[at], at) if at.size else None
+        past = rows[moved]   # the ends past t = 0, which factor at their t
+        pencil = homotopy.at(t[past], past) if past.size else None
         for i, record in enumerate(records):
             lus = [record.lu] * rows.size
             if pencil is not None:
-                fresh = _factor(pencil, lam[i, at], pencil.mass @ E[i, at], C[i, at])
+                fresh = _factor(pencil, lam[i, past], pencil.mass @ E[i, past], C[i, past])
                 for k, lu in zip(np.flatnonzero(moved), fresh):
                     lus[k] = lu
             results = eigenpair_derivative(derivative, Eigenpair(lam[i, rows], E[i, rows], None), lus)
