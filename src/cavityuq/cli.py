@@ -425,6 +425,8 @@ def _disk_study(root, prob_sec, n_modes):
     spec = (radius, refinement, degree, mean_vec, modes_mat, angles, skind)
     par = _disk_parametric(*spec)
     pairs = solve_smallest(par.base, min(n_modes + 1, par.base.n))
+    if len(pairs) < n_modes:
+        raise SolverError(f"only {len(pairs)} physical candidates found for {n_modes} modes")
     starts = pairs[:n_modes]
     return SimpleNamespace(
         task="_disk_node_task", spec=spec, par=par, grid=grid, starts=starts,

@@ -1,7 +1,7 @@
 """Eigenvalue tracking along matrix homotopies.
 
 One stepping loop advances any number of modes through t in [0, 1] together
-(track_cluster): it takes each member's bordered-system derivative at every
+(track): it takes each member's bordered-system derivative at every
 accepted t, and a step-size controller driven by the Newton iteration
 count sets one shared step: fast convergence grows it, slow or failed
 correction rejects the step for every member and shrinks it.  Only the step
@@ -13,12 +13,10 @@ predicted vectors are Newton-corrected, and the step is accepted only if
 every member converges and their vectors stay M-orthogonal.  A lone mode
 is a cluster of one that skips the projection and the check: its
 predicted pair is Newton-corrected with its previous normalization vector.
-track and Tracks, one start's form of track_cluster, stay only because the
-benchmark tracer reads per-track statistics through track; they go once it
-reads the states that track_modes returns.  Inside a cluster, identity is
-value order: generic one-parameter symmetric pencils have avoided
-crossings, not crossings (von Neumann-Wigner), and a step that jumps an
-avoided crossing would swap or merge two separately tracked modes.
+Inside a cluster, identity is value order: generic one-parameter symmetric
+pencils have avoided crossings, not crossings (von Neumann-Wigner), and a
+step that jumps an avoided crossing would swap or merge two separately
+tracked modes.
 An endpoint M-Gram check backs every group of modes (track_modes):
 colliding tracks are re-tracked as one cluster, and a collision that
 remains is a TrackingFailure.
@@ -148,14 +146,15 @@ class TrackState:
 
 
 class Tracks(list):
-    """The TrackStates of one start on a batch's ends, in end order, an end
-    whose track failed holding its CavityError, with the statistics of one
-    state over the tracked ends: newton_log is their logs one after another,
-    n_solves and n_rejects are their sums and min_overlap their minimum."""
+    """The outcome of each of a batch's ends, in end order: its TrackStates,
+    one per start, or the CavityError that ended its track.  The statistics
+    are over every state of every tracked end, taken once when the track
+    returns: newton_log is their logs one after another, n_solves and
+    n_rejects are their sums and min_overlap their minimum."""
 
     def __init__(self, outcomes):
         super().__init__(outcomes)
-        done = [st for st in self if isinstance(st, TrackState)]
+        done = [st for states in self if isinstance(states, list) for st in states]
         self.newton_log = [it for st in done for it in st.newton_log]
         self.n_solves = sum(st.n_solves for st in done)
         self.n_rejects = sum(st.n_rejects for st in done)
@@ -581,15 +580,7 @@ def _start_record(pencil, start):
     return kept[key], made
 
 
-def track(homotopy, start, cfg=TrackConfig()):
-    """Carry one eigenpair from t = 0 to t = 1 along the homotopy: the Tracks
-    of its ends, from track_cluster on a cluster of one.  The benchmark
-    tracer reads per-track statistics through it."""
-    outcomes = track_cluster(homotopy, [start], cfg)
-    return Tracks(o if isinstance(o, CavityError) else o[0] for o in outcomes)
-
-
-def track_cluster(homotopy, starts, cfg=TrackConfig()):
+def track(homotopy, starts, cfg=TrackConfig()):
     """Carry one or more eigenpairs from t = 0 to t = 1 with one shared step.
 
     starts ascend by value.  At each accepted t the loop takes every
@@ -599,8 +590,8 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
     projection and the M-orthogonality check.  Convergence within n1
     iterations grows the step by eta1, a rejection shrinks it by eta2, and
     a step below min_step is a TrackingFailure carrying the first member's
-    state at the last accepted t.  Returns per end one TrackState per start, or the
-    CavityError that ended the end's track.
+    state at the last accepted t.  Returns the Tracks of the ends: per end
+    one TrackState per start, or the CavityError that ended the end's track.
 
     Each end keeps its own t and step.  A round first takes, in one pass,
     the derivatives of every end that has none at its t: at t = 0 from the
@@ -676,7 +667,7 @@ def track_cluster(homotopy, starts, cfg=TrackConfig()):
                 E[i, b], lam[i, b], C[i, b] = pair.vector, pair.value, c
             t[b], stale[b] = t_to, True
         live = np.array([b for b in live if failed[b] is None and t[b] < 1.0], dtype=np.intp)
-    return [failed[b] or states[b] for b in range(n_ends)]
+    return Tracks(failed[b] or states[b] for b in range(n_ends))
 
 
 def _step(pencil, states, current, derivatives, dt, cfg):
@@ -814,9 +805,9 @@ def track_modes(homotopy, starts, cfg=TrackConfig(), partner=None):
     """Track several start pairs; neighbours that mix as one cluster.
 
     Starts are grouped in value order: neighbours whose first-order model
-    mixes within the homotopy (see mixing) share a cluster, which
-    track_cluster advances as one block; a start in no cluster is tracked
-    alone by track.  Identity inside a cluster is value order.  Returns per
+    mixes within the homotopy (see mixing) share a cluster, which track
+    advances as one block; a start in no cluster is tracked by track as a
+    cluster of one.  Identity inside a cluster is value order.  Returns per
     end its states in the order of starts, or the CavityError that ended
     it; a cluster member's state.cluster holds the indices of its cluster's
     starts.  A partner, the next pair of the start pencil above the starts,
@@ -937,19 +928,13 @@ def _track_members(homotopy, pairs, members, cfg, results, ends):
         return
     if len(ends) < len(homotopy.ends):
         homotopy = HomotopyPencil(homotopy.start, [homotopy.ends[b] for b in ends])
-    if len(members) == 1:
-        outcomes = [o if isinstance(o, CavityError) else [o]
-                    for o in track(homotopy, pairs[members[0]], cfg)]
-    else:
-        outcomes = track_cluster(homotopy, [pairs[j] for j in members], cfg)
-        for states in outcomes:
-            for st in states if isinstance(states, list) else ():
-                st.cluster = tuple(members)
-    for b, states in zip(ends, outcomes):
+    cluster = tuple(members) if len(members) > 1 else ()
+    for b, states in zip(ends, track(homotopy, [pairs[j] for j in members], cfg)):
         if isinstance(states, CavityError):
             results[b] = states
             continue
         for j, st in zip(members, states):
+            st.cluster = cluster
             old = results[b][j]
             if old is not None:
                 st.retracked = True

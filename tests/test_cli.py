@@ -1485,6 +1485,18 @@ class TestFailureIsolation:
         assert capsys.readouterr().err == "numerical failure: node 1, modes [1, 2]: injected\n"
         assert chunks == [0] and calls == [(1, 5), (2, 5)]
 
+    @pytest.mark.parametrize("command", ["uq", "bench"])
+    def test_disk_refuses_more_modes_than_unknowns(self, tmp_path, capsys, command):
+        # the once-refined README disk has 16 unknowns: 20 modes are refused
+        # as the pillbox refuses them, not cut to the 16 there are
+        cfg = write_config(tmp_path, "c.json", readme_disk(1234, 20, refinement=2))
+        out = tmp_path / "run"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: only 16 physical candidates found for 20 modes\n"
+        )
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_every_failed_node_is_listed(self, tmp_path):
         # a tolerance below rounding never converges a step, and the second
         # rejection takes the step below min_step

@@ -98,5 +98,5 @@ def test_only_the_stepping_loop_takes_a_homotopy():
         and "homotopy" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
     }
     assert taking == {
-        "track", "track_cluster", "mixing", "track_modes", "_check_endpoints", "_track_members"
+        "track", "mixing", "track_modes", "_check_endpoints", "_track_members"
     }

@@ -166,6 +166,26 @@ def test_factorization_hook_sees_every_cluster_solve(tracer, monkeypatch, tmp_pa
     assert trace.calls["tracking.backsolve"] == summary["bordered_solves"]
 
 
+def test_track_statistics_count_cluster_members(tracer, monkeypatch, tmp_path):
+    """The tracer reads per-track statistics through tracking.track, which
+    tracks every group, clusters as well as lone starts: with the m = 1
+    pair tracked as one cluster and no partner tracked, its step, Newton
+    and solve counts are summary.json's."""
+    trace = _installed(tracer, monkeypatch)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(_SMALL_DISK, modes=3)))
+    out = tmp_path / "run"
+    assert cli.main(["uq", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["clusters"] > 0
+    report = tracer.report(trace, 0)
+    newton = summary["newton"]
+    assert report["accepted_steps"] == newton["accepted_steps"]
+    assert report["rejected_steps"] == summary["rejected_steps"]
+    assert report["newton_iterations"] == newton["mean"] * newton["accepted_steps"]
+    assert report["bordered_solves"] == summary["bordered_solves"]
+
+
 def test_factorization_hook_sees_the_sparse_tier(tracer, monkeypatch, tmp_path):
     """Above DENSE_CUTOFF the tracker factors CSC matrices with SuperLU
     through the same seam: at 24 elements (n = 576 and 676) every

@@ -425,7 +425,7 @@ class TestStartRecords:
         pen = dense_pencil(np.eye(2))
         start = Eigenpair(1.0, np.array([1.0, 0.0]), 0.0)
         ends = [dense_pencil(np.diag([1.0, d])) for d in (2.0, 3.0)]
-        tracks = track(HomotopyPencil(pen, ends), start)
+        tracks = track(HomotopyPencil(pen, ends), [start])
         assert len(tracks) == 2 and all(isinstance(o, DegeneracyError) for o in tracks)
         (record,) = pen.starts.values()
         if tracking._lapack() is not None:
@@ -546,14 +546,14 @@ class TestTrack:
     def test_identity_homotopy_single_step(self):
         pen = assemble(build_disk_patch(0.05), DiscreteSpace(2, 8), bc="dirichlet")
         start = solve_smallest(pen, 1)[0]
-        (st,) = track(HomotopyPencil(pen, [pen]), start)
+        [(st,)] = track(HomotopyPencil(pen, [pen]), [start])
         assert st.t == 1.0
         assert st.newton_log == [0]
         assert st.eigenpair.value == start.value
 
     def test_radius_leg_reaches_direct_solve(self, tm_block):
         start = solve_smallest(tm_block.start, 1)[0]
-        (st,) = track(tm_block, start)
+        [(st,)] = track(tm_block, [start])
         ref = solve_smallest(tm_block.ends[0], 1)[0].value
         assert abs(st.eigenpair.value / ref - 1.0) <= 1e-8
         assert st.min_overlap > 0.9
@@ -572,7 +572,7 @@ class TestTrack:
         h = HomotopyPencil(dense_pencil(K0, M0), [dense_pencil(K1, M1)])
         ref = la.eigh(K1, M1, eigvals_only=True)
         for start in solve_smallest(h.start, 5):
-            lam = track(h, start)[0].eigenpair.value
+            lam = track(h, [start])[0][0].eigenpair.value
             assert np.min(np.abs(ref - lam)) <= 1e-9 * abs(lam)
 
     def test_lone_start_is_never_ritz_projected(self, tm_block, monkeypatch):
@@ -584,7 +584,7 @@ class TestTrack:
 
         monkeypatch.setattr(tracking, "_ritz", no_ritz)
         start = solve_smallest(tm_block.start, 1)[0]
-        [(st,)] = tracking.track_cluster(tm_block, [start])
+        [(st,)] = track(tm_block, [start])
         ref = solve_smallest(tm_block.ends[0], 1)[0].value
         assert abs(st.eigenpair.value / ref - 1.0) <= 1e-8
         assert st.t == 1.0 and min(st.newton_log) >= 1
@@ -593,7 +593,7 @@ class TestTrack:
         h = HomotopyPencil(dense_pencil(K0, M0), [dense_pencil(K1, M1)])
         ref = la.eigh(K1, M1, eigvals_only=True)
         for start in solve_smallest(h.start, 3):
-            [(st,)] = tracking.track_cluster(h, [start])
+            [(st,)] = track(h, [start])
             lam = st.eigenpair.value
             assert st.t == 1.0 and np.min(np.abs(ref - lam)) <= 1e-9 * abs(lam)
 
@@ -601,13 +601,13 @@ class TestTrack:
         n = tm_block.start.n
         junk = Eigenpair(1.0, np.ones(n), 1.0)
         with pytest.raises(DomainError):
-            track(tm_block, junk)
+            track(tm_block, [junk])
 
 
 class TestStepControl:
     def test_growth_by_eta1_on_easy_path(self, tm_block):
         start = solve_smallest(tm_block.start, 1)[0]
-        (st,) = track(tm_block, start, TrackConfig(initial_step=0.01))
+        [(st,)] = track(tm_block, [start], TrackConfig(initial_step=0.01))
         dts = np.diff([t for t, _ in st.trajectory])
         ratios = dts[1:4] / dts[:3]
         np.testing.assert_allclose(ratios, 1.1, rtol=1e-12)
@@ -620,7 +620,7 @@ class TestStepControl:
         h = HomotopyPencil(dense_pencil(K0), [dense_pencil(R @ K0 @ R.T)])
         start = solve_smallest(h.start, 1)[0]
         cfg = TrackConfig(n1=1, n2=2, initial_step=1.0)
-        (st,) = track(h, start, cfg)
+        [(st,)] = track(h, [start], cfg)
         assert st.n_rejects >= 1
         assert all(i <= 2 for i in st.newton_log)
         assert st.eigenpair.value == pytest.approx(1.0, rel=1e-10)
@@ -631,7 +631,7 @@ class TestStepControl:
         R = rotation(1.4)
         h = HomotopyPencil(dense_pencil(K0), [dense_pencil(R @ K0 @ R.T)])
         start = solve_smallest(h.start, 1)[0]
-        (failure,) = track(h, start, TrackConfig(n1=1, n2=2, initial_step=1.0, min_step=0.5))
+        (failure,) = track(h, [start], TrackConfig(n1=1, n2=2, initial_step=1.0, min_step=0.5))
         assert isinstance(failure, TrackingFailure)
         state = failure.state
         assert isinstance(state, TrackState)
@@ -714,7 +714,7 @@ class TestClusters:
     def test_avoided_crossing_is_one_cluster(self):
         h = avoided_crossing()
         starts = solve_smallest(h.start, 2)
-        alone = [track(h, start)[0] for start in starts]
+        alone = [track(h, [start])[0][0] for start in starts]
         # the first step jumps the avoided crossing: tracked alone, the
         # two modes end in swapped order
         assert alone[0].eigenpair.value > alone[1].eigenpair.value
@@ -738,7 +738,7 @@ class TestClusters:
         # one eigenpair; the step is rejected, and the shorter ones end on
         # the three lowest eigenpairs
         h = avoided_crossing(seed=11, perturbation=0.3)
-        (states,) = tracking.track_cluster(h, solve_smallest(h.start, 3))
+        (states,) = track(h, solve_smallest(h.start, 3))
         assert [st.n_rejects for st in states] == [1, 1, 1]
         G = end_gram(h, states)
         assert np.abs(G - np.diag(np.diag(G))).max() <= tracking.ORTHO_TOL
@@ -783,7 +783,7 @@ class TestClusters:
     def test_forced_collision_is_retracked(self, monkeypatch):
         h = avoided_crossing(seed=19, perturbation=0.1)
         starts = solve_smallest(h.start, 2)
-        alone = [track(h, start)[0] for start in starts]
+        alone = [track(h, [start])[0][0] for start in starts]
         assert abs(end_gram(h, alone)[0, 1]) > 0.99
         monkeypatch.setattr(tracking, "mixing", never_mixing)
         (states,) = track_modes(h, starts)
@@ -801,10 +801,10 @@ class TestClusters:
     def test_collision_after_retrack_fails(self, monkeypatch):
         h = avoided_crossing(seed=19, perturbation=0.1)
         monkeypatch.setattr(tracking, "mixing", never_mixing)
-        loop = tracking.track_cluster
+        loop = tracking.track
         # the one end's members tracked alone, each by a homotopy of its own
         monkeypatch.setattr(
-            tracking, "track_cluster",
+            tracking, "track",
             lambda homotopy, starts, cfg: [[loop(homotopy, [s], cfg)[0][0] for s in starts]],
         )
         (failure,) = track_modes(h, solve_smallest(h.start, 2))
@@ -847,20 +847,20 @@ class TestBatch:
         K0, ends = self.rotated_ends()
         singles, batched = dense_pencil(K0), dense_pencil(K0)   # each keeps its own records
         start = solve_smallest(singles, 1)[0]
-        alone = [track(HomotopyPencil(singles, [end]), start, self.CFG)[0] for end in ends]
-        tracks = track(HomotopyPencil(batched, ends), start, self.CFG)
+        alone = [track(HomotopyPencil(singles, [end]), [start], self.CFG)[0] for end in ends]
+        tracks = track(HomotopyPencil(batched, ends), [start], self.CFG)
         assert isinstance(tracks, tracking.Tracks) and len(tracks) == len(ends)
         assert isinstance(tracks[2], TrackingFailure) and isinstance(alone[2], TrackingFailure)
         assert str(tracks[2]) == str(alone[2]) and tracks[2].state.t == alone[2].state.t > 0.0
         # end 1's first step was rejected: its first accepted t is short of 1
-        assert tracks[1].n_rejects >= 1 and tracks[1].trajectory[1][0] < 1.0
+        assert tracks[1][0].n_rejects >= 1 and tracks[1][0].trajectory[1][0] < 1.0
         for k in (0, 1, 3, 4):
-            assert tracks[k].t == 1.0
-            same_track(tracks[k], alone[k])
-            e = tracks[k].eigenpair.vector
+            assert tracks[k][0].t == 1.0
+            same_track(tracks[k][0], alone[k][0])
+            e = tracks[k][0].eigenpair.vector
             assert abs(e @ (ends[k].mass @ e) - 1.0) <= 1e-13
         # read as one state, the tracks sum their ends' statistics
-        done = [alone[k] for k in (0, 1, 3, 4)]
+        done = [alone[k][0] for k in (0, 1, 3, 4)]
         assert tracks.n_solves == sum(st.n_solves for st in done)
         assert tracks.n_rejects == sum(st.n_rejects for st in done)
         assert tracks.newton_log == [it for st in done for it in st.newton_log]
@@ -907,6 +907,6 @@ class TestBatch:
             return out
 
         monkeypatch.setattr(tracking, "eigenpair_derivative", singular_at_end_3)
-        tracks = track(hom, start)
+        tracks = track(hom, [start])
         assert str(tracks[3]) == "injected"
-        assert all(tracks[k].t == 1.0 for k in (0, 1, 2, 4))
+        assert all(tracks[k][0].t == 1.0 for k in (0, 1, 2, 4))
