@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AssemblyError, DomainError, SingularityError
+from .errors import AssemblyError, DomainError
 from .splines import BSplineBasis, uniform_open_knots
 
 BC_KINDS = ("dirichlet", "neumann")
@@ -115,12 +115,11 @@ class PatternMatrix:
     """A square matrix: data in its SparsityPattern's CSR entry order, or
     a stack of them, one matrix per row of 2-D data.
 
-    A @ x takes a vector or a block of columns; a stack takes one vector
-    per matrix, the rows of x.  Each row's products are summed by
-    np.add.reduceat, the fastest numpy kernel measured against a bincount by
-    row and rows padded to one width; a block is taken column by column,
-    which beat a reduceat along the block's rows.  A stack's reduceat runs
-    along its rows: the sums of each matrix alone, in the same order.
+    A @ x takes a vector; a stack takes one vector per matrix, the rows of
+    x.  Each row's products are summed by np.add.reduceat, the fastest numpy
+    kernel measured against a bincount by row and rows padded to one width.
+    A stack's reduceat runs along its rows: the sums of each matrix alone,
+    in the same order.
     """
 
     def __init__(self, pattern, data):
@@ -136,8 +135,6 @@ class PatternMatrix:
         p = self.pattern
         if self.data.ndim == 2:
             return stacked_products(x, self)[0]
-        if x.ndim == 2:
-            return np.column_stack([self @ col for col in x.T])
         return np.add.reduceat(self.data * x[p.indices], p.indptr[:-1])
 
     def toarray(self):
@@ -343,11 +340,10 @@ def assemble(geom, space, bc="dirichlet"):
     Dirichlet rows and columns are eliminated outright; Neumann is the
     natural condition and keeps every DOF.  geom needs only bases and
     jacobian_grid, so a deformed map that gives its Jacobians as an axpy of
-    fields (geometry.deform) is assembled like any other map.
+    fields (geometry.deform) is assembled like any other map.  A Jacobian
+    determinant that is not positive at a quadrature point raises
+    AssemblyError.
     """
     kernel = space.kernel(geom.bases, bc)
-    try:
-        _, J = geom.jacobian_grid(kernel.us, kernel.vs)
-    except SingularityError as exc:
-        raise AssemblyError(str(exc)) from exc
+    _, J = geom.jacobian_grid(kernel.us, kernel.vs)
     return kernel.pencil(J)

@@ -17,10 +17,6 @@ class InterpolationError(CavityError):
     """An interpolation system is singular or left a large residual."""
 
 
-class SingularityError(CavityError):
-    """Evaluation at a point where the geometry map is rank deficient."""
-
-
 class InvalidDeformationError(CavityError):
     """A deformation makes the Jacobian determinant vanish or flip sign."""
 

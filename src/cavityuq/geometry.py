@@ -3,11 +3,13 @@
 The core object is a tensor-product rational patch mapping the unit square
 to a planar domain.  The disk patch is the classical nine-point biquadratic
 construction whose boundary reproduces the circle exactly; its four
-parametric corners are rank deficient, which is tolerated because assembly
-only ever evaluates at interior Gauss points.  The map has one evaluator:
-a point (the boundary search's) or a grid of points and Jacobians (the
-fold probe's, an assembly's) is one contraction of per-direction basis
-tables with the homogeneous control net.
+parametric corners are rank deficient.  Nothing here marks or guards them:
+assembly evaluates only at interior Gauss points, and its determinant check
+refuses any quadrature point where the determinant is not positive.  A map
+is evaluated on grids of points and Jacobians (the fold probe's, an
+assembly's), each one contraction of per-direction basis tables with the
+homogeneous control net; the disk's boundary parameters at given angles
+are the closed-form inverse of its quarter arcs, with no evaluation at all.
 
 Deformations displace control points.  A deformation model carries a mean
 displacement field plus one field per retained random variable; the fields
@@ -25,15 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InterpolationError,
-    InvalidDeformationError,
-    SingularityError,
-)
+from .errors import DomainError, InterpolationError, InvalidDeformationError
 from .splines import BSplineBasis, ControlNet, KnotVector, insert_knots_homogeneous
-
-_CORNERS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 
 
 class GeometryMap:
@@ -44,8 +39,9 @@ class GeometryMap:
     bases : (BSplineBasis, BSplineBasis)
     net : ControlNet with 2-D points, shape matching the bases
     validate : bool
-        Probe the Jacobian determinant at interior points and refuse maps
-        that are degenerate or orientation reversing away from the corners.
+        Probe the Jacobian determinant at 6 Gauss points per knot span and
+        direction, all interior, and refuse maps that are degenerate or
+        orientation reversing there.
     """
 
     def __init__(self, bases, net, validate=True):
@@ -56,15 +52,6 @@ class GeometryMap:
                 raise DomainError("basis size does not match the control net")
         self.bases = tuple(bases)
         self.net = net
-        scale = float(np.ptp(net.points.reshape(-1, 2), axis=0).max())
-        self._det_scale = max(scale * scale, 1e-30)
-        self.degenerate_corners = ()   # none marked while probing them
-        _, J = self.jacobian_grid((0.0, 1.0), (0.0, 1.0))
-        corner_det = _det(J)
-        self.degenerate_corners = tuple(
-            c for c in _CORNERS
-            if abs(corner_det[int(c[0]), int(c[1])]) < 1e-12 * self._det_scale
-        )
         if validate:
             bad = self._probe_min_det()
             if not bad > 0.0:   # a NaN determinant fails too
@@ -74,17 +61,6 @@ class GeometryMap:
                 )
 
     # -- evaluation -----------------------------------------------------
-
-    def map_point(self, uv):
-        """Physical point of one parameter point, or of each row of an
-        (n, 2) array of them: the per-direction basis tables contracted with
-        the homogeneous net, as on a grid."""
-        uv = np.asarray(uv, dtype=float)
-        us, vs = uv.reshape(-1, 2).T
-        tu = self.bases[0].collocation(us, 0)[0]
-        tv = self.bases[1].collocation(vs, 0)[0]
-        H = np.einsum("ia,ib,abk->ik", tu, tv, self.net.homogeneous())
-        return (H[:, :2] / H[:, 2:]).reshape(uv.shape)
 
     def jacobian_grid(self, us, vs):
         """Physical points and Jacobians on the tensor grid us x vs.
@@ -98,14 +74,9 @@ class GeometryMap:
         x : ndarray, shape (len(us), len(vs), 2)
         J : ndarray, shape (len(us), len(vs), 2, 2)
             J[i, j] is dF/d(u, v) at (us[i], vs[j]).
-
-        Raises SingularityError when the grid holds a marked degenerate corner.
         """
         us = np.atleast_1d(np.asarray(us, dtype=float))
         vs = np.atleast_1d(np.asarray(vs, dtype=float))
-        for c in self.degenerate_corners:
-            if np.any(np.abs(us - c[0]) < 1e-13) and np.any(np.abs(vs - c[1]) < 1e-13):
-                raise SingularityError(f"map is rank deficient at corner {c}")
         return self._grid_values(us, vs)
 
     def _grid_values(self, us, vs):
@@ -114,7 +85,7 @@ class GeometryMap:
     def _probe_min_det(self, per_span=6):
         us, vs = (_gauss_nodes_on(b.kv, per_span) for b in self.bases)
         _, J = self.jacobian_grid(us, vs)
-        return float(_det(J).min())
+        return float((J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]).min())
 
     def boundary_ring(self):
         """Control-point indices on the patch boundary, ordered cyclically."""
@@ -144,10 +115,6 @@ def _rational_grid(bases, hom, us, vs):
         [(Hu[..., :-1] - x * Hu[..., -1:]) / w, (Hv[..., :-1] - x * Hv[..., -1:]) / w], axis=-1
     )
     return x, J
-
-
-def _det(J):
-    return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
 
 
 @lru_cache(maxsize=None)
@@ -230,8 +197,8 @@ class DeformationModel:
     model evaluates them for the mean net (base plus mean field) and every
     mode field at once, as one net of stacked coordinates, and keeps them
     for the last grid of each size (see deform): every node of a study asks
-    for the same corner, probe and quadrature grids, and one-off queries
-    replace one another.
+    for the same probe and quadrature grids, and one-off queries replace
+    one another.
     """
 
     base: GeometryMap
@@ -304,11 +271,11 @@ def deform(model, delta):
     """Geometry at a parameter point: base + mean + sum_j delta_j * mode_j.
 
     A deformation moves control points and keeps the weights, so the map is
-    affine in delta: its Jacobians on the 6-per-span probe grid, at the
-    corners and at any assembly's quadrature points are one (n_modes + 1)-
-    term combination of fields the model evaluated once per grid.  Raises
-    InvalidDeformationError when the deformed Jacobian determinant is not
-    positive at the interior probe points.
+    affine in delta: its Jacobians on the 6-per-span probe grid and at any
+    assembly's quadrature points are one (n_modes + 1)-term combination of
+    fields the model evaluated once per grid.  Raises InvalidDeformationError
+    when the deformed Jacobian determinant is not positive at the interior
+    probe points.
     """
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (model.n_modes,):
@@ -356,54 +323,29 @@ class BoundarySampler:
         return values[:, None] * radial
 
 
-def _edge_point(s, edge):
-    if edge == "bottom":
-        return (s, 0.0)
-    if edge == "right":
-        return (1.0, s)
-    if edge == "top":
-        return (1.0 - s, 1.0)
-    return (0.0, 1.0 - s)
+# each edge of the disk patch, counter-clockwise from the right one: its
+# parameter point at s = 0 and the way it moves as s, and the angle, grow
+_EDGE_START = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+_EDGE_STEP = np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]])
 
 
-def locate_boundary_parameters(geom, angles):
-    """Parametric boundary points of the disk patch at physical angles.
+def locate_boundary_parameters(angles):
+    """Parametric boundary points of build_disk_patch's patch at physical
+    angles.
 
-    The boundary consists of four monotone quarter arcs; each angle is
-    bisected on the matching arc, all angles in one batch per step.
+    Each edge is a rational quadratic quarter arc with middle weight
+    cos(pi/4), which inverts in closed form (Piegl & Tiller, The NURBS Book,
+    ch. 7): its point at edge parameter s lies at the angle phi from the
+    arc's middle, tan(phi / 2) = tan(pi / 8) (2 s - 1).  An angle belongs to
+    the edge whose middle angle k pi / 2 is nearest, and phi is what is left
+    after taking that multiple off.  refine_patch keeps the map, so the
+    parameters hold at every refinement.
     """
-    quarter = 0.25 * math.pi
-    edges, thetas = [], []
-    for angle in angles:
-        theta = math.atan2(math.sin(angle), math.cos(angle))  # wrap to (-pi, pi]
-        # each edge covers 90 degrees; s grows with the angle on every edge
-        # once top/left are traversed in reverse
-        if -3 * quarter <= theta <= -quarter:
-            edge = "bottom"
-        elif -quarter <= theta <= quarter:
-            edge = "right"
-        elif quarter <= theta <= 3 * quarter:
-            edge = "top"
-        else:
-            edge = "left"
-            if theta < 0.0:
-                theta += 2.0 * math.pi
-        edges.append(edge)
-        thetas.append(theta)
-
-    lo, hi = [0.0] * len(edges), [1.0] * len(edges)
-    for _ in range(60):
-        mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
-        x = geom.map_point([_edge_point(s, e) for s, e in zip(mid, edges)])
-        for k, edge in enumerate(edges):
-            a = math.atan2(x[k, 1], x[k, 0])
-            if edge == "left" and a < 0.0:
-                a += 2.0 * math.pi
-            if a < thetas[k]:
-                lo[k] = mid[k]
-            else:
-                hi[k] = mid[k]
-    return [_edge_point(0.5 * (a + b), e) for a, b, e in zip(lo, hi, edges)]
+    angles = np.asarray(angles, dtype=float)
+    k = np.rint(angles / (0.5 * np.pi))
+    s = 0.5 + 0.5 * np.tan(0.5 * (angles - 0.5 * np.pi * k)) / math.tan(0.125 * math.pi)
+    edge = k.astype(int) % 4
+    return _EDGE_START[edge] + s[:, None] * _EDGE_STEP[edge]
 
 
 def _ring_interpolation_matrix(geom, params):
@@ -472,7 +414,7 @@ def deformation_from_kl(kl, base, sampler):
             f"reduced model dimension {mean.shape[0]} does not match the "
             f"sampler dimension {sampler.dimension}"
         )
-    params = locate_boundary_parameters(base, sampler.angles)
+    params = locate_boundary_parameters(sampler.angles)
     A, ring = _ring_interpolation_matrix(base, params)
     # station displacements, one (x, y) column pair per field
     disp = np.hstack([sampler.station_displacements(v) for v in (mean, *modes.T)])

@@ -812,8 +812,10 @@ def track_modes(homotopy, starts, cfg=TrackConfig(), partner=None):
     it; a cluster member's state.cluster holds the indices of its cluster's
     starts.  A partner, the next pair of the start pencil above the starts,
     is tracked where it mixes with a start, so that their cluster is not
-    cut, and not returned: its bordered solves and factorizations are
-    counted with the last start, and its index in a cluster is len(starts).
+    cut, and not returned: its accepted steps and their Newton iterations,
+    its rejections, its smallest overlap, its bordered solves and its
+    factorizations are counted with the last start, and its index in a
+    cluster is len(starts).
 
     The endpoint vectors must be pairwise M-orthogonal (|e_i^T M e_j| <=
     ORTHO_TOL).  Colliding tracks are re-tracked as one cluster with every
@@ -872,8 +874,12 @@ def track_modes(homotopy, starts, cfg=TrackConfig(), partner=None):
         if isinstance(res, list) and len(pairs) > len(starts):
             spare = res.pop()
             if spare is not None:
-                res[-1].n_solves += spare.n_solves
-                res[-1].n_factorizations += spare.n_factorizations
+                last = res[-1]
+                last.newton_log += spare.newton_log
+                last.n_solves += spare.n_solves
+                last.n_factorizations += spare.n_factorizations
+                last.n_rejects += spare.n_rejects
+                last.min_overlap = min(last.min_overlap, spare.min_overlap)
     return results
 
 

@@ -8,12 +8,7 @@ import pytest
 
 from cavityuq import geometry
 from cavityuq.assembly import DiscreteSpace, assemble
-from cavityuq.errors import (
-    DomainError,
-    InterpolationError,
-    InvalidDeformationError,
-    SingularityError,
-)
+from cavityuq.errors import DomainError, InterpolationError, InvalidDeformationError
 from cavityuq.geometry import (
     BoundarySampler,
     DeformationModel,
@@ -35,6 +30,11 @@ from cavityuq.uq import (
 )
 
 rng = np.random.default_rng(42)
+
+
+def point_at(g, uv):
+    """The physical point F(u, v) of one parameter point."""
+    return g.jacobian_grid([uv[0]], [uv[1]])[0][0, 0]
 
 
 def jacobian_at(g, uv):
@@ -69,25 +69,16 @@ class TestDiskPatch:
         g = build_disk_patch(0.05)
         for t in np.linspace(0.0, 1.0, 101):
             for uv in [(t, 0.0), (t, 1.0), (0.0, t), (1.0, t)]:
-                assert abs(np.hypot(*g.map_point(uv)) - 0.05) <= 1e-12
+                assert abs(np.hypot(*point_at(g, uv)) - 0.05) <= 1e-12
 
     def test_center_maps_to_origin(self):
         g = build_disk_patch(0.03)
-        np.testing.assert_allclose(g.map_point((0.5, 0.5)), [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(point_at(g, (0.5, 0.5)), [0.0, 0.0], atol=1e-15)
 
     def test_area_matches_closed_form(self):
         g = build_disk_patch(0.05)
         exact = math.pi * 0.05**2
         assert abs(area(g, per_span=32) - exact) <= 1e-10 * exact
-
-    def test_all_four_corners_are_degenerate(self):
-        g = build_disk_patch(1.0)
-        assert set(g.degenerate_corners) == {(0, 0), (1, 0), (0, 1), (1, 1)}
-
-    def test_corner_evaluation_raises(self):
-        g = build_disk_patch(1.0)
-        with pytest.raises(SingularityError):
-            jacobian_at(g, (0.0, 0.0))
 
     def test_interior_jacobian_positive(self):
         g = build_disk_patch(0.05)
@@ -100,8 +91,8 @@ class TestDiskPatch:
         for uv in rng.uniform(0.1, 0.9, size=(20, 2)):
             J = jacobian_at(g, uv)
             fd = np.empty((2, 2))
-            fd[:, 0] = (g.map_point((uv[0] + h, uv[1])) - g.map_point((uv[0] - h, uv[1]))) / (2 * h)
-            fd[:, 1] = (g.map_point((uv[0], uv[1] + h)) - g.map_point((uv[0], uv[1] - h))) / (2 * h)
+            fd[:, 0] = (point_at(g, (uv[0] + h, uv[1])) - point_at(g, (uv[0] - h, uv[1]))) / (2 * h)
+            fd[:, 1] = (point_at(g, (uv[0], uv[1] + h)) - point_at(g, (uv[0], uv[1] - h))) / (2 * h)
             np.testing.assert_allclose(J, fd, atol=1e-6)
 
     def test_jacobian_grid_matches_pointwise(self):
@@ -117,14 +108,8 @@ class TestDiskPatch:
         assert J.shape == (us.size, vs.size, 2, 2)
         for i, u in enumerate(us):
             for j, v in enumerate(vs):
-                np.testing.assert_allclose(x[i, j], g.map_point((u, v)), rtol=1e-13, atol=1e-16)
+                np.testing.assert_allclose(x[i, j], point_at(g, (u, v)), rtol=1e-13, atol=1e-16)
                 np.testing.assert_allclose(J[i, j], jacobian_at(g, (u, v)), rtol=1e-13, atol=1e-14)
-
-    def test_jacobian_grid_refuses_degenerate_corner(self):
-        g = build_disk_patch(1.0)
-        g.jacobian_grid([0.0, 0.5], [0.5, 1.0 - 1e-6])
-        with pytest.raises(SingularityError):
-            g.jacobian_grid([0.3, 1.0], [0.0, 0.5])
 
     def test_scaling_moves_control_net_exactly(self):
         g1 = build_disk_patch(1.0)
@@ -141,11 +126,8 @@ class TestSquarePatch:
     def test_identity_map(self, unit_square_patch):
         g = unit_square_patch
         for uv in rng.uniform(0, 1, size=(20, 2)):
-            np.testing.assert_allclose(g.map_point(uv), uv, atol=1e-15)
+            np.testing.assert_allclose(point_at(g, uv), uv, atol=1e-15)
             np.testing.assert_allclose(jacobian_at(g, uv), np.eye(2), atol=1e-15)
-
-    def test_no_degenerate_corners(self, rectangle_patch):
-        assert rectangle_patch(2.0, 0.5).degenerate_corners == ()
 
     def test_area(self, rectangle_patch):
         assert abs(area(rectangle_patch(2.0, 0.5), per_span=4) - 1.0) <= 1e-14
@@ -157,73 +139,105 @@ class TestRefinement:
         g2 = refine_patch(g, 2)
         assert g2.net.shape == (6, 6)
         for uv in rng.uniform(0.01, 0.99, size=(60, 2)):
-            np.testing.assert_allclose(g2.map_point(uv), g.map_point(uv), atol=1e-15)
+            np.testing.assert_allclose(point_at(g2, uv), point_at(g, uv), atol=1e-15)
 
     def test_refined_boundary_still_exact(self):
         g2 = refine_patch(build_disk_patch(0.05), 1)
         for t in np.linspace(0, 1, 57):
-            assert abs(np.hypot(*g2.map_point((t, 0.0))) - 0.05) <= 1e-12
+            assert abs(np.hypot(*point_at(g2, (t, 0.0))) - 0.05) <= 1e-12
 
     def test_zero_levels_is_identity(self):
         g = build_disk_patch(0.05)
         assert refine_patch(g, 0).net.shape == (3, 3)
 
 
-# The free edge coordinate of each of the README's 18 stations, times 2**61,
-# at refinements 0, 3, 4 and 5.  Each bisection midpoint is a multiple of
-# 2**-61, so these integers are the parameters bit for bit; their last bits
-# differ between refinements, so they pin the map evaluation too.
-STATION_PARAMETERS = {
-    0: [
-        1152921504606846976, 1643709799264556032, 2165995793430648320,
-        1898730947267302400, 1396437339796946688, 909405669416748032,
-        407112061946392576, 2165995793430649344, 1643709799264556800,
-        1152921504606847232, 662133209949138432, 139847215783047168,
-        407112061946390784, 909405669416747776, 1396437339796945408,
-        1898730947267300352, 139847215783044576, 662133209949137920,
-    ],
-    3: [
-        1152921504606846976, 1643709799264556032, 2165995793430648320,
-        1898730947267301888, 1396437339796946176, 909405669416748032,
-        407112061946392576, 2165995793430649344, 1643709799264556800,
-        1152921504606847232, 662133209949138432, 139847215783047168,
-        407112061946390784, 909405669416747776, 1396437339796945408,
-        1898730947267300352, 139847215783044800, 662133209949137920,
-    ],
-    4: [
-        1152921504606846976, 1643709799264556032, 2165995793430648320,
-        1898730947267302400, 1396437339796946688, 909405669416748032,
-        407112061946392576, 2165995793430648832, 1643709799264556800,
-        1152921504606847232, 662133209949138432, 139847215783047168,
-        407112061946390912, 909405669416747776, 1396437339796945408,
-        1898730947267300352, 139847215783044896, 662133209949138176,
-    ],
-    5: [
-        1152921504606846976, 1643709799264556032, 2165995793430648320,
-        1898730947267302400, 1396437339796946176, 909405669416748032,
-        407112061946392576, 2165995793430648832, 1643709799264556800,
-        1152921504606847232, 662133209949138432, 139847215783047168,
-        407112061946390784, 909405669416747776, 1396437339796945408,
-        1898730947267300352, 139847215783044832, 662133209949137920,
-    ],
+# The README's 18 station angles, and the free edge coordinate of each one's
+# closed-form boundary parameter, as float.hex: the same bits at every
+# refinement, since the closed form does not look at the map.
+README_STATIONS = 2 * np.pi * np.arange(18) / 18
+STATION_PARAMETERS = [
+    "0x1.0000000000000p-1", "0x1.6cfa15a8afe14p-1", "0x1.e0f29b2bc6c96p-1",
+    "0x1.a59a5bc93e892p-1", "0x1.361245ca5b03dp-1", "0x1.93db746b49f86p-2",
+    "0x1.699690db05dbcp-3", "0x1.e0f29b2bc6c97p-1", "0x1.6cfa15a8afe14p-1",
+    "0x1.0000000000000p-1", "0x1.260bd4aea03d8p-2", "0x1.f0d64d43936c0p-5",
+    "0x1.699690db05db2p-3", "0x1.93db746b49f88p-2", "0x1.361245ca5b03cp-1",
+    "0x1.a59a5bc93e88ep-1", "0x1.f0d64d4393690p-5", "0x1.260bd4aea03dcp-2",
+]
+# closed form and bisection agree to 4 ulps of 1.0 in each coordinate
+FOUR_ULPS = 4 * np.spacing(1.0)
+
+# each edge's parameter point at s, the angle growing with s on every edge
+_EDGE_POINT = {
+    "bottom": lambda s: np.column_stack([s, np.zeros_like(s)]),
+    "right": lambda s: np.column_stack([np.ones_like(s), s]),
+    "top": lambda s: np.column_stack([1.0 - s, np.ones_like(s)]),
+    "left": lambda s: np.column_stack([np.zeros_like(s), 1.0 - s]),
 }
+
+
+def bisect_boundary_parameters(g, angles):
+    """The boundary points of the disk patch g at physical angles by 60
+    bisection steps on the matching quarter arc, all of an edge's angles
+    at once: the reference for the closed form."""
+    quarter = 0.25 * math.pi
+    theta = np.arctan2(np.sin(angles), np.cos(angles))   # wrap to (-pi, pi]
+    edges = np.select(
+        [(-3 * quarter <= theta) & (theta <= -quarter), (-quarter <= theta) & (theta <= quarter),
+         (quarter <= theta) & (theta <= 3 * quarter)],
+        ["bottom", "right", "top"], "left",
+    )
+    # on the left edge the angle runs from 3 pi / 4 to 5 pi / 4
+    theta[(edges == "left") & (theta < 0.0)] += 2.0 * math.pi
+    uv = np.empty((theta.size, 2))
+    for edge, point in _EDGE_POINT.items():
+        on = edges == edge
+        lo, hi = np.zeros(on.sum()), np.ones(on.sum())
+        for _ in range(60):
+            s = 0.5 * (lo + hi)
+            uv_s = point(s)
+            # the points share the edge's fixed coordinate: one grid row
+            if edge in ("bottom", "top"):
+                x = g.jacobian_grid(uv_s[:, 0], uv_s[:1, 1])[0][:, 0]
+            else:
+                x = g.jacobian_grid(uv_s[:1, 0], uv_s[:, 1])[0][0]
+            a = np.arctan2(x[:, 1], x[:, 0])
+            if edge == "left":
+                a[a < 0.0] += 2.0 * math.pi
+            below = a < theta[on]
+            lo, hi = np.where(below, s, lo), np.where(below, hi, s)
+        uv[on] = point(0.5 * (lo + hi))
+    return uv
 
 
 class TestBoundaryParameter:
     def test_inverts_angles_on_all_edges(self):
         g = build_disk_patch(0.05)
         ths = np.concatenate([rng.uniform(-np.pi, np.pi, 40), [0.0, np.pi / 2, -np.pi / 2]])
-        for th, uv in zip(ths, locate_boundary_parameters(g, ths)):
-            x = g.map_point(uv)
+        for th, uv in zip(ths, locate_boundary_parameters(ths)):
+            x = point_at(g, uv)
             err = abs(math.atan2(x[1], x[0]) - math.atan2(math.sin(th), math.cos(th)))
             assert min(err, 2 * math.pi - err) <= 1e-12
 
-    @pytest.mark.parametrize("refinement", sorted(STATION_PARAMETERS))
+    @pytest.mark.parametrize("refinement", [0, 3, 4, 5])
     def test_station_parameters_are_pinned(self, refinement):
-        g = refine_patch(build_disk_patch(0.05), refinement)
-        params = locate_boundary_parameters(g, 2 * np.pi * np.arange(18) / 18)
+        # the pinned bits hold at every refinement, where the bisection on
+        # the refined map finds them to 4 ulps
+        params = locate_boundary_parameters(README_STATIONS)
         free = [u if v in (0.0, 1.0) else v for u, v in params]
-        assert [x * 2**61 for x in free] == STATION_PARAMETERS[refinement]
+        assert [x.hex() for x in free] == STATION_PARAMETERS
+        g = refine_patch(build_disk_patch(0.05), refinement)
+        reference = bisect_boundary_parameters(g, README_STATIONS)
+        np.testing.assert_allclose(params, reference, rtol=0, atol=FOUR_ULPS)
+
+    def test_closed_form_matches_bisection(self):
+        # 1,000 angles over two turns, with the edge ends and the middle of
+        # the left edge, where the angle wraps
+        quarter = 0.25 * np.pi
+        ends = [quarter, -quarter, 3 * quarter, -3 * quarter, np.pi]
+        angles = np.concatenate([np.random.default_rng(11).uniform(-np.pi, 3 * np.pi, 995), ends])
+        reference = bisect_boundary_parameters(build_disk_patch(0.05), angles)
+        params = locate_boundary_parameters(angles)
+        np.testing.assert_allclose(params, reference, rtol=0, atol=FOUR_ULPS)
 
 
 class TestDeformation:
@@ -245,7 +259,7 @@ class TestDeformation:
         np.testing.assert_allclose(gd.net.points - g.net.points, np.broadcast_to(c, (3, 3, 2)), atol=1e-15)
         # the whole mapped patch shifts rigidly
         for uv in rng.uniform(0.05, 0.95, size=(20, 2)):
-            np.testing.assert_allclose(gd.map_point(uv), g.map_point(uv) + c, atol=1e-15)
+            np.testing.assert_allclose(point_at(gd, uv), point_at(g, uv) + c, atol=1e-15)
 
     def test_two_station_radial_mode_interpolates(self):
         g = build_disk_patch(0.05)
@@ -254,8 +268,8 @@ class TestDeformation:
         model = deformation_from_kl(_Reduced(np.zeros(2), col[:, None]), g, sam)
         for delta in (0.7, -1.3):
             gd = deform(model, [delta])
-            for uv, entry in zip(locate_boundary_parameters(g, sam.angles), col):
-                assert abs(np.hypot(*gd.map_point(uv)) - (0.05 + delta * entry)) <= 1e-12
+            for uv, entry in zip(locate_boundary_parameters(sam.angles), col):
+                assert abs(np.hypot(*point_at(gd, uv)) - (0.05 + delta * entry)) <= 1e-12
 
     def test_mean_and_modes_superpose(self):
         g = refine_patch(build_disk_patch(0.05), 1)
@@ -266,8 +280,8 @@ class TestDeformation:
         delta = np.array([0.9, -1.1, 0.4])
         gd = deform(model, delta)
         disp = sam.station_displacements(mean + modes @ delta)
-        for uv, d in zip(locate_boundary_parameters(g, sam.angles), disp):
-            np.testing.assert_allclose(gd.map_point(uv), g.map_point(uv) + d, atol=1e-12)
+        for uv, d in zip(locate_boundary_parameters(sam.angles), disp):
+            np.testing.assert_allclose(point_at(gd, uv), point_at(g, uv) + d, atol=1e-12)
 
     def test_interior_points_solve_the_discrete_laplace_equation(self):
         # each interior control point is the mean of its four neighbours on
@@ -291,7 +305,7 @@ class TestDeformation:
         mean, modes = rng.normal(scale=2e-4, size=18), rng.normal(scale=2e-4, size=(18, 4))
         model = deformation_from_kl(_Reduced(mean, modes), g, sam)
         A, ring = geometry._ring_interpolation_matrix(
-            g, locate_boundary_parameters(g, sam.angles)
+            g, locate_boundary_parameters(sam.angles)
         )
         disp = np.hstack([sam.station_displacements(v) for v in (mean, *modes.T)])
         d = geometry._minimal_curvature_solve(A, disp).reshape(len(ring), -1, 2)
@@ -403,14 +417,14 @@ class TestDeformation:
 
     def test_kept_mode_fields_reshape_without_a_copy(self):
         """A query multiplies delta into the kept mode fields as one matrix;
-        each kept grid (corners, probe and quadrature points) stores them in
-        C order, so that matrix is a view, not a copy per query."""
+        each kept grid (probe and quadrature points) stores them in C order,
+        so that matrix is a view, not a copy per query."""
         draw = np.random.default_rng(3)
         sam = BoundarySampler(2 * np.pi * np.arange(9) / 9, kind="xy")
         reduced = _Reduced(draw.normal(scale=2e-4, size=18), draw.normal(scale=2e-4, size=(18, 3)))
         model = deformation_from_kl(reduced, refine_patch(build_disk_patch(0.05), 1), sam)
         assemble(deform(model, [0.9, -1.1, 0.4]), DiscreteSpace(2, 2), bc="dirichlet")
-        assert len(model._grids) == 3
+        assert len(model._grids) == 2
         for _, fields in model._grids.values():
             assert np.shares_memory(fields[1:].reshape(3, fields[0].size), fields)
 

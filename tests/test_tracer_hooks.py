@@ -166,24 +166,43 @@ def test_factorization_hook_sees_every_cluster_solve(tracer, monkeypatch, tmp_pa
     assert trace.calls["tracking.backsolve"] == summary["bordered_solves"]
 
 
-def test_track_statistics_count_cluster_members(tracer, monkeypatch, tmp_path):
-    """The tracer reads per-track statistics through tracking.track, which
-    tracks every group, clusters as well as lone starts: with the m = 1
-    pair tracked as one cluster and no partner tracked, its step, Newton
-    and solve counts are summary.json's."""
+def _assert_report_counts_summary(tracer, monkeypatch, tmp_path, modes):
+    """Run the small disk traced at the given mode count; the tracer's
+    step, Newton and solve counts must be summary.json's.  Returns the
+    summary."""
     trace = _installed(tracer, monkeypatch)
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(dict(_SMALL_DISK, modes=3)))
+    cfg.write_text(json.dumps(dict(_SMALL_DISK, modes=modes)))
     out = tmp_path / "run"
     assert cli.main(["uq", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["clusters"] > 0
     report = tracer.report(trace, 0)
     newton = summary["newton"]
     assert report["accepted_steps"] == newton["accepted_steps"]
     assert report["rejected_steps"] == summary["rejected_steps"]
     assert report["newton_iterations"] == newton["mean"] * newton["accepted_steps"]
     assert report["bordered_solves"] == summary["bordered_solves"]
+    return summary
+
+
+def test_track_statistics_count_cluster_members(tracer, monkeypatch, tmp_path):
+    """The tracer reads per-track statistics through tracking.track, which
+    tracks every group, clusters as well as lone starts: with the m = 1
+    pair tracked as one cluster and no partner tracked, its step, Newton
+    and solve counts are summary.json's."""
+    summary = _assert_report_counts_summary(tracer, monkeypatch, tmp_path, modes=3)
+    assert summary["clusters"] > 0
+
+
+def test_track_statistics_count_the_partner(tracer, monkeypatch, tmp_path):
+    """At two modes the second start's cluster takes the next pair of the
+    start pencil as partner, whose track is not returned: its accepted
+    steps, Newton iterations and rejections count with the last start, as
+    its solves do, so summary.json's counts are the tracer's (6 accepted
+    steps, against 4 when only the solves were counted)."""
+    summary = _assert_report_counts_summary(tracer, monkeypatch, tmp_path, modes=2)
+    assert summary["clusters"] > 0
+    assert summary["newton"]["accepted_steps"] == 6
 
 
 def test_factorization_hook_sees_the_sparse_tier(tracer, monkeypatch, tmp_path):

@@ -706,8 +706,9 @@ def never_mixing(homotopy, pairs):
 
 
 def end_gram(homotopy, states):
+    M = homotopy.ends[0].mass
     E = np.column_stack([st.eigenpair.vector for st in states])
-    return E.T @ (homotopy.ends[0].mass @ E)
+    return E.T @ np.column_stack([M @ st.eigenpair.vector for st in states])
 
 
 class TestClusters:
@@ -886,7 +887,8 @@ class TestBatch:
             for got, want in zip(batch[k], alone[k]):
                 same_track(got, want)
             E = np.column_stack([st.eigenpair.vector for st in batch[k]])
-            np.testing.assert_allclose(E.T @ (end.mass @ E), np.eye(3), atol=1e-10)
+            ME = np.column_stack([end.mass @ st.eigenpair.vector for st in batch[k]])
+            np.testing.assert_allclose(E.T @ ME, np.eye(3), atol=1e-10)
 
     def test_failure_stays_with_its_end(self, monkeypatch):
         # a singular bordered system at one end's derivative fails that end
