@@ -83,7 +83,7 @@ from .pencil import (
     eigenvalue_to_frequency,
     is_spurious,
 )
-from .tracking import TrackConfig, batch_size, track_modes
+from .tracking import Tally, TrackConfig, batch_size, track_modes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -444,30 +444,33 @@ def _disk_study(root, prob_sec, n_modes):
 
 # -- study runner ------------------------------------------------------------
 
-COUNTS = ("bordered_solves", "factorizations", "rejected_steps", "degenerate_flags")
+# each summary.json count of tracking work, and the Tally field it reads
+COUNTS = {"bordered_solves": "n_solves", "factorizations": "n_factorizations",
+          "rejected_steps": "n_rejects"}
 TALLIES = ("clusters", "cluster_retracks", "warnings")
+
+
+def _counts(tally):
+    return {key: getattr(tally, name) for key, name in COUNTS.items()}
 
 
 class _Record:
     """Tracking results at n_nodes nodes: one chunk task's, or a study's.
 
-    values is mode x node, NaN where a mode's group failed; per mode, counts
-    has an integer column per COUNTS key, newton_logs the Newton iterations
-    of each accepted step, node after node, and min_overlap a track's
-    smallest M-overlap between accepted steps (for a cluster member, the
-    smallest principal cosine between consecutive cluster subspaces; 1.0
-    where nothing is tracked).  failures is [{node, modes, error}, ...] in
-    node order, tallies counts the warnings raised (recorded, not shown),
-    the clusters tracked jointly and their endpoint re-tracks, and discrete
-    (node x discrete) holds each node's lowest discrete eigenvalues,
-    rank-ordered.
+    values is mode x node, NaN where a mode's group failed; per_mode holds
+    each mode's tracking.Tally, its tracks at node after node folded in (a
+    cluster member's overlap is the smallest principal cosine between
+    consecutive cluster subspaces; 1.0 where nothing is tracked).  failures
+    is [{node, modes, error}, ...] in node order, tallies counts the
+    warnings raised (recorded, not shown), the clusters tracked jointly,
+    their endpoint re-tracks and the tracks flagged as starting nearly
+    degenerate, and discrete (node x discrete) holds each node's lowest
+    discrete eigenvalues, rank-ordered.
     """
 
     def __init__(self, n_modes, n_nodes, discrete):
         self.values = np.full((n_modes, n_nodes), np.nan)
-        self.counts = np.zeros(n_modes, dtype=[(name, int) for name in COUNTS])
-        self.newton_logs = [[] for _ in range(n_modes)]
-        self.min_overlap = np.ones(n_modes)
+        self.per_mode = [Tally() for _ in range(n_modes)]
         self.failures = []
         self.tallies = Counter()
         self.discrete = np.empty((n_nodes, discrete))
@@ -476,11 +479,8 @@ class _Record:
         """Add the record rec of a chunk as the nodes from k on."""
         cols = slice(k, k + rec.values.shape[1])
         self.values[:, cols] = rec.values
-        for name in COUNTS:
-            self.counts[name] += rec.counts[name]
-        for log, steps in zip(self.newton_logs, rec.newton_logs):
-            log += steps
-        np.minimum(self.min_overlap, rec.min_overlap, out=self.min_overlap)
+        for tally, theirs in zip(self.per_mode, rec.per_mode):
+            tally.fold(theirs)
         self.failures += rec.failures
         self.tallies.update(rec.tallies)
         self.discrete[cols] = rec.discrete
@@ -526,14 +526,10 @@ def _track_chunk(job, first, nodes, par, base, tracked):
                 rec.tallies["cluster_retracks"] += len(
                     {st.cluster for st in states if st.retracked}
                 )
+                rec.tallies["degenerate_flags"] += sum(st.flagged for st in states)
                 for (j, _), st in zip(members, states):
                     rec.values[j, i] = st.eigenpair.value
-                    rec.newton_logs[j] += st.newton_log
-                    for name, count in zip(COUNTS, (
-                        st.n_solves, st.n_factorizations, st.n_rejects, st.flagged
-                    )):
-                        rec.counts[name][j] += count
-                    rec.min_overlap[j] = min(rec.min_overlap[j], st.min_overlap)
+                    rec.per_mode[j].fold(st)
     rec.failures.sort(key=lambda failure: failure["node"])
     rec.tallies["warnings"] += len(caught)
     return rec, pencils
@@ -643,15 +639,10 @@ def _write_summary(path, **fields):
         fh.write("\n")
 
 
-def _newton_summary(logs):
-    flat = [it for log in logs for it in log]
-    if not flat:
+def _newton_summary(log):
+    if not log:
         return {"accepted_steps": 0, "mean": None, "max": None}
-    return {
-        "accepted_steps": len(flat),
-        "mean": float(np.mean(flat)),
-        "max": int(max(flat)),
-    }
+    return {"accepted_steps": len(log), "mean": float(np.mean(log)), "max": int(max(log))}
 
 
 def _out_dir(args):
@@ -667,6 +658,7 @@ def cmd_uq(cfg, args):
     study, run = _run_study(cfg, args)
     mean, var = uq.estimate_moments(run.freq, study.grid)
     sd = np.sqrt(np.maximum(var, 0.0))
+    total = Tally().fold(*run.per_mode)
     uq.save_grid_csv(out / "grid.csv", study.grid)
     _write_csv(
         out / "mode_table.csv",
@@ -682,13 +674,14 @@ def cmd_uq(cfg, args):
     _write_summary(
         out / "summary.json",
         **study.summary,
-        **{name: int(run.counts[name].sum()) for name in COUNTS},
+        **_counts(total),
         **{name: run.tallies[name] for name in TALLIES},
+        degenerate_flags=run.tallies["degenerate_flags"],
         nodes=study.grid.n_nodes,
         modes=len(study.starts),
         workers=args.workers,
-        newton=_newton_summary(run.newton_logs),
-        min_overlap=float(run.min_overlap.min()),
+        newton=_newton_summary(total.newton_log),
+        min_overlap=total.min_overlap,
     )
     print(f"{study.summary['problem']} uq: {len(study.starts)} modes over "
           f"{study.grid.n_nodes} nodes")
@@ -732,14 +725,9 @@ def cmd_track(cfg, args):
     )
 
     per_mode = {}
-    for j, log in enumerate(run.newton_logs):
-        newton = _newton_summary([log])
-        per_mode[j] = {
-            "newton_mean": newton["mean"],
-            "newton_max": newton["max"],
-            **{name: int(run.counts[name][j])
-               for name in ("bordered_solves", "factorizations", "rejected_steps")},
-        }
+    for j, tally in enumerate(run.per_mode):
+        newton = _newton_summary(tally.newton_log)
+        per_mode[j] = {"newton_mean": newton["mean"], "newton_max": newton["max"], **_counts(tally)}
     crossing = _locate_crossing(radii, run.freq)
     _write_summary(
         out / "summary.json",
@@ -784,13 +772,11 @@ def cmd_kl_fit(cfg, args):
     sampler = geometry.BoundarySampler(_station_angles(obs.n_variables), "radial")
     geometry.save_deformation_spec(out / "kl_model.json", sampler, kl.mean, kl.scaled_modes)
 
-    X = obs.data - obs.data.mean(axis=0)
-    spectrum = np.sort(np.linalg.eigvalsh((X.T @ X) / (obs.n_samples - 1)))[::-1]
-    cum = np.cumsum(spectrum) / spectrum.sum()
+    cum = np.cumsum(kl.spectrum) / kl.spectrum.sum()
     _write_csv(
         out / "kl_spectrum.csv",
         ["mode", "variance", "cumulative_ratio"],
-        ([j, v, c] for j, (v, c) in enumerate(zip(spectrum, cum))),
+        ([j, v, c] for j, (v, c) in enumerate(zip(kl.spectrum, cum))),
     )
     _write_summary(
         out / "summary.json",
@@ -800,7 +786,7 @@ def cmd_kl_fit(cfg, args):
         criterion=criterion,
         retained=kl.n_modes,
         captured_ratio=kl.captured_ratio,
-        total_variance=kl.total_variance,
+        total_variance=float(kl.spectrum.sum()),
     )
     print(f"retained {kl.n_modes} of {obs.n_variables} variables "
           f"({kl.captured_ratio:.4f} of the variance)")
@@ -894,7 +880,8 @@ def cmd_bench(cfg, args):
     offsets = np.linalg.norm(study.grid.nodes - par.base_delta, axis=1)
     pairs = n_modes * int(np.count_nonzero(offsets))
     base_count = direct_counts[int(np.argmin(offsets))]
-    tracked_solves = int(run.counts["bordered_solves"].sum())
+    counts = _counts(Tally().fold(*run.per_mode))
+    tracked_solves = counts["bordered_solves"]
     tracked_total = base_count + tracked_solves
     direct_total = int(np.sum(direct_counts))
     _write_summary(
@@ -903,7 +890,7 @@ def cmd_bench(cfg, args):
         modes=n_modes,
         tracked={
             "bordered_solves": tracked_solves,
-            "factorizations": int(run.counts["factorizations"].sum()),
+            "factorizations": counts["factorizations"],
             "base_eigensolve_solves": base_count,
             "total_solves": tracked_total,
             "per_mode_point": tracked_solves / pairs if pairs else None,

@@ -63,6 +63,16 @@ def _m_orthonormalize(vectors, M):
     return out
 
 
+def _dots(X, Y):
+    """x @ y for each pair of rows: one BLAS dot each, as for vectors."""
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+
+def _scaled_residuals(R, lam, E, norm_k, norm_m):
+    """Eigenpair.residual of each row of E, given its residual R = K e - lam M e."""
+    return np.sqrt(_dots(R, R)) / ((norm_k + np.abs(lam) * norm_m) * np.sqrt(_dots(E, E)))
+
+
 def _finalize(values, vectors, pencil):
     K, M = pencil.stiffness, pencil.mass
     order = np.argsort(values, kind="stable")
@@ -83,8 +93,7 @@ def _finalize(values, vectors, pencil):
     pairs = []
     for lam, v in zip(values, vectors):
         v = sign_fix(v / np.sqrt(v @ (M @ v)))
-        resid = np.linalg.norm(K @ v - lam * (M @ v))
-        resid /= (norm_k + abs(lam) * norm_m) * np.linalg.norm(v)
+        resid = _scaled_residuals((K @ v - lam * (M @ v))[None], lam, v[None], norm_k, norm_m)[0]
         if resid > RESIDUAL_TOL:
             raise SolverError(f"eigenpair residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
         pairs.append(Eigenpair(float(lam), v, float(resid)))

@@ -21,6 +21,10 @@ An endpoint M-Gram check backs every group of modes (track_modes):
 colliding tracks are re-tracked as one cluster, and a collision that
 remains is a TrackingFailure.
 
+Each TrackState carries the Tally of its work (Newton iterations,
+bordered solves and factorizations, rejections, smallest step overlap),
+and every sum of such statistics, up to a study's summary, is Tally.fold.
+
 Every homotopy is a batch: one start pencil and a sequence of ends
 (pencil.HomotopyPencil), and the study runner tracks a chunk of grid nodes
 at once, one end per node.  The loop advances every end's homotopy in
@@ -75,7 +79,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .assembly import MatrixPencil, stacked_products
-from .eigen import DENSE_CUTOFF, Eigenpair, _m_orthonormalize, dense_eigh, group_clusters
+from .eigen import DENSE_CUTOFF, Eigenpair, _dots, _m_orthonormalize, _scaled_residuals
+from .eigen import dense_eigh, group_clusters
 from .errors import (
     CavityError,
     DegeneracyError,
@@ -127,47 +132,51 @@ class TrackConfig:
             raise DomainError(f"newton_tol must be positive, got {self.newton_tol}")
 
 
+@dataclass(kw_only=True)
+class Tally:
+    """Tracking work and identity confidence, 1.0 the overlap before any
+    step.  Two tallies combine in fold alone."""
+
+    newton_log: list = field(default_factory=list)   # iterations per accepted step
+    n_solves: int = 0                                # bordered back-solves
+    n_factorizations: int = 0                        # bordered LU factorizations
+    n_rejects: int = 0
+    min_overlap: float = 1.0
+
+    def fold(self, *others):
+        """Add each other tally's work to this one, in order: its log after
+        this one's, its counts to these, and the smaller overlap."""
+        for other in others:
+            self.newton_log += other.newton_log
+            self.n_solves += other.n_solves
+            self.n_factorizations += other.n_factorizations
+            self.n_rejects += other.n_rejects
+            self.min_overlap = min(self.min_overlap, other.min_overlap)
+        return self
+
+
 @dataclass
-class TrackState:
-    """Tracker position with its accepted history."""
+class TrackState(Tally):
+    """Tracker position with its accepted history and the Tally of its work."""
 
     t: float
     eigenpair: Eigenpair
     c: np.ndarray
     trajectory: list = field(default_factory=list)   # (t, lambda) accepted
-    newton_log: list = field(default_factory=list)   # iterations per accepted step
-    n_solves: int = 0                                # bordered back-solves, total
-    n_factorizations: int = 0                        # bordered LU factorizations, total
-    n_rejects: int = 0
-    min_overlap: float = 1.0
     flagged: bool = False                            # degenerate start
     cluster: tuple = ()                              # starts tracked jointly
     retracked: bool = False                          # after an endpoint collision
 
 
-class Tracks(list):
+class Tracks(list, Tally):
     """The outcome of each of a batch's ends, in end order: its TrackStates,
-    one per start, or the CavityError that ended its track.  The statistics
-    are over every state of every tracked end, taken once when the track
-    returns: newton_log is their logs one after another, n_solves and
-    n_rejects are their sums and min_overlap their minimum."""
+    one per start, or the CavityError that ended its track.  Its Tally folds
+    every state of every tracked end, once when the track returns."""
 
     def __init__(self, outcomes):
-        super().__init__(outcomes)
-        done = [st for states in self if isinstance(states, list) for st in states]
-        self.newton_log = [it for st in done for it in st.newton_log]
-        self.n_solves = sum(st.n_solves for st in done)
-        self.n_rejects = sum(st.n_rejects for st in done)
-        self.min_overlap = min((st.min_overlap for st in done), default=1.0)
-
-
-def _dots(X, Y):
-    """x @ y for each pair of rows: one BLAS dot each, as for vectors."""
-    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
-
-
-def _scaled_residuals(R, lam, E, norm_k, norm_m):
-    return np.sqrt(_dots(R, R)) / ((norm_k + np.abs(lam) * norm_m) * np.sqrt(_dots(E, E)))
+        list.__init__(self, outcomes)
+        Tally.__init__(self)
+        self.fold(*(st for states in self if isinstance(states, list) for st in states))
 
 
 @cache
@@ -812,15 +821,13 @@ def track_modes(homotopy, starts, cfg=TrackConfig(), partner=None):
     it; a cluster member's state.cluster holds the indices of its cluster's
     starts.  A partner, the next pair of the start pencil above the starts,
     is tracked where it mixes with a start, so that their cluster is not
-    cut, and not returned: its accepted steps and their Newton iterations,
-    its rejections, its smallest overlap, its bordered solves and its
-    factorizations are counted with the last start, and its index in a
-    cluster is len(starts).
+    cut, and not returned: its Tally is folded into the last start's, and
+    its index in a cluster is len(starts).
 
     The endpoint vectors must be pairwise M-orthogonal (|e_i^T M e_j| <=
     ORTHO_TOL).  Colliding tracks are re-tracked as one cluster with every
-    start between them (state.retracked); the work of the first attempt
-    stays counted.  If they still collide, TrackingFailure.
+    start between them (state.retracked), whose states fold in the first
+    attempt's Tally.  If they still collide, TrackingFailure.
 
     Near-degenerate start values (relative gap below START_GAP_WARN) are
     warned about and flagged.  Those that do not mix are tracked alone with
@@ -874,12 +881,7 @@ def track_modes(homotopy, starts, cfg=TrackConfig(), partner=None):
         if isinstance(res, list) and len(pairs) > len(starts):
             spare = res.pop()
             if spare is not None:
-                last = res[-1]
-                last.newton_log += spare.newton_log
-                last.n_solves += spare.n_solves
-                last.n_factorizations += spare.n_factorizations
-                last.n_rejects += spare.n_rejects
-                last.min_overlap = min(last.min_overlap, spare.min_overlap)
+                res[-1].fold(spare)
     return results
 
 
@@ -927,8 +929,8 @@ def _check_endpoints(homotopy, ends, pairs, order, tracked, clusters, flagged, c
 
 def _track_members(homotopy, pairs, members, cfg, results, ends):
     """Track pairs[members] (ascending by value) at the listed ends into
-    results[end][members]; an end that fails takes its error in results
-    and is tracked no further."""
+    results[end][members], each state folding in the one it replaces; an
+    end that fails takes its error in results and is tracked no further."""
     ends = [b for b in ends if not isinstance(results[b], CavityError)]
     if not ends:
         return
@@ -944,10 +946,7 @@ def _track_members(homotopy, pairs, members, cfg, results, ends):
             old = results[b][j]
             if old is not None:
                 st.retracked = True
-                st.newton_log[:0] = old.newton_log
-                st.n_solves += old.n_solves
-                st.n_factorizations += old.n_factorizations
-                st.n_rejects += old.n_rejects
+                st.fold(old)
             results[b][j] = st
 
 

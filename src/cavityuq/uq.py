@@ -74,16 +74,20 @@ class KLModel:
 
     mean: np.ndarray
     modes: np.ndarray        # orthonormal columns, one per retained mode
-    variances: np.ndarray    # positive, descending
-    total_variance: float
+    spectrum: np.ndarray     # every covariance eigenvalue, descending
 
     @property
     def n_modes(self):
-        return self.variances.size
+        return self.modes.shape[1]
+
+    @property
+    def variances(self):
+        """The retained eigenvalues: positive, descending."""
+        return self.spectrum[:self.n_modes]
 
     @property
     def captured_ratio(self):
-        return float(self.variances.sum() / self.total_variance)
+        return float(self.variances.sum() / self.spectrum.sum())
 
     @property
     def scaled_modes(self):
@@ -124,7 +128,7 @@ def fit_kl(obs, criterion=0.95):
     gram = modes.T @ modes
     if np.abs(gram - np.eye(n_t)).max() > 1e-12:
         raise DegenerateDataError("covariance eigenvectors lost orthonormality")
-    return KLModel(mu, modes, kept.copy(), total)
+    return KLModel(mu, modes, w)
 
 
 def generate_synthetic_observations(cov, mean, n_samples, seed):

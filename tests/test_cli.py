@@ -458,7 +458,8 @@ class TestGridCommand:
 
 
 class TestKlFit:
-    def test_fit_and_reuse(self, tmp_path, save_observations):
+    @pytest.fixture
+    def kl_fit_run(self, tmp_path, save_observations):
         C = uq.default_correlated_covariance()
         obs = uq.generate_synthetic_observations(C, np.zeros(18), 3000, seed=77)
         obs_path = tmp_path / "obs.csv"
@@ -467,6 +468,10 @@ class TestKlFit:
                            {"observations": str(obs_path), "criterion": 0.95})
         out = tmp_path / "kl"
         assert run_cli("kl-fit", "--config", cfg, "--out", str(out)) == 0
+        return obs, out
+
+    def test_fit_and_reuse(self, kl_fit_run):
+        _, out = kl_fit_run
         sampler, mean, modes = load_deformation_spec(out / "kl_model.json")
         assert modes.shape == (18, 7)
         assert sampler.kind == "radial" and sampler.n_stations == 18
@@ -477,6 +482,13 @@ class TestKlFit:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["retained"] == 7
         assert summary["captured_ratio"] >= 0.95
+
+    def test_spectrum_is_the_models(self, kl_fit_run):
+        # one covariance eigensolve gives the model and the written spectrum,
+        # whose first kl.n_modes entries are the retained variances
+        obs, out = kl_fit_run
+        variances = [float(r[1]) for r in read_csv(out / "kl_spectrum.csv")[1:]]
+        assert variances == uq.fit_kl(obs, 0.95).spectrum.tolist()
 
 
 @pytest.fixture(scope="module")
@@ -1102,7 +1114,7 @@ class TestClusters:
             np.testing.assert_allclose(np.sort(run.values[:, k]), lowest, rtol=1e-9)
         # a cluster member's overlap is that of its subspace, which turns
         # slowly, not that of its own vector, which turns inside the pair
-        assert run.min_overlap.min() > 0.5
+        assert min(tally.min_overlap for tally in run.per_mode) > 0.5
 
     def test_tallies_in_every_summary(self, tmp_path, track_run, pillbox_uq_run):
         grid = {"kind": "tensor", "family": "gauss-hermite", "orders": [3, 1, 1, 1, 1, 1, 1]}

@@ -4,7 +4,10 @@ counts as called only where a pipeline looks it up as an attribute or names
 it in a string, not where a local name happens to share its spelling."""
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from cavityuq.tracking import Tally
 
 _ROOT = Path(__file__).resolve().parents[1]
 _PACKAGE = _ROOT / "src" / "cavityuq"
@@ -100,3 +103,35 @@ def test_only_the_stepping_loop_takes_a_homotopy():
     assert taking == {
         "track", "mixing", "track_modes", "_check_endpoints", "_track_members"
     }
+
+
+def test_one_fold_for_track_statistics():
+    # tracking statistics combine in tracking.Tally.fold alone: any other
+    # statement that writes a tally field of one object from the same field
+    # of another is a second fold, to be kept in step with the first
+    names = {f.name for f in dataclasses.fields(Tally)}
+
+    def fields(node):
+        return {
+            (n.attr, ast.dump(n.value)) for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and n.attr in names
+        }
+
+    folds = set()
+    for path, tree in _trees(sorted(_PACKAGE.glob("*.py"))):
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (path.name, func.name) == ("tracking.py", "fold"):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AugAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                written = set().union(*map(fields, targets))
+                if any(f == g and a != b for f, a in written for g, b in fields(node.value)):
+                    folds.add(f"{path.name}:{node.lineno} {func.name}")
+    assert sorted(folds) == []

@@ -794,10 +794,12 @@ class TestClusters:
         values = [st.eigenpair.value for st in states]
         assert values[0] < values[1]
         assert all(np.min(np.abs(ref - v)) <= 1e-12 * v for v in values)
-        # the first attempt's work stays counted
+        # the first attempt's work stays counted, its overlap included: its
+        # log follows the re-track's
         for st, first in zip(states, alone):
             assert st.n_solves > first.n_solves
-            assert st.newton_log[:len(first.newton_log)] == first.newton_log
+            assert st.newton_log[-len(first.newton_log):] == first.newton_log
+            assert st.min_overlap <= first.min_overlap
 
     def test_collision_after_retrack_fails(self, monkeypatch):
         h = avoided_crossing(seed=19, perturbation=0.1)
